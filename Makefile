@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race chaos bench bench-parallel perf-smoke bench-faults bench-incr bench-serve bench-tenant tenant-smoke bench-persist persist-smoke bench-stream stream-smoke bench-cluster cluster-smoke obs serve loadgen medrouter vet cover fuzz-smoke
+.PHONY: all check build test race chaos bench spine bench-parallel perf-smoke bench-faults bench-incr bench-serve bench-tenant tenant-smoke bench-persist persist-smoke bench-stream stream-smoke bench-cluster cluster-smoke obs serve loadgen medrouter vet cover fuzz-smoke
 
 all: build test
 
@@ -32,6 +32,13 @@ chaos:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The benchmark spine (BENCHMARK.json, benchmark/README.md): one
+# workload's five gated end-to-end metrics, built and run exactly as
+# the driver does. W picks the workload.
+W ?= live_update
+spine:
+	bash benchmark/run.sh --workload $(W)
 
 # Worker-sweep speedup report: compiled vs interpreted serial legs plus
 # Workers in {1,2,4,8} at GOMAXPROCS=NumCPU (writes BENCH_parallel.json).

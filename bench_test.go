@@ -727,3 +727,38 @@ func BenchmarkExplain(b *testing.B) {
 		}
 	}
 }
+
+// --- Incremental maintenance: the cost of one small source delta ---
+
+// BenchmarkApplySourceDelta pushes the benchmark spine's live_update
+// delta — five SYNAPSE spine measurements, four facts each, added by
+// one call and deleted by the next — through Mediator.ApplySourceDelta
+// on a materialized 10x federation. One iteration is one delta.
+func BenchmarkApplySourceDelta(b *testing.B) {
+	m := newScenario(b, 400, 800, 240)
+	if _, err := m.Materialize(); err != nil {
+		b.Fatal(err)
+	}
+	s := term.Atom("SYNAPSE")
+	var batch []datalog.Rule
+	for i := 0; i < 5; i++ {
+		id := term.Atom(fmt.Sprintf("bench_delta_%d", i))
+		batch = append(batch,
+			datalog.Fact(wrapper.PredSrcObj, s, id, term.Atom("spine_measurement")),
+			datalog.Fact(wrapper.PredSrcVal, s, id, term.Atom("age_days"), term.Int(int64(100+i))),
+			datalog.Fact(wrapper.PredSrcVal, s, id, term.Atom("condition"), term.Str("control")),
+			datalog.Fact(wrapper.PredSrcVal, s, id, term.Atom("location"), term.Atom("dendrite")))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		adds, dels := batch, []datalog.Rule(nil)
+		if i%2 == 1 {
+			adds, dels = nil, batch
+		}
+		rep, err := m.ApplySourceDelta("SYNAPSE", adds, dels)
+		if err != nil || rep.Full {
+			b.Fatal(err, rep)
+		}
+	}
+}

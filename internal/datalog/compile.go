@@ -565,7 +565,7 @@ func (ex *cExec) scan(op *cOp, i int) error {
 		src = ex.ev.delta
 	}
 	rel := src.Rel(op.relKey)
-	if rel == nil || rel.n == 0 {
+	if rel == nil || rel.Len() == 0 {
 		return nil
 	}
 	// Resolve argBuild terms once per scan; a term that was never
@@ -594,7 +594,7 @@ func (ex *cExec) scan(op *cOp, i int) error {
 	// Pick the most selective probe, same rule as the interpreter:
 	// smallest bucket wins, first position wins ties, zero short-circuits.
 	bestCount := -1
-	var bestRows []int32
+	var best rowSet
 	for _, pos := range op.probes {
 		var id uint32
 		switch op.args[pos].kind {
@@ -605,10 +605,10 @@ func (ex *cExec) scan(op *cOp, i int) error {
 		case argBuild:
 			id = buildIDs[pos]
 		}
-		sel := rel.selectID(pos, id)
-		if bestCount < 0 || len(sel) < bestCount {
-			bestCount, bestRows = len(sel), sel
-			if len(sel) == 0 {
+		sel := rel.probe(pos, id)
+		if n := sel.size(); bestCount < 0 || n < bestCount {
+			bestCount, best = n, sel
+			if n == 0 {
 				break
 			}
 		}
@@ -646,19 +646,9 @@ func (ex *cExec) scan(op *cOp, i int) error {
 		return err
 	}
 	if bestCount >= 0 {
-		for _, ri := range bestRows {
-			if err := matchRow(rel.rowIDs(int(ri))); err != nil {
-				return err
-			}
-		}
-		return nil
+		return rel.eachAt(best, matchRow)
 	}
-	for ri := 0; ri < rel.n; ri++ {
-		if err := matchRow(rel.rowIDs(ri)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return rel.each(matchRow)
 }
 
 func (ex *cExec) reset(binds []int32) {

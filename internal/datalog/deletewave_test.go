@@ -52,13 +52,13 @@ func TestDeleteWaveRelation(t *testing.T) {
 		ts := termsOfIDs(rows[i])
 		for pos := 0; pos < 2; pos++ {
 			found := false
-			for _, ri := range rel.Select(pos, ts[pos]) {
-				got := rel.rowIDs(int(ri))
+			for _, sel := range rel.Select(pos, ts[pos]) {
+				got := internRow(sel, nil)
 				if got[0] == rows[i][0] && got[1] == rows[i][1] {
 					found = true
 				}
 				if !rel.ContainsIDs(got) {
-					t.Fatalf("Select(%d) returned dead row index %d", pos, ri)
+					t.Fatalf("Select(%d) returned dead row %v", pos, sel)
 				}
 			}
 			if !found {

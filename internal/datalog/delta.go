@@ -134,14 +134,14 @@ func (e *Engine) ApplyDeltaCtx(ctx context.Context, prev *Result, d *Delta) (*Re
 	}
 	stats := &DeltaStats{}
 	effAdds, effDels := NewStore(), NewStore()
-	d.dels.Each(func(key string, arity int, row []term.Term) {
-		if e.edb.DeleteKey(key, row) {
-			effDels.InsertKey(key, arity, row)
+	d.dels.EachIDs(func(key string, arity int, row []uint32) {
+		if e.edb.DeleteKeyIDs(key, row) {
+			effDels.InsertKeyIDs(key, arity, row)
 		}
 	})
-	d.adds.Each(func(key string, arity int, row []term.Term) {
-		if e.edb.InsertKey(key, arity, row) {
-			effAdds.InsertKey(key, arity, row)
+	d.adds.EachIDs(func(key string, arity int, row []uint32) {
+		if e.edb.InsertKeyIDs(key, arity, row) {
+			effAdds.InsertKeyIDs(key, arity, row)
 		}
 	})
 	stats.AddsApplied = effAdds.Size()
@@ -153,16 +153,14 @@ func (e *Engine) ApplyDeltaCtx(ctx context.Context, prev *Result, d *Delta) (*Re
 	if effAdds.Size() == 0 && effDels.Size() == 0 {
 		return prev, nil
 	}
-	g := buildDepGraph(e.rules)
-	scc := tarjanSCC(g)
-	stratified, aggCycle := scc.stratify(e.rules)
-	if aggCycle {
-		return nil, fmt.Errorf("datalog: aggregation through recursion is not supported")
+	p := e.plan()
+	if p.aggCycle {
+		return nil, errAggCycle
 	}
-	if !stratified {
+	if !p.stratified {
 		return e.deltaFullRun(ctx, stats)
 	}
-	return e.applyDeltaStratified(ctx, prev, scc, effAdds, effDels, stats)
+	return e.applyDeltaStratified(ctx, prev, p, effAdds, effDels, stats)
 }
 
 // Update applies the batch through the engine that produced r.
@@ -189,28 +187,17 @@ func (e *Engine) deltaFullRun(ctx context.Context, stats *DeltaStats) (*Result, 
 	return res, err
 }
 
-func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, scc *sccResult, effAdds, effDels *Store, stats *DeltaStats) (*Result, error) {
+func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *evalPlan, effAdds, effDels *Store, stats *DeltaStats) (*Result, error) {
 	sp := e.opts.Trace.Child("datalog.apply_delta")
 	defer sp.End()
 	sp.SetInt("edb_adds", int64(effAdds.Size()))
 	sp.SetInt("edb_dels", int64(effDels.Size()))
 	lim := newLimiter(ctx, e.opts.Limits)
 
+	p.prepareDelta()
 	old := prev.Store
 	store := old.Clone()
 	res := &Result{Store: store, Stratified: true, eng: e, Delta: stats}
-
-	strata := scc.strata(e.rules)
-	// Predicates some rule derives, mapped to the stratum that owns them.
-	headLevel := make(map[string]int)
-	for lvl, stratum := range strata {
-		for _, r := range stratum {
-			k := r.Head.Key()
-			if _, ok := headLevel[k]; !ok {
-				headLevel[k] = lvl
-			}
-		}
-	}
 
 	// Cumulative net changes relative to the old model, grown stratum by
 	// stratum; higher strata read them as their input delta.
@@ -218,38 +205,37 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, scc *sc
 
 	// EDB insertions take effect immediately: a new extensional fact is
 	// present regardless of rules; its consequences propagate upward.
-	effAdds.Each(func(key string, arity int, row []term.Term) {
-		if store.InsertKey(key, arity, row) {
-			cumAdd.InsertKey(key, arity, row)
+	effAdds.EachIDs(func(key string, arity int, row []uint32) {
+		if store.InsertKeyIDs(key, arity, row) {
+			cumAdd.InsertKeyIDs(key, arity, row)
 		}
 	})
 	// EDB deletions of underivable predicates also apply immediately.
 	// Deletions of derivable predicates become overdelete seeds in the
 	// owning stratum — the fact may have alternative derivations.
-	pendingDel := make([]*Store, len(strata))
-	effDels.Each(func(key string, arity int, row []term.Term) {
-		if lvl, ok := headLevel[key]; ok {
+	pendingDel := make([]*Store, len(p.strata))
+	effDels.EachIDs(func(key string, arity int, row []uint32) {
+		if lvl, ok := p.headLevel[key]; ok {
 			if pendingDel[lvl] == nil {
 				pendingDel[lvl] = NewStore()
 			}
-			pendingDel[lvl].InsertKey(key, arity, row)
+			pendingDel[lvl].InsertKeyIDs(key, arity, row)
 			return
 		}
-		if store.DeleteKey(key, row) {
-			cumDel.InsertKey(key, arity, row)
+		if store.DeleteKeyIDs(key, row) {
+			cumDel.InsertKeyIDs(key, arity, row)
 		}
 	})
 
 	workers := e.opts.ResolvedWorkers()
-	for lvl, stratum := range strata {
-		if len(stratum) == 0 {
+	for lvl, st := range p.strata {
+		if len(st.rules) == 0 {
 			continue
 		}
-		reads, hasAgg := stratumReads(stratum)
 		pend := pendingDel[lvl]
 		touched := pend != nil && pend.Size() > 0
 		if !touched {
-			for k := range reads {
+			for k := range st.reads {
 				if cumAdd.Count(k) > 0 || cumDel.Count(k) > 0 {
 					touched = true
 					break
@@ -260,11 +246,15 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, scc *sc
 			continue
 		}
 		ssp := sp.Childf("stratum %d", lvl)
-		if hasAgg {
+		if err := st.prepare(&e.opts); err != nil {
+			ssp.End()
+			return res, err
+		}
+		if st.hasAgg {
 			// Aggregate values cannot be patched from tuple deltas;
 			// recompute the whole stratum against the (final) lower
 			// strata and diff against the old model.
-			err := e.recomputeStratum(stratum, store, old, cumAdd, cumDel, stats, lim, ssp)
+			err := e.recomputeStratum(st, store, old, cumAdd, cumDel, stats, lim, ssp)
 			ssp.End()
 			if err != nil {
 				return res, err
@@ -272,12 +262,7 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, scc *sc
 			stats.RecomputedStrata++
 			continue
 		}
-		prepared, err := prepareRules(stratum, &e.opts)
-		if err != nil {
-			ssp.End()
-			return res, err
-		}
-		err = e.dredStratum(prepared, store, old, cumAdd, cumDel, pend, stats, workers, lim, ssp)
+		err := e.dredStratum(st, store, old, cumAdd, cumDel, pend, stats, workers, lim, ssp)
 		ssp.End()
 		if err != nil {
 			return res, err
@@ -305,74 +290,44 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, scc *sc
 	return res, nil
 }
 
-// stratumReads collects the predicate keys a stratum's rule bodies read
-// (positive, negative and inside aggregates), and whether any rule
-// aggregates.
-func stratumReads(stratum []Rule) (reads map[string]struct{}, hasAgg bool) {
-	reads = make(map[string]struct{})
-	for _, r := range stratum {
-		for _, el := range r.Body {
-			switch b := el.(type) {
-			case Literal:
-				if !IsBuiltin(b.Pred, len(b.Args)) {
-					reads[b.Key()] = struct{}{}
-				}
-			case Aggregate:
-				hasAgg = true
-				for _, l := range b.Body {
-					if !IsBuiltin(l.Pred, len(l.Args)) {
-						reads[l.Key()] = struct{}{}
-					}
-				}
-			}
-		}
-	}
-	return reads, hasAgg
-}
-
 // recomputeStratum wipes the stratum's head predicates, re-seeds them
 // from the (already patched) EDB and re-runs the stratum fixpoint, then
 // folds the old-vs-new diff of those predicates into the cumulative
 // deltas.
-func (e *Engine) recomputeStratum(stratum []Rule, store, old, cumAdd, cumDel *Store, stats *DeltaStats, lim *limiter, ssp *obs.Span) error {
-	heads := make(map[string]int)
-	for _, r := range stratum {
-		heads[r.Head.Key()] = len(r.Head.Args)
-	}
-	for k, ar := range heads {
+func (e *Engine) recomputeStratum(st *stratumPlan, store, old, cumAdd, cumDel *Store, stats *DeltaStats, lim *limiter, ssp *obs.Span) error {
+	for k, ar := range st.heads {
 		nr := NewRelation(ar)
 		store.setRel(k, nr)
 		if er := e.edb.Rel(k); er != nil {
-			for i := 0; i < er.Len(); i++ {
-				nr.InsertIDs(er.rowIDs(i))
-			}
+			_ = er.each(func(row []uint32) error {
+				nr.InsertIDs(row)
+				return nil
+			})
 		}
 	}
-	prepared, err := prepareRules(stratum, &e.opts)
-	if err != nil {
-		return err
-	}
-	rounds, firings, err := fixpoint(prepared, store, store, &e.opts, lim, ssp)
+	rounds, firings, err := fixpoint(st.prepared, store, store, &e.opts, lim, ssp)
 	stats.Rounds += rounds
 	stats.Firings += firings
 	if err != nil {
 		return err
 	}
-	for k := range heads {
+	for k := range st.heads {
 		nr, or := store.Rel(k), old.Rel(k)
 		if nr != nil {
-			for i := 0; i < nr.Len(); i++ {
-				if row := nr.rowIDs(i); or == nil || !or.ContainsIDs(row) {
+			_ = nr.each(func(row []uint32) error {
+				if or == nil || !or.ContainsIDs(row) {
 					cumAdd.InsertKeyIDs(k, nr.Arity(), row)
 				}
-			}
+				return nil
+			})
 		}
 		if or != nil {
-			for i := 0; i < or.Len(); i++ {
-				if row := or.rowIDs(i); nr == nil || !nr.ContainsIDs(row) {
+			_ = or.each(func(row []uint32) error {
+				if nr == nil || !nr.ContainsIDs(row) {
 					cumDel.InsertKeyIDs(k, or.Arity(), row)
 				}
-			}
+				return nil
+			})
 		}
 	}
 	return nil
@@ -385,21 +340,10 @@ var errStopMatch = fmt.Errorf("datalog: internal: stop match")
 // one aggregate-free stratum. store holds the new model below this
 // stratum (final) and the old model at and above it; old is the full
 // previous model and is never written.
-func (e *Engine) dredStratum(prepared []preparedRule, store, old, cumAdd, cumDel, pend *Store, stats *DeltaStats, workers int, lim *limiter, ssp *obs.Span) error {
+func (e *Engine) dredStratum(st *stratumPlan, store, old, cumAdd, cumDel, pend *Store, stats *DeltaStats, workers int, lim *limiter, ssp *obs.Span) error {
 	opts := &e.opts
-	var deltaJobs []evalJob
-	for _, pr := range prepared {
-		if len(pr.rule.Body) == 0 {
-			continue
-		}
-		if opts.Naive {
-			deltaJobs = append(deltaJobs, evalJob{headKey: pr.headKey, head: pr.rule.Head, ordered: pr.ordered, deltaIdx: -1, compiled: pr.compiled})
-			continue
-		}
-		for vi, va := range pr.variants {
-			deltaJobs = append(deltaJobs, evalJob{headKey: pr.headKey, head: pr.rule.Head, ordered: va.ordered, deltaIdx: va.deltaIdx, compiled: pr.compiledVariants[vi]})
-		}
-	}
+	st.prepareDRed()
+	prepared, deltaJobs := st.prepared, st.deltaJobs
 
 	// --- Phase 1: overdelete. Joins run against the old model: a fact
 	// is a candidate iff some derivation in the old model used a deleted
@@ -407,13 +351,11 @@ func (e *Engine) dredStratum(prepared []preparedRule, store, old, cumAdd, cumDel
 	// delta variants enumerate when the delta holds the deletions.
 	overdel := NewStore()
 	delDelta := NewStore()
-	cumDel.Each(func(key string, arity int, row []term.Term) {
-		delDelta.InsertKey(key, arity, row)
-	})
+	cumDel.MergeInto(delDelta)
 	if pend != nil {
-		pend.Each(func(key string, arity int, row []term.Term) {
-			if old.ContainsKey(key, row) && overdel.InsertKey(key, arity, row) {
-				delDelta.InsertKey(key, arity, row)
+		pend.EachIDs(func(key string, arity int, row []uint32) {
+			if old.ContainsKeyIDs(key, row) && overdel.InsertKeyIDs(key, arity, row) {
+				delDelta.InsertKeyIDs(key, arity, row)
 			}
 		})
 	}
@@ -484,12 +426,11 @@ func (e *Engine) dredStratum(prepared []preparedRule, store, old, cumAdd, cumDel
 	// --- Phase 2: rederive. Put back every removed fact that still has
 	// a derivation from surviving facts, to fixpoint (a put-back can
 	// support further put-backs through recursion).
-	rulesByHead := make(map[string][]preparedRule)
-	for _, pr := range prepared {
-		k := pr.rule.Head.Key()
-		rulesByHead[k] = append(rulesByHead[k], pr)
-	}
 	rederived := 0
+	// One substitution and one context serve every check: each check
+	// undoes its own bindings before it returns.
+	s := term.NewSubst()
+	rev := &evalCtx{store: store, negCtx: store, opts: opts}
 	for changed := true; changed; {
 		changed = false
 		// Rederivation is bounded by the overdeleted set, but each
@@ -502,7 +443,7 @@ func (e *Engine) dredStratum(prepared []preparedRule, store, old, cumAdd, cumDel
 			if f.row == nil {
 				continue
 			}
-			ok, err := derivableOneStep(rulesByHead[f.key], f.row, store, opts)
+			ok, err := derivableOneStep(st.rulesByHead[f.key], f.row, rev, s)
 			if err != nil {
 				return err
 			}
@@ -521,9 +462,7 @@ func (e *Engine) dredStratum(prepared []preparedRule, store, old, cumAdd, cumDel
 	// plus facts that fire because a lower-stratum fact disappeared
 	// (negation), then run the semi-naive delta rounds on the new store.
 	insDelta := NewStore()
-	cumAdd.Each(func(key string, arity int, row []term.Term) {
-		insDelta.InsertKey(key, arity, row)
-	})
+	cumAdd.MergeInto(insDelta)
 	// The retained derivedFact ID rows stay valid: each round derives
 	// into a fresh context, so no arena is reset while its rows are
 	// still referenced here.
@@ -583,10 +522,10 @@ func (e *Engine) dredStratum(prepared []preparedRule, store, old, cumAdd, cumDel
 }
 
 // derivableOneStep reports whether some rule derives the fact (keyed
-// head, ground row) from the current store in one step.
-func derivableOneStep(rules []preparedRule, row []term.Term, store *Store, opts *Options) (bool, error) {
+// head, ground row) from ev's store in one step. s is scratch: it comes
+// back with the bindings it went in with.
+func derivableOneStep(rules []preparedRule, row []term.Term, ev *evalCtx, s *term.Subst) (bool, error) {
 	for _, pr := range rules {
-		s := term.NewSubst()
 		trail, ok := s.MatchTuple(pr.rule.Head.Args, row)
 		if !ok {
 			s.Undo(trail)
@@ -596,7 +535,6 @@ func derivableOneStep(rules []preparedRule, row []term.Term, store *Store, opts 
 			s.Undo(trail)
 			return true, nil
 		}
-		ev := &evalCtx{store: store, negCtx: store, opts: opts}
 		found := false
 		err := ev.match(pr.ordered, 0, -1, s, func(*term.Subst) error {
 			found = true

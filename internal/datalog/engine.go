@@ -90,6 +90,9 @@ type Engine struct {
 	opts  Options
 	rules []Rule
 	edb   *Store
+	// cachedPlan is the evaluation plan of rules (see plan.go); AddRule
+	// drops it.
+	cachedPlan *evalPlan
 }
 
 // NewEngine returns an engine with the given options (nil for defaults).
@@ -103,6 +106,7 @@ func (e *Engine) AddRule(r Rule) error {
 		return err
 	}
 	e.rules = append(e.rules, r)
+	e.cachedPlan = nil
 	return nil
 }
 
@@ -210,15 +214,13 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 	sp.SetInt("rules", int64(len(e.rules)))
 	sp.SetInt("edb_facts", int64(e.edb.Size()))
 	lim := newLimiter(ctx, e.opts.Limits)
-	g := buildDepGraph(e.rules)
-	scc := tarjanSCC(g)
-	stratified, aggCycle := scc.stratify(e.rules)
-	if aggCycle {
-		return nil, fmt.Errorf("datalog: aggregation through recursion is not supported")
+	p := e.plan()
+	if p.aggCycle {
+		return nil, errAggCycle
 	}
-	if stratified {
+	if p.stratified {
 		sp.SetStr("mode", "stratified")
-		return e.runStratified(scc, lim, sp)
+		return e.runStratified(p, lim, sp)
 	}
 	if e.opts.RequireStratified {
 		return nil, fmt.Errorf("%w and RequireStratified is set", ErrNotStratified)
@@ -241,17 +243,17 @@ func hasAggregates(rules []Rule) bool {
 	return false
 }
 
-func (e *Engine) runStratified(scc *sccResult, lim *limiter, sp *obs.Span) (*Result, error) {
+func (e *Engine) runStratified(p *evalPlan, lim *limiter, sp *obs.Span) (*Result, error) {
 	store := e.edb.Clone()
 	res := &Result{Store: store, Stratified: true, eng: e}
 	workers := e.opts.ResolvedWorkers()
-	groups := scc.strataGroups(e.rules)
-	for lvl, stratum := range scc.strata(e.rules) {
-		if len(stratum) == 0 {
+	groups := p.scc.strataGroups(e.rules)
+	for lvl, st := range p.strata {
+		if len(st.rules) == 0 {
 			continue
 		}
 		ssp := sp.Childf("stratum %d", lvl)
-		ssp.SetInt("rules", int64(len(stratum)))
+		ssp.SetInt("rules", int64(len(st.rules)))
 		if workers > 1 && len(groups[lvl]) > 1 {
 			err := e.runGroups(groups[lvl], store, res, workers, lim, ssp)
 			ssp.End()
@@ -260,14 +262,13 @@ func (e *Engine) runStratified(scc *sccResult, lim *limiter, sp *obs.Span) (*Res
 			}
 			continue
 		}
-		prepared, err := prepareRules(stratum, &e.opts)
-		if err != nil {
+		if err := st.prepare(&e.opts); err != nil {
 			return nil, err
 		}
 		// Within a stratum, negated and aggregated predicates are fully
 		// computed (they live in strictly lower strata), so negation is
 		// answered from the same store.
-		rounds, firings, err := fixpoint(prepared, store, store, &e.opts, lim, ssp)
+		rounds, firings, err := fixpoint(st.prepared, store, store, &e.opts, lim, ssp)
 		ssp.End()
 		res.Rounds += rounds
 		res.Firings += firings
@@ -344,9 +345,10 @@ func (e *Engine) runGroups(groups [][]Rule, store *Store, res *Result, workers i
 				continue
 			}
 			dst := store.Ensure(k, r.Arity())
-			for ri := base; ri < r.Len(); ri++ {
-				dst.InsertIDs(r.rowIDs(ri))
-			}
+			_ = r.eachFrom(base, func(row []uint32) error {
+				dst.InsertIDs(row)
+				return nil
+			})
 		}
 	}
 	return nil
@@ -419,12 +421,12 @@ func diffStore(a, b *Store) *Store {
 		if ra == rb {
 			continue // shared via copy-on-write: identical contents
 		}
-		for i := 0; i < ra.Len(); i++ {
-			row := ra.rowIDs(i)
+		_ = ra.each(func(row []uint32) error {
 			if rb == nil || !rb.ContainsIDs(row) {
 				out.Ensure(k, ra.Arity()).InsertIDs(row)
 			}
-		}
+			return nil
+		})
 	}
 	return out
 }

@@ -25,9 +25,9 @@ type deltaVariant struct {
 // and the compiled register program for each (nil entries fall back to
 // the interpreter; see compile.go).
 type preparedRule struct {
-	rule    Rule
-	headKey string
-	ordered []BodyElem
+	rule     Rule
+	headKey  string
+	ordered  []BodyElem
 	variants []deltaVariant
 
 	compiled         *cProg
@@ -131,14 +131,9 @@ type derivedFact struct {
 // into the old slab, so they stay valid.
 func (ev *evalCtx) allocIDs(n int) []uint32 {
 	if len(ev.arena)+n > cap(ev.arena) {
-		c := 2 * cap(ev.arena)
-		if c < 4096 {
-			c = 4096
-		}
-		if c < n {
-			c = n
-		}
-		ev.arena = make([]uint32, 0, c)
+		// Slabs start small and double: a delta round that derives a
+		// handful of facts must not pay for a bulk round's slab.
+		ev.arena = make([]uint32, 0, max(2*cap(ev.arena), 256, n))
 	}
 	off := len(ev.arena)
 	ev.arena = ev.arena[:off+n]
@@ -227,27 +222,53 @@ func (ev *evalCtx) match(items []BodyElem, idx, deltaIdx int, s *term.Subst, emi
 		if rel == nil || rel.Len() == 0 {
 			return nil
 		}
-		// Use the most selective positional index among the ground
-		// arguments under s, keeping the winning index slice so the
-		// chosen position is not probed a second time.
-		bestPos := -1
-		bestCount := -1
-		var bestRows []int32
+		// Arguments that are ground under s are resolved to term IDs
+		// once: they choose the index probe (the most selective position
+		// wins, and its candidates are kept so it is not probed twice)
+		// and are then compared with each row by ID. Only the open
+		// positions are materialized as terms, one row at a time into
+		// buffers of this frame — no term copy of the relation is ever
+		// made, and deeper frames, which run while this one is still
+		// iterating, have their own.
+		var (
+			gidBuf         [8]uint32
+			patBuf, rowBuf [8]term.Term
+		)
+		gids, pat, row := gidBuf[:0], patBuf[:0], rowBuf[:0] // gids[pos] == unboundID: open
+		probed := false
+		var best rowSet
 		for pos, a := range e.Args {
 			w := s.Apply(a)
 			if !w.IsGround() {
+				gids = append(gids, unboundID)
+				pat = append(pat, a)
 				continue
 			}
-			sel := rel.Select(pos, w)
-			if bestCount < 0 || len(sel) < bestCount {
-				bestPos, bestCount, bestRows = pos, len(sel), sel
-				if len(sel) == 0 {
-					break
+			id, ok := lookupID(w)
+			if !ok {
+				return nil // a term that was never interned matches no stored row
+			}
+			gids = append(gids, id)
+			if sel := rel.probe(pos, id); !probed || sel.size() < best.size() {
+				best, probed = sel, true
+				if sel.size() == 0 {
+					return nil
 				}
 			}
 		}
-		iterate := func(row []term.Term) error {
-			trail, ok := s.MatchTuple(e.Args, row)
+		iterate := func(ids []uint32) error {
+			for pos, g := range gids {
+				if g != unboundID && ids[pos] != g {
+					return nil
+				}
+			}
+			row = row[:0]
+			for pos, g := range gids {
+				if g == unboundID {
+					row = append(row, termOf(ids[pos]))
+				}
+			}
+			trail, ok := s.MatchTuple(pat, row)
 			var err error
 			if ok {
 				err = ev.match(items, idx+1, deltaIdx, s, emit)
@@ -255,21 +276,10 @@ func (ev *evalCtx) match(items []BodyElem, idx, deltaIdx int, s *term.Subst, emi
 			s.Undo(trail)
 			return err
 		}
-		if bestPos >= 0 {
-			rows := rel.Rows()
-			for _, ri := range bestRows {
-				if err := iterate(rows[ri]); err != nil {
-					return err
-				}
-			}
-			return nil
+		if probed {
+			return rel.eachAt(best, iterate)
 		}
-		for _, row := range rel.Rows() {
-			if err := iterate(row); err != nil {
-				return err
-			}
-		}
-		return nil
+		return rel.each(iterate)
 	case Aggregate:
 		return ev.evalAggregate(e, s, func(s2 *term.Subst) error {
 			return ev.match(items, idx+1, deltaIdx, s2, emit)
@@ -566,18 +576,7 @@ func fixpoint(rules []preparedRule, store, negCtx *Store, opts *Options, lim *li
 	// Job lists are fixed across rounds: every bodied rule once for round
 	// 0 (and every naive round), every delta variant for semi-naive
 	// rounds.
-	var fullJobs, deltaJobs []evalJob
-	for _, pr := range rules {
-		if len(pr.rule.Body) == 0 {
-			continue
-		}
-		fullJobs = append(fullJobs, evalJob{headKey: pr.headKey, head: pr.rule.Head, ordered: pr.ordered, deltaIdx: -1, compiled: pr.compiled})
-		if !opts.Naive {
-			for vi, va := range pr.variants {
-				deltaJobs = append(deltaJobs, evalJob{headKey: pr.headKey, head: pr.rule.Head, ordered: va.ordered, deltaIdx: va.deltaIdx, compiled: pr.compiledVariants[vi]})
-			}
-		}
-	}
+	fullJobs, deltaJobs := ruleJobs(rules)
 	if opts.Naive {
 		deltaJobs = fullJobs
 	}

@@ -64,17 +64,24 @@ func TestQuickRelationSelect(t *testing.T) {
 		}
 		probe := genTuple(r, 1)[0]
 		for pos := 0; pos < 3; pos++ {
-			got := map[int]bool{}
-			for _, ri := range rel.Select(pos, probe) {
-				got[int(ri)] = true
-				if !rel.Rows()[ri][pos].Equal(probe) {
+			got := map[string]bool{}
+			for _, row := range rel.Select(pos, probe) {
+				got[tupleKey(row)] = true
+				if !row[pos].Equal(probe) || !rel.Contains(row) {
 					return false
 				}
 			}
-			for ri, row := range rel.Rows() {
-				if row[pos].Equal(probe) && !got[ri] {
-					return false
+			want := 0
+			for _, row := range rel.Rows() {
+				if row[pos].Equal(probe) {
+					want++
+					if !got[tupleKey(row)] {
+						return false
+					}
 				}
+			}
+			if len(got) != want {
+				return false
 			}
 		}
 		return true

@@ -3,57 +3,198 @@ package datalog
 import (
 	"maps"
 	"sort"
-	"sync/atomic"
 
 	"modelmed/internal/term"
 )
 
-// Relation stores the ground tuples of one predicate as flat interned
-// term IDs: row i occupies ids[i*arity : (i+1)*arity]. A uniqueness
-// index over the packed ID bytes replaces the old per-tuple term-key
-// concatenation, and the per-position join indexes are integer-keyed
-// maps instead of string-keyed ones. Terms are materialized on demand
-// (Rows, SortedRows) and cached.
-type Relation struct {
+// segment is one run of ground tuples stored as flat interned term IDs:
+// row i occupies ids[i*arity : (i+1)*arity]. A uniqueness index over the
+// packed ID bytes answers membership without allocating, and one
+// integer-keyed posting map per argument position answers index probes.
+type segment struct {
 	arity   int
 	n       int
-	ids     []uint32            // flat rows, n*arity IDs
-	rowKeys []string            // packed-ID key of each row (shares backing with tupIdx keys)
-	tupIdx  map[string]int32    // packed row → row index
+	ids     []uint32             // flat rows, n*arity IDs
+	rowKeys []string             // packed-ID key of each row (shares backing with tupIdx keys)
+	tupIdx  map[string]int32     // packed row → row index
 	posIdx  []map[uint32][]int32 // position → value ID → row indices
-
-	// rowsCache memoizes the term-materialized rows for the current
-	// version. Mutations require exclusive ownership of the relation
-	// (see Store.Clone), so the plain version counter is safe; the
-	// atomic pointer only publishes the cache between concurrent
-	// readers of an immutable relation.
-	rowsCache atomic.Pointer[relRowsCache]
-	version   uint64
 }
 
-type relRowsCache struct {
-	version uint64
-	rows    [][]term.Term
+// newSegment returns an empty segment sized for about rows tuples.
+func newSegment(arity, rows int) *segment {
+	g := &segment{
+		arity:  arity,
+		tupIdx: make(map[string]int32, rows),
+		posIdx: make([]map[uint32][]int32, arity),
+	}
+	if rows > 0 {
+		g.ids = make([]uint32, 0, rows*arity)
+		g.rowKeys = make([]string, 0, rows)
+	}
+	for i := range g.posIdx {
+		g.posIdx[i] = make(map[uint32][]int32)
+	}
+	return g
 }
+
+// row returns the ID row at index i (aliases the segment's storage).
+func (g *segment) row(i int) []uint32 {
+	return g.ids[i*g.arity : (i+1)*g.arity]
+}
+
+// add appends a row the segment does not hold; key is its packed form.
+func (g *segment) add(row []uint32, key string) {
+	idx := int32(g.n)
+	g.tupIdx[key] = idx
+	g.rowKeys = append(g.rowKeys, key)
+	g.ids = append(g.ids, row...)
+	for pos, id := range row {
+		m := g.posIdx[pos]
+		m[id] = append(m[id], idx)
+	}
+	g.n++
+}
+
+// deleteAt removes row idx: the last row is swapped into the vacated
+// slot and the positional indexes are patched in place, so row order is
+// not preserved across deletions (set semantics are unaffected; stable
+// output goes through SortedRows).
+func (g *segment) deleteAt(idx int) {
+	last := g.n - 1
+	for pos, id := range g.row(idx) {
+		bucket := removeIdxValue(g.posIdx[pos][id], int32(idx))
+		if len(bucket) == 0 {
+			delete(g.posIdx[pos], id)
+		} else {
+			g.posIdx[pos][id] = bucket
+		}
+	}
+	delete(g.tupIdx, g.rowKeys[idx])
+	if idx != last {
+		moved := g.row(last)
+		copy(g.row(idx), moved)
+		for pos, id := range moved {
+			replaceIdxValue(g.posIdx[pos][id], int32(last), int32(idx))
+		}
+		mk := g.rowKeys[last]
+		g.rowKeys[idx] = mk
+		g.tupIdx[mk] = int32(idx)
+	}
+	g.ids = g.ids[:last*g.arity]
+	g.rowKeys[last] = ""
+	g.rowKeys = g.rowKeys[:last]
+	g.n = last
+}
+
+// compact rewrites the segment without the rows marked dead, rebuilding
+// the positional indexes in one linear pass.
+func (g *segment) compact(dead []bool) {
+	w := 0
+	for i := 0; i < g.n; i++ {
+		if dead[i] {
+			delete(g.tupIdx, g.rowKeys[i])
+			continue
+		}
+		if w != i {
+			copy(g.row(w), g.row(i))
+			k := g.rowKeys[i]
+			g.rowKeys[w] = k
+			g.tupIdx[k] = int32(w)
+		}
+		w++
+	}
+	for i := w; i < g.n; i++ {
+		g.rowKeys[i] = ""
+	}
+	g.rowKeys = g.rowKeys[:w]
+	g.ids = g.ids[:w*g.arity]
+	g.n = w
+	for pos := range g.posIdx {
+		g.posIdx[pos] = make(map[uint32][]int32, len(g.posIdx[pos]))
+	}
+	for i := 0; i < g.n; i++ {
+		for pos, id := range g.row(i) {
+			m := g.posIdx[pos]
+			m[id] = append(m[id], int32(i))
+		}
+	}
+}
+
+// clone deep-copies the segment, preserving row order.
+func (g *segment) clone() *segment {
+	ng := &segment{
+		arity:   g.arity,
+		n:       g.n,
+		ids:     append([]uint32(nil), g.ids...),
+		rowKeys: append([]string(nil), g.rowKeys...),
+		tupIdx:  maps.Clone(g.tupIdx),
+		posIdx:  make([]map[uint32][]int32, g.arity),
+	}
+	for pos, idx := range g.posIdx {
+		ni := make(map[uint32][]int32, len(idx))
+		for id, rows := range idx {
+			ni[id] = append([]int32(nil), rows...)
+		}
+		ng.posIdx[pos] = ni
+	}
+	return ng
+}
+
+// Relation stores the ground tuples of one predicate. The layout is one
+// base segment plus a small overlay, so that a copy taken for
+// copy-on-write costs what has changed since the base was built, not
+// what the relation holds:
+//
+//   - A relation that owns its base (shared == false) mutates the base in
+//     place and has no overlay. Every relation starts out this way, and a
+//     cold evaluation never leaves it.
+//   - clone returns a relation that shares the base, which from then on
+//     nobody writes. The clone's insertions go to a private overlay
+//     segment (over) and its deletions of base rows to a private
+//     tombstone set (dead); overlay rows are deleted from the overlay
+//     itself. Cloning a clone copies only the overlay and the tombstones.
+//   - When overlay plus tombstones pass 1/foldFraction of the base, the
+//     live rows are folded into a fresh base the relation owns.
+//
+// Readers see the live rows — base rows that are not tombstoned, then
+// overlay rows — through has, probe, each and eachAt; nothing outside
+// this file looks at a segment. Terms are materialized on demand (Rows,
+// SortedRows).
+type Relation struct {
+	base   *segment
+	shared bool               // base is shared with another relation and immutable
+	over   *segment           // rows appended since the base was shared (nil = none)
+	dead   map[int32]struct{} // base rows deleted since the base was shared
+}
+
+// The overlay is folded into a fresh private base once it holds more
+// than foldMinOverlay entries and more than 1/foldFraction of the base:
+// a fold costs the whole relation, so it must be paid for by that many
+// changes, and below the floor a copy of the overlay is cheaper than
+// the fold it would avoid.
+const (
+	foldFraction   = 8
+	foldMinOverlay = 16
+)
 
 // NewRelation returns an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	r := &Relation{
-		arity:   arity,
-		tupIdx:  make(map[string]int32),
-		posIdx:  make([]map[uint32][]int32, arity),
-	}
-	for i := range r.posIdx {
-		r.posIdx[i] = make(map[uint32][]int32)
-	}
-	return r
+	return &Relation{base: newSegment(arity, 0)}
 }
 
 // Arity returns the relation's arity.
-func (r *Relation) Arity() int { return r.arity }
+func (r *Relation) Arity() int { return r.base.arity }
+
+// overLen is the number of overlay rows.
+func (r *Relation) overLen() int {
+	if r.over == nil {
+		return 0
+	}
+	return r.over.n
+}
 
 // Len returns the number of stored tuples.
-func (r *Relation) Len() int { return r.n }
+func (r *Relation) Len() int { return r.base.n - len(r.dead) + r.overLen() }
 
 // tupleKey builds the canonical term-key encoding of a tuple. The
 // storage layer no longer keys on it (rows are keyed by packed IDs),
@@ -84,28 +225,63 @@ func packRow(dst []byte, row []uint32) []byte {
 	return dst
 }
 
-// rowIDs returns the interned ID row at index i (aliases internal
-// storage; valid until the next mutation).
-func (r *Relation) rowIDs(i int) []uint32 {
-	if r.arity == 0 {
-		return nil
+// clone returns a relation with the same rows that can be mutated
+// independently. It shares r's base and copies only the overlay and the
+// tombstones, and it does not write to r, so concurrent holders of a
+// shared relation may each clone it. r must not be mutated afterwards
+// (Store's copy-on-write marks guarantee that).
+func (r *Relation) clone() *Relation {
+	nr := &Relation{base: r.base, shared: true}
+	if r.overLen() > 0 {
+		nr.over = r.over.clone()
 	}
-	return r.ids[i*r.arity : (i+1)*r.arity]
+	if len(r.dead) > 0 {
+		nr.dead = maps.Clone(r.dead)
+	}
+	return nr
 }
 
-// fillRow materializes row i into dst (len >= arity).
-func (r *Relation) fillRow(i int, dst []term.Term) {
-	base := i * r.arity
-	for k := 0; k < r.arity; k++ {
-		dst[k] = termOf(r.ids[base+k])
+func (r *Relation) isDead(idx int32) bool {
+	if len(r.dead) == 0 {
+		return false
 	}
+	_, dead := r.dead[idx]
+	return dead
 }
 
-// rowTerms materializes a fresh term slice for row i.
-func (r *Relation) rowTerms(i int) []term.Term {
-	out := make([]term.Term, r.arity)
-	r.fillRow(i, out)
-	return out
+// has reports whether the packed row is live.
+func (r *Relation) has(packed []byte) bool {
+	if idx, ok := r.base.tupIdx[string(packed)]; ok && !r.isDead(idx) {
+		return true
+	}
+	if r.over != nil {
+		_, ok := r.over.tupIdx[string(packed)]
+		return ok
+	}
+	return false
+}
+
+// foldIfLarge folds the overlay into a fresh private base once it has
+// outgrown its share of the base. Row order — base rows, then overlay
+// rows — is preserved.
+func (r *Relation) foldIfLarge() {
+	if !r.shared {
+		return
+	}
+	o := len(r.dead) + r.overLen()
+	if o <= foldMinOverlay || o*foldFraction <= r.base.n {
+		return
+	}
+	nb := newSegment(r.base.arity, r.Len())
+	for i := 0; i < r.base.n; i++ {
+		if !r.isDead(int32(i)) {
+			nb.add(r.base.row(i), r.base.rowKeys[i])
+		}
+	}
+	for i := 0; i < r.overLen(); i++ {
+		nb.add(r.over.row(i), r.over.rowKeys[i])
+	}
+	r.base, r.shared, r.over, r.dead = nb, false, nil, nil
 }
 
 // Insert adds the ground tuple ts, returning true if it was new.
@@ -115,24 +291,24 @@ func (r *Relation) Insert(ts []term.Term) bool {
 }
 
 // InsertIDs adds a tuple given as interned IDs, returning true if new.
-// The row slice is copied, not retained.
+// The row slice is copied, not retained. A new row always goes last in
+// iteration order, even when a tombstoned copy of it sits in the shared
+// base: runGroups relies on a clone's new rows following its old ones.
 func (r *Relation) InsertIDs(row []uint32) bool {
 	var kb [64]byte
 	packed := packRow(kb[:0], row)
-	if _, dup := r.tupIdx[string(packed)]; dup {
+	if r.has(packed) {
 		return false
 	}
-	key := string(packed)
-	idx := int32(r.n)
-	r.tupIdx[key] = idx
-	r.rowKeys = append(r.rowKeys, key)
-	r.ids = append(r.ids, row...)
-	for pos, id := range row {
-		m := r.posIdx[pos]
-		m[id] = append(m[id], idx)
+	if !r.shared {
+		r.base.add(row, string(packed))
+		return true
 	}
-	r.n++
-	r.version++
+	if r.over == nil {
+		r.over = newSegment(r.base.arity, 0)
+	}
+	r.over.add(row, string(packed))
+	r.foldIfLarge()
 	return true
 }
 
@@ -146,16 +322,11 @@ func (r *Relation) Contains(ts []term.Term) bool {
 // ContainsIDs reports whether the ID tuple is stored.
 func (r *Relation) ContainsIDs(row []uint32) bool {
 	var kb [64]byte
-	_, ok := r.tupIdx[string(packRow(kb[:0], row))]
-	return ok
+	return r.has(packRow(kb[:0], row))
 }
 
 // Delete removes the ground tuple ts, returning true if it was present.
-// The last row is swapped into the vacated slot and the positional
-// indexes are patched in place. Row order is therefore not preserved
-// across deletions (set semantics are unaffected; stable output goes
-// through SortedRows). Large deletion waves should go through
-// DeleteIDsBatch, which compacts in one pass instead.
+// Large deletion waves should go through DeleteIDsBatch.
 func (r *Relation) Delete(ts []term.Term) bool {
 	var buf [16]uint32
 	row, ok := lookupRow(ts, buf[:0])
@@ -164,49 +335,45 @@ func (r *Relation) Delete(ts []term.Term) bool {
 
 // DeleteIDs removes the ID tuple, returning true if it was present.
 func (r *Relation) DeleteIDs(row []uint32) bool {
+	ok := r.deleteRow(row)
+	if ok {
+		r.foldIfLarge()
+	}
+	return ok
+}
+
+// deleteRow removes one live row without folding: a row of a shared
+// base is tombstoned, any other row is swap-deleted from its segment.
+func (r *Relation) deleteRow(row []uint32) bool {
 	var kb [64]byte
-	idx, ok := r.tupIdx[string(packRow(kb[:0], row))]
-	if !ok {
-		return false
+	packed := packRow(kb[:0], row)
+	if idx, ok := r.base.tupIdx[string(packed)]; ok && !r.isDead(idx) {
+		if !r.shared {
+			r.base.deleteAt(int(idx))
+			return true
+		}
+		if r.dead == nil {
+			r.dead = make(map[int32]struct{})
+		}
+		r.dead[idx] = struct{}{}
+		return true
 	}
-	r.deleteRowAt(int(idx))
-	return true
-}
-
-func (r *Relation) deleteRowAt(idx int) {
-	last := r.n - 1
-	victim := r.rowIDs(idx)
-	for pos, id := range victim {
-		bucket := removeIdxValue(r.posIdx[pos][id], int32(idx))
-		if len(bucket) == 0 {
-			delete(r.posIdx[pos], id)
-		} else {
-			r.posIdx[pos][id] = bucket
+	if r.over != nil {
+		if idx, ok := r.over.tupIdx[string(packed)]; ok {
+			r.over.deleteAt(int(idx))
+			return true
 		}
 	}
-	delete(r.tupIdx, r.rowKeys[idx])
-	if idx != last {
-		moved := r.rowIDs(last)
-		copy(r.ids[idx*r.arity:(idx+1)*r.arity], moved)
-		for pos, id := range moved {
-			replaceIdxValue(r.posIdx[pos][id], int32(last), int32(idx))
-		}
-		mk := r.rowKeys[last]
-		r.rowKeys[idx] = mk
-		r.tupIdx[mk] = int32(idx)
-	}
-	r.ids = r.ids[:last*r.arity]
-	r.rowKeys[last] = ""
-	r.rowKeys = r.rowKeys[:last]
-	r.n = last
-	r.version++
+	return false
 }
 
-// Batch deletions switch from per-row swap deletion to a single
-// compaction pass once the wave is large relative to the relation:
-// swap deletion scans index buckets linearly per row, which turns
-// quadratic when many deleted rows share an index value (the DRed
-// overdeletion pattern).
+// Batch deletions on an owned base switch from per-row swap deletion to
+// a single compaction pass once the wave is large relative to the
+// relation: swap deletion scans index buckets linearly per row, which
+// turns quadratic when many deleted rows share an index value (the DRed
+// overdeletion pattern). On a shared base a deletion is a tombstone and
+// touches no bucket, so the wave is applied row by row and folded once
+// at the end.
 const (
 	compactMinWave = 64
 	compactFactor  = 8 // compact when wave*compactFactor >= rows
@@ -215,66 +382,28 @@ const (
 // DeleteIDsBatch removes the given ID tuples, returning how many were
 // present. Rows absent from the relation are ignored.
 func (r *Relation) DeleteIDsBatch(rows [][]uint32) int {
-	if len(rows) == 0 {
-		return 0
-	}
-	if len(rows) < compactMinWave || len(rows)*compactFactor < r.n {
-		removed := 0
+	removed := 0
+	if r.shared || len(rows) < compactMinWave || len(rows)*compactFactor < r.base.n {
 		for _, row := range rows {
-			if r.DeleteIDs(row) {
+			if r.deleteRow(row) {
 				removed++
 			}
 		}
+		r.foldIfLarge()
 		return removed
 	}
-	dead := make([]bool, r.n)
-	removed := 0
+	dead := make([]bool, r.base.n)
 	var kb [64]byte
 	for _, row := range rows {
-		if idx, ok := r.tupIdx[string(packRow(kb[:0], row))]; ok && !dead[idx] {
+		if idx, ok := r.base.tupIdx[string(packRow(kb[:0], row))]; ok && !dead[idx] {
 			dead[idx] = true
 			removed++
 		}
 	}
 	if removed > 0 {
-		r.compact(dead)
+		r.base.compact(dead)
 	}
 	return removed
-}
-
-// compact rewrites the relation without the rows marked dead,
-// rebuilding the positional indexes in one linear pass.
-func (r *Relation) compact(dead []bool) {
-	w := 0
-	for i := 0; i < r.n; i++ {
-		if dead[i] {
-			delete(r.tupIdx, r.rowKeys[i])
-			continue
-		}
-		if w != i {
-			copy(r.ids[w*r.arity:(w+1)*r.arity], r.ids[i*r.arity:(i+1)*r.arity])
-			k := r.rowKeys[i]
-			r.rowKeys[w] = k
-			r.tupIdx[k] = int32(w)
-		}
-		w++
-	}
-	for i := w; i < r.n; i++ {
-		r.rowKeys[i] = ""
-	}
-	r.rowKeys = r.rowKeys[:w]
-	r.ids = r.ids[:w*r.arity]
-	r.n = w
-	for pos := range r.posIdx {
-		r.posIdx[pos] = make(map[uint32][]int32, len(r.posIdx[pos]))
-	}
-	for i := 0; i < r.n; i++ {
-		for pos, id := range r.rowIDs(i) {
-			m := r.posIdx[pos]
-			m[id] = append(m[id], int32(i))
-		}
-	}
-	r.version++
 }
 
 // removeIdxValue removes the element equal to v (unordered).
@@ -298,45 +427,123 @@ func replaceIdxValue(s []int32, from, to int32) {
 	}
 }
 
-// Rows returns the stored tuples, materialized from IDs and memoized
-// until the next mutation. The returned slice and its elements must
-// not be modified.
+// rowSet is the answer of an index probe: candidate row indices into
+// the base (tombstoned rows included, eachAt skips them) and into the
+// overlay.
+type rowSet struct {
+	base, over []int32
+}
+
+// size is the number of candidates, the selectivity estimate both
+// evaluators pick their probe by.
+func (rs rowSet) size() int { return len(rs.base) + len(rs.over) }
+
+// probe returns the rows whose value at position pos is id.
+func (r *Relation) probe(pos int, id uint32) rowSet {
+	rs := rowSet{base: r.base.posIdx[pos][id]}
+	if r.over != nil {
+		rs.over = r.over.posIdx[pos][id]
+	}
+	return rs
+}
+
+// eachAt calls fn with the ID row of every live candidate of rs, base
+// rows first, stopping at the first error. The row aliases the
+// relation's storage; the relation must not be mutated during the walk.
+func (r *Relation) eachAt(rs rowSet, fn func(row []uint32) error) error {
+	for _, ri := range rs.base {
+		if r.isDead(ri) {
+			continue
+		}
+		if err := fn(r.base.row(int(ri))); err != nil {
+			return err
+		}
+	}
+	for _, ri := range rs.over {
+		if err := fn(r.over.row(int(ri))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// each is eachAt over every live row: base rows in order, then overlay
+// rows in order.
+func (r *Relation) each(fn func(row []uint32) error) error {
+	return r.eachFrom(0, fn)
+}
+
+// eachFrom is each without the first skip live rows. Rows are only ever
+// appended at the end of this order, so for a clone that has inserted
+// and never deleted, eachFrom(n) with n the length at clone time walks
+// exactly the rows the clone added.
+func (r *Relation) eachFrom(skip int, fn func(row []uint32) error) error {
+	i := 0
+	if len(r.dead) == 0 && skip > 0 {
+		i = min(skip, r.base.n)
+		skip -= i
+	}
+	for ; i < r.base.n; i++ {
+		if r.isDead(int32(i)) {
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		if err := fn(r.base.row(i)); err != nil {
+			return err
+		}
+	}
+	for i := skip; i < r.overLen(); i++ {
+		if err := fn(r.over.row(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Rows returns the stored tuples materialized from IDs, in iteration
+// order. The slice is freshly built on every call.
 func (r *Relation) Rows() [][]term.Term {
-	if c := r.rowsCache.Load(); c != nil && c.version == r.version {
-		return c.rows
-	}
-	rows := make([][]term.Term, r.n)
-	flat := make([]term.Term, r.n*r.arity)
-	for i := range rows {
-		sub := flat[i*r.arity : (i+1)*r.arity : (i+1)*r.arity]
-		r.fillRow(i, sub)
-		rows[i] = sub
-	}
-	r.rowsCache.Store(&relRowsCache{version: r.version, rows: rows})
+	n, arity := r.Len(), r.base.arity
+	rows := make([][]term.Term, 0, n)
+	flat := make([]term.Term, n*arity)
+	_ = r.each(func(ids []uint32) error {
+		sub := flat[:arity:arity]
+		flat = flat[arity:]
+		fillTerms(sub, ids)
+		rows = append(rows, sub)
+		return nil
+	})
 	return rows
 }
 
-// Select returns the indices of rows whose value at position pos equals
-// t. The returned slice must not be modified.
-func (r *Relation) Select(pos int, t term.Term) []int32 {
+// fillTerms materializes an ID row into dst (len(dst) == len(ids)).
+func fillTerms(dst []term.Term, ids []uint32) {
+	for k, id := range ids {
+		dst[k] = termOf(id)
+	}
+}
+
+// Select returns the rows whose value at position pos equals t.
+func (r *Relation) Select(pos int, t term.Term) [][]term.Term {
 	id, ok := lookupID(t)
 	if !ok {
 		return nil
 	}
-	return r.posIdx[pos][id]
-}
-
-// selectID is the ID-keyed probe used by the evaluation hot paths.
-func (r *Relation) selectID(pos int, id uint32) []int32 {
-	return r.posIdx[pos][id]
+	var out [][]term.Term
+	_ = r.eachAt(r.probe(pos, id), func(ids []uint32) error {
+		out = append(out, termsOfIDs(ids))
+		return nil
+	})
+	return out
 }
 
 // SortedRows returns a copy of the tuples in deterministic order, for
 // stable output in tests and tools.
 func (r *Relation) SortedRows() [][]term.Term {
-	rows := r.Rows()
-	out := make([][]term.Term, len(rows))
-	copy(out, rows)
+	out := r.Rows()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		for k := range a {
@@ -349,38 +556,13 @@ func (r *Relation) SortedRows() [][]term.Term {
 	return out
 }
 
-// deepClone copies the relation so the copy can be mutated
-// independently. Row order is preserved.
-func (r *Relation) deepClone() *Relation {
-	nr := &Relation{
-		arity:   r.arity,
-		n:       r.n,
-		ids:     make([]uint32, len(r.ids)),
-		rowKeys: make([]string, len(r.rowKeys)),
-		tupIdx:  maps.Clone(r.tupIdx),
-		posIdx:  make([]map[uint32][]int32, r.arity),
-		version: r.version,
-	}
-	copy(nr.ids, r.ids)
-	copy(nr.rowKeys, r.rowKeys)
-	for pos, idx := range r.posIdx {
-		ni := make(map[uint32][]int32, len(idx))
-		for id, rows := range idx {
-			cp := make([]int32, len(rows))
-			copy(cp, rows)
-			ni[id] = cp
-		}
-		nr.posIdx[pos] = ni
-	}
-	return nr
-}
-
 // Store maps predicate keys ("name/arity") to relations. Clone is
 // copy-on-write at relation granularity: cloned stores share relation
 // objects until one side mutates a shared relation, at which point the
-// mutating store deep-copies just that relation. Shared relations are
-// therefore immutable, which is what makes a clone safe to hand to a
-// concurrently running reader.
+// mutating store takes its own clone of just that relation (which in
+// turn shares the relation's base segment, see Relation). Shared
+// relations are therefore immutable, which is what makes a clone safe
+// to hand to a concurrently running reader.
 type Store struct {
 	rels map[string]*Relation
 	cow  map[string]struct{} // relations shared with another store
@@ -394,15 +576,15 @@ func NewStore() *Store { return &Store{rels: make(map[string]*Relation)} }
 // mutations must go through the Store methods.
 func (s *Store) Rel(key string) *Relation { return s.rels[key] }
 
-// mutable returns the relation for key, deep-copying it first if it is
-// shared with a clone. Returns nil if absent.
+// mutable returns the relation for key, cloning it first if it is
+// shared with another store. Returns nil if absent.
 func (s *Store) mutable(key string) *Relation {
 	r := s.rels[key]
 	if r == nil {
 		return nil
 	}
 	if _, shared := s.cow[key]; shared {
-		r = r.deepClone()
+		r = r.clone()
 		s.rels[key] = r
 		delete(s.cow, key)
 	}
@@ -520,7 +702,7 @@ func (s *Store) Each(fn func(key string, arity int, row []term.Term)) {
 	for _, k := range s.Keys() {
 		r := s.rels[k]
 		for _, row := range r.Rows() {
-			fn(k, r.arity, row)
+			fn(k, r.Arity(), row)
 		}
 	}
 }
@@ -531,9 +713,10 @@ func (s *Store) Each(fn func(key string, arity int, row []term.Term)) {
 func (s *Store) EachIDs(fn func(key string, arity int, row []uint32)) {
 	for _, k := range s.Keys() {
 		r := s.rels[k]
-		for i := 0; i < r.n; i++ {
-			fn(k, r.arity, r.rowIDs(i))
-		}
+		_ = r.each(func(row []uint32) error {
+			fn(k, r.Arity(), row)
+			return nil
+		})
 	}
 }
 
@@ -554,10 +737,14 @@ func (s *Store) isSubset(t *Store) bool {
 		if tr == r {
 			continue // shared via copy-on-write
 		}
-		for i := 0; i < r.n; i++ {
-			if !tr.ContainsIDs(r.rowIDs(i)) {
-				return false
+		missing := r.each(func(row []uint32) error {
+			if !tr.ContainsIDs(row) {
+				return errStopMatch
 			}
+			return nil
+		})
+		if missing != nil {
+			return false
 		}
 	}
 	return true
@@ -592,13 +779,13 @@ func (s *Store) Keys() []string {
 
 // Clone returns a copy-on-write clone: both stores share every relation
 // until one of them mutates it, at which point the mutating side
-// deep-copies that one relation. Cloning is therefore O(relations)
+// clones that one relation. Cloning is therefore O(relations)
 // regardless of fact count — it runs once per Γ step of the
 // well-founded path, per stratum group, per Materialize and per
 // ApplyDelta, all of which mutate only a fraction of the relations they
-// clone. Row order of shared relations is preserved, so rows[0:base]
-// of each cloned relation is exactly the shared base (parallel stratum
-// merging relies on this). Clone must not run concurrently with other
+// clone. Row order of shared relations is preserved and a clone appends
+// its insertions after them (parallel stratum merging relies on this,
+// see Relation.eachFrom). Clone must not run concurrently with other
 // operations on s.
 func (s *Store) Clone() *Store {
 	if s.cow == nil {
@@ -623,12 +810,13 @@ func (s *Store) Clone() *Store {
 func (s *Store) MergeInto(dst *Store) int {
 	added := 0
 	for k, r := range s.rels {
-		d := dst.Ensure(k, r.arity)
-		for i := 0; i < r.n; i++ {
-			if d.InsertIDs(r.rowIDs(i)) {
+		d := dst.Ensure(k, r.Arity())
+		_ = r.each(func(row []uint32) error {
+			if d.InsertIDs(row) {
 				added++
 			}
-		}
+			return nil
+		})
 	}
 	return added
 }

@@ -2,7 +2,6 @@ package gcm
 
 import (
 	"fmt"
-	"strings"
 
 	"modelmed/internal/datalog"
 	"modelmed/internal/flogic"
@@ -214,22 +213,6 @@ func CheckStore(store *datalog.Store) (*datalog.Result, error) {
 	if err := e.AddRules(ConstraintRules()...); err != nil {
 		return nil, err
 	}
-	if err := AddStoreFacts(e, store); err != nil {
-		return nil, err
-	}
+	e.SeedEDB(store) // stored facts are ground by construction
 	return e.Run()
-}
-
-// AddStoreFacts loads every fact of store into the engine as extensional
-// data.
-func AddStoreFacts(e *datalog.Engine, store *datalog.Store) error {
-	for _, key := range store.Keys() {
-		name := key[:strings.LastIndexByte(key, '/')]
-		for _, row := range store.Rel(key).Rows() {
-			if err := e.AddFact(name, row...); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

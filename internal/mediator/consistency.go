@@ -58,9 +58,7 @@ func (m *Mediator) CheckConsistency(checkDM bool) (*ConsistencyReport, error) {
 	if err := e.AddRules(gcm.ConstraintRules()...); err != nil {
 		return nil, err
 	}
-	if err := gcm.AddStoreFacts(e, res.Store); err != nil {
-		return nil, err
-	}
+	e.SeedEDB(res.Store) // stored facts are ground by construction
 	if checkDM {
 		tr := m.dm.InstanceRules(dl.ModeConstraint)
 		if err := e.AddRules(tr.Rules...); err != nil {

@@ -27,6 +27,7 @@ package mediator
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"modelmed/internal/datalog"
@@ -60,6 +61,11 @@ func newSrcSnapshot(version uint64) *srcSnapshot {
 		version: version,
 	}
 }
+
+// ErrBadDelta marks an ApplySourceDelta error as the caller's: a stated
+// fact that is not ground, or a source that is not registered. Nothing
+// was changed. Every other error means the patch or a rebuild failed.
+var ErrBadDelta = errors.New("bad source delta")
 
 // DeltaReport describes one incremental maintenance step.
 type DeltaReport struct {
@@ -168,9 +174,11 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 	sp := m.startSpan("mediator.apply_source_delta")
 	defer m.endTrace(sp)
 	sp.SetStr("source", source)
-	for _, r := range append(append([]datalog.Rule{}, adds...), dels...) {
-		if !isGroundFact(r) {
-			return nil, fmt.Errorf("mediator: source delta for %s: %s is not a ground fact", source, r)
+	for _, facts := range [2][]datalog.Rule{adds, dels} {
+		for _, r := range facts {
+			if !isGroundFact(r) {
+				return nil, fmt.Errorf("mediator: source delta for %s: %w: %s is not a ground fact", source, ErrBadDelta, r)
+			}
 		}
 	}
 	// Write side of evalMu: the patch mutates the cached store in place,
@@ -180,7 +188,7 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.srcs[source]; !ok {
-		return nil, fmt.Errorf("mediator: source %s not registered", source)
+		return nil, fmt.Errorf("mediator: %w: source %s not registered", ErrBadDelta, source)
 	}
 	rep := &DeltaReport{Source: source}
 	if !m.canPatchLocked(source) {

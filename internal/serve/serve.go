@@ -439,7 +439,19 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.med.ApplySourceDelta(req.Source, adds, dels)
 	if err != nil {
 		s.ctr.Add("serve.delta_errors", 1)
-		s.writeError(w, http.StatusBadRequest, err)
+		// Only a delta the mediator refused untouched is the client's
+		// fault. A failed patch has poisoned the materialization and a
+		// failed rebuild has left none: that is the server's state.
+		status := http.StatusInternalServerError
+		var be *datalog.ErrBudgetExceeded
+		switch {
+		case errors.Is(err, mediator.ErrBadDelta):
+			status = http.StatusBadRequest
+		case errors.As(err, &be):
+			s.ctr.Add("serve.budget_exceeded", 1)
+			status = http.StatusUnprocessableEntity
+		}
+		s.writeError(w, status, err)
 		return
 	}
 	s.ctr.Add("serve.deltas", 1)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"modelmed/internal/datalog"
 	"modelmed/internal/gcm"
 	"modelmed/internal/mediator"
 	"modelmed/internal/sources"
@@ -262,18 +263,60 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
-func TestDeltaValidation(t *testing.T) {
-	srv, _, _ := newServeFixture(t, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, _ := postJSON(t, ts, "/v1/delta", DeltaRequest{Source: "alpha", Adds: []string{"src_obj("}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed fact: status %d, want 400", resp.StatusCode)
+// TestDeltaStatusCodes pins which /v1/delta failures are the client's
+// (400: the delta was refused untouched; 422: the server's evaluation
+// budget) and which are the server's (500: the patch or the rebuild it
+// fell back to failed, so the materialization is poisoned or missing).
+func TestDeltaStatusCodes(t *testing.T) {
+	warm := func(t *testing.T) *Server {
+		srv, med, _ := newServeFixture(t, Config{})
+		if _, err := med.Materialize(); err != nil {
+			t.Fatal(err)
+		}
+		return srv
 	}
-	resp, _ = postJSON(t, ts, "/v1/delta", DeltaRequest{Source: "ghost", Adds: []string{"src_obj('ghost', o1, record)"}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown source: status %d, want 400", resp.StatusCode)
+	// cold returns a server whose first delta must rebuild from scratch;
+	// down makes that rebuild find its only source dead.
+	cold := func(opts *mediator.Options, down bool) func(*testing.T) *Server {
+		return func(t *testing.T) *Server {
+			m := mediator.New(sources.NeuroDM(), opts)
+			w, err := wrapper.NewInMemory(sources.MustSyntheticSource("alpha", 40, 6, serveConcepts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var src wrapper.Wrapper = w
+			if down {
+				src = wrapper.NewFaulty(w, wrapper.FaultConfig{Down: true})
+			}
+			if err := m.Register(src); err != nil {
+				t.Fatal(err)
+			}
+			return New(m, Config{})
+		}
+	}
+	good := []string{"src_obj('alpha', o_new, record)"}
+	for _, tc := range []struct {
+		name   string
+		server func(*testing.T) *Server
+		req    DeltaRequest
+		want   int
+	}{
+		{"applied", warm, DeltaRequest{Source: "alpha", Adds: good}, http.StatusOK},
+		{"malformed fact", warm, DeltaRequest{Source: "alpha", Adds: []string{"src_obj("}}, http.StatusBadRequest},
+		{"non-ground fact", warm, DeltaRequest{Source: "alpha", Dels: []string{"src_obj('alpha', X, record)"}}, http.StatusBadRequest},
+		{"unknown source", warm, DeltaRequest{Source: "ghost", Adds: []string{"src_obj('ghost', o1, record)"}}, http.StatusBadRequest},
+		{"rebuild over budget", cold(&mediator.Options{Engine: datalog.Options{Limits: datalog.Limits{MaxDerivedFacts: 1}}}, false),
+			DeltaRequest{Source: "alpha", Adds: good}, http.StatusUnprocessableEntity},
+		{"rebuild fails", cold(&mediator.Options{SourceTimeout: time.Second, FailFast: true}, true), DeltaRequest{Source: "alpha", Adds: good}, http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(tc.server(t).Handler())
+			defer ts.Close()
+			resp, body := postJSON(t, ts, "/v1/delta", tc.req)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.want, body)
+			}
+		})
 	}
 }
 
