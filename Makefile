@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race chaos bench spine bench-parallel perf-smoke bench-faults bench-incr bench-serve bench-tenant tenant-smoke bench-persist persist-smoke bench-stream stream-smoke bench-cluster cluster-smoke obs serve loadgen medrouter vet cover fuzz-smoke
+.PHONY: all check build test race chaos bench spine bench-faults bench-incr bench-serve bench-tenant tenant-smoke bench-persist persist-smoke bench-stream stream-smoke bench-cluster cluster-smoke obs serve loadgen medrouter vet cover fuzz-smoke
 
 all: build test
 
@@ -14,10 +14,10 @@ build:
 test: build
 	$(GO) test ./...
 
-# Race-detector pass over the full suite; the parallel equivalence
-# tests (internal/datalog and internal/mediator parallel_test.go) run
-# with Workers=8, so the concurrent evaluation paths are exercised
-# even on a single-CPU machine.
+# Race-detector pass over the full suite. Evaluation is serial; what
+# runs concurrently is the mediator's source fan-out (exercised with
+# GOMAXPROCS 8 by internal/mediator fanout_test.go), the serve and
+# cluster layers, and the stream feeds.
 race:
 	$(GO) test -race ./...
 
@@ -39,17 +39,6 @@ bench:
 W ?= live_update
 spine:
 	bash benchmark/run.sh --workload $(W)
-
-# Worker-sweep speedup report: compiled vs interpreted serial legs plus
-# Workers in {1,2,4,8} at GOMAXPROCS=NumCPU (writes BENCH_parallel.json).
-bench-parallel:
-	$(GO) run ./cmd/benchrunner -exp parallel
-
-# CI perf smoke: same sweep, plus the speedup gate — fails if the
-# 4-worker leg is slower than serial (skipped on single-CPU hosts; the
-# 2.0x roadmap target prints as advisory).
-perf-smoke:
-	$(GO) run ./cmd/benchrunner -exp parallel -check-speedup
 
 # Fault-rate x retry-budget degradation sweep (writes BENCH_faults.json).
 bench-faults:

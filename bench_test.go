@@ -211,18 +211,8 @@ func BenchmarkEx3Cardinality(b *testing.B) {
 // --- Example 4: the protein_distribution view ---
 
 func newScenario(b *testing.B, nSyn, nNcm, nSl int) *mediator.Mediator {
-	return newScenarioWorkers(b, 0, nSyn, nNcm, nSl)
-}
-
-// newScenarioWorkers builds the scenario with an explicit engine worker
-// count (0 = the GOMAXPROCS default).
-func newScenarioWorkers(b *testing.B, workers, nSyn, nNcm, nSl int) *mediator.Mediator {
 	b.Helper()
-	var opts *mediator.Options
-	if workers != 0 {
-		opts = &mediator.Options{Engine: datalog.Options{Workers: workers}}
-	}
-	m := mediator.New(sources.NeuroDM(), opts)
+	m := mediator.New(sources.NeuroDM(), nil)
 	ws, err := sources.Wrappers(11, nSyn, nNcm, nSl)
 	if err != nil {
 		b.Fatal(err)
@@ -257,14 +247,14 @@ func BenchmarkEx4Materialize(b *testing.B) {
 	}
 }
 
-// --- Parallel evaluation: serial vs worker-pool speedups ---
+// --- A wide fixpoint ---
 
-// parallelFixpointEngine builds a wide stratified program: width
-// independent transitive closures over disjoint chains, which exercises
-// both the per-round rule fan-out and the independent stratum groups.
-func parallelFixpointEngine(b *testing.B, workers, width, chain int) *datalog.Engine {
+// wideFixpointEngine builds a wide stratified program: width
+// independent transitive closures over disjoint chains, all in one
+// stratum.
+func wideFixpointEngine(b *testing.B, width, chain int) *datalog.Engine {
 	b.Helper()
-	e := datalog.NewEngine(&datalog.Options{Workers: workers})
+	e := datalog.NewEngine(nil)
 	for g := 0; g < width; g++ {
 		edge := fmt.Sprintf("e%d", g)
 		tc := fmt.Sprintf("t%d", g)
@@ -286,37 +276,18 @@ func parallelFixpointEngine(b *testing.B, workers, width, chain int) *datalog.En
 	return e
 }
 
-func BenchmarkParallelFixpoint(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := parallelFixpointEngine(b, workers, 8, 160)
-				b.StartTimer()
-				res, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Store.Count("t0/2") != 160*161/2 {
-					b.Fatal("closure incomplete")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkParallelMaterialize(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m := newScenarioWorkers(b, workers, 200, 400, 100)
-				b.StartTimer()
-				if _, err := m.Materialize(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+func BenchmarkFixpointWide(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := wideFixpointEngine(b, 8, 160)
+		b.StartTimer()
+		res, err := e.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Store.Count("t0/2") != 160*161/2 {
+			b.Fatal("closure incomplete")
+		}
 	}
 }
 

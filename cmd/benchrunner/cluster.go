@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"modelmed/internal/cluster"
-	"modelmed/internal/datalog"
 	"modelmed/internal/load"
 	"modelmed/internal/mediator"
 	"modelmed/internal/serve"
@@ -27,7 +26,6 @@ import (
 
 // clusterReport is the JSON shape of BENCH_cluster.json.
 type clusterReport struct {
-	Workers      int
 	SrcLatencyMs int64
 	Concurrency  int
 	Legs         []clusterLeg
@@ -80,7 +78,7 @@ func bootShard(id string, names []string, srcLatency time.Duration) (string, fun
 	if err != nil {
 		return "", nil, err
 	}
-	med := mediator.New(sources.NeuroDM(), &mediator.Options{Engine: datalog.Options{Workers: 2}})
+	med := mediator.New(sources.NeuroDM(), nil)
 	for _, n := range names {
 		w, ok := byName[n]
 		if !ok {
@@ -168,7 +166,6 @@ func clusterExp() error {
 		4: {{"SYNAPSE"}, {"NCMIR"}, {"SENSELAB"}, {"EXTRA00"}},
 	}
 	report := clusterReport{
-		Workers:      2,
 		SrcLatencyMs: srcLatency.Milliseconds(),
 		Concurrency:  concurrency,
 	}

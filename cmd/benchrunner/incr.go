@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"modelmed/internal/datalog"
@@ -17,7 +16,6 @@ import (
 // maintenance (delta patch of the cached materialization) vs full
 // re-materialization on small deltas over the Section 5 workload.
 type incrReport struct {
-	Workers    int
 	TotalFacts int
 	Entries    []incrEntry
 }
@@ -41,12 +39,7 @@ type incrEntry struct {
 // source records (<=1% of the store) and compare SyncSources /
 // ApplySourceDelta against Invalidate+Materialize.
 func incrExp() error {
-	workers := *workersFlag
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	m := mediator.New(sources.NeuroDM(),
-		&mediator.Options{Engine: datalog.Options{Workers: workers}})
+	m := mediator.New(sources.NeuroDM(), nil)
 	ws, err := sources.Wrappers(2026, 60, 160, 40)
 	if err != nil {
 		return err
@@ -70,8 +63,8 @@ func incrExp() error {
 	if err != nil {
 		return err
 	}
-	rep := incrReport{Workers: workers, TotalFacts: res.Store.Size()}
-	fmt.Printf("workers=%d, materialized store holds %d facts\n", workers, rep.TotalFacts)
+	rep := incrReport{TotalFacts: res.Store.Size()}
+	fmt.Printf("materialized store holds %d facts\n", rep.TotalFacts)
 
 	const reps = 3
 	tick := 0

@@ -3,26 +3,17 @@
 // implementation, printing for each experiment what the paper shows and
 // what this build measures. EXPERIMENTS.md records a reference run.
 //
-// Usage: benchrunner [-exp all|fig1|fig2|fig3|table1|ex2|ex3|ex4|sec5|plan|compare|scale|parallel|faults|obs|incr|serve|stream|tenant|persist|cluster]
+// Usage: benchrunner [-exp all|fig1|fig2|fig3|table1|ex2|ex3|ex4|sec5|plan|compare|scale|faults|obs|incr|serve|stream|tenant|persist|cluster]
 //
-//	[-workers N]       worker count for the obs experiment (0 = GOMAXPROCS)
-//	[-check-speedup]   after -exp parallel, exit nonzero if the 4-worker
-//	                   speedup falls below 1.0x (skipped on single-CPU
-//	                   hosts; the 2.0x roadmap target is advisory)
 //	[-cpuprofile F]    write a CPU profile of the run to F
 //	[-memprofile F]    write a post-run heap profile to F
 //
-// The parallel experiment pins GOMAXPROCS to NumCPU, sweeps Workers
-// over {1,2,4,8}, and writes BENCH_parallel.json with serial
-// (compiled), interpreted, and per-worker-count timings plus speedups
-// for the evaluation fixpoint and the mediator materialization. The
-// faults experiment writes
-// BENCH_faults.json: a sweep of seeded wrapper fault rates against
-// retry budgets, recording per-source outcomes (ok / degraded /
-// failed), answer sizes and materialization latency under the
-// fault-tolerant fan-out. The obs experiment writes BENCH_obs.json:
+// The faults experiment writes BENCH_faults.json: a sweep of seeded
+// wrapper fault rates against retry budgets, recording per-source
+// outcomes (ok / degraded / failed), answer sizes and materialization
+// latency under the fault-tolerant fan-out. The obs experiment writes BENCH_obs.json:
 // the tracing layer's stage-level latency breakdown of the Section 5
-// query under the parallel and faulty configurations. The incr
+// query under the clean and faulty configurations. The incr
 // experiment writes BENCH_incr.json: incremental view maintenance
 // (SyncSources / ApplySourceDelta patching the cached materialization)
 // vs full re-materialization on <=1% deltas. The serve experiment
@@ -66,10 +57,8 @@ import (
 )
 
 var (
-	workersFlag      = flag.Int("workers", 0, "worker count for -exp obs (0 = GOMAXPROCS)")
-	checkSpeedupFlag = flag.Bool("check-speedup", false, "after -exp parallel, fail if the 4-worker speedup is below 1.0x (skipped on single-CPU hosts; 2.0x is advisory)")
-	cpuProfileFlag   = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memProfileFlag   = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
+	cpuProfileFlag = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfileFlag = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 )
 
 func main() {
@@ -119,7 +108,6 @@ func main() {
 		{"plan", plannerExp, "Generic query planner — pruning and pushdown for arbitrary queries"},
 		{"compare", compare, "Comparison — model-based vs structural mediation"},
 		{"scale", scale, "Scaling — closure and source-selection sweeps"},
-		{"parallel", parallelExp, "Parallel evaluation — serial vs worker-pool speedups"},
 		{"faults", faultsExp, "Fault tolerance — fault-rate x retry-budget sweep with graceful degradation"},
 		{"obs", obsExp, "Observability — stage-level latency breakdown of the Section 5 query"},
 		{"incr", incrExp, "Incremental maintenance — delta patch vs full re-materialization"},
@@ -553,205 +541,6 @@ func scale() error {
 	return nil
 }
 
-// parallelReport is the JSON shape of BENCH_parallel.json: one entry
-// per workload. SerialNs is the compiled Workers=1 leg; InterpretedNs
-// is the same leg with compilation disabled (the pre-compilation
-// executor), so CompileSpeedup isolates the compiled-executor win.
-// Parallel holds one leg per swept worker count, each with its speedup
-// over SerialNs. GOMAXPROCS is pinned to NumCPU for the run so the
-// report is honest about how much hardware parallelism was available.
-type parallelReport struct {
-	GOMAXPROCS int
-	NumCPU     int
-	Sweep      []int
-	Entries    []parallelEntry
-}
-
-type parallelEntry struct {
-	Name           string
-	SerialNs       int64
-	InterpretedNs  int64
-	CompileSpeedup float64
-	Parallel       []parallelLeg
-}
-
-type parallelLeg struct {
-	Workers int
-	Ns      int64
-	Speedup float64
-}
-
-// parallelSweep is the worker counts the parallel experiment measures.
-var parallelSweep = []int{1, 2, 4, 8}
-
-func parallelExp() error {
-	prev := runtime.GOMAXPROCS(runtime.NumCPU())
-	defer runtime.GOMAXPROCS(prev)
-	rep := parallelReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Sweep:      parallelSweep,
-	}
-	fmt.Printf("GOMAXPROCS=%d (NumCPU=%d), sweeping Workers=%v\n",
-		rep.GOMAXPROCS, rep.NumCPU, rep.Sweep)
-	if rep.NumCPU < 2 {
-		fmt.Println("NOTE: single-CPU host; parallel legs cannot beat serial here.")
-	}
-
-	best := func(reps int, fn func() error) (time.Duration, error) {
-		var bestD time.Duration
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if err := fn(); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); bestD == 0 || d < bestD {
-				bestD = d
-			}
-		}
-		return bestD, nil
-	}
-	add := func(name string, run func(workers int, interpret bool) error) error {
-		s, err := best(3, func() error { return run(1, false) })
-		if err != nil {
-			return err
-		}
-		in, err := best(3, func() error { return run(1, true) })
-		if err != nil {
-			return err
-		}
-		entry := parallelEntry{
-			Name:           name,
-			SerialNs:       s.Nanoseconds(),
-			InterpretedNs:  in.Nanoseconds(),
-			CompileSpeedup: float64(in) / float64(s),
-		}
-		fmt.Printf("  %-24s interpreted=%-12v compiled=%-12v compile-speedup=%.2fx\n",
-			name, in.Round(time.Microsecond), s.Round(time.Microsecond), entry.CompileSpeedup)
-		for _, w := range parallelSweep {
-			p := s
-			if w > 1 {
-				p, err = best(3, func() error { return run(w, false) })
-				if err != nil {
-					return err
-				}
-			}
-			leg := parallelLeg{Workers: w, Ns: p.Nanoseconds(), Speedup: float64(s) / float64(p)}
-			entry.Parallel = append(entry.Parallel, leg)
-			fmt.Printf("    workers=%d  %-12v speedup=%.2fx\n", w, p.Round(time.Microsecond), leg.Speedup)
-		}
-		rep.Entries = append(rep.Entries, entry)
-		return nil
-	}
-
-	// Workload 1: the Table 1 axiom-closure shape, widened to eight
-	// independent transitive closures so both the per-round fan-out and
-	// the stratum groups have work to distribute.
-	closure := func(w int, interpret bool) error {
-		e := datalog.NewEngine(&datalog.Options{Workers: w, Interpret: interpret})
-		const width, chain = 8, 120
-		for g := 0; g < width; g++ {
-			edge := fmt.Sprintf("e%d", g)
-			tc := fmt.Sprintf("t%d", g)
-			for i := 0; i < chain; i++ {
-				if err := e.AddFact(edge, term.Int(int64(i)), term.Int(int64(i+1))); err != nil {
-					return err
-				}
-			}
-			if err := e.AddRules(
-				datalog.NewRule(datalog.Lit(tc, term.Var("X"), term.Var("Y")),
-					datalog.Lit(edge, term.Var("X"), term.Var("Y"))),
-				datalog.NewRule(datalog.Lit(tc, term.Var("X"), term.Var("Y")),
-					datalog.Lit(tc, term.Var("X"), term.Var("Z")),
-					datalog.Lit(edge, term.Var("Z"), term.Var("Y"))),
-			); err != nil {
-				return err
-			}
-		}
-		res, err := e.Run()
-		if err != nil {
-			return err
-		}
-		if res.Store.Count("t0/2") != chain*(chain+1)/2 {
-			return fmt.Errorf("closure incomplete")
-		}
-		return nil
-	}
-
-	// Workload 2: full mediator materialization (wrapper fan-out plus
-	// the view program fixpoint) over the Example 4 scenario.
-	materialize := func(w int, interpret bool) error {
-		m := mediator.New(sources.NeuroDM(),
-			&mediator.Options{Engine: datalog.Options{Workers: w, Interpret: interpret}})
-		ws, err := sources.Wrappers(7, 120, 320, 80)
-		if err != nil {
-			return err
-		}
-		for _, src := range ws {
-			if err := m.Register(src); err != nil {
-				return err
-			}
-		}
-		if err := m.DefineStandardViews(); err != nil {
-			return err
-		}
-		_, err = m.Materialize()
-		return err
-	}
-
-	if err := add("fixpoint/axiom-closure", closure); err != nil {
-		return err
-	}
-	if err := add("mediator/materialize", materialize); err != nil {
-		return err
-	}
-
-	if err := writeJSON("BENCH_parallel.json", rep); err != nil {
-		return err
-	}
-	if *checkSpeedupFlag {
-		return checkSpeedup(rep)
-	}
-	return nil
-}
-
-// checkSpeedup is the CI perf-smoke gate over a parallel report: the
-// 4-worker leg must not be slower than serial. The 2.0x target from the
-// roadmap is advisory (warn only) because achievable scaling depends on
-// the host. On a single-CPU host a parallel win is physically
-// impossible, so the hard gate is skipped there and only reported.
-func checkSpeedup(rep parallelReport) error {
-	const gateWorkers, hardMin, advisory = 4, 1.0, 2.0
-	var failed []string
-	for _, e := range rep.Entries {
-		for _, leg := range e.Parallel {
-			if leg.Workers != gateWorkers {
-				continue
-			}
-			switch {
-			case leg.Speedup < hardMin:
-				failed = append(failed, fmt.Sprintf("%s: %d-worker speedup %.2fx < %.1fx",
-					e.Name, gateWorkers, leg.Speedup, hardMin))
-			case leg.Speedup < advisory:
-				fmt.Printf("advisory: %s %d-worker speedup %.2fx below %.1fx target\n",
-					e.Name, gateWorkers, leg.Speedup, advisory)
-			}
-		}
-	}
-	if len(failed) == 0 {
-		fmt.Printf("perf-smoke: %d-worker speedup gate passed\n", gateWorkers)
-		return nil
-	}
-	if rep.NumCPU < 2 {
-		fmt.Printf("perf-smoke: single-CPU host (NumCPU=%d); speedup gate skipped:\n", rep.NumCPU)
-		for _, f := range failed {
-			fmt.Println("  ", f)
-		}
-		return nil
-	}
-	return fmt.Errorf("perf-smoke speedup gate failed: %s", strings.Join(failed, "; "))
-}
-
 // faultsReport is the JSON shape of BENCH_faults.json: a sweep of
 // seeded wrapper fault rates against retry budgets over the Example 4
 // scenario, run under the mediator's fault-tolerant fan-out.
@@ -873,13 +662,12 @@ func containsStr(xs []string, x string) bool {
 
 // obsReport is the JSON shape of BENCH_obs.json: the stage-level
 // latency breakdown of the Section 5 query recorded by the tracing
-// layer, under the parallel (fault-free, worker pool) and faulty
+// layer, under the clean (fault-free) and faulty
 // (decorated wrappers, retry budget) configurations. StageSumNs is the
 // sum of the recorded stage spans; the plan's steps run sequentially,
 // so it accounts for nearly all of EndToEndNs (the gap is the
 // mediator's own glue between steps).
 type obsReport struct {
-	Workers int
 	Entries []obsEntry
 }
 
@@ -897,14 +685,10 @@ type obsStage struct {
 }
 
 func obsExp() error {
-	workers := *workersFlag
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rep := obsReport{Workers: workers}
+	rep := obsReport{}
 
 	build := func(faulty bool) (*mediator.Mediator, error) {
-		opts := &mediator.Options{Engine: datalog.Options{Workers: workers}}
+		opts := &mediator.Options{}
 		if faulty {
 			opts.SourceTimeout = 2 * time.Second
 			opts.MaxRetries = 3
@@ -939,7 +723,7 @@ func obsExp() error {
 		name   string
 		faulty bool
 	}{
-		{"parallel", false},
+		{"clean", false},
 		{"faulty", true},
 	} {
 		m, err := build(cfg.faulty)
@@ -967,8 +751,8 @@ func obsExp() error {
 		}
 		rep.Entries = append(rep.Entries, entry)
 
-		fmt.Printf("%s config (%d workers): %d distributions under %s in %v\n",
-			cfg.name, workers, len(res.Distributions), res.Root, elapsed.Round(time.Microsecond))
+		fmt.Printf("%s config: %d distributions under %s in %v\n",
+			cfg.name, len(res.Distributions), res.Root, elapsed.Round(time.Microsecond))
 		fmt.Print(res.Span.Render())
 		cover := float64(entry.StageSumNs) / float64(entry.EndToEndNs) * 100
 		fmt.Printf("stage spans cover %.1f%% of the end-to-end time\n\n", cover)

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"modelmed/internal/datalog"
@@ -18,7 +17,6 @@ import (
 // (source fan-out + fixpoint materialization) vs warm boot (snapshot
 // adoption, optionally + WAL replay) across fact-volume scales.
 type persistReport struct {
-	Workers int
 	Entries []persistEntry
 }
 
@@ -57,13 +55,11 @@ func persistExp() error {
 }
 
 func runPersistExp(scales []persistScale, outPath string) error {
-	workers := runtime.GOMAXPROCS(0)
-	rep := persistReport{Workers: workers}
+	rep := persistReport{}
 	const reps = 3
 
 	build := func(mult int) (*mediator.Mediator, []*wrapper.InMemory, error) {
-		m := mediator.New(sources.NeuroDM(),
-			&mediator.Options{Engine: datalog.Options{Workers: workers}})
+		m := mediator.New(sources.NeuroDM(), nil)
 		ws, err := sources.Wrappers(2026, 60*mult, 160*mult, 40*mult)
 		if err != nil {
 			return nil, nil, err

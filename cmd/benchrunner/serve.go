@@ -9,14 +9,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"modelmed/internal/datalog"
 	"modelmed/internal/load"
 	"modelmed/internal/mediator"
 	"modelmed/internal/serve"
@@ -28,10 +26,9 @@ import (
 // service's answer cache, its behavior under a closed-loop concurrency
 // sweep, and the graceful-drain accounting under live load.
 type serveReport struct {
-	Workers int
-	Cache   serveCacheLeg
-	Sweep   []serveSweepLeg
-	Drain   serveDrainLeg
+	Cache serveCacheLeg
+	Sweep []serveSweepLeg
+	Drain serveDrainLeg
 }
 
 // serveSweepLeg is one closed-loop run of the concurrency sweep,
@@ -73,9 +70,8 @@ type serveDrainLeg struct {
 // real federation, which makes admitted queries block in the fan-out
 // instead of burning CPU (required for the admission gate, not the
 // shared CPU, to be the bottleneck the sweep measures).
-func newServeScenario(cfg serve.Config, workers int, srcLatency time.Duration) (*serve.Server, *http.Server, string, error) {
-	med := mediator.New(sources.NeuroDM(),
-		&mediator.Options{Engine: datalog.Options{Workers: workers}})
+func newServeScenario(cfg serve.Config, srcLatency time.Duration) (*serve.Server, *http.Server, string, error) {
+	med := mediator.New(sources.NeuroDM(), nil)
 	ws, err := sources.Wrappers(2026, 60, 160, 40)
 	if err != nil {
 		return nil, nil, "", err
@@ -168,11 +164,7 @@ func medianLatency(client *http.Client, base string, req load.Request, reps int)
 // closed-loop concurrency sweep, and zero-drop graceful drain under
 // SIGTERM while load is running. Writes BENCH_serve.json.
 func serveExp() error {
-	workers := *workersFlag
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rep := serveReport{Workers: workers}
+	rep := serveReport{}
 	client := &http.Client{}
 
 	// --- Leg 1: answer cache on a repeated planned query. The planned
@@ -180,7 +172,7 @@ func serveExp() error {
 	// simulated 15ms source round-trip, a cached answer amortizes
 	// exactly that network distance.
 	const srcLatency = 15 * time.Millisecond
-	srv, hs, base, err := newServeScenario(serve.Config{}, workers, srcLatency)
+	srv, hs, base, err := newServeScenario(serve.Config{}, srcLatency)
 	if err != nil {
 		return err
 	}
@@ -227,7 +219,7 @@ func serveExp() error {
 		_, hs, base, err = newServeScenario(serve.Config{
 			MaxInFlight: 2, MaxQueue: 2, RequestTimeout: 10 * time.Second,
 			DisableCache: !cacheOn,
-		}, workers, srcLatency)
+		}, srcLatency)
 		if err != nil {
 			return err
 		}
@@ -255,7 +247,7 @@ func serveExp() error {
 	// connection errors after the listener closed are refusals, not
 	// drops; the authoritative zero-drop check is the server's own
 	// started == finished accounting.
-	srv, hs, base, err = newServeScenario(serve.Config{}, workers, 0)
+	srv, hs, base, err = newServeScenario(serve.Config{}, 0)
 	if err != nil {
 		return err
 	}

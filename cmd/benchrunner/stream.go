@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"modelmed/internal/datalog"
 	"modelmed/internal/gcm"
 	"modelmed/internal/load"
 	"modelmed/internal/mediator"
@@ -28,9 +27,8 @@ import (
 // subscriber wakeups → per-subscriber re-evaluation and diff → SSE
 // write. No client polls at any point.
 type streamReport struct {
-	Workers int
-	Rounds  int
-	Legs    []streamLeg
+	Rounds int
+	Legs   []streamLeg
 }
 
 // streamLeg is one subscriber-concurrency level. Quantiles are over
@@ -49,9 +47,8 @@ type streamLeg struct {
 // streamScenario boots the serve stack with live feeds: the mediator
 // materializes once, every wrapper's delta stream is consumed by the
 // feed loop, and each applied batch flows into Server.ApplyReport.
-func streamScenario(workers int) (*serve.Server, *mediator.Feeds, func(), []*wrapper.InMemory, string, error) {
-	med := mediator.New(sources.NeuroDM(),
-		&mediator.Options{Engine: datalog.Options{Workers: workers}})
+func streamScenario() (*serve.Server, *mediator.Feeds, func(), []*wrapper.InMemory, string, error) {
+	med := mediator.New(sources.NeuroDM(), nil)
 	ws, err := sources.Wrappers(2026, 60, 160, 40)
 	if err != nil {
 		return nil, nil, nil, nil, "", err
@@ -98,16 +95,12 @@ func listenAndServe(srv *serve.Server) (*http.Server, string, error) {
 // streamExp measures the live-federation push path end to end and
 // writes BENCH_stream.json.
 func streamExp() error {
-	workers := *workersFlag
-	if workers == 0 {
-		workers = 1
-	}
 	const rounds = 20
-	rep := streamReport{Workers: workers, Rounds: rounds}
+	rep := streamReport{Rounds: rounds}
 	fmt.Printf("change-to-notification latency over %d mutation rounds per level\n", rounds)
 
 	for _, c := range []int{1, 16, 64} {
-		srv, feeds, shutdown, ws, base, err := streamScenario(workers)
+		srv, feeds, shutdown, ws, base, err := streamScenario()
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -23,7 +22,6 @@ import (
 // neighbour, and what the engine's cooperative gas checks cost when
 // nothing is near a limit.
 type tenantReport struct {
-	Workers  int
 	Fairness tenantFairnessLeg
 	Overhead tenantOverheadLeg
 }
@@ -99,11 +97,7 @@ const abuseQuery = `src_obj(S1, O1, C1), src_obj(S2, O2, C2), src_obj(S3, O3, C3
 // tenantExp measures multi-tenant admission fairness and the
 // uncontended cost of the gas meter. Writes BENCH_tenant.json.
 func tenantExp() error {
-	workers := *workersFlag
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rep := tenantReport{Workers: workers}
+	rep := tenantReport{}
 
 	// --- Leg 1: abusive-vs-honest fairness. The honest tenant runs the
 	// planned Section 5 query (feels the simulated source round-trip,
@@ -124,8 +118,7 @@ func tenantExp() error {
 		// grows by one abusive service time per rotation — the budget
 		// is what keeps that service time on the honest queries' own
 		// scale. It must still clear the shared materialization (~8k
-		// firings at this scenario's sizes; Workers stays 1 here so the
-		// per-worker gas strides cannot overshoot that floor).
+		// firings at this scenario's sizes).
 		factLimit = 12_000
 	)
 	limits := datalog.Limits{MaxDerivedFacts: factLimit, MaxRounds: 10_000}
@@ -136,7 +129,7 @@ func tenantExp() error {
 		RequestTimeout: 10 * time.Second,
 		TenantWeights:  weights,
 	}
-	eng := datalog.Options{Workers: 1, Limits: limits}
+	eng := datalog.Options{Limits: limits}
 
 	honestReq := load.Request{
 		Query: sec5Query, Vars: []string{"N", "C"}, Planned: true, NoCache: true,
@@ -224,7 +217,7 @@ func tenantExp() error {
 	// with budgets ~200x beyond what the run spends, so every check
 	// executes and none fires.
 	closure := func(lim datalog.Limits, ctx context.Context) error {
-		e := datalog.NewEngine(&datalog.Options{Workers: 1, Limits: lim})
+		e := datalog.NewEngine(&datalog.Options{Limits: lim})
 		const width, chain = 8, 120
 		for g := 0; g < width; g++ {
 			edge := fmt.Sprintf("e%d", g)

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	medd [-addr HOST:PORT]
-//	     [-synapse N -ncmir N -senselab N] [-seed S] [-workers W]
+//	     [-synapse N -ncmir N -senselab N] [-seed S]
 //	     [-source-timeout D -retries N]
 //	     [-max-inflight N] [-max-queue N] [-request-timeout D]
 //	     [-fact-limit N] [-round-limit N] [-wall-limit D]
@@ -106,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 	nNcm := fs.Int("ncmir", 100, "NCMIR protein amount records")
 	nSl := fs.Int("senselab", 30, "SENSELAB neurotransmission records")
 	seed := fs.Int64("seed", 11, "generator seed")
-	workers := fs.Int("workers", 0, "evaluation worker goroutines (0 = GOMAXPROCS)")
 	srcTimeout := fs.Duration("source-timeout", 0, "per-source call deadline (0 = none; enables the fault-tolerance layer)")
 	retries := fs.Int("retries", 0, "retries per transiently failing source call")
 	maxInflight := fs.Int("max-inflight", 0, "concurrently evaluating queries (0 = default 8)")
@@ -159,7 +158,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 
 	med := mediator.New(sources.NeuroDM(), &mediator.Options{
 		Engine: datalog.Options{
-			Workers: *workers,
 			Limits: datalog.Limits{
 				MaxDerivedFacts: *factLimit,
 				MaxRounds:       *roundLimit,

@@ -6,12 +6,9 @@
 //
 // Usage:
 //
-//	medsh [-synapse N -ncmir N -senselab N] [-seed S] [-workers W]
+//	medsh [-synapse N -ncmir N -senselab N] [-seed S]
 //	      [-source-timeout D -retries N] [-fault-rate P -fault-seed S -down SRC,...]
 //	      [-q QUERY]
-//
-// -workers bounds the engine's evaluation goroutines (0 = GOMAXPROCS,
-// 1 = serial); answers are identical for any setting.
 //
 // -source-timeout and -retries enable the mediator's fault-tolerance
 // layer: every wrapper call runs under the deadline, transient
@@ -95,7 +92,6 @@ func main() {
 	nNcm := flag.Int("ncmir", 100, "NCMIR protein amount records")
 	nSl := flag.Int("senselab", 30, "SENSELAB neurotransmission records")
 	seed := flag.Int64("seed", 11, "generator seed")
-	workers := flag.Int("workers", 0, "evaluation worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	srcTimeout := flag.Duration("source-timeout", 0, "per-source call deadline (0 = none; enables the fault-tolerance layer)")
 	retries := flag.Int("retries", 0, "retries per transiently failing source call (enables the fault-tolerance layer)")
 	faultRate := flag.Float64("fault-rate", 0, "inject seeded transient wrapper faults with this probability (chaos demo)")
@@ -105,7 +101,7 @@ func main() {
 	flag.Parse()
 
 	med, err := buildFaultScenario(scenarioConfig{
-		seed: *seed, nSyn: *nSyn, nNcm: *nNcm, nSl: *nSl, workers: *workers,
+		seed: *seed, nSyn: *nSyn, nNcm: *nNcm, nSl: *nSl,
 		sourceTimeout: *srcTimeout, retries: *retries,
 		faultRate: *faultRate, faultSeed: *faultSeed, down: parseDown(*down),
 	})
@@ -148,7 +144,6 @@ func main() {
 type scenarioConfig struct {
 	seed            int64
 	nSyn, nNcm, nSl int
-	workers         int
 
 	sourceTimeout time.Duration
 	retries       int
@@ -173,15 +168,14 @@ func (c scenarioConfig) injectsFaults() bool {
 	return c.faultRate > 0 || len(c.down) > 0
 }
 
-func buildScenario(seed int64, nSyn, nNcm, nSl, workers int) (*mediator.Mediator, error) {
+func buildScenario(seed int64, nSyn, nNcm, nSl int) (*mediator.Mediator, error) {
 	return buildFaultScenario(scenarioConfig{
-		seed: seed, nSyn: nSyn, nNcm: nNcm, nSl: nSl, workers: workers,
+		seed: seed, nSyn: nSyn, nNcm: nNcm, nSl: nSl,
 	})
 }
 
 func buildFaultScenario(cfg scenarioConfig) (*mediator.Mediator, error) {
 	opts := mediator.Options{
-		Engine:        datalog.Options{Workers: cfg.workers},
 		SourceTimeout: cfg.sourceTimeout,
 		MaxRetries:    cfg.retries,
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 func TestBuildScenario(t *testing.T) {
-	med, err := buildScenario(3, 10, 20, 10, 2)
+	med, err := buildScenario(3, 10, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestBuildScenario(t *testing.T) {
 }
 
 func TestRunLineCommands(t *testing.T) {
-	med, err := buildScenario(3, 10, 20, 10, 2)
+	med, err := buildScenario(3, 10, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRunLineCommands(t *testing.T) {
 }
 
 func TestRunLineQuery(t *testing.T) {
-	med, err := buildScenario(3, 10, 20, 10, 2)
+	med, err := buildScenario(3, 10, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRunLineQuery(t *testing.T) {
 }
 
 func TestRunLinePlan(t *testing.T) {
-	med, err := buildScenario(3, 10, 40, 10, 2)
+	med, err := buildScenario(3, 10, 40, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRunLinePlan(t *testing.T) {
 }
 
 func TestRunLineCheckAndDot(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRunLineCheckAndDot(t *testing.T) {
 }
 
 func TestRunLinePlanq(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRunLinePlanq(t *testing.T) {
 }
 
 func TestLoadRuleFile(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLoadRuleFile(t *testing.T) {
 }
 
 func TestRunLineWhy(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRunLineWhy(t *testing.T) {
 }
 
 func TestLoadShippedRuleFile(t *testing.T) {
-	med, err := buildScenario(3, 10, 20, 10, 2)
+	med, err := buildScenario(3, 10, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLoadShippedRuleFile(t *testing.T) {
 }
 
 func TestRunLineRegisterAndTaxonomy(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +159,13 @@ func TestFaultScenarioFlagWiring(t *testing.T) {
 	// Chaos flags only: the retry budget defaults on, and the flaky
 	// session still answers the fault-free result.
 	med, err := buildFaultScenario(scenarioConfig{
-		seed: 3, nSyn: 10, nNcm: 20, nSl: 10, workers: 2,
+		seed: 3, nSyn: 10, nNcm: 20, nSl: 10,
 		faultRate: 0.4, faultSeed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := buildScenario(3, 10, 20, 10, 2)
+	plain, err := buildScenario(3, 10, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestFaultScenarioFlagWiring(t *testing.T) {
 
 	// Explicit deadline/retry knobs, no injection: layer on, all OK.
 	med2, err := buildFaultScenario(scenarioConfig{
-		seed: 3, nSyn: 5, nNcm: 10, nSl: 5, workers: 1,
+		seed: 3, nSyn: 5, nNcm: 10, nSl: 5,
 		sourceTimeout: 500 * time.Millisecond, retries: 2,
 	})
 	if err != nil {
@@ -213,7 +213,7 @@ func TestFaultScenarioFlagWiring(t *testing.T) {
 // queries answer from the survivors, and .reports shows the failure.
 func TestDegradedSessionTranscript(t *testing.T) {
 	med, err := buildFaultScenario(scenarioConfig{
-		seed: 3, nSyn: 10, nNcm: 20, nSl: 10, workers: 2,
+		seed: 3, nSyn: 10, nNcm: 20, nSl: 10,
 		retries: 1, down: parseDown("NCMIR"),
 	})
 	if err != nil {
@@ -259,7 +259,7 @@ func reportByName(t *testing.T, reps []mediator.SourceReport, name string) media
 }
 
 func TestRunLineReportsWithoutFaultLayer(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestRunLineReportsWithoutFaultLayer(t *testing.T) {
 }
 
 func TestRunLineDist(t *testing.T) {
-	med, err := buildScenario(3, 5, 40, 5, 2)
+	med, err := buildScenario(3, 5, 40, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func captureOutput(t *testing.T, fn func() error) (string, error) {
 // the next query's span tree, .stats renders spans plus counters, and
 // .trace off clears the captured state.
 func TestRunLineTraceAndStats(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestRunLineTraceAndStats(t *testing.T) {
 // session: the dead source and its failure must be visible.
 func TestRunLineReportsOutput(t *testing.T) {
 	med, err := buildFaultScenario(scenarioConfig{
-		seed: 3, nSyn: 5, nNcm: 10, nSl: 5, workers: 2,
+		seed: 3, nSyn: 5, nNcm: 10, nSl: 5,
 		retries: 1, down: parseDown("NCMIR"),
 	})
 	if err != nil {
@@ -393,7 +393,7 @@ func TestRunLineReportsOutput(t *testing.T) {
 // come back as errors (the shell prints them and keeps the session) —
 // never as panics.
 func TestRunLineSurvivesGarbage(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestSplitSigned(t *testing.T) {
 }
 
 func TestRunLineDeltaSyncInvalidate(t *testing.T) {
-	med, err := buildScenario(3, 10, 20, 10, 2)
+	med, err := buildScenario(3, 10, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func captureStdout(t *testing.T, f func()) string {
 // unknown dot-command errors with the help text instead of evaluating
 // as query text.
 func TestHelpAndUnknownCommand(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestHelpAndUnknownCommand(t *testing.T) {
 // TestServeCommand mounts the HTTP API from the shell and queries the
 // same mediator over the wire.
 func TestServeCommand(t *testing.T) {
-	med, err := buildScenario(3, 5, 10, 5, 2)
+	med, err := buildScenario(3, 5, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

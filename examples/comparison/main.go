@@ -9,10 +9,8 @@
 //     the structural mediator finds only exact matches and misses the
 //     semantically contained data the model-based mediator aggregates.
 //
-// Run with: go run ./examples/comparison [-workers W] [-source-timeout D] [-retries N]
+// Run with: go run ./examples/comparison [-source-timeout D] [-retries N]
 //
-// -workers bounds the model-based mediator's evaluation goroutines
-// (0 = GOMAXPROCS, 1 = serial); the output is identical either way.
 // -source-timeout and -retries switch the mediator's source fan-out to
 // the guarded path (per-call deadline, retries with backoff, graceful
 // degradation) — with the in-process wrappers this changes nothing in
@@ -27,14 +25,12 @@ import (
 	"time"
 
 	"modelmed/internal/baseline"
-	"modelmed/internal/datalog"
 	"modelmed/internal/mediator"
 	"modelmed/internal/sources"
 	"modelmed/internal/wrapper"
 )
 
 var (
-	workersFlag    = flag.Int("workers", 0, "evaluation worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	srcTimeoutFlag = flag.Duration("source-timeout", 0, "per-source call deadline (0 = none; enables the fault-tolerance layer)")
 	retriesFlag    = flag.Int("retries", 0, "retries per transiently failing source call (enables the fault-tolerance layer)")
 )
@@ -42,7 +38,6 @@ var (
 // medOptions maps the flags into mediator options.
 func medOptions() *mediator.Options {
 	return &mediator.Options{
-		Engine:        datalog.Options{Workers: *workersFlag},
 		SourceTimeout: *srcTimeoutFlag,
 		MaxRetries:    *retriesFlag,
 	}

@@ -16,22 +16,22 @@ import (
 // TestMedOptionsFlagWiring checks the flag -> Options mapping,
 // including the default (fault layer off).
 func TestMedOptionsFlagWiring(t *testing.T) {
-	defer func(w int, d time.Duration, r int) {
-		*workersFlag, *srcTimeoutFlag, *retriesFlag = w, d, r
-	}(*workersFlag, *srcTimeoutFlag, *retriesFlag)
+	defer func(d time.Duration, r int) {
+		*srcTimeoutFlag, *retriesFlag = d, r
+	}(*srcTimeoutFlag, *retriesFlag)
 
-	*workersFlag, *srcTimeoutFlag, *retriesFlag = 3, 0, 0
+	*srcTimeoutFlag, *retriesFlag = 0, 0
 	opts := medOptions()
-	if opts.Engine.Workers != 3 || opts.SourceTimeout != 0 || opts.MaxRetries != 0 {
+	if opts.SourceTimeout != 0 || opts.MaxRetries != 0 {
 		t.Errorf("default options = %+v", opts)
 	}
 
 	if err := flag.CommandLine.Parse([]string{
-		"-workers", "2", "-source-timeout", "250ms", "-retries", "4"}); err != nil {
+		"-source-timeout", "250ms", "-retries", "4"}); err != nil {
 		t.Fatal(err)
 	}
 	opts = medOptions()
-	if opts.Engine.Workers != 2 || opts.SourceTimeout != 250*time.Millisecond || opts.MaxRetries != 4 {
+	if opts.SourceTimeout != 250*time.Millisecond || opts.MaxRetries != 4 {
 		t.Errorf("parsed options = %+v", opts)
 	}
 }

@@ -4,7 +4,8 @@ package datalog
 // shape the incremental harness exercises (recursion, stratified
 // negation, aggregates, well-founded), a compiled evaluation must be
 // set-equal to an interpreted one (Options.Interpret) over the same
-// seeded EDB — serially and with Workers > 1. Run with -race in CI.
+// seeded EDB — under GOMAXPROCS 1 and 4 (see setProcs). Run with -race
+// in CI.
 
 import (
 	"fmt"
@@ -15,10 +16,10 @@ import (
 // runCompiledVsInterpreted evaluates one seeded EDB under both
 // executors and compares the full fixpoint (and undefined set, for
 // well-founded programs).
-func runCompiledVsInterpreted(t *testing.T, p diffProgram, seed int64, workers int) {
+func runCompiledVsInterpreted(t *testing.T, p diffProgram, seed int64) {
 	r := rand.New(rand.NewSource(seed))
-	compiled := NewEngine(&Options{Workers: workers})
-	interp := NewEngine(&Options{Workers: workers, Interpret: true})
+	compiled := NewEngine(nil)
+	interp := NewEngine(&Options{Interpret: true})
 	if err := compiled.AddRules(p.rules...); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func runCompiledVsInterpreted(t *testing.T, p diffProgram, seed int64, workers i
 	if err != nil {
 		t.Fatalf("interpreted run: %v", err)
 	}
-	label := fmt.Sprintf("%s/seed=%d/workers=%d", p.name, seed, workers)
+	label := fmt.Sprintf("%s/seed=%d", p.name, seed)
 	storesEqual(t, label, got.Store, want.Store)
 	if got.Undefined != nil || want.Undefined != nil {
 		storesEqual(t, label+"/undefined", got.Undefined, want.Undefined)
@@ -51,17 +52,16 @@ func runCompiledVsInterpreted(t *testing.T, p diffProgram, seed int64, workers i
 }
 
 // TestCompiledDifferential runs 160 seeded evaluations (4 programs x
-// 20 seeds x serial/parallel) comparing the compiled executor against
+// 20 seeds x GOMAXPROCS 1/4) comparing the compiled executor against
 // the interpreter.
 func TestCompiledDifferential(t *testing.T) {
 	for _, p := range diffPrograms() {
 		p := p
-		for _, workers := range []int{1, 4} {
-			workers := workers
-			t.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(t *testing.T) {
-				t.Parallel()
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", p.name, procs), func(t *testing.T) {
+				setProcs(t, procs)
 				for seed := int64(0); seed < 20; seed++ {
-					runCompiledVsInterpreted(t, p, seed, workers)
+					runCompiledVsInterpreted(t, p, seed)
 				}
 			})
 		}
@@ -78,8 +78,8 @@ func TestCompiledDifferentialIncremental(t *testing.T) {
 			t.Parallel()
 			for seed := int64(100); seed < 105; seed++ {
 				r := rand.New(rand.NewSource(seed))
-				compiled := NewEngine(&Options{Workers: 1})
-				interp := NewEngine(&Options{Workers: 1, Interpret: true})
+				compiled := NewEngine(nil)
+				interp := NewEngine(&Options{Interpret: true})
 				if err := compiled.AddRules(p.rules...); err != nil {
 					t.Fatal(err)
 				}

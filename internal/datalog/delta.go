@@ -227,7 +227,6 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *eval
 		}
 	})
 
-	workers := e.opts.ResolvedWorkers()
 	for lvl, st := range p.strata {
 		if len(st.rules) == 0 {
 			continue
@@ -262,7 +261,7 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *eval
 			stats.RecomputedStrata++
 			continue
 		}
-		err := e.dredStratum(st, store, old, cumAdd, cumDel, pend, stats, workers, lim, ssp)
+		err := e.dredStratum(st, store, old, cumAdd, cumDel, pend, stats, lim, ssp)
 		ssp.End()
 		if err != nil {
 			return res, err
@@ -340,7 +339,7 @@ var errStopMatch = fmt.Errorf("datalog: internal: stop match")
 // one aggregate-free stratum. store holds the new model below this
 // stratum (final) and the old model at and above it; old is the full
 // previous model and is never written.
-func (e *Engine) dredStratum(st *stratumPlan, store, old, cumAdd, cumDel, pend *Store, stats *DeltaStats, workers int, lim *limiter, ssp *obs.Span) error {
+func (e *Engine) dredStratum(st *stratumPlan, store, old, cumAdd, cumDel, pend *Store, stats *DeltaStats, lim *limiter, ssp *obs.Span) error {
 	opts := &e.opts
 	st.prepareDRed()
 	prepared, deltaJobs := st.prepared, st.deltaJobs
@@ -379,7 +378,7 @@ func (e *Engine) dredStratum(st *stratumPlan, store, old, cumAdd, cumDel, pend *
 			return err
 		}
 		ev := &evalCtx{store: old, negCtx: old, opts: opts, lim: lim}
-		facts, err := runJobs(deltaJobs, delDelta, ev, workers, nil)
+		facts, err := runJobs(deltaJobs, delDelta, ev, nil)
 		if err != nil {
 			return err
 		}
@@ -485,7 +484,7 @@ func (e *Engine) dredStratum(st *stratumPlan, store, old, cumAdd, cumDel, pend *
 			return err
 		}
 		ev := &evalCtx{store: store, negCtx: store, opts: opts, lim: lim}
-		facts, err := runJobs(deltaJobs, insDelta, ev, workers, nil)
+		facts, err := runJobs(deltaJobs, insDelta, ev, nil)
 		if err != nil {
 			return err
 		}

@@ -47,90 +47,94 @@ func chainProgram() diffProgram {
 // result set-equal to a from-scratch run and the previous result
 // set-equal to what it was before the step.
 func TestDeltaLongChain(t *testing.T) {
-	const steps = 300
 	p := chainProgram()
-	for _, cfg := range []Options{
-		{Workers: 1}, {Workers: 4}, {Workers: 1, Interpret: true}, {Workers: 4, Interpret: true},
-	} {
-		cfg := cfg
-		t.Run(fmt.Sprintf("workers=%d/interpret=%v", cfg.Workers, cfg.Interpret), func(t *testing.T) {
-			t.Parallel()
-			r := rand.New(rand.NewSource(17))
-			eng := NewEngine(&cfg)
-			if err := eng.AddRules(p.rules...); err != nil {
+	for _, procs := range []int{1, 4} {
+		for _, interpret := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d/interpret=%v", procs, interpret), func(t *testing.T) {
+				setProcs(t, procs)
+				runDeltaLongChain(t, p, Options{Interpret: interpret})
+			})
+		}
+	}
+}
+
+// runDeltaLongChain is one configuration of TestDeltaLongChain.
+func runDeltaLongChain(t *testing.T, p diffProgram, cfg Options) {
+	const steps = 300
+	r := rand.New(rand.NewSource(17))
+	eng := NewEngine(&cfg)
+	if err := eng.AddRules(p.rules...); err != nil {
+		t.Fatal(err)
+	}
+	mirror := newMirror()
+	for i := 0; i < 60; i++ {
+		dp := p.preds[r.Intn(len(p.preds))]
+		args := dp.gen(r)
+		if err := eng.AddFact(dp.name, args...); err != nil {
+			t.Fatal(err)
+		}
+		mirror.add(dp.name, args)
+	}
+	scratch := func() *Store {
+		ref := NewEngine(&cfg)
+		if err := ref.AddRules(p.rules...); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range mirror.list {
+			if err := ref.AddFact(f.pred, f.args...); err != nil {
 				t.Fatal(err)
 			}
-			mirror := newMirror()
-			for i := 0; i < 60; i++ {
-				dp := p.preds[r.Intn(len(p.preds))]
-				args := dp.gen(r)
-				if err := eng.AddFact(dp.name, args...); err != nil {
+		}
+		want, err := ref.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want.Store
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPrev := scratch()
+	folds := 0
+	for s := 0; s < steps; s++ {
+		d := NewDelta()
+		for i, n := 0, 1+r.Intn(5); i < n; i++ {
+			if f, ok := mirror.pick(r); ok && r.Intn(2) == 0 {
+				if err := d.Del(f.pred, f.args...); err != nil {
 					t.Fatal(err)
 				}
-				mirror.add(dp.name, args)
+				mirror.del(f.pred, f.args)
+				continue
 			}
-			scratch := func() *Store {
-				ref := NewEngine(&cfg)
-				if err := ref.AddRules(p.rules...); err != nil {
-					t.Fatal(err)
-				}
-				for _, f := range mirror.list {
-					if err := ref.AddFact(f.pred, f.args...); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want, err := ref.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return want.Store
-			}
-			res, err := eng.Run()
-			if err != nil {
+			dp := p.preds[r.Intn(len(p.preds))]
+			args := dp.gen(r)
+			if err := d.Add(dp.name, args...); err != nil {
 				t.Fatal(err)
 			}
-			wantPrev := scratch()
-			folds := 0
-			for s := 0; s < steps; s++ {
-				d := NewDelta()
-				for i, n := 0, 1+r.Intn(5); i < n; i++ {
-					if f, ok := mirror.pick(r); ok && r.Intn(2) == 0 {
-						if err := d.Del(f.pred, f.args...); err != nil {
-							t.Fatal(err)
-						}
-						mirror.del(f.pred, f.args)
-						continue
-					}
-					dp := p.preds[r.Intn(len(p.preds))]
-					args := dp.gen(r)
-					if err := d.Add(dp.name, args...); err != nil {
-						t.Fatal(err)
-					}
-					mirror.add(dp.name, args)
-				}
-				next, err := eng.ApplyDelta(res, d)
-				if err != nil {
-					t.Fatalf("step %d: %v", s, err)
-				}
-				if next.Delta != nil && next.Delta.Full {
-					t.Fatalf("step %d fell back to a full run", s)
-				}
-				want := scratch()
-				storesEqual(t, fmt.Sprintf("step %d", s), next.Store, want)
-				storesEqual(t, fmt.Sprintf("step %d: previous result", s), res.Store, wantPrev)
-				// A relation the step wrote is a clone of the previous
-				// one; it owns its base again only if it folded.
-				for _, k := range next.Store.Keys() {
-					if nr, pr := next.Store.Rel(k), res.Store.Rel(k); pr != nil && nr != pr && !nr.shared {
-						folds++
-					}
-				}
-				res, wantPrev = next, want
+			mirror.add(dp.name, args)
+		}
+		next, err := eng.ApplyDelta(res, d)
+		if err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+		if next.Delta != nil && next.Delta.Full {
+			t.Fatalf("step %d fell back to a full run", s)
+		}
+		want := scratch()
+		storesEqual(t, fmt.Sprintf("step %d", s), next.Store, want)
+		storesEqual(t, fmt.Sprintf("step %d: previous result", s), res.Store, wantPrev)
+		// A relation the step wrote is a clone of the previous
+		// one; it owns its base again only if it folded.
+		for _, k := range next.Store.Keys() {
+			if nr, pr := next.Store.Rel(k), res.Store.Rel(k); pr != nil && nr != pr && !nr.shared {
+				folds++
 			}
-			if folds < 3 {
-				t.Errorf("the chain folded an overlay %d times, want several", folds)
-			}
-		})
+		}
+		res, wantPrev = next, want
+	}
+	if folds < 3 {
+		t.Errorf("the chain folded an overlay %d times, want several", folds)
 	}
 }
 
@@ -156,7 +160,7 @@ func bytesPerRun(runs int, f func()) uint64 {
 // counter.
 func TestDeltaCostProportional(t *testing.T) {
 	perDelta := func(comps int) uint64 {
-		eng := NewEngine(&Options{Workers: 1})
+		eng := NewEngine(nil)
 		if err := eng.AddRules(
 			NewRule(Lit("tc", v("X"), v("Y")), Lit("edge", v("X"), v("Y"))),
 			NewRule(Lit("tc", v("X"), v("Z")), Lit("tc", v("X"), v("Y")), Lit("edge", v("Y"), v("Z"))),

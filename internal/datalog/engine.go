@@ -3,11 +3,9 @@ package datalog
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"modelmed/internal/obs"
-	"modelmed/internal/par"
 	"modelmed/internal/term"
 )
 
@@ -38,17 +36,9 @@ type Options struct {
 	// RequireStratified makes Run fail on non-stratified programs instead
 	// of falling back to the well-founded semantics.
 	RequireStratified bool
-	// Workers bounds the goroutines used for parallel evaluation: the
-	// per-round rule/variant fan-out of each fixpoint and the evaluation
-	// of independent same-level stratum groups. 0 means
-	// runtime.GOMAXPROCS(0); values <= 1 select the serial path. The
-	// result is independent of Workers (see DESIGN.md, "Parallel
-	// evaluation").
-	Workers int
 	// Trace, when non-nil, receives the evaluation's span tree: a
-	// "datalog.run" child carrying one span per stratum (or per
-	// independent stratum group) with per-round children recording rules
-	// fired, delta sizes and worker utilization. Nil — the default —
+	// "datalog.run" child carrying one span per stratum with per-round
+	// children recording rules fired and delta sizes. Nil — the default —
 	// disables tracing; the disabled path costs one nil check per round
 	// (see DESIGN.md, "Observability").
 	Trace *obs.Span
@@ -58,15 +48,9 @@ type Options struct {
 	Counters *obs.Counters
 }
 
-// ResolvedWorkers returns the effective worker count: Workers, or
-// runtime.GOMAXPROCS(0) when unset. A nil receiver resolves to the
-// default as well.
-func (o *Options) ResolvedWorkers() int {
-	if o == nil || o.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
-}
+// ResolvedWorkers returns 1: evaluation runs on the calling goroutine.
+// It is kept only because benchmark reports stamp it.
+func (o *Options) ResolvedWorkers() int { return 1 }
 
 func (o *Options) withDefaults() Options {
 	out := Options{}
@@ -246,22 +230,12 @@ func hasAggregates(rules []Rule) bool {
 func (e *Engine) runStratified(p *evalPlan, lim *limiter, sp *obs.Span) (*Result, error) {
 	store := e.edb.Clone()
 	res := &Result{Store: store, Stratified: true, eng: e}
-	workers := e.opts.ResolvedWorkers()
-	groups := p.scc.strataGroups(e.rules)
 	for lvl, st := range p.strata {
 		if len(st.rules) == 0 {
 			continue
 		}
 		ssp := sp.Childf("stratum %d", lvl)
 		ssp.SetInt("rules", int64(len(st.rules)))
-		if workers > 1 && len(groups[lvl]) > 1 {
-			err := e.runGroups(groups[lvl], store, res, workers, lim, ssp)
-			ssp.End()
-			if err != nil {
-				return res, err
-			}
-			continue
-		}
 		if err := st.prepare(&e.opts); err != nil {
 			return nil, err
 		}
@@ -277,81 +251,6 @@ func (e *Engine) runStratified(p *evalPlan, lim *limiter, sp *obs.Span) (*Result
 		}
 	}
 	return res, nil
-}
-
-// runGroups evaluates the independent rule groups of one stratum level
-// concurrently. Each group runs its fixpoint on a clone of the current
-// store; because no group reads another group's head predicates (that is
-// what makes them independent, see strataGroups), the groups derive
-// exactly the facts the combined fixpoint would. The clones' new rows —
-// everything past the shared base prefix that Clone preserves — are then
-// merged into the store in group order, keeping the result deterministic
-// for a fixed Workers setting and set-identical to the serial run.
-func (e *Engine) runGroups(groups [][]Rule, store *Store, res *Result, workers int, lim *limiter, sp *obs.Span) error {
-	prepared := make([][]preparedRule, len(groups))
-	for i, g := range groups {
-		p, err := prepareRules(g, &e.opts)
-		if err != nil {
-			return err
-		}
-		prepared[i] = p
-	}
-	baseCounts := make(map[string]int, len(store.rels))
-	for k, r := range store.rels {
-		baseCounts[k] = r.Len()
-	}
-	// Child spans are created serially here (deterministic order) and
-	// filled by the pool workers; each worker only touches its own span.
-	spans := make([]*obs.Span, len(groups))
-	if sp != nil {
-		for i := range groups {
-			spans[i] = sp.Childf("group %d", i)
-		}
-	}
-	type groupRun struct {
-		clone           *Store
-		rounds, firings int
-		err             error
-	}
-	runs := make([]groupRun, len(groups))
-	// Clones are taken serially: Clone marks the parent's relations
-	// copy-on-write, which must not race with another worker's Clone of
-	// the same store. The clones themselves share every relation
-	// read-only, so the group fixpoints run concurrently without copying
-	// the base facts — a group pays only for the relations it derives
-	// into.
-	for i := range groups {
-		runs[i].clone = store.Clone()
-	}
-	// The limiter is shared across the concurrent group fixpoints: its
-	// counters are atomics, so the combined budget of the stratum level
-	// matches the serial run's.
-	par.Do(len(groups), workers, func(i int) {
-		clone := runs[i].clone
-		runs[i].rounds, runs[i].firings, runs[i].err = fixpoint(prepared[i], clone, clone, &e.opts, lim, spans[i])
-		spans[i].End()
-	})
-	for i := range runs {
-		if runs[i].err != nil {
-			return runs[i].err
-		}
-		res.Rounds += runs[i].rounds
-		res.Firings += runs[i].firings
-		clone := runs[i].clone
-		for _, k := range clone.Keys() {
-			r := clone.Rel(k)
-			base := baseCounts[k]
-			if r.Len() <= base {
-				continue
-			}
-			dst := store.Ensure(k, r.Arity())
-			_ = r.eachFrom(base, func(row []uint32) error {
-				dst.InsertIDs(row)
-				return nil
-			})
-		}
-	}
-	return nil
 }
 
 // runWellFounded computes the well-founded model by the alternating

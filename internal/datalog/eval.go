@@ -3,10 +3,8 @@ package datalog
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"modelmed/internal/obs"
-	"modelmed/internal/par"
 	"modelmed/internal/term"
 )
 
@@ -106,9 +104,8 @@ type evalCtx struct {
 	negCtx *Store // facts consulted by negative literals
 	delta  *Store // restriction for the designated delta literal (nil = none)
 	opts   *Options
-	pool   *par.Pool // persistent round workers (nil = spawn per round)
-	lim    *limiter  // shared gas meter of the evaluation (nil = unlimited)
-	gas    int       // head instantiations left in the local allotment
+	lim    *limiter // shared gas meter of the evaluation (nil = unlimited)
+	gas    int      // head instantiations left in the local allotment
 
 	newFacts   []derivedFact
 	arena      []uint32 // slab backing the ID rows of newFacts
@@ -423,8 +420,7 @@ func computeAggregate(op AggOp, values []term.Term) (term.Term, error) {
 // evalJob is one independent unit of a fixpoint round: a rule body (or
 // semi-naive delta variant) to enumerate against the round snapshot.
 // Within a round the store, negCtx and delta are immutable — they are
-// only mutated at the round barrier — so jobs are pure reads and can run
-// on any goroutine.
+// only mutated at the round barrier — so jobs are pure reads.
 type evalJob struct {
 	headKey  string
 	head     Literal
@@ -445,116 +441,44 @@ func (j evalJob) run(ev *evalCtx) error {
 	})
 }
 
-// parallelDeltaMin is the smallest round delta worth fanning out: below
-// it the per-round dispatch and merge overhead outweighs the join work,
-// and the round runs serially (the result is identical either way).
-const parallelDeltaMin = 64
-
 // runJobs evaluates one round's jobs against the snapshot held by ev
 // (store, negCtx, opts) with delta as the designated delta store, and
-// returns the derived facts in job order. The serial path reuses
-// ev.newFacts and its arena, so the returned facts are only valid until
-// the next call. With workers > 1, more than one job, and a delta large
-// enough to pay for the fan-out, the round runs on ev.pool (or a
-// one-shot par.Do when no pool is attached); each job derives into its
-// own context and the buffers are concatenated in job order — exactly
-// the order the serial loop derives in — with firings/depthDrops folded
-// back into ev. rsp, when non-nil, records the round's job count and
-// worker utilization. Both the fixpoint rounds and the incremental
-// phases of ApplyDelta run on this.
-func runJobs(jobs []evalJob, delta *Store, ev *evalCtx, workers int, rsp *obs.Span) ([]derivedFact, error) {
+// returns the derived facts in job order. It reuses ev.newFacts and its
+// arena, so the returned facts are only valid until the next call. rsp,
+// when non-nil, records the round's job count. Both the fixpoint rounds
+// and the incremental phases of ApplyDelta run on this.
+func runJobs(jobs []evalJob, delta *Store, ev *evalCtx, rsp *obs.Span) ([]derivedFact, error) {
 	rsp.SetInt("jobs", int64(len(jobs)))
-	if workers <= 1 || len(jobs) <= 1 || (delta != nil && delta.Size() < parallelDeltaMin) {
-		ev.delta = delta
-		ev.newFacts = ev.newFacts[:0]
-		ev.arena = ev.arena[:0]
-		for _, j := range jobs {
-			if err := j.run(ev); err != nil {
-				return nil, err
-			}
-		}
-		return ev.newFacts, nil
-	}
-	ctxs := make([]*evalCtx, len(jobs))
-	errs := make([]error, len(jobs))
-	var busy []int64
-	var wallStart time.Time
-	if rsp != nil {
-		busy = make([]int64, len(jobs))
-		wallStart = time.Now()
-	}
-	task := func(i int) {
-		var t0 time.Time
-		if busy != nil {
-			t0 = time.Now()
-		}
-		c := &evalCtx{store: ev.store, negCtx: ev.negCtx, delta: delta, opts: ev.opts, lim: ev.lim}
-		ctxs[i] = c
-		errs[i] = jobs[i].run(c)
-		if busy != nil {
-			busy[i] = time.Since(t0).Nanoseconds()
+	ev.delta = delta
+	ev.newFacts = ev.newFacts[:0]
+	ev.arena = ev.arena[:0]
+	for _, j := range jobs {
+		if err := j.run(ev); err != nil {
+			return nil, err
 		}
 	}
-	if ev.pool != nil {
-		ev.pool.Run(len(jobs), task)
-	} else {
-		par.Do(len(jobs), workers, task)
-	}
-	if busy != nil {
-		var total int64
-		for _, b := range busy {
-			total += b
-		}
-		rsp.SetInt("busy_ns", total)
-		if wall := time.Since(wallStart).Nanoseconds(); wall > 0 {
-			rsp.SetInt("util_pct", total*100/(wall*int64(workers)))
-		}
-	}
-	n := 0
-	for i := range jobs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		n += len(ctxs[i].newFacts)
-	}
-	merged := make([]derivedFact, 0, n)
-	for i := range jobs {
-		merged = append(merged, ctxs[i].newFacts...)
-		ev.firings += ctxs[i].firings
-		ev.depthDrops += ctxs[i].depthDrops
-	}
-	return merged, nil
+	return ev.newFacts, nil
 }
 
 // fixpoint evaluates the prepared rules to a fixpoint over store, with
 // negative literals answered from negCtx. It uses semi-naive evaluation
 // unless opts.Naive is set. Returns the number of evaluation rounds.
 //
-// With opts.Workers > 1 the jobs of each round fan out across a
-// persistent worker pool created once per fixpoint. Each worker derives
-// into its own buffer; at the round barrier the buffers are
-// concatenated in job order, which is exactly the order the serial loop
-// derives in, so the store's insertion sequence — and therefore the
-// result — is identical to Workers=1.
-//
 // sp, when non-nil, receives one child span per round (job count, facts
-// derived, delta size, rule firings, and — on the parallel path —
-// summed worker busy time and utilization). All instrumentation sits
-// behind nil checks so a nil sp costs one branch per round.
+// derived, delta size, rule firings). All instrumentation sits behind
+// nil checks so a nil sp costs one branch per round.
 //
 // lim, when non-nil, is the evaluation's shared gas meter: every round
 // is charged against it before it runs (MaxRounds + context), and the
-// per-job contexts draw fact gas from it in strides (MaxDerivedFacts +
-// context), so a cancelled request stops mid-stratum and a budget trip
+// evaluation context draws fact gas from it in strides (MaxDerivedFacts
+// + context), so a cancelled request stops mid-stratum and a budget trip
 // surfaces as *ErrBudgetExceeded. A nil lim costs one nil check per
 // round and per derivation.
 func fixpoint(rules []preparedRule, store, negCtx *Store, opts *Options, lim *limiter, sp *obs.Span) (rounds int, firings int, err error) {
 	ev := &evalCtx{store: store, negCtx: negCtx, opts: opts, lim: lim}
-	workers := opts.ResolvedWorkers()
 	derivedTotal := 0
 	if sp != nil || opts.Counters != nil {
 		sp.SetInt("rules", int64(len(rules)))
-		sp.SetInt("workers", int64(workers))
 		defer func() {
 			sp.SetInt("rounds", int64(ev.rounds))
 			sp.SetInt("firings", int64(ev.firings))
@@ -580,16 +504,6 @@ func fixpoint(rules []preparedRule, store, negCtx *Store, opts *Options, lim *li
 	if opts.Naive {
 		deltaJobs = fullJobs
 	}
-	if workers > 1 && (len(fullJobs) > 1 || len(deltaJobs) > 1) {
-		ev.pool = par.NewPool(workers)
-		defer ev.pool.Close()
-	}
-
-	// runRound evaluates jobs against the current snapshot and returns
-	// the derived facts in job order; see runJobs.
-	runRound := func(jobs []evalJob, delta *Store, rsp *obs.Span) ([]derivedFact, error) {
-		return runJobs(jobs, delta, ev, workers, rsp)
-	}
 
 	// endRound closes a round span with the barrier-side metrics.
 	endRound := func(rsp *obs.Span, derived, deltaSize, prevFirings int) {
@@ -608,7 +522,7 @@ func fixpoint(rules []preparedRule, store, negCtx *Store, opts *Options, lim *li
 		return 0, 0, err
 	}
 	rsp := sp.Child("round 0")
-	newFacts, err := runRound(fullJobs, nil, rsp)
+	newFacts, err := runJobs(fullJobs, nil, ev, rsp)
 	if err != nil {
 		rsp.End()
 		return ev.rounds, ev.firings, err
@@ -634,7 +548,7 @@ func fixpoint(rules []preparedRule, store, negCtx *Store, opts *Options, lim *li
 		}
 		prevFirings := ev.firings
 		rsp := sp.Childf("round %d", ev.rounds)
-		newFacts, err := runRound(deltaJobs, delta, rsp)
+		newFacts, err := runJobs(deltaJobs, delta, ev, rsp)
 		if err != nil {
 			rsp.End()
 			return ev.rounds, ev.firings, err

@@ -4,9 +4,9 @@ package datalog
 // update sequences, the incrementally maintained result must be
 // set-equal to a from-scratch evaluation over the mutated EDB — for
 // recursive, negation-stratified, aggregate and well-founded programs,
-// serially and with Workers > 1. Together with the mediator-level twin
-// (internal/mediator/incr_diff_test.go) this runs well over 100 seeded
-// sequences.
+// under GOMAXPROCS 1 and 4 (see setProcs). Together with the
+// mediator-level twin (internal/mediator/incr_diff_test.go) this runs
+// well over 100 seeded sequences.
 
 import (
 	"fmt"
@@ -178,9 +178,9 @@ func storesEqual(t *testing.T, label string, got, want *Store) {
 	t.Fatalf("%s: stores differ", label)
 }
 
-func runDiffSequence(t *testing.T, p diffProgram, seed int64, workers int) {
+func runDiffSequence(t *testing.T, p diffProgram, seed int64) {
 	r := rand.New(rand.NewSource(seed))
-	eng := NewEngine(&Options{Workers: workers})
+	eng := NewEngine(nil)
 	if err := eng.AddRules(p.rules...); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func runDiffSequence(t *testing.T, p diffProgram, seed int64, workers int) {
 		if err != nil {
 			t.Fatalf("step %d: ApplyDelta: %v", s, err)
 		}
-		ref := NewEngine(&Options{Workers: workers})
+		ref := NewEngine(nil)
 		if err := ref.AddRules(p.rules...); err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func runDiffSequence(t *testing.T, p diffProgram, seed int64, workers int) {
 		if err != nil {
 			t.Fatalf("step %d: scratch run: %v", s, err)
 		}
-		label := fmt.Sprintf("%s/seed=%d/workers=%d/step=%d", p.name, seed, workers, s)
+		label := fmt.Sprintf("%s/seed=%d/step=%d", p.name, seed, s)
 		storesEqual(t, label, next.Store, want.Store)
 		if want.Undefined != nil || next.Undefined != nil {
 			storesEqual(t, label+"/undefined", next.Undefined, want.Undefined)
@@ -252,17 +252,16 @@ func runDiffSequence(t *testing.T, p diffProgram, seed int64, workers int) {
 }
 
 // TestIncrementalDifferential runs 160 seeded update sequences (4
-// programs x 20 seeds x serial/parallel) of 4-8 mixed insert/delete
+// programs x 20 seeds x GOMAXPROCS 1/4) of 4-8 mixed insert/delete
 // steps each against from-scratch evaluation.
 func TestIncrementalDifferential(t *testing.T) {
 	for _, p := range diffPrograms() {
 		p := p
-		for _, workers := range []int{1, 4} {
-			workers := workers
-			t.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(t *testing.T) {
-				t.Parallel()
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", p.name, procs), func(t *testing.T) {
+				setProcs(t, procs)
 				for seed := int64(0); seed < 20; seed++ {
-					runDiffSequence(t, p, seed, workers)
+					runDiffSequence(t, p, seed)
 				}
 			})
 		}

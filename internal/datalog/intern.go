@@ -10,7 +10,7 @@ package datalog
 // The table is append-only and shared by every engine in the process:
 // IDs are canonical (two equal terms always intern to the same ID), so
 // rows can be compared across stores — Store.Equal, DRed's old-vs-new
-// joins and the parallel merge all compare raw IDs. Interning is
+// joins and the index probes all compare raw IDs. Interning is
 // concurrency-safe: the key→ID maps are sharded under RWMutexes and the
 // ID→term blocks are published through an atomic spine, so the hot
 // read paths (termOf, depthOf, lookupID) never contend with writers.

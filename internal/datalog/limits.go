@@ -3,11 +3,11 @@ package datalog
 // Cooperative gas limits. Every evaluation entry point (Engine.RunCtx,
 // Engine.ApplyDeltaCtx, Result.QueryCtx) builds one limiter from the
 // caller's context and the engine's Limits, and threads it into every
-// evalCtx the evaluation spawns — including the per-job contexts of the
-// parallel rounds and the fresh contexts of the DRed phases. The budget
-// is checked at two cadences: once per semi-naive round (every loop
-// that can iterate: stratum fixpoints, the alternating Γ sequence, the
-// DRed overdeletion and insertion waves), and once every gasStride head
+// evalCtx the evaluation spawns — including the fresh contexts of the
+// DRed phases. The budget is checked at two cadences: once per
+// semi-naive round (every loop that can iterate: stratum fixpoints, the
+// alternating Γ sequence, the DRed overdeletion and insertion waves),
+// and once every gasStride head
 // instantiations inside a round, so a single cross-product rule firing
 // cannot eat the process between barriers. A tripped budget surfaces as
 // *ErrBudgetExceeded; a fired context surfaces as the context's own
@@ -58,9 +58,9 @@ const (
 )
 
 // ErrBudgetExceeded reports that an evaluation ran out of gas. Spent is
-// the budget consumed when the check tripped (it can exceed Limit by up
-// to one gasStride per concurrent worker, since workers reserve gas in
-// strides).
+// the budget consumed when the check tripped. Fact gas is reserved in
+// strides, so Spent also counts what an evaluation context had reserved
+// but not yet used.
 type ErrBudgetExceeded struct {
 	Kind  string // BudgetFacts, BudgetRounds or BudgetWall
 	Spent int    // for BudgetWall: elapsed milliseconds
@@ -71,17 +71,17 @@ func (e *ErrBudgetExceeded) Error() string {
 	return fmt.Sprintf("datalog: %s budget exceeded (spent %d, limit %d)", e.Kind, e.Spent, e.Limit)
 }
 
-// gasStride is how many head instantiations a worker may derive between
-// looks at the shared budget and the context. Large enough that the
-// atomic traffic disappears in the join cost (<5% on the serial
-// compiled fixpoint, see BENCH_tenant.json), small enough that a
+// gasStride is how many head instantiations an evaluation context may
+// derive between looks at the shared budget and the context. Large
+// enough that the atomic traffic disappears in the join cost (<5% on
+// the compiled fixpoint, see BENCH_tenant.json), small enough that a
 // runaway rule is stopped within a few thousand derivations.
 const gasStride = 2048
 
 // limiter is the shared gas meter of one evaluation. It is created once
-// per entry point and shared by every evalCtx of that evaluation;
-// worker contexts draw stride-sized allotments from the fact budget so
-// the hot path pays one integer decrement per derivation.
+// per entry point and shared by every evalCtx of that evaluation; the
+// contexts draw stride-sized allotments from the fact budget so the hot
+// path pays one integer decrement per derivation.
 type limiter struct {
 	ctx       context.Context
 	done      <-chan struct{} // ctx.Done(), cached; nil when never cancellable
@@ -152,7 +152,7 @@ func (l *limiter) wallErr() error {
 // fact budget and returns how many the caller may spend before asking
 // again. Near the cap the grant shrinks to the exact remainder, so a
 // small budget is enforced precisely; reserved-but-unspent gas stays
-// counted, an overestimate bounded by one stride per worker.
+// counted, an overestimate bounded by one stride per evaluation context.
 func (l *limiter) grant() (int, error) {
 	if err := l.ctxErr(); err != nil {
 		return 0, err

@@ -51,14 +51,18 @@ func closureEngine(t *testing.T, opts *Options, chain int) *Engine {
 
 func TestFactBudgetReturnsTypedError(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		procs int // GOMAXPROCS for the run; 0 leaves it alone
 	}{
-		{"compiled", Options{}},
-		{"interpreted", Options{Interpret: true}},
-		{"workers4", Options{Workers: 4}},
+		{"compiled", Options{}, 0},
+		{"interpreted", Options{Interpret: true}, 0},
+		{"workers4", Options{}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				setProcs(t, tc.procs)
+			}
 			opts := tc.opts
 			opts.Limits = Limits{MaxDerivedFacts: 500}
 			e := runawayEngine(t, &opts)

@@ -28,55 +28,53 @@ func tcProgram(t *testing.T, e *Engine, n int) {
 }
 
 func TestRunTraceRecordsStrataAndRounds(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		root := obs.New("test")
-		ctr := obs.NewCounters()
-		e := NewEngine(&Options{Workers: workers, Trace: root, Counters: ctr})
-		tcProgram(t, e, 12)
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
+	root := obs.New("test")
+	ctr := obs.NewCounters()
+	e := NewEngine(&Options{Trace: root, Counters: ctr})
+	tcProgram(t, e, 12)
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	run := root.Find("datalog.run")
+	if run == nil {
+		t.Fatalf("no datalog.run span:\n%s", root.Render())
+	}
+	if mode, _ := run.Str("mode"); mode != "stratified" {
+		t.Fatalf("mode = %q", mode)
+	}
+	strata := run.Children()
+	if len(strata) == 0 {
+		t.Fatal("no stratum spans")
+	}
+	// The chain closure needs many semi-naive rounds; the per-round
+	// children and the counters must agree with the Result.
+	var rounds int64
+	for _, s := range strata {
+		if v, ok := s.Int("rounds"); ok {
+			rounds += v
 		}
-		root.End()
-		run := root.Find("datalog.run")
-		if run == nil {
-			t.Fatalf("workers=%d: no datalog.run span:\n%s", workers, root.Render())
-		}
-		if mode, _ := run.Str("mode"); mode != "stratified" {
-			t.Fatalf("workers=%d: mode = %q", workers, mode)
-		}
-		strata := run.Children()
-		if len(strata) == 0 {
-			t.Fatalf("workers=%d: no stratum spans", workers)
-		}
-		// The chain closure needs many semi-naive rounds; the per-round
-		// children and the counters must agree with the Result.
-		var rounds int64
-		for _, s := range strata {
-			if v, ok := s.Int("rounds"); ok {
-				rounds += v
-			}
-		}
-		if rounds != int64(res.Rounds) {
-			t.Fatalf("workers=%d: span rounds %d != result rounds %d", workers, rounds, res.Rounds)
-		}
-		if got := ctr.Get("datalog.rounds"); got != int64(res.Rounds) {
-			t.Fatalf("workers=%d: counter rounds %d != %d", workers, got, res.Rounds)
-		}
-		if got := ctr.Get("datalog.firings"); got != int64(res.Firings) {
-			t.Fatalf("workers=%d: counter firings %d != %d", workers, got, res.Firings)
-		}
-		if ctr.Get("datalog.facts_derived") <= 0 {
-			t.Fatalf("workers=%d: no facts_derived counter", workers)
-		}
+	}
+	if rounds != int64(res.Rounds) {
+		t.Fatalf("span rounds %d != result rounds %d", rounds, res.Rounds)
+	}
+	if got := ctr.Get("datalog.rounds"); got != int64(res.Rounds) {
+		t.Fatalf("counter rounds %d != %d", got, res.Rounds)
+	}
+	if got := ctr.Get("datalog.firings"); got != int64(res.Firings) {
+		t.Fatalf("counter firings %d != %d", got, res.Firings)
+	}
+	if ctr.Get("datalog.facts_derived") <= 0 {
+		t.Fatal("no facts_derived counter")
 	}
 }
 
 // TestTraceDoesNotChangeResult pins the zero-interference contract:
-// tracing on vs. off yields the identical store, serial and parallel.
+// tracing on vs. off yields the identical store and counters.
 func TestTraceDoesNotChangeResult(t *testing.T) {
-	run := func(workers int, trace bool) *Result {
-		opts := &Options{Workers: workers}
+	run := func(trace bool) *Result {
+		opts := &Options{}
 		if trace {
 			opts.Trace = obs.New("root")
 			opts.Counters = obs.NewCounters()
@@ -89,26 +87,23 @@ func TestTraceDoesNotChangeResult(t *testing.T) {
 		}
 		return res
 	}
-	base := run(1, false)
-	for _, workers := range []int{1, 4} {
-		traced := run(workers, true)
-		if traced.Store.Size() != base.Store.Size() {
-			t.Fatalf("workers=%d: traced size %d != %d", workers, traced.Store.Size(), base.Store.Size())
-		}
-		if traced.Rounds != base.Rounds || traced.Firings != base.Firings {
-			t.Fatalf("workers=%d: traced metrics (%d,%d) != (%d,%d)",
-				workers, traced.Rounds, traced.Firings, base.Rounds, base.Firings)
-		}
-		rows, err := traced.Query([]BodyElem{Lit("t", term.Var("X"), term.Var("Y"))}, []string{"X", "Y"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		baseRows, err := base.Query([]BodyElem{Lit("t", term.Var("X"), term.Var("Y"))}, []string{"X", "Y"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rows, baseRows) {
-			t.Fatalf("workers=%d: traced rows differ", workers)
-		}
+	base, traced := run(false), run(true)
+	if traced.Store.Size() != base.Store.Size() {
+		t.Fatalf("traced size %d != %d", traced.Store.Size(), base.Store.Size())
+	}
+	if traced.Rounds != base.Rounds || traced.Firings != base.Firings {
+		t.Fatalf("traced metrics (%d,%d) != (%d,%d)",
+			traced.Rounds, traced.Firings, base.Rounds, base.Firings)
+	}
+	rows, err := traced.Query([]BodyElem{Lit("t", term.Var("X"), term.Var("Y"))}, []string{"X", "Y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseRows, err := base.Query([]BodyElem{Lit("t", term.Var("X"), term.Var("Y"))}, []string{"X", "Y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, baseRows) {
+		t.Fatal("traced rows differ")
 	}
 }

@@ -1,13 +1,32 @@
 package datalog
 
+// Evaluation runs on the calling goroutine, so neither a result nor its
+// Rounds/Firings may depend on how many CPUs the host grants the
+// runtime. The TestParallelEquivalence* tests run each program with
+// default options under GOMAXPROCS 1 and 2 and hold the two runs
+// identical. (While Options.Workers defaulted to GOMAXPROCS, independent
+// stratum groups counted their rounds separately, so Rounds — and the
+// benchmark's datalog.cold_rounds — differed between a 1-CPU and a
+// 2-CPU host.) The differential suites run under setProcs too; their
+// "workers=N" subtest labels predate the removal of Options.Workers.
+
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"modelmed/internal/term"
 )
+
+// setProcs sets runtime.GOMAXPROCS to n until t ends. The setting is
+// process-wide, so a test that calls it must not run in parallel.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // dumpSorted renders a store as a deterministic text dump: relation keys
 // in sorted order, tuples in SortedRows order. Two stores with equal
@@ -31,41 +50,43 @@ func dumpSorted(s *Store) string {
 	return b.String()
 }
 
-// runWithWorkers builds a fresh engine via build, forcing the given
-// worker count, and evaluates it.
-func runWithWorkers(t *testing.T, build func(o *Options) *Engine, workers int) *Result {
+// runWithProcs builds a fresh engine via build and evaluates it under
+// GOMAXPROCS n.
+func runWithProcs(t *testing.T, build func() *Engine, n int) *Result {
 	t.Helper()
-	e := build(&Options{Workers: workers})
-	res, err := e.Run()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	res, err := build().Run()
 	if err != nil {
-		t.Fatalf("Run (Workers=%d): %v", workers, err)
+		t.Fatalf("Run (GOMAXPROCS=%d): %v", n, err)
 	}
 	return res
 }
 
-// assertEquivalent runs the same program serially and with 8 workers and
-// checks that the derived facts, the undefined set and the stratification
-// verdict agree. Rounds/Firings may legitimately differ (independent
-// stratum groups each count their own rounds), so they are not compared.
-func assertEquivalent(t *testing.T, build func(o *Options) *Engine) (*Result, *Result) {
+// assertEquivalent runs the same program under GOMAXPROCS 1 and 2 and
+// checks that the derived facts, the undefined set, the stratification
+// verdict and the Rounds/Firings counters agree.
+func assertEquivalent(t *testing.T, build func() *Engine) (*Result, *Result) {
 	t.Helper()
-	serial := runWithWorkers(t, build, 1)
-	parallel := runWithWorkers(t, build, 8)
-	if serial.Stratified != parallel.Stratified {
-		t.Fatalf("Stratified: serial=%v parallel=%v", serial.Stratified, parallel.Stratified)
+	one := runWithProcs(t, build, 1)
+	two := runWithProcs(t, build, 2)
+	if one.Stratified != two.Stratified {
+		t.Fatalf("Stratified: procs1=%v procs2=%v", one.Stratified, two.Stratified)
 	}
-	if got, want := dumpSorted(parallel.Store), dumpSorted(serial.Store); got != want {
-		t.Errorf("store mismatch\nserial:\n%s\nparallel:\n%s", want, got)
+	if got, want := dumpSorted(two.Store), dumpSorted(one.Store); got != want {
+		t.Errorf("store mismatch\nprocs1:\n%s\nprocs2:\n%s", want, got)
 	}
-	if got, want := dumpSorted(parallel.Undefined), dumpSorted(serial.Undefined); got != want {
-		t.Errorf("undefined mismatch\nserial:\n%s\nparallel:\n%s", want, got)
+	if got, want := dumpSorted(two.Undefined), dumpSorted(one.Undefined); got != want {
+		t.Errorf("undefined mismatch\nprocs1:\n%s\nprocs2:\n%s", want, got)
 	}
-	return serial, parallel
+	if one.Rounds != two.Rounds || one.Firings != two.Firings {
+		t.Errorf("Rounds/Firings: procs1=%d/%d procs2=%d/%d", one.Rounds, one.Firings, two.Rounds, two.Firings)
+	}
+	return one, two
 }
 
 func TestParallelEquivalenceTransitiveClosure(t *testing.T) {
-	build := func(o *Options) *Engine {
-		e := NewEngine(o)
+	build := func() *Engine {
+		e := NewEngine(nil)
 		// A chain, a cycle, and a branching fan: enough shape to need
 		// several semi-naive rounds with two delta variants per round.
 		edges := [][2]string{
@@ -86,19 +107,20 @@ func TestParallelEquivalenceTransitiveClosure(t *testing.T) {
 		}
 		return e
 	}
-	serial, parallel := assertEquivalent(t, build)
-	// The per-round fan-out merges new facts in job order, so even the
-	// raw (unsorted) row order must match for a single-group program.
-	if got, want := fmt.Sprint(parallel.Store.Rel("tc/2").Rows()), fmt.Sprint(serial.Store.Rel("tc/2").Rows()); got != want {
-		t.Errorf("row order mismatch:\nserial:   %s\nparallel: %s", want, got)
+	one, two := assertEquivalent(t, build)
+	// Facts are inserted in job order, so even the raw (unsorted) row
+	// order must match.
+	if got, want := fmt.Sprint(two.Store.Rel("tc/2").Rows()), fmt.Sprint(one.Store.Rel("tc/2").Rows()); got != want {
+		t.Errorf("row order mismatch:\nprocs1: %s\nprocs2: %s", want, got)
 	}
 }
 
 func TestParallelEquivalenceIndependentGroups(t *testing.T) {
 	// Four mutually independent recursive predicates in the same stratum:
-	// this is the shape that exercises strataGroups + runGroups.
-	build := func(o *Options) *Engine {
-		e := NewEngine(o)
+	// the shape that used to be split into groups evaluated side by side,
+	// each counting its own rounds.
+	build := func() *Engine {
+		e := NewEngine(nil)
 		rels := []string{"r0", "r1", "r2", "r3"}
 		for _, base := range rels {
 			for i := 0; i < 6; i++ {
@@ -115,11 +137,12 @@ func TestParallelEquivalenceIndependentGroups(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// A second stratum reading all four groups' results, to check the
-		// merged store is a correct base for later levels.
+		// A second stratum reading all four closures; the negation keeps
+		// it above them instead of joining their level.
 		if err := e.AddRule(NewRule(Lit("reach", v("X"), v("Y")),
 			Lit("r0tc", v("X"), v("Y")), Lit("r1tc", v("X"), v("Y")),
-			Lit("r2tc", v("X"), v("Y")), Lit("r3tc", v("X"), v("Y")))); err != nil {
+			Lit("r2tc", v("X"), v("Y")), Lit("r3tc", v("X"), v("Y")),
+			Not("blocked", v("X")))); err != nil {
 			t.Fatal(err)
 		}
 		return e
@@ -128,8 +151,8 @@ func TestParallelEquivalenceIndependentGroups(t *testing.T) {
 }
 
 func TestParallelEquivalenceStratifiedNegation(t *testing.T) {
-	build := func(o *Options) *Engine {
-		e := NewEngine(o)
+	build := func() *Engine {
+		e := NewEngine(nil)
 		for _, n := range []string{"a", "b", "c", "d", "e", "f"} {
 			if err := e.AddFact("node", atom(n)); err != nil {
 				t.Fatal(err)
@@ -158,8 +181,8 @@ func TestParallelEquivalenceStratifiedNegation(t *testing.T) {
 }
 
 func TestParallelEquivalenceAggregates(t *testing.T) {
-	build := func(o *Options) *Engine {
-		e := NewEngine(o)
+	build := func() *Engine {
+		e := NewEngine(nil)
 		for i := 0; i < 20; i++ {
 			if err := e.AddFact("has", atom(fmt.Sprintf("n%d", i%5)), term.Int(int64(i))); err != nil {
 				t.Fatal(err)
@@ -181,8 +204,8 @@ func TestParallelEquivalenceAggregates(t *testing.T) {
 }
 
 func TestParallelEquivalenceWellFounded(t *testing.T) {
-	build := func(o *Options) *Engine {
-		e := NewEngine(o)
+	build := func() *Engine {
+		e := NewEngine(nil)
 		// win/move over a graph with a draw cycle, a winning chain and a
 		// larger even cycle: exercises the alternating fixpoint with a
 		// non-empty undefined set.
@@ -201,18 +224,18 @@ func TestParallelEquivalenceWellFounded(t *testing.T) {
 		}
 		return e
 	}
-	serial, parallel := assertEquivalent(t, build)
-	if serial.Stratified || parallel.Stratified {
+	one, two := assertEquivalent(t, build)
+	if one.Stratified || two.Stratified {
 		t.Fatal("win/move should take the well-founded path")
 	}
-	if serial.Undefined == nil || serial.Undefined.Size() == 0 {
+	if one.Undefined == nil || one.Undefined.Size() == 0 {
 		t.Fatal("expected a non-empty undefined set")
 	}
 }
 
 func TestParallelEquivalenceQueries(t *testing.T) {
-	build := func(o *Options) *Engine {
-		e := NewEngine(o)
+	build := func() *Engine {
+		e := NewEngine(nil)
 		for _, p := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"b", "e"}} {
 			if err := e.AddFact("edge", atom(p[0]), atom(p[1])); err != nil {
 				t.Fatal(err)
@@ -226,31 +249,31 @@ func TestParallelEquivalenceQueries(t *testing.T) {
 		}
 		return e
 	}
-	serial, parallel := assertEquivalent(t, build)
+	one, two := assertEquivalent(t, build)
 	body := []BodyElem{Lit("tc", v("X"), v("Y"))}
-	qs, err := serial.Query(body, []string{"X", "Y"})
+	q1, err := one.Query(body, []string{"X", "Y"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qp, err := parallel.Query(body, []string{"X", "Y"})
+	q2, err := two.Query(body, []string{"X", "Y"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(qs) != fmt.Sprint(qp) {
-		t.Errorf("query answers differ:\nserial:   %v\nparallel: %v", qs, qp)
+	if fmt.Sprint(q1) != fmt.Sprint(q2) {
+		t.Errorf("query answers differ:\nprocs1: %v\nprocs2: %v", q1, q2)
 	}
 }
 
 // TestParallelEquivalenceRandom generates random stratified programs
 // (several independent recursive closures plus a negation stratum over
-// random graphs) and checks serial/parallel agreement on each.
+// random graphs) and checks agreement across GOMAXPROCS on each.
 func TestParallelEquivalenceRandom(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			build := func(o *Options) *Engine {
+			build := func() *Engine {
 				rng := rand.New(rand.NewSource(seed))
-				e := NewEngine(o)
+				e := NewEngine(nil)
 				nGraphs := 2 + rng.Intn(3)
 				for g := 0; g < nGraphs; g++ {
 					edge := fmt.Sprintf("e%d", g)

@@ -293,7 +293,7 @@ func (r *Relation) Insert(ts []term.Term) bool {
 // InsertIDs adds a tuple given as interned IDs, returning true if new.
 // The row slice is copied, not retained. A new row always goes last in
 // iteration order, even when a tombstoned copy of it sits in the shared
-// base: runGroups relies on a clone's new rows following its old ones.
+// base.
 func (r *Relation) InsertIDs(row []uint32) bool {
 	var kb [64]byte
 	packed := packRow(kb[:0], row)
@@ -470,32 +470,15 @@ func (r *Relation) eachAt(rs rowSet, fn func(row []uint32) error) error {
 // each is eachAt over every live row: base rows in order, then overlay
 // rows in order.
 func (r *Relation) each(fn func(row []uint32) error) error {
-	return r.eachFrom(0, fn)
-}
-
-// eachFrom is each without the first skip live rows. Rows are only ever
-// appended at the end of this order, so for a clone that has inserted
-// and never deleted, eachFrom(n) with n the length at clone time walks
-// exactly the rows the clone added.
-func (r *Relation) eachFrom(skip int, fn func(row []uint32) error) error {
-	i := 0
-	if len(r.dead) == 0 && skip > 0 {
-		i = min(skip, r.base.n)
-		skip -= i
-	}
-	for ; i < r.base.n; i++ {
+	for i := 0; i < r.base.n; i++ {
 		if r.isDead(int32(i)) {
-			continue
-		}
-		if skip > 0 {
-			skip--
 			continue
 		}
 		if err := fn(r.base.row(i)); err != nil {
 			return err
 		}
 	}
-	for i := skip; i < r.overLen(); i++ {
+	for i := 0; i < r.overLen(); i++ {
 		if err := fn(r.over.row(i)); err != nil {
 			return err
 		}
@@ -781,12 +764,9 @@ func (s *Store) Keys() []string {
 // until one of them mutates it, at which point the mutating side
 // clones that one relation. Cloning is therefore O(relations)
 // regardless of fact count — it runs once per Γ step of the
-// well-founded path, per stratum group, per Materialize and per
-// ApplyDelta, all of which mutate only a fraction of the relations they
-// clone. Row order of shared relations is preserved and a clone appends
-// its insertions after them (parallel stratum merging relies on this,
-// see Relation.eachFrom). Clone must not run concurrently with other
-// operations on s.
+// well-founded path, per Materialize and per ApplyDelta, all of which
+// mutate only a fraction of the relations they clone. Clone must not
+// run concurrently with other operations on s.
 func (s *Store) Clone() *Store {
 	if s.cow == nil {
 		s.cow = make(map[string]struct{}, len(s.rels))

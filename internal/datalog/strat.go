@@ -218,75 +218,6 @@ func (s *sccResult) stratify(rules []Rule) (stratified bool, aggCycle bool) {
 	return stratified, aggCycle
 }
 
-// strataGroups partitions each stratum level's rules into independent
-// groups: two rules share a group iff their head components are
-// connected through dependency edges that stay within the level and
-// target a predicate some rule of the level writes. Edges into lower
-// levels (fully computed) or into read-only EDB predicates never link
-// groups. Because no group reads another group's head predicates, the
-// groups of one level can be evaluated in any order — or in parallel on
-// clones of the level's base store — and derive exactly the facts the
-// combined fixpoint would. Group order follows first rule occurrence and
-// rules keep their original order within a group, so the partition is
-// deterministic.
-func (s *sccResult) strataGroups(rules []Rule) [][][]Rule {
-	maxLevel := 0
-	for _, l := range s.levels {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	// Components that are written at their level (head of some rule).
-	written := make(map[int]bool)
-	for _, r := range rules {
-		written[s.comp[r.Head.Key()]] = true
-	}
-	// Union-find over component ids, linking same-level edges whose
-	// target is written.
-	parent := make([]int, len(s.order))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, e := range s.graph.edges {
-		fc, tc := s.comp[e.from], s.comp[e.to]
-		if fc != tc && s.levels[fc] == s.levels[tc] && written[tc] {
-			union(fc, tc)
-		}
-	}
-	out := make([][][]Rule, maxLevel+1)
-	groupIdx := make([]map[int]int, maxLevel+1) // level -> group root -> index
-	for i := range groupIdx {
-		groupIdx[i] = make(map[int]int)
-	}
-	for _, r := range rules {
-		c := s.comp[r.Head.Key()]
-		lvl := s.levels[c]
-		root := find(c)
-		gi, ok := groupIdx[lvl][root]
-		if !ok {
-			gi = len(out[lvl])
-			groupIdx[lvl][root] = gi
-			out[lvl] = append(out[lvl], nil)
-		}
-		out[lvl][gi] = append(out[lvl][gi], r)
-	}
-	return out
-}
-
 // strata groups the program's rules by stratum level, lowest first. Facts
 // (empty-body rules) land in the stratum of their head predicate.
 func (s *sccResult) strata(rules []Rule) [][]Rule {

@@ -16,14 +16,18 @@ import (
 
 func TestWallClockBudgetReturnsTypedError(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		procs int // GOMAXPROCS for the run; 0 leaves it alone
 	}{
-		{"compiled", Options{}},
-		{"interpreted", Options{Interpret: true}},
-		{"workers4", Options{Workers: 4}},
+		{"compiled", Options{}, 0},
+		{"interpreted", Options{Interpret: true}, 0},
+		{"workers4", Options{}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				setProcs(t, tc.procs)
+			}
 			opts := tc.opts
 			opts.Limits = Limits{MaxWallClock: 30 * time.Millisecond}
 			e := runawayEngine(t, &opts)

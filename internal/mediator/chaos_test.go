@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"modelmed/internal/datalog"
 	"modelmed/internal/sources"
 	"modelmed/internal/wrapper"
 )
@@ -38,9 +37,8 @@ var chaosSeeds = []int64{1, 7, 42, 1001}
 // generous retry budget (schedules cap consecutive errors below it),
 // fast backoff, no breaker — a breaker trip would legitimately drop a
 // still-recovering source and is exercised separately.
-func chaosOptions(workers int) Options {
+func chaosOptions() Options {
 	return Options{
-		Engine:        datalog.Options{Workers: workers},
 		SourceTimeout: 2 * time.Second,
 		MaxRetries:    4,
 		RetryBase:     100 * time.Microsecond,
@@ -49,9 +47,9 @@ func chaosOptions(workers int) Options {
 }
 
 // newChaosMediator builds the standard neuro scenario (data seed 11,
-// like newWorkersMediator) with each wrapper decorated by the fault
+// like newNeuroMediator) with each wrapper decorated by the fault
 // schedule cfg returns for it (nil = undecorated).
-func newChaosMediator(t testing.TB, workers, nSyn, nNcm, nSl int, opts Options,
+func newChaosMediator(t testing.TB, nSyn, nNcm, nSl int, opts Options,
 	cfg func(name string, i int) *wrapper.FaultConfig) (*Mediator, map[string]*wrapper.Faulty) {
 	t.Helper()
 	m := New(sources.NeuroDM(), &opts)
@@ -79,9 +77,9 @@ func newChaosMediator(t testing.TB, workers, nSyn, nNcm, nSl int, opts Options,
 
 // newSurvivorsMediator is the fault-free reference for the degradation
 // property: the same scenario with one source never registered.
-func newSurvivorsMediator(t testing.TB, workers, nSyn, nNcm, nSl int, exclude string) *Mediator {
+func newSurvivorsMediator(t testing.TB, nSyn, nNcm, nSl int, exclude string) *Mediator {
 	t.Helper()
-	m := New(sources.NeuroDM(), &Options{Engine: datalog.Options{Workers: workers}})
+	m := New(sources.NeuroDM(), nil)
 	ws, err := sources.Wrappers(11, nSyn, nNcm, nSl)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +122,7 @@ func countFacts(dump, pred string) int {
 	return n
 }
 
-// chaosQ is the pushdown query shared with the parallel suite.
+// chaosQ is the pushdown query shared with the fan-out suite.
 const chaosQ = `src_obj('NCMIR', O, protein_amount),
 	src_val('NCMIR', O, location, spine),
 	src_val('NCMIR', O, amount, A)`
@@ -134,7 +132,7 @@ const chaosQ = `src_obj('NCMIR', O, protein_amount),
 // fault-free run — and, per predicate, the exact fact counts (a
 // retried pull that double-contributed src_* facts would show here).
 func TestChaosMaterializeEquivalence(t *testing.T) {
-	baseline := newWorkersMediator(t, 4, 15, 40, 12)
+	baseline := newNeuroMediator(t, 15, 40, 12)
 	rb, err := baseline.Materialize()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +141,7 @@ func TestChaosMaterializeEquivalence(t *testing.T) {
 	totalRetries := 0
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			m, _ := newChaosMediator(t, 4, 15, 40, 12, chaosOptions(4), flakySchedule(seed))
+			m, _ := newChaosMediator(t, 15, 40, 12, chaosOptions(), flakySchedule(seed))
 			res, err := m.Materialize()
 			if err != nil {
 				t.Fatal(err)
@@ -179,14 +177,14 @@ func TestChaosMaterializeEquivalence(t *testing.T) {
 // + residual evaluation) under flaky sources returns the fault-free
 // rows and the fault-free plan decisions.
 func TestChaosPlannedQueryEquivalence(t *testing.T) {
-	baseline := newWorkersMediator(t, 4, 15, 40, 12)
+	baseline := newNeuroMediator(t, 15, 40, 12)
 	ab, pb, err := baseline.PlannedQuery(chaosQ, "O", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			m, _ := newChaosMediator(t, 4, 15, 40, 12, chaosOptions(4), flakySchedule(seed))
+			m, _ := newChaosMediator(t, 15, 40, 12, chaosOptions(), flakySchedule(seed))
 			ac, pc, err := m.PlannedQuery(chaosQ, "O", "A")
 			if err != nil {
 				t.Fatal(err)
@@ -216,14 +214,14 @@ func TestChaosPlannedQueryEquivalence(t *testing.T) {
 // semantic-index source selection, distribution views — survives a
 // flaky federation bit-for-bit.
 func TestChaosSection5Equivalence(t *testing.T) {
-	baseline := newWorkersMediator(t, 4, 15, 40, 12)
+	baseline := newNeuroMediator(t, 15, 40, 12)
 	rb, err := baseline.CalciumBindingProteinQuery("SENSELAB", "rat", "parallel_fiber", "calcium")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			m, _ := newChaosMediator(t, 4, 15, 40, 12, chaosOptions(4), flakySchedule(seed))
+			m, _ := newChaosMediator(t, 15, 40, 12, chaosOptions(), flakySchedule(seed))
 			rc, err := m.CalciumBindingProteinQuery("SENSELAB", "rat", "parallel_fiber", "calcium")
 			if err != nil {
 				t.Fatal(err)
@@ -258,15 +256,15 @@ func TestChaosSection5Equivalence(t *testing.T) {
 // (past the per-call deadline) still converge to the fault-free result
 // — timed-out attempts are abandoned and retried.
 func TestChaosHangsWithDeadlineEquivalence(t *testing.T) {
-	baseline := newWorkersMediator(t, 4, 10, 25, 8)
+	baseline := newNeuroMediator(t, 10, 25, 8)
 	rb, err := baseline.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := chaosOptions(4)
+	opts := chaosOptions()
 	opts.SourceTimeout = 25 * time.Millisecond
 	opts.MaxRetries = 6
-	m, _ := newChaosMediator(t, 4, 10, 25, 8, opts, func(name string, i int) *wrapper.FaultConfig {
+	m, _ := newChaosMediator(t, 10, 25, 8, opts, func(name string, i int) *wrapper.FaultConfig {
 		c := &wrapper.FaultConfig{
 			Seed:           7 + int64(i)*7919,
 			ErrorProb:      0.25,
@@ -309,7 +307,7 @@ func TestChaosHangsWithDeadlineEquivalence(t *testing.T) {
 func TestChaosDegradationMonotone(t *testing.T) {
 	for vi, victim := range []string{"SYNAPSE", "NCMIR", "SENSELAB"} {
 		t.Run(victim, func(t *testing.T) {
-			survivors := newSurvivorsMediator(t, 4, 15, 40, 12, victim)
+			survivors := newSurvivorsMediator(t, 15, 40, 12, victim)
 			rs, err := survivors.Materialize()
 			if err != nil {
 				t.Fatal(err)
@@ -317,7 +315,7 @@ func TestChaosDegradationMonotone(t *testing.T) {
 			want := dumpResult(rs)
 
 			seed := chaosSeeds[vi%len(chaosSeeds)]
-			m, _ := newChaosMediator(t, 4, 15, 40, 12, chaosOptions(4),
+			m, _ := newChaosMediator(t, 15, 40, 12, chaosOptions(),
 				func(name string, i int) *wrapper.FaultConfig {
 					if name == victim {
 						return &wrapper.FaultConfig{Down: true}
@@ -354,9 +352,9 @@ func TestChaosDegradationMonotone(t *testing.T) {
 // back empty (not an error); a source-variable query still returns
 // everything the survivors hold.
 func TestChaosDegradedPlannedQuery(t *testing.T) {
-	baseline := newWorkersMediator(t, 4, 15, 40, 12)
+	baseline := newNeuroMediator(t, 15, 40, 12)
 	down := func() *Mediator {
-		m, _ := newChaosMediator(t, 4, 15, 40, 12, chaosOptions(4),
+		m, _ := newChaosMediator(t, 15, 40, 12, chaosOptions(),
 			func(name string, i int) *wrapper.FaultConfig {
 				if name == "NCMIR" {
 					return &wrapper.FaultConfig{Down: true}
@@ -409,7 +407,7 @@ func TestChaosDegradedPlannedQuery(t *testing.T) {
 // down it fails with a SourceDownError naming the driver.
 func TestChaosSection5Degraded(t *testing.T) {
 	mk := func(victim string) *Mediator {
-		m, _ := newChaosMediator(t, 4, 15, 40, 12, chaosOptions(4),
+		m, _ := newChaosMediator(t, 15, 40, 12, chaosOptions(),
 			func(name string, i int) *wrapper.FaultConfig {
 				if name == victim {
 					return &wrapper.FaultConfig{Down: true}
@@ -449,14 +447,14 @@ func TestChaosSection5Degraded(t *testing.T) {
 // once. Run under -race (Makefile chaos target); results must still
 // all equal the fault-free answer.
 func TestChaosConcurrentQueriesSharedWrappers(t *testing.T) {
-	baseline := newWorkersMediator(t, 8, 15, 40, 12)
+	baseline := newNeuroMediator(t, 15, 40, 12)
 	ab, _, err := baseline.PlannedQuery(chaosQ, "O", "A")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint(ab.Rows)
 
-	m, _ := newChaosMediator(t, 8, 15, 40, 12, chaosOptions(8), flakySchedule(42))
+	m, _ := newChaosMediator(t, 15, 40, 12, chaosOptions(), flakySchedule(42))
 	const n = 6
 	rows := make([]string, n)
 	errs := make([]error, n)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"modelmed/internal/datalog"
 	"modelmed/internal/gcm"
 	"modelmed/internal/sources"
 	"modelmed/internal/term"
@@ -40,7 +39,6 @@ func unitModel(t testing.TB, n int) *gcm.Model {
 // newUnitMediator registers a single fault-decorated one-class source.
 func newUnitMediator(t testing.TB, n int, cfg wrapper.FaultConfig, opts Options) (*Mediator, *wrapper.Faulty) {
 	t.Helper()
-	opts.Engine = datalog.Options{Workers: 2}
 	m := New(sources.NeuroDM(), &opts)
 	w, err := wrapper.NewInMemory(unitModel(t, n))
 	if err != nil {

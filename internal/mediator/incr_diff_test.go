@@ -6,7 +6,7 @@ package mediator
 // ApplySourceDelta over the engine's delta API) must be set-equal to a
 // from-scratch mediator materializing the same live wrappers — under
 // views with recursion (dm_down closure), stratified negation and
-// aggregates, serially and with Workers > 1.
+// aggregates, under GOMAXPROCS 1 and 4 (see setProcs).
 
 import (
 	"fmt"
@@ -53,9 +53,9 @@ func newDiffWrappers(t *testing.T, seed int64) []*wrapper.InMemory {
 }
 
 // newDiffMediator registers the wrappers and views on a fresh mediator.
-func newDiffMediator(t *testing.T, ws []*wrapper.InMemory, workers int) *Mediator {
+func newDiffMediator(t *testing.T, ws []*wrapper.InMemory) *Mediator {
 	t.Helper()
-	m := New(sources.NeuroDM(), &Options{Engine: datalog.Options{Workers: workers}})
+	m := New(sources.NeuroDM(), nil)
 	for _, w := range ws {
 		if err := m.Register(w); err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func mutateModel(r *rand.Rand, name string, step int) func(m *gcm.Model) {
 
 // checkAgainstScratch compares the incrementally maintained store with
 // a from-scratch mediator over the same live wrappers.
-func checkAgainstScratch(t *testing.T, label string, m *Mediator, ws []*wrapper.InMemory, workers int) {
+func checkAgainstScratch(t *testing.T, label string, m *Mediator, ws []*wrapper.InMemory) {
 	t.Helper()
 	got, err := m.Materialize()
 	if err != nil {
@@ -104,7 +104,7 @@ func checkAgainstScratch(t *testing.T, label string, m *Mediator, ws []*wrapper.
 	}
 	var iws []*wrapper.InMemory
 	iws = append(iws, ws...)
-	ref := newDiffMediator(t, iws, workers)
+	ref := newDiffMediator(t, iws)
 	want, err := ref.Materialize()
 	if err != nil {
 		t.Fatalf("%s: scratch materialize: %v", label, err)
@@ -129,10 +129,10 @@ func checkAgainstScratch(t *testing.T, label string, m *Mediator, ws []*wrapper.
 	t.Fatalf("%s: stores differ", label)
 }
 
-func runMediatorDiffSequence(t *testing.T, seed int64, workers int) {
+func runMediatorDiffSequence(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	ws := newDiffWrappers(t, seed)
-	m := newDiffMediator(t, ws, workers)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,20 +153,19 @@ func runMediatorDiffSequence(t *testing.T, seed int64, workers int) {
 				t.Errorf("seed=%d step=%d: %s fell back to full rebuild", seed, step, rep.Source)
 			}
 		}
-		checkAgainstScratch(t, fmt.Sprintf("seed=%d/workers=%d/step=%d", seed, workers, step), m, ws, workers)
+		checkAgainstScratch(t, fmt.Sprintf("seed=%d/step=%d", seed, step), m, ws)
 	}
 }
 
 // TestMediatorIncrementalDifferential runs 20 seeded mutation
-// sequences (10 seeds x serial/parallel) of 3 sync steps each against
+// sequences (10 seeds x GOMAXPROCS 1/4) of 3 sync steps each against
 // from-scratch materialization.
 func TestMediatorIncrementalDifferential(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			t.Parallel()
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			setProcs(t, procs)
 			for seed := int64(0); seed < 10; seed++ {
-				runMediatorDiffSequence(t, seed, workers)
+				runMediatorDiffSequence(t, seed)
 			}
 		})
 	}
@@ -177,7 +176,7 @@ func TestMediatorIncrementalDifferential(t *testing.T) {
 // result stays untouched.
 func TestApplySourceDelta(t *testing.T) {
 	ws := newDiffWrappers(t, 7)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	before, err := m.Materialize()
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +233,7 @@ func TestApplySourceDelta(t *testing.T) {
 // sources must survive one source withdrawing it.
 func TestSharedFactRefcount(t *testing.T) {
 	ws := newDiffWrappers(t, 11)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +284,7 @@ func TestSharedFactRefcount(t *testing.T) {
 // back to a full rebuild — and still match a scratch mediator.
 func TestRefreshSourceFullRebuildOnNewConcept(t *testing.T) {
 	ws := newDiffWrappers(t, 13)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +302,14 @@ func TestRefreshSourceFullRebuildOnNewConcept(t *testing.T) {
 	if !m.DomainMap().HasConcept("brand_new_region") {
 		t.Error("lenient mediator should have added the new concept")
 	}
-	checkAgainstScratch(t, "new-concept", m, ws, 1)
+	checkAgainstScratch(t, "new-concept", m, ws)
 }
 
 // TestSyncSourcesNoChange: with no mutations, sync refreshes nothing
 // and the cache pointer is stable.
 func TestSyncSourcesNoChange(t *testing.T) {
 	ws := newDiffWrappers(t, 17)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	res, err := m.Materialize()
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func deltaBatch() []datalog.Rule {
 
 func TestLinearizableQueriesUnderDeltas(t *testing.T) {
 	ws := newDiffWrappers(t, 11)
-	m := newDiffMediator(t, ws, 2)
+	m := newDiffMediator(t, ws)
 
 	batch := deltaBatch()
 	keyPre := linAnswer(t, m)

@@ -11,6 +11,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -22,7 +23,6 @@ import (
 	"modelmed/internal/flogic"
 	"modelmed/internal/gcm"
 	"modelmed/internal/obs"
-	"modelmed/internal/par"
 	"modelmed/internal/parser"
 	"modelmed/internal/persist"
 	"modelmed/internal/term"
@@ -513,11 +513,12 @@ func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalo
 	}
 	// Translate every source's data concurrently, then collect into the
 	// engine in name order, so the materialized program is independent
-	// of the worker count. Without the fault-tolerance layer this only
-	// reads the registered model/fact snapshots; with it, instance data
-	// is re-pulled through the live wrappers under deadline/retry/
-	// breaker policy (see guardedSourceFacts), and sources that stay
-	// down are dropped from the program instead of failing it.
+	// of the fan-out's scheduling. Without the fault-tolerance layer
+	// this only reads the registered model/fact snapshots; with it,
+	// instance data is re-pulled through the live wrappers under
+	// deadline/retry/breaker policy (see guardedSourceFacts), and
+	// sources that stay down are dropped from the program instead of
+	// failing it.
 	g := m.newGuardCtx(ctx)
 	srcs := m.sortedSources()
 	// Wrapper data versions are read before the pull: a mutation racing
@@ -530,7 +531,7 @@ func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalo
 		}
 	}
 	fsp := sp.Child("sources")
-	factSets, errs := translateSources(g, srcs, m.opts.Engine.ResolvedWorkers(), fsp)
+	factSets, errs := translateSources(g, srcs, fsp)
 	if err := ctx.Err(); err != nil {
 		// A cancelled fan-out must not be cached as a (partial) result.
 		fsp.End()
@@ -752,13 +753,13 @@ func (m *Mediator) Explain(pred string, args ...term.Term) (*datalog.Derivation,
 }
 
 // translateSources renders every source's data concurrently (one task
-// per source, bounded by workers), returning the per-source fact sets
-// and errors positionally so callers can merge them in deterministic
-// source order. With a non-nil guard the per-source work goes through
-// the fault-tolerance layer (live pull + deadline/retry/breaker). A
-// non-nil sp gets one child span per source (created serially for
-// deterministic order; each pool worker fills only its own span).
-func translateSources(g *guard, srcs []*Source, workers int, sp *obs.Span) ([][]datalog.Rule, []error) {
+// per source, at most GOMAXPROCS at a time), returning the per-source
+// fact sets and errors positionally so callers can merge them in
+// deterministic source order. With a non-nil guard the per-source work
+// goes through the fault-tolerance layer (live pull + deadline/retry/
+// breaker). A non-nil sp gets one child span per source (created
+// serially for deterministic order; each task fills only its own span).
+func translateSources(g *guard, srcs []*Source, sp *obs.Span) ([][]datalog.Rule, []error) {
 	factSets := make([][]datalog.Rule, len(srcs))
 	errs := make([]error, len(srcs))
 	spans := make([]*obs.Span, len(srcs))
@@ -767,7 +768,7 @@ func translateSources(g *guard, srcs []*Source, workers int, sp *obs.Span) ([][]
 			spans[i] = sp.Child("source " + s.Name)
 		}
 	}
-	par.Do(len(srcs), workers, func(i int) {
+	fanOut(len(srcs), runtime.GOMAXPROCS(0), func(i int) {
 		factSets[i], errs[i] = guardedSourceFacts(g, srcs[i])
 		if spans[i] != nil {
 			spans[i].SetInt("facts", int64(len(factSets[i])))

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"modelmed/internal/datalog"
 	"modelmed/internal/gcm"
 	"modelmed/internal/sources"
 	"modelmed/internal/term"
@@ -43,7 +42,6 @@ func namedUnitModel(t testing.TB, name string, n int) *gcm.Model {
 // other's report wholesale.
 func TestConcurrentReportsMergeBySource(t *testing.T) {
 	opts := fastRetry(3)
-	opts.Engine = datalog.Options{Workers: 2}
 	m := New(sources.NeuroDM(), &opts)
 	// Source A fails its first two calls on every call site (degraded
 	// with retries); source B answers cleanly but slowly, so the two

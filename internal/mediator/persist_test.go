@@ -37,7 +37,7 @@ func newPersistDB(t *testing.T) *persist.DB {
 func TestWarmRestoreRoundTrip(t *testing.T) {
 	const seed = 41
 	ws := newDiffWrappers(t, seed)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	want, err := m.Materialize()
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestWarmRestoreRoundTrip(t *testing.T) {
 	}
 
 	ws2 := newDiffWrappers(t, seed)
-	m2 := newDiffMediator(t, ws2, 1)
+	m2 := newDiffMediator(t, ws2)
 	rep := m2.RestoreFromDB(db)
 	if !rep.Restored {
 		t.Fatalf("restore failed: %s", rep.Reason)
@@ -100,7 +100,7 @@ func TestWarmRestoreRoundTrip(t *testing.T) {
 func TestWarmRestoreReplaysWAL(t *testing.T) {
 	const seed = 43
 	ws := newDiffWrappers(t, seed)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWarmRestoreReplaysWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := newDiffMediator(t, newDiffWrappers(t, seed), 1)
+	m2 := newDiffMediator(t, newDiffWrappers(t, seed))
 	rep := m2.RestoreFromDB(db)
 	if !rep.Restored {
 		t.Fatalf("restore failed: %s", rep.Reason)
@@ -158,7 +158,7 @@ func TestWarmRestoreReplaysWAL(t *testing.T) {
 func TestWarmRestoreStaleSourceReconcile(t *testing.T) {
 	const seed = 47
 	ws := newDiffWrappers(t, seed)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestWarmRestoreStaleSourceReconcile(t *testing.T) {
 	// will register — the source moved on while nobody was serving.
 	r := rand.New(rand.NewSource(seed))
 	ws[0].Mutate(mutateModel(r, "alpha", 0))
-	m2 := newDiffMediator(t, ws, 1)
+	m2 := newDiffMediator(t, ws)
 	rep := m2.RestoreFromDB(db)
 	if !rep.Restored {
 		t.Fatalf("restore failed: %s", rep.Reason)
@@ -186,7 +186,7 @@ func TestWarmRestoreStaleSourceReconcile(t *testing.T) {
 	if len(reps) != 1 || reps[0].Source != "alpha" {
 		t.Fatalf("sync refreshed %+v, want alpha only", reps)
 	}
-	checkAgainstScratch(t, "stale-reconcile", m2, ws, 1)
+	checkAgainstScratch(t, "stale-reconcile", m2, ws)
 }
 
 // TestRestoreRejections: every validation failure leaves the caller on
@@ -194,7 +194,7 @@ func TestWarmRestoreStaleSourceReconcile(t *testing.T) {
 func TestRestoreRejections(t *testing.T) {
 	const seed = 53
 	ws := newDiffWrappers(t, seed)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRestoreRejections(t *testing.T) {
 	}
 
 	t.Run("empty-db", func(t *testing.T) {
-		m2 := newDiffMediator(t, newDiffWrappers(t, seed), 1)
+		m2 := newDiffMediator(t, newDiffWrappers(t, seed))
 		rep := m2.RestoreFromDB(newPersistDB(t))
 		if rep.Restored || !strings.Contains(rep.Reason, "no snapshot") {
 			t.Fatalf("restore from empty db: %+v", rep)
@@ -227,7 +227,7 @@ func TestRestoreRejections(t *testing.T) {
 	})
 
 	t.Run("source-set-changed", func(t *testing.T) {
-		m2 := newDiffMediator(t, newDiffWrappers(t, seed)[:1], 1)
+		m2 := newDiffMediator(t, newDiffWrappers(t, seed)[:1])
 		rep := m2.RestoreFromDB(db)
 		if rep.Restored || !strings.Contains(rep.Reason, "sources") {
 			t.Fatalf("restore with missing source: %+v", rep)
@@ -242,7 +242,7 @@ func TestRestoreRejections(t *testing.T) {
 			mod.Rules = append(mod.Rules, parser.MustParseRules(
 				`local_site(O) :- anchor(alpha, O, C).`)...)
 		})
-		m2 := newDiffMediator(t, ws2, 1)
+		m2 := newDiffMediator(t, ws2)
 		rep := m2.RestoreFromDB(db)
 		if rep.Restored || !strings.Contains(rep.Reason, "semantic rules") {
 			t.Fatalf("restore with changed source rules: %+v", rep)
@@ -256,7 +256,7 @@ func TestRestoreRejections(t *testing.T) {
 func TestRestoreFullMarkerFallsBack(t *testing.T) {
 	const seed = 59
 	ws := newDiffWrappers(t, seed)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestRestoreFullMarkerFallsBack(t *testing.T) {
 		t.Fatalf("expected a full rebuild: %+v", rrep)
 	}
 
-	m2 := newDiffMediator(t, newDiffWrappers(t, seed), 1)
+	m2 := newDiffMediator(t, newDiffWrappers(t, seed))
 	rep := m2.RestoreFromDB(db)
 	if rep.Restored {
 		t.Fatal("restore over a full-rebuild marker must fail to cold start")
@@ -301,7 +301,7 @@ func TestRestoreFullMarkerFallsBack(t *testing.T) {
 // not a bogus snapshot.
 func TestSnapshotStateRefusals(t *testing.T) {
 	ws := newDiffWrappers(t, 61)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.SnapshotState(); err == nil {
 		t.Fatal("snapshot before materialization should fail")
 	}
@@ -323,7 +323,7 @@ func TestSnapshotStateRefusals(t *testing.T) {
 func TestReplayIdempotence(t *testing.T) {
 	const seed = 67
 	ws := newDiffWrappers(t, seed)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestReplayIdempotence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m2 := newDiffMediator(t, newDiffWrappers(t, seed), 1)
+	m2 := newDiffMediator(t, newDiffWrappers(t, seed))
 	rep := m2.RestoreFromDB(db)
 	if !rep.Restored {
 		t.Fatalf("restore failed: %s", rep.Reason)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -12,7 +13,6 @@ import (
 	"modelmed/internal/flogic"
 	"modelmed/internal/gcm"
 	"modelmed/internal/obs"
-	"modelmed/internal/par"
 	"modelmed/internal/parser"
 	"modelmed/internal/term"
 	"modelmed/internal/wrapper"
@@ -541,7 +541,6 @@ func (m *Mediator) ExecutePlanCtx(ctx context.Context, p *QueryPlan, vars []stri
 	for _, s := range p.Sources {
 		candidate[s] = true
 	}
-	workers := m.opts.Engine.ResolvedWorkers()
 	g := m.newGuardCtx(ctx)
 	// degrade reports whether an error is a source failure the plan
 	// should absorb (drop the source, keep the query) rather than
@@ -554,7 +553,7 @@ func (m *Mediator) ExecutePlanCtx(ctx context.Context, p *QueryPlan, vars []stri
 	// Pushdown loads: issue the wrapper queries concurrently — one task
 	// per selected source access — then collect the results into the
 	// engine in step order, so the loaded program (and the plan trace) is
-	// independent of the worker count.
+	// independent of the fan-out's scheduling.
 	psp := sp.Child("pushdown")
 	pushResults := make([]*PushResult, len(p.Pushdowns))
 	pushErrs := make([]error, len(p.Pushdowns))
@@ -567,7 +566,7 @@ func (m *Mediator) ExecutePlanCtx(ctx context.Context, p *QueryPlan, vars []stri
 			}
 		}
 	}
-	par.Do(len(p.Pushdowns), workers, func(i int) {
+	fanOut(len(p.Pushdowns), runtime.GOMAXPROCS(0), func(i int) {
 		step := &p.Pushdowns[i]
 		if !candidate[step.Source] {
 			return
@@ -635,7 +634,7 @@ func (m *Mediator) ExecutePlanCtx(ctx context.Context, p *QueryPlan, vars []stri
 		}
 	}
 	fsp := sp.Child("full_load")
-	factSets, errs := translateSources(g, full, workers, fsp)
+	factSets, errs := translateSources(g, full, fsp)
 	fullIdx := 0
 	for _, s := range all {
 		if !candidate[s.Name] {

@@ -50,11 +50,11 @@ func applyScriptStep(ws []*wrapper.InMemory, step int, muts []scriptMut) {
 	}
 }
 
-func runStreamDiffSequence(t *testing.T, seed int64, workers int) {
+func runStreamDiffSequence(t *testing.T, seed int64) {
 	wsStream := newDiffWrappers(t, seed)
 	wsBatch := newDiffWrappers(t, seed)
-	mStream := newDiffMediator(t, wsStream, workers)
-	mBatch := newDiffMediator(t, wsBatch, workers)
+	mStream := newDiffMediator(t, wsStream)
+	mBatch := newDiffMediator(t, wsBatch)
 	if _, err := mStream.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func runStreamDiffSequence(t *testing.T, seed int64, workers int) {
 	}
 	script := makeStreamScript(seed, len(wsStream))
 	for step, muts := range script {
-		label := fmt.Sprintf("seed=%d/workers=%d/step=%d", seed, workers, step)
+		label := fmt.Sprintf("seed=%d/step=%d", seed, step)
 		applyScriptStep(wsStream, step, muts)
 		applyScriptStep(wsBatch, step, muts)
 		// (a) streaming: drain exactly the batches this step emitted.
@@ -121,24 +121,23 @@ func runStreamDiffSequence(t *testing.T, seed int64, workers int) {
 			t.Fatalf("%s: streaming and batch materializations differ", label)
 		}
 		// batch ≡ scratch (and hence stream ≡ scratch).
-		checkAgainstScratch(t, label, mStream, wsStream, workers)
+		checkAgainstScratch(t, label, mStream, wsStream)
 	}
 }
 
 // TestMediatorStreamDifferential runs ~100 seeded sequences (50 seeds
-// x serial/parallel; 20 under -short) of 3 steps each, each delivered
+// x GOMAXPROCS 1/4; 20 under -short) of 3 steps each, each delivered
 // by streaming feed, by batch sync, and from scratch.
 func TestMediatorStreamDifferential(t *testing.T) {
 	seeds := int64(50)
 	if testing.Short() {
 		seeds = 10
 	}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			t.Parallel()
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
+			setProcs(t, procs)
 			for seed := int64(0); seed < seeds; seed++ {
-				runStreamDiffSequence(t, seed, workers)
+				runStreamDiffSequence(t, seed)
 			}
 		})
 	}

@@ -25,7 +25,7 @@ import (
 func TestStreamedBatchesReplayOnRestore(t *testing.T) {
 	const seed = 71
 	ws := newDiffWrappers(t, seed)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestStreamedBatchesReplayOnRestore(t *testing.T) {
 
 	// The crash: a fresh process restores snapshot + WAL tail.
 	// Durability was decided at the append, not at notification.
-	m2 := newDiffMediator(t, newDiffWrappers(t, seed), 1)
+	m2 := newDiffMediator(t, newDiffWrappers(t, seed))
 	rep := m2.RestoreFromDB(db)
 	if !rep.Restored {
 		t.Fatalf("restore failed: %s", rep.Reason)
@@ -134,7 +134,7 @@ func TestStreamedBatchesReplayOnRestore(t *testing.T) {
 func TestStreamReplayCrashWindowIdempotence(t *testing.T) {
 	const seed = 73
 	ws := newDiffWrappers(t, seed)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestStreamReplayCrashWindowIdempotence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m2 := newDiffMediator(t, newDiffWrappers(t, seed), 1)
+	m2 := newDiffMediator(t, newDiffWrappers(t, seed))
 	rep := m2.RestoreFromDB(db)
 	if !rep.Restored {
 		t.Fatalf("restore failed: %s", rep.Reason)

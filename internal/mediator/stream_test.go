@@ -39,7 +39,7 @@ func pushBatch(src, obj, concept string, from uint64) wrapper.DeltaBatch {
 
 func TestApplyStreamBatchSequencing(t *testing.T) {
 	ws := newDiffWrappers(t, 3)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	m.EnableTracing(true)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestApplyStreamBatchSequencing(t *testing.T) {
 
 func TestApplyStreamBatchUnknownConceptResyncs(t *testing.T) {
 	ws := newDiffWrappers(t, 5)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestApplyStreamBatchUnknownConceptResyncs(t *testing.T) {
 
 func TestApplyStreamBatchUpdatesSemanticIndex(t *testing.T) {
 	ws := newDiffWrappers(t, 9)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestStreamOutcomeString(t *testing.T) {
 // materialization with no SyncSources call — the push inversion.
 func TestStartFeedsEndToEnd(t *testing.T) {
 	ws := newDiffWrappers(t, 21)
-	m := newDiffMediator(t, ws, 1)
+	m := newDiffMediator(t, ws)
 	if _, err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestStreamChaosConvergence(t *testing.T) {
 			// any gap left by a trailing drop; the feed loop repairs as
 			// they arrive.
 			reference := func() *datalog.Store {
-				ref := newDiffMediator(t, inner, 1)
+				ref := newDiffMediator(t, inner)
 				res, err := ref.Materialize()
 				if err != nil {
 					t.Fatal(err)

@@ -7,8 +7,7 @@
 // immediately, so instrumented code can thread a nil span/sink through
 // hot paths with only a nil check as overhead (verified by the
 // benchmarks in obs_test.go). All types are safe for concurrent use —
-// spans are appended to by the internal/par worker pool during
-// parallel fixpoint rounds and source fan-out.
+// spans are appended to by the mediator's concurrent source fan-out.
 package obs
 
 import (

@@ -501,7 +501,10 @@ func TestSheddingUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw := wrapper.NewFaulty(inner, wrapper.FaultConfig{HangFirst: 1000, Hang: 10 * time.Second})
+	// The hang outlasts the 2s request deadline but not by much: the
+	// abandoned sleep must end within leakcheck's settle window even
+	// when this test runs last.
+	fw := wrapper.NewFaulty(inner, wrapper.FaultConfig{HangFirst: 1000, Hang: 3 * time.Second})
 	m := mediator.New(sources.NeuroDM(), &mediator.Options{SourceTimeout: time.Minute})
 	if err := m.Register(fw); err != nil {
 		t.Fatal(err)

@@ -210,7 +210,7 @@ func crossProduct(n int) string {
 // AND give its admission slot back promptly — the evaluation stops
 // with the context instead of squatting on the slot until fixpoint.
 func TestTimeoutFreesAdmissionSlot(t *testing.T) {
-	srv := newTenantFixture(t, Config{MaxInFlight: 1, MaxQueue: 8}, datalog.Options{Workers: 1}, 0)
+	srv := newTenantFixture(t, Config{MaxInFlight: 1, MaxQueue: 8}, datalog.Options{}, 0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -246,8 +246,7 @@ func TestTimeoutFreesAdmissionSlot(t *testing.T) {
 // serving afterwards.
 func TestBudgetExceededReturns422(t *testing.T) {
 	srv := newTenantFixture(t, Config{}, datalog.Options{
-		Workers: 1,
-		Limits:  datalog.Limits{MaxDerivedFacts: 5000, MaxRounds: 1000},
+		Limits: datalog.Limits{MaxDerivedFacts: 5000, MaxRounds: 1000},
 	}, 0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -340,7 +339,7 @@ func TestAbusiveTenantFairness(t *testing.T) {
 		RequestTimeout: 10 * time.Second,
 		TenantWeights:  map[string]int{honestKey: 3, abuserKey: 1},
 	}
-	eng := datalog.Options{Workers: 1, Limits: datalog.Limits{MaxDerivedFacts: 4000, MaxRounds: 1000}}
+	eng := datalog.Options{Limits: datalog.Limits{MaxDerivedFacts: 4000, MaxRounds: 1000}}
 	honestReq := load.Request{
 		Query: "src_obj('alpha', O, record)", Vars: []string{"O"}, Planned: true, NoCache: true,
 	}
