@@ -82,11 +82,13 @@ bench-persist:
 
 # Durability smoke: the crash-recovery harness (sampled WAL offsets
 # under -short), corruption/torn-write/golden/version-skew codec tests,
-# the mediator warm-restore suite, the mid-drain delta regression, and
-# the medd warm-restart round trip — all race-enabled.
+# the mediator warm-restore suite (including the WAL tails of the
+# push, pull and stream routes and replayed anchor re-indexing), the
+# mid-drain delta regression, and the medd warm-restart round trip —
+# all race-enabled.
 persist-smoke:
 	$(GO) test -race -short -count=1 ./internal/persist
-	$(GO) test -race -count=1 -run 'WarmRestore|RestoreRejections|RestoreFullMarker|SnapshotState|ReplayIdempotence' ./internal/mediator
+	$(GO) test -race -count=1 -run 'WarmRestore|RestoreRejections|RestoreFullMarker|SnapshotState|ReplayIdempotence|ReplayReindexes|SourceRoutesAgree' ./internal/mediator
 	$(GO) test -race -count=1 -run 'DeltaDuringDrain' ./internal/serve
 	$(GO) test -race -count=1 -run 'DaemonWarmRestart|DaemonCrashMidStream' ./cmd/medd
 
@@ -100,11 +102,13 @@ bench-stream:
 # Live-federation smoke, race-enabled: wrapper delta-stream emission
 # and the stream fault injector, the mediator's sequencing/resync and
 # feed-loop suite, the seeded streaming-vs-batch-vs-scratch
-# differential, chaos convergence under faulty feeds, the SSE
-# subscription surface (push, tenant caps, drain), the mid-stream
-# crash/warm-restart regression, and the wall-clock budget suite.
+# differential, the push/pull/stream route agreement, refused
+# foreign facts and pushed anchors (mediator and /v1/delta), chaos
+# convergence under faulty feeds, the SSE subscription surface (push,
+# tenant caps, drain), the mid-stream crash/warm-restart regression,
+# and the wall-clock budget suite.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'Stream|Subscribe|Feed' ./internal/wrapper ./internal/mediator ./internal/serve ./cmd/medd
+	$(GO) test -race -count=1 -run 'Stream|Subscribe|Feed|SourceRoutesAgree|PushedAnchors|DeltaStatusCodes' ./internal/wrapper ./internal/mediator ./internal/serve ./cmd/medd
 	$(GO) test -race -count=1 -run 'Wall' ./internal/datalog
 
 # Sharded-cluster overhead report: the Section 5 serving mix through
@@ -151,8 +155,9 @@ vet:
 # its own floor: internal/persist (currently ~83%) must stay >= 80%,
 # since a silently-untested recovery path is worse than none. The
 # live-federation code (wrapper/mediator stream.go, serve/load
-# subscribe.go) carries the same 80% floor — it is all concurrent
-# push-path code, where an untested branch is a silent divergence.
+# subscribe.go, and mediator incr.go, where every streamed batch is
+# applied) carries the same 80% floor — it is all push-path code,
+# where an untested branch is a silent divergence.
 COVER_THRESHOLD ?= 76.0
 PERSIST_COVER_THRESHOLD ?= 80.0
 STREAM_COVER_THRESHOLD ?= 80.0
@@ -169,7 +174,7 @@ cover:
 		if (t+0 < min+0) { printf "internal/persist coverage %.1f%% is below the %.1f%% floor\n", t, min; exit 1 } \
 		printf "internal/persist coverage %.1f%% (floor %.1f%%)\n", t, min }'
 	@awk -v min=$(STREAM_COVER_THRESHOLD) '\
-		NR > 1 && $$1 ~ /internal\/(wrapper|mediator|serve|load)\/(stream|subscribe)\.go:/ { total += $$2; if ($$3 > 0) covered += $$2 } \
+		NR > 1 && $$1 ~ /internal\/((wrapper|mediator|serve|load)\/(stream|subscribe)|mediator\/incr)\.go:/ { total += $$2; if ($$3 > 0) covered += $$2 } \
 		END { \
 			if (total == 0) { print "no stream code in the profile"; exit 1 } \
 			pct = 100 * covered / total; \

@@ -703,6 +703,22 @@ func (s *Store) EachIDs(fn func(key string, arity int, row []uint32)) {
 	}
 }
 
+// Diff returns the facts that take s to t: adds are in t but not in s
+// (in t's Each order), dels are in s but not in t (in s's Each order).
+func (s *Store) Diff(t *Store) (adds, dels []Rule) {
+	s.Each(func(key string, _ int, row []term.Term) {
+		if !t.ContainsKey(key, row) {
+			dels = append(dels, Fact(PredName(key), row...))
+		}
+	})
+	t.Each(func(key string, _ int, row []term.Term) {
+		if !s.ContainsKey(key, row) {
+			adds = append(adds, Fact(PredName(key), row...))
+		}
+	})
+	return adds, dels
+}
+
 // Equal reports whether the two stores hold exactly the same facts.
 func (s *Store) Equal(t *Store) bool {
 	return s.isSubset(t) && t.isSubset(s)

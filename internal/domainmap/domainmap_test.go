@@ -274,6 +274,30 @@ func TestSemanticIndex(t *testing.T) {
 	}
 }
 
+func TestSemanticIndexCheckpoint(t *testing.T) {
+	ix := NewIndex()
+	ix.Register("ncmir", "purkinje_cell", term.Atom("p1"))
+	ix.RegisterContext("ncmir", "organism", term.Atom("rat"))
+	rollback := ix.Checkpoint()
+	ix.Unregister("ncmir")
+	ix.Register("ncmir", "spine", term.Atom("p2"))
+	ix.Register("synapse", "purkinje_cell", term.Atom("s1"))
+	ix.RegisterContext("ncmir", "organism", term.Atom("mouse"))
+	rollback()
+	if got := ix.Concepts(); strings.Join(got, ",") != "purkinje_cell" {
+		t.Errorf("after rollback, Concepts = %v", got)
+	}
+	if got := ix.SourcesAt("purkinje_cell"); strings.Join(got, ",") != "ncmir" {
+		t.Errorf("after rollback, SourcesAt = %v", got)
+	}
+	if got := ix.Objects("ncmir", "purkinje_cell"); len(got) != 1 || !got[0].Equal(term.Atom("p1")) {
+		t.Errorf("after rollback, Objects = %v", got)
+	}
+	if !ix.HasContext("ncmir", "organism", term.Atom("rat")) || ix.HasContext("ncmir", "organism", term.Atom("mouse")) {
+		t.Error("after rollback, contexts should be rat only")
+	}
+}
+
 func TestSelectSourcesWithDescendants(t *testing.T) {
 	dm := fig1(t)
 	ix := NewIndex()

@@ -1,6 +1,8 @@
 package domainmap
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -114,6 +116,36 @@ func (ix *SemanticIndex) Unregister(source string) {
 		if len(vals) == 0 {
 			delete(ix.byContext, key)
 		}
+	}
+}
+
+// Checkpoint copies the index's current state and returns a function
+// that puts it back, for a caller that changes the index over several
+// steps and must undo all of them when a later step fails. Call the
+// returned function at most once.
+func (ix *SemanticIndex) Checkpoint() (rollback func()) {
+	ix.mu.RLock()
+	byConcept := make(map[string]map[string][]term.Term, len(ix.byConcept))
+	for concept, m := range ix.byConcept {
+		srcs := make(map[string][]term.Term, len(m))
+		for source, objs := range m {
+			srcs[source] = slices.Clone(objs)
+		}
+		byConcept[concept] = srcs
+	}
+	byContext := make(map[string]map[string]map[string]bool, len(ix.byContext))
+	for key, vals := range ix.byContext {
+		vs := make(map[string]map[string]bool, len(vals))
+		for vk, srcs := range vals {
+			vs[vk] = maps.Clone(srcs)
+		}
+		byContext[key] = vs
+	}
+	ix.mu.RUnlock()
+	return func() {
+		ix.mu.Lock()
+		defer ix.mu.Unlock()
+		ix.byConcept, ix.byContext = byConcept, byContext
 	}
 }
 

@@ -77,10 +77,10 @@ func (m *Mediator) FactsDump(ctx context.Context) ([]SourceDump, error) {
 		snap := m.snaps[n]
 		d := SourceDump{Source: n, Rules: append([]string(nil), snap.ruleSig...)}
 		snap.facts.Each(func(key string, arity int, row []term.Term) {
-			d.Facts = append(d.Facts, factForKey(key, row).String())
+			d.Facts = append(d.Facts, datalog.Fact(datalog.PredName(key), row...).String())
 		})
 		snap.anchors.Each(func(key string, arity int, row []term.Term) {
-			d.Anchors = append(d.Anchors, factForKey(key, row).String())
+			d.Anchors = append(d.Anchors, datalog.Fact(datalog.PredName(key), row...).String())
 		})
 		sort.Strings(d.Facts)
 		sort.Strings(d.Anchors)

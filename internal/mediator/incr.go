@@ -10,15 +10,21 @@ package mediator
 // (datalog.Engine.ApplyDelta): deletions delete-and-rederive, additions
 // ride the semi-naive machinery.
 //
-// Three entry points:
+// A source moves from one state to the next through exactly one
+// operation, moveSourceLocked: it folds fact and anchor changes into
+// the snapshot (refcounting facts other sources share), re-indexes the
+// source's anchors when they moved, patches the cache, sets the
+// snapshot version, counts the step and emits its one WAL record. The
+// entry points only decide whether and what to move:
 //
-//   - ApplySourceDelta: the caller states the change (added/removed
-//     ground facts) directly — the push path.
-//   - RefreshSource: re-pull one source through the wrapper (under the
-//     fault-tolerance guard when enabled) and diff against the
-//     snapshot — the pull path.
-//   - SyncSources: refresh exactly the sources whose wrapper data
-//     version (wrapper.Versioned) moved since the snapshot.
+//   - ApplySourceDelta (push): the caller states the change; the
+//     version does not move.
+//   - RefreshSource / SyncSources (pull): re-pull one source through the
+//     wrapper and diff it against the snapshot; the version is the
+//     wrapper's, read before the pull.
+//   - ApplyStreamBatch (stream, stream.go): a versioned batch that
+//     extends the snapshot version exactly; the version is the batch's.
+//   - WAL replay (persist.go): a logged move, re-applied verbatim.
 //
 // Changes a delta cannot express — new semantic rules, anchors at
 // concepts the domain map does not know (which grow the map and hence
@@ -29,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"modelmed/internal/datalog"
 	"modelmed/internal/obs"
@@ -62,9 +69,12 @@ func newSrcSnapshot(version uint64) *srcSnapshot {
 	}
 }
 
-// ErrBadDelta marks an ApplySourceDelta error as the caller's: a stated
-// fact that is not ground, or a source that is not registered. Nothing
-// was changed. Every other error means the patch or a rebuild failed.
+// ErrBadDelta marks an ApplySourceDelta or ApplyStreamBatch error as
+// the caller's: a fact that is not ground, a src_*/anchor fact whose
+// argument 0 names another source, a pushed anchor at a concept the
+// domain map does not know, or a source that is not registered.
+// Nothing was changed. Every other error means the patch or a rebuild
+// failed.
 var ErrBadDelta = errors.New("bad source delta")
 
 // DeltaReport describes one incremental maintenance step.
@@ -160,12 +170,142 @@ func (m *Mediator) fullRebuildLocked(rep *DeltaReport, sp *obs.Span) (*DeltaRepo
 	return rep, nil
 }
 
+// moveSourceLocked is the one operation that moves a source's
+// contribution to the cached materialization: it folds the fact and
+// anchor changes into snap, re-indexes the source's anchors when they
+// moved, patches the cache, sets snap.version to toVersion, records the
+// step, and emits its WAL record (suppressed during replay). Deletions
+// snap does not hold and additions it already holds are skipped; a
+// deleted fact another source still asserts leaves the engine alone.
+// The WAL record carries only the changes that took effect, so replay
+// against the same snapshot state reaches the same engine delta. A
+// failure poisons the cache. Called with evalMu and m.mu held.
+func (m *Mediator) moveSourceLocked(s *Source, snap *srcSnapshot, toVersion uint64, adds, dels, anchorAdds, anchorDels []datalog.Rule, sp *obs.Span) (*DeltaReport, error) {
+	rec := &persist.WALRecord{Source: s.Name, Version: toVersion}
+	d := datalog.NewDelta()
+	var err error
+	if rec.Adds, rec.Dels, err = m.foldLocked(s.Name, snap.facts, d, adds, dels); err == nil {
+		rec.AnchorAdds, rec.AnchorDels, err = m.foldLocked(s.Name, snap.anchors, d, anchorAdds, anchorDels)
+	}
+	if err != nil {
+		m.dirty = true
+		return nil, fmt.Errorf("mediator: move %s: %w", s.Name, err)
+	}
+	rep := &DeltaReport{
+		Source:         s.Name,
+		FactsAdded:     len(rec.Adds),
+		FactsRemoved:   len(rec.Dels),
+		AnchorsAdded:   len(rec.AnchorAdds),
+		AnchorsRemoved: len(rec.AnchorDels),
+	}
+	if rep.AnchorsAdded+rep.AnchorsRemoved > 0 {
+		if err := m.reindexAnchorsLocked(s, snap.anchors); err != nil {
+			m.dirty = true
+			return nil, fmt.Errorf("mediator: move %s: %w", s.Name, err)
+		}
+	}
+	if rep.Stats, err = m.patchCacheLocked(d, sp); err != nil {
+		return nil, err
+	}
+	snap.version = toVersion
+	m.noteDeltaLocked(rep, sp)
+	m.logDeltaLocked(rec)
+	return rep, nil
+}
+
+// foldLocked folds dels then adds into one snapshot store and the
+// engine delta, returning the changes that took effect. Called with
+// m.mu held.
+func (m *Mediator) foldLocked(source string, st *datalog.Store, d *datalog.Delta, adds, dels []datalog.Rule) (effAdds, effDels []datalog.Rule, err error) {
+	for _, r := range dels {
+		key := datalog.PredKey(r.Head.Pred, len(r.Head.Args))
+		if !st.DeleteKey(key, r.Head.Args) {
+			continue // the source never contributed it
+		}
+		effDels = append(effDels, r)
+		if m.sharedElsewhere(source, key, r.Head.Args) {
+			continue // another source still asserts it
+		}
+		if err := d.Del(r.Head.Pred, r.Head.Args...); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, r := range adds {
+		if !st.Insert(r.Head.Pred, r.Head.Args) {
+			continue // already contributed
+		}
+		effAdds = append(effAdds, r)
+		if err := d.Add(r.Head.Pred, r.Head.Args...); err != nil {
+			return nil, nil, err
+		}
+	}
+	return effAdds, effDels, nil
+}
+
+// reindexAnchorsLocked rebuilds one source's semantic-index entries
+// from anchors. Unregister drops the source's contexts too, so they are
+// re-read and re-registered alongside. Called with m.mu held.
+func (m *Mediator) reindexAnchorsLocked(s *Source, anchors *datalog.Store) error {
+	contexts, err := s.W.Contexts()
+	if err != nil {
+		return fmt.Errorf("contexts: %w", err)
+	}
+	m.index.Unregister(s.Name)
+	anchors.Each(func(key string, arity int, row []term.Term) {
+		if arity == 3 {
+			m.index.Register(s.Name, row[2].Name(), row[1])
+		}
+	})
+	for key, vals := range contexts {
+		for _, v := range vals {
+			m.index.RegisterContext(s.Name, key, v)
+		}
+	}
+	return nil
+}
+
+// checkDeltaFacts refuses, as ErrBadDelta, a change to source that
+// carries a non-ground fact or a src_*/anchor fact namespaced to
+// another source: argument 0 of those predicates is what partitions
+// facts by source, which a sharded router's scatter soundness rests on.
+// Global schema facts carry no source and pass.
+func checkDeltaFacts(source string, lists ...[]datalog.Rule) error {
+	for _, facts := range lists {
+		for _, r := range facts {
+			if !isGroundFact(r) {
+				return fmt.Errorf("%w: %s is not a ground fact", ErrBadDelta, r)
+			}
+			switch r.Head.Pred {
+			case PredSrcObj, PredSrcVal, PredSrcSub, PredSrcTuple, PredAnchor:
+				if a := r.Head.Args; len(a) == 0 || a[0].Kind() != term.KindAtom || a[0].Name() != source {
+					return fmt.Errorf("%w: %s is not a fact of source %s", ErrBadDelta, r, source)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// splitAnchors separates the anchor/3 facts of a pushed list from the
+// rest.
+func splitAnchors(facts []datalog.Rule) (rest, anchors []datalog.Rule) {
+	rest = make([]datalog.Rule, 0, len(facts))
+	for _, r := range facts {
+		if r.Head.Pred == PredAnchor && len(r.Head.Args) == 3 {
+			anchors = append(anchors, r)
+		} else {
+			rest = append(rest, r)
+		}
+	}
+	return rest, anchors
+}
+
 // ApplySourceDelta patches the cached materialization under a stated
 // change to one source's ground facts: adds and dels are empty-body
 // rules in the source's translated vocabulary (src_obj/src_val/
-// src_tuple/src_sub namespaced by the source, or global schema facts).
-// The change is recorded in the source's snapshot, refcounted against
-// facts other sources also contribute, and applied through the
+// src_tuple/src_sub namespaced by the source, anchor/3 facts, or
+// global schema facts). Anchor facts move the semantic index exactly
+// as a streamed batch's anchors do. The change is applied through the
 // engine's incremental API — derived views update by
 // delete-and-rederive instead of a from-scratch run. Without a valid
 // cache it rebuilds from scratch first and then applies the stated
@@ -174,11 +314,15 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 	sp := m.startSpan("mediator.apply_source_delta")
 	defer m.endTrace(sp)
 	sp.SetStr("source", source)
-	for _, facts := range [2][]datalog.Rule{adds, dels} {
-		for _, r := range facts {
-			if !isGroundFact(r) {
-				return nil, fmt.Errorf("mediator: source delta for %s: %w: %s is not a ground fact", source, ErrBadDelta, r)
-			}
+	if err := checkDeltaFacts(source, adds, dels); err != nil {
+		return nil, fmt.Errorf("mediator: source delta for %s: %w", source, err)
+	}
+	adds, anchorAdds := splitAnchors(adds)
+	dels, anchorDels := splitAnchors(dels)
+	for _, r := range slices.Concat(anchorAdds, anchorDels) {
+		if !m.dm.HasConcept(r.Head.Args[2].Name()) {
+			return nil, fmt.Errorf("mediator: source delta for %s: %w: %s anchors at a concept the domain map does not know",
+				source, ErrBadDelta, r)
 		}
 	}
 	// Write side of evalMu: the patch mutates the cached store in place,
@@ -187,15 +331,16 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 	defer m.evalMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.srcs[source]; !ok {
+	s, ok := m.srcs[source]
+	if !ok {
 		return nil, fmt.Errorf("mediator: %w: source %s not registered", ErrBadDelta, source)
 	}
-	rep := &DeltaReport{Source: source}
-	if !m.canPatchLocked(source) {
+	rebuilt := !m.canPatchLocked(source)
+	if rebuilt {
 		// No patchable cache yet (cold or poisoned): rebuild it first and
 		// then apply the stated change on top — a push before the first
 		// materialization must not be dropped by the rebuild's re-pull.
-		if _, err := m.fullRebuildLocked(rep, sp); err != nil {
+		if _, err := m.fullRebuildLocked(&DeltaReport{Source: source}, sp); err != nil {
 			return nil, err
 		}
 		if !m.canPatchLocked(source) {
@@ -203,62 +348,12 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 		}
 	}
 	snap := m.snaps[source]
-	d := datalog.NewDelta()
-	effAdds, effDels, err := m.applyFactDeltaLocked(source, snap, rep, d, adds, dels)
+	rep, err := m.moveSourceLocked(s, snap, snap.version, adds, dels, anchorAdds, anchorDels, sp)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := m.patchCacheLocked(d, sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Stats = stats
-	m.noteDeltaLocked(rep, sp)
-	m.logDeltaLocked(&persist.WALRecord{
-		Source:  source,
-		Version: snap.version,
-		Adds:    effAdds,
-		Dels:    effDels,
-	})
+	rep.Full = rebuilt
 	return rep, nil
-}
-
-// applyFactDeltaLocked folds stated fact changes into the source
-// snapshot and the engine delta: deletions the source never
-// contributed and additions it already holds are skipped, and a
-// deletion another source still asserts updates the snapshot but not
-// the engine (shared-fact refcounting). Returns the effective
-// (snapshot-changing) adds/dels for the WAL. Shared by the push path
-// (ApplySourceDelta) and the streaming path (ApplyStreamBatch); called
-// with m.mu held.
-func (m *Mediator) applyFactDeltaLocked(source string, snap *srcSnapshot, rep *DeltaReport, d *datalog.Delta, adds, dels []datalog.Rule) (effAdds, effDels []datalog.Rule, err error) {
-	for _, r := range dels {
-		key := datalog.PredKey(r.Head.Pred, len(r.Head.Args))
-		if !snap.facts.DeleteKey(key, r.Head.Args) {
-			continue // the source never contributed it
-		}
-		rep.FactsRemoved++
-		effDels = append(effDels, r)
-		if m.sharedElsewhere(source, key, r.Head.Args) {
-			continue // another source still asserts it
-		}
-		if err := d.Del(r.Head.Pred, r.Head.Args...); err != nil {
-			m.dirty = true
-			return nil, nil, err
-		}
-	}
-	for _, r := range adds {
-		if !snap.facts.Insert(r.Head.Pred, r.Head.Args) {
-			continue // already contributed
-		}
-		rep.FactsAdded++
-		effAdds = append(effAdds, r)
-		if err := d.Add(r.Head.Pred, r.Head.Args...); err != nil {
-			m.dirty = true
-			return nil, nil, err
-		}
-	}
-	return effAdds, effDels, nil
 }
 
 // RefreshSource re-pulls one source and patches the difference into
@@ -332,116 +427,38 @@ func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaRepor
 			newSig = append(newSig, r.String())
 		}
 	}
-	if !sameSig(snap.ruleSig, newSig) {
+	if !slices.Equal(snap.ruleSig, newSig) {
 		// Semantic rules changed: the program itself is different, which
 		// the EDB delta API cannot express.
 		return m.fullRebuildLocked(rep, sp)
 	}
-	newAnchors, fullNeeded, err := m.refreshAnchorsLocked(s, snap)
-	if err != nil {
-		return nil, err
-	}
-	if fullNeeded {
-		return m.fullRebuildLocked(rep, sp)
-	}
-	d := datalog.NewDelta()
-	wal := &persist.WALRecord{Source: source, Version: version}
-	snap.facts.Each(func(key string, arity int, row []term.Term) {
-		if newFacts.ContainsKey(key, row) {
-			return
-		}
-		rep.FactsRemoved++
-		wal.Dels = append(wal.Dels, factForKey(key, row))
-		if m.sharedElsewhere(source, key, row) {
-			return
-		}
-		_ = d.DelFact(factForKey(key, row))
-	})
-	newFacts.Each(func(key string, arity int, row []term.Term) {
-		if snap.facts.ContainsKey(key, row) {
-			return
-		}
-		rep.FactsAdded++
-		wal.Adds = append(wal.Adds, factForKey(key, row))
-		_ = d.AddFact(factForKey(key, row))
-	})
-	if newAnchors != nil {
-		// Anchor facts carry the source atom in position 0, so they are
-		// unique per source: no refcounting needed.
-		snap.anchors.Each(func(key string, arity int, row []term.Term) {
-			if !newAnchors.ContainsKey(key, row) {
-				rep.AnchorsRemoved++
-				wal.AnchorDels = append(wal.AnchorDels, factForKey(key, row))
-				_ = d.DelFact(factForKey(key, row))
-			}
-		})
-		newAnchors.Each(func(key string, arity int, row []term.Term) {
-			if !snap.anchors.ContainsKey(key, row) {
-				rep.AnchorsAdded++
-				wal.AnchorAdds = append(wal.AnchorAdds, factForKey(key, row))
-				_ = d.AddFact(factForKey(key, row))
-			}
-		})
-		snap.anchors = newAnchors
-	}
-	snap.facts = newFacts
-	snap.version = version
-	stats, err := m.patchCacheLocked(d, sp)
-	if err != nil {
-		return nil, err
-	}
-	rep.Stats = stats
-	m.noteDeltaLocked(rep, sp)
-	m.logDeltaLocked(wal)
-	return rep, nil
-}
-
-// refreshAnchorsLocked re-reads the wrapper's anchors and updates the
-// semantic index. It returns the new anchor-fact store (nil when the
-// anchors are unchanged) and whether a full rebuild is required —
-// anchors at concepts the domain map does not know grow the map, and
-// with it the materialized program. Called with m.mu held.
-func (m *Mediator) refreshAnchorsLocked(s *Source, snap *srcSnapshot) (*datalog.Store, bool, error) {
 	anchors, err := s.W.Anchors()
 	if err != nil {
-		return nil, false, fmt.Errorf("mediator: refresh %s: anchors: %w", s.Name, err)
+		return nil, fmt.Errorf("mediator: refresh %s: anchors: %w", source, err)
 	}
 	newAnchors := datalog.NewStore()
 	unknown := false
 	for concept, objs := range anchors {
-		if !m.dm.HasConcept(concept) {
-			unknown = true
-		}
+		unknown = unknown || !m.dm.HasConcept(concept)
 		for _, obj := range objs {
-			newAnchors.Insert(PredAnchor, []term.Term{term.Atom(s.Name), obj, term.Atom(concept)})
+			newAnchors.Insert(PredAnchor, []term.Term{term.Atom(source), obj, term.Atom(concept)})
 		}
 	}
-	if newAnchors.Equal(snap.anchors) {
-		return nil, false, nil
-	}
-	if unknown {
-		// checkAnchors may extend the domain map (non-strict) or reject
-		// (strict); either way a delta cannot carry the change.
-		if err := m.checkAnchors(s.Name, anchors); err != nil {
-			return nil, false, err
+	if unknown && !newAnchors.Equal(snap.anchors) {
+		// checkAnchors grows the domain map (non-strict) or refuses
+		// (strict); either way the program changes. The rebuild reads the
+		// anchors from the semantic index, so that moves first.
+		if err := m.checkAnchors(source, anchors); err != nil {
+			return nil, err
 		}
-	}
-	// Reflect the move in the semantic index. Unregister drops the
-	// source's contexts too, so they are re-registered alongside.
-	contexts, err := s.W.Contexts()
-	if err != nil {
-		return nil, false, fmt.Errorf("mediator: refresh %s: contexts: %w", s.Name, err)
-	}
-	m.index.Unregister(s.Name)
-	for concept, objs := range anchors {
-		m.index.Register(s.Name, concept, objs...)
-	}
-	for key, vals := range contexts {
-		for _, v := range vals {
-			m.index.RegisterContext(s.Name, key, v)
+		if err := m.reindexAnchorsLocked(s, newAnchors); err != nil {
+			return nil, fmt.Errorf("mediator: refresh %s: %w", source, err)
 		}
+		return m.fullRebuildLocked(rep, sp)
 	}
-	return newAnchors, unknown, nil
+	adds, dels := snap.facts.Diff(newFacts)
+	anchorAdds, anchorDels := snap.anchors.Diff(newAnchors)
+	return m.moveSourceLocked(s, snap, version, adds, dels, anchorAdds, anchorDels, sp)
 }
 
 // SyncSources refreshes every registered source whose wrapper reports
@@ -502,24 +519,4 @@ func (m *Mediator) noteDeltaLocked(rep *DeltaReport, sp *obs.Span) {
 		c.Add("mediator.delta_overdeleted", int64(rep.Stats.Overdeleted))
 		c.Add("mediator.delta_rederived", int64(rep.Stats.Rederived))
 	}
-}
-
-// sameSig compares two rule fingerprints positionally.
-func sameSig(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// factForKey rebuilds an empty-body rule from a store entry. Store
-// keys are PredKey(pred, arity) = "pred/arity"; the arity suffix is
-// redundant with the row.
-func factForKey(key string, row []term.Term) datalog.Rule {
-	return datalog.Fact(datalog.PredName(key), row...)
 }

@@ -22,10 +22,10 @@ package mediator
 //     signature; any mismatch with the booting process rejects the
 //     snapshot (the derived facts were computed under another program).
 //  3. Replay determinism: a WAL record stores the effective
-//     source-level change; replay re-runs the same dedup and
-//     shared-fact refcounting the live path ran against the same
-//     snapshot state, so the engine-level delta — and hence the
-//     patched store — comes out identical.
+//     source-level change; replay runs it through the same move
+//     operation (moveSourceLocked) the live path ran, against the same
+//     snapshot state, so the engine-level delta — and hence the patched
+//     store and the semantic index — comes out identical.
 //  4. Idempotence: replaying a change that the snapshot already
 //     contains (possible when a crash lands between snapshot rotation
 //     and WAL reset) no-ops at the source-fact level, so recovery
@@ -40,6 +40,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 
 	"modelmed/internal/datalog"
@@ -49,11 +50,11 @@ import (
 )
 
 // SetDeltaLogger installs fn as the write-ahead sink for incremental
-// maintenance: every applied patch (ApplySourceDelta, RefreshSource,
-// SyncSources) emits one record, and every fallback full rebuild
-// emits a Full marker. fn runs with the mediator's locks held — it
-// must be fast and must not call back into the mediator. A nil fn
-// disables logging.
+// maintenance: every applied source move (ApplySourceDelta,
+// RefreshSource, SyncSources, ApplyStreamBatch) emits one record, and
+// every fallback full rebuild emits a Full marker. fn runs with the
+// mediator's locks held — it must be fast and must not call back into
+// the mediator. A nil fn disables logging.
 func (m *Mediator) SetDeltaLogger(fn func(*persist.WALRecord)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -162,9 +163,9 @@ func (m *Mediator) SaveSnapshotTo(db *persist.DB) error {
 // RestoreReport describes one warm-start attempt.
 type RestoreReport struct {
 	// Restored reports whether the cache was adopted from disk. When
-	// false, Reason says why and the mediator is untouched (or
-	// invalidated, if replay failed midway) — the caller falls back to
-	// a normal Materialize.
+	// false, Reason says why and the mediator is untouched (its cache
+	// invalidated, if replay failed midway; its semantic index as it
+	// was) — the caller falls back to a normal Materialize.
 	Restored bool
 	Reason   string
 	// Replayed counts WAL records applied on top of the snapshot.
@@ -198,7 +199,12 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 	defer m.evalMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// Adopting the snapshot and replaying the WAL both move the semantic
+	// index; a restore that is not adopted puts it back for the caller's
+	// cold Materialize, which reads its anchors from the index.
+	rollbackIndex := m.index.Checkpoint()
 	if err := m.restoreStateLocked(snap, sp); err != nil {
+		rollbackIndex()
 		rep.Reason = err.Error()
 		sp.SetStr("outcome", "rejected")
 		return rep
@@ -216,6 +222,7 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 		// A Full-rebuild marker or a failed patch: the log cannot
 		// reproduce the dying process's state. Drop the half-restored
 		// cache wholesale.
+		rollbackIndex()
 		m.dirty = true
 		m.cache, m.cacheEngine, m.snaps = nil, nil, nil
 		rep.Restored = false
@@ -255,7 +262,7 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 		for _, r := range sourceRules(s) {
 			curSig = append(curSig, r.String())
 		}
-		if !sameSig(st.RuleSig, curSig) {
+		if !slices.Equal(st.RuleSig, curSig) {
 			return fmt.Errorf("mediator: restore: semantic rules of %s changed", st.Name)
 		}
 	}
@@ -274,6 +281,11 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 		}
 		e.SeedEDB(st.Facts)
 		e.SeedEDB(st.Anchors)
+		// The semantic index follows the adopted anchors, not the ones the
+		// wrapper reported at registration.
+		if err := m.reindexAnchorsLocked(s, st.Anchors); err != nil {
+			return fmt.Errorf("mediator: restore %s: %w", st.Name, err)
+		}
 		snaps[st.Name] = &srcSnapshot{
 			facts:   st.Facts,
 			ruleSig: st.RuleSig,
@@ -289,60 +301,21 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 	return nil
 }
 
-// replayDeltaLocked re-applies one logged change: the source-level
-// adds/dels land in the source's snapshot, the same shared-fact
-// refcounting the live path ran decides the engine-level delta, and
-// the cache is patched. Called with evalMu and m.mu held.
+// replayDeltaLocked re-applies one logged move through the same
+// operation that made it, against the same snapshot state, so the
+// same dedup and shared-fact refcounting decide the engine-level delta
+// and moved anchors re-enter the semantic index. Called with evalMu
+// and m.mu held.
 func (m *Mediator) replayDeltaLocked(rec *persist.WALRecord, sp *obs.Span) error {
 	if rec.Full {
 		return fmt.Errorf("mediator: replay: wal has a full-rebuild marker for %s; snapshot is stale", rec.Source)
 	}
-	snap := m.snaps[rec.Source]
-	if snap == nil {
+	s, snap := m.srcs[rec.Source], m.snaps[rec.Source]
+	if s == nil || snap == nil {
 		return fmt.Errorf("mediator: replay: record for unknown source %s", rec.Source)
 	}
-	d := datalog.NewDelta()
-	for _, r := range rec.Dels {
-		key := datalog.PredKey(r.Head.Pred, len(r.Head.Args))
-		if !snap.facts.DeleteKey(key, r.Head.Args) {
-			continue
-		}
-		if m.sharedElsewhere(rec.Source, key, r.Head.Args) {
-			continue
-		}
-		if err := d.Del(r.Head.Pred, r.Head.Args...); err != nil {
-			return err
-		}
-	}
-	for _, r := range rec.Adds {
-		if !snap.facts.Insert(r.Head.Pred, r.Head.Args) {
-			continue
-		}
-		if err := d.Add(r.Head.Pred, r.Head.Args...); err != nil {
-			return err
-		}
-	}
-	for _, r := range rec.AnchorDels {
-		if !snap.anchors.Delete(r.Head.Pred, r.Head.Args) {
-			continue
-		}
-		if err := d.DelFact(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rec.AnchorAdds {
-		if !snap.anchors.Insert(r.Head.Pred, r.Head.Args) {
-			continue
-		}
-		if err := d.AddFact(r); err != nil {
-			return err
-		}
-	}
-	snap.version = rec.Version
-	if _, err := m.patchCacheLocked(d, sp); err != nil {
-		return err
-	}
-	return nil
+	_, err := m.moveSourceLocked(s, snap, rec.Version, rec.Adds, rec.Dels, rec.AnchorAdds, rec.AnchorDels, sp)
+	return err
 }
 
 // staleSourcesLocked lists versioned sources whose live wrapper data

@@ -2,15 +2,16 @@ package mediator
 
 // Live federation: the mediator side of streaming source deltas. A
 // feed loop (StartFeeds) subscribes to every registered source that
-// implements wrapper.Streaming and applies each versioned DeltaBatch
-// through the incremental-maintenance machinery (ApplyStreamBatch).
-// Sequencing is strict: a batch applies only when its FromVersion
-// extends the source snapshot exactly. Duplicates and late reordered
-// batches (ToVersion already reached) are dropped; gaps (a skipped
-// version) and inexpressible changes (rule/context moves, anchors at
-// unknown concepts) trigger a targeted RefreshSource — the mediator
-// never diverges silently, it resynchronizes observably
-// (mediator.stream_resync).
+// implements wrapper.Streaming and hands each versioned DeltaBatch to
+// ApplyStreamBatch. The batch is already shaped like a source move, so
+// ApplyStreamBatch only sequences it: a batch whose FromVersion extends
+// the source snapshot exactly goes through the one move operation
+// (moveSourceLocked, incr.go) with ToVersion as the new version.
+// Duplicates and late reordered batches (ToVersion already reached)
+// are dropped; gaps (a skipped version) and inexpressible changes
+// (rule/context moves, anchors at unknown concepts) trigger a targeted
+// RefreshSource — the mediator never diverges silently, it
+// resynchronizes observably (mediator.stream_resync).
 //
 // Backpressure is disconnection: wrappers drop subscribers that fall
 // behind their bounded buffer, the feed loop sees the closed channel,
@@ -22,9 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"modelmed/internal/datalog"
-	"modelmed/internal/persist"
-	"modelmed/internal/term"
 	"modelmed/internal/wrapper"
 )
 
@@ -58,20 +56,21 @@ func (o StreamOutcome) String() string {
 
 // ApplyStreamBatch applies one versioned delta batch from a streaming
 // source. Exact version continuation patches incrementally; a stale
-// batch is dropped; anything else falls back to a targeted refresh of
-// that source (never a silent drop). The returned report is the
-// refresh's report on the resync path.
+// batch is dropped; a Resync marker, a version gap, an anchor at an
+// unknown concept or a missing cache falls back to a targeted refresh
+// of that source (never a silent drop). The returned report is the
+// refresh's report on the resync path. A batch carrying a non-ground
+// fact or a fact of another source is refused untouched (ErrBadDelta).
+// A move that fails once sequenced returns its error and poisons the
+// cache, so the next batch resyncs through a full rebuild; the outcome
+// returned with any error carries no meaning.
 func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamOutcome, error) {
 	sp := m.startSpan("mediator.apply_stream_batch")
 	defer m.endTrace(sp)
 	sp.SetStr("source", b.Source)
 	sp.SetInt("to_version", int64(b.ToVersion))
-	for _, rs := range [][]datalog.Rule{b.Adds, b.Dels, b.AnchorAdds, b.AnchorDels} {
-		for _, r := range rs {
-			if !isGroundFact(r) {
-				return nil, StreamResynced, fmt.Errorf("mediator: stream batch for %s: %s is not a ground fact", b.Source, r)
-			}
-		}
+	if err := checkDeltaFacts(b.Source, b.Adds, b.Dels, b.AnchorAdds, b.AnchorDels); err != nil {
+		return nil, StreamResynced, fmt.Errorf("mediator: stream batch for %s: %w", b.Source, err)
 	}
 	m.evalMu.Lock()
 	defer m.evalMu.Unlock()
@@ -79,7 +78,7 @@ func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamO
 	defer m.mu.Unlock()
 	s, ok := m.srcs[b.Source]
 	if !ok {
-		return nil, StreamResynced, fmt.Errorf("mediator: source %s not registered", b.Source)
+		return nil, StreamResynced, fmt.Errorf("mediator: %w: source %s not registered", ErrBadDelta, b.Source)
 	}
 	m.counters().Add("mediator.stream_batches", 1)
 	resync := func(why string) (*DeltaReport, StreamOutcome, error) {
@@ -110,83 +109,13 @@ func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamO
 			return resync("unknown-concept")
 		}
 	}
-	rep := &DeltaReport{Source: b.Source}
-	d := datalog.NewDelta()
-	effAdds, effDels, err := m.applyFactDeltaLocked(b.Source, snap, rep, d, b.Adds, b.Dels)
+	rep, err := m.moveSourceLocked(s, snap, b.ToVersion, b.Adds, b.Dels, b.AnchorAdds, b.AnchorDels, sp)
 	if err != nil {
 		return nil, StreamResynced, err
 	}
-	var effAnchorAdds, effAnchorDels []datalog.Rule
-	for _, r := range b.AnchorDels {
-		if !snap.anchors.Delete(r.Head.Pred, r.Head.Args) {
-			continue
-		}
-		rep.AnchorsRemoved++
-		effAnchorDels = append(effAnchorDels, r)
-		// Anchor facts carry the source atom in position 0, so they are
-		// unique per source: no refcounting needed.
-		if err := d.DelFact(r); err != nil {
-			m.dirty = true
-			return nil, StreamResynced, err
-		}
-	}
-	for _, r := range b.AnchorAdds {
-		if !snap.anchors.Insert(r.Head.Pred, r.Head.Args) {
-			continue
-		}
-		rep.AnchorsAdded++
-		effAnchorAdds = append(effAnchorAdds, r)
-		if err := d.AddFact(r); err != nil {
-			m.dirty = true
-			return nil, StreamResynced, err
-		}
-	}
-	if rep.AnchorsAdded+rep.AnchorsRemoved > 0 {
-		if err := m.reindexAnchorsLocked(s, snap); err != nil {
-			return resync("reindex: " + err.Error())
-		}
-	}
-	stats, err := m.patchCacheLocked(d, sp)
-	if err != nil {
-		return nil, StreamResynced, err
-	}
-	rep.Stats = stats
-	snap.version = b.ToVersion
-	m.noteDeltaLocked(rep, sp)
 	m.counters().Add("mediator.stream_applied", 1)
 	sp.SetStr("outcome", "applied")
-	m.logDeltaLocked(&persist.WALRecord{
-		Source:     b.Source,
-		Version:    b.ToVersion,
-		Adds:       effAdds,
-		Dels:       effDels,
-		AnchorAdds: effAnchorAdds,
-		AnchorDels: effAnchorDels,
-	})
 	return rep, StreamApplied, nil
-}
-
-// reindexAnchorsLocked rebuilds one source's semantic-index entries
-// from its (already patched) anchor snapshot. Unregister drops the
-// source's contexts too, so they are re-read and re-registered
-// alongside. Called with m.mu held.
-func (m *Mediator) reindexAnchorsLocked(s *Source, snap *srcSnapshot) error {
-	contexts, err := s.W.Contexts()
-	if err != nil {
-		return fmt.Errorf("contexts: %w", err)
-	}
-	m.index.Unregister(s.Name)
-	snap.anchors.Each(func(key string, arity int, row []term.Term) {
-		if len(row) == 3 {
-			m.index.Register(s.Name, row[2].Name(), row[1])
-		}
-	})
-	for key, vals := range contexts {
-		for _, v := range vals {
-			m.index.RegisterContext(s.Name, key, v)
-		}
-	}
-	return nil
 }
 
 // FeedOptions configure StartFeeds. The zero value is usable.

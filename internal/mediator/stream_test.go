@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -111,6 +112,39 @@ func TestApplyStreamBatchSequencing(t *testing.T) {
 		datalog.Fact(PredSrcObj, term.Atom("alpha"), term.Var("X"), term.Atom("record"))}}
 	if _, _, err := m.ApplyStreamBatch(bad); err == nil {
 		t.Error("non-ground fact should be rejected")
+	}
+}
+
+// TestApplyStreamBatchRefusesForeignFacts: argument 0 of src_*/anchor
+// facts is what partitions a federation by source, so a batch for
+// alpha carrying beta's facts is refused untouched.
+func TestApplyStreamBatchRefusesForeignFacts(t *testing.T) {
+	ws := newDiffWrappers(t, 15)
+	m := newDiffMediator(t, ws)
+	before, err := m.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dv := ws[0].DataVersion()
+	foreignFact := pushBatch("alpha", "alpha_ok", "dendrite", dv)
+	foreignFact.Adds = append(foreignFact.Adds, streamFact(PredSrcObj, "beta", term.Atom("o1"), term.Atom("record")))
+	foreignAnchor := pushBatch("alpha", "alpha_ok", "dendrite", dv)
+	foreignAnchor.AnchorAdds = append(foreignAnchor.AnchorAdds, streamFact(PredAnchor, "beta", term.Atom("o1"), term.Atom("soma")))
+	for name, b := range map[string]wrapper.DeltaBatch{"fact": foreignFact, "anchor": foreignAnchor} {
+		if _, _, err := m.ApplyStreamBatch(b); !errors.Is(err, ErrBadDelta) {
+			t.Errorf("foreign %s: err = %v, want ErrBadDelta", name, err)
+		}
+	}
+	after, err := m.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Error("a refused batch must leave the cache untouched")
+	}
+	// The same batch without the stray fact still extends the version.
+	if _, out, err := m.ApplyStreamBatch(pushBatch("alpha", "alpha_ok", "dendrite", dv)); err != nil || out != StreamApplied {
+		t.Fatalf("clean batch: out=%v err=%v", out, err)
 	}
 }
 

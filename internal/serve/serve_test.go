@@ -305,6 +305,8 @@ func TestDeltaStatusCodes(t *testing.T) {
 		{"malformed fact", warm, DeltaRequest{Source: "alpha", Adds: []string{"src_obj("}}, http.StatusBadRequest},
 		{"non-ground fact", warm, DeltaRequest{Source: "alpha", Dels: []string{"src_obj('alpha', X, record)"}}, http.StatusBadRequest},
 		{"unknown source", warm, DeltaRequest{Source: "ghost", Adds: []string{"src_obj('ghost', o1, record)"}}, http.StatusBadRequest},
+		{"fact of another source", warm, DeltaRequest{Source: "alpha", Adds: []string{"src_obj('beta', o1, record)"}}, http.StatusBadRequest},
+		{"anchor at unknown concept", warm, DeltaRequest{Source: "alpha", Adds: []string{"anchor('alpha', o1, uncharted_region)"}}, http.StatusBadRequest},
 		{"rebuild over budget", cold(&mediator.Options{Engine: datalog.Options{Limits: datalog.Limits{MaxDerivedFacts: 1}}}, false),
 			DeltaRequest{Source: "alpha", Adds: good}, http.StatusUnprocessableEntity},
 		{"rebuild fails", cold(&mediator.Options{SourceTimeout: time.Second, FailFast: true}, true), DeltaRequest{Source: "alpha", Adds: good}, http.StatusInternalServerError},

@@ -211,26 +211,8 @@ func diffStreamStates(source string, from, to uint64, pre, post *streamState) De
 		b.Resync = true
 		return b
 	}
-	pre.facts.Each(func(key string, arity int, row []term.Term) {
-		if !post.facts.ContainsKey(key, row) {
-			b.Dels = append(b.Dels, datalog.Fact(datalog.PredName(key), row...))
-		}
-	})
-	post.facts.Each(func(key string, arity int, row []term.Term) {
-		if !pre.facts.ContainsKey(key, row) {
-			b.Adds = append(b.Adds, datalog.Fact(datalog.PredName(key), row...))
-		}
-	})
-	pre.anchors.Each(func(key string, arity int, row []term.Term) {
-		if !post.anchors.ContainsKey(key, row) {
-			b.AnchorDels = append(b.AnchorDels, datalog.Fact(datalog.PredName(key), row...))
-		}
-	})
-	post.anchors.Each(func(key string, arity int, row []term.Term) {
-		if !pre.anchors.ContainsKey(key, row) {
-			b.AnchorAdds = append(b.AnchorAdds, datalog.Fact(datalog.PredName(key), row...))
-		}
-	})
+	b.Adds, b.Dels = pre.facts.Diff(post.facts)
+	b.AnchorAdds, b.AnchorDels = pre.anchors.Diff(post.anchors)
 	return b
 }
 
