@@ -122,9 +122,12 @@ bench-cluster:
 # suite — decomposition modes, shard-spec parsing, router cache and
 # precise delta invalidation, the 2-/4-shard differential against a
 # monolithic reference (Section 5 workload + 50 seeded query/delta
-# sequences + a concurrent leg), the downed-shard chaos test, and the
-# client-cancel breaker regression — plus the medrouter and medd
-# flag/daemon tests.
+# sequences + a concurrent leg), the router replica tests (the
+# differential's replica-equals-a-one-off-build check after every
+# delta and gather, and TestGatherCyclePatches: the benchmark's gather
+# cycle with concurrent readers patches, never rebuilds, and
+# TestReplicaMoveOutlivesItsRequest), the downed-shard chaos test, and the client-cancel breaker regression —
+# plus the medrouter and medd flag/daemon tests.
 cluster-smoke:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -count=1 ./cmd/medrouter ./cmd/medd

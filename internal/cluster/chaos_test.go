@@ -115,7 +115,7 @@ func TestChaosDownedShard(t *testing.T) {
 	// dropped on the floor.
 	d := serve.DeltaRequest{Source: "NCMIR", Adds: []string{`src_obj('NCMIR', chaos_1, delta_probe)`}}
 	var dr DeltaResponse
-	if status := postJSON(t, http.DefaultClient, c.base()+"/v1/delta", d, &dr, nil); status < 500 {
+	if status := postJSON(t, testHTTP, c.base()+"/v1/delta", d, &dr, nil); status < 500 {
 		t.Fatalf("delta to downed shard: status %d, want 5xx", status)
 	}
 
@@ -136,7 +136,7 @@ func TestChaosDownedShard(t *testing.T) {
 	if resp, status := routerQuery(t, c.base(), gatherAgg); status != http.StatusOK || resp.Partial {
 		t.Fatalf("recovered aggregate: status %d partial %v", status, resp.Partial)
 	}
-	if status := postJSON(t, http.DefaultClient, c.base()+"/v1/delta", d, &dr, nil); status != http.StatusOK {
+	if status := postJSON(t, testHTTP, c.base()+"/v1/delta", d, &dr, nil); status != http.StatusOK {
 		t.Fatalf("delta after recovery: status %d", status)
 	}
 }

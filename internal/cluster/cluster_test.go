@@ -166,6 +166,11 @@ func newTestCluster(t testing.TB, seed int64, nSyn, nNcm, nSl int, assign [][]st
 	return c
 }
 
+// testHTTP is the one client the package's tests talk HTTP with. Its
+// timeout turns a router that never answers into a failed request
+// instead of a test binary that hangs until go test's own deadline.
+var testHTTP = &http.Client{Timeout: 30 * time.Second}
+
 // postJSON posts a JSON body and decodes the JSON reply into out.
 func postJSON(t testing.TB, client *http.Client, url string, in any, out any, headers map[string]string) int {
 	t.Helper()
@@ -197,7 +202,7 @@ func postJSON(t testing.TB, client *http.Client, url string, in any, out any, he
 func routerQuery(t testing.TB, base string, req serve.QueryRequest) (QueryResponse, int) {
 	t.Helper()
 	var out QueryResponse
-	status := postJSON(t, http.DefaultClient, base+"/v1/query", req, &out, nil)
+	status := postJSON(t, testHTTP, base+"/v1/query", req, &out, nil)
 	return out, status
 }
 
@@ -310,7 +315,7 @@ func TestRouterCacheAndDeltaInvalidation(t *testing.T) {
 	// Delta to SENSELAB: routed to shard0, drops only the SENSELAB
 	// entry.
 	var dr DeltaResponse
-	status := postJSON(t, http.DefaultClient, c.base()+"/v1/delta", serve.DeltaRequest{
+	status := postJSON(t, testHTTP, c.base()+"/v1/delta", serve.DeltaRequest{
 		Source: "SENSELAB",
 		Adds:   []string{`src_obj('SENSELAB', nt_new_1, neurotransmission)`},
 	}, &dr, nil)
@@ -345,7 +350,7 @@ func TestRouterCacheAndDeltaInvalidation(t *testing.T) {
 	}
 
 	// A delta for a source no shard owns is a client error.
-	status = postJSON(t, http.DefaultClient, c.base()+"/v1/delta",
+	status = postJSON(t, testHTTP, c.base()+"/v1/delta",
 		serve.DeltaRequest{Source: "NOPE", Adds: []string{`src_obj('NOPE', x, y)`}}, &map[string]any{}, nil)
 	if status != http.StatusBadRequest {
 		t.Errorf("unowned-source delta: status %d, want 400", status)
@@ -363,7 +368,7 @@ func TestRouterScatterCacheInvalidation(t *testing.T) {
 	}
 	// Scatter entries are global: any source delta drops them.
 	var dr DeltaResponse
-	if status := postJSON(t, http.DefaultClient, c.base()+"/v1/delta", serve.DeltaRequest{
+	if status := postJSON(t, testHTTP, c.base()+"/v1/delta", serve.DeltaRequest{
 		Source: "NCMIR", Adds: []string{`src_obj('NCMIR', pr_new_1, protein)`},
 	}, &dr, nil); status != 200 {
 		t.Fatalf("delta status %d", status)
@@ -381,7 +386,7 @@ func TestRouterRateLimit(t *testing.T) {
 	hdr := map[string]string{"X-API-Key": "probe"}
 	var got429 bool
 	for i := 0; i < 5; i++ {
-		status := postJSON(t, http.DefaultClient, c.base()+"/v1/query", req, nil, hdr)
+		status := postJSON(t, testHTTP, c.base()+"/v1/query", req, nil, hdr)
 		if status == http.StatusTooManyRequests {
 			got429 = true
 		}
@@ -391,12 +396,12 @@ func TestRouterRateLimit(t *testing.T) {
 	}
 	// Unlisted keys are unlimited when no default bucket exists.
 	for i := 0; i < 5; i++ {
-		if status := postJSON(t, http.DefaultClient, c.base()+"/v1/query", req, nil, nil); status != 200 {
+		if status := postJSON(t, testHTTP, c.base()+"/v1/query", req, nil, nil); status != 200 {
 			t.Fatalf("unlisted key: status %d", status)
 		}
 	}
 	// Health stays reachable regardless.
-	resp, err := http.Get(c.base() + "/healthz")
+	resp, err := testHTTP.Get(c.base() + "/healthz")
 	if err != nil || resp.StatusCode != 200 {
 		t.Fatalf("healthz: %v %v", err, resp)
 	}
@@ -410,7 +415,7 @@ func TestRouterSyncAndHealthz(t *testing.T) {
 		Sources []string      `json:"sources"`
 		Shards  []ShardReport `json:"shards"`
 	}
-	resp, err := http.Get(c.base() + "/healthz")
+	resp, err := testHTTP.Get(c.base() + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +439,7 @@ func TestRouterSyncAndHealthz(t *testing.T) {
 		Refreshed []*DeltaResponse `json:"refreshed"`
 		Shards    []ShardReport    `json:"shards"`
 	}
-	if status := postJSON(t, http.DefaultClient, c.base()+"/v1/sync", struct{}{}, &syncOut, nil); status != 200 {
+	if status := postJSON(t, testHTTP, c.base()+"/v1/sync", struct{}{}, &syncOut, nil); status != 200 {
 		t.Fatalf("sync status %d", status)
 	}
 	if len(syncOut.Shards) != 2 {
@@ -442,7 +447,7 @@ func TestRouterSyncAndHealthz(t *testing.T) {
 	}
 
 	// Metrics endpoint renders the counter set.
-	mresp, err := http.Get(c.base() + "/metrics")
+	mresp, err := testHTTP.Get(c.base() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

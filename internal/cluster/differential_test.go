@@ -9,6 +9,7 @@ package cluster
 // the reference (ApplySourceDelta) mid-stream.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -86,26 +87,78 @@ func queryPool(srcs []string) []serve.QueryRequest {
 }
 
 // deltaLog tracks facts added per source so later deltas can delete
-// them again.
+// or overwrite them again.
 type deltaLog struct {
 	added map[string][]string // source -> fact strings still present
 	n     int
+	// shared, when set, adds the shared-fact kind.
+	shared *sharedFact
+}
+
+// sharedFact walks one global schema fact that owner contributes
+// through a cycle with peer, a source on another shard: peer asserts it
+// too, owner withdraws it (it must survive: peer still holds it), owner
+// asserts it again, peer withdraws it (it survives again).
+type sharedFact struct {
+	fact        string
+	owner, peer string
+	step        int
+}
+
+func (sf *sharedFact) next() serve.DeltaRequest {
+	step := sf.step
+	sf.step = (sf.step + 1) % 4
+	switch step {
+	case 0:
+		return serve.DeltaRequest{Source: sf.peer, Adds: []string{sf.fact}}
+	case 1:
+		return serve.DeltaRequest{Source: sf.owner, Dels: []string{sf.fact}}
+	case 2:
+		return serve.DeltaRequest{Source: sf.owner, Adds: []string{sf.fact}}
+	default:
+		return serve.DeltaRequest{Source: sf.peer, Dels: []string{sf.fact}}
+	}
 }
 
 // nextDelta builds a random delta: mostly adds (a fresh object with a
-// value and sometimes an anchor), sometimes deletions of previously
-// added facts.
+// value and sometimes an anchor); sometimes the deletion of a
+// previously added fact, an overwrite of an added object's value (a
+// delete and an add for the same method, as the benchmark's gather
+// toggle does), an anchor deletion, or the next shared-fact step.
 func (dl *deltaLog) nextDelta(r *rand.Rand, srcs []string) serve.DeltaRequest {
 	src := srcs[r.Intn(len(srcs))]
 	if dl.added == nil {
 		dl.added = map[string][]string{}
 	}
-	if have := dl.added[src]; len(have) > 0 && r.Intn(3) == 0 {
-		// Delete one previously added fact.
-		i := r.Intn(len(have))
-		fact := have[i]
-		dl.added[src] = append(have[:i], have[i+1:]...)
-		return serve.DeltaRequest{Source: src, Dels: []string{fact}}
+	have := dl.added[src]
+	switch r.Intn(6) {
+	case 0:
+		if dl.shared != nil {
+			return dl.shared.next()
+		}
+	case 1:
+		if i := pickFact(r, have, "src_val("); i >= 0 {
+			old := have[i]
+			val := strings.Replace(old, `"rat"`, `"mouse"`, 1)
+			if val == old {
+				val = strings.Replace(old, `"mouse"`, `"rat"`, 1)
+			}
+			have[i] = val
+			return serve.DeltaRequest{Source: src, Adds: []string{val}, Dels: []string{old}}
+		}
+	case 2:
+		if i := pickFact(r, have, "anchor("); i >= 0 {
+			fact := have[i]
+			dl.added[src] = append(have[:i], have[i+1:]...)
+			return serve.DeltaRequest{Source: src, Dels: []string{fact}}
+		}
+	case 3:
+		if len(have) > 0 {
+			i := r.Intn(len(have))
+			fact := have[i]
+			dl.added[src] = append(have[:i], have[i+1:]...)
+			return serve.DeltaRequest{Source: src, Dels: []string{fact}}
+		}
 	}
 	dl.n++
 	id := fmt.Sprintf("dx_%d", dl.n)
@@ -118,6 +171,43 @@ func (dl *deltaLog) nextDelta(r *rand.Rand, srcs []string) serve.DeltaRequest {
 	}
 	dl.added[src] = append(dl.added[src], adds...)
 	return serve.DeltaRequest{Source: src, Adds: adds}
+}
+
+// pickFact returns the index of a random fact in facts with the given
+// prefix, or -1.
+func pickFact(r *rand.Rand, facts []string, prefix string) int {
+	var idx []int
+	for i, f := range facts {
+		if strings.HasPrefix(f, prefix) {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == 0 {
+		return -1
+	}
+	return idx[r.Intn(len(idx))]
+}
+
+// schemaFact returns a global schema fact (a method signature) that the
+// source contributes on its shard, without the final period.
+func schemaFact(t *testing.T, sh *testShard, source string) string {
+	t.Helper()
+	dumps, err := sh.med.FactsDump(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dumps {
+		if d.Source != source {
+			continue
+		}
+		for _, f := range d.Facts {
+			if strings.HasPrefix(f, "method(") {
+				return strings.TrimSuffix(f, ".")
+			}
+		}
+	}
+	t.Fatalf("%s on %s contributes no method signature", source, sh.id)
+	return ""
 }
 
 // applyReferenceDelta applies the same delta to the monolithic
@@ -165,44 +255,49 @@ func runDifferential(t *testing.T, assign [][]string, extras map[string]wrapper.
 		srcs = append(srcs, names...)
 	}
 	pool := queryPool(srcs)
-
-	for i, req := range pool {
+	// A full gather: it re-ships every stale dump and moves the replica.
+	gather := serve.QueryRequest{Query: `protein_distribution(Root, P, Org, T, N)`,
+		Vars: []string{"Root", "P", "Org", "T", "N"}, NoCache: true}
+	query := func(label string, req serve.QueryRequest) {
+		t.Helper()
 		resp, status := routerQuery(t, c.base(), req)
 		if status != http.StatusOK {
-			t.Fatalf("workload %d (%s): status %d", i, req.Query, status)
+			t.Fatalf("%s (%s): status %d", label, req.Query, status)
 		}
-		checkEqual(t, fmt.Sprintf("workload %d", i), resp, ref, req.Query, req.Vars)
+		checkEqual(t, label, resp, ref, req.Query, req.Vars)
+		checkReplica(t, label, c.router)
 	}
 
-	dl := &deltaLog{}
+	for i, req := range pool {
+		query(fmt.Sprintf("workload %d", i), req)
+	}
+
+	dl := &deltaLog{shared: &sharedFact{
+		fact:  schemaFact(t, c.shards[1], "NCMIR"),
+		owner: "NCMIR",
+		peer:  "SYNAPSE",
+	}}
 	for seq := 0; seq < seqs; seq++ {
 		r := rand.New(rand.NewSource(int64(1000*seq) + 17))
 		ops := 4 + r.Intn(4)
 		for op := 0; op < ops; op++ {
+			label := fmt.Sprintf("seq %d op %d", seq, op)
 			if r.Intn(3) == 0 {
 				d := dl.nextDelta(r, srcs)
 				var dr DeltaResponse
-				if status := postJSON(t, http.DefaultClient, c.base()+"/v1/delta", d, &dr, nil); status != http.StatusOK {
-					t.Fatalf("seq %d op %d: delta to %s: status %d", seq, op, d.Source, status)
+				if status := postJSON(t, testHTTP, c.base()+"/v1/delta", d, &dr, nil); status != http.StatusOK {
+					t.Fatalf("%s: delta to %s: status %d", label, d.Source, status)
 				}
 				applyReferenceDelta(t, ref, d)
+				query(label+" after delta", gather)
 				continue
 			}
-			req := pool[r.Intn(len(pool))]
-			resp, status := routerQuery(t, c.base(), req)
-			if status != http.StatusOK {
-				t.Fatalf("seq %d op %d (%s): status %d", seq, op, req.Query, status)
-			}
-			checkEqual(t, fmt.Sprintf("seq %d op %d", seq, op), resp, ref, req.Query, req.Vars)
+			query(label, pool[r.Intn(len(pool))])
 		}
 	}
 
 	for i, req := range pool {
-		resp, status := routerQuery(t, c.base(), req)
-		if status != http.StatusOK {
-			t.Fatalf("final workload %d: status %d", i, status)
-		}
-		checkEqual(t, fmt.Sprintf("final workload %d", i), resp, ref, req.Query, req.Vars)
+		query(fmt.Sprintf("final workload %d", i), req)
 	}
 }
 
@@ -257,7 +352,7 @@ func TestDifferentialConcurrent(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			d := dl.nextDelta(r, srcs)
 			var dr DeltaResponse
-			if status := postJSON(t, http.DefaultClient, c.base()+"/v1/delta", d, &dr, nil); status != http.StatusOK {
+			if status := postJSON(t, testHTTP, c.base()+"/v1/delta", d, &dr, nil); status != http.StatusOK {
 				errCh <- fmt.Errorf("delta writer: status %d", status)
 				return
 			}

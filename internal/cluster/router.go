@@ -6,8 +6,9 @@ package cluster
 // each delta is forwarded to the one shard owning its source and its
 // cache effect applied precisely. The router holds a *replica*
 // mediator carrying only the static knowledge (domain map, views, no
-// sources): it answers replicated-only queries locally and evaluates
-// gathered fact dumps.
+// sources): it answers replicated-only queries locally, and its program
+// over every shard's fact dumps is the materialised replica gathers
+// read.
 
 import (
 	"context"
@@ -21,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"modelmed/internal/datalog"
 	"modelmed/internal/mediator"
 	"modelmed/internal/obs"
 	"modelmed/internal/parser"
@@ -34,7 +36,8 @@ type RouterConfig struct {
 	Shards []ShardConfig
 	// Replica is a mediator holding the replicated static knowledge —
 	// same domain map and views as every shard, no registered sources
-	// (required).
+	// (required). Its program must not change once the router serves:
+	// the router keeps a materialisation of it over the shards' dumps.
 	Replica *mediator.Mediator
 	// RequestTimeout bounds each client request end to end, shard calls
 	// included (default 30s; a request's timeout_ms can shorten it).
@@ -51,8 +54,7 @@ type RouterConfig struct {
 	FailThreshold int
 	Cooldown      time.Duration
 	Client        *http.Client
-	// Log receives request lines (default: discard into log.Default?
-	// no — nil disables request logging).
+	// Log receives request lines; nil disables request logging.
 	Log *log.Logger
 }
 
@@ -65,15 +67,16 @@ func (c RouterConfig) requestTimeout() time.Duration {
 
 // Router is the HTTP front end over a Manager.
 type Router struct {
-	cfg   RouterConfig
-	man   *Manager
-	rep   *mediator.Mediator
-	rl    *serve.RateLimiter
-	ctr   *obs.Counters
-	log   *log.Logger
-	mux   *http.ServeMux
-	cache *answerCache
-	facts *factsCache
+	cfg     RouterConfig
+	man     *Manager
+	rep     *mediator.Mediator
+	rl      *serve.RateLimiter
+	ctr     *obs.Counters
+	log     *log.Logger
+	mux     *http.ServeMux
+	cache   *answerCache
+	facts   *factsCache
+	replica *replica
 }
 
 // NewRouter builds the router. Call Discover (usually at daemon boot)
@@ -92,15 +95,18 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, err
 	}
 	rt := &Router{
-		cfg:   cfg,
-		man:   man,
-		rep:   cfg.Replica,
-		rl:    serve.NewRateLimiter(cfg.RateLimits),
-		ctr:   obs.NewCounters(),
-		log:   cfg.Log,
-		cache: newAnswerCache(cfg.CacheEntries),
-		facts: newFactsCache(),
+		cfg:     cfg,
+		man:     man,
+		rep:     cfg.Replica,
+		rl:      serve.NewRateLimiter(cfg.RateLimits),
+		ctr:     obs.NewCounters(),
+		log:     cfg.Log,
+		cache:   newAnswerCache(cfg.CacheEntries),
+		facts:   newFactsCache(),
+		replica: newReplica(),
 	}
+	rt.ctr.Add("router.replica_patches", 0)
+	rt.ctr.Add("router.replica_rebuilds", 0)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", rt.handleQuery)
 	mux.HandleFunc("/v1/delta", rt.handleDelta)
@@ -237,11 +243,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case ModeReplicated:
 		resp, status, err = rt.replicatedQuery(ctx, &req)
 	case ModeSources:
-		resp, status, err = rt.sourcesQuery(ctx, apiKey, &req, &dec)
+		resp, status, err = rt.sourcesQuery(ctx, apiKey, &req, &dec, aux)
 	case ModeScatter:
 		resp, status, err = rt.scatterQuery(ctx, apiKey, &req)
 	default:
-		resp, status, err = rt.gatherQuery(ctx, apiKey, &req, &dec, rt.man.Shards())
+		resp, status, err = rt.gatherQuery(ctx, &req, &dec, aux, rt.man.Shards())
 	}
 	if err != nil {
 		rt.ctr.Add("router.query_errors", 1)
@@ -281,7 +287,7 @@ func (rt *Router) replicatedQuery(ctx context.Context, req *serve.QueryRequest) 
 // one shard owns them all, restricted gather when they span shards.
 // Sources no shard owns contribute no facts anywhere, matching what an
 // unregistered source yields on a single mediator.
-func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, dec *Decomposition) (*QueryResponse, int, error) {
+func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, dec *Decomposition, aux []datalog.Rule) (*QueryResponse, int, error) {
 	owners := map[*Shard]bool{}
 	for _, src := range dec.Sources {
 		if sh, ok := rt.man.Owner(src); ok {
@@ -306,7 +312,7 @@ func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.Qu
 		shards = append(shards, sh)
 	}
 	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
-	return rt.gatherQuery(ctx, apiKey, req, dec, shards)
+	return rt.gatherQuery(ctx, req, dec, aux, shards)
 }
 
 // proxyQuery forwards the request verbatim to one shard.
@@ -404,63 +410,55 @@ func (rt *Router) scatterQuery(ctx context.Context, apiKey string, req *serve.Qu
 	return resp, 0, nil
 }
 
-// gatherQuery pulls the fact dumps of the given shards and evaluates
-// the query at the router over the replicated static knowledge.
-func (rt *Router) gatherQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, dec *Decomposition, shards []*Shard) (*QueryResponse, int, error) {
-	dumps := make([][]mediator.SourceDump, len(shards))
-	errs := make([]error, len(shards))
-	gens := make([]uint64, len(shards))
-	cached := make([]bool, len(shards))
-	skipped := make([]bool, len(shards))
+// gatherQuery evaluates the query at the router over the replicated
+// static knowledge and the given shards' fact dumps, re-shipping the
+// dumps a delta made stale. Over every shard, with no shard missing and
+// no auxiliary rules, it reads the materialised replica, moved forward
+// to the dumps first; otherwise (a restricted or partial gather, or a
+// query that needs its auxiliary rules in the program) it evaluates
+// over a one-off build of the same parsed dumps.
+func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec *Decomposition, aux []datalog.Rule, shards []*Shard) (*QueryResponse, int, error) {
+	got := make([]gathered, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
-		if d, g, ok := rt.facts.get(sh.ID); ok {
-			dumps[i], cached[i] = d, true
+		dumps, gen, fresh := rt.facts.get(sh.ID)
+		if fresh {
+			got[i].dumps = dumps
 			rt.ctr.Add("router.facts_cache_hits", 1)
-			continue
-		} else {
-			gens[i] = g
-		}
-		if !rt.man.Available(sh) {
-			skipped[i] = true
 			continue
 		}
 		wg.Add(1)
 		go func(i int, sh *Shard) {
 			defer wg.Done()
-			fr, err := rt.man.Facts(ctx, sh)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			dumps[i] = fr.Sources
-			rt.ctr.Add("router.facts_fetches", 1)
+			got[i] = rt.loadFacts(ctx, sh, dumps, gen)
 		}(i, sh)
 	}
 	wg.Wait()
 
 	resp := &QueryResponse{Mode: ModeGather.String()}
-	var all []mediator.SourceDump
+	var all []*mediator.ParsedDump
 	for i, sh := range shards {
+		g := &got[i]
 		rep := rt.man.Report(sh)
 		switch {
-		case skipped[i]:
+		case g.badDump != nil:
+			return nil, http.StatusInternalServerError, g.badDump
+		case g.skipped:
 			resp.Partial = true
-		case errs[i] != nil:
-			if shardFault(ctx, errs[i]) {
-				rt.man.MarkFailure(sh, errs[i])
+		case g.err != nil:
+			if shardFault(ctx, g.err) {
+				rt.man.MarkFailure(sh, g.err)
 			}
 			rep = rt.man.Report(sh)
 			rep.Status = "failed"
-			rep.Error = errs[i].Error()
+			rep.Error = g.err.Error()
 			resp.Partial = true
 		default:
-			if !cached[i] {
+			if g.shipped {
 				rt.man.MarkSuccess(sh)
 				rep = rt.man.Report(sh)
-				rt.facts.put(sh.ID, dumps[i], gens[i])
 			}
-			all = append(all, dumps[i]...)
+			all = append(all, g.dumps...)
 		}
 		resp.Shards = append(resp.Shards, rep)
 	}
@@ -470,7 +468,13 @@ func (rt *Router) gatherQuery(ctx context.Context, apiKey string, req *serve.Que
 		return nil, http.StatusServiceUnavailable,
 			errors.New("shard down and query aggregates/negates over source facts; partial answer would be wrong")
 	}
-	ans, err := rt.rep.QueryOverFacts(ctx, all, req.Query, req.Vars)
+	var ans *mediator.Answer
+	var err error
+	if !resp.Partial && len(aux) == 0 && len(shards) == len(rt.man.Shards()) {
+		ans, err = rt.replicaQuery(ctx, req, shards)
+	} else {
+		ans, err = rt.rep.QueryOverParsed(ctx, all, req.Query, req.Vars)
+	}
 	if err != nil {
 		if errors.Is(err, mediator.ErrUnknownPredicate) {
 			return nil, http.StatusBadRequest, err
@@ -480,6 +484,67 @@ func (rt *Router) gatherQuery(ctx context.Context, apiKey string, req *serve.Que
 	resp.Vars, resp.Rows = ans.Vars, renderRows(ans.Rows)
 	resp.Count = len(resp.Rows)
 	return resp, 0, nil
+}
+
+// gathered is one shard's part of a gather.
+type gathered struct {
+	dumps   []*mediator.ParsedDump
+	shipped bool  // re-shipped by this request
+	skipped bool  // the shard is down and its dump stale
+	err     error // the shard call failed
+	badDump error // the shipped dump does not parse
+}
+
+// loadFacts re-ships a shard's dump that was not fresh at generation
+// gen, parses it against base, the previous dump, and caches it.
+func (rt *Router) loadFacts(ctx context.Context, sh *Shard, base []*mediator.ParsedDump, gen uint64) gathered {
+	if !rt.man.Available(sh) {
+		return gathered{skipped: true}
+	}
+	fr, err := rt.man.Facts(ctx, sh)
+	if err != nil {
+		return gathered{err: err}
+	}
+	rt.ctr.Add("router.facts_fetches", 1)
+	prev := make(map[string]*mediator.ParsedDump, len(base))
+	for _, d := range base {
+		prev[d.Source] = d
+	}
+	dumps := make([]*mediator.ParsedDump, len(fr.Sources))
+	for i, d := range fr.Sources {
+		if dumps[i], err = mediator.ParseDump(d, prev[d.Source]); err != nil {
+			return gathered{badDump: fmt.Errorf("shard %s: %w", sh.ID, err)}
+		}
+	}
+	rt.facts.put(sh.ID, dumps, gen)
+	return gathered{dumps: dumps, shipped: true}
+}
+
+// replicaQuery answers the query over the replica, first moving it to
+// the facts cache's state of shards, every shard of the cluster, each
+// loaded by this request.
+func (rt *Router) replicaQuery(ctx context.Context, req *serve.QueryRequest, shards []*Shard) (*mediator.Answer, error) {
+	st := rt.facts.state(shards)
+	var ans *mediator.Answer
+	query := func(res *datalog.Result) (err error) {
+		ans, err = rt.rep.QueryResult(ctx, res, req.Query, req.Vars)
+		return err
+	}
+	if ok, err := rt.replica.read(st, query); ok {
+		return ans, err
+	}
+	patched, rebuilt, err := rt.replica.advance(ctx, rt.rep, st, rt.cfg.requestTimeout())
+	if patched {
+		rt.ctr.Add("router.replica_patches", 1)
+	}
+	if rebuilt {
+		rt.ctr.Add("router.replica_rebuilds", 1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	_, err = rt.replica.read(st, query)
+	return ans, err
 }
 
 // renderRows renders term tuples as strings for JSON transport,
