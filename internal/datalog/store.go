@@ -523,6 +523,13 @@ func (r *Relation) Select(pos int, t term.Term) [][]term.Term {
 	return out
 }
 
+// Has reports whether some row holds t at position pos: Select's
+// existence test, without building the rows.
+func (r *Relation) Has(pos int, t term.Term) bool {
+	id, ok := lookupID(t)
+	return ok && r.eachAt(r.probe(pos, id), func([]uint32) error { return errStopMatch }) != nil
+}
+
 // SortedRows returns a copy of the tuples in deterministic order, for
 // stable output in tests and tools.
 func (r *Relation) SortedRows() [][]term.Term {

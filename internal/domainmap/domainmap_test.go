@@ -251,11 +251,55 @@ func TestClosureRulesMatchGoOps(t *testing.T) {
 	}
 }
 
+// fleet holds, per source, the anchor/3 facts and context values a
+// semantic index view reads.
+type fleet map[string]*fleetSource
+
+type fleetSource struct {
+	anchors  *datalog.Store
+	contexts map[string][]term.Term
+}
+
+func (f fleet) source(name string) *fleetSource {
+	if f[name] == nil {
+		f[name] = &fleetSource{anchors: datalog.NewStore(), contexts: map[string][]term.Term{}}
+	}
+	return f[name]
+}
+
+// anchor asserts anchor(source, obj, concept) for every obj.
+func (f fleet) anchor(source, concept string, objs ...string) {
+	for _, o := range objs {
+		f.source(source).anchors.Insert("anchor", []term.Term{term.Atom(source), term.Atom(o), term.Atom(concept)})
+	}
+}
+
+func (f fleet) context(source, key string, v term.Term) {
+	fs := f.source(source)
+	fs.contexts[key] = append(fs.contexts[key], v)
+}
+
+// index is the view over the fleet as it stands at each question.
+func (f fleet) index() *SemanticIndex {
+	return NewIndex(func(yield func(SourceAnchors) bool) {
+		for name, fs := range f {
+			sa := SourceAnchors{Source: name, Anchors: fs.anchors.Rel(datalog.PredKey("anchor", 3)), Contexts: fs.contexts}
+			if !yield(sa) {
+				return
+			}
+		}
+	})
+}
+
 func TestSemanticIndex(t *testing.T) {
-	ix := NewIndex()
-	ix.Register("synapse", "pyramidal_cell", term.Atom("o1"), term.Atom("o2"))
-	ix.Register("ncmir", "purkinje_cell", term.Atom("p1"))
-	ix.Register("ncmir", "pyramidal_cell", term.Atom("p2"))
+	f := fleet{}
+	ix := f.index()
+	if got := ix.SourcesAt("pyramidal_cell"); len(got) != 0 {
+		t.Errorf("empty fleet: SourcesAt = %v", got)
+	}
+	f.anchor("synapse", "pyramidal_cell", "o1", "o2")
+	f.anchor("ncmir", "purkinje_cell", "p1")
+	f.anchor("ncmir", "pyramidal_cell", "p2")
 	if got := ix.SourcesAt("pyramidal_cell"); strings.Join(got, ",") != "ncmir,synapse" {
 		t.Errorf("SourcesAt = %v", got)
 	}
@@ -268,43 +312,21 @@ func TestSemanticIndex(t *testing.T) {
 	if got := ix.Concepts(); strings.Join(got, ",") != "purkinje_cell,pyramidal_cell" {
 		t.Errorf("Concepts = %v", got)
 	}
-	ix.Unregister("synapse")
+	// The view holds no copy: a source whose facts are gone is gone.
+	delete(f, "synapse")
 	if got := ix.SourcesAt("pyramidal_cell"); strings.Join(got, ",") != "ncmir" {
-		t.Errorf("after Unregister, SourcesAt = %v", got)
-	}
-}
-
-func TestSemanticIndexCheckpoint(t *testing.T) {
-	ix := NewIndex()
-	ix.Register("ncmir", "purkinje_cell", term.Atom("p1"))
-	ix.RegisterContext("ncmir", "organism", term.Atom("rat"))
-	rollback := ix.Checkpoint()
-	ix.Unregister("ncmir")
-	ix.Register("ncmir", "spine", term.Atom("p2"))
-	ix.Register("synapse", "purkinje_cell", term.Atom("s1"))
-	ix.RegisterContext("ncmir", "organism", term.Atom("mouse"))
-	rollback()
-	if got := ix.Concepts(); strings.Join(got, ",") != "purkinje_cell" {
-		t.Errorf("after rollback, Concepts = %v", got)
-	}
-	if got := ix.SourcesAt("purkinje_cell"); strings.Join(got, ",") != "ncmir" {
-		t.Errorf("after rollback, SourcesAt = %v", got)
-	}
-	if got := ix.Objects("ncmir", "purkinje_cell"); len(got) != 1 || !got[0].Equal(term.Atom("p1")) {
-		t.Errorf("after rollback, Objects = %v", got)
-	}
-	if !ix.HasContext("ncmir", "organism", term.Atom("rat")) || ix.HasContext("ncmir", "organism", term.Atom("mouse")) {
-		t.Error("after rollback, contexts should be rat only")
+		t.Errorf("after dropping synapse, SourcesAt = %v", got)
 	}
 }
 
 func TestSelectSourcesWithDescendants(t *testing.T) {
 	dm := fig1(t)
-	ix := NewIndex()
+	f := fleet{}
+	ix := f.index()
 	// NCMIR anchors at purkinje_cell; a query about spiny_neuron should
 	// find it through isa-descendant expansion.
-	ix.Register("ncmir", "purkinje_cell", term.Atom("p1"))
-	ix.Register("synapse", "pyramidal_cell", term.Atom("s1"))
+	f.anchor("ncmir", "purkinje_cell", "p1")
+	f.anchor("synapse", "pyramidal_cell", "s1")
 	got := ix.SelectSources(dm, "spiny_neuron")
 	if strings.Join(got, ",") != "ncmir,synapse" {
 		t.Errorf("SelectSources(spiny_neuron) = %v", got)
@@ -314,7 +336,7 @@ func TestSelectSourcesWithDescendants(t *testing.T) {
 		t.Errorf("exact SelectSources = %v", got)
 	}
 	// Conjunctive selection: only ncmir has anchors at both concepts.
-	ix.Register("ncmir", "spine", term.Atom("p2"))
+	f.anchor("ncmir", "spine", "p2")
 	got = ix.SelectSourcesAll(dm, []string{"spiny_neuron", "spine"})
 	if strings.Join(got, ",") != "ncmir" {
 		t.Errorf("SelectSourcesAll = %v", got)
@@ -413,14 +435,15 @@ func TestNameAndDirectSupers(t *testing.T) {
 }
 
 func TestContextIndex(t *testing.T) {
-	ix := NewIndex()
-	ix.Register("ncmir", "purkinje_cell", term.Atom("o1"))
-	ix.Register("mouselab", "purkinje_cell", term.Atom("m1"))
-	ix.RegisterContext("ncmir", "organism", term.Str("rat"))
-	ix.RegisterContext("ncmir", "organism", term.Str("mouse"))
-	ix.RegisterContext("mouselab", "organism", term.Str("mouse"))
+	f := fleet{}
+	ix := f.index()
+	f.anchor("ncmir", "purkinje_cell", "o1")
+	f.anchor("mouselab", "purkinje_cell", "m1")
+	f.context("ncmir", "organism", term.Str("rat"))
+	f.context("ncmir", "organism", term.Str("mouse"))
+	f.context("mouselab", "organism", term.Str("mouse"))
 	// Sources without any registered context pass the filter.
-	ix.Register("unknownlab", "purkinje_cell", term.Atom("u1"))
+	f.anchor("unknownlab", "purkinje_cell", "u1")
 
 	all := []string{"mouselab", "ncmir", "unknownlab"}
 	rat := ix.FilterByContext(all, "organism", term.Str("rat"))
@@ -436,12 +459,15 @@ func TestContextIndex(t *testing.T) {
 	if len(cond) != 3 {
 		t.Errorf("unknown key filter = %v", cond)
 	}
-	// Unregister clears context entries.
-	ix.Unregister("ncmir")
+	if !ix.HasContext("ncmir", "organism", term.Str("rat")) || ix.HasContext("mouselab", "organism", term.Str("rat")) {
+		t.Error("HasContext disagrees with the registered contexts")
+	}
+	// A source whose contexts are gone has no registered context at
+	// all, so it passes again.
+	f["ncmir"].contexts = nil
 	rat = ix.FilterByContext([]string{"mouselab", "ncmir"}, "organism", term.Str("rat"))
-	// ncmir now has no registered context at all, so it passes again.
 	if strings.Join(rat, ",") != "ncmir" {
-		t.Errorf("after unregister = %v", rat)
+		t.Errorf("after dropping ncmir's contexts = %v", rat)
 	}
 }
 

@@ -1,198 +1,138 @@
 package domainmap
 
 import (
-	"maps"
 	"slices"
 	"sort"
-	"sync"
 
+	"modelmed/internal/datalog"
 	"modelmed/internal/term"
 )
 
 // SemanticIndex records, per domain-map concept, which sources have data
-// anchored there and which objects. Wrappers populate it when they
-// register their conceptual models with the mediator (Section 2: "As
-// part of registering a source's CM with the mediator, the wrapper
-// creates a 'semantic index' of its data into the domain map").
+// anchored there and which objects (Section 2: "As part of registering a
+// source's CM with the mediator, the wrapper creates a 'semantic index'
+// of its data into the domain map"). It is a read-only view that stores
+// nothing: every question is answered from the anchor(Source, Obj,
+// Concept) facts and the context values its walk yields, so it cannot
+// fall out of step with them.
 type SemanticIndex struct {
-	mu sync.RWMutex
-	// byConcept: concept -> source -> object IDs.
-	byConcept map[string]map[string][]term.Term
-	// byContext: context key -> value key -> sources carrying that
-	// context value (Section 2's context attributes).
-	byContext map[string]map[string]map[string]bool
+	walk func(yield func(SourceAnchors) bool)
 }
 
-// NewIndex returns an empty semantic index.
-func NewIndex() *SemanticIndex {
-	return &SemanticIndex{
-		byConcept: make(map[string]map[string][]term.Term),
-		byContext: make(map[string]map[string]map[string]bool),
-	}
+// SourceAnchors is what the index reads of one source.
+type SourceAnchors struct {
+	Source string
+	// Anchors holds the source's anchor(Source, Obj, Concept) facts; nil
+	// when it has none.
+	Anchors *datalog.Relation
+	// Contexts maps a context attribute to the values the source carries
+	// for it (Section 2's context attributes).
+	Contexts map[string][]term.Term
 }
 
-// RegisterContext records that a source carries the given value for a
-// context attribute.
-func (ix *SemanticIndex) RegisterContext(source, key string, value term.Term) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	vk := value.Key()
-	m := ix.byContext[key]
-	if m == nil {
-		m = make(map[string]map[string]bool)
-		ix.byContext[key] = m
-	}
-	if m[vk] == nil {
-		m[vk] = make(map[string]bool)
-	}
-	m[vk][source] = true
+// NewIndex returns the index over the sources walk yields, each once,
+// until yield returns false. The walk may hold a lock while it runs:
+// yield never calls out of the index.
+func NewIndex(walk func(yield func(SourceAnchors) bool)) *SemanticIndex {
+	return &SemanticIndex{walk: walk}
 }
 
 // HasContext reports whether a source registered the given context
 // value. Sources that never registered any value for the key are
 // reported as true (unknown context does not exclude a source).
 func (ix *SemanticIndex) HasContext(source, key string, value term.Term) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	m := ix.byContext[key]
-	if m == nil {
-		return true
-	}
-	declaredAny := false
-	for _, srcs := range m {
-		if srcs[source] {
-			declaredAny = true
-			break
-		}
-	}
-	if !declaredAny {
-		return true
-	}
-	return m[value.Key()][source]
+	return len(ix.FilterByContext([]string{source}, key, value)) == 1
 }
 
 // FilterByContext keeps the sources whose registered context admits the
 // given value (sources with no registered context for the key pass).
 func (ix *SemanticIndex) FilterByContext(sources []string, key string, value term.Term) []string {
+	excluded := map[string]bool{}
+	ix.walk(func(sa SourceAnchors) bool {
+		if vals := sa.Contexts[key]; len(vals) > 0 && !slices.ContainsFunc(vals, value.Equal) {
+			excluded[sa.Source] = true
+		}
+		return true
+	})
 	out := sources[:0:0]
 	for _, s := range sources {
-		if ix.HasContext(s, key, value) {
+		if !excluded[s] {
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// Register anchors objects of a source at a concept.
-func (ix *SemanticIndex) Register(source, concept string, objects ...term.Term) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	m := ix.byConcept[concept]
-	if m == nil {
-		m = make(map[string][]term.Term)
-		ix.byConcept[concept] = m
-	}
-	m[source] = append(m[source], objects...)
-}
-
-// Unregister removes all anchors and context entries of a source (e.g.
-// on disconnect).
-func (ix *SemanticIndex) Unregister(source string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for concept, m := range ix.byConcept {
-		delete(m, source)
-		if len(m) == 0 {
-			delete(ix.byConcept, concept)
-		}
-	}
-	for key, vals := range ix.byContext {
-		for vk, srcs := range vals {
-			delete(srcs, source)
-			if len(srcs) == 0 {
-				delete(vals, vk)
-			}
-		}
-		if len(vals) == 0 {
-			delete(ix.byContext, key)
-		}
-	}
-}
-
-// Checkpoint copies the index's current state and returns a function
-// that puts it back, for a caller that changes the index over several
-// steps and must undo all of them when a later step fails. Call the
-// returned function at most once.
-func (ix *SemanticIndex) Checkpoint() (rollback func()) {
-	ix.mu.RLock()
-	byConcept := make(map[string]map[string][]term.Term, len(ix.byConcept))
-	for concept, m := range ix.byConcept {
-		srcs := make(map[string][]term.Term, len(m))
-		for source, objs := range m {
-			srcs[source] = slices.Clone(objs)
-		}
-		byConcept[concept] = srcs
-	}
-	byContext := make(map[string]map[string]map[string]bool, len(ix.byContext))
-	for key, vals := range ix.byContext {
-		vs := make(map[string]map[string]bool, len(vals))
-		for vk, srcs := range vals {
-			vs[vk] = maps.Clone(srcs)
-		}
-		byContext[key] = vs
-	}
-	ix.mu.RUnlock()
-	return func() {
-		ix.mu.Lock()
-		defer ix.mu.Unlock()
-		ix.byConcept, ix.byContext = byConcept, byContext
-	}
-}
-
 // SourcesAt returns the sources with data anchored exactly at concept,
 // sorted.
 func (ix *SemanticIndex) SourcesAt(concept string) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	m := ix.byConcept[concept]
-	out := make([]string, 0, len(m))
-	for s := range m {
-		out = append(out, s)
+	return ix.sourcesAtAny([]string{concept})
+}
+
+// sourcesAtAny returns the sources with data anchored at any of the
+// concepts, sorted.
+func (ix *SemanticIndex) sourcesAtAny(concepts []string) []string {
+	cs := make([]term.Term, len(concepts))
+	for i, c := range concepts {
+		cs[i] = term.Atom(c)
 	}
+	out := []string{}
+	ix.walk(func(sa SourceAnchors) bool {
+		if sa.Anchors != nil && slices.ContainsFunc(cs, func(c term.Term) bool { return sa.Anchors.Has(2, c) }) {
+			out = append(out, sa.Source)
+		}
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
 
 // Objects returns the objects of source anchored at concept.
 func (ix *SemanticIndex) Objects(source, concept string) []term.Term {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return append([]term.Term(nil), ix.byConcept[concept][source]...)
+	var out []term.Term
+	ix.walk(func(sa SourceAnchors) bool {
+		if sa.Source != source {
+			return true
+		}
+		if sa.Anchors != nil {
+			for _, row := range sa.Anchors.Select(2, term.Atom(concept)) {
+				out = append(out, row[1])
+			}
+		}
+		return false
+	})
+	return out
 }
 
 // Concepts returns all concepts that carry anchors, sorted.
 func (ix *SemanticIndex) Concepts() []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]string, 0, len(ix.byConcept))
-	for c := range ix.byConcept {
+	set := map[string]bool{}
+	ix.walk(func(sa SourceAnchors) bool {
+		if sa.Anchors != nil {
+			for _, row := range sa.Anchors.Rows() {
+				set[row[2].Name()] = true
+			}
+		}
+		return true
+	})
+	out := make([]string, 0, len(set))
+	for c := range set {
 		out = append(out, c)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// AnchorCount returns the total number of (source, object) anchor
-// entries.
+// AnchorCount returns the total number of (source, object, concept)
+// anchor entries.
 func (ix *SemanticIndex) AnchorCount() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	n := 0
-	for _, m := range ix.byConcept {
-		for _, objs := range m {
-			n += len(objs)
+	ix.walk(func(sa SourceAnchors) bool {
+		if sa.Anchors != nil {
+			n += sa.Anchors.Len()
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -203,22 +143,10 @@ func (ix *SemanticIndex) AnchorCount() int {
 // for the neuron/compartment pairs". A nil DomainMap restricts the match
 // to the exact concept.
 func (ix *SemanticIndex) SelectSources(dm *DomainMap, concept string) []string {
-	concepts := []string{concept}
-	if dm != nil {
-		concepts = dm.Descendants(concept)
+	if dm == nil {
+		return ix.SourcesAt(concept)
 	}
-	set := map[string]bool{}
-	for _, c := range concepts {
-		for _, s := range ix.SourcesAt(c) {
-			set[s] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	return ix.sourcesAtAny(dm.Descendants(concept))
 }
 
 // SelectSourcesAll returns the sources that have anchors at *every* one

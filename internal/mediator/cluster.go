@@ -398,7 +398,7 @@ func (m *Mediator) QueryResult(ctx context.Context, res *datalog.Result, q strin
 // parseFactsQuery parses q and gates its vocabulary; withAux admits the
 // predicates q's auxiliary rules define.
 func (m *Mediator) parseFactsQuery(q string, withAux bool) ([]datalog.BodyElem, []datalog.Rule, error) {
-	body, aux, err := parser.ParseQuery(q)
+	body, aux, err := m.parseQuery(q)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mediator: query over facts: %w", err)
 	}
@@ -406,7 +406,7 @@ func (m *Mediator) parseFactsQuery(q string, withAux bool) ([]datalog.BodyElem, 
 	if !withAux {
 		gate = nil
 	}
-	if err := m.validateVocabulary(body, gate); err != nil {
+	if err := m.ValidateVocabulary(body, gate); err != nil {
 		return nil, nil, err
 	}
 	return body, aux, nil

@@ -12,9 +12,10 @@ package mediator
 //
 // A source moves from one state to the next through exactly one
 // operation, moveSourceLocked: it folds fact and anchor changes into
-// the snapshot (refcounting facts other sources share), re-indexes the
-// source's anchors when they moved, patches the cache, sets the
-// snapshot version, counts the step and emits its one WAL record. The
+// the snapshot (refcounting facts other sources share), patches the
+// cache, sets the snapshot version, counts the step and emits its one
+// WAL record. The semantic index reads the snapshot's anchors, so a
+// move that folds anchors has moved the index too. The
 // entry points only decide whether and what to move:
 //
 //   - ApplySourceDelta (push): the caller states the change; the
@@ -54,7 +55,8 @@ type srcSnapshot struct {
 	// ruleSig fingerprints the source's semantic rules in order; a rule
 	// change cannot be patched and forces a full rebuild.
 	ruleSig []string
-	// anchors are the anchor/3 facts registered for the source.
+	// anchors are the source's anchor/3 facts in the cached
+	// materialization; the semantic index reads them.
 	anchors *datalog.Store
 	// version is the wrapper's data version at pull time (0 =
 	// unversioned; such sources are never auto-synced).
@@ -172,11 +174,11 @@ func (m *Mediator) fullRebuildLocked(rep *DeltaReport, sp *obs.Span) (*DeltaRepo
 
 // moveSourceLocked is the one operation that moves a source's
 // contribution to the cached materialization: it folds the fact and
-// anchor changes into snap, re-indexes the source's anchors when they
-// moved, patches the cache, sets snap.version to toVersion, records the
-// step, and emits its WAL record (suppressed during replay). Deletions
-// snap does not hold and additions it already holds are skipped; a
-// deleted fact another source still asserts leaves the engine alone.
+// anchor changes into snap, patches the cache, sets snap.version to
+// toVersion, records the step, and emits its WAL record (suppressed
+// during replay). Deletions snap does not hold and additions it
+// already holds are skipped; a deleted fact another source still
+// asserts leaves the engine alone.
 // The WAL record carries only the changes that took effect, so replay
 // against the same snapshot state reaches the same engine delta. A
 // failure poisons the cache. Called with evalMu and m.mu held.
@@ -197,12 +199,6 @@ func (m *Mediator) moveSourceLocked(s *Source, snap *srcSnapshot, toVersion uint
 		FactsRemoved:   len(rec.Dels),
 		AnchorsAdded:   len(rec.AnchorAdds),
 		AnchorsRemoved: len(rec.AnchorDels),
-	}
-	if rep.AnchorsAdded+rep.AnchorsRemoved > 0 {
-		if err := m.reindexAnchorsLocked(s, snap.anchors); err != nil {
-			m.dirty = true
-			return nil, fmt.Errorf("mediator: move %s: %w", s.Name, err)
-		}
 	}
 	if rep.Stats, err = m.patchCacheLocked(d, sp); err != nil {
 		return nil, err
@@ -240,28 +236,6 @@ func (m *Mediator) foldLocked(source string, st *datalog.Store, d *datalog.Delta
 		}
 	}
 	return effAdds, effDels, nil
-}
-
-// reindexAnchorsLocked rebuilds one source's semantic-index entries
-// from anchors. Unregister drops the source's contexts too, so they are
-// re-read and re-registered alongside. Called with m.mu held.
-func (m *Mediator) reindexAnchorsLocked(s *Source, anchors *datalog.Store) error {
-	contexts, err := s.W.Contexts()
-	if err != nil {
-		return fmt.Errorf("contexts: %w", err)
-	}
-	m.index.Unregister(s.Name)
-	anchors.Each(func(key string, arity int, row []term.Term) {
-		if arity == 3 {
-			m.index.Register(s.Name, row[2].Name(), row[1])
-		}
-	})
-	for key, vals := range contexts {
-		for _, v := range vals {
-			m.index.RegisterContext(s.Name, key, v)
-		}
-	}
-	return nil
 }
 
 // checkDeltaFacts refuses, as ErrBadDelta, a change to source that
@@ -305,11 +279,12 @@ func splitAnchors(facts []datalog.Rule) (rest, anchors []datalog.Rule) {
 // rules in the source's translated vocabulary (src_obj/src_val/
 // src_tuple/src_sub namespaced by the source, anchor/3 facts, or
 // global schema facts). Anchor facts move the semantic index exactly
-// as a streamed batch's anchors do. The change is applied through the
-// engine's incremental API — derived views update by
-// delete-and-rederive instead of a from-scratch run. Without a valid
-// cache it rebuilds from scratch first and then applies the stated
-// change on top (the report's Full flag notes the rebuild).
+// as a streamed batch's anchors do; they last until a rebuild from
+// scratch, which takes the anchors the wrapper reports. The change is
+// applied through the engine's incremental API — derived views update
+// by delete-and-rederive instead of a from-scratch run. Without a
+// valid cache it rebuilds from scratch first and then applies the
+// stated change on top (the report's Full flag notes the rebuild).
 func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*DeltaReport, error) {
 	sp := m.startSpan("mediator.apply_source_delta")
 	defer m.endTrace(sp)
@@ -427,37 +402,19 @@ func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaRepor
 			newSig = append(newSig, r.String())
 		}
 	}
-	if !slices.Equal(snap.ruleSig, newSig) {
-		// Semantic rules changed: the program itself is different, which
-		// the EDB delta API cannot express.
-		return m.fullRebuildLocked(rep, sp)
-	}
-	anchors, err := s.W.Anchors()
+	// The wrapper's anchor and context report replaces the registered
+	// one. Semantic rules that changed, or anchors at concepts that grew
+	// the domain map, make a different program, which the EDB delta API
+	// cannot express.
+	grew, err := m.takeReport(s)
 	if err != nil {
-		return nil, fmt.Errorf("mediator: refresh %s: anchors: %w", source, err)
+		return nil, err
 	}
-	newAnchors := datalog.NewStore()
-	unknown := false
-	for concept, objs := range anchors {
-		unknown = unknown || !m.dm.HasConcept(concept)
-		for _, obj := range objs {
-			newAnchors.Insert(PredAnchor, []term.Term{term.Atom(source), obj, term.Atom(concept)})
-		}
-	}
-	if unknown && !newAnchors.Equal(snap.anchors) {
-		// checkAnchors grows the domain map (non-strict) or refuses
-		// (strict); either way the program changes. The rebuild reads the
-		// anchors from the semantic index, so that moves first.
-		if err := m.checkAnchors(source, anchors); err != nil {
-			return nil, err
-		}
-		if err := m.reindexAnchorsLocked(s, newAnchors); err != nil {
-			return nil, fmt.Errorf("mediator: refresh %s: %w", source, err)
-		}
+	if grew || !slices.Equal(snap.ruleSig, newSig) {
 		return m.fullRebuildLocked(rep, sp)
 	}
 	adds, dels := snap.facts.Diff(newFacts)
-	anchorAdds, anchorDels := snap.anchors.Diff(newAnchors)
+	anchorAdds, anchorDels := snap.anchors.Diff(s.anchors)
 	return m.moveSourceLocked(s, snap, version, adds, dels, anchorAdds, anchorDels, sp)
 }
 

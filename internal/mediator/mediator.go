@@ -12,9 +12,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"modelmed/internal/datalog"
@@ -98,6 +100,13 @@ type Source struct {
 	Facts []datalog.Rule
 	// Caps are the declared query capabilities.
 	Caps []wrapper.Capability
+
+	// anchors (as anchor/3 facts) and contexts are what the wrapper
+	// reported at Register, the last RefreshSource or the last rebuild
+	// from scratch (takeReport); nothing else writes them. Guarded by
+	// the mediator's mu.
+	anchors  *datalog.Store
+	contexts map[string][]term.Term
 }
 
 // Mediator is the model-based mediator.
@@ -110,6 +119,9 @@ type Mediator struct {
 	srcs     map[string]*Source
 	views    []datalog.Rule
 	viewText []string
+	// auxSeq numbers the queries whose auxiliary rules join views (see
+	// parseQuery).
+	auxSeq atomic.Uint64
 
 	// evalMu orders cached-store readers against in-place patches:
 	// Query/Holds/Explain evaluate over the cached Result *outside*
@@ -170,21 +182,98 @@ func New(dm *domainmap.DomainMap, opts *Options) *Mediator {
 	if opts != nil {
 		o = *opts
 	}
-	return &Mediator{
+	m := &Mediator{
 		opts:     o,
 		dm:       dm,
-		index:    domainmap.NewIndex(),
 		registry: xmlio.NewRegistry(),
 		srcs:     make(map[string]*Source),
 		dirty:    true,
 	}
+	m.index = domainmap.NewIndex(m.walkAnchors)
+	return m
 }
 
 // DomainMap returns the mediator's domain map.
 func (m *Mediator) DomainMap() *domainmap.DomainMap { return m.dm }
 
-// Index returns the semantic index.
+// Index returns the semantic index, a view over the sources' anchor
+// facts (see walkAnchors).
 func (m *Mediator) Index() *domainmap.SemanticIndex { return m.index }
+
+// anchorKey is the store key of the anchor/3 facts.
+var anchorKey = datalog.PredKey(PredAnchor, 3)
+
+// anchorsLocked returns the anchor facts the semantic index reads for s:
+// the ones the cached materialization holds when it has a snapshot of
+// s, else the ones s registered — before the first materialization,
+// after a restore that was not adopted, and for a source the last
+// materialization dropped as down. Called with m.mu held.
+func (m *Mediator) anchorsLocked(s *Source) *datalog.Store {
+	if snap := m.snaps[s.Name]; snap != nil {
+		return snap.anchors
+	}
+	return s.anchors
+}
+
+// walkAnchors is the semantic index's walk: every registered source's
+// anchors (anchorsLocked) and contexts, under m.mu.
+func (m *Mediator) walkAnchors(yield func(domainmap.SourceAnchors) bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for name, s := range m.srcs {
+		if !yield(domainmap.SourceAnchors{Source: name, Anchors: m.anchorsLocked(s).Rel(anchorKey), Contexts: s.contexts}) {
+			return
+		}
+	}
+}
+
+// takeReport replaces s's anchors (as anchor/3 facts) and contexts
+// with what its wrapper reports now. Concepts the domain map does not
+// know grow the map (grew) or, under StrictAnchors, refuse the report
+// and leave s as it was.
+func (m *Mediator) takeReport(s *Source) (grew bool, err error) {
+	anchors, err := s.W.Anchors()
+	if err != nil {
+		return false, fmt.Errorf("mediator: source %s: anchors: %w", s.Name, err)
+	}
+	contexts, err := s.W.Contexts()
+	if err != nil {
+		return false, fmt.Errorf("mediator: source %s: contexts: %w", s.Name, err)
+	}
+	concepts := make([]string, 0, len(anchors))
+	for c := range anchors {
+		concepts = append(concepts, c)
+	}
+	sort.Strings(concepts)
+	st := datalog.NewStore()
+	var unknown []string
+	for _, concept := range concepts {
+		if !m.dm.HasConcept(concept) {
+			unknown = append(unknown, concept)
+		}
+		for _, obj := range anchors[concept] {
+			if !obj.IsGround() {
+				return false, fmt.Errorf("mediator: source %s: anchor %s at %s is not ground", s.Name, obj, concept)
+			}
+			st.Insert(PredAnchor, []term.Term{term.Atom(s.Name), obj, term.Atom(concept)})
+		}
+	}
+	if len(unknown) > 0 {
+		if m.opts.StrictAnchors {
+			return false, fmt.Errorf("mediator: source %s anchors at unknown concepts %s; register the knowledge first (RegisterKnowledge)",
+				s.Name, strings.Join(unknown, ", "))
+		}
+		var axioms []dl.Axiom
+		for _, c := range unknown {
+			axioms = append(axioms, dl.Sub(c, dl.C("thing")))
+		}
+		if err := m.dm.AddAxioms(axioms...); err != nil {
+			return false, err
+		}
+	}
+	s.anchors, s.contexts = st, contexts
+	return len(unknown) > 0, nil
+}
 
 // Registry returns the CM plug-in registry, so new formats can be
 // plugged in at runtime.
@@ -213,8 +302,9 @@ func (m *Mediator) Source(name string) (*Source, bool) {
 // Register wires a source into the mediated system (the runtime flow of
 // Figure 2): the wrapper exports CM(S) over the XML wire, the mediator
 // decodes it through the plug-in registry, records the query
-// capabilities, and anchors the source's data in the domain map,
-// updating the semantic index.
+// capabilities, and anchors the source's data in the domain map: the
+// anchor facts it stores on the source are what the semantic index
+// reads.
 func (m *Mediator) Register(w wrapper.Wrapper) error {
 	name := w.Name()
 	format, doc, err := w.ExportCM()
@@ -235,15 +325,7 @@ func (m *Mediator) Register(w wrapper.Wrapper) error {
 		}
 		src.Facts = facts
 	}
-	anchors, err := w.Anchors()
-	if err != nil {
-		return fmt.Errorf("mediator: source %s: anchors: %w", name, err)
-	}
-	contexts, err := w.Contexts()
-	if err != nil {
-		return fmt.Errorf("mediator: source %s: contexts: %w", name, err)
-	}
-	if err := m.checkAnchors(name, anchors); err != nil {
+	if _, err := m.takeReport(src); err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -256,14 +338,6 @@ func (m *Mediator) Register(w wrapper.Wrapper) error {
 		// A source joining a traced mediator reports into the live sink
 		// from its first query on.
 		cs.SetObsCounters(m.counters())
-	}
-	for concept, objs := range anchors {
-		m.index.Register(name, concept, objs...)
-	}
-	for key, vals := range contexts {
-		for _, v := range vals {
-			m.index.RegisterContext(name, key, v)
-		}
 	}
 	m.dirty = true
 	return nil
@@ -284,36 +358,11 @@ func decodeGCMX(source string, doc []byte) (*gcm.Model, error) {
 	return model, nil
 }
 
-// checkAnchors validates anchor concepts against the domain map,
-// adding unknown ones when the mediator is not strict.
-func (m *Mediator) checkAnchors(source string, anchors map[string][]term.Term) error {
-	var unknown []string
-	for concept := range anchors {
-		if !m.dm.HasConcept(concept) {
-			unknown = append(unknown, concept)
-		}
-	}
-	if len(unknown) == 0 {
-		return nil
-	}
-	sort.Strings(unknown)
-	if m.opts.StrictAnchors {
-		return fmt.Errorf("mediator: source %s anchors at unknown concepts %s; register the knowledge first (RegisterKnowledge)",
-			source, strings.Join(unknown, ", "))
-	}
-	var axioms []dl.Axiom
-	for _, c := range unknown {
-		axioms = append(axioms, dl.Sub(c, dl.C("thing")))
-	}
-	return m.dm.AddAxioms(axioms...)
-}
-
 // Unregister removes a source and its anchors.
 func (m *Mediator) Unregister(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.srcs, name)
-	m.index.Unregister(name)
 	m.dirty = true
 }
 
@@ -339,10 +388,39 @@ func (m *Mediator) DefineView(src string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	privateAux(fmt.Sprintf("v%d", len(m.viewText)), nil, rules)
 	m.views = append(m.views, rules...)
 	m.viewText = append(m.viewText, src)
 	m.dirty = true
 	return nil
+}
+
+// privateAux renames the auxiliary predicates of one parse (see
+// parser.AuxPrefix) apart from every other parse's, suffixing tag in the
+// body and the rules alike.
+func privateAux(tag string, body []datalog.BodyElem, rules []datalog.Rule) {
+	for i, e := range body {
+		if l, ok := e.(datalog.Literal); ok && strings.HasPrefix(l.Pred, parser.AuxPrefix) {
+			l.Pred += "_" + tag
+			body[i] = l
+		}
+	}
+	for i := range rules {
+		if strings.HasPrefix(rules[i].Head.Pred, parser.AuxPrefix) {
+			rules[i].Head.Pred += "_" + tag
+		}
+		privateAux(tag, rules[i].Body, nil)
+	}
+}
+
+// parseQuery parses q with auxiliary predicates private to this call,
+// so they cannot be read as a view's or a concurrent query's.
+func (m *Mediator) parseQuery(q string) ([]datalog.BodyElem, []datalog.Rule, error) {
+	body, aux, err := parser.ParseQuery(q)
+	if err == nil && len(aux) > 0 {
+		privateAux(fmt.Sprintf("q%d", m.auxSeq.Add(1)), body, aux)
+	}
+	return body, aux, err
 }
 
 // Views returns the registered view texts.
@@ -379,21 +457,27 @@ func (m *Mediator) QueryCtx(ctx context.Context, q string, vars ...string) (*Ans
 	sp := m.startSpan("mediator.query")
 	defer m.endTrace(sp)
 	psp := sp.Child("parse")
-	body, aux, err := parser.ParseQuery(q)
+	body, aux, err := m.parseQuery(q)
 	psp.End()
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query: %w", err)
 	}
 	if len(aux) > 0 {
 		// Negated groups need their auxiliary rules evaluated with the
-		// program; register them transiently.
+		// program; register them transiently. Their names are this
+		// query's own, so removing them leaves every other query's.
 		m.mu.Lock()
 		m.views = append(m.views, aux...)
 		m.dirty = true
 		m.mu.Unlock()
+		own := map[string]bool{}
+		for _, r := range aux {
+			own[r.Head.Pred] = true
+		}
 		defer func() {
 			m.mu.Lock()
-			m.views = m.views[:len(m.views)-len(aux)]
+			// A fresh slice: ExecutePlan reads the one it saw unlocked.
+			m.views = slices.DeleteFunc(slices.Clone(m.views), func(r datalog.Rule) bool { return own[r.Head.Pred] })
 			m.dirty = true
 			m.mu.Unlock()
 		}()
@@ -507,6 +591,26 @@ func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	srcs := m.sortedSources()
+	// Wrapper data versions are read before the pull: a mutation racing
+	// the fan-out leaves the recorded version behind the wrapper's, so
+	// the next SyncSources re-pulls and converges.
+	versions := make([]uint64, len(srcs))
+	for i, s := range srcs {
+		if v, ok := s.W.(wrapper.Versioned); ok {
+			versions[i] = v.DataVersion()
+		}
+	}
+	// Anchors and contexts are the wrappers' current reports, as a
+	// refresh takes them: an anchor a stream moved survives the
+	// rebuild, a pushed one the wrapper never reported does not. Read
+	// before the program is built, since an unknown concept grows the
+	// domain map.
+	for _, s := range srcs {
+		if _, err := m.takeReport(s); err != nil {
+			return nil, err
+		}
+	}
 	e, err := m.newProgramEngineLocked(sp)
 	if err != nil {
 		return nil, err
@@ -520,16 +624,6 @@ func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalo
 	// sources that stay down are dropped from the program instead of
 	// failing it.
 	g := m.newGuardCtx(ctx)
-	srcs := m.sortedSources()
-	// Wrapper data versions are read before the pull: a mutation racing
-	// the fan-out leaves the recorded version behind the wrapper's, so
-	// the next SyncSources re-pulls and converges.
-	versions := make([]uint64, len(srcs))
-	for i, s := range srcs {
-		if v, ok := s.W.(wrapper.Versioned); ok {
-			versions[i] = v.DataVersion()
-		}
-	}
 	fsp := sp.Child("sources")
 	factSets, errs := translateSources(g, srcs, fsp)
 	if err := ctx.Err(); err != nil {
@@ -568,27 +662,14 @@ func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalo
 			}
 			snap.ruleSig = append(snap.ruleSig, r.String())
 		}
+		// A down source skipped above contributes no anchors either, so
+		// they cannot dangle into the answer.
+		snap.anchors = s.anchors.Clone()
+		e.SeedEDB(snap.anchors)
 		snaps[s.Name] = snap
 	}
 	g.annotate(fsp)
 	fsp.End()
-	for _, concept := range m.index.Concepts() {
-		for _, src := range m.index.SourcesAt(concept) {
-			if failed[src] {
-				// A down source contributes no facts, so its anchors
-				// must not dangle into the answer either.
-				continue
-			}
-			for _, obj := range m.index.Objects(src, concept) {
-				if err := e.AddFact(PredAnchor, term.Atom(src), obj, term.Atom(concept)); err != nil {
-					return nil, err
-				}
-				if snap := snaps[src]; snap != nil {
-					snap.anchors.Insert(PredAnchor, []term.Term{term.Atom(src), obj, term.Atom(concept)})
-				}
-			}
-		}
-	}
 	// RunCtx makes the request deadline real inside the fixpoint: the
 	// budget/context checks run once per round plus every few thousand
 	// derived facts, so a cancelled or over-budget materialization stops

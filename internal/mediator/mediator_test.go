@@ -1,9 +1,12 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"modelmed/internal/dl"
@@ -1040,5 +1043,84 @@ func TestDistributionDOT(t *testing.T) {
 	}
 	if !strings.Contains(dot, "lightgoldenrod") {
 		t.Error("nodes with direct data should be highlighted")
+	}
+}
+
+// TestNegatedQueryBesideNegatedView: every parse names its negated
+// groups $not1, $not2, …; a query's must not be read as a view's.
+func TestNegatedQueryBesideNegatedView(t *testing.T) {
+	m := newNeuroMediator(t, 6, 4, 4)
+	if err := m.DefineView(`ncm_rest(O, C) :- src_obj('NCMIR', O, C), not (src_obj('NCMIR', O, C), C = protein).`); err != nil {
+		t.Fatal(err)
+	}
+	const q = `src_obj('NCMIR', O, C), not (src_obj('NCMIR', O, C), C = protein_amount)`
+	for _, route := range []struct {
+		name string
+		run  func() (*Answer, error)
+	}{
+		{"query", func() (*Answer, error) { return m.Query(q) }},
+		{"planned", func() (*Answer, error) {
+			ans, _, err := m.PlannedQuery(q)
+			return ans, err
+		}},
+		{"over facts", func() (*Answer, error) {
+			dumps, err := m.FactsDump(context.Background())
+			if err != nil {
+				return nil, err
+			}
+			return m.QueryOverFacts(context.Background(), dumps, q, nil)
+		}},
+	} {
+		ans, err := route.run()
+		if err != nil {
+			t.Fatalf("%s: %v", route.name, err)
+		}
+		if len(ans.Rows) != 7 {
+			t.Errorf("%s: negated query beside a negated view: %d rows, want 7", route.name, len(ans.Rows))
+		}
+	}
+}
+
+// TestConcurrentNegatedQueries: concurrent queries with different
+// negated groups each get their own answer.
+func TestConcurrentNegatedQueries(t *testing.T) {
+	m := newNeuroMediator(t, 6, 4, 4)
+	queries := []string{
+		`src_obj('SYNAPSE', O, C), not (src_val('SYNAPSE', O, location, L), L = spine)`,
+		`src_obj('SYNAPSE', O, C), not (src_val('SYNAPSE', O, location, L), L = dendrite)`,
+	}
+	want := make([]int, len(queries))
+	for i, q := range queries {
+		ans, err := m.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = len(ans.Rows)
+	}
+	if want[0] == want[1] {
+		t.Fatalf("the two queries should differ, both give %d rows", want[0])
+	}
+	var wg sync.WaitGroup
+	var wrong atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(queries)
+				ans, err := m.Query(queries[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(ans.Rows) != want[k] {
+					wrong.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := wrong.Load(); n > 0 {
+		t.Errorf("%d of 200 concurrent answers were another query's", n)
 	}
 }

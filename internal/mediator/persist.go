@@ -25,7 +25,8 @@ package mediator
 //     source-level change; replay runs it through the same move
 //     operation (moveSourceLocked) the live path ran, against the same
 //     snapshot state, so the engine-level delta — and hence the patched
-//     store and the semantic index — comes out identical.
+//     store and the snapshot anchors the semantic index reads — comes
+//     out identical.
 //  4. Idempotence: replaying a change that the snapshot already
 //     contains (possible when a crash lands between snapshot rotation
 //     and WAL reset) no-ops at the source-fact level, so recovery
@@ -164,8 +165,9 @@ func (m *Mediator) SaveSnapshotTo(db *persist.DB) error {
 type RestoreReport struct {
 	// Restored reports whether the cache was adopted from disk. When
 	// false, Reason says why and the mediator is untouched (its cache
-	// invalidated, if replay failed midway; its semantic index as it
-	// was) — the caller falls back to a normal Materialize.
+	// dropped, if replay failed midway, so the semantic index reads the
+	// registered anchors again) — the caller falls back to a normal
+	// Materialize.
 	Restored bool
 	Reason   string
 	// Replayed counts WAL records applied on top of the snapshot.
@@ -199,12 +201,7 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 	defer m.evalMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Adopting the snapshot and replaying the WAL both move the semantic
-	// index; a restore that is not adopted puts it back for the caller's
-	// cold Materialize, which reads its anchors from the index.
-	rollbackIndex := m.index.Checkpoint()
 	if err := m.restoreStateLocked(snap, sp); err != nil {
-		rollbackIndex()
 		rep.Reason = err.Error()
 		sp.SetStr("outcome", "rejected")
 		return rep
@@ -221,8 +218,8 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 	if rerr != nil {
 		// A Full-rebuild marker or a failed patch: the log cannot
 		// reproduce the dying process's state. Drop the half-restored
-		// cache wholesale.
-		rollbackIndex()
+		// cache wholesale; with no snapshots left, the semantic index
+		// reads the registered anchors again.
 		m.dirty = true
 		m.cache, m.cacheEngine, m.snaps = nil, nil, nil
 		rep.Restored = false
@@ -281,11 +278,8 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 		}
 		e.SeedEDB(st.Facts)
 		e.SeedEDB(st.Anchors)
-		// The semantic index follows the adopted anchors, not the ones the
-		// wrapper reported at registration.
-		if err := m.reindexAnchorsLocked(s, st.Anchors); err != nil {
-			return fmt.Errorf("mediator: restore %s: %w", st.Name, err)
-		}
+		// Once adopted, these anchors are the ones the semantic index
+		// reads, not the ones the wrapper reported at registration.
 		snaps[st.Name] = &srcSnapshot{
 			facts:   st.Facts,
 			ruleSig: st.RuleSig,
@@ -304,7 +298,7 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 // replayDeltaLocked re-applies one logged move through the same
 // operation that made it, against the same snapshot state, so the
 // same dedup and shared-fact refcounting decide the engine-level delta
-// and moved anchors re-enter the semantic index. Called with evalMu
+// and the snapshot anchors the semantic index reads. Called with evalMu
 // and m.mu held.
 func (m *Mediator) replayDeltaLocked(rec *persist.WALRecord, sp *obs.Span) error {
 	if rec.Full {

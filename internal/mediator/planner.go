@@ -13,7 +13,6 @@ import (
 	"modelmed/internal/flogic"
 	"modelmed/internal/gcm"
 	"modelmed/internal/obs"
-	"modelmed/internal/parser"
 	"modelmed/internal/term"
 	"modelmed/internal/wrapper"
 )
@@ -128,11 +127,11 @@ func (m *Mediator) conceptDomains(body []datalog.BodyElem) map[string][]string {
 // untrusted clients, and an unknown predicate would otherwise evaluate
 // silently to the empty answer.
 func (m *Mediator) Plan(q string) (*QueryPlan, error) {
-	body, aux, err := parser.ParseQuery(q)
+	body, aux, err := m.parseQuery(q)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: plan: %w", err)
 	}
-	if err := m.validateVocabulary(body, aux); err != nil {
+	if err := m.ValidateVocabulary(body, aux); err != nil {
 		return nil, err
 	}
 	p := &QueryPlan{Body: body, Aux: aux}
@@ -311,15 +310,16 @@ func (m *Mediator) derivedHeads(aux []datalog.Rule) map[string]bool {
 	return out
 }
 
-// validateVocabulary rejects body predicates outside the mediated
-// vocabulary, the registered view heads, and the query's auxiliary
-// rules — the untrusted-input gate in front of Plan/ExecutePlan.
 // ErrUnknownPredicate marks vocabulary rejections, so callers feeding
-// Plan from untrusted input (the serving layer) can classify them as
+// the mediator untrusted input (the serving layer) can classify them as
 // client errors.
 var ErrUnknownPredicate = errors.New("unknown predicate")
 
-func (m *Mediator) validateVocabulary(body []datalog.BodyElem, aux []datalog.Rule) error {
+// ValidateVocabulary rejects body predicates outside the mediated
+// vocabulary, the registered view heads, and the query's auxiliary
+// rules — the untrusted-input gate in front of Plan/ExecutePlan and of
+// a served query.
+func (m *Mediator) ValidateVocabulary(body []datalog.BodyElem, aux []datalog.Rule) error {
 	heads := m.derivedHeads(aux)
 	var bad []string
 	seen := map[string]bool{}
@@ -661,10 +661,9 @@ func (m *Mediator) ExecutePlanCtx(ctx context.Context, p *QueryPlan, vars []stri
 			fsp.End()
 			return nil, err
 		}
-		if err := m.loadAnchorFacts(e, s.Name); err != nil {
-			fsp.End()
-			return nil, err
-		}
+		m.mu.Lock()
+		e.SeedEDB(m.anchorsLocked(s))
+		m.mu.Unlock()
 		p.tracef("loaded source %s fully", s.Name)
 	}
 	g.annotate(fsp)
@@ -796,18 +795,6 @@ func modelMethod(m *gcm.Model, class, method string) (gcm.MethodSig, bool) {
 		return gcm.MethodSig{}, false
 	}
 	return walk(class)
-}
-
-// loadAnchorFacts emits anchor facts for one fully loaded source.
-func (m *Mediator) loadAnchorFacts(e *datalog.Engine, source string) error {
-	for _, concept := range m.index.Concepts() {
-		for _, obj := range m.index.Objects(source, concept) {
-			if err := e.AddFact(PredAnchor, term.Atom(source), obj, term.Atom(concept)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // defaultVars extracts the output variables of a body in order of first

@@ -124,6 +124,11 @@ func recoverParse(err *error) {
 	}
 }
 
+// AuxPrefix starts the name of every auxiliary predicate a negated
+// conjunction folds into: $not1, $not2, … in each parse, so callers that
+// combine several parses must rename them apart.
+const AuxPrefix = "$not"
+
 type parser struct {
 	toks   []token
 	idx    int
@@ -271,7 +276,7 @@ func (p *parser) parseClauseBody() ([]datalog.BodyElem, []datalog.Rule, error) {
 			}
 		}
 		p.auxN++
-		pred := "$not" + strconv.Itoa(p.auxN)
+		pred := AuxPrefix + strconv.Itoa(p.auxN)
 		aux = append(aux, datalog.Rule{Head: datalog.Lit(pred, shared...), Body: it.neg})
 		nl := datalog.Lit(pred, shared...)
 		nl.Neg = true

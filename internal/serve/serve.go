@@ -330,19 +330,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return cached{}, err
 		}
 		defer s.adm.release()
-		// Plan under the admission slot: it validates the vocabulary
-		// (unknown predicates are client errors, not empty answers) and
-		// drives the planned execution path.
-		plan, err := s.med.Plan(req.Query)
-		if err != nil {
-			return cached{}, err
-		}
+		// Unknown predicates are client errors, not empty answers: Plan
+		// checks the vocabulary on the planned path, ValidateVocabulary
+		// on the parse already in hand otherwise.
 		if req.Planned {
+			plan, err := s.med.Plan(req.Query)
+			if err != nil {
+				return cached{}, err
+			}
 			ans, err := s.med.ExecutePlanCtx(ctx, plan, req.Vars)
 			if err != nil {
 				return cached{}, err
 			}
 			return cached{Ans: ans, PlanTrace: plan.Trace}, nil
+		}
+		if err := s.med.ValidateVocabulary(body, aux); err != nil {
+			return cached{}, err
 		}
 		ans, err := s.med.QueryCtx(ctx, req.Query, req.Vars...)
 		if err != nil {

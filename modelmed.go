@@ -16,7 +16,7 @@
 //	dm  := modelmed.NewDomainMap("ANATOM")            // or sources.NeuroDM()
 //	med := modelmed.NewMediator(dm, nil)
 //	w, _ := modelmed.WrapModel(model)                 // wrap a conceptual model
-//	med.Register(w)                                   // XML wire + semantic index
+//	med.Register(w)                                   // XML wire + anchor facts
 //	med.DefineView(`v(X) :- src_obj(S, X, C).`)       // integrated views
 //	ans, _ := med.Query(`v(X)`)                       // conceptual-level queries
 //
@@ -59,7 +59,8 @@ type (
 
 	// DomainMap is a concept/role graph with DL semantics.
 	DomainMap = domainmap.DomainMap
-	// SemanticIndex maps concepts to the sources anchored there.
+	// SemanticIndex maps concepts to the sources anchored there: a
+	// read-only view over the sources' anchor/3 facts.
 	SemanticIndex = domainmap.SemanticIndex
 
 	// Model is a conceptual model CM(S).
