@@ -88,7 +88,7 @@ bench-persist:
 # all race-enabled.
 persist-smoke:
 	$(GO) test -race -short -count=1 ./internal/persist
-	$(GO) test -race -count=1 -run 'WarmRestore|RestoreRejections|RestoreFullMarker|SnapshotState|ReplayIdempotence|ReplayReindexes|SourceRoutesAgree' ./internal/mediator
+	$(GO) test -race -count=1 -run 'WarmRestore|RestoreRejections|RestoreFullMarker|SnapshotState|ReplayIdempotence|ReplayReindexes|SourceRoutesAgree|ReadMovesNoState' ./internal/mediator
 	$(GO) test -race -count=1 -run 'DeltaDuringDrain' ./internal/serve
 	$(GO) test -race -count=1 -run 'DaemonWarmRestart|DaemonCrashMidStream' ./cmd/medd
 

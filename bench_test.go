@@ -733,3 +733,46 @@ func BenchmarkApplySourceDelta(b *testing.B) {
 		}
 	}
 }
+
+// --- The read path: a query with a negated group ---
+
+// BenchmarkNegatedQuery reads a materialized 10x federation: a plain
+// join, the same join with a negated group (its auxiliary rule runs in
+// a per-query layer over the cached result), and the plain join timed
+// right after a negated one, which must find the cache it left.
+func BenchmarkNegatedQuery(b *testing.B) {
+	const (
+		plain   = `src_obj('NCMIR', O, C)`
+		negated = `src_obj('NCMIR', O, C), not (src_obj('NCMIR', O, C), C = protein)`
+	)
+	m := newScenario(b, 300, 600, 200)
+	if _, err := m.Materialize(); err != nil {
+		b.Fatal(err)
+	}
+	query := func(b *testing.B, q string) {
+		if _, err := m.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("plain", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			query(b, plain)
+		}
+	})
+	b.Run("negated", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			query(b, negated)
+		}
+	})
+	b.Run("plain_after_negated", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			query(b, negated)
+			b.StartTimer()
+			query(b, plain)
+		}
+	})
+}

@@ -258,6 +258,10 @@ func runDifferential(t *testing.T, assign [][]string, extras map[string]wrapper.
 	// A full gather: it re-ships every stale dump and moves the replica.
 	gather := serve.QueryRequest{Query: `protein_distribution(Root, P, Org, T, N)`,
 		Vars: []string{"Root", "P", "Org", "T", "N"}, NoCache: true}
+	// A full negated gather: the replica answers it through a per-query
+	// layer of its auxiliary rule.
+	negated := serve.QueryRequest{Query: `src_obj(S, O, D), not (src_val(S, O, organism, "rat"), anchor(S, O, C))`,
+		Vars: []string{"S", "O", "D"}, NoCache: true}
 	query := func(label string, req serve.QueryRequest) {
 		t.Helper()
 		resp, status := routerQuery(t, c.base(), req)
@@ -290,6 +294,7 @@ func runDifferential(t *testing.T, assign [][]string, extras map[string]wrapper.
 				}
 				applyReferenceDelta(t, ref, d)
 				query(label+" after delta", gather)
+				query(label+" negated after delta", negated)
 				continue
 			}
 			query(label, pool[r.Intn(len(pool))])

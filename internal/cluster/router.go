@@ -243,11 +243,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case ModeReplicated:
 		resp, status, err = rt.replicatedQuery(ctx, &req)
 	case ModeSources:
-		resp, status, err = rt.sourcesQuery(ctx, apiKey, &req, &dec, aux)
+		resp, status, err = rt.sourcesQuery(ctx, apiKey, &req, &dec)
 	case ModeScatter:
 		resp, status, err = rt.scatterQuery(ctx, apiKey, &req)
 	default:
-		resp, status, err = rt.gatherQuery(ctx, &req, &dec, aux, rt.man.Shards())
+		resp, status, err = rt.gatherQuery(ctx, &req, &dec, rt.man.Shards())
 	}
 	if err != nil {
 		rt.ctr.Add("router.query_errors", 1)
@@ -287,7 +287,7 @@ func (rt *Router) replicatedQuery(ctx context.Context, req *serve.QueryRequest) 
 // one shard owns them all, restricted gather when they span shards.
 // Sources no shard owns contribute no facts anywhere, matching what an
 // unregistered source yields on a single mediator.
-func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, dec *Decomposition, aux []datalog.Rule) (*QueryResponse, int, error) {
+func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, dec *Decomposition) (*QueryResponse, int, error) {
 	owners := map[*Shard]bool{}
 	for _, src := range dec.Sources {
 		if sh, ok := rt.man.Owner(src); ok {
@@ -312,7 +312,7 @@ func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.Qu
 		shards = append(shards, sh)
 	}
 	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
-	return rt.gatherQuery(ctx, req, dec, aux, shards)
+	return rt.gatherQuery(ctx, req, dec, shards)
 }
 
 // proxyQuery forwards the request verbatim to one shard.
@@ -412,12 +412,11 @@ func (rt *Router) scatterQuery(ctx context.Context, apiKey string, req *serve.Qu
 
 // gatherQuery evaluates the query at the router over the replicated
 // static knowledge and the given shards' fact dumps, re-shipping the
-// dumps a delta made stale. Over every shard, with no shard missing and
-// no auxiliary rules, it reads the materialised replica, moved forward
-// to the dumps first; otherwise (a restricted or partial gather, or a
-// query that needs its auxiliary rules in the program) it evaluates
-// over a one-off build of the same parsed dumps.
-func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec *Decomposition, aux []datalog.Rule, shards []*Shard) (*QueryResponse, int, error) {
+// dumps a delta made stale. Over every shard, with no shard missing, it
+// reads the materialised replica, moved forward to the dumps first;
+// otherwise (a restricted or partial gather) it evaluates over a
+// one-off build of the same parsed dumps.
+func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec *Decomposition, shards []*Shard) (*QueryResponse, int, error) {
 	got := make([]gathered, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
@@ -470,7 +469,7 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 	}
 	var ans *mediator.Answer
 	var err error
-	if !resp.Partial && len(aux) == 0 && len(shards) == len(rt.man.Shards()) {
+	if !resp.Partial && len(shards) == len(rt.man.Shards()) {
 		ans, err = rt.replicaQuery(ctx, req, shards)
 	} else {
 		ans, err = rt.rep.QueryOverParsed(ctx, all, req.Query, req.Vars)

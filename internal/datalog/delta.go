@@ -115,8 +115,7 @@ type DeltaStats struct {
 // built on a clone, so readers of prev (a mediator serving queries from
 // its cache) stay consistent while the update runs. With a usable prev
 // and a stratified program the update is incremental; otherwise the
-// engine re-runs from scratch (DeltaStats.Full). The EDB changes stick
-// either way.
+// engine re-runs from scratch (DeltaStats.Full).
 func (e *Engine) ApplyDelta(prev *Result, d *Delta) (*Result, error) {
 	return e.ApplyDeltaCtx(context.Background(), prev, d)
 }
@@ -125,10 +124,9 @@ func (e *Engine) ApplyDelta(prev *Result, d *Delta) (*Result, error) {
 // engine's Limits: the DRed overdeletion and insertion waves and any
 // recomputed strata charge the same gas meter as a full run, so a
 // hostile or oversized delta degrades into a typed error instead of an
-// unbounded patch. The EDB changes stick even on error; the previous
-// result is never mutated, and a failed patch leaves the caller free to
-// fall back to a full rebuild.
-func (e *Engine) ApplyDeltaCtx(ctx context.Context, prev *Result, d *Delta) (*Result, error) {
+// unbounded patch. A failed update takes its EDB changes back, so the
+// engine and prev still agree and the caller may go on from prev.
+func (e *Engine) ApplyDeltaCtx(ctx context.Context, prev *Result, d *Delta) (res *Result, err error) {
 	if d == nil {
 		d = NewDelta()
 	}
@@ -146,6 +144,13 @@ func (e *Engine) ApplyDeltaCtx(ctx context.Context, prev *Result, d *Delta) (*Re
 	})
 	stats.AddsApplied = effAdds.Size()
 	stats.DelsApplied = effDels.Size()
+	defer func() {
+		if err != nil {
+			res = nil
+			effAdds.EachIDs(func(key string, _ int, row []uint32) { e.edb.DeleteKeyIDs(key, row) })
+			effDels.EachIDs(func(key string, arity int, row []uint32) { e.edb.InsertKeyIDs(key, arity, row) })
+		}
+	}()
 
 	if prev == nil || prev.Store == nil || !prev.Stratified || prev.Undefined != nil || e.opts.Naive {
 		return e.deltaFullRun(ctx, stats)

@@ -3,6 +3,7 @@ package datalog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"modelmed/internal/obs"
@@ -144,6 +145,42 @@ func (e *Engine) SeedEDB(s *Store) { s.MergeInto(e.edb) }
 // snapshot format does not).
 func (e *Engine) Restore(store *Store) *Result {
 	return &Result{Store: store, Stratified: true, eng: e}
+}
+
+// Extend evaluates rules over r's store as a read-only base and returns
+// a result whose store layers the relations they derive over that base:
+// the per-query layer of one query's auxiliary rules. Every rule head
+// must be a predicate the base neither holds nor derives, and the base
+// must have no undefined atoms. The rules run stratified, under ctx and
+// the Limits of the engine that produced r. Extend writes nothing of r,
+// so concurrent readers of r may each extend it.
+func (r *Result) Extend(ctx context.Context, rules []Rule) (*Result, error) {
+	if r.Undefined != nil && r.Undefined.Size() > 0 {
+		return nil, fmt.Errorf("datalog: extend: the base has undefined atoms")
+	}
+	e := NewEngine(nil)
+	if r.eng != nil {
+		e.opts = r.eng.opts
+		e.opts.Trace, e.opts.Counters = nil, nil
+	}
+	for _, rule := range rules {
+		h := rule.Head
+		derived := r.eng != nil && slices.ContainsFunc(r.eng.rules, func(b Rule) bool {
+			return b.Head.Pred == h.Pred && len(b.Head.Args) == len(h.Args)
+		})
+		if derived || r.Store.Rel(h.Key()) != nil {
+			return nil, fmt.Errorf("datalog: extend: %s is a predicate of the base", h.Key())
+		}
+	}
+	if err := e.AddRules(rules...); err != nil {
+		return nil, err
+	}
+	e.edb = r.Store.layer()
+	p := e.plan()
+	if !p.stratified || p.aggCycle {
+		return nil, fmt.Errorf("datalog: extend: %w", ErrNotStratified)
+	}
+	return e.runStratified(p, newLimiter(ctx, e.opts.Limits), nil)
 }
 
 // SetObs retargets the engine's trace span and counters. Long-lived

@@ -794,15 +794,23 @@ func (s *Store) Clone() *Store {
 	if s.cow == nil {
 		s.cow = make(map[string]struct{}, len(s.rels))
 	}
-	c := &Store{
-		rels: maps.Clone(s.rels),
-		cow:  make(map[string]struct{}, len(s.rels)),
-	}
-	if c.rels == nil {
-		c.rels = make(map[string]*Relation)
-	}
 	for k := range s.rels {
 		s.cow[k] = struct{}{}
+	}
+	return s.layer()
+}
+
+// layer returns a store that reads every relation of s and clones one
+// before its first write, as the clone side of Clone does. Unlike
+// Clone it writes nothing of s, so concurrent readers of s may each
+// take a layer; s itself must not be mutated while a layer is in use.
+func (s *Store) layer() *Store {
+	c := &Store{
+		rels: make(map[string]*Relation, len(s.rels)),
+		cow:  make(map[string]struct{}, len(s.rels)),
+	}
+	for k, r := range s.rels {
+		c.rels[k] = r
 		c.cow[k] = struct{}{}
 	}
 	return c

@@ -19,7 +19,8 @@ package mediator
 //     rules, registered views) and a set of dumps: parse, build, query.
 //     The caller's mediator typically has no sources registered at all:
 //     it is the replicated-knowledge evaluator of a router, fed entirely
-//     by shard dumps. QueryOverParsed is the same over parsed dumps.
+//     by shard dumps. QueryOverParsed is the same over parsed dumps; a
+//     router uses it for restricted and partial gathers.
 //
 //   - MoveFactBase keeps such a build alive across dumps: a FactBase is
 //     patched with one ApplyDelta on the lines that changed, so a router
@@ -84,7 +85,7 @@ func (m *Mediator) FactsDump(ctx context.Context) ([]SourceDump, error) {
 	out := make([]SourceDump, 0, len(names))
 	for _, n := range names {
 		snap := m.snaps[n]
-		d := SourceDump{Source: n, Rules: append([]string(nil), snap.ruleSig...)}
+		d := SourceDump{Source: n, Rules: ruleSig(snap.rules)}
 		snap.facts.Each(func(key string, arity int, row []term.Term) {
 			d.Facts = append(d.Facts, datalog.Fact(datalog.PredName(key), row...).String())
 		})
@@ -205,21 +206,18 @@ func diffSection(old, cur dumpSection, fn func(h datalog.Literal, add bool)) {
 
 // buildOverFacts is the one way dumps become an engine and a result:
 // this mediator's static rule program (axioms, bridge, domain map,
-// closure rules, views — no registered sources are consulted), extra,
-// each dump's semantic rules, and its facts and anchors as EDB facts.
+// closure rules, views — no registered sources are consulted), each
+// dump's semantic rules, and its facts and anchors as EDB facts.
 // The dumps must have been produced against the same domain map and
 // view set, or answers can diverge from what the dumping mediators
 // would say. With refs non-nil it also counts, per fact, the dump lines
 // that hold it.
-func (m *Mediator) buildOverFacts(ctx context.Context, dumps []*ParsedDump, extra []datalog.Rule, refs map[string]int32) (*datalog.Engine, *datalog.Result, error) {
+func (m *Mediator) buildOverFacts(ctx context.Context, dumps []*ParsedDump, refs map[string]int32) (*datalog.Engine, *datalog.Result, error) {
 	m.mu.Lock()
 	e, err := m.newProgramEngineLocked(nil)
 	m.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := e.AddRules(extra...); err != nil {
-		return nil, nil, fmt.Errorf("mediator: build over facts: %w", err)
 	}
 	for _, d := range dumps {
 		if err := e.AddRules(d.rules...); err != nil {
@@ -292,7 +290,7 @@ func (m *Mediator) MoveFactBase(ctx context.Context, fb *FactBase, dumps []*Pars
 		}
 	}
 	refs := map[string]int32{}
-	e, res, err := m.buildOverFacts(ctx, dumps, nil, refs)
+	e, res, err := m.buildOverFacts(ctx, dumps, refs)
 	if err != nil {
 		return nil, false, err
 	}
@@ -371,52 +369,46 @@ func (m *Mediator) QueryOverFacts(ctx context.Context, dumps []SourceDump, q str
 
 // QueryOverParsed is QueryOverFacts over dumps already parsed.
 func (m *Mediator) QueryOverParsed(ctx context.Context, dumps []*ParsedDump, q string, vars []string) (*Answer, error) {
-	body, aux, err := m.parseFactsQuery(q, true)
+	body, aux, err := m.parseFactsQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	_, res, err := m.buildOverFacts(ctx, dumps, aux, nil)
+	_, res, err := m.buildOverFacts(ctx, dumps, nil)
 	if err != nil {
 		return nil, err
 	}
-	return answerOver(ctx, res, body, vars)
+	return answerOver(ctx, res, body, aux, vars)
 }
 
 // QueryResult evaluates q over res, a FactBase's result, behind the same
-// vocabulary gate as QueryOverFacts. res's program holds no query-local
-// rules, so the gate checks q without them: a negated conjunction's
-// auxiliary predicate is an ErrUnknownPredicate here. Evaluate such a
-// query with QueryOverParsed.
+// vocabulary gate as QueryOverFacts. A negated conjunction's auxiliary
+// rules run in a layer over res that is dropped with the answer (see
+// queryResult), so res is only read.
 func (m *Mediator) QueryResult(ctx context.Context, res *datalog.Result, q string, vars []string) (*Answer, error) {
-	body, _, err := m.parseFactsQuery(q, false)
+	body, aux, err := m.parseFactsQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	return answerOver(ctx, res, body, vars)
+	return answerOver(ctx, res, body, aux, vars)
 }
 
-// parseFactsQuery parses q and gates its vocabulary; withAux admits the
-// predicates q's auxiliary rules define.
-func (m *Mediator) parseFactsQuery(q string, withAux bool) ([]datalog.BodyElem, []datalog.Rule, error) {
-	body, aux, err := m.parseQuery(q)
+// parseFactsQuery parses q and gates its vocabulary.
+func (m *Mediator) parseFactsQuery(q string) ([]datalog.BodyElem, []datalog.Rule, error) {
+	body, aux, err := parser.ParseQuery(q)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mediator: query over facts: %w", err)
 	}
-	gate := aux
-	if !withAux {
-		gate = nil
-	}
-	if err := m.ValidateVocabulary(body, gate); err != nil {
+	if err := m.ValidateVocabulary(body, aux); err != nil {
 		return nil, nil, err
 	}
 	return body, aux, nil
 }
 
-func answerOver(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, vars []string) (*Answer, error) {
+func answerOver(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*Answer, error) {
 	if len(vars) == 0 {
 		vars = defaultVars(body)
 	}
-	rows, err := res.QueryCtx(ctx, body, vars)
+	rows, err := queryResult(ctx, res, body, aux, vars)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query over facts: %w", err)
 	}

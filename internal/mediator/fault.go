@@ -543,89 +543,57 @@ func cancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// guardedSourceFacts renders one source's data for the materialized
-// program. Without a guard (or for snapshot-only sources) it translates
-// the registration snapshot exactly like sourceFacts. With a guard and
-// a live wrapper it *re-pulls the instance data through the wrapper* —
-// schema facts, subclass facts and semantic rules still come from the
-// registered CM(S), but objects and tuples are fetched per class and
-// per relation under the deadline/retry/breaker policy, so a flaking
-// source is retried and a dead one degrades instead of serving stale
-// registration-time state. The emitted fact set is identical to the
-// snapshot translation when the source answers (the engine's store has
-// set semantics, so retried pulls cannot duplicate src_* facts).
+// guardedSourceFacts is the pull of readSource: it renders one source's
+// data for the materialized program. Without a guard (or for
+// fact-level sources) it translates the exported CM(S) (sourceFacts).
+// With a guard and a live wrapper it *pulls the instance data through
+// the wrapper* — objects per class and tuples per relation, under the
+// deadline/retry/breaker policy, so a flaking source is retried and a
+// dead one degrades — and renders them with the exported schema and
+// semantic rules exactly as sourceFacts renders the export. A class or
+// relation the wrapper cannot scan (a permanent error) keeps the
+// export's instances.
 func guardedSourceFacts(g *guard, s *Source) ([]datalog.Rule, error) {
 	if g == nil || s.W == nil || s.Model == nil {
 		return sourceFacts(s)
 	}
-	sn := term.Atom(s.Name)
-	model := s.Model
-	var out []datalog.Rule
-	out = append(out, model.SchemaFacts()...)
-	names := make([]string, 0, len(model.Classes))
-	for n := range model.Classes {
+	pulled := *s.Model
+	pulled.Objects, pulled.Tuples = nil, make(map[string][][]term.Term, len(s.Model.Tuples))
+	names := make([]string, 0, len(s.Model.Classes))
+	for n := range s.Model.Classes {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for _, cn := range names {
-		for _, sup := range model.Classes[cn].Super {
-			out = append(out, datalog.Fact(PredSrcSub, sn, term.Atom(cn), term.Atom(sup)))
-		}
-	}
-	emitObj := func(o gcm.Object) {
-		out = append(out, datalog.Fact(PredSrcObj, sn, o.ID, term.Atom(o.Class)))
-		methods := make([]string, 0, len(o.Values))
-		for mn := range o.Values {
-			methods = append(methods, mn)
-		}
-		sort.Strings(methods)
-		for _, mn := range methods {
-			for _, v := range o.Values[mn] {
-				out = append(out, datalog.Fact(PredSrcVal, sn, o.ID, term.Atom(mn), v))
-			}
-		}
-	}
 	for _, cn := range names {
 		objs, err := g.queryObjects(s, wrapper.Query{Target: cn})
 		if err != nil {
 			if sourceDown(err) || cancelled(err) {
 				return nil, err
 			}
-			// Permanent error (e.g. no scan capability for this class):
-			// fall back to the registration snapshot for it.
-			for _, o := range model.Objects {
-				if o.Class == cn {
-					emitObj(o)
-				}
-			}
-			continue
+			objs = s.Model.Objects
 		}
 		// QueryObjects returns the class and its descendants; keep only
-		// the exact class so each object is emitted exactly once.
+		// the exact class so each object is rendered exactly once.
 		for _, o := range objs {
 			if o.Class == cn {
-				emitObj(o)
+				pulled.Objects = append(pulled.Objects, o)
 			}
 		}
 	}
-	rels := make([]string, 0, len(model.Tuples))
-	for rn := range model.Tuples {
-		rels = append(rels, rn)
+	names = names[:0]
+	for rn := range s.Model.Tuples {
+		names = append(names, rn)
 	}
-	sort.Strings(rels)
-	for _, rn := range rels {
+	sort.Strings(names)
+	for _, rn := range names {
 		tps, err := g.queryTuples(s, wrapper.Query{Target: rn})
 		if err != nil {
 			if sourceDown(err) || cancelled(err) {
 				return nil, err
 			}
-			tps = model.Tuples[rn]
+			tps = s.Model.Tuples[rn]
 		}
-		for _, tp := range tps {
-			args := append([]term.Term{sn, term.Atom(rn)}, tp...)
-			out = append(out, datalog.Fact(PredSrcTuple, args...))
-		}
+		pulled.Tuples[rn] = tps
 	}
-	out = append(out, model.Rules...)
-	return out, nil
+	return sourceFacts(&Source{Name: s.Name, Model: &pulled})
 }

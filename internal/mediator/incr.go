@@ -14,23 +14,24 @@ package mediator
 // operation, moveSourceLocked: it folds fact and anchor changes into
 // the snapshot (refcounting facts other sources share), patches the
 // cache, sets the snapshot version, counts the step and emits its one
-// WAL record. The semantic index reads the snapshot's anchors, so a
-// move that folds anchors has moved the index too. The
-// entry points only decide whether and what to move:
+// WAL record. A move that fails takes its folds back, so it changes
+// nothing. The semantic index reads the snapshot's anchors, so a move
+// that folds anchors has moved the index too. The entry points only
+// decide whether and what to move:
 //
 //   - ApplySourceDelta (push): the caller states the change; the
 //     version does not move.
-//   - RefreshSource / SyncSources (pull): re-pull one source through the
-//     wrapper and diff it against the snapshot; the version is the
-//     wrapper's, read before the pull.
+//   - RefreshSource / SyncSources (pull): read one source through its
+//     wrapper (readSource) and diff it against the snapshot; the version
+//     is the wrapper's, read before the pull.
 //   - ApplyStreamBatch (stream, stream.go): a versioned batch that
 //     extends the snapshot version exactly; the version is the batch's.
 //   - WAL replay (persist.go): a logged move, re-applied verbatim.
 //
 // Changes a delta cannot express — new semantic rules, anchors at
 // concepts the domain map does not know (which grow the map and hence
-// the program) — fall back to a full re-materialization; the report
-// says so (DeltaReport.Full).
+// the program) — fall back to a build from scratch over the held
+// source states; the report says so (DeltaReport.Full).
 
 import (
 	"context"
@@ -42,7 +43,6 @@ import (
 	"modelmed/internal/obs"
 	"modelmed/internal/persist"
 	"modelmed/internal/term"
-	"modelmed/internal/wrapper"
 )
 
 // srcSnapshot records what one source contributed to the cached
@@ -52,9 +52,10 @@ type srcSnapshot struct {
 	// facts are the ground facts the source contributed (namespaced
 	// src_* facts plus global schema facts).
 	facts *datalog.Store
-	// ruleSig fingerprints the source's semantic rules in order; a rule
-	// change cannot be patched and forces a full rebuild.
-	ruleSig []string
+	// rules are the source's semantic rules, the non-ground part of its
+	// translation; a rule change cannot be patched and forces a full
+	// rebuild.
+	rules []datalog.Rule
 	// anchors are the source's anchor/3 facts in the cached
 	// materialization; the semantic index reads them.
 	anchors *datalog.Store
@@ -69,6 +70,15 @@ func newSrcSnapshot(version uint64) *srcSnapshot {
 		anchors: datalog.NewStore(),
 		version: version,
 	}
+}
+
+// ruleSig fingerprints semantic rules in order.
+func ruleSig(rules []datalog.Rule) []string {
+	sig := make([]string, len(rules))
+	for i, r := range rules {
+		sig[i] = r.String()
+	}
+	return sig
 }
 
 // ErrBadDelta marks an ApplySourceDelta or ApplyStreamBatch error as
@@ -90,7 +100,7 @@ type DeltaReport struct {
 	AnchorsAdded   int
 	AnchorsRemoved int
 	// Full reports that the change could not be patched and the cache
-	// was rebuilt from scratch instead.
+	// was built from scratch instead.
 	Full bool
 	// Stats is the engine-level work of the patch (nil when the change
 	// was a no-op or the path was Full).
@@ -130,8 +140,8 @@ func (m *Mediator) sharedElsewhere(except, key string, row []term.Term) bool {
 
 // patchCacheLocked applies a datalog delta to the cached
 // materialization, swapping in the patched result. A failed patch
-// poisons the cache (dirty) so the next Materialize rebuilds. Called
-// with m.mu held; sp may be nil.
+// leaves the cache and its engine as they were. Called with m.mu held;
+// sp may be nil.
 func (m *Mediator) patchCacheLocked(d *datalog.Delta, sp *obs.Span) (*datalog.DeltaStats, error) {
 	if d.Empty() {
 		return nil, nil
@@ -141,8 +151,7 @@ func (m *Mediator) patchCacheLocked(d *datalog.Delta, sp *obs.Span) (*datalog.De
 	m.cacheEngine.SetObs(sp, m.counters())
 	next, err := m.cacheEngine.ApplyDelta(m.cache, d)
 	if err != nil {
-		m.dirty = true
-		return nil, fmt.Errorf("mediator: apply delta: %w", err)
+		return nil, err
 	}
 	m.cache = next
 	return next.Delta, nil
@@ -151,24 +160,22 @@ func (m *Mediator) patchCacheLocked(d *datalog.Delta, sp *obs.Span) (*datalog.De
 // canPatchLocked reports whether the cached materialization is in a
 // state a delta can be applied to. Called with m.mu held.
 func (m *Mediator) canPatchLocked(source string) bool {
-	return !m.dirty && m.cache != nil && m.cacheEngine != nil && m.snaps[source] != nil
+	return m.cache != nil && m.snaps[source] != nil
 }
 
-// fullRebuildLocked falls back to a from-scratch materialization and
-// wraps the outcome in a Full report. Called with m.mu held.
+// fullRebuildLocked builds the cache from scratch and wraps the outcome
+// in a Full report. The build reads only the sources the mediator holds
+// no state of, and writes a Full marker for each (materializeLocked);
+// over held states alone it reads no wrapper and writes no marker.
+// Called with m.mu held.
 func (m *Mediator) fullRebuildLocked(rep *DeltaReport, sp *obs.Span) (*DeltaReport, error) {
 	rep.Full = true
-	m.dirty = true
 	m.counters().Add("mediator.delta_full_rebuilds", 1)
 	sp.SetStr("fallback", "full")
+	m.cache = nil
 	if _, err := m.materializeLocked(context.Background(), sp); err != nil {
 		return nil, err
 	}
-	// A rebuild re-pulled live sources: the state on disk no longer
-	// leads to the in-memory state by replay. The Full marker tells
-	// recovery to stop trusting the snapshot (the caller is expected to
-	// rotate a fresh one when it sees rep.Full).
-	m.logDeltaLocked(&persist.WALRecord{Source: rep.Source, Full: true})
 	return rep, nil
 }
 
@@ -181,16 +188,23 @@ func (m *Mediator) fullRebuildLocked(rep *DeltaReport, sp *obs.Span) (*DeltaRepo
 // asserts leaves the engine alone.
 // The WAL record carries only the changes that took effect, so replay
 // against the same snapshot state reaches the same engine delta. A
-// failure poisons the cache. Called with evalMu and m.mu held.
+// move that fails unfolds what it folded and returns the error: the
+// snapshot, the cache and the log stay as they were. Called with evalMu
+// and m.mu held.
 func (m *Mediator) moveSourceLocked(s *Source, snap *srcSnapshot, toVersion uint64, adds, dels, anchorAdds, anchorDels []datalog.Rule, sp *obs.Span) (*DeltaReport, error) {
 	rec := &persist.WALRecord{Source: s.Name, Version: toVersion}
 	d := datalog.NewDelta()
+	var stats *datalog.DeltaStats
 	var err error
 	if rec.Adds, rec.Dels, err = m.foldLocked(s.Name, snap.facts, d, adds, dels); err == nil {
 		rec.AnchorAdds, rec.AnchorDels, err = m.foldLocked(s.Name, snap.anchors, d, anchorAdds, anchorDels)
 	}
+	if err == nil {
+		stats, err = m.patchCacheLocked(d, sp)
+	}
 	if err != nil {
-		m.dirty = true
+		unfold(snap.facts, rec.Adds, rec.Dels)
+		unfold(snap.anchors, rec.AnchorAdds, rec.AnchorDels)
 		return nil, fmt.Errorf("mediator: move %s: %w", s.Name, err)
 	}
 	rep := &DeltaReport{
@@ -199,9 +213,7 @@ func (m *Mediator) moveSourceLocked(s *Source, snap *srcSnapshot, toVersion uint
 		FactsRemoved:   len(rec.Dels),
 		AnchorsAdded:   len(rec.AnchorAdds),
 		AnchorsRemoved: len(rec.AnchorDels),
-	}
-	if rep.Stats, err = m.patchCacheLocked(d, sp); err != nil {
-		return nil, err
+		Stats:          stats,
 	}
 	snap.version = toVersion
 	m.noteDeltaLocked(rep, sp)
@@ -210,8 +222,8 @@ func (m *Mediator) moveSourceLocked(s *Source, snap *srcSnapshot, toVersion uint
 }
 
 // foldLocked folds dels then adds into one snapshot store and the
-// engine delta, returning the changes that took effect. Called with
-// m.mu held.
+// engine delta, returning the changes that took effect — on error, the
+// ones folded so far. Called with m.mu held.
 func (m *Mediator) foldLocked(source string, st *datalog.Store, d *datalog.Delta, adds, dels []datalog.Rule) (effAdds, effDels []datalog.Rule, err error) {
 	for _, r := range dels {
 		key := datalog.PredKey(r.Head.Pred, len(r.Head.Args))
@@ -223,7 +235,7 @@ func (m *Mediator) foldLocked(source string, st *datalog.Store, d *datalog.Delta
 			continue // another source still asserts it
 		}
 		if err := d.Del(r.Head.Pred, r.Head.Args...); err != nil {
-			return nil, nil, err
+			return effAdds, effDels, err
 		}
 	}
 	for _, r := range adds {
@@ -232,10 +244,21 @@ func (m *Mediator) foldLocked(source string, st *datalog.Store, d *datalog.Delta
 		}
 		effAdds = append(effAdds, r)
 		if err := d.Add(r.Head.Pred, r.Head.Args...); err != nil {
-			return nil, nil, err
+			return effAdds, effDels, err
 		}
 	}
 	return effAdds, effDels, nil
+}
+
+// unfold takes back what foldLocked folded into st: the effective adds
+// and deletions.
+func unfold(st *datalog.Store, effAdds, effDels []datalog.Rule) {
+	for _, r := range effAdds {
+		st.Delete(r.Head.Pred, r.Head.Args)
+	}
+	for _, r := range effDels {
+		st.Insert(r.Head.Pred, r.Head.Args)
+	}
 }
 
 // checkDeltaFacts refuses, as ErrBadDelta, a change to source that
@@ -279,12 +302,13 @@ func splitAnchors(facts []datalog.Rule) (rest, anchors []datalog.Rule) {
 // rules in the source's translated vocabulary (src_obj/src_val/
 // src_tuple/src_sub namespaced by the source, anchor/3 facts, or
 // global schema facts). Anchor facts move the semantic index exactly
-// as a streamed batch's anchors do; they last until a rebuild from
-// scratch, which takes the anchors the wrapper reports. The change is
-// applied through the engine's incremental API — derived views update
-// by delete-and-rederive instead of a from-scratch run. Without a
-// valid cache it rebuilds from scratch first and then applies the
-// stated change on top (the report's Full flag notes the rebuild).
+// as a streamed batch's anchors do; they last until the source is next
+// read through its wrapper (RefreshSource, SyncSources, Invalidate),
+// which takes the anchors the wrapper reports. The change is applied
+// through the engine's incremental API — derived views update by
+// delete-and-rederive instead of a from-scratch run. Without a cache it
+// builds one first and then applies the stated change on top (the
+// report's Full flag notes the build).
 func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*DeltaReport, error) {
 	sp := m.startSpan("mediator.apply_source_delta")
 	defer m.endTrace(sp)
@@ -300,8 +324,9 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 				source, ErrBadDelta, r)
 		}
 	}
-	// Write side of evalMu: the patch mutates the cached store in place,
-	// so concurrent query evaluation must be excluded for its duration.
+	// Write side of evalMu: the move changes the snapshot and the cache's
+	// engine, so concurrent query evaluation is excluded for its
+	// duration.
 	m.evalMu.Lock()
 	defer m.evalMu.Unlock()
 	m.mu.Lock()
@@ -312,9 +337,8 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 	}
 	rebuilt := !m.canPatchLocked(source)
 	if rebuilt {
-		// No patchable cache yet (cold or poisoned): rebuild it first and
-		// then apply the stated change on top — a push before the first
-		// materialization must not be dropped by the rebuild's re-pull.
+		// No patchable cache yet (cold, or a program change): build it
+		// first and then apply the stated change on top.
 		if _, err := m.fullRebuildLocked(&DeltaReport{Source: source}, sp); err != nil {
 			return nil, err
 		}
@@ -331,15 +355,16 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 	return rep, nil
 }
 
-// RefreshSource re-pulls one source and patches the difference into
-// the cached materialization. The wrapper's conceptual model is
-// re-exported (catching schema growth), instance data is fetched
-// through the fault-tolerance guard when the layer is enabled (per-
-// source SourceReports merge into SourceReports() exactly like a
-// materialize fan-out), and the resulting fact set is diffed against
-// the snapshot. Rule changes or anchors at concepts the domain map
-// does not know force a full rebuild. A source that is down keeps the
-// stale cache and returns the error.
+// RefreshSource reads one source through its wrapper (readSource) and
+// patches the difference into the cached materialization. The
+// wrapper's conceptual model is exported again (catching schema
+// growth), instance data is fetched through the fault-tolerance guard
+// when the layer is enabled (per-source SourceReports merge into
+// SourceReports() exactly like a materialize fan-out), and the state
+// read is diffed against the snapshot. Rule changes or anchors at
+// concepts the domain map does not know force a full rebuild, which
+// reads the source again. A source that is down keeps the stale cache
+// and returns the error.
 func (m *Mediator) RefreshSource(source string) (*DeltaReport, error) {
 	sp := m.startSpan("mediator.refresh_source")
 	defer m.endTrace(sp)
@@ -357,33 +382,19 @@ func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaRepor
 		return nil, fmt.Errorf("mediator: source %s not registered", source)
 	}
 	rep := &DeltaReport{Source: source}
-	if !m.canPatchLocked(source) {
+	if m.snaps[source] == nil {
+		// The mediator holds no state of the source: the build reads it.
 		return m.fullRebuildLocked(rep, sp)
 	}
+	if m.cache == nil {
+		// A program change: evaluate it over the held states first.
+		if _, err := m.materializeLocked(context.Background(), sp); err != nil {
+			return nil, err
+		}
+	}
 	snap := m.snaps[source]
-	// The version is read before the pull: a mutation racing the pull
-	// leaves the recorded version behind, and the next sync converges.
-	var version uint64
-	if v, ok := s.W.(wrapper.Versioned); ok {
-		version = v.DataVersion()
-	}
-	// Re-export CM(S): the model snapshot is what both the guarded
-	// pull's class/relation list and the direct translation read.
-	if s.Model != nil {
-		format, doc, err := s.W.ExportCM()
-		if err != nil {
-			return nil, fmt.Errorf("mediator: refresh %s: export: %w", source, err)
-		}
-		if format == "gcmx" {
-			model, err := decodeGCMX(source, doc)
-			if err != nil {
-				return nil, err
-			}
-			s.Model = model
-		}
-	}
 	g := m.newGuard()
-	facts, err := guardedSourceFacts(g, s)
+	next, grew, err := m.readSource(g, s)
 	m.mergeReportsLocked(g.Reports())
 	if err != nil {
 		if g != nil && sourceDown(err) {
@@ -393,29 +404,16 @@ func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaRepor
 		// The stale cache stands; the caller decides what to do.
 		return nil, err
 	}
-	newFacts := datalog.NewStore()
-	var newSig []string
-	for _, r := range facts {
-		if isGroundFact(r) {
-			newFacts.Insert(r.Head.Pred, r.Head.Args)
-		} else {
-			newSig = append(newSig, r.String())
-		}
-	}
-	// The wrapper's anchor and context report replaces the registered
-	// one. Semantic rules that changed, or anchors at concepts that grew
-	// the domain map, make a different program, which the EDB delta API
-	// cannot express.
-	grew, err := m.takeReport(s)
-	if err != nil {
-		return nil, err
-	}
-	if grew || !slices.Equal(snap.ruleSig, newSig) {
+	if grew || !slices.Equal(ruleSig(snap.rules), ruleSig(next.rules)) {
+		// Semantic rules that changed, or anchors at concepts that grew
+		// the domain map, make a different program, which the EDB delta
+		// API cannot express.
+		delete(m.snaps, source)
 		return m.fullRebuildLocked(rep, sp)
 	}
-	adds, dels := snap.facts.Diff(newFacts)
-	anchorAdds, anchorDels := snap.anchors.Diff(s.anchors)
-	return m.moveSourceLocked(s, snap, version, adds, dels, anchorAdds, anchorDels, sp)
+	adds, dels := snap.facts.Diff(next.facts)
+	anchorAdds, anchorDels := snap.anchors.Diff(next.anchors)
+	return m.moveSourceLocked(s, snap, next.version, adds, dels, anchorAdds, anchorDels, sp)
 }
 
 // SyncSources refreshes every registered source whose wrapper reports
@@ -432,16 +430,8 @@ func (m *Mediator) SyncSources() ([]*DeltaReport, error) {
 	defer m.mu.Unlock()
 	var reps []*DeltaReport
 	for _, s := range m.sortedSources() {
-		v, ok := s.W.(wrapper.Versioned)
-		if !ok {
-			continue
-		}
-		ver := v.DataVersion()
-		if ver == 0 {
-			continue
-		}
-		snap := m.snaps[s.Name]
-		if snap != nil && snap.version == ver {
+		ver := dataVersion(s.W)
+		if snap := m.snaps[s.Name]; ver == 0 || snap != nil && snap.version == ver {
 			continue
 		}
 		rep, err := m.refreshSourceLocked(s.Name, sp.Child("refresh "+s.Name))
@@ -449,10 +439,6 @@ func (m *Mediator) SyncSources() ([]*DeltaReport, error) {
 			return reps, err
 		}
 		reps = append(reps, rep)
-		if rep.Full {
-			// The rebuild re-pulled every source; the rest are current.
-			break
-		}
 	}
 	sp.SetInt("refreshed", int64(len(reps)))
 	return reps, nil

@@ -11,12 +11,11 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"modelmed/internal/datalog"
@@ -102,11 +101,14 @@ type Source struct {
 	Caps []wrapper.Capability
 
 	// anchors (as anchor/3 facts) and contexts are what the wrapper
-	// reported at Register, the last RefreshSource or the last rebuild
-	// from scratch (takeReport); nothing else writes them. Guarded by
-	// the mediator's mu.
+	// reported at Register or at the last read of the source
+	// (readSource); nothing else writes them. Guarded by the mediator's
+	// mu.
 	anchors  *datalog.Store
 	contexts map[string][]term.Term
+	// exported is the data version Model or Facts was exported at (0 =
+	// unversioned, so every read exports again).
+	exported uint64
 }
 
 // Mediator is the model-based mediator.
@@ -119,37 +121,30 @@ type Mediator struct {
 	srcs     map[string]*Source
 	views    []datalog.Rule
 	viewText []string
-	// auxSeq numbers the queries whose auxiliary rules join views (see
-	// parseQuery).
-	auxSeq atomic.Uint64
 
-	// evalMu orders cached-store readers against in-place patches:
+	// evalMu orders readers of the cache against source moves:
 	// Query/Holds/Explain evaluate over the cached Result *outside*
-	// m.mu, while the incremental layer (ApplySourceDelta,
-	// RefreshSource, SyncSources) mutates that same store in place via
-	// the engine's delta API. Readers hold the read side across
-	// materialize+evaluate and patchers the write side across the whole
-	// patch, so every answer reflects exactly a pre- or post-delta
+	// m.mu, while a move (ApplySourceDelta, RefreshSource, SyncSources,
+	// ApplyStreamBatch) moves the cache's engine EDB and the snapshots
+	// along with the Result it swaps in. Readers hold the read side
+	// across materialize+evaluate and movers the write side across the
+	// whole move, so every answer reflects exactly a pre- or post-move
 	// state, never a torn mix. Lock order: evalMu before m.mu.
 	evalMu sync.RWMutex
 
-	dirty       bool
+	// cache is the current program's result over the held source states;
+	// nil means there is none, and the next read builds it.
 	cache       *datalog.Result
 	cacheEngine *datalog.Engine
-	// snaps records, per source, the facts/rules/anchors the cached
-	// materialization was built from plus the wrapper data version, so
-	// source changes can be diffed and patched into the cache instead of
-	// invalidating it (see incr.go).
+	// snaps holds each source's state: the facts/rules/anchors it
+	// contributes and the wrapper data version it was read at (see
+	// incr.go). A registered source without an entry is one the mediator
+	// holds no state of: the next build reads it through its wrapper.
 	snaps map[string]*srcSnapshot
-	// cacheDegraded marks a cached materialization that dropped at least
-	// one source; such a cache is only served while re-probing the
-	// failed sources is not yet due (see reprobeDue).
-	cacheDegraded bool
 
-	// deltaLog, when set, receives a WAL record for every applied
-	// incremental patch (and a Full marker for every fallback rebuild)
-	// while m.mu is held, so records are appended in exactly the order
-	// the patches landed. replaying suppresses it during WAL replay so
+	// deltaLog, when set, receives a WAL record for every source move
+	// (and a Full marker for every source a build reads) while m.mu is
+	// held, so records are appended in exactly the order they landed. replaying suppresses it during WAL replay so
 	// recovery does not re-log its own input (see persist.go).
 	deltaLog  func(*persist.WALRecord)
 	replaying bool
@@ -187,7 +182,6 @@ func New(dm *domainmap.DomainMap, opts *Options) *Mediator {
 		dm:       dm,
 		registry: xmlio.NewRegistry(),
 		srcs:     make(map[string]*Source),
-		dirty:    true,
 	}
 	m.index = domainmap.NewIndex(m.walkAnchors)
 	return m
@@ -204,10 +198,10 @@ func (m *Mediator) Index() *domainmap.SemanticIndex { return m.index }
 var anchorKey = datalog.PredKey(PredAnchor, 3)
 
 // anchorsLocked returns the anchor facts the semantic index reads for s:
-// the ones the cached materialization holds when it has a snapshot of
-// s, else the ones s registered — before the first materialization,
-// after a restore that was not adopted, and for a source the last
-// materialization dropped as down. Called with m.mu held.
+// the ones the mediator holds when it has a snapshot of s, else the
+// ones s last reported — before the first materialization, after
+// Invalidate or a restore that was not adopted, and for a source the
+// last materialization dropped as down. Called with m.mu held.
 func (m *Mediator) anchorsLocked(s *Source) *datalog.Store {
 	if snap := m.snaps[s.Name]; snap != nil {
 		return snap.anchors
@@ -304,26 +298,13 @@ func (m *Mediator) Source(name string) (*Source, bool) {
 // decodes it through the plug-in registry, records the query
 // capabilities, and anchors the source's data in the domain map: the
 // anchor facts it stores on the source are what the semantic index
-// reads.
+// reads. These are readSource's export and report; its pull is left to
+// the next build.
 func (m *Mediator) Register(w wrapper.Wrapper) error {
 	name := w.Name()
-	format, doc, err := w.ExportCM()
-	if err != nil {
-		return fmt.Errorf("mediator: source %s: export: %w", name, err)
-	}
 	src := &Source{Name: name, W: w, Caps: w.Capabilities()}
-	if format == "gcmx" {
-		model, err := decodeGCMX(name, doc)
-		if err != nil {
-			return err
-		}
-		src.Model = model
-	} else {
-		facts, err := m.registry.Translate(format, doc)
-		if err != nil {
-			return fmt.Errorf("mediator: source %s: %w", name, err)
-		}
-		src.Facts = facts
+	if err := m.exportCM(src, dataVersion(w)); err != nil {
+		return err
 	}
 	if _, err := m.takeReport(src); err != nil {
 		return err
@@ -339,7 +320,43 @@ func (m *Mediator) Register(w wrapper.Wrapper) error {
 		// from its first query on.
 		cs.SetObsCounters(m.counters())
 	}
-	m.dirty = true
+	m.cache = nil
+	return nil
+}
+
+// dataVersion is w's data version, 0 when w is unversioned.
+func dataVersion(w wrapper.Wrapper) uint64 {
+	if v, ok := w.(wrapper.Versioned); ok {
+		return v.DataVersion()
+	}
+	return 0
+}
+
+// exportCM exports CM(S) over the wire and decodes it onto s — a GCMX
+// model, or the facts a CM plug-in translates another format to —
+// unless s already holds the export of data version version.
+func (m *Mediator) exportCM(s *Source, version uint64) error {
+	if version != 0 && version == s.exported {
+		return nil
+	}
+	format, doc, err := s.W.ExportCM()
+	if err != nil {
+		return fmt.Errorf("mediator: source %s: export: %w", s.Name, err)
+	}
+	if format == "gcmx" {
+		model, err := decodeGCMX(s.Name, doc)
+		if err != nil {
+			return err
+		}
+		s.Model, s.Facts = model, nil
+	} else {
+		facts, err := m.registry.Translate(format, doc)
+		if err != nil {
+			return fmt.Errorf("mediator: source %s: %w", s.Name, err)
+		}
+		s.Model, s.Facts = nil, facts
+	}
+	s.exported = version
 	return nil
 }
 
@@ -358,12 +375,13 @@ func decodeGCMX(source string, doc []byte) (*gcm.Model, error) {
 	return model, nil
 }
 
-// Unregister removes a source and its anchors.
+// Unregister removes a source, its state and its anchors.
 func (m *Mediator) Unregister(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.srcs, name)
-	m.dirty = true
+	delete(m.snaps, name)
+	m.cache = nil
 }
 
 // RegisterKnowledge extends the domain map with DL axioms sent by a
@@ -373,7 +391,7 @@ func (m *Mediator) RegisterKnowledge(axioms ...dl.Axiom) error {
 		return err
 	}
 	m.mu.Lock()
-	m.dirty = true
+	m.cache = nil
 	m.mu.Unlock()
 	return nil
 }
@@ -391,13 +409,14 @@ func (m *Mediator) DefineView(src string) error {
 	privateAux(fmt.Sprintf("v%d", len(m.viewText)), nil, rules)
 	m.views = append(m.views, rules...)
 	m.viewText = append(m.viewText, src)
-	m.dirty = true
+	m.cache = nil
 	return nil
 }
 
-// privateAux renames the auxiliary predicates of one parse (see
-// parser.AuxPrefix) apart from every other parse's, suffixing tag in the
-// body and the rules alike.
+// privateAux renames the auxiliary predicates of one view's parse (see
+// parser.AuxPrefix) apart from every other view's, suffixing tag in the
+// body and the rules alike. A query's own stay as parsed: they run in a
+// layer of their own (see queryResult).
 func privateAux(tag string, body []datalog.BodyElem, rules []datalog.Rule) {
 	for i, e := range body {
 		if l, ok := e.(datalog.Literal); ok && strings.HasPrefix(l.Pred, parser.AuxPrefix) {
@@ -411,16 +430,6 @@ func privateAux(tag string, body []datalog.BodyElem, rules []datalog.Rule) {
 		}
 		privateAux(tag, rules[i].Body, nil)
 	}
-}
-
-// parseQuery parses q with auxiliary predicates private to this call,
-// so they cannot be read as a view's or a concurrent query's.
-func (m *Mediator) parseQuery(q string) ([]datalog.BodyElem, []datalog.Rule, error) {
-	body, aux, err := parser.ParseQuery(q)
-	if err == nil && len(aux) > 0 {
-		privateAux(fmt.Sprintf("q%d", m.auxSeq.Add(1)), body, aux)
-	}
-	return body, aux, err
 }
 
 // Views returns the registered view texts.
@@ -457,35 +466,15 @@ func (m *Mediator) QueryCtx(ctx context.Context, q string, vars ...string) (*Ans
 	sp := m.startSpan("mediator.query")
 	defer m.endTrace(sp)
 	psp := sp.Child("parse")
-	body, aux, err := m.parseQuery(q)
+	body, aux, err := parser.ParseQuery(q)
 	psp.End()
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query: %w", err)
 	}
-	if len(aux) > 0 {
-		// Negated groups need their auxiliary rules evaluated with the
-		// program; register them transiently. Their names are this
-		// query's own, so removing them leaves every other query's.
-		m.mu.Lock()
-		m.views = append(m.views, aux...)
-		m.dirty = true
-		m.mu.Unlock()
-		own := map[string]bool{}
-		for _, r := range aux {
-			own[r.Head.Pred] = true
-		}
-		defer func() {
-			m.mu.Lock()
-			// A fresh slice: ExecutePlan reads the one it saw unlocked.
-			m.views = slices.DeleteFunc(slices.Clone(m.views), func(r datalog.Rule) bool { return own[r.Head.Pred] })
-			m.dirty = true
-			m.mu.Unlock()
-		}()
-	}
 	if len(vars) == 0 {
 		vars = defaultVars(body)
 	}
-	rows, err := m.queryCache(ctx, sp, body, vars)
+	rows, err := m.queryCache(ctx, sp, body, aux, vars)
 	if err != nil {
 		return nil, err
 	}
@@ -493,9 +482,10 @@ func (m *Mediator) QueryCtx(ctx context.Context, q string, vars ...string) (*Ans
 }
 
 // queryCache materializes (or reuses) the cached object base and
-// evaluates body over it, holding the read side of evalMu across both
-// steps so a concurrent incremental patch cannot tear the answer.
-func (m *Mediator) queryCache(ctx context.Context, sp *obs.Span, body []datalog.BodyElem, vars []string) ([][]term.Term, error) {
+// evaluates body, with its auxiliary rules, over it, holding the read
+// side of evalMu across both steps so a concurrent source move cannot
+// tear the answer.
+func (m *Mediator) queryCache(ctx context.Context, sp *obs.Span, body []datalog.BodyElem, aux []datalog.Rule, vars []string) ([][]term.Term, error) {
 	m.evalMu.RLock()
 	defer m.evalMu.RUnlock()
 	msp := sp.Child("materialize")
@@ -508,13 +498,26 @@ func (m *Mediator) queryCache(ctx context.Context, sp *obs.Span, body []datalog.
 		return nil, err
 	}
 	esp := sp.Child("evaluate")
-	rows, err := res.QueryCtx(ctx, body, vars)
+	rows, err := queryResult(ctx, res, body, aux, vars)
 	esp.SetInt("rows", int64(len(rows)))
 	esp.End()
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query: %w", err)
 	}
 	return rows, nil
+}
+
+// queryResult evaluates body over res. A query's auxiliary rules run in
+// a layer over res that is dropped with the answer, so they never join
+// the program and the read moves no state.
+func queryResult(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) ([][]term.Term, error) {
+	if len(aux) > 0 {
+		var err error
+		if res, err = res.Extend(ctx, aux); err != nil {
+			return nil, err
+		}
+	}
+	return res.QueryCtx(ctx, body, vars)
 }
 
 // Holds reports whether a ground fact is true in the materialized base.
@@ -554,10 +557,11 @@ const bridgeSrc = `
 // bridgeRules returns fresh copies of the bridge rules.
 func bridgeRules() []datalog.Rule { return parser.MustParseRules(bridgeSrc) }
 
-// Materialize pulls all registered source data to the mediator, loads
-// the GCM axioms, the domain-map graph and its closure rules, and the
-// registered views, and evaluates the program. The result is cached
-// until a registration or view definition invalidates it.
+// Materialize evaluates the program (ruleSetsLocked plus each source's
+// semantic rules) over the source states the mediator holds, reading
+// first every registered source it holds none of. The result is cached:
+// a source move patches it, and after a program change the next read
+// re-evaluates the same source states.
 func (m *Mediator) Materialize() (*datalog.Result, error) {
 	return m.MaterializeCtx(context.Background())
 }
@@ -580,112 +584,110 @@ func (m *Mediator) materialize(ctx context.Context, sp *obs.Span) (*datalog.Resu
 	return m.materializeLocked(ctx, sp)
 }
 
-// materializeLocked is materialize for callers already holding m.mu
-// (the incremental-maintenance paths fall back to it when a change
-// cannot be patched in).
+// materializeLocked returns the cache, building it first when there is
+// none or a degraded cache's dropped source is due another probe. The
+// build reads every source the mediator holds no state of (readSource,
+// concurrently; under the fault-tolerance layer one that stays down is
+// dropped, which degrades the cache), then evaluates the program over
+// all held states. Each source read gets a Full marker in the log: it
+// moved without a logged move. Called with m.mu held.
 func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalog.Result, error) {
-	if !m.dirty && m.cache != nil && !(m.cacheDegraded && m.reprobeDue()) {
+	if m.cache != nil && !(m.degradedLocked() && m.reprobeDue()) {
 		sp.SetStr("cache", "hit")
 		return m.cache, nil
 	}
+	m.cache = nil
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	srcs := m.sortedSources()
-	// Wrapper data versions are read before the pull: a mutation racing
-	// the fan-out leaves the recorded version behind the wrapper's, so
-	// the next SyncSources re-pulls and converges.
-	versions := make([]uint64, len(srcs))
-	for i, s := range srcs {
-		if v, ok := s.W.(wrapper.Versioned); ok {
-			versions[i] = v.DataVersion()
+	var missing []*Source
+	for _, s := range m.sortedSources() {
+		if m.snaps[s.Name] == nil {
+			missing = append(missing, s)
 		}
 	}
-	// Anchors and contexts are the wrappers' current reports, as a
-	// refresh takes them: an anchor a stream moved survives the
-	// rebuild, a pushed one the wrapper never reported does not. Read
-	// before the program is built, since an unknown concept grows the
-	// domain map.
-	for _, s := range srcs {
-		if _, err := m.takeReport(s); err != nil {
-			return nil, err
-		}
-	}
-	e, err := m.newProgramEngineLocked(sp)
-	if err != nil {
-		return nil, err
-	}
-	// Translate every source's data concurrently, then collect into the
-	// engine in name order, so the materialized program is independent
-	// of the fan-out's scheduling. Without the fault-tolerance layer
-	// this only reads the registered model/fact snapshots; with it,
-	// instance data is re-pulled through the live wrappers under
-	// deadline/retry/breaker policy (see guardedSourceFacts), and
-	// sources that stay down are dropped from the program instead of
-	// failing it.
 	g := m.newGuardCtx(ctx)
 	fsp := sp.Child("sources")
-	factSets, errs := translateSources(g, srcs, fsp)
+	read := make([]*srcSnapshot, len(missing))
+	errs := eachSource(missing, fsp, func(i int) (facts int, err error) {
+		if read[i], _, err = m.readSource(g, missing[i]); err != nil {
+			return 0, err
+		}
+		return read[i].facts.Size(), nil
+	})
 	if err := ctx.Err(); err != nil {
 		// A cancelled fan-out must not be cached as a (partial) result.
 		fsp.End()
 		return nil, err
 	}
-	failed := map[string]bool{}
-	snaps := make(map[string]*srcSnapshot, len(srcs))
-	for i, s := range srcs {
+	snaps := make(map[string]*srcSnapshot, len(m.srcs))
+	maps.Copy(snaps, m.snaps)
+	for i, s := range missing {
 		if errs[i] != nil {
 			if g != nil && !m.opts.FailFast && sourceDown(errs[i]) {
 				g.markFailed(s.Name, errs[i])
-				failed[s.Name] = true
 				m.counters().Add("mediator.sources_dropped", 1)
 				continue
 			}
 			fsp.End()
 			return nil, errs[i]
 		}
-		// Ground facts go into the engine's EDB — the unit of incremental
-		// change — while the source's semantic rules join the program.
-		snap := newSrcSnapshot(versions[i])
-		for _, r := range factSets[i] {
-			if isGroundFact(r) {
-				if err := e.AddFact(r.Head.Pred, r.Head.Args...); err != nil {
-					fsp.End()
-					return nil, fmt.Errorf("mediator: materialize %s: %w", s.Name, err)
-				}
-				snap.facts.Insert(r.Head.Pred, r.Head.Args)
-				continue
-			}
-			if err := e.AddRule(r); err != nil {
-				fsp.End()
-				return nil, fmt.Errorf("mediator: materialize %s: %w", s.Name, err)
-			}
-			snap.ruleSig = append(snap.ruleSig, r.String())
-		}
-		// A down source skipped above contributes no anchors either, so
-		// they cannot dangle into the answer.
-		snap.anchors = s.anchors.Clone()
-		e.SeedEDB(snap.anchors)
-		snaps[s.Name] = snap
+		snaps[s.Name] = read[i]
 	}
 	g.annotate(fsp)
 	fsp.End()
-	// RunCtx makes the request deadline real inside the fixpoint: the
-	// budget/context checks run once per round plus every few thousand
-	// derived facts, so a cancelled or over-budget materialization stops
-	// mid-stratum. The cache stays dirty on error and the next query
-	// rebuilds from scratch.
-	res, err := e.RunCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("mediator: materialize: %w", err)
+	if err := m.buildLocked(ctx, snaps, nil, sp); err != nil {
+		return nil, err
 	}
-	m.cache = res
-	m.cacheEngine = e
-	m.cacheDegraded = len(failed) > 0
-	m.snaps = snaps
 	m.mergeReportsLocked(g.Reports())
-	m.dirty = false
-	return res, nil
+	for i, s := range missing {
+		if errs[i] == nil {
+			m.logDeltaLocked(&persist.WALRecord{Source: s.Name, Full: true})
+		}
+	}
+	return m.cache, nil
+}
+
+// degradedLocked reports whether the mediator holds no state of some
+// registered source: a cache built without it is degraded. Called with
+// m.mu held.
+func (m *Mediator) degradedLocked() bool { return len(m.snaps) < len(m.srcs) }
+
+// buildLocked evaluates the current program over snaps, the states of
+// registered sources the mediator is to hold: a fresh engine takes the
+// mediator-level rules and, per source, its semantic rules and, as EDB,
+// its facts and anchors. With store nil the engine runs under ctx;
+// otherwise store — a snapshot's materialization of this very program
+// and EDB — is adopted without a fixpoint run. On success the result is
+// the cache and snaps the held states. Called with m.mu held.
+func (m *Mediator) buildLocked(ctx context.Context, snaps map[string]*srcSnapshot, store *datalog.Store, sp *obs.Span) error {
+	e, err := m.newProgramEngineLocked(sp)
+	if err != nil {
+		return err
+	}
+	for _, s := range m.sortedSources() {
+		snap := snaps[s.Name]
+		if snap == nil {
+			continue
+		}
+		if err := e.AddRules(snap.rules...); err != nil {
+			return fmt.Errorf("mediator: materialize %s: %w", s.Name, err)
+		}
+		e.SeedEDB(snap.facts)
+		e.SeedEDB(snap.anchors)
+	}
+	var res *datalog.Result
+	if store != nil {
+		res = e.Restore(store)
+	} else if res, err = e.RunCtx(ctx); err != nil {
+		// RunCtx makes the request deadline real inside the fixpoint: the
+		// budget/context checks run once per round plus every few
+		// thousand derived facts, so a cancelled or over-budget build
+		// stops mid-stratum.
+		return fmt.Errorf("mediator: materialize: %w", err)
+	}
+	m.cache, m.cacheEngine, m.snaps = res, e, snaps
+	return nil
 }
 
 // ruleSetsLocked assembles the mediator-level rule program: F-logic
@@ -807,13 +809,13 @@ func (m *Mediator) SourceReports() []SourceReport {
 	return out
 }
 
-// Invalidate drops the cached materialization, forcing the next
-// Materialize to re-pull every source — e.g. after a degraded run, to
-// re-admit a recovered source immediately (or at all, when no breaker
-// is configured to pace automatic re-probes).
+// Invalidate drops the cache and every source state the mediator
+// holds, so the next Materialize reads every source again — e.g. after
+// a degraded run, to re-admit a recovered source immediately (or at
+// all, when no breaker is configured to pace automatic re-probes).
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
-	m.dirty = true
+	m.cache, m.snaps = nil, nil
 	m.mu.Unlock()
 }
 
@@ -833,15 +835,44 @@ func (m *Mediator) Explain(pred string, args ...term.Term) (*datalog.Derivation,
 	return e.Explain(res, pred, args...)
 }
 
-// translateSources renders every source's data concurrently (one task
-// per source, at most GOMAXPROCS at a time), returning the per-source
-// fact sets and errors positionally so callers can merge them in
-// deterministic source order. With a non-nil guard the per-source work
-// goes through the fault-tolerance layer (live pull + deadline/retry/
-// breaker). A non-nil sp gets one child span per source (created
-// serially for deterministic order; each task fills only its own span).
-func translateSources(g *guard, srcs []*Source, sp *obs.Span) ([][]datalog.Rule, []error) {
-	factSets := make([][]datalog.Rule, len(srcs))
+// readSource is the one way the mediator reads a source through its
+// wrapper: the data version first (a mutation racing the read leaves it
+// behind, and the next SyncSources reads again), then CM(S) exported
+// again (exportCM), its instance data pulled through the guard g, if
+// any (guardedSourceFacts), and the anchor and context report
+// (takeReport). It returns the state read and whether the report grew
+// the domain map.
+func (m *Mediator) readSource(g *guard, s *Source) (*srcSnapshot, bool, error) {
+	snap := newSrcSnapshot(dataVersion(s.W))
+	if err := m.exportCM(s, snap.version); err != nil {
+		return nil, false, err
+	}
+	facts, err := guardedSourceFacts(g, s)
+	if err != nil {
+		return nil, false, err
+	}
+	grew, err := m.takeReport(s)
+	if err != nil {
+		return nil, false, err
+	}
+	for _, r := range facts {
+		if isGroundFact(r) {
+			snap.facts.Insert(r.Head.Pred, r.Head.Args)
+		} else {
+			snap.rules = append(snap.rules, r)
+		}
+	}
+	snap.anchors = s.anchors.Clone()
+	return snap, grew, nil
+}
+
+// eachSource runs fn(i) for every source concurrently (one task per
+// source, at most GOMAXPROCS at a time) and returns the errors
+// positionally, so callers can merge the results in deterministic
+// source order. A non-nil sp gets one child span per source, created
+// serially for deterministic order and annotated with the fact count fn
+// returns.
+func eachSource(srcs []*Source, sp *obs.Span, fn func(i int) (facts int, err error)) []error {
 	errs := make([]error, len(srcs))
 	spans := make([]*obs.Span, len(srcs))
 	if sp != nil {
@@ -850,19 +881,22 @@ func translateSources(g *guard, srcs []*Source, sp *obs.Span) ([][]datalog.Rule,
 		}
 	}
 	fanOut(len(srcs), runtime.GOMAXPROCS(0), func(i int) {
-		factSets[i], errs[i] = guardedSourceFacts(g, srcs[i])
+		var n int
+		n, errs[i] = fn(i)
 		if spans[i] != nil {
-			spans[i].SetInt("facts", int64(len(factSets[i])))
+			spans[i].SetInt("facts", int64(n))
 			if errs[i] != nil {
 				spans[i].SetStr("error", errs[i].Error())
 			}
 			spans[i].End()
 		}
 	})
-	return factSets, errs
+	return errs
 }
 
-// sourceFacts renders one source's data in the namespaced vocabulary.
+// sourceFacts renders one source's exported CM(S) in the namespaced
+// vocabulary: the unguarded half of readSource's pull (see
+// guardedSourceFacts).
 func sourceFacts(s *Source) ([]datalog.Rule, error) {
 	sn := term.Atom(s.Name)
 	var out []datalog.Rule

@@ -38,6 +38,7 @@ package mediator
 // rebuild.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -47,15 +48,15 @@ import (
 	"modelmed/internal/datalog"
 	"modelmed/internal/obs"
 	"modelmed/internal/persist"
-	"modelmed/internal/wrapper"
 )
 
 // SetDeltaLogger installs fn as the write-ahead sink for incremental
 // maintenance: every applied source move (ApplySourceDelta,
 // RefreshSource, SyncSources, ApplyStreamBatch) emits one record, and
-// every fallback full rebuild emits a Full marker. fn runs with the
-// mediator's locks held — it must be fast and must not call back into
-// the mediator. A nil fn disables logging.
+// a build that reads a source through its wrapper emits a Full marker
+// for it (see materializeLocked). fn runs with the mediator's locks
+// held — it must be fast and must not call back into the mediator. A
+// nil fn disables logging.
 func (m *Mediator) SetDeltaLogger(fn func(*persist.WALRecord)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -112,7 +113,7 @@ func sourceRules(s *Source) []datalog.Rule {
 // SnapshotState captures the current materialization as a durable
 // snapshot: the full store plus each source's facts, rule signature,
 // anchors, and data version. It fails when there is nothing sound to
-// persist — a dirty or degraded cache, or a non-stratified
+// persist — no cache, a degraded one, or a non-stratified
 // materialization. The returned snapshot shares no mutable state with
 // the live cache (stores are COW clones), so it can be encoded after
 // the locks are released.
@@ -122,9 +123,9 @@ func (m *Mediator) SnapshotState() (*persist.Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	switch {
-	case m.dirty || m.cache == nil:
+	case m.cache == nil:
 		return nil, fmt.Errorf("mediator: snapshot: no materialized cache")
-	case m.cacheDegraded:
+	case m.degradedLocked():
 		return nil, fmt.Errorf("mediator: snapshot: cache is degraded (a source was dropped)")
 	case !m.cache.Stratified || m.cache.Undefined != nil:
 		return nil, fmt.Errorf("mediator: snapshot: non-stratified materialization is not persistable")
@@ -143,7 +144,7 @@ func (m *Mediator) SnapshotState() (*persist.Snapshot, error) {
 		snap.Sources = append(snap.Sources, persist.SourceState{
 			Name:    name,
 			Version: ss.version,
-			RuleSig: append([]string(nil), ss.ruleSig...),
+			RuleSig: ruleSig(ss.rules),
 			Facts:   ss.facts.Clone(),
 			Anchors: ss.anchors.Clone(),
 		})
@@ -220,7 +221,6 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 		// reproduce the dying process's state. Drop the half-restored
 		// cache wholesale; with no snapshots left, the semantic index
 		// reads the registered anchors again.
-		m.dirty = true
 		m.cache, m.cacheEngine, m.snaps = nil, nil, nil
 		rep.Restored = false
 		rep.Reason = rerr.Error()
@@ -238,9 +238,9 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 }
 
 // restoreStateLocked validates snap against the registered program and
-// adopts it: a fresh engine gets the program rules and the snapshot's
-// EDB, and the snapshot's store becomes the cache with no fixpoint
-// run. Called with evalMu and m.mu held.
+// adopts it: the snapshot's source states become the held ones and its
+// store the cache, with no fixpoint run (buildLocked). Called with
+// evalMu and m.mu held.
 func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) error {
 	if sig := m.programSigLocked(); snap.ProgramSig != sig {
 		return fmt.Errorf("mediator: restore: program changed (snapshot %.12s…, current %.12s…)",
@@ -250,49 +250,21 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 		return fmt.Errorf("mediator: restore: snapshot has %d sources, %d registered",
 			len(snap.Sources), len(m.srcs))
 	}
+	snaps := make(map[string]*srcSnapshot, len(snap.Sources))
 	for _, st := range snap.Sources {
 		s, ok := m.srcs[st.Name]
 		if !ok {
 			return fmt.Errorf("mediator: restore: snapshot source %s is not registered", st.Name)
 		}
-		var curSig []string
-		for _, r := range sourceRules(s) {
-			curSig = append(curSig, r.String())
-		}
-		if !slices.Equal(st.RuleSig, curSig) {
+		rules := sourceRules(s)
+		if !slices.Equal(st.RuleSig, ruleSig(rules)) {
 			return fmt.Errorf("mediator: restore: semantic rules of %s changed", st.Name)
 		}
-	}
-	e, err := m.newProgramEngineLocked(sp)
-	if err != nil {
-		return err
-	}
-	snaps := make(map[string]*srcSnapshot, len(snap.Sources))
-	for i := range snap.Sources {
-		st := &snap.Sources[i]
-		s := m.srcs[st.Name]
-		for _, r := range sourceRules(s) {
-			if err := e.AddRule(r); err != nil {
-				return fmt.Errorf("mediator: restore %s: %w", st.Name, err)
-			}
-		}
-		e.SeedEDB(st.Facts)
-		e.SeedEDB(st.Anchors)
 		// Once adopted, these anchors are the ones the semantic index
 		// reads, not the ones the wrapper reported at registration.
-		snaps[st.Name] = &srcSnapshot{
-			facts:   st.Facts,
-			ruleSig: st.RuleSig,
-			anchors: st.Anchors,
-			version: st.Version,
-		}
+		snaps[st.Name] = &srcSnapshot{facts: st.Facts, rules: rules, anchors: st.Anchors, version: st.Version}
 	}
-	m.cache = e.Restore(snap.Store)
-	m.cacheEngine = e
-	m.snaps = snaps
-	m.cacheDegraded = false
-	m.dirty = false
-	return nil
+	return m.buildLocked(context.Background(), snaps, snap.Store, sp)
 }
 
 // replayDeltaLocked re-applies one logged move through the same
@@ -318,15 +290,8 @@ func (m *Mediator) replayDeltaLocked(rec *persist.WALRecord, sp *obs.Span) error
 func (m *Mediator) staleSourcesLocked() []string {
 	var stale []string
 	for _, s := range m.sortedSources() {
-		v, ok := s.W.(wrapper.Versioned)
-		if !ok {
-			continue
-		}
-		ver := v.DataVersion()
-		if ver == 0 {
-			continue
-		}
-		if snap := m.snaps[s.Name]; snap != nil && snap.version != ver {
+		ver := dataVersion(s.W)
+		if snap := m.snaps[s.Name]; ver != 0 && snap != nil && snap.version != ver {
 			stale = append(stale, s.Name)
 		}
 	}

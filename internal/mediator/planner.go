@@ -13,6 +13,7 @@ import (
 	"modelmed/internal/flogic"
 	"modelmed/internal/gcm"
 	"modelmed/internal/obs"
+	"modelmed/internal/parser"
 	"modelmed/internal/term"
 	"modelmed/internal/wrapper"
 )
@@ -127,7 +128,7 @@ func (m *Mediator) conceptDomains(body []datalog.BodyElem) map[string][]string {
 // untrusted clients, and an unknown predicate would otherwise evaluate
 // silently to the empty answer.
 func (m *Mediator) Plan(q string) (*QueryPlan, error) {
-	body, aux, err := m.parseQuery(q)
+	body, aux, err := parser.ParseQuery(q)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: plan: %w", err)
 	}
@@ -634,7 +635,11 @@ func (m *Mediator) ExecutePlanCtx(ctx context.Context, p *QueryPlan, vars []stri
 		}
 	}
 	fsp := sp.Child("full_load")
-	factSets, errs := translateSources(g, full, fsp)
+	factSets := make([][]datalog.Rule, len(full))
+	errs := eachSource(full, fsp, func(i int) (n int, err error) {
+		factSets[i], err = guardedSourceFacts(g, full[i])
+		return len(factSets[i]), err
+	})
 	fullIdx := 0
 	for _, s := range all {
 		if !candidate[s.Name] {

@@ -61,9 +61,10 @@ func (o StreamOutcome) String() string {
 // of that source (never a silent drop). The returned report is the
 // refresh's report on the resync path. A batch carrying a non-ground
 // fact or a fact of another source is refused untouched (ErrBadDelta).
-// A move that fails once sequenced returns its error and poisons the
-// cache, so the next batch resyncs through a full rebuild; the outcome
-// returned with any error carries no meaning.
+// A move that fails once sequenced returns its error and changes
+// nothing, so the next batch finds a version gap and resyncs through
+// RefreshSource; the outcome returned with any error carries no
+// meaning.
 func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamOutcome, error) {
 	sp := m.startSpan("mediator.apply_stream_batch")
 	defer m.endTrace(sp)
