@@ -195,3 +195,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) ./internal/xmlio
 	$(GO) test -run='^$$' -fuzz=FuzzParseAxioms -fuzztime=$(FUZZTIME) ./internal/dl
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -run='^$$' -fuzz=FuzzQueryResponse -fuzztime=$(FUZZTIME) ./internal/serve

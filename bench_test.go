@@ -7,7 +7,11 @@
 package modelmed_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"modelmed/internal/baseline"
@@ -17,6 +21,7 @@ import (
 	"modelmed/internal/flogic"
 	"modelmed/internal/gcm"
 	"modelmed/internal/mediator"
+	"modelmed/internal/serve"
 	"modelmed/internal/sources"
 	"modelmed/internal/term"
 	"modelmed/internal/wrapper"
@@ -775,4 +780,67 @@ func BenchmarkNegatedQuery(b *testing.B) {
 			query(b, plain)
 		}
 	})
+}
+
+// --- The answer path: one /v1/query request through the handler ---
+
+// BenchmarkServeQuery sends the benchmark spine's three sourceful
+// requests (no_cache, so every one is parsed, evaluated over the
+// materialized base and encoded) through serve.Server.Handler() on a
+// materialized 10x federation: the four sources of the spine at ten
+// times their seed volume. One iteration is one request, measured at
+// the handler, without a network round trip.
+func BenchmarkServeQuery(b *testing.B) {
+	ws, err := sources.Wrappers(2026, 400, 800, 240)
+	if err != nil {
+		b.Fatal(err)
+	}
+	extra, err := sources.SyntheticSource("EXTRA00", 2026, 400, []string{"ca1", "dentate_gyrus"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	xw, err := wrapper.NewInMemory(extra)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := mediator.New(sources.NeuroDM(), nil)
+	for _, w := range append(ws, xw) {
+		if err := m.Register(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := m.DefineStandardViews(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Materialize(); err != nil {
+		b.Fatal(err)
+	}
+	h := serve.New(m, serve.Config{}).Handler()
+	for _, q := range []struct {
+		name string
+		req  serve.QueryRequest
+	}{
+		{"sec5", serve.QueryRequest{Query: `src_obj('SENSELAB', N, neurotransmission), ` +
+			`src_val('SENSELAB', N, organism, "rat"), ` +
+			`src_val('SENSELAB', N, transmitting_compartment, parallel_fiber), ` +
+			`anchor('SENSELAB', N, C)`, Vars: []string{"N", "C"}}},
+		{"scan", serve.QueryRequest{Query: `src_obj('SYNAPSE', O, C)`, Vars: []string{"O", "C"}}},
+		{"anchor", serve.QueryRequest{Query: `anchor(S, O, C), dm_isa_star(C, dendrite)`, Vars: []string{"S", "O", "C"}}},
+	} {
+		q.req.NoCache = true
+		body, err := json.Marshal(&q.req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
 }

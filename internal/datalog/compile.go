@@ -19,6 +19,14 @@ package datalog
 // rule runs on the interpreter. Both paths derive identical fact
 // sequences; the differential suite in compiled_diff_test.go holds them
 // to that.
+//
+// A query body compiles the same way (compileQuery), with one rule of
+// its own: a query must not grow the process-wide intern table, so its
+// constants are looked up rather than interned, and a body that would
+// intern at run time (is, a composed term under = or \=, a pattern
+// match inside a compound) is left to the interpreter, which never
+// interns. Query solutions go to an answerSet (query.go) instead of
+// the derived-fact queue.
 
 import (
 	"modelmed/internal/term"
@@ -153,6 +161,11 @@ type cProg struct {
 type compiler struct {
 	varReg map[string]int32
 	bound  map[string]bool
+	// query compiles a query body, which must not grow the intern table:
+	// ground terms are looked up instead of interned (one never interned
+	// gets unboundID, which no stored row holds), and every construct
+	// that would intern at run time fails the compilation.
+	query bool
 }
 
 func (c *compiler) reg(name string) int32 {
@@ -169,6 +182,19 @@ func (c *compiler) reg(name string) int32 {
 // does not cover (the caller falls back to the interpreter).
 func compileRule(r Rule, ordered []BodyElem, deltaIdx int) *cProg {
 	c := &compiler{varReg: make(map[string]int32), bound: make(map[string]bool)}
+	return c.compile(r, ordered, deltaIdx)
+}
+
+// compileQuery translates the ordered body of the query rule q, whose
+// head arguments are its answer variables, into a program whose
+// solutions cProg.query collects; nil when the body needs the
+// interpreter or would intern a term.
+func compileQuery(q Rule, ordered []BodyElem) *cProg {
+	c := &compiler{varReg: make(map[string]int32), bound: make(map[string]bool), query: true}
+	return c.compile(q, ordered, -1)
+}
+
+func (c *compiler) compile(r Rule, ordered []BodyElem, deltaIdx int) *cProg {
 	ops := make([]cOp, 0, len(ordered))
 	for i, el := range ordered {
 		l, ok := el.(Literal)
@@ -218,7 +244,7 @@ func (c *compiler) compileBuild(t term.Term) *cBuild {
 		return &cBuild{kind: bReg, reg: c.reg(t.Name())}
 	}
 	if t.IsGround() {
-		return &cBuild{kind: bConst, id: internTerm(t), t: t}
+		return &cBuild{kind: bConst, id: c.constID(t), t: t}
 	}
 	args := make([]cBuild, len(t.Args()))
 	for i, a := range t.Args() {
@@ -229,6 +255,24 @@ func (c *compiler) compileBuild(t term.Term) *cBuild {
 		args[i] = *ab
 	}
 	return &cBuild{kind: bComp, fn: t.Name(), args: args}
+}
+
+// constID is the ID of the ground term t: interned for a rule, looked
+// up for a query, where a term never interned gets unboundID.
+func (c *compiler) constID(t term.Term) uint32 {
+	if !c.query {
+		return internTerm(t)
+	}
+	if id, ok := lookupID(t); ok {
+		return id
+	}
+	return unboundID
+}
+
+// interns reports whether internBuild would intern to resolve b: a
+// composed term, or a constant a query left without an ID.
+func (b *cBuild) interns() bool {
+	return b.kind == bComp || b.kind == bConst && b.id == unboundID
 }
 
 // compileArith translates an arithmetic expression tree; nil when the
@@ -313,6 +357,9 @@ func (c *compiler) compileBuiltin(l Literal) *cOp {
 	case BuiltinUnify:
 		ab := c.compileBuild(a)
 		bb := c.compileBuild(b)
+		if c.query && (ab != nil && ab.interns() || bb != nil && bb.interns()) {
+			return nil
+		}
 		switch {
 		case ab != nil && bb != nil:
 			return &cOp{kind: opEq, la: *ab, ra: *bb}
@@ -325,11 +372,14 @@ func (c *compiler) compileBuiltin(l Literal) *cOp {
 	case BuiltinNotEq:
 		ab := c.compileBuild(a)
 		bb := c.compileBuild(b)
-		if ab == nil || bb == nil {
+		if ab == nil || bb == nil || c.query && (ab.interns() || bb.interns()) {
 			return nil
 		}
 		return &cOp{kind: opNeq, la: *ab, ra: *bb}
 	case BuiltinIs:
+		if c.query {
+			return nil // the computed value is interned
+		}
 		ar := c.arithFor(b)
 		if ar == nil {
 			return nil
@@ -363,6 +413,9 @@ func (c *compiler) compileBuiltin(l Literal) *cOp {
 // compileUnifyPat compiles X = t / pat = t where the pattern side has
 // unbound variables and val is fully bound.
 func (c *compiler) compileUnifyPat(pat term.Term, val cBuild) *cOp {
+	if c.query && !pat.IsVar() {
+		return nil // matchPat interns the value's arguments
+	}
 	op := &cOp{kind: opUnify, pat: pat, ra: val}
 	for _, v := range pat.Vars(nil) {
 		r := c.reg(v)
@@ -410,7 +463,7 @@ func (c *compiler) compileScan(l Literal, isDelta bool) *cOp {
 			}
 		case a.IsGround():
 			arg.kind = argConst
-			arg.id = internTerm(a)
+			arg.id = c.constID(a)
 		default:
 			allPre := true
 			for _, v := range a.Vars(nil) {
@@ -422,6 +475,9 @@ func (c *compiler) compileScan(l Literal, isDelta bool) *cOp {
 				arg.kind = argBuild
 				arg.b = *c.compileBuild(a)
 			} else {
+				if c.query {
+					return nil // matchPat interns the row term's arguments
+				}
 				arg.kind = argPat
 				arg.pat = a
 				for _, v := range a.Vars(nil) {
@@ -454,19 +510,29 @@ type cExec struct {
 	ev      *evalCtx
 	prog    *cProg
 	regs    []uint32
-	scratch []uint32 // head ID staging
+	scratch []uint32   // head ID staging
+	answers *answerSet // a query's solutions; nil for a rule
 }
 
 // run enumerates all solutions of the compiled body, queueing derived
 // facts on ev exactly as the interpreted path does.
 func (p *cProg) run(ev *evalCtx) error {
-	ex := &cExec{ev: ev, prog: p}
+	return p.exec(ev, nil).step(0)
+}
+
+// query enumerates all solutions of a compiled query body into set.
+func (p *cProg) query(ev *evalCtx, set *answerSet) error {
+	return p.exec(ev, set).step(0)
+}
+
+func (p *cProg) exec(ev *evalCtx, set *answerSet) *cExec {
+	ex := &cExec{ev: ev, prog: p, answers: set}
 	ex.regs = make([]uint32, p.nRegs)
 	for i := range ex.regs {
 		ex.regs[i] = unboundID
 	}
 	ex.scratch = make([]uint32, p.arity)
-	return ex.step(0)
+	return ex
 }
 
 func (ex *cExec) step(i int) error {
@@ -717,7 +783,7 @@ func (ex *cExec) internBuild(b *cBuild) uint32 {
 func (ex *cExec) resolveID(b *cBuild) (uint32, bool) {
 	switch b.kind {
 	case bConst:
-		return b.id, true
+		return b.id, b.id != unboundID
 	case bReg:
 		return ex.regs[b.reg], true
 	}
@@ -806,11 +872,20 @@ func (ex *cExec) sideArith(s *cSide) (term.Term, error) {
 	return ex.evalArith(s.arith)
 }
 
-// emit instantiates the head from the registers and queues the fact.
+// emit instantiates the head from the registers and queues the fact,
+// or, for a query, offers the answer row to its set. A query row is
+// never dropped for its depth: the interpreted query keeps it too.
 func (ex *cExec) emit() error {
 	ev := ex.ev
 	if err := ev.spendGas(); err != nil {
 		return err
+	}
+	if ex.answers != nil {
+		for i := range ex.prog.head {
+			ex.scratch[i] = ex.regs[ex.prog.head[i].reg]
+		}
+		ex.answers.add(ex.scratch)
+		return nil
 	}
 	maxDepth := int32(ev.opts.MaxTermDepth)
 	for i := range ex.prog.head {

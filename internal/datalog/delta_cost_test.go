@@ -218,6 +218,42 @@ func TestDeltaCostProportional(t *testing.T) {
 	}
 }
 
+// TestQueryCostFollowsAnswer holds a query's allocation to its answer:
+// projecting src_obj(S, O, C) onto S answers the 4 sources whatever
+// the objects number, so ten times the objects must not cost more than
+// twice as many bytes per query. (A row and a key string per solution
+// made it ten times as much.) Not parallel: it reads the process's
+// allocation counter.
+func TestQueryCostFollowsAnswer(t *testing.T) {
+	body := []BodyElem{Lit("src_obj", v("S"), v("O"), v("C"))}
+	perQuery := func(objs int) uint64 {
+		eng := NewEngine(nil)
+		for s := 0; s < 4; s++ {
+			for o := 0; o < objs; o++ {
+				if err := eng.AddFact("src_obj", term.Atom(fmt.Sprintf("src%d", s)),
+					term.Atom(fmt.Sprintf("obj%d_%d", s, o)), term.Atom(fmt.Sprintf("class%d", o%7))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytesPerRun(20, func() {
+			rows, err := res.Query(body, []string{"S"})
+			if err != nil || len(rows) != 4 {
+				t.Fatal(err, rows)
+			}
+		})
+	}
+	small, large := perQuery(500), perQuery(5000)
+	t.Logf("bytes per query: %d at 2000 solutions, %d at 20000", small, large)
+	if large > 2*small {
+		t.Errorf("a 4-row query allocates %d bytes at 10x the solutions against %d at 1x: more than twice", large, small)
+	}
+}
+
 // TestDeltaFallsBackOnNonStratified: DRed is only sound under
 // stratified negation, so a program that is not must take the full
 // well-founded run, say so, and still produce the right model.

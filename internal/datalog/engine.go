@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"modelmed/internal/obs"
 	"modelmed/internal/term"
@@ -365,71 +364,6 @@ func diffStore(a, b *Store) *Store {
 		})
 	}
 	return out
-}
-
-// Query evaluates a conjunctive query body against the result store and
-// returns the distinct bindings of vars, sorted. The body may contain
-// negation, builtins and aggregates; it must be safe.
-func (r *Result) Query(body []BodyElem, vars []string) ([][]term.Term, error) {
-	return r.QueryCtx(context.Background(), body, vars)
-}
-
-// QueryCtx is Query under the caller's context and the producing
-// engine's Limits: each enumerated solution (pre-deduplication) spends
-// one unit of the fact budget, and the context is checked at the same
-// stride, so a cross-product query body is stopped cooperatively
-// instead of enumerating to completion.
-func (r *Result) QueryCtx(ctx context.Context, body []BodyElem, vars []string) ([][]term.Term, error) {
-	headArgs := make([]term.Term, len(vars))
-	for i, v := range vars {
-		headArgs[i] = term.Var(v)
-	}
-	q := Rule{Head: Lit("query?", headArgs...), Body: body}
-	ordered, err := OrderBody(q)
-	if err != nil {
-		return nil, err
-	}
-	var lims Limits
-	if r.eng != nil {
-		lims = r.eng.opts.Limits
-	}
-	ev := &evalCtx{
-		store:  r.Store,
-		negCtx: r.Store,
-		opts:   &Options{MaxTermDepth: 64, MaxIterations: 1},
-		lim:    newLimiter(ctx, lims),
-	}
-	seen := make(map[string]struct{})
-	var out [][]term.Term
-	s := term.NewSubst()
-	err = ev.match(ordered, 0, -1, s, func(s *term.Subst) error {
-		if err := ev.spendGas(); err != nil {
-			return err
-		}
-		row := make([]term.Term, len(vars))
-		var key string
-		for i, v := range vars {
-			row[i] = s.Apply(term.Var(v))
-			key += row[i].Key()
-		}
-		if _, dup := seen[key]; !dup {
-			seen[key] = struct{}{}
-			out = append(out, row)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if c := out[i][k].Compare(out[j][k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return out, nil
 }
 
 // Holds reports whether the ground fact pred(args...) is true in the

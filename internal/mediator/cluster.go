@@ -408,7 +408,7 @@ func answerOver(ctx context.Context, res *datalog.Result, body []datalog.BodyEle
 	if len(vars) == 0 {
 		vars = defaultVars(body)
 	}
-	rows, err := queryResult(ctx, res, body, aux, vars)
+	rows, _, err := queryResult(ctx, res, body, aux, vars)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query over facts: %w", err)
 	}

@@ -471,6 +471,19 @@ func (m *Mediator) QueryCtx(ctx context.Context, q string, vars ...string) (*Ans
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query: %w", err)
 	}
+	return m.query(ctx, sp, body, aux, vars)
+}
+
+// QueryParsed is QueryCtx over a query the caller has already parsed
+// with parser.ParseQuery, so a server that parsed it to key its cache
+// does not parse it again. body and aux are only read.
+func (m *Mediator) QueryParsed(ctx context.Context, body []datalog.BodyElem, aux []datalog.Rule, vars ...string) (*Answer, error) {
+	sp := m.startSpan("mediator.query")
+	defer m.endTrace(sp)
+	return m.query(ctx, sp, body, aux, vars)
+}
+
+func (m *Mediator) query(ctx context.Context, sp *obs.Span, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*Answer, error) {
 	if len(vars) == 0 {
 		vars = defaultVars(body)
 	}
@@ -498,8 +511,14 @@ func (m *Mediator) queryCache(ctx context.Context, sp *obs.Span, body []datalog.
 		return nil, err
 	}
 	esp := sp.Child("evaluate")
-	rows, err := queryResult(ctx, res, body, aux, vars)
+	rows, st, err := queryResult(ctx, res, body, aux, vars)
 	esp.SetInt("rows", int64(len(rows)))
+	esp.SetInt("solutions", int64(st.Solutions))
+	compiled := int64(0)
+	if st.Compiled {
+		compiled = 1
+	}
+	esp.SetInt("compiled", compiled)
 	esp.End()
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query: %w", err)
@@ -510,14 +529,14 @@ func (m *Mediator) queryCache(ctx context.Context, sp *obs.Span, body []datalog.
 // queryResult evaluates body over res. A query's auxiliary rules run in
 // a layer over res that is dropped with the answer, so they never join
 // the program and the read moves no state.
-func queryResult(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) ([][]term.Term, error) {
+func queryResult(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) ([][]term.Term, datalog.QueryStats, error) {
 	if len(aux) > 0 {
 		var err error
 		if res, err = res.Extend(ctx, aux); err != nil {
-			return nil, err
+			return nil, datalog.QueryStats{}, err
 		}
 	}
-	return res.QueryCtx(ctx, body, vars)
+	return res.QueryWithStats(ctx, body, vars)
 }
 
 // Holds reports whether a ground fact is true in the materialized base.

@@ -73,34 +73,67 @@ func TestQuickPrintParseFixpoint(t *testing.T) {
 	}
 }
 
+// genGroundTerm builds a random ground term nested at most depth deep.
+func genGroundTerm(r *rand.Rand, depth int) term.Term {
+	switch k := r.Intn(5); {
+	case k == 0:
+		return term.Atom([]string{"a", "b c", "Name'd", ""}[r.Intn(4)])
+	case k == 1:
+		return term.Int(int64(r.Intn(2000) - 1000))
+	case k == 2:
+		return term.Float([]float64{0, 1.5, -2.25, 1e6}[r.Intn(4)])
+	case k == 3:
+		return term.Str([]string{"x", "two words", "with \"quote\""}[r.Intn(3)])
+	case depth > 0:
+		n := 1 + r.Intn(3)
+		args := make([]term.Term, n)
+		for i := range args {
+			args[i] = genGroundTerm(r, depth-1)
+		}
+		return term.Comp([]string{"f", "g h"}[r.Intn(2)], args...)
+	default:
+		return term.Atom("leaf")
+	}
+}
+
+// Property: Append writes String's bytes, onto an empty slice and onto
+// one that already holds text (a float must still get its ".0" when
+// the bytes before it contain a '.'), for the random ground terms
+// above and the terms of random rules.
+func TestQuickTermAppend(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		terms := []term.Term{genGroundTerm(r, 3)}
+		rule := genRandomRule(r)
+		terms = append(terms, rule.Head.Args...)
+		for _, e := range rule.Body {
+			if l, ok := e.(datalog.Literal); ok {
+				terms = append(terms, l.Args...)
+			}
+		}
+		for _, tm := range terms {
+			if string(tm.Append(nil)) != tm.String() {
+				t.Logf("Append(nil) = %q, String = %q", tm.Append(nil), tm.String())
+				return false
+			}
+			if got := string(tm.Append([]byte("1.5e"))); got != "1.5e"+tm.String() {
+				t.Logf("Append onto text = %q, want %q", got, "1.5e"+tm.String())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: parsed terms render back to an equal term (ParseTerm ∘
 // String = id) for random ground terms.
 func TestQuickTermPrintParse(t *testing.T) {
-	var gen func(r *rand.Rand, depth int) term.Term
-	gen = func(r *rand.Rand, depth int) term.Term {
-		switch k := r.Intn(5); {
-		case k == 0:
-			return term.Atom([]string{"a", "b c", "Name'd", ""}[r.Intn(4)])
-		case k == 1:
-			return term.Int(int64(r.Intn(2000) - 1000))
-		case k == 2:
-			return term.Float([]float64{0, 1.5, -2.25, 1e6}[r.Intn(4)])
-		case k == 3:
-			return term.Str([]string{"x", "two words", "with \"quote\""}[r.Intn(3)])
-		case depth > 0:
-			n := 1 + r.Intn(3)
-			args := make([]term.Term, n)
-			for i := range args {
-				args[i] = gen(r, depth-1)
-			}
-			return term.Comp([]string{"f", "g h"}[r.Intn(2)], args...)
-		default:
-			return term.Atom("leaf")
-		}
-	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tm := gen(r, 3)
+		tm := genGroundTerm(r, 3)
 		got, err := ParseTerm(tm.String())
 		if err != nil {
 			t.Logf("ParseTerm(%q): %v", tm.String(), err)

@@ -1,0 +1,79 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"modelmed/internal/obs"
+	"modelmed/internal/term"
+)
+
+// FuzzQueryResponse holds the one-pass /v1/query encoder to
+// encoding/json: for drawn atom, string, variable and plan-trace texts,
+// numbers and cache flags, its bytes must equal
+// json.NewEncoder(...).Encode(&QueryResponse{...}) over the rendered
+// rows, trailing newline included.
+func FuzzQueryResponse(f *testing.F) {
+	f.Add("purkinje_cell", "rat", "X", "step 1: anchor", int64(7), 2.5, false)
+	f.Add("'Purkinje Cell'", `say "hi"\n`, "Y_1", "<script>&amp;</script>", int64(-3), 0.0, true)
+	f.Add("a b c", "\x00\x1f\x7f\t\r\n\b\f", "", "", int64(math.MinInt64), math.Inf(-1), true)
+	f.Add("\xff\xfe bad utf8 \xc3", "é ü 日本", "Ä", "\xed\xa0\x80", int64(0), math.NaN(), false)
+	f.Add(`back\slash 'quote'`, "", "_", "x", int64(math.MaxInt64), -0.0, false)
+	f.Fuzz(func(t *testing.T, atom, str, varName, planText string, i int64, fl float64, hit bool) {
+		rows := [][]term.Term{
+			{term.Atom(atom), term.Str(str), term.Var(varName)},
+			{term.Int(i), term.Float(fl), term.Comp(atom, term.Atom(str), term.Int(i), term.Float(fl))},
+		}
+		if hit {
+			rows = append(rows, []term.Term{term.Str(planText), term.Atom(planText), term.Atom(varName)})
+		}
+		resp := &QueryResponse{Count: len(rows), Cached: hit}
+		if varName != "" {
+			resp.Vars = []string{varName, atom, str}
+		}
+		if planText != "" {
+			resp.PlanTrace = []string{planText, atom}
+		}
+		if len(planText)%2 == 1 {
+			resp.Trace = &obs.SpanExport{Name: planText, DurationNs: i, Strs: map[string]string{atom: str}}
+		}
+		enc := getQueryEncoder()
+		defer enc.release()
+		if err := enc.encode(resp, rows); err != nil {
+			t.Fatal(err)
+		}
+		want := *resp
+		want.Rows = renderRows(rows)
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.buf, buf.Bytes()) {
+			t.Fatalf("encoder bytes differ from encoding/json\n got: %q\nwant: %q", enc.buf, buf.Bytes())
+		}
+	})
+}
+
+// TestQueryResponseEmpty pins the edge shapes: no vars (null), no rows
+// ([]), an empty row, and no plan trace or span (omitted).
+func TestQueryResponseEmpty(t *testing.T) {
+	for _, rows := range [][][]term.Term{nil, {{}}} {
+		resp := &QueryResponse{Count: len(rows)}
+		enc := getQueryEncoder()
+		if err := enc.encode(resp, rows); err != nil {
+			t.Fatal(err)
+		}
+		want := *resp
+		want.Rows = renderRows(rows)
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.buf, buf.Bytes()) {
+			t.Errorf("got %q, want %q", enc.buf, buf.Bytes())
+		}
+		enc.release()
+	}
+}

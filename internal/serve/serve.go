@@ -347,7 +347,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if err := s.med.ValidateVocabulary(body, aux); err != nil {
 			return cached{}, err
 		}
-		ans, err := s.med.QueryCtx(ctx, req.Query, req.Vars...)
+		ans, err := s.med.QueryParsed(ctx, body, aux, req.Vars...)
 		if err != nil {
 			return cached{}, err
 		}
@@ -406,7 +406,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	resp := &QueryResponse{
 		Vars:      val.Ans.Vars,
-		Rows:      renderRows(val.Ans.Rows),
 		Count:     len(val.Ans.Rows),
 		Cached:    out == outcomeHit,
 		PlanTrace: val.PlanTrace,
@@ -414,7 +413,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Trace {
 		resp.Trace = val.Ans.Span.Export()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	enc := getQueryEncoder()
+	defer enc.release()
+	err = enc.encode(resp, val.Ans.Rows)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		_, _ = w.Write(enc.buf)
+	}
 	s.logRequest(r, tenant, http.StatusOK, start, resp.Count, out)
 }
 
@@ -653,7 +659,8 @@ func (s *Server) tenantOf(r *http.Request) string {
 	return defaultTenant
 }
 
-// renderRows renders term tuples as strings for JSON transport.
+// renderRows renders term tuples as strings for the subscription
+// diff; /v1/query encodes its rows directly (encode.go).
 func renderRows(rows [][]term.Term) [][]string {
 	out := make([][]string, len(rows))
 	for i, row := range rows {

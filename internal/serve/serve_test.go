@@ -494,6 +494,42 @@ func TestTraceEndpointAndPerRequestTrace(t *testing.T) {
 	}
 }
 
+// TestTraceShowsQueryEvaluator: a traced response says, on its
+// evaluate span, which evaluator answered (compiled 1 or 0) and how many
+// solutions it enumerated before duplicates were removed.
+func TestTraceShowsQueryEvaluator(t *testing.T) {
+	srv, m, _ := newServeFixture(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	m.EnableTracing(true)
+	evaluate := func(q string, vars ...string) (*QueryResponse, map[string]int64) {
+		t.Helper()
+		code, out := doQuery(t, ts, QueryRequest{Query: q, Vars: vars, Trace: true, NoCache: true})
+		if code != http.StatusOK || out.Trace == nil {
+			t.Fatalf("%s: status %d, trace %v", q, code, out.Trace)
+		}
+		for _, c := range out.Trace.Children {
+			if c.Name == "evaluate" {
+				return out, c.Ints
+			}
+		}
+		t.Fatalf("%s: no evaluate span in %+v", q, out.Trace)
+		return nil, nil
+	}
+	_, objs := evaluate("src_obj('alpha', O, C)", "O")
+	out, ints := evaluate("src_obj('alpha', O, C)", "C")
+	if ints["compiled"] != 1 {
+		t.Errorf("plain join: compiled = %d, want 1", ints["compiled"])
+	}
+	if ints["rows"] != int64(out.Count) || ints["solutions"] != objs["rows"] || ints["solutions"] <= ints["rows"] {
+		t.Errorf("projection onto C: rows %d, solutions %d; want %d rows from %d solutions",
+			ints["rows"], ints["solutions"], out.Count, objs["rows"])
+	}
+	if _, ints = evaluate("src_obj('alpha', O, C), N is 1 + 1", "N"); ints["compiled"] != 0 || ints["rows"] != 1 {
+		t.Errorf("is: compiled = %d, rows = %d; want the interpreter and 1 row", ints["compiled"], ints["rows"])
+	}
+}
+
 func TestSheddingUnderLoad(t *testing.T) {
 	// One slot, no queue, a source that hangs: the first request holds
 	// the slot until its deadline (504); a request arriving meanwhile is

@@ -191,7 +191,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				return cached{}, err
 			}
 			defer s.adm.release()
-			ans, err := s.med.QueryCtx(ctx, req.Query, req.Vars...)
+			ans, err := s.med.QueryParsed(ctx, body, aux, req.Vars...)
 			if err != nil {
 				return cached{}, err
 			}

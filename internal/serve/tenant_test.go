@@ -214,10 +214,11 @@ func TestTimeoutFreesAdmissionSlot(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// ~12^5 interpreted join solutions: seconds of evaluation, cut off
-	// at 150ms by the per-request deadline.
+	// ~12^6 join solutions: seconds of compiled evaluation, cut off at
+	// 150ms by the per-request deadline. (Compiled, 12^5 can finish
+	// enumerating inside the deadline.)
 	code, _ := doQuery(t, ts, QueryRequest{
-		Query: crossProduct(5), NoCache: true, TimeoutMs: 150,
+		Query: crossProduct(6), NoCache: true, TimeoutMs: 150,
 	})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("runaway query: status %d, want 504", code)

@@ -8,6 +8,7 @@
 package term
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -335,13 +336,6 @@ func (t Term) orderClass() int {
 	}
 }
 
-// escapeAtom escapes backslashes and single quotes inside a quoted atom
-// so the printed form re-reads to the same name.
-func escapeAtom(s string) string {
-	s = strings.ReplaceAll(s, "\\", "\\\\")
-	return strings.ReplaceAll(s, "'", "\\'")
-}
-
 // needsQuote reports whether an atom name requires single quotes to be
 // re-readable by the parser.
 func needsQuote(s string) bool {
@@ -362,54 +356,65 @@ func needsQuote(s string) bool {
 	return false
 }
 
-// String renders t in the concrete syntax accepted by the parser.
+// String renders t in the concrete syntax accepted by the parser: the
+// bytes of Append.
 func (t Term) String() string {
-	var b strings.Builder
-	t.write(&b)
-	return b.String()
+	if t.kind == KindVar || t.kind == KindAtom && !needsQuote(t.functor) {
+		return t.functor
+	}
+	var buf [64]byte
+	return string(t.Append(buf[:0]))
 }
 
-func (t Term) write(b *strings.Builder) {
+// Append appends the String form of t to dst and returns the extended
+// slice.
+func (t Term) Append(dst []byte) []byte {
 	switch t.kind {
 	case KindVar:
-		b.WriteString(t.functor)
+		dst = append(dst, t.functor...)
 	case KindAtom:
-		if needsQuote(t.functor) {
-			b.WriteByte('\'')
-			b.WriteString(escapeAtom(t.functor))
-			b.WriteByte('\'')
-		} else {
-			b.WriteString(t.functor)
-		}
+		dst = appendName(dst, t.functor)
 	case KindInt:
-		b.WriteString(strconv.FormatInt(t.ival, 10))
+		dst = strconv.AppendInt(dst, t.ival, 10)
 	case KindFloat:
-		s := strconv.FormatFloat(t.fval, 'g', -1, 64)
+		n := len(dst)
+		dst = strconv.AppendFloat(dst, t.fval, 'g', -1, 64)
 		// Keep floats re-readable as floats: "0" would reparse as an
 		// integer.
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		if !bytes.ContainsAny(dst[n:], ".eE") {
+			dst = append(dst, ".0"...)
 		}
-		b.WriteString(s)
 	case KindString:
-		b.WriteString(strconv.Quote(t.functor))
+		dst = strconv.AppendQuote(dst, t.functor)
 	case KindCompound:
-		if needsQuote(t.functor) {
-			b.WriteByte('\'')
-			b.WriteString(escapeAtom(t.functor))
-			b.WriteByte('\'')
-		} else {
-			b.WriteString(t.functor)
-		}
-		b.WriteByte('(')
+		dst = appendName(dst, t.functor)
+		dst = append(dst, '(')
 		for i, a := range t.args {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			a.write(b)
+			dst = a.Append(dst)
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	}
+	return dst
+}
+
+// appendName appends an atom name or functor, single-quoted with
+// backslashes and quotes escaped when the parser needs that to re-read
+// it.
+func appendName(dst []byte, name string) []byte {
+	if !needsQuote(name) {
+		return append(dst, name...)
+	}
+	dst = append(dst, '\'')
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c == '\\' || c == '\'' {
+			dst = append(dst, '\\')
+		}
+		dst = append(dst, name[i])
+	}
+	return append(dst, '\'')
 }
 
 // Key returns a canonical encoding of t usable as a map key. Distinct
