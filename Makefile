@@ -84,11 +84,13 @@ bench-persist:
 # under -short), corruption/torn-write/golden/version-skew codec tests,
 # the mediator warm-restore suite (including the WAL tails of the
 # push, pull and stream routes and replayed anchor re-indexing), the
-# mid-drain delta regression, and the medd warm-restart round trip —
-# all race-enabled.
+# mid-drain delta regression, the medd warm-restart round trip, the
+# source-state package a restore builds through, and the dump route's
+# agreement with the move — all race-enabled.
 persist-smoke:
 	$(GO) test -race -short -count=1 ./internal/persist
-	$(GO) test -race -count=1 -run 'WarmRestore|RestoreRejections|RestoreFullMarker|SnapshotState|ReplayIdempotence|ReplayReindexes|SourceRoutesAgree|ReadMovesNoState' ./internal/mediator
+	$(GO) test -race -count=1 ./internal/srcstate
+	$(GO) test -race -count=1 -run 'WarmRestore|RestoreRejections|RestoreFullMarker|SnapshotState|ReplayIdempotence|ReplayReindexes|SourceRoutesAgree|ReadMovesNoState|DumpRouteAgrees' ./internal/mediator
 	$(GO) test -race -count=1 -run 'DeltaDuringDrain' ./internal/serve
 	$(GO) test -race -count=1 -run 'DaemonWarmRestart|DaemonCrashMidStream' ./cmd/medd
 
@@ -102,13 +104,15 @@ bench-stream:
 # Live-federation smoke, race-enabled: wrapper delta-stream emission
 # and the stream fault injector, the mediator's sequencing/resync and
 # feed-loop suite, the seeded streaming-vs-batch-vs-scratch
-# differential, the push/pull/stream route agreement, refused
+# differential, the push/pull/stream route agreement and the dump
+# route's, the source-state package every move folds through, refused
 # foreign facts and pushed anchors (mediator and /v1/delta), chaos
 # convergence under faulty feeds, the SSE subscription surface (push,
 # tenant caps, drain), the mid-stream crash/warm-restart regression,
 # and the wall-clock budget suite.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'Stream|Subscribe|Feed|SourceRoutesAgree|PushedAnchors|DeltaStatusCodes' ./internal/wrapper ./internal/mediator ./internal/serve ./cmd/medd
+	$(GO) test -race -count=1 -run 'Stream|Subscribe|Feed|SourceRoutesAgree|DumpRouteAgrees|PushedAnchors|DeltaStatusCodes' ./internal/wrapper ./internal/mediator ./internal/serve ./cmd/medd
+	$(GO) test -race -count=1 ./internal/srcstate
 	$(GO) test -race -count=1 -run 'Wall' ./internal/datalog
 
 # Sharded-cluster overhead report: the Section 5 serving mix through
@@ -158,9 +162,11 @@ vet:
 # its own floor: internal/persist (currently ~83%) must stay >= 80%,
 # since a silently-untested recovery path is worse than none. The
 # live-federation code (wrapper/mediator stream.go, serve/load
-# subscribe.go, and mediator incr.go, where every streamed batch is
-# applied) carries the same 80% floor — it is all push-path code,
-# where an untested branch is a silent divergence.
+# subscribe.go, mediator incr.go, where every streamed batch is
+# applied, and srcstate move.go, where it is folded under the
+# shared-fact rule and unfolded on failure) carries the same 80%
+# floor — it is all push-path code, where an untested branch is a
+# silent divergence.
 COVER_THRESHOLD ?= 76.0
 PERSIST_COVER_THRESHOLD ?= 80.0
 STREAM_COVER_THRESHOLD ?= 80.0
@@ -177,7 +183,7 @@ cover:
 		if (t+0 < min+0) { printf "internal/persist coverage %.1f%% is below the %.1f%% floor\n", t, min; exit 1 } \
 		printf "internal/persist coverage %.1f%% (floor %.1f%%)\n", t, min }'
 	@awk -v min=$(STREAM_COVER_THRESHOLD) '\
-		NR > 1 && $$1 ~ /internal\/((wrapper|mediator|serve|load)\/(stream|subscribe)|mediator\/incr)\.go:/ { total += $$2; if ($$3 > 0) covered += $$2 } \
+		NR > 1 && $$1 ~ /internal\/((wrapper|mediator|serve|load)\/(stream|subscribe)|mediator\/incr|srcstate\/move)\.go:/ { total += $$2; if ($$3 > 0) covered += $$2 } \
 		END { \
 			if (total == 0) { print "no stream code in the profile"; exit 1 } \
 			pct = 100 * covered / total; \

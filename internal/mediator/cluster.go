@@ -1,35 +1,19 @@
 package mediator
 
 // Cluster hooks: the primitives a shard router needs from a mediator
-// beyond the ordinary query API.
-//
-//   - FactsDump renders, per registered source, exactly the facts,
-//     semantic rules and anchors the current materialization was built
-//     from — the shard's contribution to the federation, in the rule
-//     language, already reflecting every applied delta. A router whose
-//     query cannot be answered by unioning per-shard answers (cross-
-//     shard joins, aggregates, negation over source facts) gathers
-//     these dumps and evaluates at the routing tier.
-//
-//   - ParseDump turns a shipped dump into a ParsedDump, parsing only
-//     the lines the previous dump of the same source did not hold.
-//
-//   - QueryOverFacts evaluates a query over this mediator's *static*
-//     knowledge only (F-logic axioms, GCM bridge, domain map + closure
-//     rules, registered views) and a set of dumps: parse, build, query.
-//     The caller's mediator typically has no sources registered at all:
-//     it is the replicated-knowledge evaluator of a router, fed entirely
-//     by shard dumps. QueryOverParsed is the same over parsed dumps; a
-//     router uses it for restricted and partial gathers.
-//
-//   - MoveFactBase keeps such a build alive across dumps: a FactBase is
-//     patched with one ApplyDelta on the lines that changed, so a router
-//     answers a gather with a read of a materialised result
-//     (QueryResult) instead of a fixpoint per query.
-//
-// Together they generalize ExecutePlan's "load the relevant sources,
-// then evaluate" shape from sources to shards: the dump is the shard-
-// granular load, the build over it the residual evaluation.
+// beyond the ordinary query API. FactsDump renders every held source
+// state in the rule language — the shard's contribution to the
+// federation, reflecting every applied move — and ParseDump parses a
+// shipped dump against the previous one. A router whose query cannot
+// be answered by unioning per-shard answers (cross-shard joins,
+// aggregates, negation over source facts) evaluates over the dumps
+// with a mediator that holds no sources, only the static knowledge
+// (axioms, bridge, domain map, views): QueryOverFacts and
+// QueryOverParsed build once per query, and MoveFactBase keeps the
+// build alive as a FactBase — the mediator's own srcstate.Base, fed by
+// dumps — so a gather is a read of a materialised result
+// (QueryResult). Together they generalize ExecutePlan's "load the
+// relevant sources, then evaluate" from sources to shards.
 
 import (
 	"context"
@@ -40,6 +24,7 @@ import (
 
 	"modelmed/internal/datalog"
 	"modelmed/internal/parser"
+	"modelmed/internal/srcstate"
 	"modelmed/internal/term"
 )
 
@@ -68,7 +53,7 @@ func (m *Mediator) ViewRules() []datalog.Rule {
 // returns each registered source's current contribution, sorted by
 // source name with sorted fact lines — deterministic for a given
 // federation state. The dump reflects every applied delta: it is read
-// from the same per-source snapshots the incremental layer patches.
+// from the same source states every move folds into.
 func (m *Mediator) FactsDump(ctx context.Context) ([]SourceDump, error) {
 	m.evalMu.RLock()
 	defer m.evalMu.RUnlock()
@@ -77,19 +62,14 @@ func (m *Mediator) FactsDump(ctx context.Context) ([]SourceDump, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.snaps))
-	for n := range m.snaps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]SourceDump, 0, len(names))
-	for _, n := range names {
-		snap := m.snaps[n]
-		d := SourceDump{Source: n, Rules: ruleSig(snap.rules)}
-		snap.facts.Each(func(key string, arity int, row []term.Term) {
+	out := make([]SourceDump, 0, m.base.Len())
+	for _, n := range m.base.Names() {
+		st := m.base.State(n)
+		d := SourceDump{Source: n, Rules: ruleSig(st.Rules)}
+		st.Facts.Each(func(key string, arity int, row []term.Term) {
 			d.Facts = append(d.Facts, datalog.Fact(datalog.PredName(key), row...).String())
 		})
-		snap.anchors.Each(func(key string, arity int, row []term.Term) {
+		st.Anchors.Each(func(key string, arity int, row []term.Term) {
 			d.Anchors = append(d.Anchors, datalog.Fact(datalog.PredName(key), row...).String())
 		})
 		sort.Strings(d.Facts)
@@ -119,18 +99,20 @@ type dumpSection struct {
 
 // ParseDump parses d. Lines prev (a parse of an earlier dump of the same
 // source, or nil) also holds are not parsed again, so a re-shipped dump
-// costs a parse of the lines that changed. Every fact and anchor line
-// must be one ground fact.
+// costs a parse of the lines that changed. A dump comes from outside the
+// process, so its lines pass the check a pushed delta does
+// (checkDeltaFacts): every fact and anchor line must be one ground fact,
+// and a src_* or anchor line must be namespaced to d.Source.
 func ParseDump(d SourceDump, prev *ParsedDump) (*ParsedDump, error) {
-	if prev == nil {
+	if prev == nil || prev.Source != d.Source {
 		prev = &ParsedDump{}
 	}
 	out := &ParsedDump{Source: d.Source, ruleLines: d.Rules}
 	var err error
-	if out.facts, err = parseSection(d.Facts, prev.facts); err != nil {
+	if out.facts, err = parseSection(d.Source, d.Facts, prev.facts); err != nil {
 		return nil, fmt.Errorf("mediator: dump of %s: %w", d.Source, err)
 	}
-	if out.anchors, err = parseSection(d.Anchors, prev.anchors); err != nil {
+	if out.anchors, err = parseSection(d.Source, d.Anchors, prev.anchors); err != nil {
 		return nil, fmt.Errorf("mediator: dump of %s: %w", d.Source, err)
 	}
 	if slices.Equal(d.Rules, prev.ruleLines) {
@@ -141,9 +123,9 @@ func ParseDump(d SourceDump, prev *ParsedDump) (*ParsedDump, error) {
 	return out, nil
 }
 
-// parseSection parses lines, reusing prev's parse of every line it
-// shares with prev (a merge over the two sorted line lists).
-func parseSection(lines []string, prev dumpSection) (dumpSection, error) {
+// parseSection parses source's lines, reusing prev's parse of every
+// line it shares with prev (a merge over the two sorted line lists).
+func parseSection(source string, lines []string, prev dumpSection) (dumpSection, error) {
 	if !slices.IsSorted(lines) {
 		lines = slices.Clone(lines)
 		slices.Sort(lines)
@@ -176,10 +158,10 @@ func parseSection(lines []string, prev dumpSection) (dumpSection, error) {
 	if len(rules) != len(fresh) {
 		return dumpSection{}, fmt.Errorf("%d lines parse to %d clauses", len(fresh), len(rules))
 	}
+	if err := checkDeltaFacts(source, rules); err != nil {
+		return dumpSection{}, err
+	}
 	for k, r := range rules {
-		if !isGroundFact(r) {
-			return dumpSection{}, fmt.Errorf("%q is not a ground fact", text[k])
-		}
 		out.heads[fresh[k]] = r.Head
 	}
 	return out, nil
@@ -204,60 +186,69 @@ func diffSection(old, cur dumpSection, fn func(h datalog.Literal, add bool)) {
 	}
 }
 
-// buildOverFacts is the one way dumps become an engine and a result:
-// this mediator's static rule program (axioms, bridge, domain map,
-// closure rules, views — no registered sources are consulted), each
-// dump's semantic rules, and its facts and anchors as EDB facts.
-// The dumps must have been produced against the same domain map and
-// view set, or answers can diverge from what the dumping mediators
-// would say. With refs non-nil it also counts, per fact, the dump lines
-// that hold it.
-func (m *Mediator) buildOverFacts(ctx context.Context, dumps []*ParsedDump, refs map[string]int32) (*datalog.Engine, *datalog.Result, error) {
+// dumpChange is the move that takes a source from dump o to dump d.
+func dumpChange(o, d *ParsedDump) (ch srcstate.Change) {
+	into := func(adds, dels *[]datalog.Rule) func(datalog.Literal, bool) {
+		return func(h datalog.Literal, add bool) {
+			if add {
+				*adds = append(*adds, datalog.Rule{Head: h})
+			} else {
+				*dels = append(*dels, datalog.Rule{Head: h})
+			}
+		}
+	}
+	diffSection(o.facts, d.facts, into(&ch.Adds, &ch.Dels))
+	diffSection(o.anchors, d.anchors, into(&ch.AnchorAdds, &ch.AnchorDels))
+	return ch
+}
+
+// buildOverFacts is the one way dumps become a result: each dump
+// becomes its source's state (two dumps of one source, one state), and
+// the states are built (srcstate.Base.Build) over this mediator's
+// static program — no registered sources are consulted. The dumps must
+// come from mediators with the same domain map and views, or answers
+// can diverge from what those mediators would say.
+func (m *Mediator) buildOverFacts(ctx context.Context, dumps []*ParsedDump) (*srcstate.Base, error) {
 	m.mu.Lock()
 	e, err := m.newProgramEngineLocked(nil)
 	m.mu.Unlock()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	states := make(map[string]*srcstate.State, len(dumps))
 	for _, d := range dumps {
-		if err := e.AddRules(d.rules...); err != nil {
-			return nil, nil, fmt.Errorf("mediator: build over facts: source %s: %w", d.Source, err)
+		st := states[d.Source]
+		if st == nil {
+			st = srcstate.NewState(0)
+			states[d.Source] = st
 		}
-		for _, sec := range []*dumpSection{&d.facts, &d.anchors} {
-			for _, h := range sec.heads {
-				if err := e.AddFact(h.Pred, h.Args...); err != nil {
-					return nil, nil, fmt.Errorf("mediator: build over facts: source %s: %w", d.Source, err)
-				}
-				if refs != nil {
-					refs[factKey(h)]++
-				}
-			}
+		st.Rules = append(st.Rules, d.rules...)
+		for _, h := range d.facts.heads {
+			st.Facts.Insert(h.Pred, h.Args)
+		}
+		for _, h := range d.anchors.heads {
+			st.Anchors.Insert(h.Pred, h.Args)
 		}
 	}
-	res, err := e.RunCtx(ctx)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mediator: build over facts: %w", err)
+	b := &srcstate.Base{}
+	if err := b.Build(ctx, e, states, nil); err != nil {
+		return nil, fmt.Errorf("mediator: build over facts: %w", err)
 	}
-	return e, res, nil
+	return b, nil
 }
 
-// factKey identifies a ground fact by value, not by its line's text.
-func factKey(h datalog.Literal) string { return term.Comp(h.Pred, h.Args...).Key() }
-
-// FactBase is buildOverFacts kept alive: the engine, its result, the
-// dumps it was built from by source, and per fact the number of dump
-// lines across sources that hold it. It is not safe for concurrent use;
-// Result is never mutated, so readers may query it while the owner
-// moves the FactBase on (see datalog.Engine.ApplyDelta).
+// FactBase is buildOverFacts kept alive: a srcstate.Base over dumps,
+// and by source the dump each state was moved to, which the next dump
+// is diffed against. It is not safe for concurrent use, but Result is
+// never mutated, so readers may query it while the owner moves it on.
+// A state is a set of facts, one per line of FactsDump's rendering.
 type FactBase struct {
-	eng   *datalog.Engine
-	res   *datalog.Result
+	base  *srcstate.Base
 	dumps map[string]*ParsedDump
-	refs  map[string]int32
 }
 
 // Result is the materialisation over the FactBase's current dumps.
-func (fb *FactBase) Result() *datalog.Result { return fb.res }
+func (fb *FactBase) Result() *datalog.Result { return fb.base.Result() }
 
 // Dumps returns the dumps Result reflects, sorted by source.
 func (fb *FactBase) Dumps() []*ParsedDump {
@@ -270,18 +261,19 @@ func (fb *FactBase) Dumps() []*ParsedDump {
 }
 
 // MoveFactBase brings fb to dumps. A nil fb, a source that appears or
-// disappears, a source whose rule lines changed, or a patch that fails
-// is a cold build, reported as rebuilt. Otherwise the facts and anchors
-// that changed go into one ApplyDelta, fb is patched in place and
-// returned: a fact leaves the EDB only when no dump line of any source
-// still holds it. After an error fb must not be used again.
+// disappears, a source whose rule lines changed, or a move that fails
+// is a cold build, reported as rebuilt. Otherwise each source whose dump
+// changed moves by the facts and anchors that changed
+// (srcstate.Base.Move), and fb is moved in place and returned: a fact
+// leaves the EDB only when no source's state still holds it. After an
+// error fb must not be used again.
 func (m *Mediator) MoveFactBase(ctx context.Context, fb *FactBase, dumps []*ParsedDump) (next *FactBase, rebuilt bool, err error) {
 	bySource := make(map[string]*ParsedDump, len(dumps))
 	for _, d := range dumps {
 		bySource[d.Source] = d
 	}
 	if fb != nil && fb.dumps != nil && len(bySource) == len(dumps) {
-		ok, err := fb.patch(ctx, bySource)
+		ok, err := fb.move(ctx, bySource)
 		if ok {
 			return fb, false, nil
 		}
@@ -289,8 +281,7 @@ func (m *Mediator) MoveFactBase(ctx context.Context, fb *FactBase, dumps []*Pars
 			return nil, false, fmt.Errorf("mediator: move fact base: %w", err)
 		}
 	}
-	refs := map[string]int32{}
-	e, res, err := m.buildOverFacts(ctx, dumps, refs)
+	b, err := m.buildOverFacts(ctx, dumps)
 	if err != nil {
 		return nil, false, err
 	}
@@ -299,13 +290,14 @@ func (m *Mediator) MoveFactBase(ctx context.Context, fb *FactBase, dumps []*Pars
 		// move of this FactBase is a cold build.
 		bySource = nil
 	}
-	return &FactBase{eng: e, res: res, dumps: bySource, refs: refs}, true, nil
+	return &FactBase{base: b, dumps: bySource}, true, nil
 }
 
-// patch moves fb to dumps, one per source, with one ApplyDelta,
-// reporting false when the move needs a cold build instead. A failed
-// ApplyDelta leaves fb unusable; the caller rebuilds.
-func (fb *FactBase) patch(ctx context.Context, dumps map[string]*ParsedDump) (bool, error) {
+// move moves fb to dumps, one per source, reporting false when the move
+// needs a cold build instead. Each source moves on its own, so whether
+// a fact two sources share stays does not depend on the order they
+// move in. A failed move leaves fb unusable; the caller rebuilds.
+func (fb *FactBase) move(ctx context.Context, dumps map[string]*ParsedDump) (bool, error) {
 	if len(dumps) != len(fb.dumps) {
 		return false, nil
 	}
@@ -314,39 +306,14 @@ func (fb *FactBase) patch(ctx context.Context, dumps map[string]*ParsedDump) (bo
 			return false, nil
 		}
 	}
-	// Heads are ground (ParseDump checks), so Add and Del cannot fail.
-	delta := datalog.NewDelta()
-	move := func(h datalog.Literal, add bool) {
-		k := factKey(h)
-		n := fb.refs[k]
-		switch {
-		case add:
-			fb.refs[k] = n + 1
-			if n == 0 {
-				_ = delta.Add(h.Pred, h.Args...)
-			}
-		case n > 1:
-			fb.refs[k] = n - 1 // another line still holds it
-		default:
-			delete(fb.refs, k)
-			_ = delta.Del(h.Pred, h.Args...)
-		}
-	}
 	for src, d := range dumps {
 		if o := fb.dumps[src]; o != d {
-			diffSection(o.facts, d.facts, move)
-			diffSection(o.anchors, d.anchors, move)
+			if _, _, err := fb.base.Move(ctx, src, 0, dumpChange(o, d)); err != nil {
+				return false, err
+			}
 		}
 	}
 	fb.dumps = dumps
-	if delta.Empty() {
-		return true, nil
-	}
-	res, err := fb.eng.ApplyDeltaCtx(ctx, fb.res, delta)
-	if err != nil {
-		return false, err
-	}
-	fb.res = res
 	return true, nil
 }
 
@@ -373,11 +340,11 @@ func (m *Mediator) QueryOverParsed(ctx context.Context, dumps []*ParsedDump, q s
 	if err != nil {
 		return nil, err
 	}
-	_, res, err := m.buildOverFacts(ctx, dumps, nil)
+	b, err := m.buildOverFacts(ctx, dumps)
 	if err != nil {
 		return nil, err
 	}
-	return answerOver(ctx, res, body, aux, vars)
+	return answerOver(ctx, b.Result(), body, aux, vars)
 }
 
 // QueryResult evaluates q over res, a FactBase's result, behind the same

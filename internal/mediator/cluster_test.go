@@ -1,10 +1,15 @@
 package mediator
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"modelmed/internal/datalog"
+	"modelmed/internal/term"
+	"modelmed/internal/wrapper"
 )
 
 // TestParseDumpReusesUnchangedLines: a re-shipped dump reuses the parse
@@ -49,9 +54,110 @@ func TestParseDumpReusesUnchangedLines(t *testing.T) {
 	if strings.Join(added, ",") != "d" || strings.Join(removed, ",") != "b" {
 		t.Errorf("diff: added %v removed %v", added, removed)
 	}
-	for _, bad := range []string{"src_obj('S',X,c).", "p(a) :- q(a).", "p(a). q(b)."} {
+	for _, bad := range []string{"src_obj('S',X,c).", "p(a) :- q(a).", "p(a). q(b).", "src_obj('T',a,c)."} {
 		if _, err := ParseDump(SourceDump{Source: "S", Facts: []string{bad}}, nil); err == nil {
 			t.Errorf("fact line %q accepted", bad)
+		}
+	}
+}
+
+// TestDumpRouteAgreesWithMove: a FactBase is the mediator's source
+// states fed by dumps, so a replica moved by the dumps of a moved
+// mediator is patched, never rebuilt, and holds the mediator's store
+// after every push, pull and stream step — a withdrawn schema fact two
+// sources share included.
+func TestDumpRouteAgreesWithMove(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		runDumpRoute(t, seed)
+	}
+}
+
+func runDumpRoute(t *testing.T, seed int64) {
+	ctx := context.Background()
+	ws := newDiffWrappers(t, seed)
+	m := newDiffMediator(t, ws)
+	replica := newDiffMediator(t, nil)
+	prev := map[string]*ParsedDump{}
+	var fb *FactBase
+	ship := func(label string, wantRebuilt bool) {
+		t.Helper()
+		dumps, err := m.FactsDump(ctx)
+		if err != nil {
+			t.Fatalf("%s: dump: %v", label, err)
+		}
+		parsed := make([]*ParsedDump, len(dumps))
+		for i, d := range dumps {
+			if parsed[i], err = ParseDump(d, prev[d.Source]); err != nil {
+				t.Fatalf("%s: parse: %v", label, err)
+			}
+			prev[d.Source] = parsed[i]
+		}
+		var rebuilt bool
+		if fb, rebuilt, err = replica.MoveFactBase(ctx, fb, parsed); err != nil {
+			t.Fatalf("%s: move fact base: %v", label, err)
+		}
+		if rebuilt != wantRebuilt {
+			t.Fatalf("%s: rebuilt %v, want %v", label, rebuilt, wantRebuilt)
+		}
+		if got, want := fb.Result().Store, storeOf(t, m); !got.Equal(want) {
+			adds, dels := want.Diff(got)
+			t.Fatalf("%s: fact base differs from the mediator: missing %v, extra %v", label, dels, adds)
+		}
+	}
+	ship(fmt.Sprintf("seed=%d/build", seed), true)
+
+	chans := make([]<-chan wrapper.DeltaBatch, len(ws))
+	for i, w := range ws {
+		ch, cancel, err := w.SubscribeDeltas(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+		chans[i] = ch
+	}
+	r := newScriptRand(seed, 0xd0e)
+	for step := 0; step < 9; step++ {
+		wIdx, sub := r.Intn(len(ws)), r.Int63()
+		ws[wIdx].Mutate(mutateModel(newScriptRand(sub, step), ws[wIdx].Name(), step))
+		b := <-chans[wIdx]
+		route := []string{"stream", "push", "pull"}[step%3]
+		var rep *DeltaReport
+		var err error
+		switch route {
+		case "stream":
+			rep, _, err = m.ApplyStreamBatch(b)
+		case "push":
+			rep, err = m.ApplySourceDelta(b.Source, slices.Concat(b.Adds, b.AnchorAdds), slices.Concat(b.Dels, b.AnchorDels))
+		default:
+			rep, err = m.RefreshSource(b.Source)
+		}
+		label := fmt.Sprintf("seed=%d/step=%d/%s", seed, step, route)
+		if err != nil || rep.Full {
+			t.Fatalf("%s: %v, report %v", label, err, rep)
+		}
+		ship(label, false)
+	}
+
+	// Both synthetic sources declare the "record" class, so they share
+	// its schema facts. Withdraw one from each in turn.
+	var shared datalog.Rule
+	m.mu.Lock()
+	m.base.State("alpha").Facts.Each(func(key string, _ int, row []term.Term) {
+		if shared.Head.Pred == "" && m.base.State("beta").Facts.ContainsKey(key, row) {
+			shared = datalog.Fact(datalog.PredName(key), row...)
+		}
+	})
+	m.mu.Unlock()
+	if shared.Head.Pred == "" {
+		t.Fatal("no schema fact shared between alpha and beta")
+	}
+	for i, src := range []string{"alpha", "beta"} {
+		if _, err := m.ApplySourceDelta(src, nil, []datalog.Rule{shared}); err != nil {
+			t.Fatal(err)
+		}
+		ship(fmt.Sprintf("seed=%d/withdraw from %s", seed, src), false)
+		if got, want := fb.Result().Holds(shared.Head.Pred, shared.Head.Args...), i == 0; got != want {
+			t.Errorf("seed=%d: after %s withdrew %s, the fact base holds it: %v", seed, src, shared, got)
 		}
 	}
 }

@@ -1,37 +1,19 @@
 package mediator
 
 // Incremental maintenance of the materialized mediated object base.
-// The cached materialization is a datalog Result built from per-source
-// fact sets; when one source changes, re-pulling every source and
-// re-running the whole program from scratch throws away all the work
-// that other sources' facts paid for. Instead the mediator keeps a
-// per-source snapshot of what the cache was built from (srcSnapshot)
-// and patches the cache through the engine's delta API
-// (datalog.Engine.ApplyDelta): deletions delete-and-rederive, additions
-// ride the semi-naive machinery.
-//
-// A source moves from one state to the next through exactly one
-// operation, moveSourceLocked: it folds fact and anchor changes into
-// the snapshot (refcounting facts other sources share), patches the
-// cache, sets the snapshot version, counts the step and emits its one
-// WAL record. A move that fails takes its folds back, so it changes
-// nothing. The semantic index reads the snapshot's anchors, so a move
-// that folds anchors has moved the index too. The entry points only
-// decide whether and what to move:
-//
-//   - ApplySourceDelta (push): the caller states the change; the
-//     version does not move.
-//   - RefreshSource / SyncSources (pull): read one source through its
-//     wrapper (readSource) and diff it against the snapshot; the version
-//     is the wrapper's, read before the pull.
-//   - ApplyStreamBatch (stream, stream.go): a versioned batch that
-//     extends the snapshot version exactly; the version is the batch's.
-//   - WAL replay (persist.go): a logged move, re-applied verbatim.
-//
-// Changes a delta cannot express — new semantic rules, anchors at
-// concepts the domain map does not know (which grow the map and hence
-// the program) — fall back to a build from scratch over the held
-// source states; the report says so (DeltaReport.Full).
+// The mediator holds every source's state and the result over them in
+// one srcstate.Base, and a source moves through exactly one operation,
+// moveSourceLocked: the Base folds the change under the shared-fact
+// rule and patches the result with one ApplyDelta (srcstate.Base.Move),
+// and the mediator adds the version, the report and counters, and the
+// WAL record. The entry points only decide whether and what to move:
+// ApplySourceDelta (push; the version stays), RefreshSource and
+// SyncSources (pull; the wrapper's version, read before the pull),
+// ApplyStreamBatch (stream.go; the batch's version, which must extend
+// the held one exactly) and WAL replay (persist.go; the logged move).
+// A change a move cannot express — new semantic rules, anchors at
+// concepts the domain map does not know — falls back to a build from
+// scratch over the held states (DeltaReport.Full).
 
 import (
 	"context"
@@ -42,35 +24,9 @@ import (
 	"modelmed/internal/datalog"
 	"modelmed/internal/obs"
 	"modelmed/internal/persist"
+	"modelmed/internal/srcstate"
 	"modelmed/internal/term"
 )
-
-// srcSnapshot records what one source contributed to the cached
-// materialization, so the next version of the source can be diffed
-// against it and the difference patched into the cache.
-type srcSnapshot struct {
-	// facts are the ground facts the source contributed (namespaced
-	// src_* facts plus global schema facts).
-	facts *datalog.Store
-	// rules are the source's semantic rules, the non-ground part of its
-	// translation; a rule change cannot be patched and forces a full
-	// rebuild.
-	rules []datalog.Rule
-	// anchors are the source's anchor/3 facts in the cached
-	// materialization; the semantic index reads them.
-	anchors *datalog.Store
-	// version is the wrapper's data version at pull time (0 =
-	// unversioned; such sources are never auto-synced).
-	version uint64
-}
-
-func newSrcSnapshot(version uint64) *srcSnapshot {
-	return &srcSnapshot{
-		facts:   datalog.NewStore(),
-		anchors: datalog.NewStore(),
-		version: version,
-	}
-}
 
 // ruleSig fingerprints semantic rules in order.
 func ruleSig(rules []datalog.Rule) []string {
@@ -93,7 +49,7 @@ var ErrBadDelta = errors.New("bad source delta")
 type DeltaReport struct {
 	Source string
 	// FactsAdded / FactsRemoved count the source-level fact changes
-	// (before shared-fact refcounting against other sources).
+	// (before the shared-fact rule; see srcstate.Base.Move).
 	FactsAdded   int
 	FactsRemoved int
 	// AnchorsAdded / AnchorsRemoved count anchor changes.
@@ -121,48 +77,6 @@ func (r *DeltaReport) String() string {
 	return s
 }
 
-// sharedElsewhere reports whether any source other than except also
-// contributes the fact. Global schema facts (method signatures, rel
-// schemas) are emitted by every source whose model declares them; a
-// fact one source withdraws must survive while another still asserts
-// it. Called with m.mu held.
-func (m *Mediator) sharedElsewhere(except, key string, row []term.Term) bool {
-	for name, snap := range m.snaps {
-		if name == except {
-			continue
-		}
-		if snap.facts.ContainsKey(key, row) {
-			return true
-		}
-	}
-	return false
-}
-
-// patchCacheLocked applies a datalog delta to the cached
-// materialization, swapping in the patched result. A failed patch
-// leaves the cache and its engine as they were. Called with m.mu held;
-// sp may be nil.
-func (m *Mediator) patchCacheLocked(d *datalog.Delta, sp *obs.Span) (*datalog.DeltaStats, error) {
-	if d.Empty() {
-		return nil, nil
-	}
-	// Retarget the long-lived cache engine's tracing at this update's
-	// span; its materialize-time span has long ended.
-	m.cacheEngine.SetObs(sp, m.counters())
-	next, err := m.cacheEngine.ApplyDelta(m.cache, d)
-	if err != nil {
-		return nil, err
-	}
-	m.cache = next
-	return next.Delta, nil
-}
-
-// canPatchLocked reports whether the cached materialization is in a
-// state a delta can be applied to. Called with m.mu held.
-func (m *Mediator) canPatchLocked(source string) bool {
-	return m.cache != nil && m.snaps[source] != nil
-}
-
 // fullRebuildLocked builds the cache from scratch and wraps the outcome
 // in a Full report. The build reads only the sources the mediator holds
 // no state of, and writes a Full marker for each (materializeLocked);
@@ -172,93 +86,38 @@ func (m *Mediator) fullRebuildLocked(rep *DeltaReport, sp *obs.Span) (*DeltaRepo
 	rep.Full = true
 	m.counters().Add("mediator.delta_full_rebuilds", 1)
 	sp.SetStr("fallback", "full")
-	m.cache = nil
+	m.base.DropResult()
 	if _, err := m.materializeLocked(context.Background(), sp); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// moveSourceLocked is the one operation that moves a source's
-// contribution to the cached materialization: it folds the fact and
-// anchor changes into snap, patches the cache, sets snap.version to
-// toVersion, records the step, and emits its WAL record (suppressed
-// during replay). Deletions snap does not hold and additions it
-// already holds are skipped; a deleted fact another source still
-// asserts leaves the engine alone.
-// The WAL record carries only the changes that took effect, so replay
-// against the same snapshot state reaches the same engine delta. A
-// move that fails unfolds what it folded and returns the error: the
-// snapshot, the cache and the log stay as they were. Called with evalMu
-// and m.mu held.
-func (m *Mediator) moveSourceLocked(s *Source, snap *srcSnapshot, toVersion uint64, adds, dels, anchorAdds, anchorDels []datalog.Rule, sp *obs.Span) (*DeltaReport, error) {
-	rec := &persist.WALRecord{Source: s.Name, Version: toVersion}
-	d := datalog.NewDelta()
-	var stats *datalog.DeltaStats
-	var err error
-	if rec.Adds, rec.Dels, err = m.foldLocked(s.Name, snap.facts, d, adds, dels); err == nil {
-		rec.AnchorAdds, rec.AnchorDels, err = m.foldLocked(s.Name, snap.anchors, d, anchorAdds, anchorDels)
-	}
-	if err == nil {
-		stats, err = m.patchCacheLocked(d, sp)
-	}
+// moveSourceLocked is the one operation that moves a source
+// (srcstate.Base.Move). It records the step and logs the changes that
+// took effect (not during replay), so replay against the same states
+// reaches the same engine delta. A failed move changes nothing. Called
+// with evalMu and m.mu held.
+func (m *Mediator) moveSourceLocked(s *Source, toVersion uint64, ch srcstate.Change, sp *obs.Span) (*DeltaReport, error) {
+	// Every caller holds a result, so an engine: retarget its tracing at
+	// this move's span.
+	m.base.Engine().SetObs(sp, m.counters())
+	eff, stats, err := m.base.Move(context.Background(), s.Name, toVersion, ch)
 	if err != nil {
-		unfold(snap.facts, rec.Adds, rec.Dels)
-		unfold(snap.anchors, rec.AnchorAdds, rec.AnchorDels)
 		return nil, fmt.Errorf("mediator: move %s: %w", s.Name, err)
 	}
 	rep := &DeltaReport{
 		Source:         s.Name,
-		FactsAdded:     len(rec.Adds),
-		FactsRemoved:   len(rec.Dels),
-		AnchorsAdded:   len(rec.AnchorAdds),
-		AnchorsRemoved: len(rec.AnchorDels),
+		FactsAdded:     len(eff.Adds),
+		FactsRemoved:   len(eff.Dels),
+		AnchorsAdded:   len(eff.AnchorAdds),
+		AnchorsRemoved: len(eff.AnchorDels),
 		Stats:          stats,
 	}
-	snap.version = toVersion
 	m.noteDeltaLocked(rep, sp)
-	m.logDeltaLocked(rec)
+	m.logDeltaLocked(&persist.WALRecord{Source: s.Name, Version: toVersion,
+		Adds: eff.Adds, Dels: eff.Dels, AnchorAdds: eff.AnchorAdds, AnchorDels: eff.AnchorDels})
 	return rep, nil
-}
-
-// foldLocked folds dels then adds into one snapshot store and the
-// engine delta, returning the changes that took effect — on error, the
-// ones folded so far. Called with m.mu held.
-func (m *Mediator) foldLocked(source string, st *datalog.Store, d *datalog.Delta, adds, dels []datalog.Rule) (effAdds, effDels []datalog.Rule, err error) {
-	for _, r := range dels {
-		key := datalog.PredKey(r.Head.Pred, len(r.Head.Args))
-		if !st.DeleteKey(key, r.Head.Args) {
-			continue // the source never contributed it
-		}
-		effDels = append(effDels, r)
-		if m.sharedElsewhere(source, key, r.Head.Args) {
-			continue // another source still asserts it
-		}
-		if err := d.Del(r.Head.Pred, r.Head.Args...); err != nil {
-			return effAdds, effDels, err
-		}
-	}
-	for _, r := range adds {
-		if !st.Insert(r.Head.Pred, r.Head.Args) {
-			continue // already contributed
-		}
-		effAdds = append(effAdds, r)
-		if err := d.Add(r.Head.Pred, r.Head.Args...); err != nil {
-			return effAdds, effDels, err
-		}
-	}
-	return effAdds, effDels, nil
-}
-
-// unfold takes back what foldLocked folded into st: the effective adds
-// and deletions.
-func unfold(st *datalog.Store, effAdds, effDels []datalog.Rule) {
-	for _, r := range effAdds {
-		st.Delete(r.Head.Pred, r.Head.Args)
-	}
-	for _, r := range effDels {
-		st.Insert(r.Head.Pred, r.Head.Args)
-	}
 }
 
 // checkDeltaFacts refuses, as ErrBadDelta, a change to source that
@@ -324,7 +183,7 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 				source, ErrBadDelta, r)
 		}
 	}
-	// Write side of evalMu: the move changes the snapshot and the cache's
+	// Write side of evalMu: the move changes the held state and the cache's
 	// engine, so concurrent query evaluation is excluded for its
 	// duration.
 	m.evalMu.Lock()
@@ -335,19 +194,20 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 	if !ok {
 		return nil, fmt.Errorf("mediator: %w: source %s not registered", ErrBadDelta, source)
 	}
-	rebuilt := !m.canPatchLocked(source)
+	rebuilt := m.base.Result() == nil || m.base.State(source) == nil
 	if rebuilt {
 		// No patchable cache yet (cold, or a program change): build it
 		// first and then apply the stated change on top.
 		if _, err := m.fullRebuildLocked(&DeltaReport{Source: source}, sp); err != nil {
 			return nil, err
 		}
-		if !m.canPatchLocked(source) {
-			return nil, fmt.Errorf("mediator: source delta for %s: no snapshot after rebuild", source)
-		}
 	}
-	snap := m.snaps[source]
-	rep, err := m.moveSourceLocked(s, snap, snap.version, adds, dels, anchorAdds, anchorDels, sp)
+	held := m.base.State(source)
+	if held == nil {
+		return nil, fmt.Errorf("mediator: source delta for %s: no state after rebuild", source)
+	}
+	ch := srcstate.Change{Adds: adds, Dels: dels, AnchorAdds: anchorAdds, AnchorDels: anchorDels}
+	rep, err := m.moveSourceLocked(s, held.Version, ch, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +221,7 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 // growth), instance data is fetched through the fault-tolerance guard
 // when the layer is enabled (per-source SourceReports merge into
 // SourceReports() exactly like a materialize fan-out), and the state
-// read is diffed against the snapshot. Rule changes or anchors at
+// read is diffed against the held state. Rule changes or anchors at
 // concepts the domain map does not know force a full rebuild, which
 // reads the source again. A source that is down keeps the stale cache
 // and returns the error.
@@ -382,17 +242,17 @@ func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaRepor
 		return nil, fmt.Errorf("mediator: source %s not registered", source)
 	}
 	rep := &DeltaReport{Source: source}
-	if m.snaps[source] == nil {
+	if m.base.State(source) == nil {
 		// The mediator holds no state of the source: the build reads it.
 		return m.fullRebuildLocked(rep, sp)
 	}
-	if m.cache == nil {
+	if m.base.Result() == nil {
 		// A program change: evaluate it over the held states first.
 		if _, err := m.materializeLocked(context.Background(), sp); err != nil {
 			return nil, err
 		}
 	}
-	snap := m.snaps[source]
+	held := m.base.State(source)
 	g := m.newGuard()
 	next, grew, err := m.readSource(g, s)
 	m.mergeReportsLocked(g.Reports())
@@ -404,16 +264,17 @@ func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaRepor
 		// The stale cache stands; the caller decides what to do.
 		return nil, err
 	}
-	if grew || !slices.Equal(ruleSig(snap.rules), ruleSig(next.rules)) {
+	if grew || !slices.Equal(ruleSig(held.Rules), ruleSig(next.Rules)) {
 		// Semantic rules that changed, or anchors at concepts that grew
 		// the domain map, make a different program, which the EDB delta
 		// API cannot express.
-		delete(m.snaps, source)
+		m.base.DropSource(source)
 		return m.fullRebuildLocked(rep, sp)
 	}
-	adds, dels := snap.facts.Diff(next.facts)
-	anchorAdds, anchorDels := snap.anchors.Diff(next.anchors)
-	return m.moveSourceLocked(s, snap, next.version, adds, dels, anchorAdds, anchorDels, sp)
+	var ch srcstate.Change
+	ch.Adds, ch.Dels = held.Facts.Diff(next.Facts)
+	ch.AnchorAdds, ch.AnchorDels = held.Anchors.Diff(next.Anchors)
+	return m.moveSourceLocked(s, next.Version, ch, sp)
 }
 
 // SyncSources refreshes every registered source whose wrapper reports
@@ -431,7 +292,7 @@ func (m *Mediator) SyncSources() ([]*DeltaReport, error) {
 	var reps []*DeltaReport
 	for _, s := range m.sortedSources() {
 		ver := dataVersion(s.W)
-		if snap := m.snaps[s.Name]; ver == 0 || snap != nil && snap.version == ver {
+		if held := m.base.State(s.Name); ver == 0 || held != nil && held.Version == ver {
 			continue
 		}
 		rep, err := m.refreshSourceLocked(s.Name, sp.Child("refresh "+s.Name))

@@ -241,18 +241,17 @@ func TestSharedFactRefcount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both synthetic sources declare the same "record" class, so its
-	// schema facts are shared. Find one from the alpha snapshot.
+	// schema facts are shared. Find one among alpha's held facts that
+	// another source's state also holds.
 	m.mu.Lock()
-	snap := m.snaps["alpha"]
 	var shared datalog.Rule
 	found := false
-	snap.facts.Each(func(key string, arity int, row []term.Term) {
-		if found {
-			return
-		}
-		if m.sharedElsewhere("alpha", key, row) {
-			shared = datalog.Fact(datalog.PredName(key), row...)
-			found = true
+	m.base.State("alpha").Facts.Each(func(key string, arity int, row []term.Term) {
+		for _, name := range m.base.Names() {
+			if !found && name != "alpha" && m.base.State(name).Facts.ContainsKey(key, row) {
+				shared = datalog.Fact(datalog.PredName(key), row...)
+				found = true
+			}
 		}
 	})
 	m.mu.Unlock()

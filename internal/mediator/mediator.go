@@ -11,7 +11,6 @@ package mediator
 import (
 	"context"
 	"fmt"
-	"maps"
 	"runtime"
 	"sort"
 	"strings"
@@ -26,6 +25,7 @@ import (
 	"modelmed/internal/obs"
 	"modelmed/internal/parser"
 	"modelmed/internal/persist"
+	"modelmed/internal/srcstate"
 	"modelmed/internal/term"
 	"modelmed/internal/wrapper"
 	"modelmed/internal/xmlio"
@@ -125,22 +125,18 @@ type Mediator struct {
 	// evalMu orders readers of the cache against source moves:
 	// Query/Holds/Explain evaluate over the cached Result *outside*
 	// m.mu, while a move (ApplySourceDelta, RefreshSource, SyncSources,
-	// ApplyStreamBatch) moves the cache's engine EDB and the snapshots
-	// along with the Result it swaps in. Readers hold the read side
+	// ApplyStreamBatch) moves the engine EDB and the held states along
+	// with the Result it swaps in. Readers hold the read side
 	// across materialize+evaluate and movers the write side across the
 	// whole move, so every answer reflects exactly a pre- or post-move
 	// state, never a torn mix. Lock order: evalMu before m.mu.
 	evalMu sync.RWMutex
 
-	// cache is the current program's result over the held source states;
-	// nil means there is none, and the next read builds it.
-	cache       *datalog.Result
-	cacheEngine *datalog.Engine
-	// snaps holds each source's state: the facts/rules/anchors it
-	// contributes and the wrapper data version it was read at (see
-	// incr.go). A registered source without an entry is one the mediator
-	// holds no state of: the next build reads it through its wrapper.
-	snaps map[string]*srcSnapshot
+	// base holds the source states and the current program's result
+	// over them, the cache (see incr.go). The next build reads a
+	// registered source without a state through its wrapper; with no
+	// result, the next read builds one.
+	base srcstate.Base
 
 	// deltaLog, when set, receives a WAL record for every source move
 	// (and a Full marker for every source a build reads) while m.mu is
@@ -198,13 +194,13 @@ func (m *Mediator) Index() *domainmap.SemanticIndex { return m.index }
 var anchorKey = datalog.PredKey(PredAnchor, 3)
 
 // anchorsLocked returns the anchor facts the semantic index reads for s:
-// the ones the mediator holds when it has a snapshot of s, else the
+// the ones the mediator holds when it holds a state of s, else the
 // ones s last reported — before the first materialization, after
 // Invalidate or a restore that was not adopted, and for a source the
 // last materialization dropped as down. Called with m.mu held.
 func (m *Mediator) anchorsLocked(s *Source) *datalog.Store {
-	if snap := m.snaps[s.Name]; snap != nil {
-		return snap.anchors
+	if st := m.base.State(s.Name); st != nil {
+		return st.Anchors
 	}
 	return s.anchors
 }
@@ -320,7 +316,7 @@ func (m *Mediator) Register(w wrapper.Wrapper) error {
 		// from its first query on.
 		cs.SetObsCounters(m.counters())
 	}
-	m.cache = nil
+	m.base.DropResult()
 	return nil
 }
 
@@ -380,8 +376,7 @@ func (m *Mediator) Unregister(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.srcs, name)
-	delete(m.snaps, name)
-	m.cache = nil
+	m.base.DropSource(name)
 }
 
 // RegisterKnowledge extends the domain map with DL axioms sent by a
@@ -391,7 +386,7 @@ func (m *Mediator) RegisterKnowledge(axioms ...dl.Axiom) error {
 		return err
 	}
 	m.mu.Lock()
-	m.cache = nil
+	m.base.DropResult()
 	m.mu.Unlock()
 	return nil
 }
@@ -409,7 +404,7 @@ func (m *Mediator) DefineView(src string) error {
 	privateAux(fmt.Sprintf("v%d", len(m.viewText)), nil, rules)
 	m.views = append(m.views, rules...)
 	m.viewText = append(m.viewText, src)
-	m.cache = nil
+	m.base.DropResult()
 	return nil
 }
 
@@ -611,36 +606,35 @@ func (m *Mediator) materialize(ctx context.Context, sp *obs.Span) (*datalog.Resu
 // all held states. Each source read gets a Full marker in the log: it
 // moved without a logged move. Called with m.mu held.
 func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalog.Result, error) {
-	if m.cache != nil && !(m.degradedLocked() && m.reprobeDue()) {
+	if res := m.base.Result(); res != nil && !(m.degradedLocked() && m.reprobeDue()) {
 		sp.SetStr("cache", "hit")
-		return m.cache, nil
+		return res, nil
 	}
-	m.cache = nil
+	m.base.DropResult()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var missing []*Source
 	for _, s := range m.sortedSources() {
-		if m.snaps[s.Name] == nil {
+		if m.base.State(s.Name) == nil {
 			missing = append(missing, s)
 		}
 	}
 	g := m.newGuardCtx(ctx)
 	fsp := sp.Child("sources")
-	read := make([]*srcSnapshot, len(missing))
+	read := make([]*srcstate.State, len(missing))
 	errs := eachSource(missing, fsp, func(i int) (facts int, err error) {
 		if read[i], _, err = m.readSource(g, missing[i]); err != nil {
 			return 0, err
 		}
-		return read[i].facts.Size(), nil
+		return read[i].Facts.Size(), nil
 	})
 	if err := ctx.Err(); err != nil {
 		// A cancelled fan-out must not be cached as a (partial) result.
 		fsp.End()
 		return nil, err
 	}
-	snaps := make(map[string]*srcSnapshot, len(m.srcs))
-	maps.Copy(snaps, m.snaps)
+	states := m.base.States()
 	for i, s := range missing {
 		if errs[i] != nil {
 			if g != nil && !m.opts.FailFast && sourceDown(errs[i]) {
@@ -651,11 +645,11 @@ func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalo
 			fsp.End()
 			return nil, errs[i]
 		}
-		snaps[s.Name] = read[i]
+		states[s.Name] = read[i]
 	}
 	g.annotate(fsp)
 	fsp.End()
-	if err := m.buildLocked(ctx, snaps, nil, sp); err != nil {
+	if err := m.buildLocked(ctx, states, nil, sp); err != nil {
 		return nil, err
 	}
 	m.mergeReportsLocked(g.Reports())
@@ -664,48 +658,25 @@ func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalo
 			m.logDeltaLocked(&persist.WALRecord{Source: s.Name, Full: true})
 		}
 	}
-	return m.cache, nil
+	return m.base.Result(), nil
 }
 
 // degradedLocked reports whether the mediator holds no state of some
 // registered source: a cache built without it is degraded. Called with
 // m.mu held.
-func (m *Mediator) degradedLocked() bool { return len(m.snaps) < len(m.srcs) }
+func (m *Mediator) degradedLocked() bool { return m.base.Len() < len(m.srcs) }
 
-// buildLocked evaluates the current program over snaps, the states of
-// registered sources the mediator is to hold: a fresh engine takes the
-// mediator-level rules and, per source, its semantic rules and, as EDB,
-// its facts and anchors. With store nil the engine runs under ctx;
-// otherwise store — a snapshot's materialization of this very program
-// and EDB — is adopted without a fixpoint run. On success the result is
-// the cache and snaps the held states. Called with m.mu held.
-func (m *Mediator) buildLocked(ctx context.Context, snaps map[string]*srcSnapshot, store *datalog.Store, sp *obs.Span) error {
+// buildLocked makes states, of registered sources, the held ones and
+// builds the current program over them, adopting store if it is not
+// nil (srcstate.Base.Build). Called with m.mu held.
+func (m *Mediator) buildLocked(ctx context.Context, states map[string]*srcstate.State, store *datalog.Store, sp *obs.Span) error {
 	e, err := m.newProgramEngineLocked(sp)
 	if err != nil {
 		return err
 	}
-	for _, s := range m.sortedSources() {
-		snap := snaps[s.Name]
-		if snap == nil {
-			continue
-		}
-		if err := e.AddRules(snap.rules...); err != nil {
-			return fmt.Errorf("mediator: materialize %s: %w", s.Name, err)
-		}
-		e.SeedEDB(snap.facts)
-		e.SeedEDB(snap.anchors)
-	}
-	var res *datalog.Result
-	if store != nil {
-		res = e.Restore(store)
-	} else if res, err = e.RunCtx(ctx); err != nil {
-		// RunCtx makes the request deadline real inside the fixpoint: the
-		// budget/context checks run once per round plus every few
-		// thousand derived facts, so a cancelled or over-budget build
-		// stops mid-stratum.
+	if err := m.base.Build(ctx, e, states, store); err != nil {
 		return fmt.Errorf("mediator: materialize: %w", err)
 	}
-	m.cache, m.cacheEngine, m.snaps = res, e, snaps
 	return nil
 }
 
@@ -834,7 +805,7 @@ func (m *Mediator) SourceReports() []SourceReport {
 // all, when no breaker is configured to pace automatic re-probes).
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
-	m.cache, m.snaps = nil, nil
+	m.base = srcstate.Base{}
 	m.mu.Unlock()
 }
 
@@ -849,7 +820,7 @@ func (m *Mediator) Explain(pred string, args ...term.Term) (*datalog.Derivation,
 		return nil, err
 	}
 	m.mu.Lock()
-	e := m.cacheEngine
+	e := m.base.Engine()
 	m.mu.Unlock()
 	return e.Explain(res, pred, args...)
 }
@@ -861,9 +832,9 @@ func (m *Mediator) Explain(pred string, args ...term.Term) (*datalog.Derivation,
 // any (guardedSourceFacts), and the anchor and context report
 // (takeReport). It returns the state read and whether the report grew
 // the domain map.
-func (m *Mediator) readSource(g *guard, s *Source) (*srcSnapshot, bool, error) {
-	snap := newSrcSnapshot(dataVersion(s.W))
-	if err := m.exportCM(s, snap.version); err != nil {
+func (m *Mediator) readSource(g *guard, s *Source) (*srcstate.State, bool, error) {
+	st := srcstate.NewState(dataVersion(s.W))
+	if err := m.exportCM(s, st.Version); err != nil {
 		return nil, false, err
 	}
 	facts, err := guardedSourceFacts(g, s)
@@ -876,13 +847,13 @@ func (m *Mediator) readSource(g *guard, s *Source) (*srcSnapshot, bool, error) {
 	}
 	for _, r := range facts {
 		if isGroundFact(r) {
-			snap.facts.Insert(r.Head.Pred, r.Head.Args)
+			st.Facts.Insert(r.Head.Pred, r.Head.Args)
 		} else {
-			snap.rules = append(snap.rules, r)
+			st.Rules = append(st.Rules, r)
 		}
 	}
-	snap.anchors = s.anchors.Clone()
-	return snap, grew, nil
+	st.Anchors = s.anchors.Clone()
+	return st, grew, nil
 }
 
 // eachSource runs fn(i) for every source concurrently (one task per

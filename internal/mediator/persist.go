@@ -1,41 +1,19 @@
 package mediator
 
 // Durability: snapshotting the materialized cache and restoring it on
-// a later boot (warm start), with the incremental-maintenance paths
-// write-ahead logged in between so recovery replays the tail instead
-// of re-pulling sources.
-//
-// The division of labor with internal/persist: persist owns the bytes
-// (format, checksums, atomic rotation, torn-tail repair); this file
-// owns the semantics — what state a snapshot must capture for the
-// cache to be adoptable without a fixpoint run, and how a logged delta
-// is re-applied so the recovered state is byte-for-byte the state the
-// dying process had.
-//
-// Recovery invariants:
-//
-//  1. EDB fidelity: the restored engine's extensional store is exactly
-//     the union of the per-source snapshot facts and anchors, so later
-//     ApplyDelta calls see the same EDB the live process had.
-//  2. Program fidelity: the snapshot records a fingerprint of the
-//     mediator-level rule program and each source's semantic-rule
-//     signature; any mismatch with the booting process rejects the
-//     snapshot (the derived facts were computed under another program).
-//  3. Replay determinism: a WAL record stores the effective
-//     source-level change; replay runs it through the same move
-//     operation (moveSourceLocked) the live path ran, against the same
-//     snapshot state, so the engine-level delta — and hence the patched
-//     store and the snapshot anchors the semantic index reads — comes
-//     out identical.
-//  4. Idempotence: replaying a change that the snapshot already
-//     contains (possible when a crash lands between snapshot rotation
-//     and WAL reset) no-ops at the source-fact level, so recovery
-//     converges regardless.
-//
-// Staleness is the caller's move: RestoreFromDB reports the sources
-// whose live wrapper versions differ from the snapshot, and the caller
-// reconciles them with SyncSources — an incremental patch, not a
-// rebuild.
+// a later boot (warm start), with every source move write-ahead logged
+// in between so recovery replays the tail instead of re-pulling
+// sources. internal/persist owns the bytes (format, checksums, atomic
+// rotation, torn-tail repair); this file owns the semantics, whose
+// recovery invariants DESIGN.md ("Durability & warm restart") states:
+// the restored EDB is the union of the saved source states; a snapshot
+// of another program or other source rules is refused; a logged move
+// replays through the same moveSourceLocked against the same states,
+// so it reaches the same engine delta and the same held anchors; and
+// replaying a move the snapshot already holds is a no-op. Staleness is
+// the caller's move: RestoreFromDB reports the sources whose live
+// wrapper versions differ from the snapshot, and SyncSources
+// reconciles them incrementally.
 
 import (
 	"context"
@@ -43,11 +21,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
-	"sort"
 
 	"modelmed/internal/datalog"
 	"modelmed/internal/obs"
 	"modelmed/internal/persist"
+	"modelmed/internal/srcstate"
 )
 
 // SetDeltaLogger installs fn as the write-ahead sink for incremental
@@ -122,31 +100,27 @@ func (m *Mediator) SnapshotState() (*persist.Snapshot, error) {
 	defer m.evalMu.RUnlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	res := m.base.Result()
 	switch {
-	case m.cache == nil:
+	case res == nil:
 		return nil, fmt.Errorf("mediator: snapshot: no materialized cache")
 	case m.degradedLocked():
 		return nil, fmt.Errorf("mediator: snapshot: cache is degraded (a source was dropped)")
-	case !m.cache.Stratified || m.cache.Undefined != nil:
+	case !res.Stratified || res.Undefined != nil:
 		return nil, fmt.Errorf("mediator: snapshot: non-stratified materialization is not persistable")
 	}
 	snap := &persist.Snapshot{
 		ProgramSig: m.programSigLocked(),
-		Store:      m.cache.Store.Clone(),
+		Store:      res.Store.Clone(),
 	}
-	names := make([]string, 0, len(m.snaps))
-	for name := range m.snaps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ss := m.snaps[name]
+	for _, name := range m.base.Names() {
+		st := m.base.State(name)
 		snap.Sources = append(snap.Sources, persist.SourceState{
 			Name:    name,
-			Version: ss.version,
-			RuleSig: ruleSig(ss.rules),
-			Facts:   ss.facts.Clone(),
-			Anchors: ss.anchors.Clone(),
+			Version: st.Version,
+			RuleSig: ruleSig(st.Rules),
+			Facts:   st.Facts.Clone(),
+			Anchors: st.Anchors.Clone(),
 		})
 	}
 	return snap, nil
@@ -219,16 +193,16 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 	if rerr != nil {
 		// A Full-rebuild marker or a failed patch: the log cannot
 		// reproduce the dying process's state. Drop the half-restored
-		// cache wholesale; with no snapshots left, the semantic index
-		// reads the registered anchors again.
-		m.cache, m.cacheEngine, m.snaps = nil, nil, nil
+		// cache wholesale; with no source states left, the semantic
+		// index reads the registered anchors again.
+		m.base = srcstate.Base{}
 		rep.Restored = false
 		rep.Reason = rerr.Error()
 		sp.SetStr("outcome", "replay-failed")
 		return rep
 	}
 	rep.Restored = true
-	rep.Facts = m.cache.Store.Size()
+	rep.Facts = m.base.Result().Store.Size()
 	rep.StaleSources = m.staleSourcesLocked()
 	m.counters().Add("mediator.warm_restores", 1)
 	sp.SetStr("outcome", "restored")
@@ -239,7 +213,8 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 
 // restoreStateLocked validates snap against the registered program and
 // adopts it: the snapshot's source states become the held ones and its
-// store the cache, with no fixpoint run (buildLocked). Called with
+// store the cache, with no fixpoint run (buildLocked, the build every
+// materialization runs). Called with
 // evalMu and m.mu held.
 func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) error {
 	if sig := m.programSigLocked(); snap.ProgramSig != sig {
@@ -250,7 +225,7 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 		return fmt.Errorf("mediator: restore: snapshot has %d sources, %d registered",
 			len(snap.Sources), len(m.srcs))
 	}
-	snaps := make(map[string]*srcSnapshot, len(snap.Sources))
+	states := make(map[string]*srcstate.State, len(snap.Sources))
 	for _, st := range snap.Sources {
 		s, ok := m.srcs[st.Name]
 		if !ok {
@@ -262,36 +237,36 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 		}
 		// Once adopted, these anchors are the ones the semantic index
 		// reads, not the ones the wrapper reported at registration.
-		snaps[st.Name] = &srcSnapshot{facts: st.Facts, rules: rules, anchors: st.Anchors, version: st.Version}
+		states[st.Name] = &srcstate.State{Facts: st.Facts, Anchors: st.Anchors, Rules: rules, Version: st.Version}
 	}
-	return m.buildLocked(context.Background(), snaps, snap.Store, sp)
+	return m.buildLocked(context.Background(), states, snap.Store, sp)
 }
 
 // replayDeltaLocked re-applies one logged move through the same
-// operation that made it, against the same snapshot state, so the
-// same dedup and shared-fact refcounting decide the engine-level delta
-// and the snapshot anchors the semantic index reads. Called with evalMu
-// and m.mu held.
+// operation that made it, against the same source state, so the same
+// dedup and shared-fact rule decide the engine-level delta and the held
+// anchors the semantic index reads. Called with evalMu and m.mu held.
 func (m *Mediator) replayDeltaLocked(rec *persist.WALRecord, sp *obs.Span) error {
 	if rec.Full {
 		return fmt.Errorf("mediator: replay: wal has a full-rebuild marker for %s; snapshot is stale", rec.Source)
 	}
-	s, snap := m.srcs[rec.Source], m.snaps[rec.Source]
-	if s == nil || snap == nil {
+	s := m.srcs[rec.Source]
+	if s == nil || m.base.State(rec.Source) == nil {
 		return fmt.Errorf("mediator: replay: record for unknown source %s", rec.Source)
 	}
-	_, err := m.moveSourceLocked(s, snap, rec.Version, rec.Adds, rec.Dels, rec.AnchorAdds, rec.AnchorDels, sp)
+	ch := srcstate.Change{Adds: rec.Adds, Dels: rec.Dels, AnchorAdds: rec.AnchorAdds, AnchorDels: rec.AnchorDels}
+	_, err := m.moveSourceLocked(s, rec.Version, ch, sp)
 	return err
 }
 
 // staleSourcesLocked lists versioned sources whose live wrapper data
-// version differs from the snapshot the cache was restored (or built)
+// version differs from the state the cache was restored (or built)
 // from, in name order. Called with m.mu held.
 func (m *Mediator) staleSourcesLocked() []string {
 	var stale []string
 	for _, s := range m.sortedSources() {
 		ver := dataVersion(s.W)
-		if snap := m.snaps[s.Name]; ver != 0 && snap != nil && snap.version != ver {
+		if st := m.base.State(s.Name); ver != 0 && st != nil && st.Version != ver {
 			stale = append(stale, s.Name)
 		}
 	}

@@ -5,7 +5,7 @@ package mediator
 // implements wrapper.Streaming and hands each versioned DeltaBatch to
 // ApplyStreamBatch. The batch is already shaped like a source move, so
 // ApplyStreamBatch only sequences it: a batch whose FromVersion extends
-// the source snapshot exactly goes through the one move operation
+// the held source version exactly goes through the one move operation
 // (moveSourceLocked, incr.go) with ToVersion as the new version.
 // Duplicates and late reordered batches (ToVersion already reached)
 // are dropped; gaps (a skipped version) and inexpressible changes
@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"modelmed/internal/srcstate"
 	"modelmed/internal/wrapper"
 )
 
@@ -30,7 +31,7 @@ import (
 type StreamOutcome int
 
 const (
-	// StreamApplied: the batch extended the snapshot version exactly
+	// StreamApplied: the batch extended the held version exactly
 	// and was patched into the cache.
 	StreamApplied StreamOutcome = iota
 	// StreamStale: the batch's ToVersion was already reached
@@ -91,16 +92,16 @@ func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamO
 	if b.Resync {
 		return resync("source-marked")
 	}
-	if !m.canPatchLocked(b.Source) {
+	held := m.base.State(b.Source)
+	if held == nil || m.base.Result() == nil {
 		return resync("no-patchable-cache")
 	}
-	snap := m.snaps[b.Source]
-	if b.ToVersion <= snap.version {
+	if b.ToVersion <= held.Version {
 		sp.SetStr("outcome", "stale")
 		m.counters().Add("mediator.stream_stale", 1)
 		return &DeltaReport{Source: b.Source}, StreamStale, nil
 	}
-	if b.FromVersion != snap.version {
+	if b.FromVersion != held.Version {
 		return resync("version-gap")
 	}
 	for _, r := range b.AnchorAdds {
@@ -110,7 +111,8 @@ func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamO
 			return resync("unknown-concept")
 		}
 	}
-	rep, err := m.moveSourceLocked(s, snap, b.ToVersion, b.Adds, b.Dels, b.AnchorAdds, b.AnchorDels, sp)
+	ch := srcstate.Change{Adds: b.Adds, Dels: b.Dels, AnchorAdds: b.AnchorAdds, AnchorDels: b.AnchorDels}
+	rep, err := m.moveSourceLocked(s, b.ToVersion, ch, sp)
 	if err != nil {
 		return nil, StreamResynced, err
 	}
@@ -234,7 +236,7 @@ func (m *Mediator) runFeed(ctx context.Context, name string, s wrapper.Streaming
 		// Catch up on anything that changed while not subscribed.
 		// Batches already queued behind the refresh arrive stale and
 		// are dropped by the sequencing check; a refresh failure (a
-		// source mid-fault) leaves the stale snapshot standing, and the
+		// source mid-fault) leaves the stale state standing, and the
 		// next batch's gap check retries the refresh.
 		if rep, err := m.RefreshSource(name); err != nil {
 			fail(err)
