@@ -223,10 +223,9 @@ func (c *factsCache) state(shards []*Shard) factsState {
 // own lock. write is never awaited while holding mu, and no lock is
 // held across a shard call.
 type replica struct {
-	// write is held by the one move in progress: it serialises every
-	// ApplyDelta, and with it every Clone of the published store. It is
-	// a one-slot channel so that a request waiting for it can give up
-	// when its context ends.
+	// write is held by the one move in progress: it serialises the
+	// moves. It is a one-slot channel so that a request waiting for it
+	// can give up when its context ends.
 	write chan struct{}
 	fb    *mediator.FactBase // guarded by write
 

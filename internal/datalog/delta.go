@@ -109,13 +109,15 @@ type DeltaStats struct {
 	Full bool
 }
 
-// ApplyDelta applies the batch to the engine's EDB and returns a new
-// Result reflecting it. prev — a result previously produced by this
-// engine with the same rule set — is never mutated: the new result is
-// built on a clone, so readers of prev (a mediator serving queries from
-// its cache) stay consistent while the update runs. With a usable prev
-// and a stratified program the update is incremental; otherwise the
-// engine re-runs from scratch (DeltaStats.Full).
+// ApplyDelta applies the batch to prev's EDB and returns a new Result
+// reflecting it. prev — a result previously produced by this engine
+// with the same rule set, or nil for the engine's own EDB — is never
+// written: the new result's EDB and store are layers over prev's, so
+// readers of prev (a mediator serving queries from it) stay consistent
+// while the update runs, and a failed update leaves nothing to take
+// back. With a usable prev and a stratified program the update is
+// incremental; otherwise the engine re-runs from scratch
+// (DeltaStats.Full).
 func (e *Engine) ApplyDelta(prev *Result, d *Delta) (*Result, error) {
 	return e.ApplyDeltaCtx(context.Background(), prev, d)
 }
@@ -124,48 +126,52 @@ func (e *Engine) ApplyDelta(prev *Result, d *Delta) (*Result, error) {
 // engine's Limits: the DRed overdeletion and insertion waves and any
 // recomputed strata charge the same gas meter as a full run, so a
 // hostile or oversized delta degrades into a typed error instead of an
-// unbounded patch. A failed update takes its EDB changes back, so the
-// engine and prev still agree and the caller may go on from prev.
-func (e *Engine) ApplyDeltaCtx(ctx context.Context, prev *Result, d *Delta) (res *Result, err error) {
+// unbounded patch. A failed update returns no result; the caller may
+// go on from prev.
+func (e *Engine) ApplyDeltaCtx(ctx context.Context, prev *Result, d *Delta) (*Result, error) {
 	if d == nil {
 		d = NewDelta()
+	}
+	base := e.edb
+	if prev != nil && prev.edb != nil {
+		base = prev.edb
 	}
 	stats := &DeltaStats{}
 	effAdds, effDels := NewStore(), NewStore()
 	d.dels.EachIDs(func(key string, arity int, row []uint32) {
-		if e.edb.DeleteKeyIDs(key, row) {
+		if base.ContainsKeyIDs(key, row) {
 			effDels.InsertKeyIDs(key, arity, row)
 		}
 	})
 	d.adds.EachIDs(func(key string, arity int, row []uint32) {
-		if e.edb.InsertKeyIDs(key, arity, row) {
+		if !base.ContainsKeyIDs(key, row) {
 			effAdds.InsertKeyIDs(key, arity, row)
 		}
 	})
+	edb := base.Clone()
 	stats.AddsApplied = effAdds.Size()
 	stats.DelsApplied = effDels.Size()
-	defer func() {
-		if err != nil {
-			res = nil
-			effAdds.EachIDs(func(key string, _ int, row []uint32) { e.edb.DeleteKeyIDs(key, row) })
-			effDels.EachIDs(func(key string, arity int, row []uint32) { e.edb.InsertKeyIDs(key, arity, row) })
-		}
-	}()
 
-	if prev == nil || prev.Store == nil || !prev.Stratified || prev.Undefined != nil || e.opts.Naive {
-		return e.deltaFullRun(ctx, stats)
-	}
-	if effAdds.Size() == 0 && effDels.Size() == 0 {
-		return prev, nil
-	}
+	var res *Result
+	var err error
 	p := e.plan()
-	if p.aggCycle {
-		return nil, errAggCycle
+	switch {
+	case prev == nil || prev.Store == nil || !prev.Stratified || prev.Undefined != nil || e.opts.Naive:
+		res, err = e.deltaFullRun(ctx, edb, effAdds, effDels, stats)
+	case effAdds.Size() == 0 && effDels.Size() == 0:
+		res = prev
+	case p.aggCycle:
+		err = errAggCycle
+	case !p.stratified:
+		res, err = e.deltaFullRun(ctx, edb, effAdds, effDels, stats)
+	default:
+		res, err = e.applyDeltaStratified(ctx, prev, edb, p, effAdds, effDels, stats)
 	}
-	if !p.stratified {
-		return e.deltaFullRun(ctx, stats)
+	if err != nil {
+		return nil, err
 	}
-	return e.applyDeltaStratified(ctx, prev, p, effAdds, effDels, stats)
+	e.edb = res.edb.Clone() // the next run starts where this delta left off
+	return res, nil
 }
 
 // Update applies the batch through the engine that produced r.
@@ -176,23 +182,25 @@ func (r *Result) Update(d *Delta) (*Result, error) {
 	return r.eng.ApplyDelta(r, d)
 }
 
-// deltaFullRun is the fallback: the EDB is already patched, so a full
-// evaluation yields the post-delta model.
-func (e *Engine) deltaFullRun(ctx context.Context, stats *DeltaStats) (*Result, error) {
+// deltaFullRun is the fallback: a full evaluation over edb patched by
+// the effective changes yields the post-delta model.
+func (e *Engine) deltaFullRun(ctx context.Context, edb, effAdds, effDels *Store, stats *DeltaStats) (*Result, error) {
+	effDels.EachIDs(func(key string, _ int, row []uint32) { edb.DeleteKeyIDs(key, row) })
+	effAdds.EachIDs(func(key string, arity int, row []uint32) { edb.InsertKeyIDs(key, arity, row) })
 	stats.Full = true
-	res, err := e.RunCtx(ctx)
+	if c := e.opts.Counters; c != nil {
+		c.Add("datalog.delta_full_runs", 1)
+	}
+	res, err := e.run(ctx, edb)
 	if res != nil {
 		stats.Rounds = res.Rounds
 		stats.Firings = res.Firings
 		res.Delta = stats
 	}
-	if c := e.opts.Counters; c != nil {
-		c.Add("datalog.delta_full_runs", 1)
-	}
 	return res, err
 }
 
-func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *evalPlan, effAdds, effDels *Store, stats *DeltaStats) (*Result, error) {
+func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, edb *Store, p *evalPlan, effAdds, effDels *Store, stats *DeltaStats) (*Result, error) {
 	sp := e.opts.Trace.Child("datalog.apply_delta")
 	defer sp.End()
 	sp.SetInt("edb_adds", int64(effAdds.Size()))
@@ -202,7 +210,7 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *eval
 	p.prepareDelta()
 	old := prev.Store
 	store := old.Clone()
-	res := &Result{Store: store, Stratified: true, eng: e, Delta: stats}
+	res := &Result{Store: store, Stratified: true, eng: e, Delta: stats, edb: edb}
 
 	// Cumulative net changes relative to the old model, grown stratum by
 	// stratum; higher strata read them as their input delta.
@@ -213,6 +221,9 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *eval
 	effAdds.EachIDs(func(key string, arity int, row []uint32) {
 		if store.InsertKeyIDs(key, arity, row) {
 			cumAdd.InsertKeyIDs(key, arity, row)
+		}
+		if _, derived := p.headLevel[key]; derived {
+			edb.InsertKeyIDs(key, arity, row)
 		}
 	})
 	// EDB deletions of underivable predicates also apply immediately.
@@ -225,6 +236,7 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *eval
 				pendingDel[lvl] = NewStore()
 			}
 			pendingDel[lvl].InsertKeyIDs(key, arity, row)
+			edb.DeleteKeyIDs(key, row)
 			return
 		}
 		if store.DeleteKeyIDs(key, row) {
@@ -258,7 +270,7 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *eval
 			// Aggregate values cannot be patched from tuple deltas;
 			// recompute the whole stratum against the (final) lower
 			// strata and diff against the old model.
-			err := e.recomputeStratum(st, store, old, cumAdd, cumDel, stats, lim, ssp)
+			err := e.recomputeStratum(st, edb, store, old, cumAdd, cumDel, stats, lim, ssp)
 			ssp.End()
 			if err != nil {
 				return res, err
@@ -266,13 +278,22 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *eval
 			stats.RecomputedStrata++
 			continue
 		}
-		err := e.dredStratum(st, store, old, cumAdd, cumDel, pend, stats, lim, ssp)
+		err := e.dredStratum(st, edb, store, old, cumAdd, cumDel, pend, stats, lim, ssp)
 		ssp.End()
 		if err != nil {
 			return res, err
 		}
 	}
 
+	// No rule derives the other relations the delta touched, so the
+	// store's hold exactly the new EDB's facts: share them.
+	for _, eff := range []*Store{effAdds, effDels} {
+		for k := range eff.rels {
+			if _, derived := p.headLevel[k]; !derived {
+				edb.rels[k] = store.rels[k]
+			}
+		}
+	}
 	stats.Inserted = cumAdd.Size()
 	stats.Deleted = cumDel.Size()
 	res.Rounds = stats.Rounds
@@ -295,14 +316,14 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, p *eval
 }
 
 // recomputeStratum wipes the stratum's head predicates, re-seeds them
-// from the (already patched) EDB and re-runs the stratum fixpoint, then
+// from the (already patched) edb and re-runs the stratum fixpoint, then
 // folds the old-vs-new diff of those predicates into the cumulative
 // deltas.
-func (e *Engine) recomputeStratum(st *stratumPlan, store, old, cumAdd, cumDel *Store, stats *DeltaStats, lim *limiter, ssp *obs.Span) error {
+func (e *Engine) recomputeStratum(st *stratumPlan, edb, store, old, cumAdd, cumDel *Store, stats *DeltaStats, lim *limiter, ssp *obs.Span) error {
 	for k, ar := range st.heads {
 		nr := NewRelation(ar)
-		store.setRel(k, nr)
-		if er := e.edb.Rel(k); er != nil {
+		store.rels[k] = nr
+		if er := edb.Rel(k); er != nil {
 			_ = er.each(func(row []uint32) error {
 				nr.InsertIDs(row)
 				return nil
@@ -343,8 +364,8 @@ var errStopMatch = fmt.Errorf("datalog: internal: stop match")
 // dredStratum runs delete-and-rederive plus semi-naive insertion for
 // one aggregate-free stratum. store holds the new model below this
 // stratum (final) and the old model at and above it; old is the full
-// previous model and is never written.
-func (e *Engine) dredStratum(st *stratumPlan, store, old, cumAdd, cumDel, pend *Store, stats *DeltaStats, lim *limiter, ssp *obs.Span) error {
+// previous model and is never written; edb is the patched EDB.
+func (e *Engine) dredStratum(st *stratumPlan, edb, store, old, cumAdd, cumDel, pend *Store, stats *DeltaStats, lim *limiter, ssp *obs.Span) error {
 	opts := &e.opts
 	st.prepareDRed()
 	prepared, deltaJobs := st.prepared, st.deltaJobs
@@ -413,7 +434,7 @@ func (e *Engine) dredStratum(st *stratumPlan, store, old, cumAdd, cumDel, pend *
 	var removed []removedFact
 	perKey := make(map[string][][]uint32)
 	overdel.EachIDs(func(key string, arity int, row []uint32) {
-		if e.edb.ContainsKeyIDs(key, row) {
+		if edb.ContainsKeyIDs(key, row) {
 			return
 		}
 		if store.ContainsKeyIDs(key, row) {

@@ -73,7 +73,10 @@ func (o *Options) withDefaults() Options {
 type Engine struct {
 	opts  Options
 	rules []Rule
-	edb   *Store
+	// edb is the extensional database the next run starts from: AddFact
+	// and SeedEDB load it, a run hands it to its Result (takeEDB), and a
+	// delta leaves it a layer over the new result's.
+	edb *Store
 	// cachedPlan is the evaluation plan of rules (see plan.go); AddRule
 	// drops it.
 	cachedPlan *evalPlan
@@ -121,10 +124,12 @@ func (e *Engine) AddFact(pred string, args ...term.Term) error {
 // FactCount returns the number of extensional facts loaded.
 func (e *Engine) FactCount() int { return e.edb.Size() }
 
-// HasFact reports whether the ground fact is currently asserted in the
-// extensional database.
-func (e *Engine) HasFact(pred string, args ...term.Term) bool {
-	return e.edb.Contains(pred, args)
+// takeEDB hands the engine's EDB to a result and keeps loading facts
+// into a layer over it.
+func (e *Engine) takeEDB() *Store {
+	edb := e.edb
+	e.edb = edb.Clone()
+	return edb
 }
 
 // SeedEDB bulk-loads every fact of s into the extensional database at
@@ -143,7 +148,7 @@ func (e *Engine) SeedEDB(s *Store) { s.MergeInto(e.edb) }
 // restorable (a well-founded result carries an Undefined store the
 // snapshot format does not).
 func (e *Engine) Restore(store *Store) *Result {
-	return &Result{Store: store, Stratified: true, eng: e}
+	return &Result{Store: store, Stratified: true, eng: e, edb: e.takeEDB()}
 }
 
 // Extend evaluates rules over r's store as a read-only base and returns
@@ -159,8 +164,11 @@ func (r *Result) Extend(ctx context.Context, rules []Rule) (*Result, error) {
 	}
 	e := NewEngine(nil)
 	if r.eng != nil {
-		e.opts = r.eng.opts
-		e.opts.Trace, e.opts.Counters = nil, nil
+		// Not Trace and Counters: the owner of r's engine retargets
+		// them (SetObs) while readers extend r.
+		o := &r.eng.opts
+		e.opts = Options{MaxIterations: o.MaxIterations, MaxTermDepth: o.MaxTermDepth,
+			Limits: o.Limits, Naive: o.Naive, Interpret: o.Interpret}
 	}
 	for _, rule := range rules {
 		h := rule.Head
@@ -174,12 +182,11 @@ func (r *Result) Extend(ctx context.Context, rules []Rule) (*Result, error) {
 	if err := e.AddRules(rules...); err != nil {
 		return nil, err
 	}
-	e.edb = r.Store.layer()
 	p := e.plan()
 	if !p.stratified || p.aggCycle {
 		return nil, fmt.Errorf("datalog: extend: %w", ErrNotStratified)
 	}
-	return e.runStratified(p, newLimiter(ctx, e.opts.Limits), nil)
+	return e.runStratified(p, r.Store, newLimiter(ctx, e.opts.Limits), nil)
 }
 
 // SetObs retargets the engine's trace span and counters. Long-lived
@@ -213,6 +220,9 @@ type Result struct {
 
 	// eng is the engine that produced the result, enabling Update.
 	eng *Engine
+	// edb is the extensional database the result was evaluated over.
+	// Like Store, it is never written once the result exists.
+	edb *Store
 }
 
 // Run evaluates the program.
@@ -229,10 +239,15 @@ func (e *Engine) Run() (*Result, error) {
 // context's own error; the engine's EDB is untouched either way (the
 // evaluation derives into a clone), so the engine stays usable.
 func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
+	return e.run(ctx, e.takeEDB())
+}
+
+// run evaluates the program over edb, which it does not write.
+func (e *Engine) run(ctx context.Context, edb *Store) (*Result, error) {
 	sp := e.opts.Trace.Child("datalog.run")
 	defer sp.End()
 	sp.SetInt("rules", int64(len(e.rules)))
-	sp.SetInt("edb_facts", int64(e.edb.Size()))
+	sp.SetInt("edb_facts", int64(edb.Size()))
 	lim := newLimiter(ctx, e.opts.Limits)
 	p := e.plan()
 	if p.aggCycle {
@@ -240,7 +255,7 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 	}
 	if p.stratified {
 		sp.SetStr("mode", "stratified")
-		return e.runStratified(p, lim, sp)
+		return e.runStratified(p, edb, lim, sp)
 	}
 	if e.opts.RequireStratified {
 		return nil, fmt.Errorf("%w and RequireStratified is set", ErrNotStratified)
@@ -249,7 +264,7 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("%w: well-founded fallback does not support aggregation", ErrNotStratified)
 	}
 	sp.SetStr("mode", "well-founded")
-	return e.runWellFounded(lim, sp)
+	return e.runWellFounded(edb, lim, sp)
 }
 
 func hasAggregates(rules []Rule) bool {
@@ -263,9 +278,9 @@ func hasAggregates(rules []Rule) bool {
 	return false
 }
 
-func (e *Engine) runStratified(p *evalPlan, lim *limiter, sp *obs.Span) (*Result, error) {
-	store := e.edb.Clone()
-	res := &Result{Store: store, Stratified: true, eng: e}
+func (e *Engine) runStratified(p *evalPlan, edb *Store, lim *limiter, sp *obs.Span) (*Result, error) {
+	store := edb.Clone()
+	res := &Result{Store: store, Stratified: true, eng: e, edb: edb}
 	for lvl, st := range p.strata {
 		if len(st.rules) == 0 {
 			continue
@@ -295,17 +310,17 @@ func (e *Engine) runStratified(p *evalPlan, lim *limiter, sp *obs.Span) (*Result
 // between underestimates (true facts) and overestimates (possible facts)
 // and converges because Γ is antimonotone. True = lfp(Γ²); Undefined =
 // Γ(True) − True.
-func (e *Engine) runWellFounded(lim *limiter, sp *obs.Span) (*Result, error) {
+func (e *Engine) runWellFounded(edb *Store, lim *limiter, sp *obs.Span) (*Result, error) {
 	prepared, err := prepareRules(e.rules, &e.opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Stratified: false, eng: e}
+	res := &Result{Stratified: false, eng: e, edb: edb}
 	nGamma := 0
 	gamma := func(negCtx *Store) (*Store, error) {
 		gsp := sp.Childf("gamma %d", nGamma)
 		nGamma++
-		store := e.edb.Clone()
+		store := edb.Clone()
 		rounds, firings, err := fixpoint(prepared, store, negCtx, &e.opts, lim, gsp)
 		gsp.End()
 		res.Rounds += rounds

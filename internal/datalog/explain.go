@@ -54,7 +54,6 @@ func (d *Derivation) write(b *strings.Builder, depth int) {
 // explainer reconstructs derivations against a completed result.
 type explainer struct {
 	res   *Result
-	edb   *Store
 	rules []preparedRule
 	memo  map[string]*Derivation
 	depth int
@@ -62,8 +61,8 @@ type explainer struct {
 
 // Explain returns a derivation for the ground fact pred(args...), or an
 // error if the fact is not true in the result. The engine must be the
-// one that produced the result (its rules and extensional facts are
-// consulted).
+// one that produced the result (its rules are consulted); a fact of the
+// EDB res was evaluated over is an extensional leaf.
 func (e *Engine) Explain(res *Result, pred string, args ...term.Term) (*Derivation, error) {
 	if !res.Holds(pred, args...) {
 		return nil, fmt.Errorf("datalog: fact %s%s is not true", pred, term.FormatTuple(args))
@@ -74,7 +73,7 @@ func (e *Engine) Explain(res *Result, pred string, args ...term.Term) (*Derivati
 	if err != nil {
 		return nil, err
 	}
-	ex := &explainer{res: res, edb: e.edb, rules: prepared, memo: map[string]*Derivation{}}
+	ex := &explainer{res: res, rules: prepared, memo: map[string]*Derivation{}}
 	d := ex.explain(pred, args)
 	if d == nil {
 		return nil, fmt.Errorf("datalog: no derivation found for %s%s (well-founded fallback facts cannot always be explained)", pred, term.FormatTuple(args))
@@ -102,7 +101,7 @@ func (ex *explainer) explain(pred string, args []term.Term) *Derivation {
 		return nil
 	}
 
-	if ex.edb.Contains(pred, args) {
+	if ex.res.edb.Contains(pred, args) {
 		d := &Derivation{Pred: pred, Args: args, Extensional: true}
 		ex.memo[key] = d
 		return d

@@ -22,6 +22,33 @@ func TestExplainExtensional(t *testing.T) {
 	}
 }
 
+// TestExplainOlderResult: Explain answers about the result it is
+// given, not about the engine's latest EDB.
+func TestExplainOlderResult(t *testing.T) {
+	e := NewEngine(nil)
+	if err := e.AddFact("edge", atom("a"), atom("b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddRule(NewRule(Lit("tc", v("X"), v("Y")), Lit("edge", v("X"), v("Y")))); err != nil {
+		t.Fatal(err)
+	}
+	r0 := mustRun(t, e)
+	d := NewDelta()
+	if err := d.Del("edge", atom("a"), atom("b")); err != nil {
+		t.Fatal(err)
+	}
+	r1, err := e.ApplyDelta(r0, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, err := e.Explain(r0, "edge", atom("a"), atom("b")); err != nil || !x.Extensional {
+		t.Errorf("edge(a,b) in the older result: %v, %v; want an extensional leaf", x, err)
+	}
+	if _, err := e.Explain(r1, "edge", atom("a"), atom("b")); err == nil || !strings.Contains(err.Error(), "is not true") {
+		t.Errorf("edge(a,b) after its deletion: %v; want not true", err)
+	}
+}
+
 func TestExplainTransitiveChain(t *testing.T) {
 	e := NewEngine(nil)
 	for _, p := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {

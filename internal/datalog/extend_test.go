@@ -46,12 +46,12 @@ type relShape struct {
 	ids    int
 }
 
-func shapeOf(s *Store) (map[string]relShape, map[string]struct{}) {
+func shapeOf(s *Store) (map[string]relShape, map[string]*Relation) {
 	out := map[string]relShape{}
 	for k, r := range s.rels {
 		out[k] = relShape{r.base, r.shared, r.over, len(r.dead), r.base.n, len(r.base.ids)}
 	}
-	return out, maps.Clone(s.cow)
+	return out, maps.Clone(s.from)
 }
 
 // TestExtend: a negated query's layer is set-equal to the same rules

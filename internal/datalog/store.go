@@ -120,7 +120,9 @@ func (g *segment) compact(dead []bool) {
 	}
 }
 
-// clone deep-copies the segment, preserving row order.
+// clone deep-copies the segment, preserving row order. The row indices
+// of one position, n in all, are copied into one array; each value's
+// slice of it is clipped, so that an append moves it out.
 func (g *segment) clone() *segment {
 	ng := &segment{
 		arity:   g.arity,
@@ -132,8 +134,10 @@ func (g *segment) clone() *segment {
 	}
 	for pos, idx := range g.posIdx {
 		ni := make(map[uint32][]int32, len(idx))
+		all := make([]int32, 0, g.n)
 		for id, rows := range idx {
-			ni[id] = append([]int32(nil), rows...)
+			all = append(all, rows...)
+			ni[id] = all[len(all)-len(rows) : len(all) : len(all)]
 		}
 		ng.posIdx[pos] = ni
 	}
@@ -229,7 +233,7 @@ func packRow(dst []byte, row []uint32) []byte {
 // independently. It shares r's base and copies only the overlay and the
 // tombstones, and it does not write to r, so concurrent holders of a
 // shared relation may each clone it. r must not be mutated afterwards
-// (Store's copy-on-write marks guarantee that).
+// (a store is not written once it has been cloned).
 func (r *Relation) clone() *Relation {
 	nr := &Relation{base: r.base, shared: true}
 	if r.overLen() > 0 {
@@ -547,15 +551,17 @@ func (r *Relation) SortedRows() [][]term.Term {
 }
 
 // Store maps predicate keys ("name/arity") to relations. Clone is
-// copy-on-write at relation granularity: cloned stores share relation
-// objects until one side mutates a shared relation, at which point the
-// mutating store takes its own clone of just that relation (which in
-// turn shares the relation's base segment, see Relation). Shared
-// relations are therefore immutable, which is what makes a clone safe
-// to hand to a concurrently running reader.
+// copy-on-write at relation granularity: a clone shares every relation
+// of its source and takes its own clone of one (which in turn shares
+// the relation's base segment, see Relation) before its first write.
+// The source of a clone is never written again, so shared relations
+// are immutable, which is what makes a store safe to hand to any
+// number of concurrent readers once it is published.
 type Store struct {
 	rels map[string]*Relation
-	cow  map[string]struct{} // relations shared with another store
+	// from is the relation map of the store this one was cloned from,
+	// which nobody writes: a relation it holds is shared.
+	from map[string]*Relation
 }
 
 // NewStore returns an empty store.
@@ -570,23 +576,11 @@ func (s *Store) Rel(key string) *Relation { return s.rels[key] }
 // shared with another store. Returns nil if absent.
 func (s *Store) mutable(key string) *Relation {
 	r := s.rels[key]
-	if r == nil {
-		return nil
-	}
-	if _, shared := s.cow[key]; shared {
+	if r != nil && r == s.from[key] {
 		r = r.clone()
 		s.rels[key] = r
-		delete(s.cow, key)
 	}
 	return r
-}
-
-// setRel replaces the relation for key outright.
-func (s *Store) setRel(key string, r *Relation) {
-	s.rels[key] = r
-	if s.cow != nil {
-		delete(s.cow, key)
-	}
 }
 
 // Ensure returns a mutable relation for the key, creating it with the
@@ -783,37 +777,12 @@ func (s *Store) Keys() []string {
 	return out
 }
 
-// Clone returns a copy-on-write clone: both stores share every relation
-// until one of them mutates it, at which point the mutating side
-// clones that one relation. Cloning is therefore O(relations)
-// regardless of fact count — it runs once per Γ step of the
-// well-founded path, per Materialize and per ApplyDelta, all of which
-// mutate only a fraction of the relations they clone. Clone must not
-// run concurrently with other operations on s.
+// Clone returns a store that reads every relation of s and clones one
+// before its first write, so it costs O(relations) regardless of fact
+// count. Clone writes nothing of s, so concurrent readers of s may each
+// take one; s must not be written afterwards.
 func (s *Store) Clone() *Store {
-	if s.cow == nil {
-		s.cow = make(map[string]struct{}, len(s.rels))
-	}
-	for k := range s.rels {
-		s.cow[k] = struct{}{}
-	}
-	return s.layer()
-}
-
-// layer returns a store that reads every relation of s and clones one
-// before its first write, as the clone side of Clone does. Unlike
-// Clone it writes nothing of s, so concurrent readers of s may each
-// take a layer; s itself must not be mutated while a layer is in use.
-func (s *Store) layer() *Store {
-	c := &Store{
-		rels: make(map[string]*Relation, len(s.rels)),
-		cow:  make(map[string]struct{}, len(s.rels)),
-	}
-	for k, r := range s.rels {
-		c.rels[k] = r
-		c.cow[k] = struct{}{}
-	}
-	return c
+	return &Store{rels: maps.Clone(s.rels), from: s.rels}
 }
 
 // MergeInto inserts every fact of s into dst, returning the number of

@@ -155,7 +155,7 @@ func TestWFSAgreesOnStratified(t *testing.T) {
 		if !strat.Stratified {
 			t.Fatal("program should be stratified")
 		}
-		wfs, err := e2.runWellFounded(nil, nil)
+		wfs, err := e2.runWellFounded(e2.edb, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,16 +55,13 @@ func (m *Mediator) ViewRules() []datalog.Rule {
 // federation state. The dump reflects every applied delta: it is read
 // from the same source states every move folds into.
 func (m *Mediator) FactsDump(ctx context.Context) ([]SourceDump, error) {
-	m.evalMu.RLock()
-	defer m.evalMu.RUnlock()
-	if _, err := m.materialize(ctx, nil); err != nil {
+	v, err := m.materialize(ctx, nil)
+	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]SourceDump, 0, m.base.Len())
-	for _, n := range m.base.Names() {
-		st := m.base.State(n)
+	out := make([]SourceDump, 0, v.Len())
+	for _, n := range v.Names() {
+		st := v.State(n)
 		d := SourceDump{Source: n, Rules: ruleSig(st.Rules)}
 		st.Facts.Each(func(key string, arity int, row []term.Term) {
 			d.Facts = append(d.Facts, datalog.Fact(datalog.PredName(key), row...).String())
@@ -208,12 +205,12 @@ func dumpChange(o, d *ParsedDump) (ch srcstate.Change) {
 // static program — no registered sources are consulted. The dumps must
 // come from mediators with the same domain map and views, or answers
 // can diverge from what those mediators would say.
-func (m *Mediator) buildOverFacts(ctx context.Context, dumps []*ParsedDump) (*srcstate.Base, error) {
+func (m *Mediator) buildOverFacts(ctx context.Context, dumps []*ParsedDump) (srcstate.Base, error) {
 	m.mu.Lock()
 	e, err := m.newProgramEngineLocked(nil)
 	m.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return srcstate.Base{}, err
 	}
 	states := make(map[string]*srcstate.State, len(dumps))
 	for _, d := range dumps {
@@ -230,20 +227,20 @@ func (m *Mediator) buildOverFacts(ctx context.Context, dumps []*ParsedDump) (*sr
 			st.Anchors.Insert(h.Pred, h.Args)
 		}
 	}
-	b := &srcstate.Base{}
-	if err := b.Build(ctx, e, states, nil); err != nil {
-		return nil, fmt.Errorf("mediator: build over facts: %w", err)
+	b, err := srcstate.Build(ctx, e, states, nil)
+	if err != nil {
+		return b, fmt.Errorf("mediator: build over facts: %w", err)
 	}
 	return b, nil
 }
 
 // FactBase is buildOverFacts kept alive: a srcstate.Base over dumps,
 // and by source the dump each state was moved to, which the next dump
-// is diffed against. It is not safe for concurrent use, but Result is
-// never mutated, so readers may query it while the owner moves it on.
+// is diffed against. Nothing writes a FactBase once it exists, so
+// readers may query its Result while the owner moves on to the next.
 // A state is a set of facts, one per line of FactsDump's rendering.
 type FactBase struct {
-	base  *srcstate.Base
+	base  srcstate.Base
 	dumps map[string]*ParsedDump
 }
 
@@ -260,22 +257,21 @@ func (fb *FactBase) Dumps() []*ParsedDump {
 	return out
 }
 
-// MoveFactBase brings fb to dumps. A nil fb, a source that appears or
-// disappears, a source whose rule lines changed, or a move that fails
-// is a cold build, reported as rebuilt. Otherwise each source whose dump
-// changed moves by the facts and anchors that changed
-// (srcstate.Base.Move), and fb is moved in place and returned: a fact
-// leaves the EDB only when no source's state still holds it. After an
-// error fb must not be used again.
+// MoveFactBase returns fb brought to dumps. A nil fb, a source that
+// appears or disappears, a source whose rule lines changed, or a move
+// that fails is a cold build, reported as rebuilt. Otherwise each source
+// whose dump changed moves by the facts and anchors that changed
+// (srcstate.Base.Move): a fact leaves the EDB only when no source's
+// state still holds it. fb itself is not written.
 func (m *Mediator) MoveFactBase(ctx context.Context, fb *FactBase, dumps []*ParsedDump) (next *FactBase, rebuilt bool, err error) {
 	bySource := make(map[string]*ParsedDump, len(dumps))
 	for _, d := range dumps {
 		bySource[d.Source] = d
 	}
 	if fb != nil && fb.dumps != nil && len(bySource) == len(dumps) {
-		ok, err := fb.move(ctx, bySource)
-		if ok {
-			return fb, false, nil
+		next, err := fb.move(ctx, bySource)
+		if next != nil {
+			return next, false, nil
 		}
 		if err != nil && ctx.Err() != nil {
 			return nil, false, fmt.Errorf("mediator: move fact base: %w", err)
@@ -293,28 +289,29 @@ func (m *Mediator) MoveFactBase(ctx context.Context, fb *FactBase, dumps []*Pars
 	return &FactBase{base: b, dumps: bySource}, true, nil
 }
 
-// move moves fb to dumps, one per source, reporting false when the move
+// move returns fb moved to dumps, one per source, or nil when the move
 // needs a cold build instead. Each source moves on its own, so whether
 // a fact two sources share stays does not depend on the order they
-// move in. A failed move leaves fb unusable; the caller rebuilds.
-func (fb *FactBase) move(ctx context.Context, dumps map[string]*ParsedDump) (bool, error) {
+// move in.
+func (fb *FactBase) move(ctx context.Context, dumps map[string]*ParsedDump) (*FactBase, error) {
 	if len(dumps) != len(fb.dumps) {
-		return false, nil
+		return nil, nil
 	}
 	for src, d := range dumps {
 		if o := fb.dumps[src]; o == nil || !slices.Equal(o.ruleLines, d.ruleLines) {
-			return false, nil
+			return nil, nil
 		}
 	}
+	b := fb.base
 	for src, d := range dumps {
 		if o := fb.dumps[src]; o != d {
-			if _, _, err := fb.base.Move(ctx, src, 0, dumpChange(o, d)); err != nil {
-				return false, err
+			var err error
+			if b, _, _, err = b.Move(ctx, src, 0, dumpChange(o, d)); err != nil {
+				return nil, err
 			}
 		}
 	}
-	fb.dumps = dumps
-	return true, nil
+	return &FactBase{base: b, dumps: dumps}, nil
 }
 
 // QueryOverFacts evaluates q over the supplied dumps and this

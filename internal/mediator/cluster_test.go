@@ -141,13 +141,12 @@ func runDumpRoute(t *testing.T, seed int64) {
 	// Both synthetic sources declare the "record" class, so they share
 	// its schema facts. Withdraw one from each in turn.
 	var shared datalog.Rule
-	m.mu.Lock()
-	m.base.State("alpha").Facts.Each(func(key string, _ int, row []term.Term) {
-		if shared.Head.Pred == "" && m.base.State("beta").Facts.ContainsKey(key, row) {
+	held := m.base.Load()
+	held.State("alpha").Facts.Each(func(key string, _ int, row []term.Term) {
+		if shared.Head.Pred == "" && held.State("beta").Facts.ContainsKey(key, row) {
 			shared = datalog.Fact(datalog.PredName(key), row...)
 		}
 	})
-	m.mu.Unlock()
 	if shared.Head.Pred == "" {
 		t.Fatal("no schema fact shared between alpha and beta")
 	}

@@ -1,12 +1,13 @@
 package mediator
 
 // Incremental maintenance of the materialized mediated object base.
-// The mediator holds every source's state and the result over them in
-// one srcstate.Base, and a source moves through exactly one operation,
-// moveSourceLocked: the Base folds the change under the shared-fact
-// rule and patches the result with one ApplyDelta (srcstate.Base.Move),
-// and the mediator adds the version, the report and counters, and the
-// WAL record. The entry points only decide whether and what to move:
+// The mediator publishes every source's state and the result over them
+// as one srcstate.Base, and a source moves through exactly one
+// operation, moveSourceLocked: the Base folds the change under the
+// shared-fact rule and patches the result with one ApplyDelta
+// (srcstate.Base.Move), and the mediator publishes the next Base and
+// adds the report and counters, and the WAL record. The entry points
+// only decide whether and what to move:
 // ApplySourceDelta (push; the version stays), RefreshSource and
 // SyncSources (pull; the wrapper's version, read before the pull),
 // ApplyStreamBatch (stream.go; the batch's version, which must extend
@@ -86,7 +87,7 @@ func (m *Mediator) fullRebuildLocked(rep *DeltaReport, sp *obs.Span) (*DeltaRepo
 	rep.Full = true
 	m.counters().Add("mediator.delta_full_rebuilds", 1)
 	sp.SetStr("fallback", "full")
-	m.base.DropResult()
+	m.publishLocked(m.base.Load().DropResult(), "")
 	if _, err := m.materializeLocked(context.Background(), sp); err != nil {
 		return nil, err
 	}
@@ -97,15 +98,17 @@ func (m *Mediator) fullRebuildLocked(rep *DeltaReport, sp *obs.Span) (*DeltaRepo
 // (srcstate.Base.Move). It records the step and logs the changes that
 // took effect (not during replay), so replay against the same states
 // reaches the same engine delta. A failed move changes nothing. Called
-// with evalMu and m.mu held.
+// with m.mu held.
 func (m *Mediator) moveSourceLocked(s *Source, toVersion uint64, ch srcstate.Change, sp *obs.Span) (*DeltaReport, error) {
 	// Every caller holds a result, so an engine: retarget its tracing at
 	// this move's span.
-	m.base.Engine().SetObs(sp, m.counters())
-	eff, stats, err := m.base.Move(context.Background(), s.Name, toVersion, ch)
+	v := m.base.Load()
+	v.Engine().SetObs(sp, m.counters())
+	next, eff, stats, err := v.Move(context.Background(), s.Name, toVersion, ch)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: move %s: %w", s.Name, err)
 	}
+	m.publishLocked(next, v.sig)
 	rep := &DeltaReport{
 		Source:         s.Name,
 		FactsAdded:     len(eff.Adds),
@@ -183,18 +186,14 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 				source, ErrBadDelta, r)
 		}
 	}
-	// Write side of evalMu: the move changes the held state and the cache's
-	// engine, so concurrent query evaluation is excluded for its
-	// duration.
-	m.evalMu.Lock()
-	defer m.evalMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s, ok := m.srcs[source]
 	if !ok {
 		return nil, fmt.Errorf("mediator: %w: source %s not registered", ErrBadDelta, source)
 	}
-	rebuilt := m.base.Result() == nil || m.base.State(source) == nil
+	v := m.base.Load()
+	rebuilt := v.Result() == nil || v.State(source) == nil
 	if rebuilt {
 		// No patchable cache yet (cold, or a program change): build it
 		// first and then apply the stated change on top.
@@ -202,7 +201,7 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 			return nil, err
 		}
 	}
-	held := m.base.State(source)
+	held := m.base.Load().State(source)
 	if held == nil {
 		return nil, fmt.Errorf("mediator: source delta for %s: no state after rebuild", source)
 	}
@@ -228,8 +227,6 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 func (m *Mediator) RefreshSource(source string) (*DeltaReport, error) {
 	sp := m.startSpan("mediator.refresh_source")
 	defer m.endTrace(sp)
-	m.evalMu.Lock()
-	defer m.evalMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.refreshSourceLocked(source, sp)
@@ -242,17 +239,19 @@ func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaRepor
 		return nil, fmt.Errorf("mediator: source %s not registered", source)
 	}
 	rep := &DeltaReport{Source: source}
-	if m.base.State(source) == nil {
+	v := m.base.Load()
+	if v.State(source) == nil {
 		// The mediator holds no state of the source: the build reads it.
 		return m.fullRebuildLocked(rep, sp)
 	}
-	if m.base.Result() == nil {
+	if v.Result() == nil {
 		// A program change: evaluate it over the held states first.
-		if _, err := m.materializeLocked(context.Background(), sp); err != nil {
+		var err error
+		if v, err = m.materializeLocked(context.Background(), sp); err != nil {
 			return nil, err
 		}
 	}
-	held := m.base.State(source)
+	held := v.State(source)
 	g := m.newGuard()
 	next, grew, err := m.readSource(g, s)
 	m.mergeReportsLocked(g.Reports())
@@ -268,7 +267,7 @@ func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaRepor
 		// Semantic rules that changed, or anchors at concepts that grew
 		// the domain map, make a different program, which the EDB delta
 		// API cannot express.
-		m.base.DropSource(source)
+		m.publishLocked(v.DropSource(source), "")
 		return m.fullRebuildLocked(rep, sp)
 	}
 	var ch srcstate.Change
@@ -285,14 +284,12 @@ func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaRepor
 func (m *Mediator) SyncSources() ([]*DeltaReport, error) {
 	sp := m.startSpan("mediator.sync_sources")
 	defer m.endTrace(sp)
-	m.evalMu.Lock()
-	defer m.evalMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var reps []*DeltaReport
 	for _, s := range m.sortedSources() {
 		ver := dataVersion(s.W)
-		if held := m.base.State(s.Name); ver == 0 || held != nil && held.Version == ver {
+		if held := m.base.Load().State(s.Name); ver == 0 || held != nil && held.Version == ver {
 			continue
 		}
 		rep, err := m.refreshSourceLocked(s.Name, sp.Child("refresh "+s.Name))

@@ -243,18 +243,17 @@ func TestSharedFactRefcount(t *testing.T) {
 	// Both synthetic sources declare the same "record" class, so its
 	// schema facts are shared. Find one among alpha's held facts that
 	// another source's state also holds.
-	m.mu.Lock()
+	held := m.base.Load()
 	var shared datalog.Rule
 	found := false
-	m.base.State("alpha").Facts.Each(func(key string, arity int, row []term.Term) {
-		for _, name := range m.base.Names() {
-			if !found && name != "alpha" && m.base.State(name).Facts.ContainsKey(key, row) {
+	held.State("alpha").Facts.Each(func(key string, arity int, row []term.Term) {
+		for _, name := range held.Names() {
+			if !found && name != "alpha" && held.State(name).Facts.ContainsKey(key, row) {
 				shared = datalog.Fact(datalog.PredName(key), row...)
 				found = true
 			}
 		}
 	})
-	m.mu.Unlock()
 	if !found {
 		t.Fatal("expected a schema fact shared between alpha and beta")
 	}

@@ -8,14 +8,19 @@ package mediator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"modelmed/internal/datalog"
 	"modelmed/internal/gcm"
+	"modelmed/internal/parser"
+	"modelmed/internal/sources"
 	"modelmed/internal/term"
+	"modelmed/internal/wrapper"
 )
 
 // fingerprint renders an answer's rows as one canonical string so two
@@ -184,5 +189,116 @@ func TestLinearizableQueriesUnderDeltas(t *testing.T) {
 	}
 	if got := linAnswer(t, m); got != keyPre {
 		t.Fatalf("final state diverged from the pre state")
+	}
+}
+
+// TestReadersNeverWaitOnSlowRefresh: a reader of one source never waits
+// on a refresh of another, even when that refresh spends 100 ms in
+// every call to its wrapper. The reader loops the two mediator calls a
+// served query makes, ValidateVocabulary and Query, while SYNAPSE is
+// mutated and refreshed 20 times; every answer is a pre- or post-step
+// answer. A reader that waited on the refresh would wait for its
+// wrapper calls. The latency bounds skip under the race detector, whose
+// run still checks the reads for data races.
+func TestReadersNeverWaitOnSlowRefresh(t *testing.T) {
+	ws, err := sources.Wrappers(11, 300, 600, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const latency = 100 * time.Millisecond
+	m := New(sources.NeuroDM(), &Options{SourceTimeout: time.Second, MaxRetries: 1})
+	var syn *wrapper.InMemory
+	for _, w := range ws {
+		var reg wrapper.Wrapper = w
+		if w.Name() == "SYNAPSE" {
+			syn = w
+			reg = wrapper.NewFaulty(w, wrapper.FaultConfig{Latency: latency})
+		}
+		if err := m.Register(reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "src_obj('NCMIR', O, C)"
+	body, aux, err := parser.ParseQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() (string, error) {
+		if err := m.ValidateVocabulary(body, aux); err != nil {
+			return "", err
+		}
+		ans, err := m.Query(q)
+		if err != nil {
+			return "", err
+		}
+		return fingerprint(ans), nil
+	}
+	pre, err := read() // the cold build, before any read is timed
+	if err != nil {
+		t.Fatal(err)
+	}
+	legal := map[string]bool{pre: true}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var waits []time.Duration
+	var answers []string
+	var readErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			start := time.Now()
+			ans, err := read()
+			waits = append(waits, time.Since(start))
+			if err != nil {
+				readErr = err
+				return
+			}
+			answers = append(answers, ans)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		syn.Mutate(func(mod *gcm.Model) {
+			mod.AddObject(gcm.Object{ID: term.Atom(fmt.Sprintf("rnw_%d", i)), Class: "spine_measurement", Values: map[string][]term.Term{}})
+		})
+		if _, err := m.RefreshSource("SYNAPSE"); err != nil {
+			t.Error(err)
+			break
+		}
+		post, err := read()
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		legal[post] = true
+	}
+	close(done)
+	wg.Wait()
+
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	for _, ans := range answers {
+		if !legal[ans] {
+			t.Fatal("a read answered neither a pre- nor a post-step state")
+		}
+	}
+	slices.Sort(waits)
+	p99, max := waits[len(waits)*99/100], waits[len(waits)-1]
+	t.Logf("%d reads: p50 %v, p99 %v, max %v", len(waits), waits[len(waits)/2], p99, max)
+	if raceEnabled {
+		return
+	}
+	if p99 > 10*time.Millisecond {
+		t.Errorf("p99 read took %v; want at most 10ms", p99)
+	}
+	if max >= latency {
+		t.Errorf("a read took %v, as long as a wrapper call of the refresh", max)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"modelmed/internal/datalog"
@@ -122,26 +123,20 @@ type Mediator struct {
 	views    []datalog.Rule
 	viewText []string
 
-	// evalMu orders readers of the cache against source moves:
-	// Query/Holds/Explain evaluate over the cached Result *outside*
-	// m.mu, while a move (ApplySourceDelta, RefreshSource, SyncSources,
-	// ApplyStreamBatch) moves the engine EDB and the held states along
-	// with the Result it swaps in. Readers hold the read side
-	// across materialize+evaluate and movers the write side across the
-	// whole move, so every answer reflects exactly a pre- or post-move
-	// state, never a torn mix. Lock order: evalMu before m.mu.
-	evalMu sync.RWMutex
-
-	// base holds the source states and the current program's result
-	// over them, the cache (see incr.go). The next build reads a
-	// registered source without a state through its wrapper; with no
-	// result, the next read builds one.
-	base srcstate.Base
+	// base is the published value: the source states and the current
+	// program's result over them, the cache (see incr.go). Readers load
+	// it and take no lock; writers, under m.mu, store the next value
+	// (publishLocked) and never write a stored one, so every answer
+	// reflects exactly one published state, never a torn mix. The next
+	// build reads a registered source without a state through its
+	// wrapper; with no result, the next read builds one.
+	base atomic.Pointer[published]
 
 	// deltaLog, when set, receives a WAL record for every source move
 	// (and a Full marker for every source a build reads) while m.mu is
-	// held, so records are appended in exactly the order they landed. replaying suppresses it during WAL replay so
-	// recovery does not re-log its own input (see persist.go).
+	// held, so records are appended in exactly the order they landed.
+	// replaying suppresses it during WAL replay so recovery does not
+	// re-log its own input (see persist.go).
 	deltaLog  func(*persist.WALRecord)
 	replaying bool
 
@@ -180,7 +175,30 @@ func New(dm *domainmap.DomainMap, opts *Options) *Mediator {
 		srcs:     make(map[string]*Source),
 	}
 	m.index = domainmap.NewIndex(m.walkAnchors)
+	m.publishLocked(srcstate.Base{}, "")
 	return m
+}
+
+// published is what the mediator publishes: a Base and what readers
+// need of the program it was built under. Nothing writes one once it
+// is stored.
+type published struct {
+	srcstate.Base
+	// views are the program's view rules, whose heads
+	// ValidateVocabulary admits.
+	views []datalog.Rule
+	// sig fingerprints the program Result was built under
+	// (programSigLocked); "" without a Result.
+	sig string
+	// degraded reports that the Base holds no state of some registered
+	// source, so its Result lacks that source.
+	degraded bool
+}
+
+// publishLocked publishes b, built under the program of signature sig,
+// with the current view rules. Called with m.mu held.
+func (m *Mediator) publishLocked(b srcstate.Base, sig string) {
+	m.base.Store(&published{Base: b, views: m.views, sig: sig, degraded: b.Len() < len(m.srcs)})
 }
 
 // DomainMap returns the mediator's domain map.
@@ -199,7 +217,7 @@ var anchorKey = datalog.PredKey(PredAnchor, 3)
 // Invalidate or a restore that was not adopted, and for a source the
 // last materialization dropped as down. Called with m.mu held.
 func (m *Mediator) anchorsLocked(s *Source) *datalog.Store {
-	if st := m.base.State(s.Name); st != nil {
+	if st := m.base.Load().State(s.Name); st != nil {
 		return st.Anchors
 	}
 	return s.anchors
@@ -316,7 +334,7 @@ func (m *Mediator) Register(w wrapper.Wrapper) error {
 		// from its first query on.
 		cs.SetObsCounters(m.counters())
 	}
-	m.base.DropResult()
+	m.publishLocked(m.base.Load().DropResult(), "")
 	return nil
 }
 
@@ -376,7 +394,7 @@ func (m *Mediator) Unregister(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.srcs, name)
-	m.base.DropSource(name)
+	m.publishLocked(m.base.Load().DropSource(name), "")
 }
 
 // RegisterKnowledge extends the domain map with DL axioms sent by a
@@ -386,7 +404,7 @@ func (m *Mediator) RegisterKnowledge(axioms ...dl.Axiom) error {
 		return err
 	}
 	m.mu.Lock()
-	m.base.DropResult()
+	m.publishLocked(m.base.Load().DropResult(), "")
 	m.mu.Unlock()
 	return nil
 }
@@ -404,7 +422,7 @@ func (m *Mediator) DefineView(src string) error {
 	privateAux(fmt.Sprintf("v%d", len(m.viewText)), nil, rules)
 	m.views = append(m.views, rules...)
 	m.viewText = append(m.viewText, src)
-	m.base.DropResult()
+	m.publishLocked(m.base.Load().DropResult(), "")
 	return nil
 }
 
@@ -490,18 +508,16 @@ func (m *Mediator) query(ctx context.Context, sp *obs.Span, body []datalog.BodyE
 }
 
 // queryCache materializes (or reuses) the cached object base and
-// evaluates body, with its auxiliary rules, over it, holding the read
-// side of evalMu across both steps so a concurrent source move cannot
-// tear the answer.
+// evaluates body, with its auxiliary rules, over the one Result it
+// loaded, so a concurrent source move cannot tear the answer.
 func (m *Mediator) queryCache(ctx context.Context, sp *obs.Span, body []datalog.BodyElem, aux []datalog.Rule, vars []string) ([][]term.Term, error) {
-	m.evalMu.RLock()
-	defer m.evalMu.RUnlock()
 	msp := sp.Child("materialize")
-	res, err := m.materialize(ctx, msp)
+	v, err := m.materialize(ctx, msp)
 	msp.End()
 	if err != nil {
 		return nil, err
 	}
+	res := v.Result()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -536,8 +552,6 @@ func queryResult(ctx context.Context, res *datalog.Result, body []datalog.BodyEl
 
 // Holds reports whether a ground fact is true in the materialized base.
 func (m *Mediator) Holds(pred string, args ...term.Term) (bool, error) {
-	m.evalMu.RLock()
-	defer m.evalMu.RUnlock()
 	res, err := m.Materialize()
 	if err != nil {
 		return false, err
@@ -584,39 +598,49 @@ func (m *Mediator) Materialize() (*datalog.Result, error) {
 // QueryCtx for the cancellation contract.
 func (m *Mediator) MaterializeCtx(ctx context.Context) (*datalog.Result, error) {
 	sp := m.startSpan("mediator.materialize")
-	res, err := m.materialize(ctx, sp)
+	v, err := m.materialize(ctx, sp)
 	m.endTrace(sp)
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return v.Result(), nil
 }
 
 // materialize is Materialize with the caller's context and span
 // threaded through (nil span when tracing is off; the caller owns
-// ending it).
-func (m *Mediator) materialize(ctx context.Context, sp *obs.Span) (*datalog.Result, error) {
+// ending it), returning the published value. A hit loads it and takes
+// no lock; only a build (materializeLocked) and a degraded cache, which
+// may be due a re-probe, take m.mu.
+func (m *Mediator) materialize(ctx context.Context, sp *obs.Span) (*published, error) {
+	if v := m.base.Load(); v.Result() != nil && !v.degraded {
+		sp.SetStr("cache", "hit")
+		return v, nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.materializeLocked(ctx, sp)
 }
 
-// materializeLocked returns the cache, building it first when there is
-// none or a degraded cache's dropped source is due another probe. The
-// build reads every source the mediator holds no state of (readSource,
-// concurrently; under the fault-tolerance layer one that stays down is
-// dropped, which degrades the cache), then evaluates the program over
-// all held states. Each source read gets a Full marker in the log: it
-// moved without a logged move. Called with m.mu held.
-func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalog.Result, error) {
-	if res := m.base.Result(); res != nil && !(m.degradedLocked() && m.reprobeDue()) {
+// materializeLocked returns the published value, building it first when
+// it has no result or a degraded cache's dropped source is due another
+// probe. The build reads every source the mediator holds no state of
+// (readSource, concurrently; under the fault-tolerance layer one that
+// stays down is dropped, which degrades the cache), then evaluates the
+// program over all held states. Each source read gets a Full marker in
+// the log: it moved without a logged move. Called with m.mu held.
+func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*published, error) {
+	v := m.base.Load()
+	if v.Result() != nil && !(v.degraded && m.reprobeDue()) {
 		sp.SetStr("cache", "hit")
-		return res, nil
+		return v, nil
 	}
-	m.base.DropResult()
+	m.publishLocked(v.DropResult(), "")
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var missing []*Source
 	for _, s := range m.sortedSources() {
-		if m.base.State(s.Name) == nil {
+		if v.State(s.Name) == nil {
 			missing = append(missing, s)
 		}
 	}
@@ -634,7 +658,7 @@ func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalo
 		fsp.End()
 		return nil, err
 	}
-	states := m.base.States()
+	states := v.States()
 	for i, s := range missing {
 		if errs[i] != nil {
 			if g != nil && !m.opts.FailFast && sourceDown(errs[i]) {
@@ -658,25 +682,22 @@ func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*datalo
 			m.logDeltaLocked(&persist.WALRecord{Source: s.Name, Full: true})
 		}
 	}
-	return m.base.Result(), nil
+	return m.base.Load(), nil
 }
 
-// degradedLocked reports whether the mediator holds no state of some
-// registered source: a cache built without it is degraded. Called with
-// m.mu held.
-func (m *Mediator) degradedLocked() bool { return m.base.Len() < len(m.srcs) }
-
-// buildLocked makes states, of registered sources, the held ones and
-// builds the current program over them, adopting store if it is not
-// nil (srcstate.Base.Build). Called with m.mu held.
+// buildLocked builds the current program over states, of registered
+// sources, adopting store if it is not nil (srcstate.Build), and
+// publishes the Base built. Called with m.mu held.
 func (m *Mediator) buildLocked(ctx context.Context, states map[string]*srcstate.State, store *datalog.Store, sp *obs.Span) error {
 	e, err := m.newProgramEngineLocked(sp)
 	if err != nil {
 		return err
 	}
-	if err := m.base.Build(ctx, e, states, store); err != nil {
+	b, err := srcstate.Build(ctx, e, states, store)
+	if err != nil {
 		return fmt.Errorf("mediator: materialize: %w", err)
 	}
+	m.publishLocked(b, m.programSigLocked())
 	return nil
 }
 
@@ -805,7 +826,7 @@ func (m *Mediator) SourceReports() []SourceReport {
 // all, when no breaker is configured to pace automatic re-probes).
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
-	m.base = srcstate.Base{}
+	m.publishLocked(srcstate.Base{}, "")
 	m.mu.Unlock()
 }
 
@@ -813,16 +834,13 @@ func (m *Mediator) Invalidate() {
 // materialized mediated object base — the provenance of a view tuple:
 // which rules fired over which source facts.
 func (m *Mediator) Explain(pred string, args ...term.Term) (*datalog.Derivation, error) {
-	m.evalMu.RLock()
-	defer m.evalMu.RUnlock()
-	res, err := m.Materialize()
+	sp := m.startSpan("mediator.materialize")
+	v, err := m.materialize(context.Background(), sp)
+	m.endTrace(sp)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	e := m.base.Engine()
-	m.mu.Unlock()
-	return e.Explain(res, pred, args...)
+	return v.Engine().Explain(v.Result(), pred, args...)
 }
 
 // readSource is the one way the mediator reads a source through its
@@ -852,7 +870,7 @@ func (m *Mediator) readSource(g *guard, s *Source) (*srcstate.State, bool, error
 			st.Rules = append(st.Rules, r)
 		}
 	}
-	st.Anchors = s.anchors.Clone()
+	st.Anchors = s.anchors // takeReport replaces it, never writes it
 	return st, grew, nil
 }
 

@@ -88,39 +88,33 @@ func sourceRules(s *Source) []datalog.Rule {
 	return out
 }
 
-// SnapshotState captures the current materialization as a durable
+// SnapshotState captures the published materialization as a durable
 // snapshot: the full store plus each source's facts, rule signature,
 // anchors, and data version. It fails when there is nothing sound to
 // persist — no cache, a degraded one, or a non-stratified
-// materialization. The returned snapshot shares no mutable state with
-// the live cache (stores are COW clones), so it can be encoded after
-// the locks are released.
+// materialization. The snapshot shares its stores with the published
+// value, which nothing writes, so it can be encoded while the mediator
+// moves on.
 func (m *Mediator) SnapshotState() (*persist.Snapshot, error) {
-	m.evalMu.RLock()
-	defer m.evalMu.RUnlock()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	res := m.base.Result()
+	v := m.base.Load()
+	res := v.Result()
 	switch {
 	case res == nil:
 		return nil, fmt.Errorf("mediator: snapshot: no materialized cache")
-	case m.degradedLocked():
+	case v.degraded:
 		return nil, fmt.Errorf("mediator: snapshot: cache is degraded (a source was dropped)")
 	case !res.Stratified || res.Undefined != nil:
 		return nil, fmt.Errorf("mediator: snapshot: non-stratified materialization is not persistable")
 	}
-	snap := &persist.Snapshot{
-		ProgramSig: m.programSigLocked(),
-		Store:      res.Store.Clone(),
-	}
-	for _, name := range m.base.Names() {
-		st := m.base.State(name)
+	snap := &persist.Snapshot{ProgramSig: v.sig, Store: res.Store}
+	for _, name := range v.Names() {
+		st := v.State(name)
 		snap.Sources = append(snap.Sources, persist.SourceState{
 			Name:    name,
 			Version: st.Version,
 			RuleSig: ruleSig(st.Rules),
-			Facts:   st.Facts.Clone(),
-			Anchors: st.Anchors.Clone(),
+			Facts:   st.Facts,
+			Anchors: st.Anchors,
 		})
 	}
 	return snap, nil
@@ -172,8 +166,6 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 		sp.SetStr("outcome", "no-snapshot")
 		return rep
 	}
-	m.evalMu.Lock()
-	defer m.evalMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.restoreStateLocked(snap, sp); err != nil {
@@ -195,14 +187,14 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 		// reproduce the dying process's state. Drop the half-restored
 		// cache wholesale; with no source states left, the semantic
 		// index reads the registered anchors again.
-		m.base = srcstate.Base{}
+		m.publishLocked(srcstate.Base{}, "")
 		rep.Restored = false
 		rep.Reason = rerr.Error()
 		sp.SetStr("outcome", "replay-failed")
 		return rep
 	}
 	rep.Restored = true
-	rep.Facts = m.base.Result().Store.Size()
+	rep.Facts = m.base.Load().Result().Store.Size()
 	rep.StaleSources = m.staleSourcesLocked()
 	m.counters().Add("mediator.warm_restores", 1)
 	sp.SetStr("outcome", "restored")
@@ -214,8 +206,7 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 // restoreStateLocked validates snap against the registered program and
 // adopts it: the snapshot's source states become the held ones and its
 // store the cache, with no fixpoint run (buildLocked, the build every
-// materialization runs). Called with
-// evalMu and m.mu held.
+// materialization runs). Called with m.mu held.
 func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) error {
 	if sig := m.programSigLocked(); snap.ProgramSig != sig {
 		return fmt.Errorf("mediator: restore: program changed (snapshot %.12s…, current %.12s…)",
@@ -245,13 +236,13 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 // replayDeltaLocked re-applies one logged move through the same
 // operation that made it, against the same source state, so the same
 // dedup and shared-fact rule decide the engine-level delta and the held
-// anchors the semantic index reads. Called with evalMu and m.mu held.
+// anchors the semantic index reads. Called with m.mu held.
 func (m *Mediator) replayDeltaLocked(rec *persist.WALRecord, sp *obs.Span) error {
 	if rec.Full {
 		return fmt.Errorf("mediator: replay: wal has a full-rebuild marker for %s; snapshot is stale", rec.Source)
 	}
 	s := m.srcs[rec.Source]
-	if s == nil || m.base.State(rec.Source) == nil {
+	if s == nil || m.base.Load().State(rec.Source) == nil {
 		return fmt.Errorf("mediator: replay: record for unknown source %s", rec.Source)
 	}
 	ch := srcstate.Change{Adds: rec.Adds, Dels: rec.Dels, AnchorAdds: rec.AnchorAdds, AnchorDels: rec.AnchorDels}
@@ -266,7 +257,7 @@ func (m *Mediator) staleSourcesLocked() []string {
 	var stale []string
 	for _, s := range m.sortedSources() {
 		ver := dataVersion(s.W)
-		if st := m.base.State(s.Name); ver != 0 && st != nil && st.Version != ver {
+		if st := m.base.Load().State(s.Name); ver != 0 && st != nil && st.Version != ver {
 			stale = append(stale, s.Name)
 		}
 	}

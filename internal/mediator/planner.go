@@ -298,11 +298,9 @@ var mediatedVocab = map[string]bool{
 // derivedHeads returns the head predicates a query may additionally
 // reference: the registered views, the views' own derived predicates
 // (views may be layered), and the query's auxiliary rules.
-func (m *Mediator) derivedHeads(aux []datalog.Rule) map[string]bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]bool, len(m.views)+len(aux))
-	for _, r := range m.views {
+func derivedHeads(views, aux []datalog.Rule) map[string]bool {
+	out := make(map[string]bool, len(views)+len(aux))
+	for _, r := range views {
 		out[r.Head.Pred] = true
 	}
 	for _, r := range aux {
@@ -321,7 +319,7 @@ var ErrUnknownPredicate = errors.New("unknown predicate")
 // rules — the untrusted-input gate in front of Plan/ExecutePlan and of
 // a served query.
 func (m *Mediator) ValidateVocabulary(body []datalog.BodyElem, aux []datalog.Rule) error {
-	heads := m.derivedHeads(aux)
+	heads := derivedHeads(m.base.Load().views, aux)
 	var bad []string
 	seen := map[string]bool{}
 	var walk func(es []datalog.BodyElem)

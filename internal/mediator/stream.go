@@ -74,8 +74,6 @@ func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamO
 	if err := checkDeltaFacts(b.Source, b.Adds, b.Dels, b.AnchorAdds, b.AnchorDels); err != nil {
 		return nil, StreamResynced, fmt.Errorf("mediator: stream batch for %s: %w", b.Source, err)
 	}
-	m.evalMu.Lock()
-	defer m.evalMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s, ok := m.srcs[b.Source]
@@ -92,8 +90,9 @@ func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamO
 	if b.Resync {
 		return resync("source-marked")
 	}
-	held := m.base.State(b.Source)
-	if held == nil || m.base.Result() == nil {
+	v := m.base.Load()
+	held := v.State(b.Source)
+	if held == nil || v.Result() == nil {
 		return resync("no-patchable-cache")
 	}
 	if b.ToVersion <= held.Version {

@@ -3,6 +3,7 @@ package srcstate
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"modelmed/internal/datalog"
 	"modelmed/internal/term"
@@ -15,46 +16,48 @@ type Change struct {
 	AnchorAdds, AnchorDels []datalog.Rule
 }
 
-// Move moves source name's state to version under ch and patches the
-// Result with one ApplyDeltaCtx under ctx. Facts fold before anchors,
-// deletions before additions; a deletion the state does not hold and an
-// addition it already holds are skipped. The shared-fact rule: a fact
-// leaves the EDB only when no store of any state still holds it, since
-// every source whose model declares a global schema fact asserts it.
-// Move returns the changes that took effect and the patch's work (nil
-// when the engine was not touched). A failed move unfolds its folds,
-// and ApplyDeltaCtx takes its EDB changes back, so nothing moves.
-func (b *Base) Move(ctx context.Context, name string, version uint64, ch Change) (eff Change, stats *datalog.DeltaStats, err error) {
+// Move returns b with source name's state moved to version under ch and
+// the Result patched by one ApplyDeltaCtx under ctx. Facts fold before
+// anchors, deletions before additions, into layers over the state's
+// stores; a deletion the state does not hold and an addition it already
+// holds are skipped. The shared-fact rule: a fact leaves the EDB only
+// when no store of any state still holds it, since every source whose
+// model declares a global schema fact asserts it. Move also returns the
+// changes that took effect and the patch's work (nil when the engine
+// was not touched). b itself is not written, so a failed move leaves
+// nothing to take back.
+func (b Base) Move(ctx context.Context, name string, version uint64, ch Change) (next Base, eff Change, stats *datalog.DeltaStats, err error) {
 	st := b.states[name]
 	switch {
 	case st == nil:
-		return Change{}, nil, fmt.Errorf("no state of source %s", name)
+		return b, Change{}, nil, fmt.Errorf("no state of source %s", name)
 	case b.res == nil:
-		return Change{}, nil, fmt.Errorf("no result to move")
+		return b, Change{}, nil, fmt.Errorf("no result to move")
 	}
+	moved := &State{Facts: st.Facts.Clone(), Anchors: st.Anchors, Rules: st.Rules, Version: version}
+	if len(ch.AnchorAdds)+len(ch.AnchorDels) > 0 {
+		moved.Anchors = st.Anchors.Clone()
+	}
+	next = Base{states: maps.Clone(b.states), eng: b.eng, res: b.res}
+	next.states[name] = moved
 	d := datalog.NewDelta()
-	if eff.Adds, eff.Dels, err = b.fold(st.Facts, d, ch.Adds, ch.Dels); err == nil {
-		eff.AnchorAdds, eff.AnchorDels, err = b.fold(st.Anchors, d, ch.AnchorAdds, ch.AnchorDels)
+	if eff.Adds, eff.Dels, err = next.fold(moved.Facts, d, ch.Adds, ch.Dels); err == nil {
+		eff.AnchorAdds, eff.AnchorDels, err = next.fold(moved.Anchors, d, ch.AnchorAdds, ch.AnchorDels)
 	}
 	if err == nil && !d.Empty() {
-		var res *datalog.Result
-		if res, err = b.eng.ApplyDeltaCtx(ctx, b.res, d); err == nil {
-			b.res, stats = res, res.Delta
+		if next.res, err = b.eng.ApplyDeltaCtx(ctx, b.res, d); err == nil {
+			stats = next.res.Delta
 		}
 	}
 	if err != nil {
-		unfold(st.Facts, eff.Adds, eff.Dels)
-		unfold(st.Anchors, eff.AnchorAdds, eff.AnchorDels)
-		return Change{}, nil, err
+		return b, Change{}, nil, err
 	}
-	st.Version = version
-	return eff, stats, nil
+	return next, eff, stats, nil
 }
 
-// fold folds dels then adds into one store of a state and into the
-// engine delta d, returning the changes that took effect — on error,
-// the ones folded so far.
-func (b *Base) fold(st *datalog.Store, d *datalog.Delta, adds, dels []datalog.Rule) (effAdds, effDels []datalog.Rule, err error) {
+// fold folds dels then adds into st, one store of a state of b, and
+// into the engine delta d, returning the changes that took effect.
+func (b Base) fold(st *datalog.Store, d *datalog.Delta, adds, dels []datalog.Rule) (effAdds, effDels []datalog.Rule, err error) {
 	for _, r := range dels {
 		key := datalog.PredKey(r.Head.Pred, len(r.Head.Args))
 		if !st.DeleteKey(key, r.Head.Args) {
@@ -65,7 +68,7 @@ func (b *Base) fold(st *datalog.Store, d *datalog.Delta, adds, dels []datalog.Ru
 			continue // another store still holds it
 		}
 		if err := d.Del(r.Head.Pred, r.Head.Args...); err != nil {
-			return effAdds, effDels, err
+			return nil, nil, err
 		}
 	}
 	for _, r := range adds {
@@ -74,7 +77,7 @@ func (b *Base) fold(st *datalog.Store, d *datalog.Delta, adds, dels []datalog.Ru
 		}
 		effAdds = append(effAdds, r)
 		if err := d.Add(r.Head.Pred, r.Head.Args...); err != nil {
-			return effAdds, effDels, err
+			return nil, nil, err
 		}
 	}
 	return effAdds, effDels, nil
@@ -82,22 +85,11 @@ func (b *Base) fold(st *datalog.Store, d *datalog.Delta, adds, dels []datalog.Ru
 
 // held reports whether any state still holds the fact: the shared-fact
 // rule.
-func (b *Base) held(key string, row []term.Term) bool {
+func (b Base) held(key string, row []term.Term) bool {
 	for _, st := range b.states {
 		if st.Facts.ContainsKey(key, row) || st.Anchors.ContainsKey(key, row) {
 			return true
 		}
 	}
 	return false
-}
-
-// unfold takes back what fold folded into st: the effective additions
-// and deletions.
-func unfold(st *datalog.Store, effAdds, effDels []datalog.Rule) {
-	for _, r := range effAdds {
-		st.Delete(r.Head.Pred, r.Head.Args)
-	}
-	for _, r := range effDels {
-		st.Insert(r.Head.Pred, r.Head.Args)
-	}
 }

@@ -1,10 +1,12 @@
 // Package srcstate holds what a mediated object base is a function of:
 // every source's state, and the engine and Result built over the
-// states. Build seeds a program engine with every state and runs it (or
-// adopts a restored store); Move moves one source's state and patches
-// the Result (move.go); DropSource and DropResult forget a source, or
-// only the Result. The mediator moves a Base on pushes, pulls, streamed
-// batches and WAL replays; a cluster router moves one on shard dumps.
+// states. A Base is a value that is never written: Build seeds a
+// program engine with every state and runs it (or adopts a restored
+// store); Move returns the Base with one source's state moved and the
+// Result patched (move.go); DropSource and DropResult return it without
+// a source, or without the Result. The mediator moves a Base on pushes,
+// pulls, streamed batches and WAL replays; a cluster router moves one
+// on shard dumps.
 package srcstate
 
 import (
@@ -37,9 +39,9 @@ func NewState(version uint64) *State {
 }
 
 // Base is every source's State and the engine and Result built over
-// them; the zero Base holds nothing. A Base is not safe for concurrent
-// use, but a Result is never mutated, so readers may query one while
-// the owner moves the Base on (see datalog.Engine.ApplyDelta).
+// them; the zero Base holds nothing. Nothing writes a Base, its states
+// or its Result once it exists, so any number of readers may share one
+// while the owner moves on to the next (see datalog.Engine.ApplyDelta).
 type Base struct {
 	states map[string]*State
 	eng    *datalog.Engine
@@ -47,20 +49,20 @@ type Base struct {
 }
 
 // Result is the materialisation over the held states, or nil.
-func (b *Base) Result() *datalog.Result { return b.res }
+func (b Base) Result() *datalog.Result { return b.res }
 
 // Engine is the engine that produced Result, or nil.
-func (b *Base) Engine() *datalog.Engine { return b.eng }
+func (b Base) Engine() *datalog.Engine { return b.eng }
 
-// State returns the held state of source name, or nil. Only Move may
-// change it.
-func (b *Base) State(name string) *State { return b.states[name] }
+// State returns the held state of source name, or nil. It is not
+// written; Move returns a Base with a new state instead.
+func (b Base) State(name string) *State { return b.states[name] }
 
 // Len is the number of held states.
-func (b *Base) Len() int { return len(b.states) }
+func (b Base) Len() int { return len(b.states) }
 
 // Names returns the sources of the held states in name order.
-func (b *Base) Names() []string {
+func (b Base) Names() []string {
 	names := make([]string, 0, len(b.states))
 	for name := range b.states {
 		names = append(names, name)
@@ -70,48 +72,49 @@ func (b *Base) Names() []string {
 }
 
 // States returns a copy of the held states by source.
-func (b *Base) States() map[string]*State {
+func (b Base) States() map[string]*State {
 	out := make(map[string]*State, len(b.states))
 	maps.Copy(out, b.states)
 	return out
 }
 
-// Build makes states the held ones and builds over them. e holds the
-// program without any source's rules or facts; every state's rules,
-// facts and anchors go into it, in source name order. Then e runs under
-// ctx — its Limits and ctx stop an oversized or cancelled build
-// mid-stratum — or, with store non-nil, store is adopted as the result
-// without a fixpoint run (a durable snapshot's materialisation of this
-// very program and EDB). A failed build leaves b as it was.
-func (b *Base) Build(ctx context.Context, e *datalog.Engine, states map[string]*State, store *datalog.Store) error {
-	next := Base{states: states, eng: e}
-	for _, name := range next.Names() {
+// Build returns the Base of states built over. e holds the program
+// without any source's rules or facts; every state's rules, facts and
+// anchors go into it, in source name order. Then e runs under ctx — its
+// Limits and ctx stop an oversized or cancelled build mid-stratum — or,
+// with store non-nil, store is adopted as the result without a fixpoint
+// run (a durable snapshot's materialisation of this very program and
+// EDB). states and store are the Base's from then on: nothing writes
+// them again.
+func Build(ctx context.Context, e *datalog.Engine, states map[string]*State, store *datalog.Store) (Base, error) {
+	b := Base{states: states, eng: e}
+	for _, name := range b.Names() {
 		st := states[name]
 		if err := e.AddRules(st.Rules...); err != nil {
-			return fmt.Errorf("source %s: %w", name, err)
+			return Base{}, fmt.Errorf("source %s: %w", name, err)
 		}
 		e.SeedEDB(st.Facts)
 		e.SeedEDB(st.Anchors)
 	}
 	if store != nil {
-		next.res = e.Restore(store)
-	} else {
-		var err error
-		if next.res, err = e.RunCtx(ctx); err != nil {
-			return err
-		}
+		b.res = e.Restore(store)
+		return b, nil
 	}
-	*b = next
-	return nil
+	var err error
+	if b.res, err = e.RunCtx(ctx); err != nil {
+		return Base{}, err
+	}
+	return b, nil
 }
 
-// DropSource forgets the state of source name and the Result, which
-// reflects it; the other states stay.
-func (b *Base) DropSource(name string) {
-	delete(b.states, name)
-	b.DropResult()
+// DropSource returns b without the state of source name and without
+// the Result, which reflects it; the other states stay.
+func (b Base) DropSource(name string) Base {
+	states := maps.Clone(b.states)
+	delete(states, name)
+	return Base{states: states}
 }
 
-// DropResult forgets the engine and the Result and keeps the states, so
+// DropResult returns b's states without the engine and the Result, so
 // the next Build re-evaluates them, e.g. under a changed program.
-func (b *Base) DropResult() { b.eng, b.res = nil, nil }
+func (b Base) DropResult() Base { return Base{states: b.states} }

@@ -41,20 +41,20 @@ func engine(t *testing.T) *datalog.Engine {
 
 // twoSources builds a base over sources a and b, which both hold the
 // schema fact s(x).
-func twoSources(t *testing.T) *Base {
+func twoSources(t *testing.T) Base {
 	t.Helper()
-	b := &Base{}
 	states := map[string]*State{
 		"b": state(t, 2, "p(b). s(x).", "anchor(b, ob, c)."),
 		"a": state(t, 1, "p(a). s(x).", "anchor(a, oa, c)."),
 	}
-	if err := b.Build(context.Background(), engine(t), states, nil); err != nil {
+	b, err := Build(context.Background(), engine(t), states, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-func holds(b *Base, src string) bool {
+func holds(b Base, src string) bool {
 	r := facts(src)[0].Head
 	return b.Result().Holds(r.Pred, r.Args...)
 }
@@ -74,16 +74,16 @@ func TestBuildSeedsEveryState(t *testing.T) {
 	}
 
 	// Adopting a store runs no fixpoint: the result is the store given.
-	restored := &Base{}
 	store := b.Result().Store.Clone()
-	if err := restored.Build(context.Background(), engine(t), b.States(), store); err != nil {
+	restored, err := Build(context.Background(), engine(t), b.States(), store)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Result().Store != store {
 		t.Error("restore did not adopt the store")
 	}
 	// The adopted result moves like a built one.
-	if _, _, err := restored.Move(context.Background(), "a", 1, Change{Adds: facts("p(c).")}); err != nil {
+	if restored, _, _, err = restored.Move(context.Background(), "a", 1, Change{Adds: facts("p(c).")}); err != nil {
 		t.Fatal(err)
 	}
 	if !holds(restored, "q(c).") {
@@ -96,12 +96,12 @@ func TestBuildFailureKeepsBase(t *testing.T) {
 	res, states := b.Result(), b.States()
 	bad := map[string]*State{"a": {Facts: datalog.NewStore(), Anchors: datalog.NewStore(),
 		Rules: facts("r(X) :- not p(X).")}}
-	if err := b.Build(context.Background(), engine(t), bad, nil); err == nil {
+	if _, err := Build(context.Background(), engine(t), bad, nil); err == nil {
 		t.Fatal("unsafe source rule accepted")
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := b.Build(cancelled, engine(t), b.States(), nil); err == nil {
+	if _, err := Build(cancelled, engine(t), b.States(), nil); err == nil {
 		t.Fatal("cancelled build succeeded")
 	}
 	if b.Result() != res || b.Len() != len(states) || b.State("a") != states["a"] {
@@ -114,7 +114,7 @@ func TestMoveKeepsSharedFact(t *testing.T) {
 	ctx := context.Background()
 	withdraw := Change{Dels: facts("s(x).")}
 
-	eff, stats, err := b.Move(ctx, "a", 7, withdraw)
+	b, eff, stats, err := b.Move(ctx, "a", 7, withdraw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +126,12 @@ func TestMoveKeepsSharedFact(t *testing.T) {
 	}
 
 	// Withdrawing it again is not a change of a's.
-	if eff, _, err = b.Move(ctx, "a", 7, withdraw); err != nil || len(eff.Dels) != 0 {
+	if b, eff, _, err = b.Move(ctx, "a", 7, withdraw); err != nil || len(eff.Dels) != 0 {
 		t.Errorf("repeated withdrawal: %+v, %v", eff, err)
 	}
 
 	// The last holder withdraws it: now it goes.
-	eff, stats, err = b.Move(ctx, "b", 2, withdraw)
+	b, eff, stats, err = b.Move(ctx, "b", 2, withdraw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestMoveKeepsSharedFact(t *testing.T) {
 
 	// An addition a already holds is skipped; a new one and an anchor
 	// move reach the engine.
-	eff, _, err = b.Move(ctx, "a", 8, Change{
+	b, eff, _, err = b.Move(ctx, "a", 8, Change{
 		Adds:       facts("p(a). p(d)."),
 		AnchorAdds: facts("anchor(a, od, c)."),
 		AnchorDels: facts("anchor(a, oa, c)."),
@@ -166,16 +166,17 @@ func TestMoveSharedAcrossStores(t *testing.T) {
 	b := twoSources(t)
 	ctx := context.Background()
 	dup := facts("anchor(a, oa, c).")
-	if _, _, err := b.Move(ctx, "a", 1, Change{Adds: dup}); err != nil {
+	b, _, _, err := b.Move(ctx, "a", 1, Change{Adds: dup})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Move(ctx, "a", 1, Change{AnchorDels: dup}); err != nil {
+	if b, _, _, err = b.Move(ctx, "a", 1, Change{AnchorDels: dup}); err != nil {
 		t.Fatal(err)
 	}
 	if !holds(b, "anchor(a, oa, c).") {
 		t.Error("the fact left the EDB while a's facts still hold it")
 	}
-	if _, _, err := b.Move(ctx, "a", 1, Change{Dels: dup}); err != nil {
+	if b, _, _, err = b.Move(ctx, "a", 1, Change{Dels: dup}); err != nil {
 		t.Fatal(err)
 	}
 	if holds(b, "anchor(a, oa, c).") {
@@ -199,7 +200,7 @@ func TestMoveFailureChangesNothing(t *testing.T) {
 	// A fact that is not ground fails the fold after p(z) folded.
 	nonGround := Change{Adds: append(facts("p(z)."), datalog.Rule{Head: facts("q(X) :- p(X).")[0].Head}),
 		AnchorDels: facts("anchor(a, oa, c).")}
-	if _, _, err := b.Move(context.Background(), "a", 9, nonGround); err == nil {
+	if _, _, _, err := b.Move(context.Background(), "a", 9, nonGround); err == nil {
 		t.Fatal("non-ground addition accepted")
 	}
 	check("fold")
@@ -207,30 +208,54 @@ func TestMoveFailureChangesNothing(t *testing.T) {
 	// A patch that fails: the engine's context is done.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := b.Move(cancelled, "a", 9, Change{Adds: facts("p(z)."), Dels: facts("p(a).")}); err == nil {
+	if _, _, _, err := b.Move(cancelled, "a", 9, Change{Adds: facts("p(z)."), Dels: facts("p(a).")}); err == nil {
 		t.Fatal("cancelled patch succeeded")
 	}
 	check("patch")
 
 	// The base still moves afterwards.
-	if _, _, err := b.Move(context.Background(), "a", 9, Change{Adds: facts("p(z).")}); err != nil || !holds(b, "q(z).") {
+	next, _, _, err := b.Move(context.Background(), "a", 9, Change{Adds: facts("p(z).")})
+	if err != nil || !holds(next, "q(z).") {
 		t.Fatalf("move after failures: %v", err)
+	}
+}
+
+// TestMoveWritesNothingOfItsBase: the Base a move starts from still
+// reads as it did, so readers may hold it while the owner moves on.
+func TestMoveWritesNothingOfItsBase(t *testing.T) {
+	b := twoSources(t)
+	res, st := b.Result(), b.State("a")
+	facts0, anchors0 := st.Facts.Clone(), st.Anchors.Clone()
+	next, _, _, err := b.Move(context.Background(), "a", 3, Change{
+		Adds: facts("p(z)."), Dels: facts("p(a)."), AnchorDels: facts("anchor(a, oa, c)."),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !holds(next, "q(z).") || holds(next, "q(a).") || next.State("a").Version != 3 {
+		t.Error("the next Base does not reflect the move")
+	}
+	if b.Result() != res || b.State("a") != st || st.Version != 1 || !st.Facts.Equal(facts0) || !st.Anchors.Equal(anchors0) {
+		t.Error("the move wrote its Base's states")
+	}
+	if !holds(b, "q(a).") || holds(b, "q(z).") || !holds(b, "anchor(a, oa, c).") {
+		t.Error("the move wrote its Base's result")
 	}
 }
 
 func TestMoveRefusesWhatItDoesNotHold(t *testing.T) {
 	b := twoSources(t)
-	if _, _, err := b.Move(context.Background(), "c", 0, Change{}); err == nil {
+	if _, _, _, err := b.Move(context.Background(), "c", 0, Change{}); err == nil {
 		t.Error("move of a source without a state accepted")
 	}
-	b.DropResult()
+	b = b.DropResult()
 	if b.Result() != nil || b.Engine() != nil || b.Len() != 2 {
 		t.Error("DropResult did not keep exactly the states")
 	}
-	if _, _, err := b.Move(context.Background(), "a", 0, Change{}); err == nil {
+	if _, _, _, err := b.Move(context.Background(), "a", 0, Change{}); err == nil {
 		t.Error("move without a result accepted")
 	}
-	b.DropSource("a")
+	b = b.DropSource("a")
 	if b.State("a") != nil || b.Len() != 1 {
 		t.Error("DropSource kept the state")
 	}
