@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race chaos bench spine bench-faults bench-incr bench-serve bench-tenant tenant-smoke bench-persist persist-smoke bench-stream stream-smoke bench-cluster cluster-smoke obs serve loadgen medrouter vet cover fuzz-smoke
+.PHONY: all check build test race chaos bench spine tenant-smoke persist-smoke stream-smoke cluster-smoke serve loadgen medrouter vet cover fuzz-smoke
 
 all: build test
 
@@ -40,32 +40,6 @@ W ?= live_update
 spine:
 	bash benchmark/run.sh --workload $(W)
 
-# Fault-rate x retry-budget degradation sweep (writes BENCH_faults.json).
-bench-faults:
-	$(GO) run ./cmd/benchrunner -exp faults
-
-# Stage-level latency breakdown of the Section 5 query under the
-# tracing layer (writes BENCH_obs.json).
-obs:
-	$(GO) run ./cmd/benchrunner -exp obs
-
-# Incremental maintenance vs full re-materialization on small deltas
-# (writes BENCH_incr.json).
-bench-incr:
-	$(GO) run ./cmd/benchrunner -exp incr
-
-# Query service: answer-cache speedup, cache-on/off concurrency sweep
-# with shed rates, zero-drop SIGTERM drain (writes BENCH_serve.json).
-bench-serve:
-	$(GO) run ./cmd/benchrunner -exp serve
-
-# Multi-tenant resource governance: honest-tenant p99 alone vs under an
-# abusive tenant flooding deadline-free runaway queries through the
-# deficit round-robin gate, plus the armed-vs-disarmed cost of the
-# engine's gas checks (writes BENCH_tenant.json).
-bench-tenant:
-	$(GO) run ./cmd/benchrunner -exp tenant
-
 # Resource-governance smoke, race-enabled: the DRR grant-order unit
 # test, the single-flight leader-cancel and 504-slot-release
 # regressions, the budget->422 mapping, cache partition isolation, the
@@ -74,11 +48,6 @@ bench-tenant:
 tenant-smoke:
 	$(GO) test -race -count=1 -run 'TestDRRWeightedOrder|TestSingleFlightLeaderCancelRecovery|TestTenantCachePartitionIsolation|TestTimeoutFreesAdmissionSlot|TestBudgetExceededReturns422|TestEarlyBadRequestLogged|TestAbusiveTenantFairness' ./internal/serve
 	$(GO) test -race -count=1 -run 'Budget|StopsFixpoint|StopsRun|SpendsGas|ChargesGas|HonoursCancelled' ./internal/datalog
-
-# Durability: cold materialization vs warm restart (snapshot adoption +
-# WAL replay) across fact-volume scales (writes BENCH_persist.json).
-bench-persist:
-	$(GO) run ./cmd/benchrunner -exp persist
 
 # Durability smoke: the crash-recovery harness (sampled WAL offsets
 # under -short), corruption/torn-write/golden/version-skew codec tests,
@@ -94,13 +63,6 @@ persist-smoke:
 	$(GO) test -race -count=1 -run 'DeltaDuringDrain' ./internal/serve
 	$(GO) test -race -count=1 -run 'DaemonWarmRestart|DaemonCrashMidStream' ./cmd/medd
 
-# Live federation: change-to-notification latency of pushed answer
-# deltas at 1, 16 and 64 concurrent subscribers, full push pipeline
-# (wrapper feed -> incremental apply -> subscriber diff -> SSE), no
-# polling anywhere (writes BENCH_stream.json).
-bench-stream:
-	$(GO) run ./cmd/benchrunner -exp stream
-
 # Live-federation smoke, race-enabled: wrapper delta-stream emission
 # and the stream fault injector, the mediator's sequencing/resync and
 # feed-loop suite, the seeded streaming-vs-batch-vs-scratch
@@ -114,13 +76,6 @@ stream-smoke:
 	$(GO) test -race -count=1 -run 'Stream|Subscribe|Feed|SourceRoutesAgree|DumpRouteAgrees|PushedAnchors|DeltaStatusCodes' ./internal/wrapper ./internal/mediator ./internal/serve ./cmd/medd
 	$(GO) test -race -count=1 ./internal/srcstate
 	$(GO) test -race -count=1 -run 'Wall' ./internal/datalog
-
-# Sharded-cluster overhead report: the Section 5 serving mix through
-# the query router over 1, 2 and 4 in-process shards vs a direct
-# single-mediator baseline, sourceful (proxy/scatter) and gather mixes
-# reported separately (writes BENCH_cluster.json).
-bench-cluster:
-	$(GO) run ./cmd/benchrunner -exp cluster
 
 # Sharded-cluster smoke, race-enabled: the whole internal/cluster
 # suite — decomposition modes, shard-spec parsing, router cache and
@@ -164,9 +119,9 @@ vet:
 # live-federation code (wrapper/mediator stream.go, serve/load
 # subscribe.go, mediator incr.go, where every streamed batch is
 # applied, and srcstate move.go, where it is folded under the
-# shared-fact rule and unfolded on failure) carries the same 80%
-# floor — it is all push-path code, where an untested branch is a
-# silent divergence.
+# shared-fact rule into layers over the held state, which a failed
+# move simply drops) carries the same 80% floor — it is all
+# push-path code, where an untested branch is a silent divergence.
 COVER_THRESHOLD ?= 76.0
 PERSIST_COVER_THRESHOLD ?= 80.0
 STREAM_COVER_THRESHOLD ?= 80.0

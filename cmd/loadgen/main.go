@@ -1,7 +1,7 @@
 // Command loadgen drives closed-loop load against a running medd and
 // prints the merged statistics (throughput, latency quantiles, shed
-// rate) as JSON — the same loop the benchrunner serve experiment uses
-// for BENCH_serve.json, exposed for ad-hoc capacity runs.
+// rate) as JSON: internal/load's closed loop, exposed for ad-hoc
+// capacity runs.
 //
 // Usage:
 //

@@ -40,8 +40,8 @@ func extraWrapper(t testing.TB) *wrapper.InMemory {
 	return w
 }
 
-// sec5Workload is the Section 5 serving mix (benchrunner's), at the
-// view's real arity, plus per-mode coverage: proxy, scatter, gather,
+// sec5Workload is the Section 5 serving mix, at the view's real
+// arity, plus per-mode coverage: proxy, scatter, gather,
 // restricted gather, replicated, negation.
 func sec5Workload() []serve.QueryRequest {
 	return []serve.QueryRequest{

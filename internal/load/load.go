@@ -6,9 +6,8 @@
 // loop would pile unbounded queueing delay onto every sample once the
 // offered rate passes capacity.
 //
-// Both cmd/loadgen and the benchrunner serve experiment drive this
-// package, so the numbers in BENCH_serve.json and an operator's ad-hoc
-// run are produced by the same loop.
+// cmd/loadgen drives this package for an operator's ad-hoc runs, and
+// the serve tests drive it to put a server under load.
 package load
 
 import (

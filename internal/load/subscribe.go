@@ -5,7 +5,7 @@ package load
 // `delta` events (and heartbeat comments) on a channel, stamping each
 // with its local arrival time so callers can measure
 // change-to-notification latency. cmd/loadgen's -subscribe mode and
-// the benchrunner stream experiment both ride this client.
+// the benchmark spine's live_update workload both ride this client.
 
 import (
 	"bufio"

@@ -165,8 +165,7 @@ type Section5Result struct {
 	// Trace is the human-readable plan log.
 	Trace []string
 	// Span is the query's span tree (nil when tracing is off), with one
-	// child per plan step — the stage-level latency breakdown behind
-	// `benchrunner -exp obs`.
+	// child per plan step: the query's stage-level latency breakdown.
 	Span *obs.Span
 }
 

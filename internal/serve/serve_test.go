@@ -2,18 +2,23 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"modelmed/internal/datalog"
 	"modelmed/internal/gcm"
+	"modelmed/internal/load"
 	"modelmed/internal/mediator"
 	"modelmed/internal/sources"
 	"modelmed/internal/term"
@@ -614,4 +619,84 @@ func TestDrainAccounting(t *testing.T) {
 	if srv.Started() != srv.Finished() {
 		t.Fatalf("started %d != finished %d after drain", srv.Started(), srv.Finished())
 	}
+}
+
+// dialCounter is an http.RoundTripper that sorts transport errors into
+// refusals (the dial failed: the listener was already closed) and drops
+// (anything else: a connection the server accepted was cut).
+type dialCounter struct {
+	base             http.RoundTripper
+	refused, dropped atomic.Int64
+}
+
+func (c *dialCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := c.base.RoundTrip(r)
+	var op *net.OpError
+	switch {
+	case err == nil, r.Context().Err() != nil:
+	case errors.As(err, &op) && op.Op == "dial":
+		c.refused.Add(1)
+	default:
+		c.dropped.Add(1)
+	}
+	return resp, err
+}
+
+// TestDrainUnderLoadDropsNothing: BeginDrain plus Shutdown while a
+// closed loop keeps requests in flight finishes every request the
+// server admitted. Keep-alives are off, so a request after the
+// listener closed is refused at the dial, never cut mid-flight.
+func TestDrainUnderLoadDropsNothing(t *testing.T) {
+	srv, _, _ := newServeFixture(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	tr := &dialCounter{base: &http.Transport{DisableKeepAlives: true}}
+	ctx, stopLoad := context.WithCancel(context.Background())
+	defer stopLoad()
+	type result struct {
+		st  load.Stats
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := load.Run(load.Config{
+			BaseURL: ts.URL,
+			Requests: []load.Request{
+				{Query: "src_obj('alpha', O, C), site_count(CC, N), N >= 1", Vars: []string{"O", "C"}, NoCache: true},
+				{Query: "src_obj('beta', O, C)", Vars: []string{"O", "C"}, NoCache: true},
+			},
+			Concurrency: 8,
+			Duration:    30 * time.Second,
+			Client:      &http.Client{Transport: tr},
+			Ctx:         ctx,
+		})
+		done <- result{st, err}
+	}()
+
+	// Drain mid-window, with requests admitted and not yet finished.
+	waitFor(t, 10*time.Second, func() bool {
+		return srv.Finished() >= 20 && srv.Started() > srv.Finished()
+	})
+	srv.BeginDrain()
+	sctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := ts.Config.Shutdown(sctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	stopLoad()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if srv.Started() != srv.Finished() {
+		t.Fatalf("started %d != finished %d after drain", srv.Started(), srv.Finished())
+	}
+	if n := tr.dropped.Load(); n != 0 {
+		t.Fatalf("%d admitted requests got a transport error", n)
+	}
+	if res.st.OK == 0 || res.st.OtherHTTP != 0 {
+		t.Fatalf("load: %s (other HTTP %d)", res.st, res.st.OtherHTTP)
+	}
+	t.Logf("%d requests finished, %d refused after the listener closed", srv.Finished(), tr.refused.Load())
 }

@@ -7,12 +7,20 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"modelmed/internal/gcm"
+	"modelmed/internal/mediator"
+	"modelmed/internal/sources"
+	"modelmed/internal/term"
 )
 
 // sseEvent is one parsed server-sent event (or a comment line, with
@@ -375,4 +383,92 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition not met before deadline")
+}
+
+// TestFeedDeliversEveryDeltaToEverySubscriber drives the wrapper-feed
+// route (StartFeeds reporting into ApplyReport, no /v1/delta): 16
+// subscribers on SYNAPSE's objects, then 10 rounds that alternately add
+// an object on the live wrapper and remove it again. Every subscriber
+// must receive every round's delta, exactly that change, in sequence
+// order.
+func TestFeedDeliversEveryDeltaToEverySubscriber(t *testing.T) {
+	const subscribers, rounds = 16, 10
+	med := mediator.New(sources.NeuroDM(), nil)
+	ws, err := sources.Wrappers(2026, 20, 40, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
+		if err := med.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := med.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(med, Config{})
+	feeds := med.StartFeeds(context.Background(), mediator.FeedOptions{
+		OnReport: func(rep *mediator.DeltaReport) { srv.ApplyReport(rep) },
+	})
+	defer feeds.Stop()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.BeginDrain()
+
+	subs := make([]*sseClient, subscribers)
+	seqs := make([]int, subscribers)
+	for i := range subs {
+		c := openSSE(t, ts, SubscribeRequest{
+			Query: "src_obj('SYNAPSE', O, C)", Vars: []string{"O", "C"},
+		}, "")
+		defer c.close()
+		if c.status != http.StatusOK {
+			t.Fatalf("subscribe status %d: %s", c.status, c.body)
+		}
+		ev := c.next(t, 10*time.Second)
+		var snap SnapshotEvent
+		if ev.name != "snapshot" || json.Unmarshal([]byte(ev.data), &snap) != nil {
+			t.Fatalf("subscriber %d: first event %s %s, want snapshot", i, ev.name, ev.data)
+		}
+		subs[i], seqs[i] = c, snap.Seq
+	}
+
+	syn := ws[0]
+	for r := 0; r < rounds; r++ {
+		id := fmt.Sprintf("feed_obj_%d", r/2)
+		add := r%2 == 0
+		syn.Mutate(func(m *gcm.Model) {
+			if add {
+				m.AddObject(gcm.Object{ID: term.Atom(id), Class: "spine_measurement",
+					Values: map[string][]term.Term{"location": {term.Atom("dendrite")}}})
+				return
+			}
+			for i, o := range m.Objects {
+				if o.ID.Equal(term.Atom(id)) {
+					m.Objects = append(m.Objects[:i], m.Objects[i+1:]...)
+					return
+				}
+			}
+		})
+		want := [][]string{{id, "spine_measurement"}}
+		for i, c := range subs {
+			ev := c.next(t, 10*time.Second)
+			var d DeltaEvent
+			if ev.name != "delta" || json.Unmarshal([]byte(ev.data), &d) != nil {
+				t.Fatalf("round %d subscriber %d: event %s %s, want delta", r, i, ev.name, ev.data)
+			}
+			changed, other := d.Added, d.Removed
+			if !add {
+				changed, other = d.Removed, d.Added
+			}
+			if d.Seq != seqs[i]+1 || !reflect.DeepEqual(changed, want) || len(other) != 0 {
+				t.Fatalf("round %d subscriber %d: delta %+v after seq %d, want %v (add=%v)",
+					r, i, d, seqs[i], want, add)
+			}
+			seqs[i] = d.Seq
+		}
+	}
+	if len(feeds.Sources) != len(ws) {
+		t.Fatalf("feeds cover %v of %d sources", feeds.Sources, len(ws))
+	}
 }
