@@ -28,7 +28,7 @@ race:
 # degradation, and the degraded medsh/comparison sessions.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Degrad|Breaker|Retry|Deadline|Down|InMemoryConcurrent|GuardDisabled|Reports' \
-		./internal/wrapper ./internal/mediator ./cmd/medsh ./examples/comparison
+		./internal/breaker ./internal/wrapper ./internal/mediator ./cmd/medsh ./examples/comparison
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	loadgen [-addr URL | -addrs URL,URL,...] [-c N] [-duration D]
-//	        [-q QUERY] [-vars V1,V2] [-planned] [-no-cache]
+//	        [-q QUERY] [-vars V1,V2] [-no-cache]
 //	        [-timeout-ms N] [-api-key KEY] [-subscribe]
 //	        [-abuse-q QUERY] [-abuse-c N] [-abuse-key KEY]
 //
@@ -60,7 +60,6 @@ func main() {
 	dur := flag.Duration("duration", 5*time.Second, "run duration")
 	q := flag.String("q", "src_obj('SYNAPSE', O, C)", "query to issue")
 	vars := flag.String("vars", "", "comma-separated output variables")
-	planned := flag.Bool("planned", false, "route through the planner (pruning + pushdown)")
 	noCache := flag.Bool("no-cache", false, "bypass the answer cache")
 	timeoutMs := flag.Int("timeout-ms", 0, "per-request timeout override in milliseconds")
 	apiKey := flag.String("api-key", "", "X-API-Key identifying this run's tenant")
@@ -70,7 +69,7 @@ func main() {
 	abuseKey := flag.String("abuse-key", "abuser", "abusive tenant's X-API-Key")
 	flag.Parse()
 
-	req := load.Request{Query: *q, Planned: *planned, NoCache: *noCache, TimeoutMs: *timeoutMs}
+	req := load.Request{Query: *q, NoCache: *noCache, TimeoutMs: *timeoutMs}
 	for _, v := range strings.Split(*vars, ",") {
 		if v = strings.TrimSpace(v); v != "" {
 			req.Vars = append(req.Vars, v)
@@ -107,11 +106,11 @@ func main() {
 	}
 
 	// Fairness probe: the abusive tenant issues a cache-bypassing,
-	// deadline-free planned query — every request burns a full
-	// evaluation until the server's own limits stop it.
+	// deadline-free query — every request burns a full evaluation
+	// until the server's own limits stop it.
 	abuseCfg := load.Config{
 		BaseURL:     base,
-		Requests:    []load.Request{{Query: *abuseQ, Planned: true, NoCache: true}},
+		Requests:    []load.Request{{Query: *abuseQ, NoCache: true}},
 		Concurrency: *abuseC,
 		Duration:    *dur,
 		APIKey:      *abuseKey,

@@ -1,10 +1,10 @@
 // Command medd is the mediator query service daemon: it builds the
 // paper's Neuroscience scenario (ANATOM domain map plus the SYNAPSE,
 // NCMIR and SENSELAB sources), registers the standard views, and
-// serves the HTTP/JSON API of internal/serve — ad-hoc and planned
-// queries with admission control and an answer cache, the incremental
-// maintenance bridge (/v1/delta, /v1/sync), plan analysis, health,
-// Prometheus metrics and trace export.
+// serves the HTTP/JSON API of internal/serve — queries over the
+// materialized base with admission control and an answer cache, the
+// incremental maintenance bridge (/v1/delta, /v1/sync), plan analysis,
+// health, Prometheus metrics and trace export.
 //
 // Usage:
 //

@@ -23,8 +23,10 @@
 // drops exactly the router cache entries that depended on that
 // source.
 //
-// A downed shard (tracked with a consecutive-failure breaker and a
-// cooldown half-open probe) degrades service instead of breaking it:
+// A downed shard (tracked by internal/breaker: the shard is skipped
+// for -cooldown once -fail-threshold consecutive calls have failed,
+// and after that the next call's result decides) degrades service
+// instead of breaking it:
 // scatter and gather answers that tolerate a missing partition come
 // back flagged "partial" with per-shard reports, while queries whose
 // answer would be wrong without the missing facts — proxies to the
@@ -49,6 +51,7 @@ import (
 	"syscall"
 	"time"
 
+	"modelmed/internal/breaker"
 	"modelmed/internal/cluster"
 	"modelmed/internal/mediator"
 	"modelmed/internal/serve"
@@ -110,8 +113,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 		CacheEntries:   *cacheEntries,
 		DisableCache:   *noCache,
 		RateLimits:     rates,
-		FailThreshold:  *failThreshold,
-		Cooldown:       *cooldown,
+		Breaker:        breaker.Config{Threshold: *failThreshold, Cooldown: *cooldown},
 	}
 	if *reqLog {
 		cfg.Log = log.New(stderr, "medrouter: ", log.LstdFlags|log.Lmicroseconds)

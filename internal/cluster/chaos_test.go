@@ -13,12 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"modelmed/internal/breaker"
 	"modelmed/internal/serve"
 )
 
 func TestChaosDownedShard(t *testing.T) {
 	c := newTestCluster(t, 2026, 14, 18, 10, twoShardAssign(), nil, RouterConfig{
-		Cooldown: 50 * time.Millisecond,
+		Breaker: breaker.Config{Cooldown: 50 * time.Millisecond},
 	})
 	full := newReference(t, 2026, 14, 18, 10, nil)
 	// A reference holding only shard0's sources: the exact answer the
@@ -147,7 +148,7 @@ func TestChaosDownedShard(t *testing.T) {
 // else.
 func TestClientCancelDoesNotTripBreaker(t *testing.T) {
 	c := newTestCluster(t, 2026, 14, 18, 10, twoShardAssign(), nil, RouterConfig{
-		Cooldown: 10 * time.Minute, // a wrongly tripped breaker would stay visible
+		Breaker: breaker.Config{Cooldown: 10 * time.Minute}, // a wrongly tripped breaker would stay visible
 	})
 
 	// Slow the shards so the router's 1ms request deadline expires

@@ -2,7 +2,7 @@ package cluster
 
 // HTTP client for shard medd instances. Every call classifies its
 // outcome for the health tracker: a transport error or 5xx is a shard
-// failure (MarkFailure-worthy); a 4xx is the *request's* fault — the
+// failure (counted by its breaker); a 4xx is the *request's* fault — the
 // shard answered, so its breaker stays closed and the status/body are
 // relayed to the caller.
 

@@ -41,6 +41,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"modelmed/internal/breaker"
 )
 
 // ShardConfig names one shard and its base URL.
@@ -85,17 +87,15 @@ func ParseShardSpec(spec string) ([]ShardConfig, error) {
 }
 
 // Shard is one mediator shard as the manager sees it: its address, the
-// sources it owns (discovered from /healthz), and its health state.
+// sources it owns (discovered from /healthz), and its circuit breaker.
 type Shard struct {
 	ID  string
 	URL string
 
-	mu       sync.Mutex
-	sources  []string
-	failures int
-	down     bool
-	since    time.Time
-	lastErr  string
+	br *breaker.Breaker
+
+	mu      sync.Mutex
+	sources []string
 }
 
 // Sources returns the shard's discovered source names.
@@ -117,76 +117,34 @@ type ShardReport struct {
 	Rows   int    `json:"rows,omitempty"`
 }
 
-// ManagerConfig tunes shard lifecycle and health tracking.
-type ManagerConfig struct {
-	Shards []ShardConfig
-	// FailThreshold is the consecutive-failure count that marks a shard
-	// down (default 1: the first transport failure opens the breaker —
-	// shards are single processes, not flaky WANs; Cooldown paces the
-	// re-probes).
-	FailThreshold int
-	// Cooldown is how long a down shard is skipped before the next
-	// request is allowed to re-probe it (default 500ms).
-	Cooldown time.Duration
-	// Client issues the HTTP calls (default: 10s-timeout client).
-	Client *http.Client
-	// now is a test hook for the health clock.
-	now func() time.Time
-}
-
-func (c ManagerConfig) failThreshold() int {
-	if c.FailThreshold <= 0 {
-		return 1
-	}
-	return c.FailThreshold
-}
-
-func (c ManagerConfig) cooldown() time.Duration {
-	if c.Cooldown <= 0 {
-		return 500 * time.Millisecond
-	}
-	return c.Cooldown
-}
-
 // Manager owns the shard set: source->shard assignment (discovered
-// from each shard's /healthz), health tracking with a breaker-shaped
-// consecutive-failure counter and cooldown-paced re-probes, and the
+// from each shard's /healthz), one circuit breaker per shard, and the
 // shard HTTP client.
 type Manager struct {
-	cfg    ManagerConfig
 	client *http.Client
-	now    func() time.Time
 
 	mu       sync.Mutex
 	shards   []*Shard // stable configuration order
 	bySource map[string]*Shard
 }
 
-// NewManager builds a manager over the configured shards. Call
+// newManager builds a manager over the configured shards. Call
 // Discover to learn the source assignment before routing.
-func NewManager(cfg ManagerConfig) (*Manager, error) {
-	if len(cfg.Shards) == 0 {
+func newManager(shards []ShardConfig, br breaker.Config, client *http.Client) (*Manager, error) {
+	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards configured")
 	}
-	m := &Manager{
-		cfg:      cfg,
-		client:   cfg.Client,
-		now:      cfg.now,
-		bySource: map[string]*Shard{},
+	if client == nil {
+		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	if m.client == nil {
-		m.client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if m.now == nil {
-		m.now = time.Now
-	}
+	m := &Manager{client: client, bySource: map[string]*Shard{}}
 	seen := map[string]bool{}
-	for _, sc := range cfg.Shards {
+	for _, sc := range shards {
 		if seen[sc.ID] {
 			return nil, fmt.Errorf("cluster: duplicate shard id %q", sc.ID)
 		}
 		seen[sc.ID] = true
-		m.shards = append(m.shards, &Shard{ID: sc.ID, URL: strings.TrimRight(sc.URL, "/")})
+		m.shards = append(m.shards, &Shard{ID: sc.ID, URL: strings.TrimRight(sc.URL, "/"), br: breaker.New(br)})
 	}
 	return m, nil
 }
@@ -229,10 +187,10 @@ func (m *Manager) Discover(ctx context.Context) error {
 	wg.Wait()
 	for i, sh := range shards {
 		if probes[i].err != nil {
-			m.MarkFailure(sh, probes[i].err)
+			sh.br.Failure(probes[i].err)
 			continue
 		}
-		m.MarkSuccess(sh)
+		sh.br.Success()
 		sh.mu.Lock()
 		sh.sources = probes[i].sources
 		sh.mu.Unlock()
@@ -264,50 +222,15 @@ func (m *Manager) Sources() []string {
 	return out
 }
 
-// Available reports whether a request may be sent to the shard now:
-// healthy, or down with the cooldown elapsed (the request doubles as
-// the half-open probe; its outcome re-marks the shard).
-func (m *Manager) Available(sh *Shard) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.down {
-		return true
-	}
-	return m.now().Sub(sh.since) >= m.cfg.cooldown()
-}
-
-// MarkSuccess records a successful shard call, closing its breaker.
-func (m *Manager) MarkSuccess(sh *Shard) {
-	sh.mu.Lock()
-	sh.failures = 0
-	sh.down = false
-	sh.lastErr = ""
-	sh.mu.Unlock()
-}
-
-// MarkFailure records a failed shard call; at the threshold the shard
-// goes down and is skipped until the cooldown elapses.
-func (m *Manager) MarkFailure(sh *Shard, err error) {
-	sh.mu.Lock()
-	sh.failures++
-	if err != nil {
-		sh.lastErr = err.Error()
-	}
-	if sh.failures >= m.cfg.failThreshold() {
-		sh.down = true
-		sh.since = m.now()
-	}
-	sh.mu.Unlock()
-}
-
-// Report renders the shard's current health as a ShardReport.
+// Report renders the shard's current health as a ShardReport: "down"
+// from the failure that trips its breaker until the next success.
 func (m *Manager) Report(sh *Shard) ShardReport {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r := ShardReport{ID: sh.ID, Sources: append([]string(nil), sh.sources...), Status: "ok"}
-	if sh.down {
+	r := ShardReport{ID: sh.ID, Sources: sh.Sources(), Status: "ok"}
+	if tripped, err := sh.br.Tripped(); tripped {
 		r.Status = "down"
-		r.Error = sh.lastErr
+		if err != nil {
+			r.Error = err.Error()
+		}
 	}
 	return r
 }

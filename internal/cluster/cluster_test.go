@@ -150,8 +150,8 @@ func newTestCluster(t testing.TB, seed int64, nSyn, nNcm, nSl int, assign [][]st
 	}
 	cfg.Shards = shardCfgs
 	cfg.Replica = rep
-	if cfg.Cooldown == 0 {
-		cfg.Cooldown = 50 * time.Millisecond
+	if cfg.Breaker.Cooldown == 0 {
+		cfg.Breaker.Cooldown = 50 * time.Millisecond
 	}
 	rt, err := NewRouter(cfg)
 	if err != nil {
@@ -222,10 +222,9 @@ func rowSet(rows [][]string) []string {
 	return out
 }
 
-// refRowSet evaluates q on the reference the way a shard answers an
-// unplanned /v1/query: full engine evaluation over the materialized,
-// delta-patched store. (The planner pushdown path reads wrappers
-// directly and would not see stated deltas.)
+// refRowSet evaluates q on the reference the way a shard answers a
+// /v1/query: full engine evaluation over the materialized,
+// delta-patched store.
 func refRowSet(t testing.TB, ref *mediator.Mediator, q string, vars []string) []string {
 	t.Helper()
 	ans, err := ref.Query(q, vars...)
@@ -354,6 +353,38 @@ func TestRouterCacheAndDeltaInvalidation(t *testing.T) {
 		serve.DeltaRequest{Source: "NOPE", Adds: []string{`src_obj('NOPE', x, y)`}}, &map[string]any{}, nil)
 	if status != http.StatusBadRequest {
 		t.Errorf("unowned-source delta: status %d, want 400", status)
+	}
+}
+
+// TestPlannedFieldSeesPushedDelta: the router proxies a single-shard
+// query to its owner, which answers from its materialized base. A
+// client that still sends the retired "planned": true field gets that
+// answer too, so a delta pushed through the router shows in it.
+func TestPlannedFieldSeesPushedDelta(t *testing.T) {
+	c := newTestCluster(t, 2026, 20, 30, 15, twoShardAssign(), nil, RouterConfig{})
+	planned := map[string]any{"query": "src_obj('SYNAPSE', O, C)", "vars": []string{"O", "C"}, "planned": true, "no_cache": true}
+	query := func() QueryResponse {
+		t.Helper()
+		var resp QueryResponse
+		if status := postJSON(t, testHTTP, c.base()+"/v1/query", planned, &resp, nil); status != http.StatusOK {
+			t.Fatalf("query status %d", status)
+		}
+		if resp.Mode != "proxy" {
+			t.Fatalf("mode = %s, want proxy", resp.Mode)
+		}
+		return resp
+	}
+	before := query()
+	if status := postJSON(t, testHTTP, c.base()+"/v1/delta", serve.DeltaRequest{
+		Source: "SYNAPSE", Adds: []string{`src_obj('SYNAPSE', probe_obj, spine_measurement)`},
+	}, &DeltaResponse{}, nil); status != http.StatusOK {
+		t.Fatalf("delta status %d", status)
+	}
+	after := query()
+	want := append(rowSet(before.Rows), "probe_obj\x1fspine_measurement")
+	sort.Strings(want)
+	if got := rowSet(after.Rows); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("after the delta: %d rows, want the %d before plus probe_obj", len(got), len(before.Rows))
 	}
 }
 

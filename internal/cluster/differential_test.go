@@ -45,10 +45,6 @@ func extraWrapper(t testing.TB) *wrapper.InMemory {
 // restricted gather, replicated, negation.
 func sec5Workload() []serve.QueryRequest {
 	return []serve.QueryRequest{
-		// Unplanned on purpose: the planner pushdown path re-pulls
-		// wrappers and (identically on single node and cluster) does not
-		// see stated deltas, so the differential reference is the engine
-		// path.
 		{Query: `src_obj('SENSELAB', N, neurotransmission), ` +
 			`src_val('SENSELAB', N, organism, "rat"), ` +
 			`src_val('SENSELAB', N, transmitting_compartment, parallel_fiber), ` +

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"modelmed/internal/breaker"
 	"modelmed/internal/datalog"
 	"modelmed/internal/mediator"
 	"modelmed/internal/obs"
@@ -49,11 +50,13 @@ type RouterConfig struct {
 	// RateLimits is the front-door per-key token bucket set
 	// (KEY -> requests/second), as in the single-node service.
 	RateLimits map[string]float64
-	// FailThreshold / Cooldown / Client tune shard health tracking; see
-	// ManagerConfig.
-	FailThreshold int
-	Cooldown      time.Duration
-	Client        *http.Client
+	// Breaker is each shard's circuit-breaker policy (default threshold
+	// 1: the first transport failure opens the breaker — shards are
+	// single processes, not flaky WANs; default cooldown 500ms paces
+	// the re-probes).
+	Breaker breaker.Config
+	// Client issues the shard HTTP calls (default: 10s-timeout client).
+	Client *http.Client
 	// Log receives request lines; nil disables request logging.
 	Log *log.Logger
 }
@@ -85,12 +88,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Replica == nil {
 		return nil, fmt.Errorf("cluster: router needs a replica mediator")
 	}
-	man, err := NewManager(ManagerConfig{
-		Shards:        cfg.Shards,
-		FailThreshold: cfg.FailThreshold,
-		Cooldown:      cfg.Cooldown,
-		Client:        cfg.Client,
-	})
+	br := cfg.Breaker
+	if br.Threshold <= 0 {
+		br.Threshold = 1
+	}
+	if br.Cooldown <= 0 {
+		br.Cooldown = 500 * time.Millisecond
+	}
+	man, err := newManager(cfg.Shards, br, cfg.Client)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +225,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	dec := Classify(body, aux, rt.rep.ViewRules())
-	key := serve.CacheKey(body, aux, req.Vars, req.Planned)
+	key := serve.CacheKey(body, aux, req.Vars)
 	useCache := !rt.cfg.DisableCache && !req.NoCache && !req.Trace
 	var gen uint64
 	if useCache {
@@ -317,14 +322,14 @@ func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.Qu
 
 // proxyQuery forwards the request verbatim to one shard.
 func (rt *Router) proxyQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, sh *Shard) (*QueryResponse, int, error) {
-	if !rt.man.Available(sh) {
+	if !sh.br.Allow() {
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("shard %s is down: %s", sh.ID, rt.man.Report(sh).Error)
 	}
 	sr, err := rt.man.Query(ctx, sh, apiKey, req)
 	if err != nil {
 		if ShardDown(err) {
 			if shardFault(ctx, err) {
-				rt.man.MarkFailure(sh, err)
+				sh.br.Failure(err)
 			}
 			return nil, http.StatusBadGateway, fmt.Errorf("shard %s: %w", sh.ID, err)
 		}
@@ -332,7 +337,7 @@ func (rt *Router) proxyQuery(ctx context.Context, apiKey string, req *serve.Quer
 		errors.As(err, &se)
 		return nil, se.Status, fmt.Errorf("shard %s: %s", sh.ID, se.Message)
 	}
-	rt.man.MarkSuccess(sh)
+	sh.br.Success()
 	rep := rt.man.Report(sh)
 	rep.Rows = len(sr.Rows)
 	return &QueryResponse{
@@ -351,7 +356,7 @@ func (rt *Router) scatterQuery(ctx context.Context, apiKey string, req *serve.Qu
 	skipped := make([]bool, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
-		if !rt.man.Available(sh) {
+		if !sh.br.Allow() {
 			skipped[i] = true
 			continue
 		}
@@ -378,14 +383,14 @@ func (rt *Router) scatterQuery(ctx context.Context, apiKey string, req *serve.Qu
 				return nil, se.Status, fmt.Errorf("shard %s: %s", sh.ID, se.Message)
 			}
 			if shardFault(ctx, errs[i]) {
-				rt.man.MarkFailure(sh, errs[i])
+				sh.br.Failure(errs[i])
 			}
 			rep = rt.man.Report(sh)
 			rep.Status = "failed"
 			rep.Error = errs[i].Error()
 			resp.Partial = true
 		default:
-			rt.man.MarkSuccess(sh)
+			sh.br.Success()
 			rep = rt.man.Report(sh)
 			okCount++
 			a := answers[i]
@@ -446,7 +451,7 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 			resp.Partial = true
 		case g.err != nil:
 			if shardFault(ctx, g.err) {
-				rt.man.MarkFailure(sh, g.err)
+				sh.br.Failure(g.err)
 			}
 			rep = rt.man.Report(sh)
 			rep.Status = "failed"
@@ -454,7 +459,7 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 			resp.Partial = true
 		default:
 			if g.shipped {
-				rt.man.MarkSuccess(sh)
+				sh.br.Success()
 				rep = rt.man.Report(sh)
 			}
 			all = append(all, g.dumps...)
@@ -497,7 +502,7 @@ type gathered struct {
 // loadFacts re-ships a shard's dump that was not fresh at generation
 // gen, parses it against base, the previous dump, and caches it.
 func (rt *Router) loadFacts(ctx context.Context, sh *Shard, base []*mediator.ParsedDump, gen uint64) gathered {
-	if !rt.man.Available(sh) {
+	if !sh.br.Allow() {
 		return gathered{skipped: true}
 	}
 	fr, err := rt.man.Facts(ctx, sh)
@@ -593,7 +598,7 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if !rt.man.Available(sh) {
+	if !sh.br.Allow() {
 		rt.ctr.Add("router.delta_errors", 1)
 		rt.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("shard %s is down: %s", sh.ID, rt.man.Report(sh).Error))
 		return
@@ -603,7 +608,7 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 		rt.ctr.Add("router.delta_errors", 1)
 		if ShardDown(err) {
 			if shardFault(ctx, err) {
-				rt.man.MarkFailure(sh, err)
+				sh.br.Failure(err)
 			}
 			rt.writeError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", sh.ID, err))
 			return
@@ -613,7 +618,7 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, se.Status, fmt.Errorf("shard %s: %s", sh.ID, se.Message))
 		return
 	}
-	rt.man.MarkSuccess(sh)
+	sh.br.Success()
 	dropped := rt.applyShardDelta(sh.ID, sr)
 	rt.ctr.Add("router.deltas", 1)
 	rt.writeJSON(w, http.StatusOK, &DeltaResponse{DeltaResponse: *sr, Shard: sh.ID, RouterCacheDropped: dropped})
@@ -652,7 +657,7 @@ func (rt *Router) handleSync(w http.ResponseWriter, r *http.Request) {
 	skipped := make([]bool, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
-		if !rt.man.Available(sh) {
+		if !sh.br.Allow() {
 			skipped[i] = true
 			continue
 		}
@@ -673,13 +678,13 @@ func (rt *Router) handleSync(w http.ResponseWriter, r *http.Request) {
 		case skipped[i]:
 		case errs[i] != nil:
 			if shardFault(ctx, errs[i]) {
-				rt.man.MarkFailure(sh, errs[i])
+				sh.br.Failure(errs[i])
 			}
 			rep = rt.man.Report(sh)
 			rep.Status = "failed"
 			rep.Error = errs[i].Error()
 		default:
-			rt.man.MarkSuccess(sh)
+			sh.br.Success()
 			rep = rt.man.Report(sh)
 			anyOK = true
 			for _, sr := range refreshed[i] {

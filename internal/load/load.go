@@ -27,7 +27,6 @@ import (
 type Request struct {
 	Query     string   `json:"query"`
 	Vars      []string `json:"vars,omitempty"`
-	Planned   bool     `json:"planned,omitempty"`
 	NoCache   bool     `json:"no_cache,omitempty"`
 	TimeoutMs int      `json:"timeout_ms,omitempty"`
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"modelmed/internal/breaker"
 	"modelmed/internal/wrapper"
 )
 
@@ -74,7 +75,7 @@ func TestPlannedQueryCtxCancel(t *testing.T) {
 // contacts the source normally.
 func TestCancelDoesNotPoisonSourceHealth(t *testing.T) {
 	m, _ := newUnitMediator(t, 6, wrapper.FaultConfig{HangFirst: 1, Hang: 30 * time.Second},
-		Options{SourceTimeout: time.Minute, Breaker: BreakerOptions{Threshold: 1, Cooldown: time.Hour}})
+		Options{SourceTimeout: time.Minute, Breaker: breaker.Config{Threshold: 1, Cooldown: time.Hour}})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if _, err := m.QueryCtx(ctx, "src_obj('REC', O, rec)", "O"); !errors.Is(err, context.DeadlineExceeded) {

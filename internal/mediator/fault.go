@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"modelmed/internal/breaker"
 	"modelmed/internal/datalog"
 	"modelmed/internal/gcm"
 	"modelmed/internal/obs"
@@ -32,16 +33,6 @@ import (
 // the legacy direct path is taken and behaviour is byte-identical to
 // previous releases. It switches on when any of Options.SourceTimeout,
 // Options.MaxRetries or Options.Breaker.Threshold is set.
-
-// BreakerOptions configure the per-source circuit breaker.
-type BreakerOptions struct {
-	// Threshold is the number of consecutive transient failures that
-	// open the breaker (0 disables the breaker).
-	Threshold int
-	// Cooldown is how long an open breaker rejects calls before letting
-	// a single half-open probe through (default 1s).
-	Cooldown time.Duration
-}
 
 // SourceStatus classifies how a source fared during one fan-out.
 type SourceStatus int
@@ -149,106 +140,26 @@ func (o *Options) retryMax() time.Duration {
 	return 100 * time.Millisecond
 }
 
-func (b BreakerOptions) cooldown() time.Duration {
-	if b.Cooldown > 0 {
-		return b.Cooldown
-	}
-	return time.Second
-}
-
-// breaker is a per-source circuit breaker: closed until Threshold
-// consecutive transient failures, then open for Cooldown, then
-// half-open (one probe at a time) until a success closes it again.
-type breaker struct {
-	mu        sync.Mutex
-	opts      BreakerOptions
-	fails     int
-	openUntil time.Time
-	probing   bool
-}
-
-// allow reports whether a call may proceed; in the half-open state it
-// admits exactly one probe.
-func (b *breaker) allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.fails < b.opts.Threshold {
-		return true
-	}
-	now := time.Now()
-	if now.Before(b.openUntil) {
-		return false
-	}
-	if b.probing {
-		return false
-	}
-	b.probing = true
-	return true
-}
-
-// readyForProbe reports, without consuming the half-open probe slot,
-// whether allow would currently admit a call — i.e. the breaker is
-// closed, or it has cooled down and no probe is in flight. The
-// degraded-cache re-probe check (Mediator.reprobeDue) uses it to decide
-// when contacting a dropped source is worth a re-materialization.
-func (b *breaker) readyForProbe() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.fails < b.opts.Threshold {
-		return true
-	}
-	return !time.Now().Before(b.openUntil) && !b.probing
-}
-
-func (b *breaker) success() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.fails = 0
-	b.probing = false
-	b.mu.Unlock()
-}
-
-// failure records a failed contact. It reports whether this failure
-// transitioned the breaker into the open state (closed→open on
-// reaching the threshold, or half-open→open on a failed probe), so the
-// caller can count state transitions.
-func (b *breaker) failure() (opened bool) {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	wasProbing := b.probing
-	b.fails++
-	b.probing = false
-	if b.fails >= b.opts.Threshold {
-		b.openUntil = time.Now().Add(b.opts.cooldown())
-		opened = b.fails == b.opts.Threshold || wasProbing
-	}
-	b.mu.Unlock()
-	return opened
-}
-
-// breakerFor returns the mediator's breaker for a source (nil when the
-// breaker is disabled). Breaker state persists across queries: a source
-// that died during one query stays open for the next until it cools
-// down.
-func (m *Mediator) breakerFor(source string) *breaker {
+// breakerFor returns the mediator's breaker for a source (nil, which
+// admits everything, when the breaker is disabled). Breaker state
+// persists across queries: a source that died during one query stays
+// open for the next until it cools down.
+func (m *Mediator) breakerFor(source string) *breaker.Breaker {
 	if m.opts.Breaker.Threshold <= 0 {
 		return nil
 	}
 	m.brMu.Lock()
 	defer m.brMu.Unlock()
 	if m.breakers == nil {
-		m.breakers = map[string]*breaker{}
+		m.breakers = map[string]*breaker.Breaker{}
 	}
 	b := m.breakers[source]
 	if b == nil {
-		b = &breaker{opts: m.opts.Breaker}
+		cfg := m.opts.Breaker
+		if cfg.Cooldown <= 0 {
+			cfg.Cooldown = time.Second
+		}
+		b = breaker.New(cfg)
 		m.breakers[source] = b
 	}
 	return b
@@ -450,7 +361,7 @@ func guardedCall[T any](g *guard, source string, fn func() (T, error)) (T, error
 			// entirely: no failure is recorded and nothing is retried.
 			return zero, err
 		}
-		if !br.allow() {
+		if !br.Allow() {
 			g.rmu.Lock()
 			r := g.report(source)
 			r.BreakerTrips++
@@ -480,21 +391,19 @@ func guardedCall[T any](g *guard, source string, fn func() (T, error)) (T, error
 		g.rmu.Unlock()
 		g.ctr.Add("mediator.source_attempts", 1)
 		if err == nil {
-			br.success()
+			br.Success()
 			return v, nil
 		}
 		if !retryable(err) {
 			// Permanent error: the caller's own fallback logic (scan
 			// instead of pushdown, skip the class) handles it; it says
 			// nothing about source *health* — the source answered, so for
-			// the breaker this contact is a success. In particular a
-			// half-open probe must release its slot here (closing the
-			// breaker), or a recovered source whose probe happens to be a
-			// capability miss would stay excluded forever.
-			br.success()
+			// the breaker this contact is a success: a recovered source
+			// whose half-open call is a capability miss closes it.
+			br.Success()
 			return zero, err
 		}
-		if br.failure() {
+		if br.Failure(err) {
 			g.ctr.Add("mediator.breaker_opened", 1)
 		}
 		if attempt >= g.opts.MaxRetries {

@@ -1,11 +1,13 @@
 package mediator
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"modelmed/internal/breaker"
 	"modelmed/internal/gcm"
 	"modelmed/internal/sources"
 	"modelmed/internal/term"
@@ -204,7 +206,7 @@ func TestDeadlineExhaustionDegrades(t *testing.T) {
 // the breaker rejects calls without contacting the wrapper.
 func TestBreakerOpensAfterThreshold(t *testing.T) {
 	opts := fastRetry(0)
-	opts.Breaker = BreakerOptions{Threshold: 2, Cooldown: time.Hour}
+	opts.Breaker = breaker.Config{Threshold: 2, Cooldown: time.Hour}
 	m, f := newUnitMediator(t, 4, wrapper.FaultConfig{Down: true}, opts)
 	for i := 0; i < 2; i++ {
 		if _, err := m.PushSelect("REC", "rec"); err == nil {
@@ -230,7 +232,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 // probe re-opens -> a succeeding probe closes it again.
 func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	opts := fastRetry(0)
-	opts.Breaker = BreakerOptions{Threshold: 2, Cooldown: 30 * time.Millisecond}
+	opts.Breaker = breaker.Config{Threshold: 2, Cooldown: 30 * time.Millisecond}
 	m, f := newUnitMediator(t, 4, wrapper.FaultConfig{FailFirst: 3}, opts)
 
 	for i := 0; i < 2; i++ {
@@ -246,7 +248,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	}
 
 	time.Sleep(60 * time.Millisecond)
-	// Half-open: one probe goes through; FailFirst=3 makes it fail, so
+	// Half-open: the next call goes through; FailFirst=3 makes it fail, so
 	// the breaker re-opens.
 	if _, err := m.PushSelect("REC", "rec"); err == nil || errors.Is(err, errBreakerOpen) {
 		t.Fatalf("half-open probe not issued: %v", err)
@@ -275,13 +277,12 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	}
 }
 
-// TestBreakerProbePermanentErrorReleasesSlot: a half-open probe that
-// comes back with a *permanent* error proves the source is reachable.
-// The probe slot must be released and the breaker closed — leaking the
-// slot would exclude the recovered source from every later call.
+// TestBreakerProbePermanentErrorReleasesSlot: a half-open call that
+// comes back with a *permanent* error proves the source is reachable,
+// so it closes the breaker.
 func TestBreakerProbePermanentErrorReleasesSlot(t *testing.T) {
 	opts := fastRetry(0)
-	opts.Breaker = BreakerOptions{Threshold: 2, Cooldown: 20 * time.Millisecond}
+	opts.Breaker = breaker.Config{Threshold: 2, Cooldown: 20 * time.Millisecond}
 	m := New(sources.NeuroDM(), &opts)
 	g := m.newGuard()
 	transient := func() (int, error) {
@@ -302,7 +303,7 @@ func TestBreakerProbePermanentErrorReleasesSlot(t *testing.T) {
 	}
 	v, err := guardedCall(g, "REC", func() (int, error) { return 42, nil })
 	if err != nil {
-		t.Fatalf("call after permanent-error probe rejected (leaked probe slot): %v", err)
+		t.Fatalf("call after permanent-error probe rejected: %v", err)
 	}
 	if v != 42 {
 		t.Fatalf("got %d, want 42", v)
@@ -310,17 +311,17 @@ func TestBreakerProbePermanentErrorReleasesSlot(t *testing.T) {
 }
 
 // TestBreakerProbeCapabilityMissRecovers is the mediator-level shape of
-// the probe-slot leak: the half-open probe is a selection pushdown the
+// the same case: the half-open call is a selection pushdown the
 // source has no capability for. The permanent miss must close the
 // breaker so the scan fallback *within the same PushSelect* — and every
 // call after it — goes through.
 func TestBreakerProbeCapabilityMissRecovers(t *testing.T) {
 	opts := fastRetry(0)
-	opts.Breaker = BreakerOptions{Threshold: 2, Cooldown: 20 * time.Millisecond}
+	opts.Breaker = breaker.Config{Threshold: 2, Cooldown: 20 * time.Millisecond}
 	m, f := newUnitMediator(t, 5, wrapper.FaultConfig{}, opts)
 	br := m.breakerFor("REC")
-	br.failure()
-	br.failure()
+	br.Failure(nil)
+	br.Failure(nil)
 	if _, err := m.PushSelect("REC", "rec"); !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("breaker not open: %v", err)
 	}
@@ -342,13 +343,45 @@ func TestBreakerProbeCapabilityMissRecovers(t *testing.T) {
 	}
 }
 
+// TestCancelledProbeDoesNotWedgeBreaker: a half-open call whose caller
+// goes away mid-call says nothing about the source and records nothing,
+// so it must not keep later calls from reaching the wrapper once the
+// breaker has cooled down again.
+func TestCancelledProbeDoesNotWedgeBreaker(t *testing.T) {
+	opts := fastRetry(0)
+	opts.Breaker = breaker.Config{Threshold: 1, Cooldown: 20 * time.Millisecond}
+	m := New(sources.NeuroDM(), &opts)
+	if _, err := guardedCall(m.newGuard(), "REC", func() (int, error) {
+		return 0, &wrapper.FaultError{Source: "REC", Op: "test"}
+	}); err == nil {
+		t.Fatal("transient call succeeded")
+	}
+	time.Sleep(40 * time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	hung := make(chan struct{})
+	defer close(hung)
+	_, err := guardedCall(m.newGuardCtx(ctx), "REC", func() (int, error) {
+		cancel()
+		<-hung
+		return 0, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled half-open call: err = %v, want context.Canceled", err)
+	}
+	time.Sleep(40 * time.Millisecond)
+	reached := false
+	if _, err := guardedCall(m.newGuard(), "REC", func() (int, error) { reached = true; return 1, nil }); err != nil || !reached {
+		t.Fatalf("call after the next cooldown: err = %v, reached wrapper = %v", err, reached)
+	}
+}
+
 // TestDegradedCacheReprobesAfterCooldown: a degraded materialization is
 // served from cache only while the failed source's breaker cools down;
 // the next query after the cooldown re-pulls automatically, so a
 // recovered source rejoins the answer without a manual Invalidate.
 func TestDegradedCacheReprobesAfterCooldown(t *testing.T) {
 	opts := fastRetry(0)
-	opts.Breaker = BreakerOptions{Threshold: 1, Cooldown: 150 * time.Millisecond}
+	opts.Breaker = breaker.Config{Threshold: 1, Cooldown: 150 * time.Millisecond}
 	m, f := newUnitMediator(t, 5, wrapper.FaultConfig{FailFirst: 1}, opts)
 	if got := countRows(t, m, "src_obj('REC', O, rec)", "O"); got != 0 {
 		t.Fatalf("degraded run still has %d objects", got)

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"modelmed/internal/breaker"
 	"modelmed/internal/datalog"
 	"modelmed/internal/dl"
 	"modelmed/internal/domainmap"
@@ -80,8 +81,10 @@ type Options struct {
 	// doubles per retry up to RetryMax (default 100ms), jittered.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// Breaker configures the per-source circuit breaker.
-	Breaker BreakerOptions
+	// Breaker configures the per-source circuit breaker: Threshold
+	// consecutive transient failures open it (0 disables it), and an
+	// open breaker rejects calls for Cooldown (default 1s).
+	Breaker breaker.Config
 	// FailFast disables graceful degradation: a source that exhausts
 	// its retry budget fails the whole query instead of being dropped.
 	FailFast bool
@@ -152,7 +155,7 @@ type Mediator struct {
 	// brMu guards breakers, the per-source circuit-breaker states,
 	// which persist across queries.
 	brMu     sync.Mutex
-	breakers map[string]*breaker
+	breakers map[string]*breaker.Breaker
 
 	// obsMu guards the observability state (see obs.go); separate from
 	// m.mu because Materialize holds m.mu for its whole body.
@@ -778,7 +781,7 @@ func (m *Mediator) mergeReports(reps []SourceReport) {
 // reprobeDue reports whether a degraded cache should be refreshed:
 // some source that was dropped is due another contact attempt, i.e. its
 // circuit breaker has cooled down (re-probes are thereby rate-limited
-// to one per cooldown; a re-probe that fails again re-opens the breaker
+// to one round per cooldown; a re-probe that fails again re-opens the breaker
 // and the degraded cache is served until the next cooldown elapses).
 // Without a breaker configured there is no cooldown to pace re-probes
 // by, so the cache stands until the caller invalidates it manually.
@@ -788,7 +791,7 @@ func (m *Mediator) reprobeDue() bool {
 		return false
 	}
 	for _, r := range m.lastReports {
-		if r.Status == StatusFailed && m.breakerFor(r.Source).readyForProbe() {
+		if r.Status == StatusFailed && m.breakerFor(r.Source).Allow() {
 			return true
 		}
 	}

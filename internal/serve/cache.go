@@ -10,7 +10,7 @@ import (
 )
 
 // The answer cache. Keys are normalized query renderings (parsed body,
-// selected vars, planned flag), so textual variants of one query share
+// selected vars), so textual variants of one query share
 // an entry. Entries live in per-tenant partitions: a tenant can only
 // hit answers its own traffic computed, and one tenant's churn cannot
 // evict another's working set (tenant identity is operator-defined, so
@@ -35,15 +35,9 @@ import (
 // after it, so the leader snapshots the generation at flight start
 // and the insert is skipped if it moved.
 
-// cached is the value the cache stores and the flight produces.
-type cached struct {
-	Ans       *mediator.Answer
-	PlanTrace []string
-}
-
 type cacheEntry struct {
 	key    string
-	val    cached
+	val    *mediator.Answer
 	deps   []string
 	global bool
 	elem   *list.Element
@@ -51,7 +45,7 @@ type cacheEntry struct {
 
 type flight struct {
 	done chan struct{}
-	val  cached
+	val  *mediator.Answer
 	err  error
 }
 
@@ -92,16 +86,16 @@ func (c *answerCache) partLocked(tenant string) *cachePart {
 
 // get returns a cached answer from the tenant's partition and bumps
 // its recency.
-func (c *answerCache) get(tenant, key string) (cached, bool) {
+func (c *answerCache) get(tenant, key string) (*mediator.Answer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := c.parts[tenant]
 	if p == nil {
-		return cached{}, false
+		return nil, false
 	}
 	e, ok := p.entries[key]
 	if !ok {
-		return cached{}, false
+		return nil, false
 	}
 	p.lru.MoveToFront(e.elem)
 	return e.val, true
@@ -136,7 +130,7 @@ func isCtxError(err error) bool {
 // removing itself), so the retry finds the cache, a newer flight, or
 // leadership — it cannot spin on the corpse.
 func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string, global bool,
-	compute func() (cached, error)) (cached, outcome, error) {
+	compute func() (*mediator.Answer, error)) (*mediator.Answer, outcome, error) {
 	fk := tenant + "\x00" + key
 	for {
 		c.mu.Lock()
@@ -157,7 +151,7 @@ func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string,
 				}
 				return f.val, outcomeCollapsed, f.err
 			case <-ctx.Done():
-				return cached{}, outcomeCollapsed, ctx.Err()
+				return nil, outcomeCollapsed, ctx.Err()
 			}
 		}
 		f := &flight{done: make(chan struct{})}
@@ -184,7 +178,7 @@ func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string,
 
 // insertLocked adds an entry to the tenant's partition and evicts past
 // capacity. Called with c.mu held.
-func (c *answerCache) insertLocked(tenant, key string, val cached, deps []string, global bool) {
+func (c *answerCache) insertLocked(tenant, key string, val *mediator.Answer, deps []string, global bool) {
 	p := c.partLocked(tenant)
 	if e, ok := p.entries[key]; ok {
 		e.val = val

@@ -11,12 +11,13 @@ import (
 	"modelmed/internal/mediator"
 )
 
-func mkcached(n int) cached {
-	return cached{Ans: &mediator.Answer{Vars: []string{"N"}, Rows: nil}, PlanTrace: []string{fmt.Sprint(n)}}
+// mkcached is an answer tagged n in its one var name.
+func mkcached(n int) *mediator.Answer {
+	return &mediator.Answer{Vars: []string{fmt.Sprint(n)}}
 }
 
-func computeOK(n int) func() (cached, error) {
-	return func() (cached, error) { return mkcached(n), nil }
+func computeOK(n int) func() (*mediator.Answer, error) {
+	return func() (*mediator.Answer, error) { return mkcached(n), nil }
 }
 
 func TestCacheHitAndLRUEviction(t *testing.T) {
@@ -54,8 +55,8 @@ func TestCacheHitAndLRUEviction(t *testing.T) {
 func TestCacheErrorsAreNotCached(t *testing.T) {
 	c := newAnswerCache(4)
 	boom := errors.New("boom")
-	_, _, err := c.do(context.Background(), defaultTenant, "k", nil, false, func() (cached, error) {
-		return cached{}, boom
+	_, _, err := c.do(context.Background(), defaultTenant, "k", nil, false, func() (*mediator.Answer, error) {
+		return nil, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -69,7 +70,7 @@ func TestCacheSingleFlightCollapses(t *testing.T) {
 	c := newAnswerCache(4)
 	var computes atomic.Int64
 	gate := make(chan struct{})
-	compute := func() (cached, error) {
+	compute := func() (*mediator.Answer, error) {
 		computes.Add(1)
 		<-gate
 		return mkcached(7), nil
@@ -119,7 +120,7 @@ func TestCacheFollowerCancellation(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_, _, _ = c.do(context.Background(), defaultTenant, "k", nil, false, func() (cached, error) {
+		_, _, _ = c.do(context.Background(), defaultTenant, "k", nil, false, func() (*mediator.Answer, error) {
 			close(started)
 			<-gate
 			return mkcached(1), nil
@@ -180,7 +181,7 @@ func TestCacheGenerationGuardsStaleInsert(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = c.do(context.Background(), defaultTenant, "k", []string{"alpha"}, false, func() (cached, error) {
+		_, _, _ = c.do(context.Background(), defaultTenant, "k", []string{"alpha"}, false, func() (*mediator.Answer, error) {
 			close(started)
 			<-gate
 			return mkcached(1), nil

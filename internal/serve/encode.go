@@ -61,10 +61,6 @@ func (e *queryEncoder) encode(resp *QueryResponse, rows [][]term.Term) error {
 	b = strconv.AppendInt(b, int64(resp.Count), 10)
 	b = append(b, `,"cached":`...)
 	b = strconv.AppendBool(b, resp.Cached)
-	if len(resp.PlanTrace) > 0 {
-		b = append(b, `,"plan_trace":`...)
-		b = appendJSONStrings(b, resp.PlanTrace)
-	}
 	if resp.Trace != nil {
 		tr, err := json.Marshal(resp.Trace)
 		if err != nil {

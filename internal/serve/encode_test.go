@@ -33,9 +33,6 @@ func FuzzQueryResponse(f *testing.F) {
 		if varName != "" {
 			resp.Vars = []string{varName, atom, str}
 		}
-		if planText != "" {
-			resp.PlanTrace = []string{planText, atom}
-		}
 		if len(planText)%2 == 1 {
 			resp.Trace = &obs.SpanExport{Name: planText, DurationNs: i, Strs: map[string]string{atom: str}}
 		}

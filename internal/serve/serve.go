@@ -17,7 +17,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/query      ad-hoc or planned conceptual-level queries
+//	POST /v1/query      conceptual-level queries over the materialized base
 //	POST /v1/delta      push a stated source delta (bridges ApplySourceDelta)
 //	POST /v1/sync       version-diff every source (bridges SyncSources)
 //	POST /v1/subscribe  standing query: answer deltas pushed over SSE
@@ -215,9 +215,6 @@ type QueryRequest struct {
 	// Vars selects output columns; empty = all variables in order of
 	// first occurrence.
 	Vars []string `json:"vars,omitempty"`
-	// Planned routes through Plan/ExecutePlan (source pruning +
-	// selection pushdown) instead of the materialized base.
-	Planned bool `json:"planned,omitempty"`
 	// NoCache bypasses the answer cache for this request.
 	NoCache bool `json:"no_cache,omitempty"`
 	// Trace attaches this request's span tree to the response
@@ -229,12 +226,11 @@ type QueryRequest struct {
 
 // QueryResponse is the POST /v1/query reply.
 type QueryResponse struct {
-	Vars      []string        `json:"vars"`
-	Rows      [][]string      `json:"rows"`
-	Count     int             `json:"count"`
-	Cached    bool            `json:"cached"`
-	PlanTrace []string        `json:"plan_trace,omitempty"`
-	Trace     *obs.SpanExport `json:"trace,omitempty"`
+	Vars   []string        `json:"vars"`
+	Rows   [][]string      `json:"rows"`
+	Count  int             `json:"count"`
+	Cached bool            `json:"cached"`
+	Trace  *obs.SpanExport `json:"trace,omitempty"`
 }
 
 // DeltaRequest is the POST /v1/delta body. Adds and Dels are ground
@@ -323,44 +319,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	deps, global := QueryDeps(body, aux)
-	key := CacheKey(body, aux, req.Vars, req.Planned)
+	key := CacheKey(body, aux, req.Vars)
 
-	compute := func() (cached, error) {
+	compute := func() (*mediator.Answer, error) {
 		if err := s.adm.acquire(ctx, tenant); err != nil {
-			return cached{}, err
+			return nil, err
 		}
 		defer s.adm.release()
-		// Unknown predicates are client errors, not empty answers: Plan
-		// checks the vocabulary on the planned path, ValidateVocabulary
-		// on the parse already in hand otherwise.
-		if req.Planned {
-			plan, err := s.med.Plan(req.Query)
-			if err != nil {
-				return cached{}, err
-			}
-			ans, err := s.med.ExecutePlanCtx(ctx, plan, req.Vars)
-			if err != nil {
-				return cached{}, err
-			}
-			return cached{Ans: ans, PlanTrace: plan.Trace}, nil
-		}
+		// Unknown predicates are client errors, not empty answers.
 		if err := s.med.ValidateVocabulary(body, aux); err != nil {
-			return cached{}, err
+			return nil, err
 		}
-		ans, err := s.med.QueryParsed(ctx, body, aux, req.Vars...)
-		if err != nil {
-			return cached{}, err
-		}
-		return cached{Ans: ans}, nil
+		return s.med.QueryParsed(ctx, body, aux, req.Vars...)
 	}
 
-	var val cached
+	var ans *mediator.Answer
 	var out outcome
 	if s.cfg.DisableCache || req.NoCache {
-		val, err = compute()
+		ans, err = compute()
 		out = outcomeComputed
 	} else {
-		val, out, err = s.cache.do(ctx, tenant, key, deps, global, compute)
+		ans, out, err = s.cache.do(ctx, tenant, key, deps, global, compute)
 	}
 	if err != nil {
 		s.ctr.Add("serve.query_errors", 1)
@@ -405,17 +384,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.ctr.Add("serve.query_ok", 1)
 
 	resp := &QueryResponse{
-		Vars:      val.Ans.Vars,
-		Count:     len(val.Ans.Rows),
-		Cached:    out == outcomeHit,
-		PlanTrace: val.PlanTrace,
+		Vars:   ans.Vars,
+		Count:  len(ans.Rows),
+		Cached: out == outcomeHit,
 	}
 	if req.Trace {
-		resp.Trace = val.Ans.Span.Export()
+		resp.Trace = ans.Span.Export()
 	}
 	enc := getQueryEncoder()
 	defer enc.release()
-	err = enc.encode(resp, val.Ans.Rows)
+	err = enc.encode(resp, ans.Rows)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if err == nil {
@@ -752,9 +730,9 @@ func QueryDeps(body []datalog.BodyElem, aux []datalog.Rule) (deps []string, glob
 
 // CacheKey renders the normalized form of a query: the parsed body and
 // query-local rules (whitespace of the original text no longer
-// matters), the selected vars, and the execution mode. Exported
-// because the cluster router keys its own answer cache the same way.
-func CacheKey(body []datalog.BodyElem, aux []datalog.Rule, vars []string, planned bool) string {
+// matters) and the selected vars. Exported because the cluster router
+// keys its own answer cache the same way.
+func CacheKey(body []datalog.BodyElem, aux []datalog.Rule, vars []string) string {
 	var b strings.Builder
 	for i, e := range body {
 		if i > 0 {
@@ -767,8 +745,5 @@ func CacheKey(body []datalog.BodyElem, aux []datalog.Rule, vars []string, planne
 	}
 	b.WriteString("|vars=")
 	b.WriteString(strings.Join(vars, ","))
-	if planned {
-		b.WriteString("|planned")
-	}
 	return b.String()
 }

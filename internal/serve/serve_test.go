@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,33 +201,46 @@ func TestDeltaPreciseInvalidation(t *testing.T) {
 	}
 }
 
-func TestPlannedQuery(t *testing.T) {
+// TestPlannedFieldSeesPushedDelta: /v1/query has one route, the
+// materialized base. A client that still sends the retired
+// "planned": true field is answered by that route too, so its answer
+// includes a pushed delta.
+func TestPlannedFieldSeesPushedDelta(t *testing.T) {
 	srv, _, _ := newServeFixture(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := QueryRequest{Query: "src_obj('alpha', O, record)", Vars: []string{"O"}, Planned: true}
-	code, first := doQuery(t, ts, req)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	planned := map[string]any{"query": "src_obj('alpha', O, record)", "vars": []string{"O"}, "planned": true, "no_cache": true}
+	query := func() []string {
+		t.Helper()
+		resp, body := postJSON(t, ts, "/v1/query", planned)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var out QueryResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		var objs []string
+		for _, row := range out.Rows {
+			objs = append(objs, row[0])
+		}
+		return objs
 	}
-	if first.Count == 0 {
-		t.Fatal("planned query returned no rows")
+	before := query()
+	if len(before) == 0 {
+		t.Fatal("query returned no rows")
 	}
-	if len(first.PlanTrace) == 0 {
-		t.Fatal("planned query response carries no plan trace")
+	resp, body := postJSON(t, ts, "/v1/delta", DeltaRequest{
+		Source: "alpha",
+		Adds:   []string{"src_obj('alpha', probe_obj, record)"},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta status %d: %s", resp.StatusCode, body)
 	}
-	_, second := doQuery(t, ts, req)
-	if !second.Cached {
-		t.Fatal("repeated planned query missed the cache")
-	}
-	// Planned and ad-hoc execution of the same text are distinct keys.
-	_, adhoc := doQuery(t, ts, QueryRequest{Query: "src_obj('alpha', O, record)", Vars: []string{"O"}})
-	if adhoc.Cached {
-		t.Fatal("ad-hoc query hit the planned query's cache entry")
-	}
-	if adhoc.Count != first.Count {
-		t.Fatalf("ad-hoc count %d != planned count %d", adhoc.Count, first.Count)
+	after := query()
+	if len(after) != len(before)+1 || !slices.Contains(after, "probe_obj") {
+		t.Fatalf("after the delta: %d rows %v, want %d including probe_obj", len(after), after, len(before)+1)
 	}
 }
 

@@ -180,33 +180,29 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	deps, global := QueryDeps(body, aux)
-	key := CacheKey(body, aux, req.Vars, false)
+	key := CacheKey(body, aux, req.Vars)
 	evaluate := func() ([][]string, []string, error) {
 		// Each re-evaluation is one bounded query through the same
 		// admission gate and cache partition an ad-hoc request uses.
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout())
 		defer cancel()
-		compute := func() (cached, error) {
+		compute := func() (*mediator.Answer, error) {
 			if err := s.adm.acquire(ctx, tenant); err != nil {
-				return cached{}, err
+				return nil, err
 			}
 			defer s.adm.release()
-			ans, err := s.med.QueryParsed(ctx, body, aux, req.Vars...)
-			if err != nil {
-				return cached{}, err
-			}
-			return cached{Ans: ans}, nil
+			return s.med.QueryParsed(ctx, body, aux, req.Vars...)
 		}
-		var val cached
+		var ans *mediator.Answer
 		if s.cfg.DisableCache {
-			val, err = compute()
+			ans, err = compute()
 		} else {
-			val, _, err = s.cache.do(ctx, tenant, key, deps, global, compute)
+			ans, _, err = s.cache.do(ctx, tenant, key, deps, global, compute)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-		return renderRows(val.Ans.Rows), val.Ans.Vars, nil
+		return renderRows(ans.Rows), ans.Vars, nil
 	}
 
 	seq := 0
