@@ -71,11 +71,14 @@ persist-smoke:
 # foreign facts and pushed anchors (mediator and /v1/delta), chaos
 # convergence under faulty feeds, the SSE subscription surface (push,
 # tenant caps, drain), the mid-stream crash/warm-restart regression,
-# and the wall-clock budget suite.
+# the wall-clock budget suite, and the engine's incremental
+# differential (its aggshapes program and TestAggregateDeltaRefolds
+# hold the aggregate group re-fold to a from-scratch run) with the
+# Example 4 view's re-folded overwrite.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'Stream|Subscribe|Feed|SourceRoutesAgree|DumpRouteAgrees|PushedAnchors|DeltaStatusCodes' ./internal/wrapper ./internal/mediator ./internal/serve ./cmd/medd
+	$(GO) test -race -count=1 -run 'Stream|Subscribe|Feed|SourceRoutesAgree|DumpRouteAgrees|PushedAnchors|DeltaStatusCodes|ProteinDistributionDeltaRefolds' ./internal/wrapper ./internal/mediator ./internal/serve ./cmd/medd
 	$(GO) test -race -count=1 ./internal/srcstate
-	$(GO) test -race -count=1 -run 'Wall' ./internal/datalog
+	$(GO) test -race -count=1 -run 'Wall|IncrementalDifferential|AggregateDeltaRefolds' ./internal/datalog
 
 # Sharded-cluster smoke, race-enabled: the whole internal/cluster
 # suite — decomposition modes, shard-spec parsing, router cache and

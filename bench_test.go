@@ -739,6 +739,64 @@ func BenchmarkApplySourceDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyDeltaAggregate pushes a five-fact delta under a grouped
+// sum and count, the shape of the Example 4 view: five new objects,
+// one in each of five groups, added by one call and deleted by the
+// next, at 200 and at 2000 groups of five objects. One iteration is one
+// delta; a delta re-folds the five groups it touches, so its bytes do
+// not follow the number of groups.
+func BenchmarkApplyDeltaAggregate(b *testing.B) {
+	v := term.Var
+	for _, groups := range []int{200, 2000} {
+		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
+			e := datalog.NewEngine(nil)
+			if err := e.AddRule(datalog.NewRule(datalog.Lit("total", v("G"), v("S"), v("N")),
+				datalog.Aggregate{Result: v("S"), Op: datalog.AggSum, Value: v("A"), GroupBy: []term.Term{v("G")},
+					Key: []term.Term{v("O")}, Body: []datalog.Literal{datalog.Lit("amount", v("G"), v("O"), v("A"))}},
+				datalog.Aggregate{Result: v("N"), Op: datalog.AggCount, Value: v("O2"), GroupBy: []term.Term{v("G")},
+					Body: []datalog.Literal{datalog.Lit("amount", v("G"), v("O2"), v("A2"))}})); err != nil {
+				b.Fatal(err)
+			}
+			for g := 0; g < groups; g++ {
+				for o := 0; o < 5; o++ {
+					if err := e.AddFact("amount", term.Atom(fmt.Sprintf("g%d", g)),
+						term.Atom(fmt.Sprintf("o%d_%d", g, o)), term.Float(float64(g*5+o)/8)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			res, err := e.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var batch [][]term.Term
+			for i := 0; i < 5; i++ {
+				batch = append(batch, []term.Term{term.Atom(fmt.Sprintf("g%d", i*groups/5)),
+					term.Atom(fmt.Sprintf("bench_delta_%d", i)), term.Float(1000.5)})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := datalog.NewDelta()
+				for _, f := range batch {
+					var err error
+					if i%2 == 0 {
+						err = d.Add("amount", f...)
+					} else {
+						err = d.Del("amount", f...)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				if res, err = e.ApplyDelta(res, d); err != nil || res.Delta.RecomputedStrata != 0 {
+					b.Fatal(err, res.Delta)
+				}
+			}
+		})
+	}
+}
+
 // --- The read path: a query with a negated group ---
 
 // BenchmarkNegatedQuery reads a materialized 10x federation: a plain

@@ -7,11 +7,12 @@ package datalog
 // overdelete everything whose derivations may have used a deleted fact
 // (joining against the old model, which is exact), then put back every
 // overdeleted fact that still has an alternative derivation, then
-// propagate the net insertions. Strata containing aggregates are
-// recomputed wholesale (an aggregate value cannot be patched from tuple
-// deltas without per-group state), and non-stratified programs fall
-// back to a full well-founded run — DRed is only sound under
-// stratified negation. See DESIGN.md, "Incremental maintenance".
+// propagate the net insertions. An aggregate value cannot be patched
+// from tuple deltas, so strata containing aggregates re-fold the groups
+// a change touches (refold.go), or, out of shape, are recomputed
+// wholesale; non-stratified programs fall back to a full well-founded
+// run — DRed is only sound under stratified negation. See DESIGN.md,
+// "Incremental maintenance".
 
 import (
 	"context"
@@ -102,8 +103,11 @@ type DeltaStats struct {
 	// Rounds / Firings aggregate the semi-naive work across phases.
 	Rounds  int
 	Firings int
-	// RecomputedStrata counts strata re-evaluated wholesale (aggregates).
+	// RecomputedStrata counts the aggregate strata that fell back to a
+	// wholesale recompute; GroupsRefolded counts the aggregate groups
+	// re-folded instead (see refold.go).
 	RecomputedStrata int
+	GroupsRefolded   int
 	// Full reports that the call fell back to a full re-evaluation
 	// (nil previous result, naive mode, or a non-stratified program).
 	Full bool
@@ -249,16 +253,7 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, edb *St
 			continue
 		}
 		pend := pendingDel[lvl]
-		touched := pend != nil && pend.Size() > 0
-		if !touched {
-			for k := range st.reads {
-				if cumAdd.Count(k) > 0 || cumDel.Count(k) > 0 {
-					touched = true
-					break
-				}
-			}
-		}
-		if !touched {
+		if (pend == nil || pend.Size() == 0) && !readsChanged(st, cumAdd, cumDel) {
 			continue
 		}
 		ssp := sp.Childf("stratum %d", lvl)
@@ -267,15 +262,21 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, edb *St
 			return res, err
 		}
 		if st.hasAgg {
-			// Aggregate values cannot be patched from tuple deltas;
+			// An aggregate value cannot be patched from tuple deltas:
+			// re-fold the groups the changes touch, or, out of shape,
 			// recompute the whole stratum against the (final) lower
 			// strata and diff against the old model.
-			err := e.recomputeStratum(st, edb, store, old, cumAdd, cumDel, stats, lim, ssp)
+			var err error
+			if groups, ok := st.fold.touchedGroups(pend, cumAdd, cumDel); ok {
+				err = e.foldStratum(st, groups, edb, store, cumAdd, cumDel, stats, lim, ssp)
+			} else {
+				err = e.recomputeStratum(st, edb, store, old, cumAdd, cumDel, stats, lim, ssp)
+				stats.RecomputedStrata++
+			}
 			ssp.End()
 			if err != nil {
 				return res, err
 			}
-			stats.RecomputedStrata++
 			continue
 		}
 		err := e.dredStratum(st, edb, store, old, cumAdd, cumDel, pend, stats, lim, ssp)
@@ -311,6 +312,7 @@ func (e *Engine) applyDeltaStratified(ctx context.Context, prev *Result, edb *St
 		c.Add("datalog.delta_inserted", int64(stats.Inserted))
 		c.Add("datalog.delta_deleted", int64(stats.Deleted))
 		c.Add("datalog.delta_strata_recomputed", int64(stats.RecomputedStrata))
+		c.Add("datalog.delta_groups_refolded", int64(stats.GroupsRefolded))
 	}
 	return res, nil
 }

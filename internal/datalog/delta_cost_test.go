@@ -16,12 +16,19 @@ import (
 	"modelmed/internal/term"
 )
 
-// chainProgram is stratified, recursive and negated, over a node
-// universe large enough that its relations outgrow foldMinOverlay.
+// chainProgram is stratified, recursive, negated and aggregated, over
+// a node universe large enough that its relations outgrow
+// foldMinOverlay. lo and hi hold each group's least and greatest val,
+// which runDeltaLongChain deletes now and then.
 func chainProgram() diffProgram {
 	node := func(r *rand.Rand) term.Term { return term.Atom(fmt.Sprintf("c%d", r.Intn(24))) }
 	edge := func(r *rand.Rand) []term.Term { return []term.Term{node(r), node(r)} }
 	one := func(r *rand.Rand) []term.Term { return []term.Term{node(r)} }
+	val := func(r *rand.Rand) []term.Term {
+		return []term.Term{term.Atom(fmt.Sprintf("k%d", r.Intn(4))), term.Float(float64(r.Intn(200)) / 8)}
+	}
+	g := []term.Term{v("G")}
+	inVal := []Literal{Lit("val", v("G"), v("V"))}
 	return diffProgram{
 		name: "chain",
 		rules: []Rule{
@@ -30,6 +37,11 @@ func chainProgram() diffProgram {
 			NewRule(Lit("reach", v("Y")), Lit("root", v("X")), Lit("tc", v("X"), v("Y"))),
 			NewRule(Lit("cut", v("X"), v("Y")), Lit("edge", v("X"), v("Y")), Not("reach", v("X"))),
 			NewRule(Lit("lonely", v("X")), Lit("node", v("X")), Not("reach", v("X")), Not("hub", v("X"))),
+			NewRule(Lit("lo", v("G"), v("M")), Aggregate{Result: v("M"), Op: AggMin, Value: v("V"), GroupBy: g, Body: inVal}),
+			NewRule(Lit("hi", v("G"), v("M")), Aggregate{Result: v("M"), Op: AggMax, Value: v("V"), GroupBy: g, Body: inVal}),
+			NewRule(Lit("mean", v("G"), v("A"), v("S")),
+				Aggregate{Result: v("A"), Op: AggAvg, Value: v("V"), GroupBy: g, Body: inVal},
+				Aggregate{Result: v("S"), Op: AggSum, Value: v("V2"), GroupBy: g, Body: []Literal{Lit("val", v("G"), v("V2"))}}),
 		},
 		preds: []diffPred{
 			{name: "edge", gen: edge},
@@ -38,6 +50,8 @@ func chainProgram() diffProgram {
 			{name: "node", gen: one},
 			{name: "hub", gen: one},
 			{name: "tc", gen: edge}, // asserted and derivable
+			{name: "val", gen: val},
+			{name: "val", gen: val},
 		},
 	}
 }
@@ -45,7 +59,10 @@ func chainProgram() diffProgram {
 // TestDeltaLongChain applies 300 mixed deltas to one result, each on
 // the result of the one before, and after every step holds the new
 // result set-equal to a from-scratch run and the previous result
-// set-equal to what it was before the step.
+// set-equal to what it was before the step. Every fourth delta also
+// deletes a group's current min or max (when the groups are not all
+// empty); the float sums and averages must come out in the bits a
+// from-scratch run gives, and no stratum may fall back to a recompute.
 func TestDeltaLongChain(t *testing.T) {
 	p := chainProgram()
 	for _, procs := range []int{1, 4} {
@@ -96,7 +113,7 @@ func runDeltaLongChain(t *testing.T, p diffProgram, cfg Options) {
 		t.Fatal(err)
 	}
 	wantPrev := scratch()
-	folds := 0
+	folds, extremes := 0, 0
 	for s := 0; s < steps; s++ {
 		d := NewDelta()
 		for i, n := 0, 1+r.Intn(5); i < n; i++ {
@@ -114,12 +131,22 @@ func runDeltaLongChain(t *testing.T, p diffProgram, cfg Options) {
 			}
 			mirror.add(dp.name, args)
 		}
+		if s%4 == 0 {
+			if ext := res.Store.Rel([]string{"lo/2", "hi/2"}[s/4%2]); ext != nil && ext.Len() > 0 {
+				row := ext.Rows()[r.Intn(ext.Len())]
+				if err := d.Del("val", row...); err != nil {
+					t.Fatal(err)
+				}
+				mirror.del("val", row)
+				extremes++
+			}
+		}
 		next, err := eng.ApplyDelta(res, d)
 		if err != nil {
 			t.Fatalf("step %d: %v", s, err)
 		}
-		if next.Delta != nil && next.Delta.Full {
-			t.Fatalf("step %d fell back to a full run", s)
+		if next.Delta != nil && (next.Delta.Full || next.Delta.RecomputedStrata > 0) {
+			t.Fatalf("step %d fell back: %+v", s, next.Delta)
 		}
 		want := scratch()
 		storesEqual(t, fmt.Sprintf("step %d", s), next.Store, want)
@@ -135,6 +162,9 @@ func runDeltaLongChain(t *testing.T, p diffProgram, cfg Options) {
 	}
 	if folds < 3 {
 		t.Errorf("the chain folded an overlay %d times, want several", folds)
+	}
+	if extremes < 40 {
+		t.Errorf("the chain deleted a current min or max %d times in %d tries, want most", extremes, steps/4)
 	}
 }
 
@@ -215,6 +245,61 @@ func TestDeltaCostProportional(t *testing.T) {
 	t.Logf("bytes per ApplyDelta: %d at 100 components, %d at 1000", small, large)
 	if large > 2*small {
 		t.Errorf("ApplyDelta allocates %d bytes at 10x the relation size against %d at 1x: more than twice", large, small)
+	}
+}
+
+// TestAggregateDeltaCostProportional holds a delta under an aggregate
+// to the groups it touches: under a grouped sum and count in one rule,
+// the shape of the paper's Example 4 view, overwriting one value of
+// one group of five, and back, must not allocate more than twice as
+// much at ten times the groups. (Recomputing the aggregate's stratum
+// made it ten times as much.) Not parallel: it reads the process's
+// allocation counter.
+func TestAggregateDeltaCostProportional(t *testing.T) {
+	perDelta := func(groups int) uint64 {
+		eng := NewEngine(nil)
+		if err := eng.AddRule(NewRule(Lit("total", v("G"), v("S"), v("N")),
+			Aggregate{Result: v("S"), Op: AggSum, Value: v("V"), GroupBy: []term.Term{v("G")}, Key: []term.Term{v("O")},
+				Body: []Literal{Lit("val", v("G"), v("O"), v("V"))}},
+			Aggregate{Result: v("N"), Op: AggCount, Value: v("O2"), GroupBy: []term.Term{v("G")},
+				Body: []Literal{Lit("val", v("G"), v("O2"), v("V2"))}})); err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < groups; g++ {
+			for o := 0; o < 5; o++ {
+				if err := eng.AddFact("val", term.Atom(fmt.Sprintf("g%d", g)), term.Atom(fmt.Sprintf("o%d_%d", g, o)),
+					term.Float(float64(g+o)/4)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, o := term.Atom("g0"), term.Atom("o0_0")
+		vals := []term.Term{term.Float(0), term.Float(1000.5)}
+		i := 0
+		return bytesPerRun(20, func() {
+			d := NewDelta()
+			if err := d.Del("val", g, o, vals[i%2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Add("val", g, o, vals[(i+1)%2]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+			next, err := eng.ApplyDelta(res, d)
+			if err != nil || next.Delta.Full || next.Delta.RecomputedStrata != 0 || next.Delta.GroupsRefolded != 1 {
+				t.Fatal(err, next.Delta)
+			}
+			res = next
+		})
+	}
+	small, large := perDelta(200), perDelta(2000)
+	t.Logf("bytes per one-value overwrite: %d at 200 groups, %d at 2000", small, large)
+	if large > 2*small {
+		t.Errorf("an overwrite under an aggregate allocates %d bytes at 10x the groups against %d at 1x: more than twice", large, small)
 	}
 }
 

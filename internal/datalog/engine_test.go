@@ -716,3 +716,75 @@ func TestAggregateKeyedCount(t *testing.T) {
 		t.Error("keyed count should count distinct keys")
 	}
 }
+
+// TestAggregateDoesNotInternScratchValues: the intern table only grows,
+// so an aggregate must not intern the values its body builds by is or
+// =, which reach no relation; a query could otherwise grow it without
+// bound. Some values here are data and some are not, so each group
+// switches from deduplicating on IDs to deduplicating on keys partway
+// through, and a duplicate seen on both sides of the switch must still
+// count once.
+func TestAggregateDoesNotInternScratchValues(t *testing.T) {
+	const base = 7340000
+	e := NewEngine(nil)
+	for a := int64(1); a <= 8; a++ {
+		if err := e.AddFact("p", term.Int(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// base+0 and base+1 are data; base+2 and base+3 are not.
+	for _, x := range []int64{base, base + 1} {
+		if err := e.AddFact("seen", term.Int(x)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := mustRun(t, e)
+	shifted := []Literal{Lit("p", v("A")),
+		Lit(BuiltinIs, v("X"), term.Comp("+", term.Int(base), term.Comp("mod", v("A"), term.Int(4))))}
+	paired := []Literal{Lit("p", v("A")), Lit(BuiltinUnify, v("X"), term.Comp("pair", v("A"), v("A")))}
+	cases := []struct {
+		name string
+		agg  Aggregate
+		want term.Term
+	}{
+		{"distinct sum", Aggregate{Result: v("N"), Op: AggSum, Value: v("X"), Body: shifted}, term.Int(4*base + 6)},
+		{"distinct count", Aggregate{Result: v("N"), Op: AggCount, Value: v("X"), Body: shifted}, term.Int(4)},
+		{"keyed count", Aggregate{Result: v("N"), Op: AggCount, Value: v("X"), Key: []term.Term{v("A")}, Body: shifted}, term.Int(8)},
+		{"compound count", Aggregate{Result: v("N"), Op: AggCount, Value: v("X"), Body: paired}, term.Int(8)},
+	}
+	for _, c := range cases {
+		rows, err := res.Query([]BodyElem{c.agg}, []string{"N"})
+		if err != nil {
+			t.Fatal(c.name, err)
+		}
+		if len(rows) != 1 || !rows[0][0].Equal(c.want) {
+			t.Errorf("%s: got %v, want %s", c.name, rows, c.want)
+		}
+	}
+	for _, x := range []term.Term{term.Int(base + 2), term.Int(base + 3),
+		term.Comp("pair", term.Int(1), term.Int(1)), term.Comp("pair", term.Int(8), term.Int(8))} {
+		if _, ok := lookupID(x); ok {
+			t.Errorf("the aggregate interned %s, a value no relation holds", x)
+		}
+	}
+}
+
+// TestAggregateGroupHoldsDistinct: a group holds about its distinct
+// contributions, not one entry per solution, so a cross product with
+// few distinct values stays small however many solutions it has.
+func TestAggregateGroupHoldsDistinct(t *testing.T) {
+	key := term.Atom("k")
+	vals := []term.Term{term.Int(1), term.Int(2), term.Int(3)}
+	internRow(append([]term.Term{key}, vals...), nil)
+	g := &aggGroup{stride: 2}
+	var kb []byte
+	for i := 0; i < 100000; i++ {
+		kb = g.add([]term.Term{vals[i%3], key}, kb)
+	}
+	if len(g.ids) > aggCompactMin {
+		t.Errorf("a group of 3 distinct contributions holds %d IDs after 100000 solutions", len(g.ids))
+	}
+	if n, err := g.fold(AggCount); err != nil || !n.Equal(term.Int(3)) {
+		t.Errorf("count: got %s, %v; want 3", n, err)
+	}
+}

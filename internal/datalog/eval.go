@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"modelmed/internal/obs"
@@ -285,56 +286,156 @@ func (ev *evalCtx) match(items []BodyElem, idx, deltaIdx int, s *term.Subst, emi
 	return fmt.Errorf("datalog: internal: unknown body element %T", items[idx])
 }
 
-// aggGroup accumulates the distinct (value, key) contributions of one
-// aggregation group.
+// aggGroup accumulates the distinct (value, key...) contributions of one
+// aggregation group. While every term a contribution has is interned,
+// the group appends the contribution's IDs to ids, a few bytes each,
+// and sorts and compacts them whenever they double, so it holds at most
+// about twice its distinct contributions. The first contribution with a
+// term that is not interned — a value built inside the aggregate body
+// by is or = — moves the group to a set of term keys for good. Nothing
+// is interned here: the table only grows, and a query's scratch values
+// must not outlive it. Moving once, rather than per contribution, keeps
+// a term that another engine interns meanwhile from being counted under
+// both forms.
 type aggGroup struct {
 	groupTerms []term.Term
-	seen       map[string]struct{}
-	values     []term.Term
+	stride     int      // terms per contribution: the value, then the keys
+	ids        []uint32 // ID mode: contributions, distinct up to compacted
+	compacted  int
+	seen       map[string]struct{} // key mode (non-nil): the contributions' keys
+	values     []term.Term         // key mode: the distinct contributions' values
+}
+
+// aggCompactMin is the size, in IDs, below which a group is not
+// compacted before its fold.
+const aggCompactMin = 256
+
+// add records the contribution ts (the value, then the keys). kb is a
+// scratch buffer, returned for reuse.
+func (g *aggGroup) add(ts []term.Term, kb []byte) []byte {
+	if g.seen == nil {
+		n := len(g.ids)
+		var ok bool
+		if g.ids, ok = lookupRow(ts, g.ids); ok {
+			if len(g.ids) >= max(2*g.compacted, aggCompactMin) {
+				g.compact()
+			}
+			return kb
+		}
+		g.ids = g.ids[:n]
+		g.seen = make(map[string]struct{})
+		for i := 0; i < n; i += g.stride {
+			kb = kb[:0]
+			for _, id := range g.ids[i : i+g.stride] {
+				kb = append(kb, termOf(id).Key()...)
+			}
+			g.addKey(kb, termOf(g.ids[i]))
+		}
+		g.ids = nil
+	}
+	kb = kb[:0]
+	for _, t := range ts {
+		kb = append(kb, t.Key()...)
+	}
+	g.addKey(kb, ts[0])
+	return kb
+}
+
+func (g *aggGroup) addKey(k []byte, value term.Term) {
+	if _, dup := g.seen[string(k)]; !dup {
+		g.seen[string(k)] = struct{}{}
+		g.values = append(g.values, value)
+	}
+}
+
+// compact sorts ids by contribution and drops the duplicates, in place.
+func (g *aggGroup) compact() {
+	rows := flatRows{g.ids, g.stride}
+	sort.Sort(rows)
+	out := g.ids[:0]
+	for i := 0; i < rows.Len(); i++ {
+		if r := rows.row(i); len(out) == 0 || !slices.Equal(r, out[len(out)-g.stride:]) {
+			out = append(out, r...)
+		}
+	}
+	g.ids, g.compacted = out, len(out)
+}
+
+// fold computes op over the group's distinct contributions.
+func (g *aggGroup) fold(op AggOp) (term.Term, error) {
+	if g.seen != nil {
+		return computeAggregate(op, g.values)
+	}
+	g.compact()
+	if op == AggCount {
+		return term.Int(int64(len(g.ids) / g.stride)), nil
+	}
+	vals := make([]term.Term, 0, len(g.ids)/g.stride)
+	for i := 0; i < len(g.ids); i += g.stride {
+		vals = append(vals, termOf(g.ids[i]))
+	}
+	return computeAggregate(op, vals)
+}
+
+// flatRows sorts a flat slice of fixed-width ID rows.
+type flatRows struct {
+	ids    []uint32
+	stride int
+}
+
+func (f flatRows) Len() int           { return len(f.ids) / f.stride }
+func (f flatRows) row(i int) []uint32 { return f.ids[i*f.stride : (i+1)*f.stride] }
+func (f flatRows) Less(i, j int) bool { return slices.Compare(f.row(i), f.row(j)) < 0 }
+func (f flatRows) Swap(i, j int) {
+	a, b := f.row(i), f.row(j)
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
 }
 
 // evalAggregate enumerates the solutions of the aggregate's inner body
 // under s, groups them, and invokes cont once per group with the group
 // terms and result bound. Aggregated predicates are always in strictly
 // lower strata (aggregation counts as a negative dependency), so reading
-// from ev.store is sound.
+// from ev.store is sound. The group key and a contribution's dedup key
+// are built in scratch buffers and looked up without a copy.
 func (ev *evalCtx) evalAggregate(a Aggregate, s *term.Subst, cont func(*term.Subst) error) error {
 	inner := make([]BodyElem, len(a.Body))
 	for i, l := range a.Body {
 		inner[i] = l
 	}
 	groups := make(map[string]*aggGroup)
+	var kb []byte
+	ts := make([]term.Term, 1+len(a.Key))
 	err := ev.match(inner, 0, -1, s, func(s2 *term.Subst) error {
-		gt := make([]term.Term, len(a.GroupBy))
-		var gk string
-		for i, g := range a.GroupBy {
-			gt[i] = s2.Apply(g)
-			if !gt[i].IsGround() {
+		kb = kb[:0]
+		for _, g := range a.GroupBy {
+			t := s2.Apply(g)
+			if !t.IsGround() {
 				return fmt.Errorf("datalog: non-ground group term in aggregate %s", a)
 			}
-			gk += gt[i].Key()
+			kb = append(kb, t.Key()...)
 		}
-		v := s2.Apply(a.Value)
-		if !v.IsGround() {
+		grp := groups[string(kb)]
+		if grp == nil {
+			gt := make([]term.Term, len(a.GroupBy))
+			for i, g := range a.GroupBy {
+				gt[i] = s2.Apply(g)
+			}
+			grp = &aggGroup{groupTerms: gt, stride: len(ts)}
+			groups[string(kb)] = grp
+		}
+		ts[0] = s2.Apply(a.Value)
+		if !ts[0].IsGround() {
 			return fmt.Errorf("datalog: non-ground aggregated value in %s", a)
 		}
-		dedup := v.Key()
-		for _, k := range a.Key {
-			kt := s2.Apply(k)
-			if !kt.IsGround() {
+		for i, k := range a.Key {
+			ts[1+i] = s2.Apply(k)
+			if !ts[1+i].IsGround() {
 				return fmt.Errorf("datalog: non-ground aggregation key in %s", a)
 			}
-			dedup += kt.Key()
 		}
-		grp := groups[gk]
-		if grp == nil {
-			grp = &aggGroup{groupTerms: gt, seen: make(map[string]struct{})}
-			groups[gk] = grp
-		}
-		if _, dup := grp.seen[dedup]; !dup {
-			grp.seen[dedup] = struct{}{}
-			grp.values = append(grp.values, v)
-		}
+		kb = grp.add(ts, kb)
 		return nil
 	})
 	if err != nil {
@@ -348,7 +449,7 @@ func (ev *evalCtx) evalAggregate(a Aggregate, s *term.Subst, cont func(*term.Sub
 	sort.Strings(keys)
 	for _, k := range keys {
 		grp := groups[k]
-		result, err := computeAggregate(a.Op, grp.values)
+		result, err := grp.fold(a.Op)
 		if err != nil {
 			return fmt.Errorf("datalog: aggregate %s: %w", a, err)
 		}
@@ -377,24 +478,24 @@ func (ev *evalCtx) evalAggregate(a Aggregate, s *term.Subst, cont func(*term.Sub
 	return nil
 }
 
-// computeAggregate folds the distinct contributions of one group.
+// computeAggregate folds the distinct contributions of one group. It
+// sorts values in place: a sum is taken in term order, so it has the
+// same bits whatever order the contributions were found in.
 func computeAggregate(op AggOp, values []term.Term) (term.Term, error) {
 	if op == AggCount {
 		return term.Int(int64(len(values))), nil
 	}
-	vs := make([]term.Term, len(values))
-	copy(vs, values)
-	term.SortTerms(vs)
+	term.SortTerms(values)
 	switch op {
 	case AggMin:
-		return vs[0], nil
+		return values[0], nil
 	case AggMax:
-		return vs[len(vs)-1], nil
+		return values[len(values)-1], nil
 	case AggSum, AggAvg:
 		var sum float64
 		var isum int64
 		allInt := true
-		for _, v := range vs {
+		for _, v := range values {
 			f, ok := v.Numeric()
 			if !ok {
 				return term.Term{}, fmt.Errorf("non-numeric value %s under %s", v, op)
@@ -407,7 +508,7 @@ func computeAggregate(op AggOp, values []term.Term) (term.Term, error) {
 			}
 		}
 		if op == AggAvg {
-			return term.Float(sum / float64(len(vs))), nil
+			return term.Float(sum / float64(len(values))), nil
 		}
 		if allInt {
 			return term.Int(isum), nil

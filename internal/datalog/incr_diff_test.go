@@ -95,7 +95,60 @@ func diffPrograms() []diffProgram {
 		},
 		preds: []diffPred{{name: "move", gen: edgeGen}},
 	}
-	return []diffProgram{closure, negation, aggregate, wfs}
+	return []diffProgram{closure, negation, aggregate, wfs, aggShapesProgram()}
+}
+
+// aggShapesProgram covers what a delta's group re-fold must get right:
+// the five operators over float and integer values; two and three
+// aggregates over one group (stat, spread); a per key supported by
+// two body solutions (an item with both tags); groups that empty (few
+// items per group); a global aggregate (census); an aggregate head the
+// EDB also asserts (cnt); an aggregate-free rule reading an aggregate
+// head in the same stratum (heavy); and an out-of-shape rule (peak:
+// its group-by variable is not in the head), whose stratum falls back
+// to a recompute.
+func aggShapesProgram() diffProgram {
+	g := []term.Term{v("G")}
+	item := func(o, val string) Literal { return Lit("item", v("G"), v(o), v(val)) }
+	tagged := func(o, val string) []Literal { return []Literal{item(o, val), Lit("tag", v(o), v("T"))} }
+	itemGen := func(r *rand.Rand) []term.Term {
+		val := term.Float(float64(r.Intn(100)) / 10)
+		if r.Intn(4) == 0 {
+			val = term.Int(int64(r.Intn(10)))
+		}
+		return []term.Term{term.Atom(fmt.Sprintf("g%d", r.Intn(5))), term.Atom(fmt.Sprintf("o%d", r.Intn(6))), val}
+	}
+	tagGen := func(r *rand.Rand) []term.Term {
+		return []term.Term{term.Atom(fmt.Sprintf("o%d", r.Intn(6))), term.Atom(fmt.Sprintf("t%d", r.Intn(2)))}
+	}
+	cntGen := func(r *rand.Rand) []term.Term {
+		return []term.Term{term.Atom(fmt.Sprintf("g%d", r.Intn(5))), term.Int(int64(r.Intn(4)))}
+	}
+	return diffProgram{
+		name: "aggshapes",
+		rules: []Rule{
+			NewRule(Lit("stat", v("G"), v("S"), v("N")),
+				Aggregate{Result: v("S"), Op: AggSum, Value: v("V1"), GroupBy: g, Key: []term.Term{v("O1")}, Body: tagged("O1", "V1")},
+				Aggregate{Result: v("N"), Op: AggCount, Value: v("O2"), GroupBy: g, Body: tagged("O2", "V2")}),
+			NewRule(Lit("spread", v("G"), v("Lo"), v("Hi"), v("M")),
+				Aggregate{Result: v("Lo"), Op: AggMin, Value: v("V1"), GroupBy: g, Body: []Literal{item("O1", "V1")}},
+				Aggregate{Result: v("Hi"), Op: AggMax, Value: v("V2"), GroupBy: g, Body: []Literal{item("O2", "V2")}},
+				Aggregate{Result: v("M"), Op: AggAvg, Value: v("V3"), GroupBy: g, Key: []term.Term{v("O3")}, Body: []Literal{item("O3", "V3")}}),
+			NewRule(Lit("cnt", v("G"), v("N")),
+				Aggregate{Result: v("N"), Op: AggCount, Value: v("O"), GroupBy: g, Body: []Literal{item("O", "V")}}),
+			NewRule(Lit("census", v("N")),
+				Aggregate{Result: v("N"), Op: AggCount, Value: v("G"), Body: []Literal{item("O", "V")}}),
+			NewRule(Lit("heavy", v("G")), Lit("stat", v("G"), v("S"), v("N")), Lit(BuiltinGrtr, v("N"), term.Int(1))),
+			NewRule(Lit("peak", v("M")),
+				Aggregate{Result: v("M"), Op: AggMax, Value: v("S"), GroupBy: g, Body: []Literal{Lit("stat", v("G"), v("S"), v("N"))}}),
+		},
+		preds: []diffPred{
+			{name: "item", gen: itemGen},
+			{name: "item", gen: itemGen},
+			{name: "tag", gen: tagGen},
+			{name: "cnt", gen: cntGen},
+		},
+	}
 }
 
 // edbFact is one mirrored extensional fact.
@@ -251,7 +304,7 @@ func runDiffSequence(t *testing.T, p diffProgram, seed int64) {
 	}
 }
 
-// TestIncrementalDifferential runs 160 seeded update sequences (4
+// TestIncrementalDifferential runs 200 seeded update sequences (5
 // programs x 20 seeds x GOMAXPROCS 1/4) of 4-8 mixed insert/delete
 // steps each against from-scratch evaluation.
 func TestIncrementalDifferential(t *testing.T) {
@@ -265,6 +318,111 @@ func TestIncrementalDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAggregateDeltaRefolds walks aggShapesProgram through deltas
+// whose effect is known: a delta re-folds the groups it touches and
+// recomputes the out-of-shape stratum (peak's) and a stratum a change
+// cannot name the groups of; a group that empties leaves its rows; an
+// aggregate head row the EDB asserts outlives its group until the EDB
+// withdraws it. Every step is Store.Equal to a from-scratch run.
+func TestAggregateDeltaRefolds(t *testing.T) {
+	p := aggShapesProgram()
+	g0, g1 := atom("g0"), atom("g1")
+	o0, o1, o2 := atom("o0"), atom("o1"), atom("o2")
+	mirror := newMirror()
+	eng := NewEngine(nil)
+	if err := eng.AddRules(p.rules...); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []edbFact{
+		{"item", []term.Term{g0, o0, term.Float(1.5)}},
+		{"item", []term.Term{g0, o1, term.Float(2.25)}},
+		{"tag", []term.Term{o0, atom("t0")}},
+		{"tag", []term.Term{o0, atom("t1")}}, // o0 reaches stat's sum twice, counted once
+		{"tag", []term.Term{o1, atom("t0")}},
+		{"item", []term.Term{g1, o2, term.Int(4)}},
+		{"tag", []term.Term{o2, atom("t0")}},
+		{"cnt", []term.Term{g1, term.Int(1)}}, // asserted and derived
+	} {
+		if err := eng.AddFact(f.pred, f.args...); err != nil {
+			t.Fatal(err)
+		}
+		mirror.add(f.pred, f.args)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Holds("stat", g0, term.Float(3.75), term.Int(2)) || !res.Holds("heavy", g0) {
+		t.Fatal("stat(g0) is not the per-object sum 3.75 over 2 objects, or heavy does not read it")
+	}
+	step := func(label string, adds, dels []edbFact, refolded, recomputed int) {
+		t.Helper()
+		d := NewDelta()
+		for _, f := range dels {
+			if err := d.Del(f.pred, f.args...); err != nil {
+				t.Fatal(err)
+			}
+			mirror.del(f.pred, f.args)
+		}
+		for _, f := range adds {
+			if err := d.Add(f.pred, f.args...); err != nil {
+				t.Fatal(err)
+			}
+			mirror.add(f.pred, f.args)
+		}
+		next, err := eng.ApplyDelta(res, d)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if st := next.Delta; st.Full || st.GroupsRefolded != refolded || st.RecomputedStrata != recomputed {
+			t.Errorf("%s: stats %+v, want %d groups re-folded and %d strata recomputed", label, st, refolded, recomputed)
+		}
+		ref := NewEngine(nil)
+		if err := ref.AddRules(p.rules...); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range mirror.list {
+			if err := ref.AddFact(f.pred, f.args...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := ref.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		storesEqual(t, label, next.Store, want.Store)
+		res = next
+	}
+	g1item := edbFact{"item", []term.Term{g1, o2, term.Int(4)}}
+	// g1 empties: stat, spread and cnt of g1 plus census re-fold; cnt(g1,
+	// 1) stays, asserted.
+	step("empty g1", nil, []edbFact{g1item}, 4, 1)
+	if !res.Holds("cnt", g1, term.Int(1)) || res.Holds("spread", g1, term.Int(4), term.Int(4), term.Float(4)) {
+		t.Error("empty g1: cnt(g1, 1) must stay asserted and spread(g1) must go")
+	}
+	// Withdrawing the assertion re-folds the group it lies in, which
+	// derives nothing now.
+	step("withdraw cnt(g1, 1)", nil, []edbFact{{"cnt", []term.Term{g1, term.Int(1)}}}, 1, 0)
+	if res.Holds("cnt", g1, term.Int(1)) {
+		t.Error("cnt(g1, 1) outlived both its derivation and its assertion")
+	}
+	// Deleting g0's current max and min in turn.
+	step("delete the max", nil, []edbFact{{"item", []term.Term{g0, o1, term.Float(2.25)}}}, 4, 1)
+	step("delete the min", []edbFact{g1item}, []edbFact{{"item", []term.Term{g0, o0, term.Float(1.5)}}}, 7, 1)
+	// tag(O, T) does not carry stat's group: a tag change cannot name
+	// the groups it touches, so stat's stratum is recomputed (and
+	// peak's above it).
+	step("untag o2", nil, []edbFact{{"tag", []term.Term{o2, atom("t0")}}}, 0, 2)
+	// Withdrawing the assertion of a row the rule still derives keeps
+	// it, also when heavy's delete-and-rederive runs in the same stratum.
+	g1cnt := edbFact{"cnt", []term.Term{g1, term.Int(1)}}
+	step("assert a derived cnt(g1, 1)", []edbFact{g1cnt}, nil, 0, 0)
+	step("withdraw it beside a stat change", []edbFact{{"item", []term.Term{g0, o0, term.Int(7)}}}, []edbFact{g1cnt}, 5, 1)
+	if !res.Holds("cnt", g1, term.Int(1)) {
+		t.Error("withdrawing its assertion lost cnt(g1, 1), which g1's item still derives")
 	}
 }
 

@@ -13,8 +13,10 @@ type evalPlan struct {
 	scc        *sccResult
 	stratified bool
 	aggCycle   bool
-	// strata is indexed by stratum level, lowest first (empty unless the
-	// program is stratified).
+	// strata holds the strata in evaluation order, lowest level first:
+	// one per level, or two where splitLevel puts a level's aggregate
+	// rules ahead of its other rules (empty unless the program is
+	// stratified).
 	strata []*stratumPlan
 	// headLevel maps each derived predicate to the stratum that owns it.
 	// Filled by prepareDelta.
@@ -27,6 +29,9 @@ var errAggCycle = fmt.Errorf("datalog: aggregation through recursion is not supp
 // stratumPlan is one stratum of an evalPlan.
 type stratumPlan struct {
 	rules []Rule
+	// fold is the re-fold plan of a stratum of aggregate rules in shape
+	// (nil: none; see splitLevel).
+	fold *aggFold
 
 	// Filled by prepare.
 	prepared []preparedRule
@@ -54,7 +59,7 @@ func (e *Engine) plan() *evalPlan {
 	p.stratified, p.aggCycle = scc.stratify(e.rules)
 	if p.stratified && !p.aggCycle {
 		for _, rules := range scc.strata(e.rules) {
-			p.strata = append(p.strata, &stratumPlan{rules: rules})
+			p.strata = append(p.strata, splitLevel(rules)...)
 		}
 	}
 	e.cachedPlan = p

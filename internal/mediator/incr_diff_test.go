@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -230,6 +231,114 @@ func TestApplySourceDelta(t *testing.T) {
 	if !rep.Full {
 		t.Error("delta against an invalidated cache should rebuild fully")
 	}
+}
+
+// TestProteinDistributionDeltaRefolds: overwriting one NCMIR amount —
+// the delta the benchmark's router_gather workload routes — re-folds
+// the Example 4 groups it changes instead of recomputing the view's
+// stratum. The patched mediator equals a from-scratch one over the
+// same wrappers, and the overwrite's bytes stay within twice each
+// other at 1x and 10x the sources (the recompute took 2.6 MB at 1x and
+// 21.6 MB at 10x). Not parallel: it reads the process's allocation
+// counter.
+func TestProteinDistributionDeltaRefolds(t *testing.T) {
+	const view = `protein_distribution(R, P, Org, T, N)`
+	build := func(ws []*wrapper.InMemory) *Mediator {
+		m := New(sources.NeuroDM(), nil)
+		for _, w := range ws {
+			if err := m.Register(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.DefineStandardViews(); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	answer := func(m *Mediator) *datalog.Store {
+		a, err := m.Query(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := datalog.NewStore()
+		for _, row := range a.Rows {
+			rows.Insert("row", row)
+		}
+		return rows
+	}
+	perDelta := func(scale int) uint64 {
+		ws, err := sources.Wrappers(11, 40*scale, 80*scale, 24*scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := build(ws)
+		before := answer(m)
+		ncm := ws[slices.IndexFunc(ws, func(w *wrapper.InMemory) bool { return w.Name() == "NCMIR" })]
+		i := slices.IndexFunc(ncm.Model().Objects, func(o gcm.Object) bool {
+			return o.Class == "protein_amount" && len(o.Values["amount"]) == 1
+		})
+		obj := ncm.Model().Objects[i]
+		old, bench := obj.Values["amount"][0], term.Float(1000.5)
+		fact := func(v term.Term) []datalog.Rule {
+			return []datalog.Rule{datalog.Fact(PredSrcVal, term.Atom("NCMIR"), obj.ID, term.Atom("amount"), v)}
+		}
+		ncm.Mutate(func(m *gcm.Model) { m.Objects[i].Values["amount"] = []term.Term{bench} })
+		rep, err := m.ApplySourceDelta("NCMIR", fact(bench), fact(old))
+		if err != nil || rep.Full {
+			t.Fatal(err, rep)
+		}
+		if st := rep.Stats; st.RecomputedStrata != 0 || st.GroupsRefolded == 0 {
+			t.Errorf("scale %d: stats %+v, want groups re-folded and no stratum recomputed", scale, st)
+		}
+		t.Logf("scale %d: %d groups re-folded", scale, rep.Stats.GroupsRefolded)
+		after, ref := answer(m), build(ws)
+		if after.Equal(before) {
+			t.Fatalf("scale %d: the overwrite did not change %s", scale, view)
+		}
+		if !after.Equal(answer(ref)) {
+			t.Errorf("scale %d: %s differs from a from-scratch mediator's", scale, view)
+		}
+		checkSameStore(t, fmt.Sprintf("scale %d", scale), m, ref)
+		on := false
+		return bytesPerCall(20, func() {
+			adds, dels := fact(old), fact(bench)
+			if on {
+				adds, dels = dels, adds
+			}
+			on = !on
+			rep, err := m.ApplySourceDelta("NCMIR", adds, dels)
+			if err != nil || rep.Full || rep.Stats.RecomputedStrata != 0 {
+				t.Fatal(err, rep)
+			}
+		})
+	}
+	small, large := perDelta(1), perDelta(10)
+	t.Logf("bytes per NCMIR amount overwrite: %d at 1x, %d at 10x", small, large)
+	if large > 2*small {
+		t.Errorf("the overwrite allocates %d bytes at 10x against %d at 1x: more than twice", large, small)
+	}
+}
+
+// checkSameStore fails unless m and ref hold the same materialization.
+func checkSameStore(t *testing.T, label string, m, ref *Mediator) {
+	t.Helper()
+	if got, want := storeOf(t, m), storeOf(t, ref); !got.Equal(want) {
+		adds, dels := got.Diff(want)
+		t.Fatalf("%s: store differs from a from-scratch mediator: missing %v, extra %v", label, adds, dels)
+	}
+}
+
+// bytesPerCall is testing.AllocsPerRun for bytes.
+func bytesPerCall(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestSharedFactRefcount: a global schema fact contributed by two
