@@ -25,9 +25,11 @@ race:
 # seed matrix is fixed inside the tests (chaos_test.go: 1, 7, 42,
 # 1001), so a pass is reproducible. Covers the wrapper fault injector,
 # retry/deadline/breaker unit tests, chaos equivalence, monotone
-# degradation, and the degraded medsh/comparison sessions.
+# degradation, the degraded medsh/comparison sessions, and the planned
+# query and Section 5 plan reading the state the mediator serves (the
+# pushed-delta and no-wrapper pins, the parallel and trace suites).
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Degrad|Breaker|Retry|Deadline|Down|InMemoryConcurrent|GuardDisabled|Reports' \
+	$(GO) test -race -run 'Chaos|Fault|Degrad|Breaker|Retry|Deadline|Down|InMemoryConcurrent|GuardDisabled|Reports|Planned|Section5' \
 		./internal/breaker ./internal/wrapper ./internal/mediator ./cmd/medsh ./examples/comparison
 
 bench:

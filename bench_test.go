@@ -627,54 +627,6 @@ func BenchmarkDLTranslation(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerVsFull compares the planned execution (semantic-index
-// pruning + pushdown partial materialization) against full
-// materialization for a selective query, at growing fleet sizes.
-func BenchmarkPlannerVsFull(b *testing.B) {
-	build := func(extra int) *mediator.Mediator {
-		m := newScenario(b, 20, 100, 20)
-		for i := 0; i < extra; i++ {
-			src := sources.MustSyntheticSource(fmt.Sprintf("EX%02d", i), int64(i), 50,
-				[]string{"ca1", "dentate_gyrus"})
-			w, err := wrapper.NewInMemory(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := m.Register(w); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return m
-	}
-	const q = `
-		src_obj('NCMIR', O, protein_amount),
-		src_val('NCMIR', O, location, spine),
-		src_val('NCMIR', O, amount, A)`
-	for _, extra := range []int{0, 10} {
-		m := build(extra)
-		b.Run(fmt.Sprintf("planned/extra=%d", extra), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ans, _, err := m.PlannedQuery(q, "O", "A")
-				if err != nil || len(ans.Rows) == 0 {
-					b.Fatal(err, len(ans.Rows))
-				}
-			}
-		})
-		m2 := build(extra)
-		b.Run(fmt.Sprintf("full/extra=%d", extra), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m2.DefineView(fmt.Sprintf("cachebust%d(x) :- dm_concept(x).", i)) // invalidate cache
-				b.StartTimer()
-				ans, err := m2.Query(q, "O", "A")
-				if err != nil || len(ans.Rows) == 0 {
-					b.Fatal(err, len(ans.Rows))
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkConsistencyCheck(b *testing.B) {
 	m := newScenario(b, 30, 100, 30)
 	if _, err := m.Materialize(); err != nil {

@@ -30,6 +30,7 @@ import (
 	"modelmed/internal/flogic"
 	"modelmed/internal/gcm"
 	"modelmed/internal/mediator"
+	"modelmed/internal/parser"
 	"modelmed/internal/sources"
 	"modelmed/internal/term"
 	"modelmed/internal/wrapper"
@@ -389,13 +390,39 @@ func plannerExp(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%d rows; restricted=%v, candidates=%v of %d registered sources\n",
 		len(ans.Rows), plan.Restricted, plan.Sources, len(m.Sources()))
+	if err := crossCheck(w, m, q, len(ans.Rows)); err != nil {
+		return err
+	}
+	// A pushed delta reaches the planned answer as it reaches a served
+	// one: both read the one state the mediator holds.
+	probe, err := parser.ParseRules(`
+		src_obj('NCMIR', plan_probe, protein_amount).
+		src_val('NCMIR', plan_probe, protein_name, "calbindin").
+		src_val('NCMIR', plan_probe, amount, 5).
+		anchor('NCMIR', plan_probe, purkinje_cell).`)
+	if err != nil {
+		return err
+	}
+	if _, err := m.ApplySourceDelta("NCMIR", probe, nil); err != nil {
+		return err
+	}
+	if ans, _, err = m.PlannedQuery(q, "P", "A"); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "after pushing one NCMIR measurement at purkinje_cell: %d planned rows\n", len(ans.Rows))
+	return crossCheck(w, m, q, len(ans.Rows))
+}
+
+// crossCheck compares a planned answer's row count with q's over the
+// full materialization.
+func crossCheck(w io.Writer, m *mediator.Mediator, q string, planned int) error {
 	full, err := m.Query(q, "P", "A")
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "cross-check against full materialization: %d rows (must match)\n", len(full.Rows))
-	if len(full.Rows) != len(ans.Rows) {
-		return fmt.Errorf("planner diverged: %d vs %d rows", len(ans.Rows), len(full.Rows))
+	if len(full.Rows) != planned {
+		return fmt.Errorf("planner diverged: %d vs %d rows", planned, len(full.Rows))
 	}
 	return nil
 }

@@ -21,8 +21,9 @@
 //
 // Without -q, medsh reads one query per line from stdin. Special
 // commands: `.sources`, `.views`, `.concepts`, `.plan` (runs the
-// Section 5 query with its plan trace), `.planq QUERY` (plans and runs
-// an arbitrary query, printing the plan trace), `.reports` (per-source
+// Section 5 query with its plan trace), `.planq QUERY` (plans an
+// arbitrary query and answers it over the same state as a plain query,
+// printing the plan trace), `.reports` (per-source
 // fault-tolerance reports of the last materialization), `.trace on|off`
 // (span tracing and counter collection), `.stats` (span tree and
 // counter snapshot of the last traced query), `.check`
@@ -68,7 +69,7 @@ const helpText = `commands:
   .views                       registered views
   .concepts                    domain-map concepts
   .plan                        run the Section 5 query with its plan trace
-  .planq QUERY                 plan and run QUERY, printing the plan trace
+  .planq QUERY                 plan QUERY, print the plan trace, answer it as a plain query does
   .reports                     per-source fault-tolerance reports of the last materialization
   .trace on|off                span tracing and counter collection
   .stats                       span tree and counters of the last traced query

@@ -61,7 +61,7 @@ func main() {
 	for _, step := range plan.Trace {
 		fmt.Println("  plan:", step)
 	}
-	fmt.Printf("%d rows from %v (the %d OTHERLAB sources were never contacted)\n",
+	fmt.Printf("%d rows from %v (the %d OTHERLAB sources pruned by the semantic index)\n",
 		len(ans.Rows), plan.Sources, 4)
 
 	// --- 2. Consistency checking ---

@@ -173,91 +173,3 @@ func TestAggregateVarsIncludesEverything(t *testing.T) {
 		}
 	}
 }
-
-func TestRelevantRulesCone(t *testing.T) {
-	rules := []Rule{
-		NewRule(Lit("tc", v("X"), v("Y")), Lit("edge", v("X"), v("Y"))),
-		NewRule(Lit("tc", v("X"), v("Y")), Lit("tc", v("X"), v("Z")), Lit("edge", v("Z"), v("Y"))),
-		NewRule(Lit("unrelated", v("X")), Lit("other", v("X"))),
-		NewRule(Lit("sink", v("X")), Lit("node", v("X")), Not("tc", v("X"), v("X"))),
-	}
-	cone := RelevantRules(rules, []string{"tc/2"})
-	if len(cone) != 2 {
-		t.Fatalf("cone = %v", cone)
-	}
-	for _, r := range cone {
-		if r.Head.Pred != "tc" {
-			t.Errorf("unexpected rule %s", r)
-		}
-	}
-	// A goal through negation pulls its dependency in too.
-	cone = RelevantRules(rules, []string{"sink/1"})
-	if len(cone) != 3 {
-		t.Fatalf("sink cone = %v", cone)
-	}
-	// Aggregate bodies count as dependencies.
-	agg := Aggregate{Result: v("N"), Op: AggCount, Value: v("X"),
-		Body: []Literal{Lit("tc", v("X"), v("Y"))}}
-	rules2 := append(rules, NewRule(Lit("total", v("N")), agg))
-	cone = RelevantRules(rules2, []string{"total/1"})
-	if len(cone) != 3 {
-		t.Fatalf("aggregate cone = %v", cone)
-	}
-}
-
-func TestGoalKeys(t *testing.T) {
-	body := []BodyElem{
-		Lit("p", v("X")),
-		Not("q", v("X")),
-		Lit(BuiltinLess, v("X"), term.Int(3)),
-		Aggregate{Result: v("N"), Op: AggCount, Value: v("Y"), Body: []Literal{Lit("r", v("Y"))}},
-	}
-	got := GoalKeys(body)
-	want := []string{"p/1", "q/1", "r/1"}
-	if len(got) != len(want) {
-		t.Fatalf("GoalKeys = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GoalKeys = %v, want %v", got, want)
-		}
-	}
-}
-
-// Property: evaluating only the cone gives the same answers for the
-// goal predicates as evaluating the full program.
-func TestConeSoundness(t *testing.T) {
-	full := NewEngine(nil)
-	cone := NewEngine(nil)
-	facts := func(e *Engine) {
-		for _, p := range [][2]string{{"a", "b"}, {"b", "c"}} {
-			if err := e.AddFact("edge", atom(p[0]), atom(p[1])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.AddFact("other", atom("zz")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rules := []Rule{
-		NewRule(Lit("tc", v("X"), v("Y")), Lit("edge", v("X"), v("Y"))),
-		NewRule(Lit("tc", v("X"), v("Y")), Lit("tc", v("X"), v("Z")), Lit("edge", v("Z"), v("Y"))),
-		NewRule(Lit("unrelated", v("X")), Lit("other", v("X"))),
-	}
-	facts(full)
-	facts(cone)
-	if err := full.AddRules(rules...); err != nil {
-		t.Fatal(err)
-	}
-	if err := cone.AddRules(RelevantRules(rules, []string{"tc/2"})...); err != nil {
-		t.Fatal(err)
-	}
-	rf := mustRun(t, full)
-	rc := mustRun(t, cone)
-	if rf.Store.Count("tc/2") != rc.Store.Count("tc/2") {
-		t.Errorf("cone changed tc: %d vs %d", rf.Store.Count("tc/2"), rc.Store.Count("tc/2"))
-	}
-	if rc.Store.Count("unrelated/1") != 0 {
-		t.Error("cone should not compute unrelated predicates")
-	}
-}

@@ -173,9 +173,10 @@ func TestChaosMaterializeEquivalence(t *testing.T) {
 	}
 }
 
-// TestChaosPlannedQueryEquivalence: the planned path (pushdown fan-out
-// + residual evaluation) under flaky sources returns the fault-free
-// rows and the fault-free plan decisions.
+// TestChaosPlannedQueryEquivalence: the planned path (pushdown
+// explanation + evaluation over the published value) under flaky
+// sources returns the fault-free rows and the fault-free plan
+// decisions.
 func TestChaosPlannedQueryEquivalence(t *testing.T) {
 	baseline := newNeuroMediator(t, 15, 40, 12)
 	ab, pb, err := baseline.PlannedQuery(chaosQ, "O", "A")
@@ -201,7 +202,7 @@ func TestChaosPlannedQueryEquivalence(t *testing.T) {
 					t.Errorf("pushdown %d differs: chaotic=%+v fault-free=%+v", i, c, b)
 				}
 			}
-			for _, r := range pc.Reports {
+			for _, r := range m.SourceReports() {
 				if r.Status == StatusFailed {
 					t.Errorf("recoverable schedule still failed a source: %v", r)
 				}
@@ -366,14 +367,14 @@ func TestChaosDegradedPlannedQuery(t *testing.T) {
 
 	t.Run("victim-only query degrades to empty", func(t *testing.T) {
 		m := down()
-		ans, plan, err := m.PlannedQuery(chaosQ, "O", "A")
+		ans, _, err := m.PlannedQuery(chaosQ, "O", "A")
 		if err != nil {
 			t.Fatalf("query over a down source should degrade, got %v", err)
 		}
 		if len(ans.Rows) != 0 {
 			t.Errorf("down source still produced %d rows", len(ans.Rows))
 		}
-		r := reportFor(t, plan.Reports, "NCMIR")
+		r := reportFor(t, m.SourceReports(), "NCMIR")
 		if r.Status != StatusFailed {
 			t.Errorf("NCMIR report = %+v, want failed", r)
 		}
@@ -387,14 +388,14 @@ func TestChaosDegradedPlannedQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := down()
-		ac, plan, err := m.PlannedQuery(q, "S", "O", "RC")
+		ac, _, err := m.PlannedQuery(q, "S", "O", "RC")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(ac.Rows) != fmt.Sprint(ab.Rows) {
 			t.Errorf("survivor rows diverged:\ndegraded:   %v\nfault-free: %v", ac.Rows, ab.Rows)
 		}
-		r := reportFor(t, plan.Reports, "NCMIR")
+		r := reportFor(t, m.SourceReports(), "NCMIR")
 		if r.Status != StatusFailed {
 			t.Errorf("NCMIR report = %+v, want failed", r)
 		}
@@ -442,9 +443,9 @@ func TestChaosSection5Degraded(t *testing.T) {
 }
 
 // TestChaosConcurrentQueriesSharedWrappers hammers one chaotic
-// federation from concurrent queries — the guarded fan-outs of several
-// PlannedQuery/Query calls hit the same Faulty/InMemory wrappers at
-// once. Run under -race (Makefile chaos target); results must still
+// federation from concurrent queries — the first PlannedQuery/Query
+// calls race to the build, whose guarded fan-out hits the same
+// Faulty/InMemory wrappers. Run under -race (Makefile chaos target); results must still
 // all equal the fault-free answer.
 func TestChaosConcurrentQueriesSharedWrappers(t *testing.T) {
 	baseline := newNeuroMediator(t, 15, 40, 12)

@@ -12,8 +12,8 @@ package mediator
 // QueryOverParsed build once per query, and MoveFactBase keeps the
 // build alive as a FactBase — the mediator's own srcstate.Base, fed by
 // dumps — so a gather is a read of a materialised result
-// (QueryResult). Together they generalize ExecutePlan's "load the
-// relevant sources, then evaluate" from sources to shards.
+// (QueryResult): the per-shard counterpart of a mediator reading its
+// own published value.
 
 import (
 	"context"

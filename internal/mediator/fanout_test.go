@@ -124,9 +124,9 @@ func TestParallelMaterializeEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelPlannedQueryEquivalence checks the ExecutePlan path: the
-// concurrent pushdown fan-out must return the same answer rows and the
-// same plan trace decisions as the serial path.
+// TestParallelPlannedQueryEquivalence checks the planned path: over a
+// concurrent build it must return the same answer rows and the same
+// plan decisions as over a serial one.
 func TestParallelPlannedQueryEquivalence(t *testing.T) {
 	type out struct {
 		ans  *Answer

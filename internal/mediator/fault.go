@@ -22,7 +22,7 @@ import (
 // sources that time out, flake, hang, or die; the paper's runtime
 // federation (Figure 2) only works under heavy traffic if that fan-out
 // is guarded. Every wrapper call the mediator issues during
-// Materialize, ExecutePlan and PushSelect can be wrapped in a guard
+// Materialize, a source move and PushSelect can be wrapped in a guard
 // that enforces a per-call deadline, retries transient failures with
 // exponential backoff + jitter, trips a per-source circuit breaker
 // after repeated failures, and — instead of failing the whole query —
@@ -61,7 +61,7 @@ func (s SourceStatus) String() string {
 }
 
 // SourceReport is the per-source outcome of one guarded fan-out
-// (a Materialize or ExecutePlan run).
+// (a Materialize run, a source move or a PushSelect).
 type SourceReport struct {
 	Source string
 	Status SourceStatus
@@ -78,6 +78,9 @@ type SourceReport struct {
 	Elapsed time.Duration
 	// Err is the final error of a failed source ("" otherwise).
 	Err string
+	// down is that error, the *SourceDownError a read of the dropped
+	// source returns (downError).
+	down error
 }
 
 func (r SourceReport) String() string {
@@ -278,7 +281,7 @@ func (g *guard) markFailed(source string, err error) {
 	g.rmu.Lock()
 	r := g.report(source)
 	r.Status = StatusFailed
-	r.Err = err.Error()
+	r.Err, r.down = err.Error(), err
 	g.rmu.Unlock()
 }
 

@@ -8,6 +8,7 @@ package mediator
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"slices"
 	"sort"
 	"strings"
@@ -199,7 +200,10 @@ func TestLinearizableQueriesUnderDeltas(t *testing.T) {
 // mutated and refreshed 20 times; every answer is a pre- or post-step
 // answer. A reader that waited on the refresh would wait for its
 // wrapper calls. The latency bounds skip under the race detector, whose
-// run still checks the reads for data races.
+// run still checks the reads for data races. A read over a bound is
+// reported with the GC pause time during it and whether a result was
+// published before it (without one, the read builds under m.mu), so a
+// failure names its cause.
 func TestReadersNeverWaitOnSlowRefresh(t *testing.T) {
 	ws, err := sources.Wrappers(11, 300, 600, 200)
 	if err != nil {
@@ -241,21 +245,29 @@ func TestReadersNeverWaitOnSlowRefresh(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	var waits []time.Duration
+	type timedRead struct {
+		took, gcPause time.Duration
+		published     bool
+	}
+	var reads []timedRead
 	var answers []string
 	var readErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		gc := []metrics.Sample{{Name: "/gc/pauses:seconds"}}
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
+			published := m.base.Load().Result() != nil
+			paused := gcPauseTotal(gc)
 			start := time.Now()
 			ans, err := read()
-			waits = append(waits, time.Since(start))
+			took := time.Since(start)
+			reads = append(reads, timedRead{took, gcPauseTotal(gc) - paused, published})
 			if err != nil {
 				readErr = err
 				return
@@ -289,16 +301,49 @@ func TestReadersNeverWaitOnSlowRefresh(t *testing.T) {
 			t.Fatal("a read answered neither a pre- nor a post-step state")
 		}
 	}
+	waits := make([]time.Duration, len(reads))
+	for i, r := range reads {
+		waits[i] = r.took
+	}
 	slices.Sort(waits)
 	p99, max := waits[len(waits)*99/100], waits[len(waits)-1]
 	t.Logf("%d reads: p50 %v, p99 %v, max %v", len(waits), waits[len(waits)/2], p99, max)
 	if raceEnabled {
 		return
 	}
+	// over describes the (at most 10) reads that took longer than bound.
+	over := func(bound time.Duration) string {
+		var b strings.Builder
+		n := 0
+		for _, r := range reads {
+			if r.took > bound && n < 10 {
+				fmt.Fprintf(&b, "\n\ta read of %v: GC paused %v during it; a result was published before it: %v",
+					r.took, r.gcPause, r.published)
+				n++
+			}
+		}
+		return b.String()
+	}
 	if p99 > 10*time.Millisecond {
-		t.Errorf("p99 read took %v; want at most 10ms", p99)
+		t.Errorf("p99 read took %v; want at most 10ms%s", p99, over(10*time.Millisecond))
 	}
 	if max >= latency {
-		t.Errorf("a read took %v, as long as a wrapper call of the refresh", max)
+		t.Errorf("a read took %v, as long as a wrapper call of the refresh%s", max, over(latency-1))
 	}
+}
+
+// gcPauseTotal reads the runtime's GC pause histogram into s (one
+// "/gc/pauses:seconds" sample, reused so the read allocates nothing)
+// and returns the pause time recorded so far, each pause counted at the
+// lower bound of its bucket.
+func gcPauseTotal(s []metrics.Sample) time.Duration {
+	metrics.Read(s)
+	h := s[0].Value.Float64Histogram()
+	var total float64
+	for i, n := range h.Counts {
+		if lo := h.Buckets[i]; n > 0 && lo > 0 {
+			total += float64(n) * lo
+		}
+	}
+	return time.Duration(total * float64(time.Second))
 }

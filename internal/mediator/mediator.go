@@ -64,7 +64,7 @@ type Options struct {
 
 	// The fault-tolerance layer (see fault.go). Setting any of
 	// SourceTimeout, MaxRetries or Breaker.Threshold switches the
-	// mediator's source fan-out (Materialize, ExecutePlan, PushSelect)
+	// mediator's source reads (Materialize, a source move, PushSelect)
 	// to the guarded path: instance data is pulled through the live
 	// wrappers under a per-call deadline, transient failures are
 	// retried with exponential backoff + jitter, repeatedly failing
@@ -144,12 +144,11 @@ type Mediator struct {
 	replaying bool
 
 	// lastReports is the mediator-level merge-by-source view of the
-	// guarded fan-outs' SourceReports: each guarded query (Materialize,
-	// ExecutePlan, PushSelect) folds its per-query reports in keyed by
-	// source name, so under concurrent queries every source keeps its
-	// most recent report instead of one query's report set wholesale
-	// overwriting another's. Per-query reports stay on the result path
-	// (QueryPlan.Reports). Nil when the fault-tolerance layer is off.
+	// guarded fan-outs' SourceReports: each guarded read (Materialize, a
+	// source move, PushSelect) folds its reports in keyed by source
+	// name, so under concurrent reads every source keeps its most recent
+	// report instead of one read's report set wholesale overwriting
+	// another's. Nil when the fault-tolerance layer is off.
 	lastReports map[string]SourceReport
 
 	// brMu guards breakers, the per-source circuit-breaker states,
@@ -799,12 +798,11 @@ func (m *Mediator) reprobeDue() bool {
 }
 
 // SourceReports returns each source's most recent fault-tolerance
-// report across all guarded fan-outs — Materialize, ExecutePlan and
+// report across all guarded fan-outs — Materialize, a source move and
 // PushSelect — merged by source name and sorted (nil when the layer is
-// disabled or nothing guarded has run). Because concurrent queries
-// merge rather than overwrite, a query that never touched source X
-// leaves X's report from the query that did intact; for the reports of
-// exactly one plan execution use QueryPlan.Reports. A Status of
+// disabled or nothing guarded has run). Because concurrent reads
+// merge rather than overwrite, a read that never touched source X
+// leaves X's report from the read that did intact. A Status of
 // StatusFailed means the source was dropped and the answer degrades
 // over the survivors. With a breaker configured the next query after
 // the breaker's cooldown re-probes the failed source automatically;

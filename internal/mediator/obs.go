@@ -7,7 +7,7 @@ import (
 
 // Observability (see internal/obs and DESIGN.md, "Observability").
 // When tracing is enabled, every public query entry point — Query,
-// Materialize, ExecutePlan/PlannedQuery, PushSelect and the Section 5
+// Materialize, PlannedQuery, PushSelect and the Section 5
 // plan — records a span tree retrievable via LastTrace, the datalog
 // engine and the guarded fan-out feed ObsCounters, and every
 // registered wrapper implementing wrapper.CounterSink reports per-call

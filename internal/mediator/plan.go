@@ -1,10 +1,15 @@
 package mediator
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"modelmed/internal/datalog"
+	"modelmed/internal/domainmap"
 	"modelmed/internal/gcm"
 	"modelmed/internal/obs"
 	"modelmed/internal/term"
@@ -55,7 +60,7 @@ func (m *Mediator) DefineStandardViews() error {
 // PushResult reports how a selection was executed at a source.
 type PushResult struct {
 	Source string
-	Pushed bool // true: selections executed at the wrapper; false: scan + local filter
+	Pushed bool // true: the source's capabilities cover the selections; false: scan + local filter
 	Objs   []gcm.Object
 }
 
@@ -98,25 +103,120 @@ func (m *Mediator) pushSelect(g *guard, source, class string, sels ...wrapper.Se
 	}
 	var filtered []gcm.Object
 	for _, o := range objs {
-		ok := true
-		for _, sel := range sels {
-			hit := false
-			for _, v := range o.Values[sel.Attr] {
-				if v.Equal(sel.Value) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if selected(o, sels) {
 			filtered = append(filtered, o)
 		}
 	}
 	return &PushResult{Source: source, Pushed: false, Objs: filtered}, nil
+}
+
+// selected reports whether o has every selection's value.
+func selected(o gcm.Object, sels []wrapper.Selection) bool {
+	for _, sel := range sels {
+		if !slices.ContainsFunc(o.Values[sel.Attr], sel.Value.Equal) {
+			return false
+		}
+	}
+	return true
+}
+
+var (
+	srcObjKey = datalog.PredKey(PredSrcObj, 3)
+	srcValKey = datalog.PredKey(PredSrcVal, 4)
+	srcSubKey = datalog.PredKey(PredSrcSub, 3)
+)
+
+// heldSelect is PushSelect over the published value v: the objects of
+// heldRows, with their values, in object order. No wrapper is called.
+func (m *Mediator) heldSelect(v *published, source, class string, sels ...wrapper.Selection) (*PushResult, error) {
+	rows, pushed, err := m.heldRows(v, source, class, sels)
+	if err != nil {
+		return nil, err
+	}
+	res := &PushResult{Source: source, Pushed: pushed}
+	vals := v.State(source).Facts.Rel(srcValKey)
+	for _, row := range rows {
+		o := gcm.Object{ID: row[1], Class: row[2].Name(), Values: map[string][]term.Term{}}
+		if vals != nil {
+			for _, val := range vals.Select(1, o.ID) {
+				o.Values[val[2].Name()] = append(o.Values[val[2].Name()], val[3])
+			}
+		}
+		res.Objs = append(res.Objs, o)
+	}
+	sort.Slice(res.Objs, func(i, j int) bool { return res.Objs[i].ID.Compare(res.Objs[j].ID) < 0 })
+	return res, nil
+}
+
+// heldRows returns the src_obj rows v holds of source for the objects
+// of class, and of the classes declared its subclasses, that match
+// sels. pushed explains the step: whether the source's capabilities
+// cover the selections (wrapper.Covers) or would only let the source be
+// scanned and filtered. A class they do not even let it scan is an
+// error, as at the wrapper. A registered source that v holds no state
+// of was dropped as down: the error is its last SourceDownError
+// (downError).
+func (m *Mediator) heldRows(v *published, source, class string, sels []wrapper.Selection) (rows [][]term.Term, pushed bool, err error) {
+	s, ok := m.Source(source)
+	if !ok {
+		return nil, false, fmt.Errorf("mediator: unknown source %s", source)
+	}
+	pushed = wrapper.Covers(s.Caps, wrapper.Query{Target: class, Selections: sels}, true)
+	if !pushed && !wrapper.Covers(s.Caps, wrapper.Query{Target: class}, true) {
+		return nil, false, fmt.Errorf("mediator: source %s: no capability covers query on %s with selections %v", source, class, sels)
+	}
+	st := v.State(source)
+	if st == nil {
+		return nil, false, m.downError(source)
+	}
+	classes := map[string]bool{class: true}
+	if sub := st.Facts.Rel(srcSubKey); sub != nil {
+		subs := sub.Rows()
+		for grew := true; grew; {
+			grew = false
+			for _, r := range subs {
+				if classes[r[2].Name()] && !classes[r[1].Name()] {
+					classes[r[1].Name()] = true
+					grew = true
+				}
+			}
+		}
+	}
+	objs, vals := st.Facts.Rel(srcObjKey), st.Facts.Rel(srcValKey)
+	if objs == nil || (vals == nil && len(sels) > 0) {
+		return nil, pushed, nil
+	}
+	// The candidates are the objects holding the first selection (its
+	// value's posting list), else every object.
+	var cands [][]term.Term
+	if len(sels) == 0 {
+		cands = objs.Rows()
+	} else {
+		for _, val := range vals.Select(3, sels[0].Value) {
+			if val[2].Name() == sels[0].Attr {
+				cands = append(cands, objs.Select(1, val[1])...)
+			}
+		}
+	}
+	for _, row := range cands {
+		if classes[row[2].Name()] && !slices.ContainsFunc(sels, func(sel wrapper.Selection) bool {
+			return !vals.Contains([]term.Term{row[0], row[1], term.Atom(sel.Attr), sel.Value})
+		}) {
+			rows = append(rows, row)
+		}
+	}
+	return rows, pushed, nil
+}
+
+// downError is the error of a read of a registered source the published
+// value holds no state of: the SourceDownError its last report records.
+func (m *Mediator) downError(source string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r := m.lastReports[source]; r.down != nil {
+		return r.down
+	}
+	return &SourceDownError{Source: source, Cause: errors.New("no state held")}
 }
 
 // CallTemplate invokes a named query template on a source (the paper's
@@ -137,14 +237,8 @@ func (m *Mediator) CallTemplate(source, name string, params map[string]term.Term
 // each coordinate through its isa-descendants — step 2 of the Section 5
 // plan.
 func (m *Mediator) SelectSourcesForPair(neuron, compartment, exclude string) []string {
-	srcs := m.index.SelectSourcesAll(m.dm, []string{neuron, compartment})
-	out := srcs[:0]
-	for _, s := range srcs {
-		if s != exclude {
-			out = append(out, s)
-		}
-	}
-	return out
+	return slices.DeleteFunc(m.index.SelectSourcesAll(m.dm, []string{neuron, compartment}),
+		func(s string) bool { return s == exclude })
 }
 
 // Section5Result traces the paper's Section 5 query through its four
@@ -185,6 +279,13 @@ type Section5Result struct {
 //  4. compute the lub of the locations as distribution root and
 //     evaluate the distribution view with its downward closure along
 //     has_a_star.
+//
+// Every step reads one published value, the one a served query reads:
+// the pushdowns of steps 1 and 3 are selections over the held states
+// (heldSelect), and step 4 folds the distributions from its Result
+// (distributionQuery). A step-3 source the value does not hold
+// contributes nothing; a driver it does not hold fails the query with
+// the driver's SourceDownError.
 func (m *Mediator) CalciumBindingProteinQuery(driver, organism, transmittingCompartment, ion string) (*Section5Result, error) {
 	sp := m.startSpan("mediator.section5")
 	defer m.endTrace(sp)
@@ -192,10 +293,16 @@ func (m *Mediator) CalciumBindingProteinQuery(driver, organism, transmittingComp
 	tracef := func(format string, args ...interface{}) {
 		res.Trace = append(res.Trace, fmt.Sprintf(format, args...))
 	}
+	msp := sp.Child("materialize")
+	v, err := m.materialize(context.Background(), msp)
+	msp.End()
+	if err != nil {
+		return nil, err
+	}
 
 	// Step 1: push selections to the driver source.
 	s1 := sp.Child("step1 pushdown")
-	push, err := m.PushSelect(driver, "neurotransmission",
+	push, err := m.heldSelect(v, driver, "neurotransmission",
 		wrapper.Selection{Attr: "organism", Value: term.Str(organism)},
 		wrapper.Selection{Attr: "transmitting_compartment", Value: term.Atom(transmittingCompartment)},
 	)
@@ -256,20 +363,16 @@ func (m *Mediator) CalciumBindingProteinQuery(driver, organism, transmittingComp
 	// Step 3: push location selections to the selected sources; collect
 	// proteins found there, filtered by bound ion.
 	s3 := sp.Child("step3 proteins")
-	locations := map[string]bool{}
+	var locs []string
 	for _, p := range res.Pairs {
-		locations[p[0]] = true
-		locations[p[1]] = true
+		locs = append(locs, p[0], p[1])
 	}
-	locs := make([]string, 0, len(locations))
-	for l := range locations {
-		locs = append(locs, l)
-	}
-	sort.Strings(locs)
+	slices.Sort(locs)
+	locs = slices.Compact(locs)
 	protSet := map[string]bool{}
 	for _, src := range res.SelectedSources {
 		for _, loc := range locs {
-			push, err := m.PushSelect(src, "protein_amount",
+			push, err := m.heldSelect(v, src, "protein_amount",
 				wrapper.Selection{Attr: "location", Value: term.Atom(loc)})
 			if err != nil {
 				// The source does not export this class: it contributes
@@ -290,7 +393,7 @@ func (m *Mediator) CalciumBindingProteinQuery(driver, organism, transmittingComp
 		matching := map[string]bool{}
 		anyCatalogue := false
 		for _, src := range res.SelectedSources {
-			push, err := m.PushSelect(src, "protein",
+			push, err := m.heldSelect(v, src, "protein",
 				wrapper.Selection{Attr: "ion_bound", Value: term.Atom(ion)})
 			if err != nil {
 				tracef("step 3: %s has no protein catalogue (%v)", src, err)
@@ -335,12 +438,15 @@ func (m *Mediator) CalciumBindingProteinQuery(driver, organism, transmittingComp
 	res.Root = lub[0]
 	tracef("step 4: lub(%v) = %v; root %s", locs, lub, res.Root)
 	for _, p := range res.Proteins {
-		d, err := m.DistributionOf(p, organism, res.Root)
+		body, vars := distributionQuery(p, organism)
+		rows, _, err := queryResult(context.Background(), v.Result(), body, nil, vars)
+		if err == nil {
+			res.Distributions[p], err = foldDistribution(m.dm, res.Root, rows)
+		}
 		if err != nil {
 			s4.End()
-			return nil, err
+			return nil, fmt.Errorf("mediator: section 5: %w", err)
 		}
-		res.Distributions[p] = d
 	}
 	tracef("step 4: computed %d distributions under %s", len(res.Distributions), res.Root)
 	s4.SetInt("distributions", int64(len(res.Distributions)))
@@ -353,14 +459,32 @@ func (m *Mediator) CalciumBindingProteinQuery(driver, organism, transmittingComp
 // contributions from the materialized base and folding them over the
 // domain map.
 func (m *Mediator) DistributionOf(protein, organism, root string) (*Distribution, error) {
-	ans, err := m.Query(fmt.Sprintf(
-		`anchor(Src, O, C), src_val(Src, O, protein_name, %q), src_val(Src, O, organism, %q), src_val(Src, O, amount, A)`,
-		protein, organism), "C", "O", "A")
+	sp := m.startSpan("mediator.query")
+	defer m.endTrace(sp)
+	body, vars := distributionQuery(protein, organism)
+	rows, err := m.queryCache(context.Background(), sp, body, nil, vars)
 	if err != nil {
 		return nil, err
 	}
+	return foldDistribution(m.dm, root, rows)
+}
+
+// distributionQuery is the query of a protein's measurements for an
+// organism, by anchor concept, object and amount.
+func distributionQuery(protein, organism string) ([]datalog.BodyElem, []string) {
+	src, o, c, a := term.Var("Src"), term.Var("O"), term.Var("C"), term.Var("A")
+	return []datalog.BodyElem{
+		datalog.Lit(PredAnchor, src, o, c),
+		datalog.Lit(PredSrcVal, src, o, term.Atom("protein_name"), term.Str(protein)),
+		datalog.Lit(PredSrcVal, src, o, term.Atom("organism"), term.Str(organism)),
+		datalog.Lit(PredSrcVal, src, o, term.Atom("amount"), a),
+	}, []string{"C", "O", "A"}
+}
+
+// foldDistribution folds distributionQuery's rows over dm under root.
+func foldDistribution(dm *domainmap.DomainMap, root string, rows [][]term.Term) (*Distribution, error) {
 	direct := map[string]Contribution{}
-	for _, row := range ans.Rows {
+	for _, row := range rows {
 		c := row[0].Name()
 		amt, ok := row[2].Numeric()
 		if !ok {
@@ -371,7 +495,7 @@ func (m *Mediator) DistributionOf(protein, organism, root string) (*Distribution
 		entry.Count++
 		direct[c] = entry
 	}
-	return BuildDistribution(m.dm, "has_a", root, direct), nil
+	return BuildDistribution(dm, "has_a", root, direct), nil
 }
 
 func firstAtom(ts []term.Term) string {

@@ -7,7 +7,7 @@ import (
 	"modelmed/internal/wrapper"
 )
 
-// The HTTP serving layer feeds Plan/ExecutePlan straight from untrusted
+// The HTTP serving layer feeds Plan straight from untrusted
 // client input; every malformed shape below must come back as an error,
 // never a panic and never a silently empty answer.
 
@@ -52,52 +52,31 @@ func TestPlanRejectsEmptyAndMalformedQueries(t *testing.T) {
 	}
 }
 
-// A plan whose pushdown targets a source that is not registered (e.g.
-// the client guessed a name, or the source was unregistered between
-// Plan and ExecutePlan) must fail cleanly.
+// A planned query whose pushdown targets a source that is not
+// registered (e.g. the client guessed a name, or the source was
+// unregistered) must fail cleanly.
 func TestExecutePlanUnregisteredSource(t *testing.T) {
 	m := newNeuroMediator(t, 5, 10, 5)
-	p, err := m.Plan("src_obj('GHOST', O, protein), src_val('GHOST', O, name, n)")
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := m.PlannedQuery("src_obj('GHOST', O, protein), src_val('GHOST', O, name, n)", "O"); err == nil {
+		t.Fatal("PlannedQuery over an unregistered source must error")
 	}
-	if _, err := m.ExecutePlan(p, []string{"O"}); err == nil {
-		t.Fatal("ExecutePlan over an unregistered source must error")
-	}
-	// Same via the race: the source disappears after planning.
-	p2, err := m.Plan("src_obj('SYNAPSE', O, experiment), src_val('SYNAPSE', O, n_id, x)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Same once the source is gone.
 	m.Unregister("SYNAPSE")
-	if _, err := m.ExecutePlan(p2, []string{"O"}); err == nil {
-		t.Fatal("ExecutePlan after Unregister must error")
+	if _, _, err := m.PlannedQuery("src_obj('SYNAPSE', O, experiment), src_val('SYNAPSE', O, n_id, x)", "O"); err == nil {
+		t.Fatal("PlannedQuery after Unregister must error")
 	}
 }
 
 // A pushdown step with no selections (empty pushdown) degenerates to a
-// class scan and must execute, not panic — and a hand-built plan with
-// an empty Pushdowns list must likewise run as pure full loads.
+// class scan and must execute, not panic.
 func TestExecutePlanEmptyPushdown(t *testing.T) {
 	m := newNeuroMediator(t, 5, 10, 5)
-	p, err := m.Plan("src_obj('NCMIR', O, protein)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := m.ExecutePlan(p, []string{"O"})
+	ans, _, err := m.PlannedQuery("src_obj('NCMIR', O, protein)", "O")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Rows) == 0 {
 		t.Fatal("scan-shaped pushdown returned no rows")
-	}
-	p.Pushdowns = nil
-	ans2, err := m.ExecutePlan(p, []string{"O"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans2.Rows) != len(ans.Rows) {
-		t.Fatalf("full-load fallback rows = %d, pushdown rows = %d", len(ans2.Rows), len(ans.Rows))
 	}
 }
 

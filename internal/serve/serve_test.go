@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -635,37 +634,50 @@ func TestDrainAccounting(t *testing.T) {
 	}
 }
 
-// dialCounter is an http.RoundTripper that sorts transport errors into
-// refusals (the dial failed: the listener was already closed) and drops
-// (anything else: a connection the server accepted was cut).
-type dialCounter struct {
-	base             http.RoundTripper
-	refused, dropped atomic.Int64
+// requestID is the header idTransport stamps every request with.
+const requestID = "X-Test-Request-Id"
+
+// idTransport is an http.RoundTripper that stamps each request with a
+// fresh ID (requestID) and records the IDs of the requests that got a
+// transport error the caller did not cause by cancelling.
+type idTransport struct {
+	base   http.RoundTripper
+	next   atomic.Int64
+	mu     sync.Mutex
+	failed []string
 }
 
-func (c *dialCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+func (c *idTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	id := strconv.FormatInt(c.next.Add(1), 10)
+	r = r.Clone(r.Context())
+	r.Header.Set(requestID, id)
 	resp, err := c.base.RoundTrip(r)
-	var op *net.OpError
-	switch {
-	case err == nil, r.Context().Err() != nil:
-	case errors.As(err, &op) && op.Op == "dial":
-		c.refused.Add(1)
-	default:
-		c.dropped.Add(1)
+	if err != nil && r.Context().Err() == nil {
+		c.mu.Lock()
+		c.failed = append(c.failed, id)
+		c.mu.Unlock()
 	}
 	return resp, err
 }
 
 // TestDrainUnderLoadDropsNothing: BeginDrain plus Shutdown while a
 // closed loop keeps requests in flight finishes every request the
-// server admitted. Keep-alives are off, so a request after the
-// listener closed is refused at the dial, never cut mid-flight.
+// server admitted. The handler records the ID of every request it
+// receives: a transport error on one of those is a drop. An error on a
+// request the server never received — refused at the dial once the
+// listener closed, or reset in the kernel's accept backlog before the
+// server accepted its connection — is a refusal.
 func TestDrainUnderLoadDropsNothing(t *testing.T) {
 	srv, _, _ := newServeFixture(t, Config{})
-	ts := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	var seen sync.Map
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen.Store(r.Header.Get(requestID), true)
+		h.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
-	tr := &dialCounter{base: &http.Transport{DisableKeepAlives: true}}
+	tr := &idTransport{base: &http.Transport{DisableKeepAlives: true}}
 	ctx, stopLoad := context.WithCancel(context.Background())
 	defer stopLoad()
 	type result struct {
@@ -706,11 +718,19 @@ func TestDrainUnderLoadDropsNothing(t *testing.T) {
 	if srv.Started() != srv.Finished() {
 		t.Fatalf("started %d != finished %d after drain", srv.Started(), srv.Finished())
 	}
-	if n := tr.dropped.Load(); n != 0 {
-		t.Fatalf("%d admitted requests got a transport error", n)
+	var dropped, refused []string
+	for _, id := range tr.failed {
+		if _, ok := seen.Load(id); ok {
+			dropped = append(dropped, id)
+		} else {
+			refused = append(refused, id)
+		}
+	}
+	if len(dropped) != 0 {
+		t.Fatalf("%d admitted requests got a transport error (request IDs %v)", len(dropped), dropped)
 	}
 	if res.st.OK == 0 || res.st.OtherHTTP != 0 {
 		t.Fatalf("load: %s (other HTTP %d)", res.st, res.st.OtherHTTP)
 	}
-	t.Logf("%d requests finished, %d refused after the listener closed", srv.Finished(), tr.refused.Load())
+	t.Logf("%d requests finished, %d refused after the listener closed", srv.Finished(), len(refused))
 }

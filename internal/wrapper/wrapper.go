@@ -9,6 +9,7 @@ package wrapper
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -341,49 +342,42 @@ func (w *InMemory) Contexts() (map[string][]term.Term, error) {
 	return w.model.ContextValues(), nil
 }
 
-// capabilityFor finds a capability covering the query, or an error
-// explaining what is missing. The capability list is snapshotted under
-// the mutex: RegisterTemplate may append concurrently with queries
-// issued by the mediator's parallel fan-out.
-func (w *InMemory) capabilityFor(q Query, wantClass bool) (Capability, error) {
-	var scanKind, selKind CapKind
-	if wantClass {
+// Covers reports whether a declared capability covers q: a scan or a
+// select of q.Target when q has no selections, else a select whose
+// Bindable lists every selected attribute (the paper's binding
+// patterns). class picks class capabilities over relation ones.
+func Covers(caps []Capability, q Query, class bool) bool {
+	scanKind, selKind := CapRelScan, CapRelSelect
+	if class {
 		scanKind, selKind = CapClassScan, CapClassSelect
-	} else {
-		scanKind, selKind = CapRelScan, CapRelSelect
 	}
-	w.mu.Lock()
-	caps := w.caps
-	w.mu.Unlock()
 	for _, c := range caps {
 		if c.Target != q.Target {
 			continue
 		}
 		if len(q.Selections) == 0 && (c.Kind == scanKind || c.Kind == selKind) {
-			return c, nil
+			return true
 		}
-		if c.Kind != selKind {
-			continue
-		}
-		covered := true
-		for _, s := range q.Selections {
-			found := false
-			for _, b := range c.Bindable {
-				if b == s.Attr {
-					found = true
-					break
-				}
-			}
-			if !found {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			return c, nil
+		if c.Kind == selKind && !slices.ContainsFunc(q.Selections, func(s Selection) bool {
+			return !slices.Contains(c.Bindable, s.Attr)
+		}) {
+			return true
 		}
 	}
-	return Capability{}, fmt.Errorf("wrapper %s: no capability covers query on %s with selections %v",
+	return false
+}
+
+// checkCovered rejects a query no capability covers. The capability
+// list is snapshotted under the mutex: RegisterTemplate may append
+// concurrently with queries issued by the mediator's parallel fan-out.
+func (w *InMemory) checkCovered(q Query, class bool) error {
+	w.mu.Lock()
+	caps := w.caps
+	w.mu.Unlock()
+	if Covers(caps, q, class) {
+		return nil
+	}
+	return fmt.Errorf("wrapper %s: no capability covers query on %s with selections %v",
 		w.model.Name, q.Target, q.Selections)
 }
 
@@ -416,7 +410,7 @@ func (w *InMemory) classAndDescendants(class string) map[string]bool {
 // sources) change the model underneath.
 func (w *InMemory) QueryObjects(q Query) ([]gcm.Object, error) {
 	ctr, start := w.obsStart()
-	if _, err := w.capabilityFor(q, true); err != nil {
+	if err := w.checkCovered(q, true); err != nil {
 		obsEnd(ctr, w.model.Name, start, "", 0, err)
 		return nil, err
 	}
@@ -465,7 +459,7 @@ func matchSelections(values map[string][]term.Term, sels []Selection) bool {
 // by name.
 func (w *InMemory) QueryTuples(q Query) ([][]term.Term, error) {
 	ctr, start := w.obsStart()
-	if _, err := w.capabilityFor(q, false); err != nil {
+	if err := w.checkCovered(q, false); err != nil {
 		obsEnd(ctr, w.model.Name, start, "", 0, err)
 		return nil, err
 	}

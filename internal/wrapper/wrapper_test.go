@@ -101,6 +101,38 @@ func TestSelectionPushdown(t *testing.T) {
 	}
 }
 
+func TestCovers(t *testing.T) {
+	caps := []Capability{
+		{Target: "neuron", Kind: CapClassScan},
+		{Target: "neuron", Kind: CapClassSelect, Bindable: []string{"organism", "location"}},
+		{Target: "has", Kind: CapRelScan},
+	}
+	sel := func(attrs ...string) []Selection {
+		var out []Selection
+		for _, at := range attrs {
+			out = append(out, Selection{Attr: at, Value: a("x")})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		q     Query
+		class bool
+		want  bool
+	}{
+		{"scan with no selections", Query{Target: "neuron"}, true, true},
+		{"select, every attribute bindable", Query{Target: "neuron", Selections: sel("organism", "location")}, true, true},
+		{"select, one attribute unbindable", Query{Target: "neuron", Selections: sel("organism", "ghost")}, true, false},
+		{"class query against a relation capability", Query{Target: "has"}, true, false},
+		{"relation query against a relation capability", Query{Target: "has"}, false, true},
+		{"unknown target", Query{Target: "glia"}, true, false},
+	} {
+		if got := Covers(caps, tc.q, tc.class); got != tc.want {
+			t.Errorf("%s: Covers = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestQueryTuples(t *testing.T) {
 	w, _ := NewInMemory(testModel(),
 		Capability{Target: "has", Kind: CapRelSelect, Bindable: []string{"whole"}})
