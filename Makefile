@@ -25,11 +25,14 @@ race:
 # seed matrix is fixed inside the tests (chaos_test.go: 1, 7, 42,
 # 1001), so a pass is reproducible. Covers the wrapper fault injector,
 # retry/deadline/breaker unit tests, chaos equivalence, monotone
-# degradation, the degraded medsh/comparison sessions, and the planned
+# degradation, the degraded medsh/comparison runs, the planned
 # query and Section 5 plan reading the state the mediator serves (the
-# pushed-delta and no-wrapper pins, the parallel and trace suites).
+# pushed-delta and no-wrapper pins, the parallel and trace suites), and
+# the read path's lock and wrapper pins: no read takes m.mu or re-probes
+# a down source, and a writer reads a slow source before the lock
+# (their latency bounds skip under -race; the data-race checks run).
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Degrad|Breaker|Retry|Deadline|Down|InMemoryConcurrent|GuardDisabled|Reports|Planned|Section5' \
+	$(GO) test -race -run 'Chaos|Fault|Degrad|Breaker|Retry|Deadline|Down|InMemoryConcurrent|GuardDisabled|Reports|Planned|Section5|NoLock|SlowRefresh' \
 		./internal/breaker ./internal/wrapper ./internal/mediator ./cmd/medsh ./examples/comparison
 
 bench:

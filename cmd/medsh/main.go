@@ -33,8 +33,8 @@
 // `.fig3` (registers the Figure 3 knowledge), `.delta SRC +fact(...)
 // -fact(...)` (pushes ground source-fact insertions/deletions through
 // incremental maintenance, patching the cached materialization),
-// `.sync` (re-pulls sources whose data version changed and patches the
-// cache), `.invalidate` (drops the cache so the next query rebuilds
+// `.sync` (re-pulls sources whose data version changed, and down ones
+// once their breaker admits a call), `.invalidate` (drops the cache so the next query rebuilds
 // from scratch), `.serve ADDR` (serves the HTTP query API of
 // internal/serve over the session's mediator in the background),
 // `.help` (the full command list — unknown dot-commands print it and
@@ -82,7 +82,7 @@ const helpText = `commands:
   .load FILE                   rule file with views and ?- queries
   .fig3                        register the Figure 3 knowledge
   .delta SRC +f(..) -f(..)     push a source delta through incremental maintenance
-  .sync                        re-pull sources whose data version changed
+  .sync                        re-pull changed sources and re-admit down ones
   .invalidate                  drop the cached materialization
   .serve ADDR                  serve the HTTP query API on ADDR (e.g. 127.0.0.1:8344)
   .quit                        exit

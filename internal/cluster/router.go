@@ -157,10 +157,10 @@ type QueryResponse struct {
 	Rows   [][]string `json:"rows"`
 	Count  int        `json:"count"`
 	Cached bool       `json:"cached"`
-	// Partial marks an answer computed without one or more down shards:
-	// every row is a true answer (the query class is monotone) but rows
-	// owned by the missing shards may be absent. Never set silently —
-	// Shards names the culprits.
+	// Partial marks an answer computed without one or more down shards,
+	// or from a shard's own partial answer: every row is a true answer
+	// (the query class is monotone) but rows owned by the missing shards
+	// or sources may be absent. Never set silently.
 	Partial bool `json:"partial,omitempty"`
 	// Mode is the decomposition class: replicated, proxy, scatter or
 	// gather.
@@ -341,7 +341,7 @@ func (rt *Router) proxyQuery(ctx context.Context, apiKey string, req *serve.Quer
 	rep := rt.man.Report(sh)
 	rep.Rows = len(sr.Rows)
 	return &QueryResponse{
-		Vars: sr.Vars, Rows: sr.Rows, Count: len(sr.Rows),
+		Vars: sr.Vars, Rows: sr.Rows, Count: len(sr.Rows), Partial: sr.Partial,
 		Mode: "proxy", Shards: []ShardReport{rep},
 	}, 0, nil
 }
@@ -394,6 +394,7 @@ func (rt *Router) scatterQuery(ctx context.Context, apiKey string, req *serve.Qu
 			rep = rt.man.Report(sh)
 			okCount++
 			a := answers[i]
+			resp.Partial = resp.Partial || a.Partial
 			if resp.Vars == nil {
 				resp.Vars = a.Vars
 			}

@@ -44,9 +44,7 @@ type SourceDump struct {
 // whether a view predicate's tuples can cross source (and so shard)
 // boundaries.
 func (m *Mediator) ViewRules() []datalog.Rule {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]datalog.Rule(nil), m.views...)
+	return slices.Clone(m.base.Load().views)
 }
 
 // FactsDump materializes (or reuses the cached materialization) and

@@ -18,21 +18,19 @@ import (
 	"modelmed/internal/wrapper"
 )
 
-// The fault-tolerance layer. A production mediator fans out to live
-// sources that time out, flake, hang, or die; the paper's runtime
-// federation (Figure 2) only works under heavy traffic if that fan-out
-// is guarded. Every wrapper call the mediator issues during
-// Materialize, a source move and PushSelect can be wrapped in a guard
-// that enforces a per-call deadline, retries transient failures with
-// exponential backoff + jitter, trips a per-source circuit breaker
-// after repeated failures, and — instead of failing the whole query —
-// degrades gracefully: the mediated answer is computed over the
-// surviving sources and a per-source SourceReport says what happened.
+// The fault-tolerance layer. Live sources time out, flake, hang, or
+// die. Queries never read them; the reads — a build's, a refresh's or
+// sync's (readAhead) and PushSelect's — can run every wrapper call
+// under a guard: a per-call deadline, retries with exponential backoff
+// + jitter, and a per-source circuit breaker. A source that stays down
+// degrades instead of failing the read: a held state stays, a source
+// with none is left out of the published value (Answer.Missing), and a
+// SourceReport says what happened. SyncSources reads a left-out source
+// again once its breaker admits a call.
 //
-// The layer is off by default (no timeout, no retries, no breaker):
-// the legacy direct path is taken and behaviour is byte-identical to
-// previous releases. It switches on when any of Options.SourceTimeout,
-// Options.MaxRetries or Options.Breaker.Threshold is set.
+// The layer is off by default: a read then renders the exported CM(S)
+// without query calls, and any failure fails it. Any of
+// Options.SourceTimeout, MaxRetries or Breaker.Threshold switches it on.
 
 // SourceStatus classifies how a source fared during one fan-out.
 type SourceStatus int
@@ -60,8 +58,8 @@ func (s SourceStatus) String() string {
 	return "invalid"
 }
 
-// SourceReport is the per-source outcome of one guarded fan-out
-// (a Materialize run, a source move or a PushSelect).
+// SourceReport is the per-source outcome of one guarded read (a build,
+// a refresh or sync, or a PushSelect).
 type SourceReport struct {
 	Source string
 	Status SourceStatus
@@ -93,8 +91,7 @@ func (r SourceReport) String() string {
 }
 
 // SourceDownError reports that a source exhausted its retry and
-// breaker budget; the fan-out either degrades (default) or fails fast
-// (Options.FailFast) when it sees one.
+// breaker budget; the read degrades over it.
 type SourceDownError struct {
 	Source string
 	Cause  error
@@ -151,8 +148,8 @@ func (m *Mediator) breakerFor(source string) *breaker.Breaker {
 	if m.opts.Breaker.Threshold <= 0 {
 		return nil
 	}
-	m.brMu.Lock()
-	defer m.brMu.Unlock()
+	m.faultMu.Lock()
+	defer m.faultMu.Unlock()
 	if m.breakers == nil {
 		m.breakers = map[string]*breaker.Breaker{}
 	}
@@ -206,9 +203,6 @@ func (m *Mediator) newGuard() *guard {
 func (m *Mediator) newGuardCtx(ctx context.Context) *guard {
 	if !m.opts.faultTolerant() {
 		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	return &guard{
 		m:       m,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -144,23 +145,6 @@ func TestRetryBudgetExhaustsThenRecovers(t *testing.T) {
 	r = reportFor(t, m.SourceReports(), "REC")
 	if r.Status != StatusDegraded || r.Retries != 2 {
 		t.Errorf("recovered report = %+v, want degraded with 2 retries", r)
-	}
-}
-
-// TestFailFastPropagatesSourceFailure: FailFast turns graceful
-// degradation off — a down source fails the whole materialization with
-// a SourceDownError naming it.
-func TestFailFastPropagatesSourceFailure(t *testing.T) {
-	opts := fastRetry(1)
-	opts.FailFast = true
-	m, _ := newUnitMediator(t, 4, wrapper.FaultConfig{Down: true}, opts)
-	_, err := m.Materialize()
-	if err == nil {
-		t.Fatal("FailFast materialization over a down source succeeded")
-	}
-	var sde *SourceDownError
-	if !errors.As(err, &sde) || sde.Source != "REC" {
-		t.Fatalf("error = %v, want SourceDownError for REC", err)
 	}
 }
 
@@ -375,31 +359,53 @@ func TestCancelledProbeDoesNotWedgeBreaker(t *testing.T) {
 	}
 }
 
-// TestDegradedCacheReprobesAfterCooldown: a degraded materialization is
-// served from cache only while the failed source's breaker cools down;
-// the next query after the cooldown re-pulls automatically, so a
-// recovered source rejoins the answer without a manual Invalidate.
-func TestDegradedCacheReprobesAfterCooldown(t *testing.T) {
+// TestSyncReadmitsDownSource: a source left out of the published value
+// as down stays out of every read, and no read contacts its wrapper, not
+// even after its breaker cools down: reading a source is a writer's job.
+// SyncSources leaves it alone while the breaker is open and reads it
+// again once the breaker admits a call; the source has recovered
+// (FailFirst=1 is spent), so the answer is whole again.
+func TestSyncReadmitsDownSource(t *testing.T) {
 	opts := fastRetry(0)
 	opts.Breaker = breaker.Config{Threshold: 1, Cooldown: 150 * time.Millisecond}
 	m, f := newUnitMediator(t, 5, wrapper.FaultConfig{FailFirst: 1}, opts)
-	if got := countRows(t, m, "src_obj('REC', O, rec)", "O"); got != 0 {
-		t.Fatalf("degraded run still has %d objects", got)
+	ans, err := m.Query("src_obj('REC', O, rec)", "O")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Within the cooldown the degraded cache is served without touching
-	// the wrapper.
+	if len(ans.Rows) != 0 || !slices.Equal(ans.Missing, []string{"REC"}) {
+		t.Fatalf("degraded run: %d objects, missing %v; want 0 and [REC]", len(ans.Rows), ans.Missing)
+	}
 	calls := f.FaultStats().Calls
 	if got := countRows(t, m, "src_obj('REC', O, rec)", "O"); got != 0 {
 		t.Fatalf("cached degraded run has %d objects", got)
 	}
+	if reps, err := m.SyncSources(); err != nil || len(reps) != 0 {
+		t.Fatalf("sync within the cooldown: %v, %v; want no report", reps, err)
+	}
 	if f.FaultStats().Calls != calls {
-		t.Errorf("query within breaker cooldown contacted the wrapper")
+		t.Errorf("a read or a sync within the breaker cooldown contacted the wrapper")
 	}
 	time.Sleep(200 * time.Millisecond)
-	// Cooldown elapsed: the next query re-probes on its own; the source
-	// has recovered (FailFirst=1 is spent), so the answer is whole again.
-	if got := countRows(t, m, "src_obj('REC', O, rec)", "O"); got != 5 {
-		t.Fatalf("auto re-probe returned %d objects, want 5", got)
+	if got := countRows(t, m, "src_obj('REC', O, rec)", "O"); got != 0 {
+		t.Fatalf("a read after the cooldown re-probed: %d objects", got)
+	}
+	if f.FaultStats().Calls != calls {
+		t.Errorf("a read after the cooldown contacted the wrapper")
+	}
+	reps, err := m.SyncSources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != 1 || reps[0].Source != "REC" || !reps[0].Full {
+		t.Fatalf("sync after the cooldown reported %v, want one Full report of REC", reps)
+	}
+	ans, err = m.Query("src_obj('REC', O, rec)", "O")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Rows) != 5 || ans.Missing != nil {
+		t.Fatalf("re-admitted run: %d objects, missing %v; want 5 and none", len(ans.Rows), ans.Missing)
 	}
 	if got := countRows(t, m, "anchor('REC', O, spine)", "O"); got != 5 {
 		t.Fatalf("recovered run has %d anchor facts, want 5", got)

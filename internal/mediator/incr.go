@@ -12,14 +12,20 @@ package mediator
 // SyncSources (pull; the wrapper's version, read before the pull),
 // ApplyStreamBatch (stream.go; the batch's version, which must extend
 // the held one exactly) and WAL replay (persist.go; the logged move).
-// A change a move cannot express — new semantic rules, anchors at
-// concepts the domain map does not know — falls back to a build from
-// scratch over the held states (DeltaReport.Full).
+//
+// A writer reads a wrapper before it takes m.mu (readThenLock), then
+// moves the state held at commit by its difference to the read. A
+// change a move cannot express — a source not held, new semantic
+// rules, a grown domain map, no result — builds over the held states
+// with the read in (DeltaReport.Full).
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
 
 	"modelmed/internal/datalog"
@@ -78,20 +84,163 @@ func (r *DeltaReport) String() string {
 	return s
 }
 
-// fullRebuildLocked builds the cache from scratch and wraps the outcome
-// in a Full report. The build reads only the sources the mediator holds
-// no state of, and writes a Full marker for each (materializeLocked);
-// over held states alone it reads no wrapper and writes no marker.
-// Called with m.mu held.
-func (m *Mediator) fullRebuildLocked(rep *DeltaReport, sp *obs.Span) (*DeltaReport, error) {
-	rep.Full = true
-	m.counters().Add("mediator.delta_full_rebuilds", 1)
-	sp.SetStr("fallback", "full")
-	m.publishLocked(m.base.Load().DropResult(), "")
-	if _, err := m.materializeLocked(context.Background(), sp); err != nil {
-		return nil, err
+// readAhead reads through their wrappers, concurrently (at most
+// GOMAXPROCS at a time) under one guard, the registered sources of v
+// that want picks and — when v has no result, so the commit builds —
+// every one v holds no state of, taking no lock. It returns the reads
+// in name order, the sources tried, and the first failure, except that
+// a source v holds no state of and that stays down stays missing, its
+// report saying why. A cancelled ctx returns its error and no read.
+func (m *Mediator) readAhead(ctx context.Context, v *published, want func(*published, *Source) bool, sp *obs.Span) (pulls []*pull, tried []*Source, err error) {
+	for _, s := range v.sources() {
+		if want != nil && want(v, s) || v.Result() == nil && v.State(s.Name) == nil {
+			tried = append(tried, s)
+		}
 	}
-	return rep, nil
+	if len(tried) == 0 {
+		return nil, nil, nil
+	}
+	g := m.newGuardCtx(ctx)
+	fsp := sp.Child("sources")
+	defer fsp.End()
+	read, errs, spans := make([]*pull, len(tried)), make([]error, len(tried)), make([]*obs.Span, len(tried))
+	for i, s := range tried {
+		spans[i] = fsp.Child("source " + s.Name) // serially, for a deterministic order
+	}
+	fanOut(len(tried), runtime.GOMAXPROCS(0), func(i int) {
+		if read[i], errs[i] = m.readSource(g, tried[i]); errs[i] != nil {
+			spans[i].SetStr("error", errs[i].Error())
+		} else {
+			spans[i].SetInt("facts", int64(read[i].st.Facts.Size()))
+		}
+		spans[i].End()
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	for i, s := range tried {
+		if errs[i] == nil {
+			pulls = append(pulls, read[i])
+			continue
+		}
+		if g != nil && sourceDown(errs[i]) {
+			g.markFailed(s.Name, errs[i])
+			if v.State(s.Name) == nil {
+				m.counters().Add("mediator.sources_dropped", 1)
+				continue
+			}
+		}
+		err = cmp.Or(err, errs[i])
+	}
+	g.annotate(fsp)
+	m.mergeReports(g.Reports())
+	return pulls, tried, err
+}
+
+// readThenLock is the writers' one way to read sources: readAhead
+// outside m.mu, then m.mu taken and the reads committed (commitLocked).
+// When the value at commit has no result and lacks a registered source
+// the read did not try (a Register or an Invalidate raced it), it reads
+// again, so the commit's build takes every source in. It returns with
+// m.mu held, the reports of the reads committed, and the first failure
+// of the reads or the commit.
+func (m *Mediator) readThenLock(sp *obs.Span, want func(*published, *Source) bool) ([]*DeltaReport, error) {
+	for {
+		from := m.base.Load()
+		pulls, tried, rerr := m.readAhead(context.Background(), from, want, sp)
+		m.mu.Lock()
+		v := m.base.Load()
+		if v.Result() == nil && slices.ContainsFunc(v.sources(), func(s *Source) bool {
+			return v.State(s.Name) == nil && !slices.Contains(tried, s)
+		}) {
+			m.mu.Unlock()
+			continue
+		}
+		reps, err := m.commitLocked(from, pulls, sp)
+		return reps, cmp.Or(rerr, err)
+	}
+}
+
+// commitLocked commits reads made from the value from against the value
+// held now. It drops a read of a source no longer registered with the
+// wrapper read, and one older than a version committed since from (a
+// streamed batch, another writer's read): that newer state stands. A
+// read grows the domain map by the concepts it anchors at (growLocked;
+// refused under StrictAnchors, it is dropped). Each read's source moves
+// by the difference of the held state to the read, or the program is
+// built with the reads in (buildReadsLocked) when a move cannot express
+// the change. Each read committed publishes its Source and gets one
+// report. Called with m.mu held.
+func (m *Mediator) commitLocked(from *published, pulls []*pull, sp *obs.Span) ([]*DeltaReport, error) {
+	v := m.base.Load()
+	build := v.Result() == nil
+	var kept []*pull
+	var err error
+	for _, p := range pulls {
+		name := p.src.Name
+		held, was := v.State(name), from.State(name)
+		overtaken := held != nil && held.Version > p.st.Version && (was == nil || was.Version != held.Version)
+		if s := v.srcs[name]; s == nil || s.W != p.src.W || overtaken {
+			continue
+		}
+		grew, gerr := m.growLocked(name, p.unknown)
+		if gerr != nil {
+			err = cmp.Or(err, gerr)
+			continue
+		}
+		build = build || grew || held == nil || !slices.Equal(ruleSig(held.Rules), ruleSig(p.st.Rules))
+		kept = append(kept, p)
+	}
+	reps := make([]*DeltaReport, 0, len(kept))
+	if build {
+		if berr := m.buildReadsLocked(context.Background(), v, kept, sp); berr != nil {
+			return nil, berr
+		}
+		m.counters().Add("mediator.delta_full_rebuilds", 1)
+		sp.SetStr("fallback", "full")
+		for _, p := range kept {
+			reps = append(reps, &DeltaReport{Source: p.src.Name, Full: true})
+		}
+		return reps, err
+	}
+	if len(kept) == 0 {
+		return reps, err
+	}
+	srcs := maps.Clone(v.srcs)
+	for _, p := range kept {
+		held := v.State(p.src.Name)
+		var ch srcstate.Change
+		ch.Adds, ch.Dels = held.Facts.Diff(p.st.Facts)
+		ch.AnchorAdds, ch.AnchorDels = held.Anchors.Diff(p.st.Anchors)
+		rep, merr := m.moveSourceLocked(p.src.Name, p.st.Version, ch, sp)
+		if merr != nil {
+			err = merr
+			break
+		}
+		srcs[p.src.Name] = p.src
+		reps = append(reps, rep)
+	}
+	cur := m.base.Load()
+	m.publishLocked(srcs, cur.Base, cur.sig)
+	return reps, err
+}
+
+// buildReadsLocked builds the program over the states v holds with the
+// reads in, publishing each read's Source, and writes each read's Full
+// marker: its source moved without a logged move. Called with m.mu
+// held.
+func (m *Mediator) buildReadsLocked(ctx context.Context, v *published, pulls []*pull, sp *obs.Span) error {
+	states, srcs := v.States(), maps.Clone(v.srcs)
+	for _, p := range pulls {
+		states[p.src.Name], srcs[p.src.Name] = p.st, p.src
+	}
+	if err := m.buildLocked(ctx, srcs, states, nil, sp); err != nil {
+		return err
+	}
+	for _, p := range pulls {
+		m.logDeltaLocked(&persist.WALRecord{Source: p.src.Name, Full: true})
+	}
+	return nil
 }
 
 // moveSourceLocked is the one operation that moves a source
@@ -99,18 +248,18 @@ func (m *Mediator) fullRebuildLocked(rep *DeltaReport, sp *obs.Span) (*DeltaRepo
 // took effect (not during replay), so replay against the same states
 // reaches the same engine delta. A failed move changes nothing. Called
 // with m.mu held.
-func (m *Mediator) moveSourceLocked(s *Source, toVersion uint64, ch srcstate.Change, sp *obs.Span) (*DeltaReport, error) {
+func (m *Mediator) moveSourceLocked(source string, toVersion uint64, ch srcstate.Change, sp *obs.Span) (*DeltaReport, error) {
 	// Every caller holds a result, so an engine: retarget its tracing at
 	// this move's span.
 	v := m.base.Load()
 	v.Engine().SetObs(sp, m.counters())
-	next, eff, stats, err := v.Move(context.Background(), s.Name, toVersion, ch)
+	next, eff, stats, err := v.Move(context.Background(), source, toVersion, ch)
 	if err != nil {
-		return nil, fmt.Errorf("mediator: move %s: %w", s.Name, err)
+		return nil, fmt.Errorf("mediator: move %s: %w", source, err)
 	}
-	m.publishLocked(next, v.sig)
+	m.publishLocked(v.srcs, next, v.sig)
 	rep := &DeltaReport{
-		Source:         s.Name,
+		Source:         source,
 		FactsAdded:     len(eff.Adds),
 		FactsRemoved:   len(eff.Dels),
 		AnchorsAdded:   len(eff.AnchorAdds),
@@ -118,7 +267,7 @@ func (m *Mediator) moveSourceLocked(s *Source, toVersion uint64, ch srcstate.Cha
 		Stats:          stats,
 	}
 	m.noteDeltaLocked(rep, sp)
-	m.logDeltaLocked(&persist.WALRecord{Source: s.Name, Version: toVersion,
+	m.logDeltaLocked(&persist.WALRecord{Source: source, Version: toVersion,
 		Adds: eff.Adds, Dels: eff.Dels, AnchorAdds: eff.AnchorAdds, AnchorDels: eff.AnchorDels})
 	return rep, nil
 }
@@ -168,9 +317,10 @@ func splitAnchors(facts []datalog.Rule) (rest, anchors []datalog.Rule) {
 // read through its wrapper (RefreshSource, SyncSources, Invalidate),
 // which takes the anchors the wrapper reports. The change is applied
 // through the engine's incremental API — derived views update by
-// delete-and-rederive instead of a from-scratch run. Without a cache it
-// builds one first and then applies the stated change on top (the
-// report's Full flag notes the build).
+// delete-and-rederive instead of a from-scratch run. Without a cache
+// or a state of the source it builds one first (readThenLock), then
+// applies the change on top (Full notes the build); a source that stays
+// down fails the push.
 func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*DeltaReport, error) {
 	sp := m.startSpan("mediator.apply_source_delta")
 	defer m.endTrace(sp)
@@ -186,27 +336,29 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 				source, ErrBadDelta, r)
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.srcs[source]
-	if !ok {
+	if _, ok := m.Source(source); !ok {
 		return nil, fmt.Errorf("mediator: %w: source %s not registered", ErrBadDelta, source)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	v := m.base.Load()
 	rebuilt := v.Result() == nil || v.State(source) == nil
 	if rebuilt {
-		// No patchable cache yet (cold, or a program change): build it
-		// first and then apply the stated change on top.
-		if _, err := m.fullRebuildLocked(&DeltaReport{Source: source}, sp); err != nil {
+		// The build's reads happen outside m.mu; readThenLock returns
+		// with it held again, for the deferred Unlock.
+		m.mu.Unlock()
+		if _, err := m.readThenLock(sp, func(v *published, s *Source) bool {
+			return s.Name == source && v.State(source) == nil
+		}); err != nil {
 			return nil, err
 		}
 	}
 	held := m.base.Load().State(source)
 	if held == nil {
-		return nil, fmt.Errorf("mediator: source delta for %s: no state after rebuild", source)
+		return nil, fmt.Errorf("mediator: source delta for %s: %w", source, m.downError(source))
 	}
 	ch := srcstate.Change{Adds: adds, Dels: dels, AnchorAdds: anchorAdds, AnchorDels: anchorDels}
-	rep, err := m.moveSourceLocked(s, held.Version, ch, sp)
+	rep, err := m.moveSourceLocked(source, held.Version, ch, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -214,92 +366,61 @@ func (m *Mediator) ApplySourceDelta(source string, adds, dels []datalog.Rule) (*
 	return rep, nil
 }
 
-// RefreshSource reads one source through its wrapper (readSource) and
-// patches the difference into the cached materialization. The
-// wrapper's conceptual model is exported again (catching schema
-// growth), instance data is fetched through the fault-tolerance guard
-// when the layer is enabled (per-source SourceReports merge into
-// SourceReports() exactly like a materialize fan-out), and the state
-// read is diffed against the held state. Rule changes or anchors at
-// concepts the domain map does not know force a full rebuild, which
-// reads the source again. A source that is down keeps the stale cache
-// and returns the error.
+// RefreshSource reads one source through its wrapper (readSource)
+// before it takes m.mu, catching schema growth and pulling through the
+// fault-tolerance guard when the layer is on, and commits the read
+// against the state held then (commitLocked). A source that is down
+// keeps the held state, and the error is returned.
 func (m *Mediator) RefreshSource(source string) (*DeltaReport, error) {
 	sp := m.startSpan("mediator.refresh_source")
 	defer m.endTrace(sp)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.refreshSourceLocked(source, sp)
+	return m.refresh(source, sp)
 }
 
-func (m *Mediator) refreshSourceLocked(source string, sp *obs.Span) (*DeltaReport, error) {
+func (m *Mediator) refresh(source string, sp *obs.Span) (*DeltaReport, error) {
 	sp.SetStr("source", source)
-	s, ok := m.srcs[source]
-	if !ok {
+	if _, ok := m.Source(source); !ok {
 		return nil, fmt.Errorf("mediator: source %s not registered", source)
 	}
-	rep := &DeltaReport{Source: source}
-	v := m.base.Load()
-	if v.State(source) == nil {
-		// The mediator holds no state of the source: the build reads it.
-		return m.fullRebuildLocked(rep, sp)
-	}
-	if v.Result() == nil {
-		// A program change: evaluate it over the held states first.
-		var err error
-		if v, err = m.materializeLocked(context.Background(), sp); err != nil {
-			return nil, err
-		}
-	}
-	held := v.State(source)
-	g := m.newGuard()
-	next, grew, err := m.readSource(g, s)
-	m.mergeReportsLocked(g.Reports())
+	reps, err := m.readThenLock(sp, func(_ *published, s *Source) bool { return s.Name == source })
+	held := m.base.Load().State(source)
+	m.mu.Unlock()
 	if err != nil {
-		if g != nil && sourceDown(err) {
-			g.markFailed(source, err)
-			m.mergeReportsLocked(g.Reports())
-		}
-		// The stale cache stands; the caller decides what to do.
 		return nil, err
 	}
-	if grew || !slices.Equal(ruleSig(held.Rules), ruleSig(next.Rules)) {
-		// Semantic rules that changed, or anchors at concepts that grew
-		// the domain map, make a different program, which the EDB delta
-		// API cannot express.
-		m.publishLocked(v.DropSource(source), "")
-		return m.fullRebuildLocked(rep, sp)
+	for _, rep := range reps {
+		if rep.Source == source {
+			return rep, nil
+		}
 	}
-	var ch srcstate.Change
-	ch.Adds, ch.Dels = held.Facts.Diff(next.Facts)
-	ch.AnchorAdds, ch.AnchorDels = held.Anchors.Diff(next.Anchors)
-	return m.moveSourceLocked(s, next.Version, ch, sp)
+	if held == nil {
+		return nil, m.downError(source)
+	}
+	// The read was dropped: the held state is newer.
+	return &DeltaReport{Source: source}, nil
 }
 
-// SyncSources refreshes every registered source whose wrapper reports
-// a data version (wrapper.Versioned) different from the one the cache
-// was built from. Unversioned wrappers (version 0) are never synced —
-// use RefreshSource or ApplySourceDelta for those. Returns one report
-// per refreshed source, in name order.
+// SyncSources reads before m.mu and commits at once (readThenLock)
+// every registered source whose wrapper reports a data version
+// (wrapper.Versioned) other than the held state's, and every one the
+// mediator holds no state of — down or not read yet — once its breaker
+// admits a call. A held unversioned source is never synced (use
+// RefreshSource). Returns one report per source committed, in name
+// order.
 func (m *Mediator) SyncSources() ([]*DeltaReport, error) {
 	sp := m.startSpan("mediator.sync_sources")
 	defer m.endTrace(sp)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var reps []*DeltaReport
-	for _, s := range m.sortedSources() {
+	reps, err := m.readThenLock(sp, func(v *published, s *Source) bool {
+		held := v.State(s.Name)
+		if held == nil {
+			return m.breakerFor(s.Name).Allow()
+		}
 		ver := dataVersion(s.W)
-		if held := m.base.Load().State(s.Name); ver == 0 || held != nil && held.Version == ver {
-			continue
-		}
-		rep, err := m.refreshSourceLocked(s.Name, sp.Child("refresh "+s.Name))
-		if err != nil {
-			return reps, err
-		}
-		reps = append(reps, rep)
-	}
+		return ver != 0 && ver != held.Version
+	})
+	m.mu.Unlock()
 	sp.SetInt("refreshed", int64(len(reps)))
-	return reps, nil
+	return reps, err
 }
 
 // noteDeltaLocked records a completed patch on the span and counters.

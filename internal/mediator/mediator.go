@@ -11,7 +11,8 @@ package mediator
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -62,15 +63,11 @@ type Options struct {
 	// concepts are added to the map implicitly.
 	StrictAnchors bool
 
-	// The fault-tolerance layer (see fault.go). Setting any of
-	// SourceTimeout, MaxRetries or Breaker.Threshold switches the
-	// mediator's source reads (Materialize, a source move, PushSelect)
-	// to the guarded path: instance data is pulled through the live
-	// wrappers under a per-call deadline, transient failures are
-	// retried with exponential backoff + jitter, repeatedly failing
-	// sources trip a circuit breaker, and sources that stay down are
-	// dropped from the answer (graceful degradation) with a
-	// SourceReport instead of failing the whole query.
+	// The fault-tolerance layer (see fault.go): any of SourceTimeout,
+	// MaxRetries or Breaker.Threshold guards the source reads (a build,
+	// a refresh or sync, PushSelect) with deadlines, retries and a
+	// breaker; a source that stays down is left out of the published
+	// value, and its SourceReport and Answer.Missing say so.
 
 	// SourceTimeout bounds each wrapper call (0 = no deadline).
 	SourceTimeout time.Duration
@@ -83,14 +80,14 @@ type Options struct {
 	RetryMax  time.Duration
 	// Breaker configures the per-source circuit breaker: Threshold
 	// consecutive transient failures open it (0 disables it), and an
-	// open breaker rejects calls for Cooldown (default 1s).
+	// open breaker rejects calls for Cooldown (default 1s). SyncSources
+	// re-reads a source left out as down once its breaker admits a call.
 	Breaker breaker.Config
-	// FailFast disables graceful degradation: a source that exhausts
-	// its retry budget fails the whole query instead of being dropped.
-	FailFast bool
 }
 
-// Source is a registered source as the mediator sees it.
+// Source is a registered source as the mediator sees it. Nothing writes
+// one once it is published: a read of the source (readSource) returns a
+// copy carrying what it read, which its commit publishes.
 type Source struct {
 	Name string
 	// W is the live wrapper (query interface).
@@ -105,9 +102,7 @@ type Source struct {
 	Caps []wrapper.Capability
 
 	// anchors (as anchor/3 facts) and contexts are what the wrapper
-	// reported at Register or at the last read of the source
-	// (readSource); nothing else writes them. Guarded by the mediator's
-	// mu.
+	// reported at Register or at the read that made this Source.
 	anchors  *datalog.Store
 	contexts map[string][]term.Term
 	// exported is the data version Model or Facts was exported at (0 =
@@ -117,22 +112,22 @@ type Source struct {
 
 // Mediator is the model-based mediator.
 type Mediator struct {
+	// mu serializes the writers' commits; no read takes it once a
+	// result is published.
 	mu       sync.Mutex
 	opts     Options
 	dm       *domainmap.DomainMap
 	index    *domainmap.SemanticIndex
 	registry *xmlio.Registry
-	srcs     map[string]*Source
 	views    []datalog.Rule
 	viewText []string
 
-	// base is the published value: the source states and the current
-	// program's result over them, the cache (see incr.go). Readers load
-	// it and take no lock; writers, under m.mu, store the next value
-	// (publishLocked) and never write a stored one, so every answer
-	// reflects exactly one published state, never a torn mix. The next
-	// build reads a registered source without a state through its
-	// wrapper; with no result, the next read builds one.
+	// base is the published value: the registered sources, their states
+	// and the program's result over them (see incr.go). Readers load it
+	// and take no lock; writers read sources before they take m.mu, then
+	// store the next value (publishLocked) and never write a stored one,
+	// so every answer reflects exactly one published state. With no
+	// result, the next read builds one.
 	base atomic.Pointer[published]
 
 	// deltaLog, when set, receives a WAL record for every source move
@@ -143,21 +138,15 @@ type Mediator struct {
 	deltaLog  func(*persist.WALRecord)
 	replaying bool
 
-	// lastReports is the mediator-level merge-by-source view of the
-	// guarded fan-outs' SourceReports: each guarded read (Materialize, a
-	// source move, PushSelect) folds its reports in keyed by source
-	// name, so under concurrent reads every source keeps its most recent
-	// report instead of one read's report set wholesale overwriting
-	// another's. Nil when the fault-tolerance layer is off.
+	// faultMu guards the fault layer's state: the per-source circuit
+	// breakers, which persist across reads, and lastReports, each
+	// source's most recent SourceReport of any guarded read.
+	faultMu     sync.Mutex
+	breakers    map[string]*breaker.Breaker
 	lastReports map[string]SourceReport
 
-	// brMu guards breakers, the per-source circuit-breaker states,
-	// which persist across queries.
-	brMu     sync.Mutex
-	breakers map[string]*breaker.Breaker
-
 	// obsMu guards the observability state (see obs.go); separate from
-	// m.mu because Materialize holds m.mu for its whole body.
+	// m.mu because a cold build holds m.mu for its whole body.
 	obsMu    sync.Mutex
 	obsOn    bool
 	obsCtr   *obs.Counters
@@ -174,33 +163,61 @@ func New(dm *domainmap.DomainMap, opts *Options) *Mediator {
 		opts:     o,
 		dm:       dm,
 		registry: xmlio.NewRegistry(),
-		srcs:     make(map[string]*Source),
 	}
 	m.index = domainmap.NewIndex(m.walkAnchors)
-	m.publishLocked(srcstate.Base{}, "")
+	m.publishLocked(map[string]*Source{}, srcstate.Base{}, "")
 	return m
 }
 
-// published is what the mediator publishes: a Base and what readers
-// need of the program it was built under. Nothing writes one once it
-// is stored.
+// published is what the mediator publishes: a Base, the registered
+// sources and what readers need of the program it was built under.
+// Nothing writes one once it is stored.
 type published struct {
 	srcstate.Base
+	// srcs are the registered sources by name (see missing).
+	srcs map[string]*Source
 	// views are the program's view rules, whose heads
-	// ValidateVocabulary admits.
-	views []datalog.Rule
+	// ValidateVocabulary admits, and viewText their texts.
+	views    []datalog.Rule
+	viewText []string
 	// sig fingerprints the program Result was built under
 	// (programSigLocked); "" without a Result.
 	sig string
-	// degraded reports that the Base holds no state of some registered
-	// source, so its Result lacks that source.
-	degraded bool
 }
 
 // publishLocked publishes b, built under the program of signature sig,
-// with the current view rules. Called with m.mu held.
-func (m *Mediator) publishLocked(b srcstate.Base, sig string) {
-	m.base.Store(&published{Base: b, views: m.views, sig: sig, degraded: b.Len() < len(m.srcs)})
+// over the registered sources srcs, with the current view rules. Called
+// with m.mu held.
+func (m *Mediator) publishLocked(srcs map[string]*Source, b srcstate.Base, sig string) {
+	m.base.Store(&published{Base: b, srcs: srcs, views: m.views, viewText: m.viewText, sig: sig})
+}
+
+// names returns v's registered source names in order.
+func (v *published) names() []string {
+	out := make([]string, 0, len(v.srcs))
+	for n := range v.srcs {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sources returns v's registered sources in name order.
+func (v *published) sources() []*Source {
+	out := make([]*Source, 0, len(v.srcs))
+	for _, n := range v.names() {
+		out = append(out, v.srcs[n])
+	}
+	return out
+}
+
+// missing returns the registered sources v holds no state of, in name
+// order; nil when it holds every one.
+func (v *published) missing() []string {
+	if v.Len() == len(v.srcs) {
+		return nil
+	}
+	return slices.DeleteFunc(v.names(), func(n string) bool { return v.State(n) != nil })
 }
 
 // DomainMap returns the mediator's domain map.
@@ -213,42 +230,33 @@ func (m *Mediator) Index() *domainmap.SemanticIndex { return m.index }
 // anchorKey is the store key of the anchor/3 facts.
 var anchorKey = datalog.PredKey(PredAnchor, 3)
 
-// anchorsLocked returns the anchor facts the semantic index reads for s:
-// the ones the mediator holds when it holds a state of s, else the
-// ones s last reported — before the first materialization, after
-// Invalidate or a restore that was not adopted, and for a source the
-// last materialization dropped as down. Called with m.mu held.
-func (m *Mediator) anchorsLocked(s *Source) *datalog.Store {
-	if st := m.base.Load().State(s.Name); st != nil {
-		return st.Anchors
-	}
-	return s.anchors
-}
-
-// walkAnchors is the semantic index's walk: every registered source's
-// anchors (anchorsLocked) and contexts, under m.mu.
+// walkAnchors is the semantic index's walk over the published value:
+// every registered source's contexts and its anchors — the held ones,
+// else (no state held) the ones it last reported.
 func (m *Mediator) walkAnchors(yield func(domainmap.SourceAnchors) bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for name, s := range m.srcs {
-		if !yield(domainmap.SourceAnchors{Source: name, Anchors: m.anchorsLocked(s).Rel(anchorKey), Contexts: s.contexts}) {
+	v := m.base.Load()
+	for name, s := range v.srcs {
+		anchors := s.anchors
+		if st := v.State(name); st != nil {
+			anchors = st.Anchors
+		}
+		if !yield(domainmap.SourceAnchors{Source: name, Anchors: anchors.Rel(anchorKey), Contexts: s.contexts}) {
 			return
 		}
 	}
 }
 
-// takeReport replaces s's anchors (as anchor/3 facts) and contexts
-// with what its wrapper reports now. Concepts the domain map does not
-// know grow the map (grew) or, under StrictAnchors, refuse the report
-// and leave s as it was.
-func (m *Mediator) takeReport(s *Source) (grew bool, err error) {
-	anchors, err := s.W.Anchors()
+// takeReport sets next, a Source not yet published, to the anchors (as
+// anchor/3 facts) and contexts its wrapper reports now, and returns the
+// anchor concepts the domain map does not know (see growLocked).
+func (m *Mediator) takeReport(next *Source) (unknown []string, err error) {
+	anchors, err := next.W.Anchors()
 	if err != nil {
-		return false, fmt.Errorf("mediator: source %s: anchors: %w", s.Name, err)
+		return nil, fmt.Errorf("mediator: source %s: anchors: %w", next.Name, err)
 	}
-	contexts, err := s.W.Contexts()
+	contexts, err := next.W.Contexts()
 	if err != nil {
-		return false, fmt.Errorf("mediator: source %s: contexts: %w", s.Name, err)
+		return nil, fmt.Errorf("mediator: source %s: contexts: %w", next.Name, err)
 	}
 	concepts := make([]string, 0, len(anchors))
 	for c := range anchors {
@@ -256,33 +264,39 @@ func (m *Mediator) takeReport(s *Source) (grew bool, err error) {
 	}
 	sort.Strings(concepts)
 	st := datalog.NewStore()
-	var unknown []string
 	for _, concept := range concepts {
 		if !m.dm.HasConcept(concept) {
 			unknown = append(unknown, concept)
 		}
 		for _, obj := range anchors[concept] {
 			if !obj.IsGround() {
-				return false, fmt.Errorf("mediator: source %s: anchor %s at %s is not ground", s.Name, obj, concept)
+				return nil, fmt.Errorf("mediator: source %s: anchor %s at %s is not ground", next.Name, obj, concept)
 			}
-			st.Insert(PredAnchor, []term.Term{term.Atom(s.Name), obj, term.Atom(concept)})
+			st.Insert(PredAnchor, []term.Term{term.Atom(next.Name), obj, term.Atom(concept)})
 		}
 	}
-	if len(unknown) > 0 {
-		if m.opts.StrictAnchors {
-			return false, fmt.Errorf("mediator: source %s anchors at unknown concepts %s; register the knowledge first (RegisterKnowledge)",
-				s.Name, strings.Join(unknown, ", "))
-		}
-		var axioms []dl.Axiom
-		for _, c := range unknown {
+	next.anchors, next.contexts = st, contexts
+	return unknown, nil
+}
+
+// growLocked adds to the domain map, under thing, the concepts of
+// unknown it still does not know, reporting whether it grew; under
+// StrictAnchors it refuses them instead. Called with m.mu held.
+func (m *Mediator) growLocked(source string, unknown []string) (grew bool, err error) {
+	var axioms []dl.Axiom
+	for _, c := range unknown {
+		if !m.dm.HasConcept(c) {
 			axioms = append(axioms, dl.Sub(c, dl.C("thing")))
 		}
-		if err := m.dm.AddAxioms(axioms...); err != nil {
-			return false, err
-		}
 	}
-	s.anchors, s.contexts = st, contexts
-	return len(unknown) > 0, nil
+	if len(axioms) == 0 {
+		return false, nil
+	}
+	if m.opts.StrictAnchors {
+		return false, fmt.Errorf("mediator: source %s anchors at unknown concepts %s; register the knowledge first (RegisterKnowledge)",
+			source, strings.Join(unknown, ", "))
+	}
+	return true, m.dm.AddAxioms(axioms...)
 }
 
 // Registry returns the CM plug-in registry, so new formats can be
@@ -290,22 +304,11 @@ func (m *Mediator) takeReport(s *Source) (grew bool, err error) {
 func (m *Mediator) Registry() *xmlio.Registry { return m.registry }
 
 // Sources returns the registered source names, sorted.
-func (m *Mediator) Sources() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.srcs))
-	for n := range m.srcs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (m *Mediator) Sources() []string { return m.base.Load().names() }
 
 // Source returns a registered source by name.
 func (m *Mediator) Source(name string) (*Source, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.srcs[name]
+	s, ok := m.base.Load().srcs[name]
 	return s, ok
 }
 
@@ -313,30 +316,36 @@ func (m *Mediator) Source(name string) (*Source, bool) {
 // Figure 2): the wrapper exports CM(S) over the XML wire, the mediator
 // decodes it through the plug-in registry, records the query
 // capabilities, and anchors the source's data in the domain map: the
-// anchor facts it stores on the source are what the semantic index
-// reads. These are readSource's export and report; its pull is left to
-// the next build.
+// anchor facts it keeps on the source are what the semantic index
+// reads. These are readSource's export and report, read before m.mu;
+// its pull is left to the next build.
 func (m *Mediator) Register(w wrapper.Wrapper) error {
 	name := w.Name()
 	src := &Source{Name: name, W: w, Caps: w.Capabilities()}
 	if err := m.exportCM(src, dataVersion(w)); err != nil {
 		return err
 	}
-	if _, err := m.takeReport(src); err != nil {
+	unknown, err := m.takeReport(src)
+	if err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.srcs[name]; dup {
+	v := m.base.Load()
+	if _, dup := v.srcs[name]; dup {
 		return fmt.Errorf("mediator: source %s already registered", name)
 	}
-	m.srcs[name] = src
+	if _, err := m.growLocked(name, unknown); err != nil {
+		return err
+	}
 	if cs, ok := w.(wrapper.CounterSink); ok {
 		// A source joining a traced mediator reports into the live sink
 		// from its first query on.
 		cs.SetObsCounters(m.counters())
 	}
-	m.publishLocked(m.base.Load().DropResult(), "")
+	srcs := maps.Clone(v.srcs)
+	srcs[name] = src
+	m.publishLocked(srcs, v.DropResult(), "")
 	return nil
 }
 
@@ -348,31 +357,32 @@ func dataVersion(w wrapper.Wrapper) uint64 {
 	return 0
 }
 
-// exportCM exports CM(S) over the wire and decodes it onto s — a GCMX
-// model, or the facts a CM plug-in translates another format to —
-// unless s already holds the export of data version version.
-func (m *Mediator) exportCM(s *Source, version uint64) error {
-	if version != 0 && version == s.exported {
+// exportCM exports CM(S) over the wire and decodes it onto next — a
+// GCMX model, or the facts a CM plug-in translates another format to —
+// unless next already holds the export of data version version. next is
+// a Source not yet published.
+func (m *Mediator) exportCM(next *Source, version uint64) error {
+	if version != 0 && version == next.exported {
 		return nil
 	}
-	format, doc, err := s.W.ExportCM()
+	format, doc, err := next.W.ExportCM()
 	if err != nil {
-		return fmt.Errorf("mediator: source %s: export: %w", s.Name, err)
+		return fmt.Errorf("mediator: source %s: export: %w", next.Name, err)
 	}
 	if format == "gcmx" {
-		model, err := decodeGCMX(s.Name, doc)
+		model, err := decodeGCMX(next.Name, doc)
 		if err != nil {
 			return err
 		}
-		s.Model, s.Facts = model, nil
+		next.Model, next.Facts = model, nil
 	} else {
 		facts, err := m.registry.Translate(format, doc)
 		if err != nil {
-			return fmt.Errorf("mediator: source %s: %w", s.Name, err)
+			return fmt.Errorf("mediator: source %s: %w", next.Name, err)
 		}
-		s.Model, s.Facts = nil, facts
+		next.Model, next.Facts = nil, facts
 	}
-	s.exported = version
+	next.exported = version
 	return nil
 }
 
@@ -395,8 +405,10 @@ func decodeGCMX(source string, doc []byte) (*gcm.Model, error) {
 func (m *Mediator) Unregister(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.srcs, name)
-	m.publishLocked(m.base.Load().DropSource(name), "")
+	v := m.base.Load()
+	srcs := maps.Clone(v.srcs)
+	delete(srcs, name)
+	m.publishLocked(srcs, v.DropSource(name), "")
 }
 
 // RegisterKnowledge extends the domain map with DL axioms sent by a
@@ -406,7 +418,8 @@ func (m *Mediator) RegisterKnowledge(axioms ...dl.Axiom) error {
 		return err
 	}
 	m.mu.Lock()
-	m.publishLocked(m.base.Load().DropResult(), "")
+	v := m.base.Load()
+	m.publishLocked(v.srcs, v.DropResult(), "")
 	m.mu.Unlock()
 	return nil
 }
@@ -424,7 +437,8 @@ func (m *Mediator) DefineView(src string) error {
 	privateAux(fmt.Sprintf("v%d", len(m.viewText)), nil, rules)
 	m.views = append(m.views, rules...)
 	m.viewText = append(m.viewText, src)
-	m.publishLocked(m.base.Load().DropResult(), "")
+	v := m.base.Load()
+	m.publishLocked(v.srcs, v.DropResult(), "")
 	return nil
 }
 
@@ -449,15 +463,17 @@ func privateAux(tag string, body []datalog.BodyElem, rules []datalog.Rule) {
 
 // Views returns the registered view texts.
 func (m *Mediator) Views() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.viewText...)
+	return slices.Clone(m.base.Load().viewText)
 }
 
 // Answer is the result of a mediator query.
 type Answer struct {
 	Vars []string
 	Rows [][]term.Term
+	// Missing names, in order, the registered sources the answer was
+	// computed without: down, or not read yet. Nil when it was computed
+	// over every source.
+	Missing []string
 	// Span is this query's own span tree (nil when tracing is off).
 	// Unlike LastTrace — which concurrent queries overwrite — Span is
 	// race-free per answer, so the serving layer can attach the trace to
@@ -502,29 +518,19 @@ func (m *Mediator) query(ctx context.Context, sp *obs.Span, body []datalog.BodyE
 	if len(vars) == 0 {
 		vars = defaultVars(body)
 	}
-	rows, err := m.queryCache(ctx, sp, body, aux, vars)
-	if err != nil {
-		return nil, err
-	}
-	return &Answer{Vars: vars, Rows: rows, Span: sp}, nil
-}
-
-// queryCache materializes (or reuses) the cached object base and
-// evaluates body, with its auxiliary rules, over the one Result it
-// loaded, so a concurrent source move cannot tear the answer.
-func (m *Mediator) queryCache(ctx context.Context, sp *obs.Span, body []datalog.BodyElem, aux []datalog.Rule, vars []string) ([][]term.Term, error) {
 	msp := sp.Child("materialize")
 	v, err := m.materialize(ctx, msp)
 	msp.End()
 	if err != nil {
 		return nil, err
 	}
-	res := v.Result()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// body is evaluated over the one Result loaded, so a concurrent
+	// source move cannot tear the answer.
 	esp := sp.Child("evaluate")
-	rows, st, err := queryResult(ctx, res, body, aux, vars)
+	rows, st, err := queryResult(ctx, v.Result(), body, aux, vars)
 	esp.SetInt("rows", int64(len(rows)))
 	esp.SetInt("solutions", int64(st.Solutions))
 	compiled := int64(0)
@@ -536,7 +542,7 @@ func (m *Mediator) queryCache(ctx context.Context, sp *obs.Span, body []datalog.
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query: %w", err)
 	}
-	return rows, nil
+	return &Answer{Vars: vars, Rows: rows, Missing: v.missing(), Span: sp}, nil
 }
 
 // queryResult evaluates body over res. A query's auxiliary rules run in
@@ -561,17 +567,6 @@ func (m *Mediator) Holds(pred string, args ...term.Term) (bool, error) {
 	return res.Holds(pred, args...), nil
 }
 
-// sortedSources returns sources in name order (deterministic
-// materialization).
-func (m *Mediator) sortedSources() []*Source {
-	out := make([]*Source, 0, len(m.srcs))
-	for _, s := range m.srcs {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // bridgeSrc are the rules lifting namespaced source facts into the
 // global GCM predicates, so the FL axioms and schema-level reasoning
 // apply across the federation.
@@ -588,10 +583,10 @@ const bridgeSrc = `
 func bridgeRules() []datalog.Rule { return parser.MustParseRules(bridgeSrc) }
 
 // Materialize evaluates the program (ruleSetsLocked plus each source's
-// semantic rules) over the source states the mediator holds, reading
-// first every registered source it holds none of. The result is cached:
-// a source move patches it, and after a program change the next read
-// re-evaluates the same source states.
+// semantic rules) over the source states the mediator holds. The result
+// is cached: a source move patches it, and after a program change the
+// next read re-evaluates the same source states, reading first every
+// registered source it holds none of.
 func (m *Mediator) Materialize() (*datalog.Result, error) {
 	return m.MaterializeCtx(context.Background())
 }
@@ -610,87 +605,33 @@ func (m *Mediator) MaterializeCtx(ctx context.Context) (*datalog.Result, error) 
 
 // materialize is Materialize with the caller's context and span
 // threaded through (nil span when tracing is off; the caller owns
-// ending it), returning the published value. A hit loads it and takes
-// no lock; only a build (materializeLocked) and a degraded cache, which
-// may be due a re-probe, take m.mu.
+// ending it), returning the published value. A value with a result is
+// returned without a lock, whatever sources it lacks (SyncSources
+// re-admits a down one). Only a value with no result takes m.mu to
+// build one, reading every source it holds no state of (readAhead).
 func (m *Mediator) materialize(ctx context.Context, sp *obs.Span) (*published, error) {
-	if v := m.base.Load(); v.Result() != nil && !v.degraded {
+	if v := m.base.Load(); v.Result() != nil {
 		sp.SetStr("cache", "hit")
 		return v, nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.materializeLocked(ctx, sp)
-}
-
-// materializeLocked returns the published value, building it first when
-// it has no result or a degraded cache's dropped source is due another
-// probe. The build reads every source the mediator holds no state of
-// (readSource, concurrently; under the fault-tolerance layer one that
-// stays down is dropped, which degrades the cache), then evaluates the
-// program over all held states. Each source read gets a Full marker in
-// the log: it moved without a logged move. Called with m.mu held.
-func (m *Mediator) materializeLocked(ctx context.Context, sp *obs.Span) (*published, error) {
-	v := m.base.Load()
-	if v.Result() != nil && !(v.degraded && m.reprobeDue()) {
-		sp.SetStr("cache", "hit")
-		return v, nil
-	}
-	m.publishLocked(v.DropResult(), "")
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var missing []*Source
-	for _, s := range m.sortedSources() {
-		if v.State(s.Name) == nil {
-			missing = append(missing, s)
+	if v := m.base.Load(); v.Result() == nil {
+		pulls, _, err := m.readAhead(ctx, v, nil, sp)
+		if err == nil {
+			err = m.buildReadsLocked(ctx, v, pulls, sp)
 		}
-	}
-	g := m.newGuardCtx(ctx)
-	fsp := sp.Child("sources")
-	read := make([]*srcstate.State, len(missing))
-	errs := eachSource(missing, fsp, func(i int) (facts int, err error) {
-		if read[i], _, err = m.readSource(g, missing[i]); err != nil {
-			return 0, err
-		}
-		return read[i].Facts.Size(), nil
-	})
-	if err := ctx.Err(); err != nil {
-		// A cancelled fan-out must not be cached as a (partial) result.
-		fsp.End()
-		return nil, err
-	}
-	states := v.States()
-	for i, s := range missing {
-		if errs[i] != nil {
-			if g != nil && !m.opts.FailFast && sourceDown(errs[i]) {
-				g.markFailed(s.Name, errs[i])
-				m.counters().Add("mediator.sources_dropped", 1)
-				continue
-			}
-			fsp.End()
-			return nil, errs[i]
-		}
-		states[s.Name] = read[i]
-	}
-	g.annotate(fsp)
-	fsp.End()
-	if err := m.buildLocked(ctx, states, nil, sp); err != nil {
-		return nil, err
-	}
-	m.mergeReportsLocked(g.Reports())
-	for i, s := range missing {
-		if errs[i] == nil {
-			m.logDeltaLocked(&persist.WALRecord{Source: s.Name, Full: true})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return m.base.Load(), nil
 }
 
-// buildLocked builds the current program over states, of registered
-// sources, adopting store if it is not nil (srcstate.Build), and
+// buildLocked builds the current program over states, of the registered
+// sources srcs, adopting store if it is not nil (srcstate.Build), and
 // publishes the Base built. Called with m.mu held.
-func (m *Mediator) buildLocked(ctx context.Context, states map[string]*srcstate.State, store *datalog.Store, sp *obs.Span) error {
+func (m *Mediator) buildLocked(ctx context.Context, srcs map[string]*Source, states map[string]*srcstate.State, store *datalog.Store, sp *obs.Span) error {
 	e, err := m.newProgramEngineLocked(sp)
 	if err != nil {
 		return err
@@ -699,7 +640,7 @@ func (m *Mediator) buildLocked(ctx context.Context, states map[string]*srcstate.
 	if err != nil {
 		return fmt.Errorf("mediator: materialize: %w", err)
 	}
-	m.publishLocked(b, m.programSigLocked())
+	m.publishLocked(srcs, b, m.programSigLocked())
 	return nil
 }
 
@@ -753,12 +694,11 @@ func isGroundFact(r datalog.Rule) bool {
 	return true
 }
 
-// mergeReportsLocked folds per-query reports into the mediator-level
-// merge-by-source view behind SourceReports. Called with m.mu held.
-func (m *Mediator) mergeReportsLocked(reps []SourceReport) {
-	if len(reps) == 0 {
-		return
-	}
+// mergeReports folds a guarded read's reports into the mediator-level
+// merge-by-source view behind SourceReports.
+func (m *Mediator) mergeReports(reps []SourceReport) {
+	m.faultMu.Lock()
+	defer m.faultMu.Unlock()
 	if m.lastReports == nil {
 		m.lastReports = make(map[string]SourceReport, len(reps))
 	}
@@ -767,49 +707,15 @@ func (m *Mediator) mergeReportsLocked(reps []SourceReport) {
 	}
 }
 
-// mergeReports is mergeReportsLocked for callers not holding m.mu.
-func (m *Mediator) mergeReports(reps []SourceReport) {
-	if len(reps) == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.mergeReportsLocked(reps)
-	m.mu.Unlock()
-}
-
-// reprobeDue reports whether a degraded cache should be refreshed:
-// some source that was dropped is due another contact attempt, i.e. its
-// circuit breaker has cooled down (re-probes are thereby rate-limited
-// to one round per cooldown; a re-probe that fails again re-opens the breaker
-// and the degraded cache is served until the next cooldown elapses).
-// Without a breaker configured there is no cooldown to pace re-probes
-// by, so the cache stands until the caller invalidates it manually.
-// Called with m.mu held.
-func (m *Mediator) reprobeDue() bool {
-	if m.opts.Breaker.Threshold <= 0 {
-		return false
-	}
-	for _, r := range m.lastReports {
-		if r.Status == StatusFailed && m.breakerFor(r.Source).Allow() {
-			return true
-		}
-	}
-	return false
-}
-
 // SourceReports returns each source's most recent fault-tolerance
-// report across all guarded fan-outs — Materialize, a source move and
-// PushSelect — merged by source name and sorted (nil when the layer is
-// disabled or nothing guarded has run). Because concurrent reads
-// merge rather than overwrite, a read that never touched source X
-// leaves X's report from the read that did intact. A Status of
-// StatusFailed means the source was dropped and the answer degrades
-// over the survivors. With a breaker configured the next query after
-// the breaker's cooldown re-probes the failed source automatically;
-// without one, call Invalidate to re-pull once the source recovers.
+// report across all guarded reads — a build, a refresh or sync, and
+// PushSelect — sorted by source (nil when the layer is disabled or
+// nothing guarded has run). StatusFailed means the source was down; one
+// the mediator held no state of is left out (Answer.Missing) until a
+// writer reads it again: SyncSources, RefreshSource or Invalidate.
 func (m *Mediator) SourceReports() []SourceReport {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.faultMu.Lock()
+	defer m.faultMu.Unlock()
 	if len(m.lastReports) == 0 {
 		return nil
 	}
@@ -822,12 +728,11 @@ func (m *Mediator) SourceReports() []SourceReport {
 }
 
 // Invalidate drops the cache and every source state the mediator
-// holds, so the next Materialize reads every source again — e.g. after
-// a degraded run, to re-admit a recovered source immediately (or at
-// all, when no breaker is configured to pace automatic re-probes).
+// holds, so the next read builds over every source read again
+// (SyncSources re-admits a down source and keeps the others).
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
-	m.publishLocked(srcstate.Base{}, "")
+	m.publishLocked(m.base.Load().srcs, srcstate.Base{}, "")
 	m.mu.Unlock()
 }
 
@@ -844,63 +749,44 @@ func (m *Mediator) Explain(pred string, args ...term.Term) (*datalog.Derivation,
 	return v.Engine().Explain(v.Result(), pred, args...)
 }
 
+// pull is what a writer read of one source through its wrapper
+// (readSource): the next Source, a copy carrying the export, anchors
+// and contexts read, the state read, and the anchor concepts the domain
+// map did not know, which its commit adds (growLocked).
+type pull struct {
+	src     *Source
+	st      *srcstate.State
+	unknown []string
+}
+
 // readSource is the one way the mediator reads a source through its
 // wrapper: the data version first (a mutation racing the read leaves it
 // behind, and the next SyncSources reads again), then CM(S) exported
 // again (exportCM), its instance data pulled through the guard g, if
 // any (guardedSourceFacts), and the anchor and context report
-// (takeReport). It returns the state read and whether the report grew
-// the domain map.
-func (m *Mediator) readSource(g *guard, s *Source) (*srcstate.State, bool, error) {
-	st := srcstate.NewState(dataVersion(s.W))
-	if err := m.exportCM(s, st.Version); err != nil {
-		return nil, false, err
+// (takeReport). It writes neither s nor the domain map.
+func (m *Mediator) readSource(g *guard, s *Source) (*pull, error) {
+	next := *s
+	p := &pull{src: &next, st: srcstate.NewState(dataVersion(s.W))}
+	if err := m.exportCM(p.src, p.st.Version); err != nil {
+		return nil, err
 	}
-	facts, err := guardedSourceFacts(g, s)
+	facts, err := guardedSourceFacts(g, p.src)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	grew, err := m.takeReport(s)
-	if err != nil {
-		return nil, false, err
+	if p.unknown, err = m.takeReport(p.src); err != nil {
+		return nil, err
 	}
 	for _, r := range facts {
 		if isGroundFact(r) {
-			st.Facts.Insert(r.Head.Pred, r.Head.Args)
+			p.st.Facts.Insert(r.Head.Pred, r.Head.Args)
 		} else {
-			st.Rules = append(st.Rules, r)
+			p.st.Rules = append(p.st.Rules, r)
 		}
 	}
-	st.Anchors = s.anchors // takeReport replaces it, never writes it
-	return st, grew, nil
-}
-
-// eachSource runs fn(i) for every source concurrently (one task per
-// source, at most GOMAXPROCS at a time) and returns the errors
-// positionally, so callers can merge the results in deterministic
-// source order. A non-nil sp gets one child span per source, created
-// serially for deterministic order and annotated with the fact count fn
-// returns.
-func eachSource(srcs []*Source, sp *obs.Span, fn func(i int) (facts int, err error)) []error {
-	errs := make([]error, len(srcs))
-	spans := make([]*obs.Span, len(srcs))
-	if sp != nil {
-		for i, s := range srcs {
-			spans[i] = sp.Child("source " + s.Name)
-		}
-	}
-	fanOut(len(srcs), runtime.GOMAXPROCS(0), func(i int) {
-		var n int
-		n, errs[i] = fn(i)
-		if spans[i] != nil {
-			spans[i].SetInt("facts", int64(n))
-			if errs[i] != nil {
-				spans[i].SetStr("error", errs[i].Error())
-			}
-			spans[i].End()
-		}
-	})
-	return errs
+	p.st.Anchors = p.src.anchors
+	return p, nil
 }
 
 // sourceFacts renders one source's exported CM(S) in the namespaced

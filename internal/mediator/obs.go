@@ -14,8 +14,8 @@ import (
 // counters into the same set. Disabled (the default), all of this is
 // nil spans and nil sinks: one branch per instrumentation point.
 //
-// The obs state has its own mutex: Materialize holds m.mu for its
-// whole body, so the trace accessors must not contend on it.
+// The obs state has its own mutex: a build holds m.mu for its whole
+// body, so the trace accessors must not contend on it.
 
 // EnableTracing switches span tracing and counter collection on or
 // off. Turning it on allocates a fresh counter set and attaches it to
@@ -33,16 +33,10 @@ func (m *Mediator) EnableTracing(on bool) {
 	ctr := m.obsCtr
 	m.obsMu.Unlock()
 
-	m.mu.Lock()
-	sinks := make([]wrapper.CounterSink, 0, len(m.srcs))
-	for _, s := range m.srcs {
+	for _, s := range m.base.Load().srcs {
 		if cs, ok := s.W.(wrapper.CounterSink); ok {
-			sinks = append(sinks, cs)
+			cs.SetObsCounters(ctr)
 		}
-	}
-	m.mu.Unlock()
-	for _, cs := range sinks {
-		cs.SetObsCounters(ctr)
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 // maintenance: every applied source move (ApplySourceDelta,
 // RefreshSource, SyncSources, ApplyStreamBatch) emits one record, and
 // a build that reads a source through its wrapper emits a Full marker
-// for it (see materializeLocked). fn runs with the mediator's locks
+// for it (see buildReadsLocked). fn runs with the mediator's locks
 // held — it must be fast and must not call back into the mediator. A
 // nil fn disables logging.
 func (m *Mediator) SetDeltaLogger(fn func(*persist.WALRecord)) {
@@ -91,8 +91,8 @@ func sourceRules(s *Source) []datalog.Rule {
 // SnapshotState captures the published materialization as a durable
 // snapshot: the full store plus each source's facts, rule signature,
 // anchors, and data version. It fails when there is nothing sound to
-// persist — no cache, a degraded one, or a non-stratified
-// materialization. The snapshot shares its stores with the published
+// persist — no cache, one that lacks a registered source, or a
+// non-stratified materialization. The snapshot shares its stores with the published
 // value, which nothing writes, so it can be encoded while the mediator
 // moves on.
 func (m *Mediator) SnapshotState() (*persist.Snapshot, error) {
@@ -101,7 +101,7 @@ func (m *Mediator) SnapshotState() (*persist.Snapshot, error) {
 	switch {
 	case res == nil:
 		return nil, fmt.Errorf("mediator: snapshot: no materialized cache")
-	case v.degraded:
+	case v.Len() < len(v.srcs):
 		return nil, fmt.Errorf("mediator: snapshot: cache is degraded (a source was dropped)")
 	case !res.Stratified || res.Undefined != nil:
 		return nil, fmt.Errorf("mediator: snapshot: non-stratified materialization is not persistable")
@@ -187,7 +187,7 @@ func (m *Mediator) RestoreFromDB(db *persist.DB) *RestoreReport {
 		// reproduce the dying process's state. Drop the half-restored
 		// cache wholesale; with no source states left, the semantic
 		// index reads the registered anchors again.
-		m.publishLocked(srcstate.Base{}, "")
+		m.publishLocked(m.base.Load().srcs, srcstate.Base{}, "")
 		rep.Restored = false
 		rep.Reason = rerr.Error()
 		sp.SetStr("outcome", "replay-failed")
@@ -212,13 +212,14 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 		return fmt.Errorf("mediator: restore: program changed (snapshot %.12s…, current %.12s…)",
 			snap.ProgramSig, sig)
 	}
-	if len(snap.Sources) != len(m.srcs) {
+	srcs := m.base.Load().srcs
+	if len(snap.Sources) != len(srcs) {
 		return fmt.Errorf("mediator: restore: snapshot has %d sources, %d registered",
-			len(snap.Sources), len(m.srcs))
+			len(snap.Sources), len(srcs))
 	}
 	states := make(map[string]*srcstate.State, len(snap.Sources))
 	for _, st := range snap.Sources {
-		s, ok := m.srcs[st.Name]
+		s, ok := srcs[st.Name]
 		if !ok {
 			return fmt.Errorf("mediator: restore: snapshot source %s is not registered", st.Name)
 		}
@@ -230,7 +231,7 @@ func (m *Mediator) restoreStateLocked(snap *persist.Snapshot, sp *obs.Span) erro
 		// reads, not the ones the wrapper reported at registration.
 		states[st.Name] = &srcstate.State{Facts: st.Facts, Anchors: st.Anchors, Rules: rules, Version: st.Version}
 	}
-	return m.buildLocked(context.Background(), states, snap.Store, sp)
+	return m.buildLocked(context.Background(), srcs, states, snap.Store, sp)
 }
 
 // replayDeltaLocked re-applies one logged move through the same
@@ -241,12 +242,11 @@ func (m *Mediator) replayDeltaLocked(rec *persist.WALRecord, sp *obs.Span) error
 	if rec.Full {
 		return fmt.Errorf("mediator: replay: wal has a full-rebuild marker for %s; snapshot is stale", rec.Source)
 	}
-	s := m.srcs[rec.Source]
-	if s == nil || m.base.Load().State(rec.Source) == nil {
+	if m.base.Load().State(rec.Source) == nil {
 		return fmt.Errorf("mediator: replay: record for unknown source %s", rec.Source)
 	}
 	ch := srcstate.Change{Adds: rec.Adds, Dels: rec.Dels, AnchorAdds: rec.AnchorAdds, AnchorDels: rec.AnchorDels}
-	_, err := m.moveSourceLocked(s, rec.Version, ch, sp)
+	_, err := m.moveSourceLocked(rec.Source, rec.Version, ch, sp)
 	return err
 }
 
@@ -255,9 +255,10 @@ func (m *Mediator) replayDeltaLocked(rec *persist.WALRecord, sp *obs.Span) error
 // from, in name order. Called with m.mu held.
 func (m *Mediator) staleSourcesLocked() []string {
 	var stale []string
-	for _, s := range m.sortedSources() {
+	v := m.base.Load()
+	for _, s := range v.sources() {
 		ver := dataVersion(s.W)
-		if st := m.base.Load().State(s.Name); ver != 0 && st != nil && st.Version != ver {
+		if st := v.State(s.Name); ver != 0 && st != nil && st.Version != ver {
 			stale = append(stale, s.Name)
 		}
 	}

@@ -72,14 +72,7 @@ type PushResult struct {
 // exhausts its budget returns a *SourceDownError.
 func (m *Mediator) PushSelect(source, class string, sels ...wrapper.Selection) (*PushResult, error) {
 	g := m.newGuard()
-	res, err := m.pushSelect(g, source, class, sels...)
-	// Keep the mediator-level report view current for this source
-	// without clobbering other sources' reports (merge-by-source).
-	m.mergeReports(g.Reports())
-	return res, err
-}
-
-func (m *Mediator) pushSelect(g *guard, source, class string, sels ...wrapper.Selection) (*PushResult, error) {
+	defer func() { m.mergeReports(g.Reports()) }()
 	s, ok := m.Source(source)
 	if !ok {
 		return nil, fmt.Errorf("mediator: unknown source %s", source)
@@ -157,7 +150,7 @@ func (m *Mediator) heldSelect(v *published, source, class string, sels ...wrappe
 // of was dropped as down: the error is its last SourceDownError
 // (downError).
 func (m *Mediator) heldRows(v *published, source, class string, sels []wrapper.Selection) (rows [][]term.Term, pushed bool, err error) {
-	s, ok := m.Source(source)
+	s, ok := v.srcs[source]
 	if !ok {
 		return nil, false, fmt.Errorf("mediator: unknown source %s", source)
 	}
@@ -211,8 +204,8 @@ func (m *Mediator) heldRows(v *published, source, class string, sels []wrapper.S
 // downError is the error of a read of a registered source the published
 // value holds no state of: the SourceDownError its last report records.
 func (m *Mediator) downError(source string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.faultMu.Lock()
+	defer m.faultMu.Unlock()
 	if r := m.lastReports[source]; r.down != nil {
 		return r.down
 	}
@@ -462,11 +455,11 @@ func (m *Mediator) DistributionOf(protein, organism, root string) (*Distribution
 	sp := m.startSpan("mediator.query")
 	defer m.endTrace(sp)
 	body, vars := distributionQuery(protein, organism)
-	rows, err := m.queryCache(context.Background(), sp, body, nil, vars)
+	ans, err := m.query(context.Background(), sp, body, nil, vars)
 	if err != nil {
 		return nil, err
 	}
-	return foldDistribution(m.dm, root, rows)
+	return foldDistribution(m.dm, root, ans.Rows)
 }
 
 // distributionQuery is the query of a protein's measurements for an

@@ -484,8 +484,8 @@ func (m *Mediator) PlannedQueryCtx(ctx context.Context, q string, vars ...string
 	for _, s := range p.Sources {
 		candidate[s] = true
 	}
-	for _, s := range m.Sources() {
-		switch {
+	for _, src := range v.sources() {
+		switch s := src.Name; {
 		case !candidate[s]:
 			p.tracef("skipped source %s (not selected by the semantic index)", s)
 		case pushedSrc[s]: // traced with its pushdown steps
@@ -516,7 +516,7 @@ func (m *Mediator) PlannedQueryCtx(ctx context.Context, q string, vars ...string
 	if err != nil {
 		return nil, p, fmt.Errorf("mediator: planned query: %w", err)
 	}
-	return &Answer{Vars: vars, Rows: rows, Span: sp}, p, nil
+	return &Answer{Vars: vars, Rows: rows, Missing: v.missing(), Span: sp}, p, nil
 }
 
 // defaultVars extracts the output variables of a body in order of first

@@ -20,9 +20,12 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"modelmed/internal/datalog"
+	"modelmed/internal/obs"
 	"modelmed/internal/srcstate"
 	"modelmed/internal/wrapper"
 )
@@ -59,13 +62,12 @@ func (o StreamOutcome) String() string {
 // source. Exact version continuation patches incrementally; a stale
 // batch is dropped; a Resync marker, a version gap, an anchor at an
 // unknown concept or a missing cache falls back to a targeted refresh
-// of that source (never a silent drop). The returned report is the
-// refresh's report on the resync path. A batch carrying a non-ground
-// fact or a fact of another source is refused untouched (ErrBadDelta).
-// A move that fails once sequenced returns its error and changes
-// nothing, so the next batch finds a version gap and resyncs through
-// RefreshSource; the outcome returned with any error carries no
-// meaning.
+// of that source (never a silent drop), whose report is returned. A
+// batch carrying a non-ground fact or a fact of another
+// source is refused untouched (ErrBadDelta). A move that fails once
+// sequenced returns its error and changes nothing, so the next batch
+// finds a version gap and resyncs through a refresh; the outcome
+// returned with any error carries no meaning.
 func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamOutcome, error) {
 	sp := m.startSpan("mediator.apply_stream_batch")
 	defer m.endTrace(sp)
@@ -74,50 +76,53 @@ func (m *Mediator) ApplyStreamBatch(b wrapper.DeltaBatch) (*DeltaReport, StreamO
 	if err := checkDeltaFacts(b.Source, b.Adds, b.Dels, b.AnchorAdds, b.AnchorDels); err != nil {
 		return nil, StreamResynced, fmt.Errorf("mediator: stream batch for %s: %w", b.Source, err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.srcs[b.Source]
-	if !ok {
+	if _, ok := m.Source(b.Source); !ok {
 		return nil, StreamResynced, fmt.Errorf("mediator: %w: source %s not registered", ErrBadDelta, b.Source)
 	}
 	m.counters().Add("mediator.stream_batches", 1)
-	resync := func(why string) (*DeltaReport, StreamOutcome, error) {
-		sp.SetStr("resync", why)
-		m.counters().Add("mediator.stream_resync", 1)
-		rep, err := m.refreshSourceLocked(b.Source, sp.Child("resync "+b.Source))
-		return rep, StreamResynced, err
+	rep, out, why, err := m.applyBatch(b, sp)
+	if why == "" {
+		return rep, out, err
 	}
-	if b.Resync {
-		return resync("source-marked")
-	}
+	sp.SetStr("resync", why)
+	m.counters().Add("mediator.stream_resync", 1)
+	rep, err = m.refresh(b.Source, sp.Child("resync "+b.Source))
+	return rep, StreamResynced, err
+}
+
+// applyBatch sequences b against the held state under m.mu: it drops a
+// stale batch, moves a batch that extends the held version exactly,
+// and otherwise says why the source needs a resync instead.
+func (m *Mediator) applyBatch(b wrapper.DeltaBatch, sp *obs.Span) (rep *DeltaReport, out StreamOutcome, why string, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	v := m.base.Load()
 	held := v.State(b.Source)
-	if held == nil || v.Result() == nil {
-		return resync("no-patchable-cache")
-	}
-	if b.ToVersion <= held.Version {
+	switch {
+	case b.Resync:
+		return nil, StreamResynced, "source-marked", nil
+	case held == nil || v.Result() == nil:
+		return nil, StreamResynced, "no-patchable-cache", nil
+	case b.ToVersion <= held.Version:
 		sp.SetStr("outcome", "stale")
 		m.counters().Add("mediator.stream_stale", 1)
-		return &DeltaReport{Source: b.Source}, StreamStale, nil
-	}
-	if b.FromVersion != held.Version {
-		return resync("version-gap")
-	}
-	for _, r := range b.AnchorAdds {
+		return &DeltaReport{Source: b.Source}, StreamStale, "", nil
+	case b.FromVersion != held.Version:
+		return nil, StreamResynced, "version-gap", nil
+	case slices.ContainsFunc(b.AnchorAdds, func(r datalog.Rule) bool {
 		// anchor(Source, Obj, Concept): a concept the domain map does
 		// not know grows the map, which a delta cannot express.
-		if len(r.Head.Args) == 3 && !m.dm.HasConcept(r.Head.Args[2].Name()) {
-			return resync("unknown-concept")
-		}
+		return len(r.Head.Args) == 3 && !m.dm.HasConcept(r.Head.Args[2].Name())
+	}):
+		return nil, StreamResynced, "unknown-concept", nil
 	}
 	ch := srcstate.Change{Adds: b.Adds, Dels: b.Dels, AnchorAdds: b.AnchorAdds, AnchorDels: b.AnchorDels}
-	rep, err := m.moveSourceLocked(s, b.ToVersion, ch, sp)
-	if err != nil {
-		return nil, StreamResynced, err
+	if rep, err = m.moveSourceLocked(b.Source, b.ToVersion, ch, sp); err != nil {
+		return nil, StreamResynced, "", err
 	}
 	m.counters().Add("mediator.stream_applied", 1)
 	sp.SetStr("outcome", "applied")
-	return rep, StreamApplied, nil
+	return rep, StreamApplied, "", nil
 }
 
 // FeedOptions configure StartFeeds. The zero value is usable.
@@ -175,25 +180,15 @@ func (f *Feeds) Stop() {
 func (m *Mediator) StartFeeds(ctx context.Context, opts FeedOptions) *Feeds {
 	ctx, cancel := context.WithCancel(ctx)
 	f := &Feeds{cancel: cancel}
-	m.mu.Lock()
-	type feedSrc struct {
-		name string
-		s    wrapper.Streaming
-	}
-	var srcs []feedSrc
-	for _, s := range m.sortedSources() {
+	for _, s := range m.base.Load().sources() {
 		if st, ok := s.W.(wrapper.Streaming); ok {
-			srcs = append(srcs, feedSrc{s.Name, st})
 			f.Sources = append(f.Sources, s.Name)
+			f.wg.Add(1)
+			go func(name string) {
+				defer f.wg.Done()
+				m.runFeed(ctx, name, st, opts)
+			}(s.Name)
 		}
-	}
-	m.mu.Unlock()
-	for _, fs := range srcs {
-		f.wg.Add(1)
-		go func(name string, s wrapper.Streaming) {
-			defer f.wg.Done()
-			m.runFeed(ctx, name, s, opts)
-		}(fs.name, fs.s)
 	}
 	return f
 }

@@ -61,6 +61,12 @@ func (e *queryEncoder) encode(resp *QueryResponse, rows [][]term.Term) error {
 	b = strconv.AppendInt(b, int64(resp.Count), 10)
 	b = append(b, `,"cached":`...)
 	b = strconv.AppendBool(b, resp.Cached)
+	if resp.Partial {
+		b = append(b, `,"partial":true`...)
+	}
+	if len(resp.Missing) > 0 {
+		b = appendJSONStrings(append(b, `,"missing":`...), resp.Missing)
+	}
 	if resp.Trace != nil {
 		tr, err := json.Marshal(resp.Trace)
 		if err != nil {

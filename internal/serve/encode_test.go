@@ -29,7 +29,10 @@ func FuzzQueryResponse(f *testing.F) {
 		if hit {
 			rows = append(rows, []term.Term{term.Str(planText), term.Atom(planText), term.Atom(varName)})
 		}
-		resp := &QueryResponse{Count: len(rows), Cached: hit}
+		resp := &QueryResponse{Count: len(rows), Cached: hit, Partial: i%2 == 0}
+		if resp.Partial {
+			resp.Missing = []string{atom, str}
+		}
 		if varName != "" {
 			resp.Vars = []string{varName, atom, str}
 		}

@@ -226,11 +226,15 @@ type QueryRequest struct {
 
 // QueryResponse is the POST /v1/query reply.
 type QueryResponse struct {
-	Vars   []string        `json:"vars"`
-	Rows   [][]string      `json:"rows"`
-	Count  int             `json:"count"`
-	Cached bool            `json:"cached"`
-	Trace  *obs.SpanExport `json:"trace,omitempty"`
+	Vars   []string   `json:"vars"`
+	Rows   [][]string `json:"rows"`
+	Count  int        `json:"count"`
+	Cached bool       `json:"cached"`
+	// Partial marks an answer computed without some registered source
+	// (down, or not read yet); Missing names them.
+	Partial bool            `json:"partial,omitempty"`
+	Missing []string        `json:"missing,omitempty"`
+	Trace   *obs.SpanExport `json:"trace,omitempty"`
 }
 
 // DeltaRequest is the POST /v1/delta body. Adds and Dels are ground
@@ -384,9 +388,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.ctr.Add("serve.query_ok", 1)
 
 	resp := &QueryResponse{
-		Vars:   ans.Vars,
-		Count:  len(ans.Rows),
-		Cached: out == outcomeHit,
+		Vars:    ans.Vars,
+		Count:   len(ans.Rows),
+		Cached:  out == outcomeHit,
+		Partial: ans.Missing != nil,
+		Missing: ans.Missing,
 	}
 	if req.Trace {
 		resp.Trace = ans.Span.Export()

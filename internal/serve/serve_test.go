@@ -327,7 +327,8 @@ func TestDeltaStatusCodes(t *testing.T) {
 		{"anchor at unknown concept", warm, DeltaRequest{Source: "alpha", Adds: []string{"anchor('alpha', o1, uncharted_region)"}}, http.StatusBadRequest},
 		{"rebuild over budget", cold(&mediator.Options{Engine: datalog.Options{Limits: datalog.Limits{MaxDerivedFacts: 1}}}, false),
 			DeltaRequest{Source: "alpha", Adds: good}, http.StatusUnprocessableEntity},
-		{"rebuild fails", cold(&mediator.Options{SourceTimeout: time.Second, FailFast: true}, true), DeltaRequest{Source: "alpha", Adds: good}, http.StatusInternalServerError},
+		// The rebuild leaves the down source out, so the push to it fails.
+		{"rebuild fails", cold(&mediator.Options{SourceTimeout: time.Second}, true), DeltaRequest{Source: "alpha", Adds: good}, http.StatusInternalServerError},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(tc.server(t).Handler())
@@ -337,6 +338,59 @@ func TestDeltaStatusCodes(t *testing.T) {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.want, body)
 			}
 		})
+	}
+}
+
+// TestQueryFlagsMissingSource: an answer over a value that lacks a
+// registered source says so. beta is down at boot, so the build leaves
+// it out; a query over alpha answers, flagged partial with beta
+// missing, computed and cached alike. Once every source is held the
+// flags are gone.
+func TestQueryFlagsMissingSource(t *testing.T) {
+	m := mediator.New(sources.NeuroDM(), &mediator.Options{SourceTimeout: time.Second})
+	for i, name := range []string{"alpha", "beta"} {
+		w, err := wrapper.NewInMemory(sources.MustSyntheticSource(name, int64(40+i), 6, serveConcepts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var src wrapper.Wrapper = w
+		if name == "beta" {
+			src = wrapper.NewFaulty(w, wrapper.FaultConfig{Down: true})
+		}
+		if err := m.Register(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(New(m, Config{}).Handler())
+	defer ts.Close()
+	query := func(noCache bool) map[string]any {
+		t.Helper()
+		resp, body := postJSON(t, ts, "/v1/query", QueryRequest{Query: "src_obj('alpha', O, C)", NoCache: noCache})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var out map[string]any
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, cached := range []bool{false, true} {
+		out := query(false)
+		if out["cached"] != cached || out["count"] == 0.0 {
+			t.Fatalf("cached %v, count %v; want cached %v and rows", out["cached"], out["count"], cached)
+		}
+		if out["partial"] != true || fmt.Sprint(out["missing"]) != "[beta]" {
+			t.Errorf("partial %v, missing %v; want true and [beta]", out["partial"], out["missing"])
+		}
+	}
+	m.Unregister("beta")
+	out := query(true)
+	if _, ok := out["partial"]; ok {
+		t.Errorf("answer over every registered source is flagged: %v", out)
+	}
+	if _, ok := out["missing"]; ok {
+		t.Errorf("answer over every registered source names a missing one: %v", out)
 	}
 }
 
