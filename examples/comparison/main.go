@@ -78,7 +78,8 @@ func oneWorld() {
 	byTitle := map[string][]offer{}
 	for store, rs := range rows {
 		for _, r := range rs {
-			byTitle[r[0].Name()] = append(byTitle[r[0].Name()], offer{store, r[1].Name()})
+			title := r[0].Term().Name()
+			byTitle[title] = append(byTitle[title], offer{store, r[1].Term().Name()})
 		}
 	}
 	both := 0

@@ -60,7 +60,7 @@ func main() {
 			break
 		}
 		fmt.Printf("  SYNAPSE data at %-16s contains NCMIR data at %s\n",
-			row[0].Name(), row[1].Name())
+			row[0].Term().Name(), row[1].Term().Name())
 	}
 
 	// Example 4: the protein_distribution view for

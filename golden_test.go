@@ -103,7 +103,7 @@ func TestGoldenExamples(t *testing.T) {
 	}
 	pairs := map[string]bool{}
 	for _, row := range ans.Rows {
-		pairs[fmt.Sprintf("  %s contains %s", row[0].Name(), row[1].Name())] = true
+		pairs[fmt.Sprintf("  %s contains %s", row[0].Term().Name(), row[1].Term().Name())] = true
 	}
 	keys := make([]string, 0, len(pairs))
 	for k := range pairs {

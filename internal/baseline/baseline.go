@@ -92,7 +92,7 @@ func (m *Mediator) ResetStats() {
 // Query evaluates a structural query (over the xml_* predicates) against
 // EVERY registered source — the baseline has no index to narrow the
 // fan-out — returning the union of rows tagged by source.
-func (m *Mediator) Query(q string, vars ...string) (map[string][][]term.Term, error) {
+func (m *Mediator) Query(q string, vars ...string) (map[string][][]datalog.Cell, error) {
 	body, aux, err := parser.ParseQuery(q)
 	if err != nil {
 		return nil, err
@@ -100,7 +100,7 @@ func (m *Mediator) Query(q string, vars ...string) (map[string][][]term.Term, er
 	m.mu.Lock()
 	names := append([]string(nil), m.names...)
 	m.mu.Unlock()
-	out := make(map[string][][]term.Term, len(names))
+	out := make(map[string][][]datalog.Cell, len(names))
 	for _, name := range names {
 		m.mu.Lock()
 		facts := m.srcs[name]
@@ -148,7 +148,7 @@ func (m *Mediator) ObjectValueQuery(method, value string) (map[string][]string, 
 	out := make(map[string][]string, len(rows))
 	for src, rs := range rows {
 		for _, r := range rs {
-			out[src] = append(out[src], r[0].Name())
+			out[src] = append(out[src], r[0].Term().Name())
 		}
 		sort.Strings(out[src])
 	}
@@ -177,7 +177,7 @@ func (m *Mediator) FlatAmountSum(protein, organism, location string) (float64, i
 		for _, r := range rs {
 			// Amounts arrive as reified attribute strings; parse them
 			// back — the structural layer has no typed values.
-			t, err := parser.ParseTerm(r[1].Name())
+			t, err := parser.ParseTerm(r[1].Term().Name())
 			if err != nil {
 				continue
 			}

@@ -28,7 +28,6 @@ import (
 	"modelmed/internal/obs"
 	"modelmed/internal/parser"
 	"modelmed/internal/serve"
-	"modelmed/internal/term"
 )
 
 // RouterConfig configures a Router.
@@ -284,7 +283,7 @@ func (rt *Router) replicatedQuery(ctx context.Context, req *serve.QueryRequest) 
 		}
 		return nil, http.StatusInternalServerError, err
 	}
-	rows := renderRows(ans.Rows)
+	rows := datalog.RenderRows(ans.Rows)
 	return &QueryResponse{Vars: ans.Vars, Rows: rows, Count: len(rows), Mode: ModeReplicated.String()}, 0, nil
 }
 
@@ -486,7 +485,7 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 		}
 		return nil, http.StatusInternalServerError, err
 	}
-	resp.Vars, resp.Rows = ans.Vars, renderRows(ans.Rows)
+	resp.Vars, resp.Rows = ans.Vars, datalog.RenderRows(ans.Rows)
 	resp.Count = len(resp.Rows)
 	return resp, 0, nil
 }
@@ -550,21 +549,6 @@ func (rt *Router) replicaQuery(ctx context.Context, req *serve.QueryRequest, sha
 	}
 	_, err = rt.replica.read(st, query)
 	return ans, err
-}
-
-// renderRows renders term tuples as strings for JSON transport,
-// matching the single-node service's rendering so per-shard and
-// router-evaluated rows compare and dedup textually.
-func renderRows(rows [][]term.Term) [][]string {
-	out := make([][]string, len(rows))
-	for i, row := range rows {
-		cells := make([]string, len(row))
-		for j, t := range row {
-			cells[j] = t.String()
-		}
-		out[i] = cells
-	}
-	return out
 }
 
 // --- delta / sync ---

@@ -278,7 +278,7 @@ func (q *queryShape) body() ([]BodyElem, []string) {
 
 // sameAnswer compares two query outcomes: the same error-ness and the
 // same rows in the same order.
-func sameAnswer(t *testing.T, label string, got, want [][]term.Term, gerr, werr error) {
+func sameAnswer(t *testing.T, label string, got, want [][]Cell, gerr, werr error) {
 	t.Helper()
 	if (gerr != nil) != (werr != nil) {
 		t.Fatalf("%s: compiled error %v, interpreted error %v", label, gerr, werr)
@@ -291,7 +291,7 @@ func sameAnswer(t *testing.T, label string, got, want [][]term.Term, gerr, werr 
 			t.Fatalf("%s: row %d is %v compiled, %v interpreted", label, i, got[i], want[i])
 		}
 		for j := range got[i] {
-			if !got[i][j].Equal(want[i][j]) {
+			if !got[i][j].Term().Equal(want[i][j].Term()) {
 				t.Fatalf("%s: row %d is %v compiled, %v interpreted", label, i, got[i], want[i])
 			}
 		}
@@ -465,6 +465,78 @@ func TestQueryInternsNothing(t *testing.T) {
 	}
 }
 
+// TestInterpretedAnswerScratchSlab: the interpreter answers a value the
+// intern table lacks (an is result, a query-body aggregate) from the
+// answer's own scratch slab, without interning it, and deduplicates its
+// rows by ID whether their values are interned or not. Every answer has
+// a slab of its own: the same query answered twice shares only the
+// interned terms, and the first answer still reads right after the
+// second.
+func TestInterpretedAnswerScratchSlab(t *testing.T) {
+	eng := NewEngine(nil)
+	for i := 0; i < 6; i++ {
+		if err := eng.AddFact("val", term.Atom(fmt.Sprintf("slab%d", i)), term.Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	X, N, Z, S := v("X"), v("N"), v("Z"), v("S")
+	shifted := term.Comp("+", term.Comp("mod", N, term.Int(3)), term.Int(8_765_432))
+	queries := []struct {
+		name string
+		body []BodyElem
+		vars []string
+		want string
+	}{
+		{"interned is", []BodyElem{Lit("val", X, N), Lit(BuiltinIs, Z, term.Comp("mod", N, term.Int(3)))}, []string{"Z"},
+			"[[0] [1] [2]]"},
+		{"scratch is", []BodyElem{Lit("val", X, N), Lit(BuiltinIs, Z, shifted)}, []string{"Z"},
+			"[[8765432] [8765433] [8765434]]"},
+		{"mixed row", []BodyElem{Lit("val", X, N), Lit(BuiltinLess, N, term.Int(2)), Lit(BuiltinIs, Z, shifted)}, []string{"X", "Z"},
+			"[[slab0 8765432] [slab1 8765433]]"},
+		{"aggregate", []BodyElem{Aggregate{Result: S, Op: AggSum, Value: Z,
+			Body: []Literal{Lit("val", X, N), Lit(BuiltinIs, Z, term.Comp("+", N, term.Int(8_765_432)))}}}, []string{"S"},
+			"[[52592607]]"},
+	}
+	before := internedTerms()
+	for _, q := range queries {
+		first, st, err := res.QueryWithStats(context.Background(), q.body, q.vars)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		if st.Compiled {
+			t.Fatalf("%s: ran compiled, want the interpreter", q.name)
+		}
+		second, err := res.Query(q.body, q.vars)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		if got := fmt.Sprint(first); got != q.want {
+			t.Errorf("%s: got %s, want %s", q.name, got, q.want)
+		}
+		if got := fmt.Sprint(second); got != q.want {
+			t.Errorf("%s, answered again: got %s, want %s", q.name, got, q.want)
+		}
+		for i, row := range first {
+			for j, c := range row {
+				id, interned := lookupID(c.Term())
+				switch {
+				case interned && c.t != termAt(id):
+					t.Errorf("%s: interned cell %v does not point at the table", q.name, c)
+				case !interned && c.t == second[i][j].t:
+					t.Errorf("%s: scratch cell %v is shared by two answers", q.name, c)
+				}
+			}
+		}
+		if after := internedTerms(); after != before {
+			t.Fatalf("%s: the intern table grew from %d to %d terms", q.name, before, after)
+		}
+	}
+}
+
 // TestQueryConcurrentReaders runs 8 goroutines querying one compiled
 // result at once (run with -race): every answer equals the serial one.
 func TestQueryConcurrentReaders(t *testing.T) {
@@ -474,7 +546,7 @@ func TestQueryConcurrentReaders(t *testing.T) {
 	type query struct {
 		body []BodyElem
 		vars []string
-		want [][]term.Term
+		want [][]Cell
 		err  error
 	}
 	var qs []query

@@ -8,6 +8,7 @@ package datalog
 // conservative fallback to a full run.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -312,19 +313,7 @@ func TestAggregateDeltaCostProportional(t *testing.T) {
 func TestQueryCostFollowsAnswer(t *testing.T) {
 	body := []BodyElem{Lit("src_obj", v("S"), v("O"), v("C"))}
 	perQuery := func(objs int) uint64 {
-		eng := NewEngine(nil)
-		for s := 0; s < 4; s++ {
-			for o := 0; o < objs; o++ {
-				if err := eng.AddFact("src_obj", term.Atom(fmt.Sprintf("src%d", s)),
-					term.Atom(fmt.Sprintf("obj%d_%d", s, o)), term.Atom(fmt.Sprintf("class%d", o%7))); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := srcObjResult(t, objs)
 		return bytesPerRun(20, func() {
 			rows, err := res.Query(body, []string{"S"})
 			if err != nil || len(rows) != 4 {
@@ -336,6 +325,48 @@ func TestQueryCostFollowsAnswer(t *testing.T) {
 	t.Logf("bytes per query: %d at 2000 solutions, %d at 20000", small, large)
 	if large > 2*small {
 		t.Errorf("a 4-row query allocates %d bytes at 10x the solutions against %d at 1x: more than twice", large, small)
+	}
+}
+
+// srcObjResult is the result of src_obj(src<s>, obj<s>_<o>,
+// class<o mod 7>) for four sources of objs objects each.
+func srcObjResult(t *testing.T, objs int) *Result {
+	t.Helper()
+	eng := NewEngine(nil)
+	for s := 0; s < 4; s++ {
+		for o := 0; o < objs; o++ {
+			if err := eng.AddFact("src_obj", term.Atom(fmt.Sprintf("src%d", s)),
+				term.Atom(fmt.Sprintf("obj%d_%d", s, o)), term.Atom(fmt.Sprintf("class%d", o%7))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestQueryBytesPerRow holds a compiled query's answer to the size of
+// its rows, not of their terms: a 2-column query returning 5,000 rows
+// allocates at most 110 bytes a row. Its cells point at the interned
+// terms (8 bytes a cell); a copy of each 80-byte term, as rows of
+// term.Term were, took 232. Not parallel: it reads the process's
+// allocation counter.
+func TestQueryBytesPerRow(t *testing.T) {
+	const rows = 5000
+	res := srcObjResult(t, rows/4)
+	body := []BodyElem{Lit("src_obj", v("S"), v("O"), v("C"))}
+	perRow := bytesPerRun(10, func() {
+		got, st, err := res.QueryWithStats(context.Background(), body, []string{"O", "C"})
+		if err != nil || len(got) != rows || !st.Compiled {
+			t.Fatal(err, len(got), st)
+		}
+	}) / rows
+	t.Logf("%d bytes per row", perRow)
+	if perRow > 110 {
+		t.Errorf("a %d-row answer allocates %d bytes per row, want at most 110", rows, perRow)
 	}
 }
 

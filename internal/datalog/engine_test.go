@@ -513,7 +513,7 @@ func TestQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || !rows[0][0].Equal(atom("b")) || !rows[1][0].Equal(atom("c")) {
+	if len(rows) != 2 || !rows[0][0].Term().Equal(atom("b")) || !rows[1][0].Term().Equal(atom("c")) {
 		t.Errorf("query rows = %v", rows)
 	}
 	// Query with negation.
@@ -663,7 +663,7 @@ func TestDeterministicQueryOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || !rows[0][0].Equal(atom("a")) || !rows[2][0].Equal(atom("c")) {
+	if len(rows) != 3 || !rows[0][0].Term().Equal(atom("a")) || !rows[2][0].Term().Equal(atom("c")) {
 		t.Errorf("rows = %v", rows)
 	}
 }
@@ -757,7 +757,7 @@ func TestAggregateDoesNotInternScratchValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(c.name, err)
 		}
-		if len(rows) != 1 || !rows[0][0].Equal(c.want) {
+		if len(rows) != 1 || !rows[0][0].Term().Equal(c.want) {
 			t.Errorf("%s: got %v, want %s", c.name, rows, c.want)
 		}
 	}

@@ -139,9 +139,14 @@ func (tb *internTable) assign(t term.Term) uint32 {
 }
 
 // termOf resolves an interned ID back to its term. Lock-free.
-func termOf(id uint32) term.Term {
+func termOf(id uint32) term.Term { return *termAt(id) }
+
+// termAt returns where the table holds the interned term of id. Blocks
+// never move and an entry is never rewritten, so the pointer stays
+// valid, and its term unchanged, for the life of the process.
+func termAt(id uint32) *term.Term {
 	blocks := *interner.spine.Load()
-	return blocks[id>>internBlockBits].terms[id&(internBlockSize-1)]
+	return &blocks[id>>internBlockBits].terms[id&(internBlockSize-1)]
 }
 
 // depthOf returns the cached nesting depth of the interned term.

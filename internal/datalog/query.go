@@ -3,19 +3,67 @@ package datalog
 // Query answering: a conjunctive query body is compiled, like a rule
 // body, into a register program over interned IDs (compile.go), and its
 // solutions are collected as ID rows in an answerSet — distinct rows in
-// one flat arena, deduplicated as they arrive — which is sorted and
-// turned into terms once, at the end. A query never interns: its
-// constants are looked up, and a body whose evaluation would have to
-// intern a term runs on the interpreter instead, as does every body
-// under Options.Interpret.
+// one flat arena, deduplicated as they arrive — which is sorted once, at
+// the end, into rows of Cells: each cell points at the term the intern
+// table already holds, so an answer costs 8 bytes a cell, not a copy of
+// every term. A query never interns: its constants are looked up, and a
+// body whose evaluation would have to intern a term runs on the
+// interpreter instead, as does every body under Options.Interpret. The
+// interpreter collects into the same answerSet; a value it computes
+// that the table lacks (an is result, a compound built by =, an
+// aggregate) is kept in the answer's own scratch slab, under a
+// per-answer ID, and its cells point there.
 
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"modelmed/internal/term"
 )
+
+// Cell is one value of an answer row. It points at the term the intern
+// table holds (or, for a value no relation holds, at the answer's own
+// scratch slab), so a cell is 8 bytes however large its term. Cells are
+// read-only: nothing can be written through one, and the term a cell
+// points at never changes, so a row stays valid for as long as it is
+// held, across later deltas and queries.
+type Cell struct{ t *term.Term }
+
+// Term returns a copy of the cell's value; as with every term, its
+// Args must not be written.
+func (c Cell) Term() term.Term { return *c.t }
+
+// Append appends the cell's value in the rule language's syntax, as
+// term.Term.Append does.
+func (c Cell) Append(dst []byte) []byte { return c.t.Append(dst) }
+
+// String renders the cell's value in the rule language's syntax.
+func (c Cell) String() string { return c.t.String() }
+
+// CellOf returns a cell over its own copy of t, for a row composed
+// outside a query, such as a test's expected answer.
+func CellOf(t term.Term) Cell { return Cell{&t} }
+
+// RenderRows renders answer rows as strings, each cell as String does
+// and every cell in one slab: the one rendering of rows as strings, so
+// rows rendered anywhere compare and dedupe textually.
+func RenderRows(rows [][]Cell) [][]string {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	slab := make([]string, n)
+	out := make([][]string, len(rows))
+	for i, row := range rows {
+		cells := slab[:len(row):len(row)]
+		slab = slab[len(row):]
+		for j, c := range row {
+			cells[j] = c.String()
+		}
+		out[i] = cells
+	}
+	return out
+}
 
 // QueryStats describes how a query was answered.
 type QueryStats struct {
@@ -30,7 +78,7 @@ type QueryStats struct {
 // Query evaluates a conjunctive query body against the result store and
 // returns the distinct bindings of vars, sorted. The body may contain
 // negation, builtins and aggregates; it must be safe.
-func (r *Result) Query(body []BodyElem, vars []string) ([][]term.Term, error) {
+func (r *Result) Query(body []BodyElem, vars []string) ([][]Cell, error) {
 	return r.QueryCtx(context.Background(), body, vars)
 }
 
@@ -39,14 +87,14 @@ func (r *Result) Query(body []BodyElem, vars []string) ([][]term.Term, error) {
 // one unit of the fact budget, and the context is checked at the same
 // stride, so a cross-product query body is stopped cooperatively
 // instead of enumerating to completion.
-func (r *Result) QueryCtx(ctx context.Context, body []BodyElem, vars []string) ([][]term.Term, error) {
+func (r *Result) QueryCtx(ctx context.Context, body []BodyElem, vars []string) ([][]Cell, error) {
 	rows, _, err := r.QueryWithStats(ctx, body, vars)
 	return rows, err
 }
 
 // QueryWithStats is QueryCtx that also reports which evaluator answered
 // and how many solutions it enumerated.
-func (r *Result) QueryWithStats(ctx context.Context, body []BodyElem, vars []string) ([][]term.Term, QueryStats, error) {
+func (r *Result) QueryWithStats(ctx context.Context, body []BodyElem, vars []string) ([][]Cell, QueryStats, error) {
 	headArgs := make([]term.Term, len(vars))
 	for i, v := range vars {
 		headArgs[i] = term.Var(v)
@@ -66,69 +114,91 @@ func (r *Result) QueryWithStats(ctx context.Context, body []BodyElem, vars []str
 		opts:   &Options{MaxTermDepth: 64, MaxIterations: 1},
 		lim:    newLimiter(ctx, lims),
 	}
+	set := &answerSet{width: len(vars)}
+	st := QueryStats{}
 	if r.eng == nil || !r.eng.opts.Interpret {
 		if p := compileQuery(q, ordered); p != nil {
-			set := &answerSet{width: len(vars)}
-			if err := p.query(ev, set); err != nil {
-				return nil, QueryStats{}, err
-			}
-			return set.rows(), QueryStats{Compiled: true, Solutions: set.solutions}, nil
+			err = p.query(ev, set)
+			st.Compiled = true
 		}
 	}
-	rows, solutions, err := ev.interpretQuery(ordered, vars)
-	return rows, QueryStats{Solutions: solutions}, err
+	if !st.Compiled {
+		err = ev.interpretQuery(ordered, headArgs, set)
+	}
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	st.Solutions = set.solutions
+	return set.rows(), st, nil
 }
 
-// interpretQuery answers an ordered query body on the interpreter.
-func (ev *evalCtx) interpretQuery(ordered []BodyElem, vars []string) ([][]term.Term, int, error) {
-	seen := make(map[string]struct{})
-	var out [][]term.Term
-	solutions := 0
-	s := term.NewSubst()
-	err := ev.match(ordered, 0, -1, s, func(s *term.Subst) error {
+// interpretQuery answers an ordered query body on the interpreter,
+// offering each solution's values of vars to set. It interns nothing:
+// a value the table lacks goes to set's scratch slab.
+func (ev *evalCtx) interpretQuery(ordered []BodyElem, vars []term.Term, set *answerSet) error {
+	row := make([]uint32, len(vars))
+	return ev.match(ordered, 0, -1, term.NewSubst(), func(s *term.Subst) error {
 		if err := ev.spendGas(); err != nil {
 			return err
 		}
-		solutions++
-		row := make([]term.Term, len(vars))
-		var key string
 		for i, v := range vars {
-			row[i] = s.Apply(term.Var(v))
-			key += row[i].Key()
+			row[i] = set.idOf(s.Apply(v))
 		}
-		if _, dup := seen[key]; !dup {
-			seen[key] = struct{}{}
-			out = append(out, row)
-		}
+		set.add(row)
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if c := out[i][k].Compare(out[j][k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return out, solutions, nil
 }
 
-// answerSet is the set of distinct ID rows a compiled query found: the
-// rows live back to back in one arena, and an open-addressed table of
-// row numbers finds a duplicate without a key string or an allocation
-// per solution, so its memory follows the distinct rows.
+// answerSet is the set of distinct ID rows a query found: the rows live
+// back to back in one arena, and an open-addressed table of row numbers
+// finds a duplicate without a key string or an allocation per solution,
+// so its memory follows the distinct rows.
 type answerSet struct {
 	width     int
 	arena     []uint32 // distinct rows, row-major
 	slots     []int32  // row number + 1; 0 marks an empty slot
 	n         int      // distinct rows
 	solutions int      // rows offered, duplicates included
+
+	// scratch holds the interpreted values the intern table lacks; the
+	// i-th has the per-answer ID scratchTop-i, which scratchIDs finds
+	// by term key.
+	scratch    []term.Term
+	scratchIDs map[string]uint32
 }
 
+// scratchTop is the highest scratch ID; scratch IDs count down from it,
+// clear of the interned IDs counting up from 0 for the same reason
+// unboundID is.
+const scratchTop = unboundID - 1
+
 func (s *answerSet) row(i int) []uint32 { return s.arena[i*s.width : (i+1)*s.width] }
+
+// idOf returns t's interned ID, or else its scratch ID, adding it to
+// the scratch slab if it is new.
+func (s *answerSet) idOf(t term.Term) uint32 {
+	if id, ok := lookupID(t); ok {
+		return id
+	}
+	id, ok := s.scratchIDs[t.Key()]
+	if !ok {
+		if s.scratchIDs == nil {
+			s.scratchIDs = make(map[string]uint32)
+		}
+		id = scratchTop - uint32(len(s.scratch))
+		s.scratch = append(s.scratch, t)
+		s.scratchIDs[t.Key()] = id
+	}
+	return id
+}
+
+// cell returns the cell of an ID of this set's rows.
+func (s *answerSet) cell(id uint32) Cell {
+	if i := scratchTop - id; i < uint32(len(s.scratch)) {
+		return Cell{&s.scratch[i]}
+	}
+	return Cell{termAt(id)}
+}
 
 // add offers one solution's row; the set copies it if it is new.
 func (s *answerSet) add(row []uint32) {
@@ -173,18 +243,17 @@ func hashIDs(row []uint32) int {
 	return int(h >> 1)
 }
 
-// rows materializes the set sorted by term.Compare column by column, the
-// interpreter's order; rows that compare equal in every column (only
-// distinct terms such as 0.0 and -0.0 can) are ordered by ID. All
-// cells share one slab.
-func (s *answerSet) rows() [][]term.Term {
+// rows materializes the set sorted by term.Compare column by column;
+// rows that compare equal in every column (only distinct terms such as
+// 0.0 and -0.0 can) are ordered by ID. All cells share one slab.
+func (s *answerSet) rows() [][]Cell {
 	if s.n == 0 {
 		return nil
 	}
 	w := s.width
-	cells := make([]term.Term, s.n*w)
+	cells := make([]Cell, s.n*w)
 	for i, id := range s.arena {
-		cells[i] = termOf(id)
+		cells[i] = s.cell(id)
 	}
 	order := make([]int32, s.n)
 	for i := range order {
@@ -197,13 +266,13 @@ func (s *answerSet) rows() [][]term.Term {
 			if ia[k] == ib[k] {
 				continue
 			}
-			if c := cells[int(a)*w+k].Compare(cells[int(b)*w+k]); c != 0 {
+			if c := cells[int(a)*w+k].t.Compare(*cells[int(b)*w+k].t); c != 0 {
 				return c
 			}
 		}
 		return slices.Compare(ia, ib)
 	})
-	out := make([][]term.Term, s.n)
+	out := make([][]Cell, s.n)
 	for k, i := range order {
 		lo := int(i) * w
 		out[k] = cells[lo : lo+w : lo+w]

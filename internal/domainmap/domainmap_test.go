@@ -243,7 +243,7 @@ func TestClosureRulesMatchGoOps(t *testing.T) {
 		}
 		got := make([]string, len(rows))
 		for i, r := range rows {
-			got[i] = r[0].Name()
+			got[i] = r[0].Term().Name()
 		}
 		if strings.Join(got, ",") != strings.Join(down, ",") {
 			t.Errorf("concept %s: datalog down = %v, native = %v", c, got, down)

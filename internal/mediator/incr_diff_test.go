@@ -262,7 +262,7 @@ func TestProteinDistributionDeltaRefolds(t *testing.T) {
 		}
 		rows := datalog.NewStore()
 		for _, row := range a.Rows {
-			rows.Insert("row", row)
+			rows.Insert("row", rowTerms(row))
 		}
 		return rows
 	}

@@ -28,8 +28,8 @@ import (
 // answers can be compared for set equality.
 func fingerprint(ans *Answer) string {
 	rows := make([]string, len(ans.Rows))
-	for i, r := range ans.Rows {
-		rows[i] = term.FormatTuple(r)
+	for i, r := range datalog.RenderRows(ans.Rows) {
+		rows[i] = "(" + strings.Join(r, ",") + ")"
 	}
 	sort.Strings(rows)
 	return strings.Join(rows, "\n")

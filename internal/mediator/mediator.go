@@ -130,6 +130,9 @@ type Mediator struct {
 	// result, the next read builds one.
 	base atomic.Pointer[published]
 
+	// progGen is the program generation (see ProgramGen).
+	progGen atomic.Uint64
+
 	// deltaLog, when set, receives a WAL record for every source move
 	// (and a Full marker for every source a build reads) while m.mu is
 	// held, so records are appended in exactly the order they landed.
@@ -191,6 +194,15 @@ type published struct {
 func (m *Mediator) publishLocked(srcs map[string]*Source, b srcstate.Base, sig string) {
 	m.base.Store(&published{Base: b, srcs: srcs, views: m.views, viewText: m.viewText, sig: sig})
 }
+
+// ProgramGen returns the program generation. Register, Unregister,
+// RegisterKnowledge, DefineView and Invalidate each move it, after
+// they publish; a source move (a delta, a sync) does not. So an answer
+// computed after reading generation g is no older than the last of
+// those calls before it: a cache that stamps an answer with the
+// generation it read before computing it, and misses on any other,
+// never serves an answer from before such a call.
+func (m *Mediator) ProgramGen() uint64 { return m.progGen.Load() }
 
 // names returns v's registered source names in order.
 func (v *published) names() []string {
@@ -346,6 +358,7 @@ func (m *Mediator) Register(w wrapper.Wrapper) error {
 	srcs := maps.Clone(v.srcs)
 	srcs[name] = src
 	m.publishLocked(srcs, v.DropResult(), "")
+	m.progGen.Add(1)
 	return nil
 }
 
@@ -409,6 +422,7 @@ func (m *Mediator) Unregister(name string) {
 	srcs := maps.Clone(v.srcs)
 	delete(srcs, name)
 	m.publishLocked(srcs, v.DropSource(name), "")
+	m.progGen.Add(1)
 }
 
 // RegisterKnowledge extends the domain map with DL axioms sent by a
@@ -420,6 +434,7 @@ func (m *Mediator) RegisterKnowledge(axioms ...dl.Axiom) error {
 	m.mu.Lock()
 	v := m.base.Load()
 	m.publishLocked(v.srcs, v.DropResult(), "")
+	m.progGen.Add(1)
 	m.mu.Unlock()
 	return nil
 }
@@ -439,6 +454,7 @@ func (m *Mediator) DefineView(src string) error {
 	m.viewText = append(m.viewText, src)
 	v := m.base.Load()
 	m.publishLocked(v.srcs, v.DropResult(), "")
+	m.progGen.Add(1)
 	return nil
 }
 
@@ -469,7 +485,9 @@ func (m *Mediator) Views() []string {
 // Answer is the result of a mediator query.
 type Answer struct {
 	Vars []string
-	Rows [][]term.Term
+	// Rows are the answer's distinct rows, sorted; their cells are
+	// read-only (see datalog.Cell).
+	Rows [][]datalog.Cell
 	// Missing names, in order, the registered sources the answer was
 	// computed without: down, or not read yet. Nil when it was computed
 	// over every source.
@@ -548,7 +566,7 @@ func (m *Mediator) query(ctx context.Context, sp *obs.Span, body []datalog.BodyE
 // queryResult evaluates body over res. A query's auxiliary rules run in
 // a layer over res that is dropped with the answer, so they never join
 // the program and the read moves no state.
-func queryResult(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) ([][]term.Term, datalog.QueryStats, error) {
+func queryResult(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) ([][]datalog.Cell, datalog.QueryStats, error) {
 	if len(aux) > 0 {
 		var err error
 		if res, err = res.Extend(ctx, aux); err != nil {
@@ -733,6 +751,7 @@ func (m *Mediator) SourceReports() []SourceReport {
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
 	m.publishLocked(m.base.Load().srcs, srcstate.Base{}, "")
+	m.progGen.Add(1)
 	m.mu.Unlock()
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"modelmed/internal/datalog"
 	"modelmed/internal/dl"
 	"modelmed/internal/domainmap"
 	"modelmed/internal/gcm"
@@ -19,6 +20,15 @@ import (
 
 // newNeuroMediator builds the full paper scenario: ANATOM domain map +
 // SYNAPSE, NCMIR, SENSELAB sources + standard views.
+// rowTerms copies an answer row's values out of its cells.
+func rowTerms(row []datalog.Cell) []term.Term {
+	out := make([]term.Term, len(row))
+	for i, c := range row {
+		out[i] = c.Term()
+	}
+	return out
+}
+
 func newNeuroMediator(t testing.TB, nSyn, nNcm, nSl int) *Mediator {
 	t.Helper()
 	m := New(sources.NeuroDM(), nil)
@@ -133,7 +143,7 @@ func TestNeurotransmissionView(t *testing.T) {
 	}
 	found := false
 	for _, r := range ans.Rows {
-		if r[0].Equal(term.Atom("purkinje_cell")) {
+		if r[0].Term().Equal(term.Atom("purkinje_cell")) {
 			found = true
 		}
 	}
@@ -155,8 +165,8 @@ func TestProteinDistributionView(t *testing.T) {
 	if len(ans.Rows) != 1 {
 		t.Fatalf("rows = %v", ans.Rows)
 	}
-	total, _ := ans.Rows[0][0].Numeric()
-	n := ans.Rows[0][1].IntVal()
+	total, _ := ans.Rows[0][0].Term().Numeric()
+	n := ans.Rows[0][1].Term().IntVal()
 	if n <= 0 || total <= 0 {
 		t.Errorf("distribution empty: total=%v n=%v", total, n)
 	}
@@ -348,7 +358,7 @@ func TestForeignFormatSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 1 || !ans.Rows[0][0].Equal(term.Atom("n1")) {
+	if len(ans.Rows) != 1 || !ans.Rows[0][0].Term().Equal(term.Atom("n1")) {
 		t.Errorf("rows = %v", ans.Rows)
 	}
 	// The bridge rules and FL axioms classify it globally.
@@ -404,7 +414,7 @@ func TestQueryWithNegatedGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range ans.Rows {
-		c := row[0].Name()
+		c := row[0].Term().Name()
 		for _, s := range m.Index().SourcesAt(c) {
 			if s == "SYNAPSE" {
 				t.Errorf("concept %s has SYNAPSE anchors", c)
@@ -474,9 +484,9 @@ func TestExecuteDMInstances(t *testing.T) {
 }
 
 func TestFormatAnswer(t *testing.T) {
-	a := &Answer{Vars: []string{"X", "LongName"}, Rows: [][]term.Term{
-		{term.Atom("aaa"), term.Int(1)},
-		{term.Atom("b"), term.Int(22)},
+	a := &Answer{Vars: []string{"X", "LongName"}, Rows: [][]datalog.Cell{
+		{datalog.CellOf(term.Atom("aaa")), datalog.CellOf(term.Int(1))},
+		{datalog.CellOf(term.Atom("b")), datalog.CellOf(term.Int(22))},
 	}}
 	s := FormatAnswer(a)
 	if !strings.Contains(s, "LongName") || !strings.Contains(s, "aaa") {
@@ -615,7 +625,7 @@ func TestExplainViewTuple(t *testing.T) {
 	if len(ans.Rows) == 0 {
 		t.Fatal("no view tuples")
 	}
-	o := ans.Rows[0][0]
+	o := ans.Rows[0][0].Term()
 	d, err := m.Explain("instance", o, term.Atom("neurotransmission"))
 	if err != nil {
 		t.Fatal(err)
@@ -980,7 +990,7 @@ func TestTutorialFleetScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 1 || !ans.Rows[0][0].Equal(term.Int(1500)) {
+	if len(ans.Rows) != 1 || !ans.Rows[0][0].Term().Equal(term.Int(1500)) {
 		t.Fatalf("engine_cost = %v, want 1500", ans.Rows)
 	}
 	// vehicle region contains all three.
@@ -988,7 +998,7 @@ func TestTutorialFleetScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 1 || !ans.Rows[0][0].Equal(term.Int(1950)) {
+	if len(ans.Rows) != 1 || !ans.Rows[0][0].Term().Equal(term.Int(1950)) {
 		t.Fatalf("vehicle cost = %v, want 1950", ans.Rows)
 	}
 	// The derived attribute works.

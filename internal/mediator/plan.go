@@ -475,11 +475,11 @@ func distributionQuery(protein, organism string) ([]datalog.BodyElem, []string) 
 }
 
 // foldDistribution folds distributionQuery's rows over dm under root.
-func foldDistribution(dm *domainmap.DomainMap, root string, rows [][]term.Term) (*Distribution, error) {
+func foldDistribution(dm *domainmap.DomainMap, root string, rows [][]datalog.Cell) (*Distribution, error) {
 	direct := map[string]Contribution{}
 	for _, row := range rows {
-		c := row[0].Name()
-		amt, ok := row[2].Numeric()
+		c := row[0].Term().Name()
+		amt, ok := row[2].Term().Numeric()
 		if !ok {
 			return nil, fmt.Errorf("mediator: non-numeric amount %s for %s", row[2], row[1])
 		}
@@ -516,14 +516,10 @@ func FormatAnswer(a *Answer) string {
 	for i, v := range a.Vars {
 		widths[i] = len(v)
 	}
-	cells := make([][]string, len(a.Rows))
-	for r, row := range a.Rows {
-		cells[r] = make([]string, len(row))
-		for i, t := range row {
-			cells[r][i] = t.String()
-			if len(cells[r][i]) > widths[i] {
-				widths[i] = len(cells[r][i])
-			}
+	cells := datalog.RenderRows(a.Rows)
+	for _, row := range cells {
+		for i, c := range row {
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	for i, v := range a.Vars {

@@ -104,7 +104,7 @@ func TestPlannedQueryMatchesMaterialized(t *testing.T) {
 	}
 	for i := range full.Rows {
 		for j := range full.Rows[i] {
-			if !full.Rows[i][j].Equal(planned.Rows[i][j]) {
+			if !full.Rows[i][j].Term().Equal(planned.Rows[i][j].Term()) {
 				t.Fatalf("row %d differs: %v vs %v", i, full.Rows[i], planned.Rows[i])
 			}
 		}
@@ -219,7 +219,7 @@ func TestPushdownLoadedAnchors(t *testing.T) {
 		t.Error("pushdown-loaded objects must keep anchors")
 	}
 	for _, row := range planned.Rows {
-		if row[0].Kind() != term.KindAtom {
+		if row[0].Term().Kind() != term.KindAtom {
 			t.Errorf("odd row %v", row)
 		}
 	}

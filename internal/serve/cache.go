@@ -34,12 +34,21 @@ import (
 // before an invalidation must not publish its (pre-delta) answer
 // after it, so the leader snapshots the generation at flight start
 // and the insert is skipped if it moved.
+//
+// A program change made on the mediator directly (Register,
+// Unregister, RegisterKnowledge, DefineView, Invalidate) reaches no
+// handler, so the cache asks instead: each entry is stamped with the
+// mediator's program generation read before its answer was computed,
+// and a lookup under any other generation misses and drops the entry.
+// A delta leaves the generation alone, so its invalidation stays the
+// precise one above.
 
 type cacheEntry struct {
 	key    string
 	val    *mediator.Answer
 	deps   []string
 	global bool
+	prog   uint64 // program generation the answer was computed under
 	elem   *list.Element
 }
 
@@ -57,6 +66,8 @@ type cachePart struct {
 }
 
 type answerCache struct {
+	program func() uint64 // the mediator's program generation
+
 	mu      sync.Mutex
 	cap     int
 	parts   map[string]*cachePart
@@ -64,11 +75,12 @@ type answerCache struct {
 	gen     uint64             // bumped by every invalidation
 }
 
-func newAnswerCache(capacity int) *answerCache {
+func newAnswerCache(capacity int, program func() uint64) *answerCache {
 	if capacity <= 0 {
 		capacity = 256
 	}
 	return &answerCache{
+		program: program,
 		cap:     capacity,
 		parts:   make(map[string]*cachePart),
 		flights: make(map[string]*flight),
@@ -87,18 +99,35 @@ func (c *answerCache) partLocked(tenant string) *cachePart {
 // get returns a cached answer from the tenant's partition and bumps
 // its recency.
 func (c *answerCache) get(tenant, key string) (*mediator.Answer, bool) {
+	prog := c.program()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := c.lookupLocked(tenant, key, prog)
+	if e == nil {
+		return nil, false
+	}
+	return e.val, true
+}
+
+// lookupLocked returns the tenant's entry for key, bumped to most
+// recent, if it was computed under program generation prog; an entry
+// from an older program is dropped. Called with c.mu held.
+func (c *answerCache) lookupLocked(tenant, key string, prog uint64) *cacheEntry {
 	p := c.parts[tenant]
 	if p == nil {
-		return nil, false
+		return nil
 	}
 	e, ok := p.entries[key]
 	if !ok {
-		return nil, false
+		return nil
+	}
+	if e.prog != prog {
+		p.lru.Remove(e.elem)
+		delete(p.entries, key)
+		return nil
 	}
 	p.lru.MoveToFront(e.elem)
-	return e.val, true
+	return e
 }
 
 // outcome classifies how do() produced its answer.
@@ -133,14 +162,12 @@ func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string,
 	compute func() (*mediator.Answer, error)) (*mediator.Answer, outcome, error) {
 	fk := tenant + "\x00" + key
 	for {
+		prog := c.program()
 		c.mu.Lock()
-		if p := c.parts[tenant]; p != nil {
-			if e, ok := p.entries[key]; ok {
-				p.lru.MoveToFront(e.elem)
-				val := e.val
-				c.mu.Unlock()
-				return val, outcomeHit, nil
-			}
+		if e := c.lookupLocked(tenant, key, prog); e != nil {
+			val := e.val
+			c.mu.Unlock()
+			return val, outcomeHit, nil
 		}
 		if f, ok := c.flights[fk]; ok {
 			c.mu.Unlock()
@@ -168,7 +195,7 @@ func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string,
 		c.mu.Lock()
 		delete(c.flights, fk)
 		if f.err == nil && c.gen == snap {
-			c.insertLocked(tenant, key, f.val, deps, global)
+			c.insertLocked(tenant, key, f.val, deps, global, prog)
 		}
 		c.mu.Unlock()
 		close(f.done)
@@ -176,16 +203,17 @@ func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string,
 	}
 }
 
-// insertLocked adds an entry to the tenant's partition and evicts past
-// capacity. Called with c.mu held.
-func (c *answerCache) insertLocked(tenant, key string, val *mediator.Answer, deps []string, global bool) {
+// insertLocked adds an entry computed under program generation prog to
+// the tenant's partition and evicts past capacity. Called with c.mu
+// held.
+func (c *answerCache) insertLocked(tenant, key string, val *mediator.Answer, deps []string, global bool, prog uint64) {
 	p := c.partLocked(tenant)
 	if e, ok := p.entries[key]; ok {
-		e.val = val
+		e.val, e.prog = val, prog
 		p.lru.MoveToFront(e.elem)
 		return
 	}
-	e := &cacheEntry{key: key, val: val, deps: deps, global: global}
+	e := &cacheEntry{key: key, val: val, deps: deps, global: global, prog: prog}
 	e.elem = p.lru.PushFront(e)
 	p.entries[key] = e
 	for p.lru.Len() > c.cap {

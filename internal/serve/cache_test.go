@@ -11,6 +11,9 @@ import (
 	"modelmed/internal/mediator"
 )
 
+// fixedProgram is a program generation that never moves.
+func fixedProgram() uint64 { return 0 }
+
 // mkcached is an answer tagged n in its one var name.
 func mkcached(n int) *mediator.Answer {
 	return &mediator.Answer{Vars: []string{fmt.Sprint(n)}}
@@ -21,7 +24,7 @@ func computeOK(n int) func() (*mediator.Answer, error) {
 }
 
 func TestCacheHitAndLRUEviction(t *testing.T) {
-	c := newAnswerCache(2)
+	c := newAnswerCache(2, fixedProgram)
 	ctx := context.Background()
 	mustDo := func(key string, n int) outcome {
 		t.Helper()
@@ -53,7 +56,7 @@ func TestCacheHitAndLRUEviction(t *testing.T) {
 }
 
 func TestCacheErrorsAreNotCached(t *testing.T) {
-	c := newAnswerCache(4)
+	c := newAnswerCache(4, fixedProgram)
 	boom := errors.New("boom")
 	_, _, err := c.do(context.Background(), defaultTenant, "k", nil, false, func() (*mediator.Answer, error) {
 		return nil, boom
@@ -67,7 +70,7 @@ func TestCacheErrorsAreNotCached(t *testing.T) {
 }
 
 func TestCacheSingleFlightCollapses(t *testing.T) {
-	c := newAnswerCache(4)
+	c := newAnswerCache(4, fixedProgram)
 	var computes atomic.Int64
 	gate := make(chan struct{})
 	compute := func() (*mediator.Answer, error) {
@@ -116,7 +119,7 @@ func TestCacheSingleFlightCollapses(t *testing.T) {
 }
 
 func TestCacheFollowerCancellation(t *testing.T) {
-	c := newAnswerCache(4)
+	c := newAnswerCache(4, fixedProgram)
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -137,7 +140,7 @@ func TestCacheFollowerCancellation(t *testing.T) {
 }
 
 func TestCacheInvalidateSource(t *testing.T) {
-	c := newAnswerCache(8)
+	c := newAnswerCache(8, fixedProgram)
 	ctx := context.Background()
 	c.do(ctx, defaultTenant, "alpha-only", []string{"alpha"}, false, computeOK(1))
 	c.do(ctx, defaultTenant, "beta-only", []string{"beta"}, false, computeOK(2))
@@ -160,7 +163,7 @@ func TestCacheInvalidateSource(t *testing.T) {
 }
 
 func TestCacheInvalidateAll(t *testing.T) {
-	c := newAnswerCache(8)
+	c := newAnswerCache(8, fixedProgram)
 	ctx := context.Background()
 	c.do(ctx, defaultTenant, "a", []string{"alpha"}, false, computeOK(1))
 	c.do(ctx, defaultTenant, "b", nil, true, computeOK(2))
@@ -175,7 +178,7 @@ func TestCacheInvalidateAll(t *testing.T) {
 func TestCacheGenerationGuardsStaleInsert(t *testing.T) {
 	// A flight that began before an invalidation must not publish its
 	// (pre-delta) answer after it.
-	c := newAnswerCache(8)
+	c := newAnswerCache(8, fixedProgram)
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	done := make(chan struct{})

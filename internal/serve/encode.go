@@ -1,9 +1,9 @@
 package serve
 
-// The /v1/query reply is written in one pass from the answer's term
-// rows: every cell is rendered with term.Term.Append and escaped
-// straight into a pooled buffer, with no [][]string copy of the answer
-// and no reflection. The bytes are exactly what
+// The /v1/query reply is written in one pass from the answer's rows of
+// cells, which point at the interned terms: every cell is rendered with
+// datalog.Cell.Append and escaped straight into a pooled buffer, with
+// no copy of the answer's terms, no [][]string and no reflection. The bytes are exactly what
 // json.NewEncoder(w).Encode(&QueryResponse{...}) writes, trailing
 // newline included; FuzzQueryResponse holds the two to that.
 
@@ -13,7 +13,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
-	"modelmed/internal/term"
+	"modelmed/internal/datalog"
 )
 
 // queryEncoder holds the buffers one reply is encoded in.
@@ -39,7 +39,7 @@ func (e *queryEncoder) release() {
 
 // encode sets e.buf to the JSON encoding of resp, with rows rendered
 // in place of resp.Rows, which it ignores.
-func (e *queryEncoder) encode(resp *QueryResponse, rows [][]term.Term) error {
+func (e *queryEncoder) encode(resp *QueryResponse, rows [][]datalog.Cell) error {
 	b := append(e.buf[:0], `{"vars":`...)
 	b = appendJSONStrings(b, resp.Vars)
 	b = append(b, `,"rows":[`...)
@@ -48,11 +48,11 @@ func (e *queryEncoder) encode(resp *QueryResponse, rows [][]term.Term) error {
 			b = append(b, ',')
 		}
 		b = append(b, '[')
-		for j, t := range row {
+		for j, c := range row {
 			if j > 0 {
 				b = append(b, ',')
 			}
-			e.cell = t.Append(e.cell[:0])
+			e.cell = c.Append(e.cell[:0])
 			b = appendJSONString(b, e.cell)
 		}
 		b = append(b, ']')

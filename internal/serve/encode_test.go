@@ -6,9 +6,22 @@ import (
 	"math"
 	"testing"
 
+	"modelmed/internal/datalog"
 	"modelmed/internal/obs"
 	"modelmed/internal/term"
 )
+
+// cellRows makes answer rows of terms.
+func cellRows(rows [][]term.Term) [][]datalog.Cell {
+	out := make([][]datalog.Cell, len(rows))
+	for i, row := range rows {
+		out[i] = make([]datalog.Cell, len(row))
+		for j, t := range row {
+			out[i][j] = datalog.CellOf(t)
+		}
+	}
+	return out
+}
 
 // FuzzQueryResponse holds the one-pass /v1/query encoder to
 // encoding/json: for drawn atom, string, variable and plan-trace texts,
@@ -41,11 +54,11 @@ func FuzzQueryResponse(f *testing.F) {
 		}
 		enc := getQueryEncoder()
 		defer enc.release()
-		if err := enc.encode(resp, rows); err != nil {
+		if err := enc.encode(resp, cellRows(rows)); err != nil {
 			t.Fatal(err)
 		}
 		want := *resp
-		want.Rows = renderRows(rows)
+		want.Rows = datalog.RenderRows(cellRows(rows))
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(&want); err != nil {
 			t.Fatal(err)
@@ -62,11 +75,11 @@ func TestQueryResponseEmpty(t *testing.T) {
 	for _, rows := range [][][]term.Term{nil, {{}}} {
 		resp := &QueryResponse{Count: len(rows)}
 		enc := getQueryEncoder()
-		if err := enc.encode(resp, rows); err != nil {
+		if err := enc.encode(resp, cellRows(rows)); err != nil {
 			t.Fatal(err)
 		}
 		want := *resp
-		want.Rows = renderRows(rows)
+		want.Rows = datalog.RenderRows(cellRows(rows))
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(&want); err != nil {
 			t.Fatal(err)

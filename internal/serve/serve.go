@@ -151,7 +151,7 @@ func New(med *mediator.Mediator, cfg Config) *Server {
 		med:         med,
 		cfg:         cfg,
 		adm:         newAdmission(cfg.maxInFlight(), cfg.maxQueue(), cfg.TenantWeights),
-		cache:       newAnswerCache(cfg.CacheEntries),
+		cache:       newAnswerCache(cfg.CacheEntries, med.ProgramGen),
 		rl:          NewRateLimiter(cfg.RateLimits),
 		ctr:         obs.NewCounters(),
 		log:         cfg.Log,
@@ -641,20 +641,6 @@ func (s *Server) tenantOf(r *http.Request) string {
 		return k
 	}
 	return defaultTenant
-}
-
-// renderRows renders term tuples as strings for the subscription
-// diff; /v1/query encodes its rows directly (encode.go).
-func renderRows(rows [][]term.Term) [][]string {
-	out := make([][]string, len(rows))
-	for i, row := range rows {
-		cells := make([]string, len(row))
-		for j, t := range row {
-			cells[j] = t.String()
-		}
-		out[i] = cells
-	}
-	return out
 }
 
 // parseFacts parses ground facts written in the rule language.

@@ -385,12 +385,44 @@ func TestQueryFlagsMissingSource(t *testing.T) {
 		}
 	}
 	m.Unregister("beta")
-	out := query(true)
-	if _, ok := out["partial"]; ok {
-		t.Errorf("answer over every registered source is flagged: %v", out)
+	// The cached answer was computed with beta missing: after the
+	// Unregister, which reaches no handler, a lookup must miss.
+	for _, noCache := range []bool{false, true} {
+		out := query(noCache)
+		if out["cached"] != false {
+			t.Errorf("no_cache=%v: answered from the cache after Unregister: %v", noCache, out)
+		}
+		if _, ok := out["partial"]; ok {
+			t.Errorf("answer over every registered source is flagged: %v", out)
+		}
+		if _, ok := out["missing"]; ok {
+			t.Errorf("answer over every registered source names a missing one: %v", out)
+		}
 	}
-	if _, ok := out["missing"]; ok {
-		t.Errorf("answer over every registered source names a missing one: %v", out)
+	// Every other program change made on the mediator directly misses
+	// the cache too; the query warmed before each is a hit first.
+	gamma, err := wrapper.NewInMemory(sources.MustSyntheticSource("gamma", 42, 6, serveConcepts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		change func() error
+	}{
+		{"Register", func() error { return m.Register(gamma) }},
+		{"DefineView", func() error { return m.DefineView(serveViews) }},
+		{"RegisterKnowledge", func() error { return m.RegisterKnowledge(sources.Fig3Registration()...) }},
+		{"Invalidate", func() error { m.Invalidate(); return nil }},
+	} {
+		if out := query(false); out["cached"] != true {
+			t.Fatalf("before %s: the warmed query missed: %v", c.name, out)
+		}
+		if err := c.change(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if out := query(false); out["cached"] != false {
+			t.Errorf("answered from the cache after %s: %v", c.name, out)
+		}
 	}
 }
 
@@ -787,4 +819,48 @@ func TestDrainUnderLoadDropsNothing(t *testing.T) {
 		t.Fatalf("load: %s (other HTTP %d)", res.st, res.st.OtherHTTP)
 	}
 	t.Logf("%d requests finished, %d refused after the listener closed", srv.Finished(), len(refused))
+}
+
+// TestQueryScratchValues: a value a query computes that no relation
+// holds (an is result, a compound built by =, a query-body aggregate)
+// is answered in the bytes it always was, and an answer kept in the
+// cache renders the same after other queries computed values of their
+// own: no answer's cells point into another's.
+func TestQueryScratchValues(t *testing.T) {
+	srv, _, _ := newServeFixture(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cases := []struct {
+		query string
+		vars  []string
+		want  string
+	}{
+		{`src_val('alpha', O, value, A), X is A * 3`, []string{"O", "X"},
+			`{"vars":["O","X"],"rows":[["alpha_o0","201.60000000000002"],["alpha_o1","33.3"],["alpha_o2","173.7"],["alpha_o3","129.3"],["alpha_o4","173.10000000000002"],["alpha_o5","20.4"]],"count":6,"cached":false}` + "\n"},
+		{`src_obj('alpha', O, C), P = pair(O, C)`, []string{"P"},
+			`{"vars":["P"],"rows":[["pair(alpha_o0,record)"],["pair(alpha_o1,record)"],["pair(alpha_o2,record)"],["pair(alpha_o3,record)"],["pair(alpha_o4,record)"],["pair(alpha_o5,record)"]],"count":6,"cached":false}` + "\n"},
+		{`N = count{O; src_obj(S, O, C)}`, []string{"N"},
+			`{"vars":["N"],"rows":[["12"]],"count":1,"cached":false}` + "\n"},
+		{`covered(C), N = count{O[C]; anchor(S, O, C)}, H is N / 2`, []string{"C", "N", "H"},
+			`{"vars":["C","N","H"],"rows":[["cerebellum","7","3.5"],["dendrite","1","0.5"],["soma","3","1.5"],["spine","1","0.5"]],"count":4,"cached":false}` + "\n"},
+	}
+	query := func(i int) string {
+		t.Helper()
+		resp, body := postJSON(t, ts, "/v1/query", QueryRequest{Query: cases[i].query, Vars: cases[i].vars})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", cases[i].query, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	for i, c := range cases {
+		if got := query(i); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.query, got, c.want)
+		}
+	}
+	for i, c := range cases {
+		want := strings.Replace(c.want, `"cached":false`, `"cached":true`, 1)
+		if got := query(i); got != want {
+			t.Errorf("%s, cached:\n got %s\nwant %s", c.query, got, want)
+		}
+	}
 }

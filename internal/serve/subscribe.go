@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"modelmed/internal/datalog"
 	"modelmed/internal/mediator"
 	"modelmed/internal/parser"
 )
@@ -202,7 +203,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return renderRows(ans.Rows), ans.Vars, nil
+		return datalog.RenderRows(ans.Rows), ans.Vars, nil
 	}
 
 	seq := 0

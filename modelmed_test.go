@@ -46,7 +46,7 @@ func TestPublicAPIWalkthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 1 || !ans.Rows[0][1].Equal(term.Atom("turbocharger")) {
+	if len(ans.Rows) != 1 || !ans.Rows[0][1].Term().Equal(term.Atom("turbocharger")) {
 		t.Fatalf("rows = %v", ans.Rows)
 	}
 	// Planned path gives the same result.
