@@ -75,13 +75,15 @@ persist-smoke:
 # route's, the source-state package every move folds through, refused
 # foreign facts and pushed anchors (mediator and /v1/delta), chaos
 # convergence under faulty feeds, the SSE subscription surface (push,
-# tenant caps, drain), the mid-stream crash/warm-restart regression,
-# the wall-clock budget suite, and the engine's incremental
+# tenant caps, drain), a move made on the mediator directly reaching
+# the answer cache and the subscribers, the mid-stream
+# crash/warm-restart regression, the wall-clock budget suite, and the
+# engine's incremental
 # differential (its aggshapes program and TestAggregateDeltaRefolds
 # hold the aggregate group re-fold to a from-scratch run) with the
 # Example 4 view's re-folded overwrite.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'Stream|Subscribe|Feed|SourceRoutesAgree|DumpRouteAgrees|PushedAnchors|DeltaStatusCodes|ProteinDistributionDeltaRefolds' ./internal/wrapper ./internal/mediator ./internal/serve ./cmd/medd
+	$(GO) test -race -count=1 -run 'Stream|Subscribe|Feed|SourceRoutesAgree|DumpRouteAgrees|PushedAnchors|DeltaStatusCodes|ProteinDistributionDeltaRefolds|CacheSeesDirectMove|SubscribeSeesDirectMove' ./internal/wrapper ./internal/mediator ./internal/serve ./cmd/medd
 	$(GO) test -race -count=1 ./internal/srcstate
 	$(GO) test -race -count=1 -run 'Wall|IncrementalDifferential|AggregateDeltaRefolds' ./internal/datalog
 

@@ -39,12 +39,12 @@
 // -stream starts the live-federation feed loop: every source's
 // versioned delta stream is consumed continuously and applied through
 // the incremental maintenance machinery (with gap detection and
-// targeted resync), and each applied batch invalidates the answer
-// cache and wakes the standing queries registered over POST
-// /v1/subscribe. -max-subs caps open subscriptions per tenant.
-// Subscriptions work without -stream too — /v1/delta and /v1/sync
-// wake them — but only -stream pushes source-side mutations without
-// any client call.
+// targeted resync). Every change the mediator publishes, an applied
+// batch included, is what the answer cache validates against and what
+// wakes the standing queries registered over POST /v1/subscribe.
+// -max-subs caps open subscriptions per tenant. Subscriptions work
+// without -stream too — /v1/delta and /v1/sync wake them — but only
+// -stream pushes source-side mutations without any client call.
 //
 // With -pprof the daemon additionally serves net/http/pprof on a
 // separate listener (off by default; the main API listener never
@@ -242,17 +242,16 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 	}
 	srv := serve.New(med, cfg)
 
-	// The feed loop turns source-side mutations into maintenance
-	// reports; ApplyReport invalidates the answer cache and wakes the
-	// standing queries, so a subscriber hears about a wrapper Mutate
-	// without anyone calling /v1/delta or /v1/sync.
+	// The feed loop turns source-side mutations into published moves,
+	// which the answer cache sees on lookup and the standing queries
+	// wake on, so a subscriber hears about a wrapper Mutate without
+	// anyone calling /v1/delta or /v1/sync.
 	var feeds *mediator.Feeds
 	if *stream {
 		if _, err := med.Materialize(); err != nil {
 			return err
 		}
 		feeds = med.StartFeeds(context.Background(), mediator.FeedOptions{
-			OnReport: func(rep *mediator.DeltaReport) { srv.ApplyReport(rep) },
 			OnError: func(source string, err error) {
 				fmt.Fprintf(stderr, "medd: feed %s: %v\n", source, err)
 			},

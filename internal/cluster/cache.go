@@ -1,11 +1,14 @@
 package cluster
 
-// Router-side caches. The answer cache mirrors the serving layer's
-// invalidation contract (per-source dependency sets, global entries,
-// a generation counter guarding stale inserts) in a simpler single-
-// partition LRU: the router has no per-tenant isolation duty (each
-// shard enforces its own) and no single-flight (the shards behind it
-// already collapse duplicate work). The facts cache keeps each shard's
+// Router-side caches. The answer cache is a single-partition LRU keyed
+// as the serving layer keys its own (per-source dependency sets, global
+// entries), but it invalidates: the deltas routed through the router
+// drop the entries over their source, and a generation counter guards
+// stale inserts. The serving layer validates against the versions its
+// mediator publishes instead; the router sees no shard's versions until
+// the shards publish a change feed. The router has no per-tenant
+// isolation duty (each shard enforces its own) and no single-flight
+// (the shards behind it already collapse duplicate work). The facts cache keeps each shard's
 // last shipped dump in parsed form, so consecutive gather queries don't
 // re-pull an unchanged shard and a re-shipped dump costs a parse of its
 // changed lines; a delta routed to a shard marks exactly that shard's

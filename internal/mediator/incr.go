@@ -244,10 +244,11 @@ func (m *Mediator) buildReadsLocked(ctx context.Context, v *published, pulls []*
 }
 
 // moveSourceLocked is the one operation that moves a source
-// (srcstate.Base.Move). It records the step and logs the changes that
-// took effect (not during replay), so replay against the same states
-// reaches the same engine delta. A failed move changes nothing. Called
-// with m.mu held.
+// (srcstate.Base.Move). It logs the changes that took effect (not
+// during replay), so replay against the same states reaches the same
+// engine delta, before it publishes the move, which wakes the standing
+// queries (Changed); then it records the step. A failed move changes
+// nothing. Called with m.mu held.
 func (m *Mediator) moveSourceLocked(source string, toVersion uint64, ch srcstate.Change, sp *obs.Span) (*DeltaReport, error) {
 	// Every caller holds a result, so an engine: retarget its tracing at
 	// this move's span.
@@ -257,6 +258,8 @@ func (m *Mediator) moveSourceLocked(source string, toVersion uint64, ch srcstate
 	if err != nil {
 		return nil, fmt.Errorf("mediator: move %s: %w", source, err)
 	}
+	m.logDeltaLocked(&persist.WALRecord{Source: source, Version: toVersion,
+		Adds: eff.Adds, Dels: eff.Dels, AnchorAdds: eff.AnchorAdds, AnchorDels: eff.AnchorDels})
 	m.publishLocked(v.srcs, next, v.sig)
 	rep := &DeltaReport{
 		Source:         source,
@@ -267,8 +270,6 @@ func (m *Mediator) moveSourceLocked(source string, toVersion uint64, ch srcstate
 		Stats:          stats,
 	}
 	m.noteDeltaLocked(rep, sp)
-	m.logDeltaLocked(&persist.WALRecord{Source: source, Version: toVersion,
-		Adds: eff.Adds, Dels: eff.Dels, AnchorAdds: eff.AnchorAdds, AnchorDels: eff.AnchorDels})
 	return rep, nil
 }
 

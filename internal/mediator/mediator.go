@@ -129,9 +129,8 @@ type Mediator struct {
 	// so every answer reflects exactly one published state. With no
 	// result, the next read builds one.
 	base atomic.Pointer[published]
-
-	// progGen is the program generation (see ProgramGen).
-	progGen atomic.Uint64
+	// commits is the last commit number a publish took (see Stamp).
+	commits uint64
 
 	// deltaLog, when set, receives a WAL record for every source move
 	// (and a Full marker for every source a build reads) while m.mu is
@@ -186,23 +185,80 @@ type published struct {
 	// sig fingerprints the program Result was built under
 	// (programSigLocked); "" without a Result.
 	sig string
+	// stamp numbers this value; changed is closed when the next value
+	// is published.
+	stamp   *Stamp
+	changed chan struct{}
+}
+
+// Stamp identifies a published value by numbers only, so that keeping
+// one (an answer cache's entry) keeps no value or Result alive. Every
+// publish takes the next number of one mediator-wide counter as
+// Commit. A source's number is the commit that last changed its state:
+// a move stamps the state it moves, a build every state it builds
+// over. One counter, not a count of each state's moves, because a build
+// over a state read again (Invalidate, a Full rebuild) would start that
+// count over and reuse a number an old answer holds.
+type Stamp struct {
+	Commit uint64
+	// Sources maps each source the value holds a state of to its
+	// number; nil when the value has no result.
+	Sources map[string]uint64
+}
+
+// Serves reports whether an answer read at stamp was is the answer s
+// gives too, when the answer reads only the states of deps, or
+// anything (global): s has a result, and is the same commit (global)
+// or stamps each of deps as was does.
+func (s *Stamp) Serves(was *Stamp, deps []string, global bool) bool {
+	if s.Sources == nil || was == nil {
+		return false
+	}
+	if global {
+		return s.Commit == was.Commit
+	}
+	for _, d := range deps {
+		if s.Sources[d] != was.Sources[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // publishLocked publishes b, built under the program of signature sig,
-// over the registered sources srcs, with the current view rules. Called
-// with m.mu held.
+// over the registered sources srcs, with the current view rules, under
+// the next commit number (see Stamp), and wakes whoever waits on the
+// value it supersedes (Changed). Called with m.mu held.
 func (m *Mediator) publishLocked(srcs map[string]*Source, b srcstate.Base, sig string) {
-	m.base.Store(&published{Base: b, srcs: srcs, views: m.views, viewText: m.viewText, sig: sig})
+	m.commits++
+	prev := m.base.Load()
+	st := &Stamp{Commit: m.commits}
+	if b.Result() != nil {
+		st.Sources = make(map[string]uint64, b.Len())
+		for _, name := range b.Names() {
+			n := m.commits
+			// A build has an engine of its own: only a state a move left
+			// alone keeps its number.
+			if prev != nil && prev.Engine() == b.Engine() && prev.State(name) == b.State(name) {
+				n = prev.stamp.Sources[name]
+			}
+			st.Sources[name] = n
+		}
+	}
+	m.base.Store(&published{Base: b, srcs: srcs, views: m.views, viewText: m.viewText, sig: sig,
+		stamp: st, changed: make(chan struct{})})
+	if prev != nil {
+		close(prev.changed)
+	}
 }
 
-// ProgramGen returns the program generation. Register, Unregister,
-// RegisterKnowledge, DefineView and Invalidate each move it, after
-// they publish; a source move (a delta, a sync) does not. So an answer
-// computed after reading generation g is no older than the last of
-// those calls before it: a cache that stamps an answer with the
-// generation it read before computing it, and misses on any other,
-// never serves an answer from before such a call.
-func (m *Mediator) ProgramGen() uint64 { return m.progGen.Load() }
+// Stamp returns the published value's stamp.
+func (m *Mediator) Stamp() *Stamp { return m.base.Load().stamp }
+
+// Changed returns a channel closed when the value now published is
+// superseded: by a move, a build, or a program change. A standing query
+// loads it before it reads, then waits on it.
+func (m *Mediator) Changed() <-chan struct{} { return m.base.Load().changed }
 
 // names returns v's registered source names in order.
 func (v *published) names() []string {
@@ -358,7 +414,6 @@ func (m *Mediator) Register(w wrapper.Wrapper) error {
 	srcs := maps.Clone(v.srcs)
 	srcs[name] = src
 	m.publishLocked(srcs, v.DropResult(), "")
-	m.progGen.Add(1)
 	return nil
 }
 
@@ -422,7 +477,6 @@ func (m *Mediator) Unregister(name string) {
 	srcs := maps.Clone(v.srcs)
 	delete(srcs, name)
 	m.publishLocked(srcs, v.DropSource(name), "")
-	m.progGen.Add(1)
 }
 
 // RegisterKnowledge extends the domain map with DL axioms sent by a
@@ -434,7 +488,6 @@ func (m *Mediator) RegisterKnowledge(axioms ...dl.Axiom) error {
 	m.mu.Lock()
 	v := m.base.Load()
 	m.publishLocked(v.srcs, v.DropResult(), "")
-	m.progGen.Add(1)
 	m.mu.Unlock()
 	return nil
 }
@@ -454,7 +507,6 @@ func (m *Mediator) DefineView(src string) error {
 	m.viewText = append(m.viewText, src)
 	v := m.base.Load()
 	m.publishLocked(v.srcs, v.DropResult(), "")
-	m.progGen.Add(1)
 	return nil
 }
 
@@ -492,6 +544,10 @@ type Answer struct {
 	// computed without: down, or not read yet. Nil when it was computed
 	// over every source.
 	Missing []string
+	// Stamp is the stamp of the value the answer was read from (nil for
+	// an answer over facts the caller passed in). It is shared, not
+	// copied.
+	Stamp *Stamp
 	// Span is this query's own span tree (nil when tracing is off).
 	// Unlike LastTrace — which concurrent queries overwrite — Span is
 	// race-free per answer, so the serving layer can attach the trace to
@@ -560,7 +616,7 @@ func (m *Mediator) query(ctx context.Context, sp *obs.Span, body []datalog.BodyE
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query: %w", err)
 	}
-	return &Answer{Vars: vars, Rows: rows, Missing: v.missing(), Span: sp}, nil
+	return &Answer{Vars: vars, Rows: rows, Missing: v.missing(), Stamp: v.stamp, Span: sp}, nil
 }
 
 // queryResult evaluates body over res. A query's auxiliary rules run in
@@ -751,7 +807,6 @@ func (m *Mediator) SourceReports() []SourceReport {
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
 	m.publishLocked(m.base.Load().srcs, srcstate.Base{}, "")
-	m.progGen.Add(1)
 	m.mu.Unlock()
 }
 

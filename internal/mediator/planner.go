@@ -516,7 +516,7 @@ func (m *Mediator) PlannedQueryCtx(ctx context.Context, q string, vars ...string
 	if err != nil {
 		return nil, p, fmt.Errorf("mediator: planned query: %w", err)
 	}
-	return &Answer{Vars: vars, Rows: rows, Missing: v.missing(), Span: sp}, p, nil
+	return &Answer{Vars: vars, Rows: rows, Missing: v.missing(), Stamp: v.stamp, Span: sp}, p, nil
 }
 
 // defaultVars extracts the output variables of a body in order of first

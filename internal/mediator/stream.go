@@ -134,10 +134,6 @@ type FeedOptions struct {
 	// ResubscribeDelay is the pause before reconnecting a closed or
 	// failed feed (default 50ms).
 	ResubscribeDelay time.Duration
-	// OnReport is called (from the feed goroutine) after every batch
-	// or resync that changed the materialization — the hook the serving
-	// layer uses to invalidate caches and wake subscribers.
-	OnReport func(*DeltaReport)
 	// OnError is called with feed-level errors (subscription failures,
 	// failed refreshes). The feed keeps running; the next batch's
 	// sequencing check repairs whatever the error left behind.
@@ -195,15 +191,6 @@ func (m *Mediator) StartFeeds(ctx context.Context, opts FeedOptions) *Feeds {
 
 // runFeed is one source's subscribe/apply/resubscribe loop.
 func (m *Mediator) runFeed(ctx context.Context, name string, s wrapper.Streaming, opts FeedOptions) {
-	notable := func(rep *DeltaReport) bool {
-		return rep != nil && (rep.Full || rep.Stats != nil ||
-			rep.FactsAdded+rep.FactsRemoved+rep.AnchorsAdded+rep.AnchorsRemoved > 0)
-	}
-	report := func(rep *DeltaReport) {
-		if opts.OnReport != nil && notable(rep) {
-			opts.OnReport(rep)
-		}
-	}
 	fail := func(err error) {
 		m.counters().Add("mediator.stream_feed_errors", 1)
 		if opts.OnError != nil {
@@ -232,10 +219,8 @@ func (m *Mediator) runFeed(ctx context.Context, name string, s wrapper.Streaming
 		// are dropped by the sequencing check; a refresh failure (a
 		// source mid-fault) leaves the stale state standing, and the
 		// next batch's gap check retries the refresh.
-		if rep, err := m.RefreshSource(name); err != nil {
+		if _, err := m.RefreshSource(name); err != nil {
 			fail(err)
-		} else {
-			report(rep)
 		}
 		alive := true
 		for alive {
@@ -250,12 +235,9 @@ func (m *Mediator) runFeed(ctx context.Context, name string, s wrapper.Streaming
 					alive = false
 					break
 				}
-				rep, _, err := m.ApplyStreamBatch(b)
-				if err != nil {
+				if _, _, err := m.ApplyStreamBatch(b); err != nil {
 					fail(err)
-					break
 				}
-				report(rep)
 			}
 		}
 		if !pause() {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"modelmed/internal/mediator"
+	"modelmed/internal/obs"
 )
 
 // The answer cache. Keys are normalized query renderings (parsed body,
@@ -15,11 +16,17 @@ import (
 // hit answers its own traffic computed, and one tenant's churn cannot
 // evict another's working set (tenant identity is operator-defined, so
 // the partition count is bounded — see defaultTenant). Each entry
-// records which sources the answer was computed from; the incremental
-// bridge (/v1/delta, /v1/sync) invalidates exactly the entries
-// depending on the changed source across every partition — queries
-// over derived views or unconstrained source positions depend on
-// everything and are tracked as global.
+// records which sources the answer was computed from — queries over
+// derived views or unconstrained source positions depend on everything
+// and are tracked as global — and its answer carries the stamp of the
+// value it was read from (mediator.Stamp). A lookup validates instead
+// of anything invalidating: an entry serves while the mediator's
+// current value has a result and stamps every source it depends on
+// (for a global entry, the whole commit) as the entry's answer does;
+// otherwise the lookup drops it. So every way the mediator changes —
+// a delta or sync through the handlers, a streamed batch, a direct
+// ApplySourceDelta or SyncSources, a program change — reaches the
+// cache, and nothing has to report it.
 //
 // Duplicate concurrent misses collapse into one computation
 // (single-flight): the first request becomes the leader and computes
@@ -30,25 +37,14 @@ import (
 // deadline — a follower whose context is still live does not inherit
 // that death: it retries, finding the published answer, joining a
 // newer flight, or becoming the new leader under its own context.
-// A generation counter guards the insert: a flight that started
-// before an invalidation must not publish its (pre-delta) answer
-// after it, so the leader snapshots the generation at flight start
-// and the insert is skipped if it moved.
-//
-// A program change made on the mediator directly (Register,
-// Unregister, RegisterKnowledge, DefineView, Invalidate) reaches no
-// handler, so the cache asks instead: each entry is stamped with the
-// mediator's program generation read before its answer was computed,
-// and a lookup under any other generation misses and drops the entry.
-// A delta leaves the generation alone, so its invalidation stays the
-// precise one above.
+// A flight computed before a move is stored under the stamp it read,
+// so the next lookup after the move drops it.
 
 type cacheEntry struct {
 	key    string
-	val    *mediator.Answer
+	val    *mediator.Answer // val.Stamp is the stamp it was read at
 	deps   []string
 	global bool
-	prog   uint64 // program generation the answer was computed under
 	elem   *list.Element
 }
 
@@ -66,21 +62,22 @@ type cachePart struct {
 }
 
 type answerCache struct {
-	program func() uint64 // the mediator's program generation
+	stamp func() *mediator.Stamp // the mediator's published stamp
+	ctr   *obs.Counters          // counts the stale entries lookups drop
 
 	mu      sync.Mutex
 	cap     int
 	parts   map[string]*cachePart
 	flights map[string]*flight // keyed tenant + "\x00" + query key
-	gen     uint64             // bumped by every invalidation
 }
 
-func newAnswerCache(capacity int, program func() uint64) *answerCache {
+func newAnswerCache(capacity int, stamp func() *mediator.Stamp, ctr *obs.Counters) *answerCache {
 	if capacity <= 0 {
 		capacity = 256
 	}
 	return &answerCache{
-		program: program,
+		stamp:   stamp,
+		ctr:     ctr,
 		cap:     capacity,
 		parts:   make(map[string]*cachePart),
 		flights: make(map[string]*flight),
@@ -99,10 +96,9 @@ func (c *answerCache) partLocked(tenant string) *cachePart {
 // get returns a cached answer from the tenant's partition and bumps
 // its recency.
 func (c *answerCache) get(tenant, key string) (*mediator.Answer, bool) {
-	prog := c.program()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.lookupLocked(tenant, key, prog)
+	e := c.lookupLocked(tenant, key)
 	if e == nil {
 		return nil, false
 	}
@@ -110,9 +106,10 @@ func (c *answerCache) get(tenant, key string) (*mediator.Answer, bool) {
 }
 
 // lookupLocked returns the tenant's entry for key, bumped to most
-// recent, if it was computed under program generation prog; an entry
-// from an older program is dropped. Called with c.mu held.
-func (c *answerCache) lookupLocked(tenant, key string, prog uint64) *cacheEntry {
+// recent, if the published value serves its answer (Stamp.Serves); a
+// stale entry is dropped. The stamp is loaded under c.mu, so it is
+// never older than an entry inserted before it. Called with c.mu held.
+func (c *answerCache) lookupLocked(tenant, key string) *cacheEntry {
 	p := c.parts[tenant]
 	if p == nil {
 		return nil
@@ -121,9 +118,10 @@ func (c *answerCache) lookupLocked(tenant, key string, prog uint64) *cacheEntry 
 	if !ok {
 		return nil
 	}
-	if e.prog != prog {
+	if !c.stamp().Serves(e.val.Stamp, e.deps, e.global) {
 		p.lru.Remove(e.elem)
 		delete(p.entries, key)
+		c.ctr.Add("serve.cache_entries_dropped", 1)
 		return nil
 	}
 	p.lru.MoveToFront(e.elem)
@@ -162,9 +160,8 @@ func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string,
 	compute func() (*mediator.Answer, error)) (*mediator.Answer, outcome, error) {
 	fk := tenant + "\x00" + key
 	for {
-		prog := c.program()
 		c.mu.Lock()
-		if e := c.lookupLocked(tenant, key, prog); e != nil {
+		if e := c.lookupLocked(tenant, key); e != nil {
 			val := e.val
 			c.mu.Unlock()
 			return val, outcomeHit, nil
@@ -183,7 +180,6 @@ func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string,
 		}
 		f := &flight{done: make(chan struct{})}
 		c.flights[fk] = f
-		snap := c.gen
 		c.mu.Unlock()
 
 		f.val, f.err = compute()
@@ -194,8 +190,8 @@ func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string,
 		// forever.
 		c.mu.Lock()
 		delete(c.flights, fk)
-		if f.err == nil && c.gen == snap {
-			c.insertLocked(tenant, key, f.val, deps, global, prog)
+		if f.err == nil {
+			c.insertLocked(tenant, key, f.val, deps, global)
 		}
 		c.mu.Unlock()
 		close(f.done)
@@ -203,17 +199,16 @@ func (c *answerCache) do(ctx context.Context, tenant, key string, deps []string,
 	}
 }
 
-// insertLocked adds an entry computed under program generation prog to
-// the tenant's partition and evicts past capacity. Called with c.mu
-// held.
-func (c *answerCache) insertLocked(tenant, key string, val *mediator.Answer, deps []string, global bool, prog uint64) {
+// insertLocked adds an entry to the tenant's partition and evicts past
+// capacity. Called with c.mu held.
+func (c *answerCache) insertLocked(tenant, key string, val *mediator.Answer, deps []string, global bool) {
 	p := c.partLocked(tenant)
 	if e, ok := p.entries[key]; ok {
-		e.val, e.prog = val, prog
+		e.val = val
 		p.lru.MoveToFront(e.elem)
 		return
 	}
-	e := &cacheEntry{key: key, val: val, deps: deps, global: global, prog: prog}
+	e := &cacheEntry{key: key, val: val, deps: deps, global: global}
 	e.elem = p.lru.PushFront(e)
 	p.entries[key] = e
 	for p.lru.Len() > c.cap {
@@ -222,48 +217,6 @@ func (c *answerCache) insertLocked(tenant, key string, val *mediator.Answer, dep
 		p.lru.Remove(back)
 		delete(p.entries, old.key)
 	}
-}
-
-// invalidateSource drops every entry depending on the named source
-// (plus all global entries) in every partition and bumps the
-// generation so racing flights cannot re-publish pre-delta answers.
-// Returns how many entries fell.
-func (c *answerCache) invalidateSource(source string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	var dropped int
-	for _, p := range c.parts {
-		for key, e := range p.entries {
-			hit := e.global
-			for _, d := range e.deps {
-				if d == source {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				p.lru.Remove(e.elem)
-				delete(p.entries, key)
-				dropped++
-			}
-		}
-	}
-	return dropped
-}
-
-// invalidateAll clears every partition (full rebuilds, view/knowledge
-// registration).
-func (c *answerCache) invalidateAll() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	var dropped int
-	for _, p := range c.parts {
-		dropped += len(p.entries)
-	}
-	c.parts = make(map[string]*cachePart)
-	return dropped
 }
 
 // size returns the number of cached entries across all partitions.

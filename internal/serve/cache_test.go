@@ -9,22 +9,65 @@ import (
 	"testing"
 
 	"modelmed/internal/mediator"
+	"modelmed/internal/obs"
 )
 
-// fixedProgram is a program generation that never moves.
-func fixedProgram() uint64 { return 0 }
+// fixedStamp is the stamp of a published value that never moves.
+var fixedStamp = &mediator.Stamp{Commit: 1, Sources: map[string]uint64{}}
 
-// mkcached is an answer tagged n in its one var name.
+func fixedStamps() *mediator.Stamp { return fixedStamp }
+
+// mkcached is an answer tagged n in its one var name, read at
+// fixedStamp.
 func mkcached(n int) *mediator.Answer {
-	return &mediator.Answer{Vars: []string{fmt.Sprint(n)}}
+	return &mediator.Answer{Vars: []string{fmt.Sprint(n)}, Stamp: fixedStamp}
 }
 
 func computeOK(n int) func() (*mediator.Answer, error) {
 	return func() (*mediator.Answer, error) { return mkcached(n), nil }
 }
 
+// stamps is a fake stamp source: a published value over alpha and beta
+// whose next commit moves one source, drops the result, or builds.
+type stamps struct {
+	mu  sync.Mutex
+	cur *mediator.Stamp
+}
+
+func newStamps() *stamps {
+	return &stamps{cur: &mediator.Stamp{Commit: 1, Sources: map[string]uint64{"alpha": 1, "beta": 1}}}
+}
+
+func (s *stamps) load() *mediator.Stamp {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cur
+}
+
+// publish stamps the next commit: without a result, or with each of
+// moved at the new commit and the other sources as they were.
+func (s *stamps) publish(result bool, moved ...string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := &mediator.Stamp{Commit: s.cur.Commit + 1}
+	if result {
+		next.Sources = map[string]uint64{"alpha": s.cur.Sources["alpha"], "beta": s.cur.Sources["beta"]}
+		for _, name := range moved {
+			next.Sources[name] = next.Commit
+		}
+	}
+	s.cur = next
+}
+
+// computeOK answers n, read at the stamp current when it runs.
+func (s *stamps) computeOK(n int) func() (*mediator.Answer, error) {
+	return func() (*mediator.Answer, error) {
+		return &mediator.Answer{Vars: []string{fmt.Sprint(n)}, Stamp: s.load()}, nil
+	}
+}
+
 func TestCacheHitAndLRUEviction(t *testing.T) {
-	c := newAnswerCache(2, fixedProgram)
+	c := newAnswerCache(2, fixedStamps, nil)
 	ctx := context.Background()
 	mustDo := func(key string, n int) outcome {
 		t.Helper()
@@ -56,7 +99,7 @@ func TestCacheHitAndLRUEviction(t *testing.T) {
 }
 
 func TestCacheErrorsAreNotCached(t *testing.T) {
-	c := newAnswerCache(4, fixedProgram)
+	c := newAnswerCache(4, fixedStamps, nil)
 	boom := errors.New("boom")
 	_, _, err := c.do(context.Background(), defaultTenant, "k", nil, false, func() (*mediator.Answer, error) {
 		return nil, boom
@@ -70,7 +113,7 @@ func TestCacheErrorsAreNotCached(t *testing.T) {
 }
 
 func TestCacheSingleFlightCollapses(t *testing.T) {
-	c := newAnswerCache(4, fixedProgram)
+	c := newAnswerCache(4, fixedStamps, nil)
 	var computes atomic.Int64
 	gate := make(chan struct{})
 	compute := func() (*mediator.Answer, error) {
@@ -119,7 +162,7 @@ func TestCacheSingleFlightCollapses(t *testing.T) {
 }
 
 func TestCacheFollowerCancellation(t *testing.T) {
-	c := newAnswerCache(4, fixedProgram)
+	c := newAnswerCache(4, fixedStamps, nil)
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -139,62 +182,89 @@ func TestCacheFollowerCancellation(t *testing.T) {
 	close(gate)
 }
 
-func TestCacheInvalidateSource(t *testing.T) {
-	c := newAnswerCache(8, fixedProgram)
+// TestCacheValidatesSourceStamps: after a move of alpha, a lookup
+// drops exactly the entries that read alpha's state, and the global
+// one; beta's entry still hits.
+func TestCacheValidatesSourceStamps(t *testing.T) {
+	st := newStamps()
+	ctr := obs.NewCounters()
+	c := newAnswerCache(8, st.load, ctr)
 	ctx := context.Background()
-	c.do(ctx, defaultTenant, "alpha-only", []string{"alpha"}, false, computeOK(1))
-	c.do(ctx, defaultTenant, "beta-only", []string{"beta"}, false, computeOK(2))
-	c.do(ctx, defaultTenant, "both", []string{"alpha", "beta"}, false, computeOK(3))
-	c.do(ctx, defaultTenant, "global", nil, true, computeOK(4))
+	c.do(ctx, defaultTenant, "alpha-only", []string{"alpha"}, false, st.computeOK(1))
+	c.do(ctx, defaultTenant, "beta-only", []string{"beta"}, false, st.computeOK(2))
+	c.do(ctx, defaultTenant, "both", []string{"alpha", "beta"}, false, st.computeOK(3))
+	c.do(ctx, defaultTenant, "global", nil, true, st.computeOK(4))
+	c.do(ctx, defaultTenant, "gamma", []string{"gamma"}, false, st.computeOK(5))
 
-	dropped := c.invalidateSource("alpha")
-	if dropped != 3 {
-		t.Fatalf("dropped = %d, want 3 (alpha-only, both, global)", dropped)
+	st.publish(true, "alpha")
+	for key, hit := range map[string]bool{"alpha-only": false, "beta-only": true, "both": false, "global": false, "gamma": true} {
+		if _, ok := c.get(defaultTenant, key); ok != hit {
+			t.Errorf("%s after an alpha move: hit %v, want %v", key, ok, hit)
+		}
 	}
-	if _, ok := c.get(defaultTenant, "beta-only"); !ok {
-		t.Fatal("beta-only was dropped by an alpha invalidation")
+	if n := ctr.Get("serve.cache_entries_dropped"); n != 3 {
+		t.Fatalf("dropped = %d, want 3 (alpha-only, both, global)", n)
 	}
-	if _, ok := c.get(defaultTenant, "alpha-only"); ok {
-		t.Fatal("alpha-only survived an alpha invalidation")
-	}
-	if _, ok := c.get(defaultTenant, "global"); ok {
-		t.Fatal("global entry survived a source invalidation")
+	if c.size() != 2 {
+		t.Fatalf("size = %d, want 2", c.size())
 	}
 }
 
-func TestCacheInvalidateAll(t *testing.T) {
-	c := newAnswerCache(8, fixedProgram)
+// TestCacheValidatesNothingWithoutResult: a value with no result (a
+// program change) serves no entry, and the build after it stamps every
+// state anew, so nothing read before it serves either.
+func TestCacheValidatesNothingWithoutResult(t *testing.T) {
+	st := newStamps()
+	c := newAnswerCache(8, st.load, nil)
 	ctx := context.Background()
-	c.do(ctx, defaultTenant, "a", []string{"alpha"}, false, computeOK(1))
-	c.do(ctx, defaultTenant, "b", nil, true, computeOK(2))
-	if n := c.invalidateAll(); n != 2 {
-		t.Fatalf("invalidateAll = %d, want 2", n)
+	c.do(ctx, defaultTenant, "a", []string{"alpha"}, false, st.computeOK(1))
+	c.do(ctx, defaultTenant, "b", nil, true, st.computeOK(2))
+	c.do(ctx, defaultTenant, "none", nil, false, st.computeOK(3))
+	st.publish(false)
+	for _, key := range []string{"a", "b", "none"} {
+		if _, ok := c.get(defaultTenant, key); ok {
+			t.Errorf("%s hit a value with no result", key)
+		}
+	}
+	c.do(ctx, defaultTenant, "a", []string{"alpha"}, false, st.computeOK(1))
+	st.publish(true, "alpha", "beta")
+	if _, ok := c.get(defaultTenant, "a"); ok {
+		t.Error("an answer read before a build hit after it")
 	}
 	if c.size() != 0 {
-		t.Fatal("cache not empty after invalidateAll")
+		t.Fatalf("size = %d, want 0", c.size())
 	}
 }
 
-func TestCacheGenerationGuardsStaleInsert(t *testing.T) {
-	// A flight that began before an invalidation must not publish its
-	// (pre-delta) answer after it.
-	c := newAnswerCache(8, fixedProgram)
+// TestCacheFlightBeforeMoveNeverServed: a flight that read alpha
+// before a move of alpha and finishes after it may be stored, but no
+// lookup after the move is served its answer.
+func TestCacheFlightBeforeMoveNeverServed(t *testing.T) {
+	st := newStamps()
+	c := newAnswerCache(8, st.load, nil)
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		_, _, _ = c.do(context.Background(), defaultTenant, "k", []string{"alpha"}, false, func() (*mediator.Answer, error) {
+			read := st.load()
 			close(started)
 			<-gate
-			return mkcached(1), nil
+			return &mediator.Answer{Vars: []string{"1"}, Stamp: read}, nil
 		})
 	}()
 	<-started
-	c.invalidateSource("alpha")
+	st.publish(true, "alpha")
 	close(gate)
 	<-done
-	if c.size() != 0 {
-		t.Fatal("stale flight result was cached across an invalidation")
+	for i := 0; i < 2; i++ {
+		if _, ok := c.get(defaultTenant, "k"); ok {
+			t.Fatal("a flight read before a move was served after it")
+		}
+	}
+	val, out, err := c.do(context.Background(), defaultTenant, "k", []string{"alpha"}, false, st.computeOK(2))
+	if err != nil || out != outcomeComputed || val.Vars[0] != "2" {
+		t.Fatalf("after the move: %+v, outcome %d, err %v; want 2 computed", val, out, err)
 	}
 }

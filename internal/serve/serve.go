@@ -4,8 +4,8 @@
 // drained by deficit round-robin and per-tenant load-shedding,
 // per-request deadlines propagated as contexts into the source fan-out
 // and enforced inside the datalog fixpoint by cooperative gas checks,
-// a normalized-query answer cache partitioned per tenant and
-// invalidated precisely by the incremental layer's delta reports,
+// a normalized-query answer cache partitioned per tenant whose entries
+// a lookup validates against the versions the mediator publishes,
 // graceful drain, and structured request logs with per-request trace
 // attachment.
 //
@@ -135,29 +135,28 @@ type Server struct {
 	started  atomic.Int64
 	finished atomic.Int64
 
-	// Standing-query state (subscribe.go): open SSE subscriptions and
-	// their per-tenant counts, plus the drain signal that tells every
-	// stream to finish before Shutdown.
-	subMu       sync.Mutex
-	subscribers map[*subscriber]struct{}
-	subTenants  map[string]int
-	drain       chan struct{}
-	drainOnce   sync.Once
+	// Standing-query state (subscribe.go): the per-tenant count of open
+	// SSE subscriptions, plus the drain signal that tells every stream
+	// to finish before Shutdown.
+	subMu      sync.Mutex
+	subTenants map[string]int
+	drain      chan struct{}
+	drainOnce  sync.Once
 }
 
 // New builds a Server over the mediator.
 func New(med *mediator.Mediator, cfg Config) *Server {
+	ctr := obs.NewCounters()
 	s := &Server{
-		med:         med,
-		cfg:         cfg,
-		adm:         newAdmission(cfg.maxInFlight(), cfg.maxQueue(), cfg.TenantWeights),
-		cache:       newAnswerCache(cfg.CacheEntries, med.ProgramGen),
-		rl:          NewRateLimiter(cfg.RateLimits),
-		ctr:         obs.NewCounters(),
-		log:         cfg.Log,
-		subscribers: map[*subscriber]struct{}{},
-		subTenants:  map[string]int{},
-		drain:       make(chan struct{}),
+		med:        med,
+		cfg:        cfg,
+		adm:        newAdmission(cfg.maxInFlight(), cfg.maxQueue(), cfg.TenantWeights),
+		cache:      newAnswerCache(cfg.CacheEntries, med.Stamp, ctr),
+		rl:         NewRateLimiter(cfg.RateLimits),
+		ctr:        ctr,
+		log:        cfg.Log,
+		subTenants: map[string]int{},
+		drain:      make(chan struct{}),
 	}
 	if s.log == nil {
 		s.log = log.New(io.Discard, "", 0)
@@ -246,7 +245,7 @@ type DeltaRequest struct {
 	Dels   []string `json:"dels,omitempty"`
 }
 
-// DeltaResponse reports one applied delta and its cache effect.
+// DeltaResponse reports one applied delta.
 type DeltaResponse struct {
 	Source         string `json:"source"`
 	FactsAdded     int    `json:"facts_added"`
@@ -254,7 +253,6 @@ type DeltaResponse struct {
 	AnchorsAdded   int    `json:"anchors_added"`
 	AnchorsRemoved int    `json:"anchors_removed"`
 	Full           bool   `json:"full_rebuild"`
-	CacheDropped   int    `json:"cache_entries_dropped"`
 }
 
 // PlanResponse is the GET /v1/plan reply.
@@ -448,8 +446,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ctr.Add("serve.deltas", 1)
-	dropped := s.ApplyReport(rep)
-	s.writeJSON(w, http.StatusOK, deltaResponse(rep, dropped))
+	s.writeJSON(w, http.StatusOK, deltaResponse(rep))
 	s.logRequest(r, defaultTenant, http.StatusOK, start, rep.FactsAdded+rep.FactsRemoved, outcomeComputed)
 }
 
@@ -468,29 +465,13 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	s.ctr.Add("serve.syncs", 1)
 	out := make([]*DeltaResponse, 0, len(reps))
 	for _, rep := range reps {
-		out = append(out, deltaResponse(rep, s.ApplyReport(rep)))
+		out = append(out, deltaResponse(rep))
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"refreshed": out})
 	s.logRequest(r, defaultTenant, http.StatusOK, start, len(reps), outcomeComputed)
 }
 
-// invalidateFor applies one delta report's precise cache effect: a
-// patched source drops only the entries depending on it; a full
-// rebuild drops everything.
-func (s *Server) invalidateFor(rep *mediator.DeltaReport) int {
-	var dropped int
-	if rep.Full {
-		dropped = s.cache.invalidateAll()
-		s.ctr.Add("serve.cache_invalidations_full", 1)
-	} else {
-		dropped = s.cache.invalidateSource(rep.Source)
-		s.ctr.Add("serve.cache_invalidations_source", 1)
-	}
-	s.ctr.Add("serve.cache_entries_dropped", int64(dropped))
-	return dropped
-}
-
-func deltaResponse(rep *mediator.DeltaReport, dropped int) *DeltaResponse {
+func deltaResponse(rep *mediator.DeltaReport) *DeltaResponse {
 	return &DeltaResponse{
 		Source:         rep.Source,
 		FactsAdded:     rep.FactsAdded,
@@ -498,7 +479,6 @@ func deltaResponse(rep *mediator.DeltaReport, dropped int) *DeltaResponse {
 		AnchorsAdded:   rep.AnchorsAdded,
 		AnchorsRemoved: rep.AnchorsRemoved,
 		Full:           rep.Full,
-		CacheDropped:   dropped,
 	}
 }
 

@@ -165,9 +165,6 @@ func TestDeltaPreciseInvalidation(t *testing.T) {
 	if dr.FactsAdded != 1 || dr.Full {
 		t.Fatalf("delta report: %+v", dr)
 	}
-	if dr.CacheDropped != 2 {
-		t.Fatalf("cache dropped %d entries, want 2 (the alpha query and the global view query)", dr.CacheDropped)
-	}
 
 	// Unrelated query: still served from cache.
 	if _, got := doQuery(t, ts, betaReq); !got.Cached {
@@ -185,6 +182,9 @@ func TestDeltaPreciseInvalidation(t *testing.T) {
 	if _, got := doQuery(t, ts, globalReq); got.Cached {
 		t.Fatal("view query still served from cache after a delta")
 	}
+	if n := srv.Counters().Get("serve.cache_entries_dropped"); n != 2 {
+		t.Fatalf("lookups dropped %d entries, want 2 (the alpha query and the global view query)", n)
+	}
 
 	// Removing the fact restores the original answer.
 	resp, body = postJSON(t, ts, "/v1/delta", DeltaRequest{
@@ -198,6 +198,56 @@ func TestDeltaPreciseInvalidation(t *testing.T) {
 	if alphaRestored.Count != alphaBefore.Count {
 		t.Fatalf("alpha count after removal = %d, want %d", alphaRestored.Count, alphaBefore.Count)
 	}
+}
+
+// TestCacheSeesDirectMove: a source moved on the mediator directly,
+// with no handler involved, reaches the answer cache. After a direct
+// ApplySourceDelta, and after a direct SyncSources over a mutated
+// wrapper, the next cached query misses and returns the new rows.
+func TestCacheSeesDirectMove(t *testing.T) {
+	srv, m, ws := newServeFixture(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req := QueryRequest{Query: "src_obj('alpha', O, C)", Vars: []string{"O", "C"}}
+	// check queries once bypassing the cache, then twice through it:
+	// the first cached lookup must miss, the second hit, and both carry
+	// the fresh rows, which hold obj.
+	check := func(move, obj string) {
+		t.Helper()
+		_, fresh := doQuery(t, ts, QueryRequest{Query: req.Query, Vars: req.Vars, NoCache: true})
+		for i, cached := range []bool{false, true} {
+			_, got := doQuery(t, ts, req)
+			if got.Cached != cached || !slices.EqualFunc(got.Rows, fresh.Rows, slices.Equal) {
+				t.Fatalf("after %s, lookup %d: cached %v, %d rows; want cached %v and the %d fresh rows",
+					move, i+1, got.Cached, got.Count, cached, fresh.Count)
+			}
+		}
+		if !slices.ContainsFunc(fresh.Rows, func(r []string) bool { return r[0] == obj }) {
+			t.Fatalf("after %s: the fresh rows lack %s", move, obj)
+		}
+	}
+	doQuery(t, ts, req)
+	if _, got := doQuery(t, ts, req); !got.Cached {
+		t.Fatal("warm-up: the query missed")
+	}
+
+	adds, err := parseFacts([]string{"src_obj('alpha', direct_obj_1, record)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ApplySourceDelta("alpha", adds, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("ApplySourceDelta", "direct_obj_1")
+
+	ws[0].Mutate(func(mod *gcm.Model) {
+		mod.AddObject(gcm.Object{ID: term.Atom("direct_sync_obj"), Class: "record",
+			Values: map[string][]term.Term{"location": {term.Atom("spine")}}})
+	})
+	if _, err := m.SyncSources(); err != nil {
+		t.Fatal(err)
+	}
+	check("SyncSources", "direct_sync_obj")
 }
 
 // TestPlannedFieldSeesPushedDelta: /v1/query has one route, the
@@ -422,6 +472,11 @@ func TestQueryFlagsMissingSource(t *testing.T) {
 		}
 		if out := query(false); out["cached"] != false {
 			t.Errorf("answered from the cache after %s: %v", c.name, out)
+		}
+		// The entry is stamped from the value its answer was read
+		// from, built after the change: the next lookup hits.
+		if out := query(false); out["cached"] != true {
+			t.Errorf("second lookup after %s missed: %v", c.name, out)
 		}
 	}
 }

@@ -2,15 +2,17 @@ package serve
 
 // Continuous queries over SSE: POST /v1/subscribe registers a standing
 // query; the server pushes the initial answer set as a `snapshot`
-// event and, whenever incremental maintenance changes the
-// materialization (streamed source batches, /v1/delta, /v1/sync),
-// re-evaluates and pushes the difference against the subscriber's
-// last-sent answer set as a `delta` event. Wakeups are level-triggered
-// and coalescing (a one-slot dirty channel per subscriber): a slow
-// subscriber skips intermediate states and diffs straight to the
-// newest one — drop-and-resnapshot, never an unbounded buffer. Large
-// diffs degrade to a fresh `snapshot` event. Heartbeat comments keep
-// intermediaries from reaping idle connections.
+// event and, whenever the mediator publishes a new value (a streamed
+// source batch, a delta or sync through the handlers or made on the
+// mediator directly, a program change), re-evaluates and pushes the
+// difference against the subscriber's last-sent answer set as a
+// `delta` event. A subscriber loads the mediator's Changed channel
+// before it evaluates and then waits on it, so no publish slips
+// between the two, and any number of publishes while it evaluates
+// collapse into one wakeup: a slow subscriber skips intermediate
+// states and diffs straight to the newest one — never an unbounded
+// buffer. Large diffs degrade to a fresh `snapshot` event. Heartbeat
+// comments keep intermediaries from reaping idle connections.
 //
 // Subscriptions ride the same per-tenant machinery as queries: each
 // re-evaluation passes through the admission gate and the tenant's
@@ -58,64 +60,32 @@ type DeltaEvent struct {
 	Seq     int        `json:"seq"`
 }
 
-// subscriber is one standing query's server-side state.
-type subscriber struct {
-	tenant string
-	// dirty is the level-triggered wake signal (capacity 1): any
-	// number of maintenance reports between two evaluations collapse
-	// into one re-evaluation against the newest state.
-	dirty chan struct{}
-}
-
-// addSubscriber registers a subscriber under its tenant's cap.
-func (s *Server) addSubscriber(tenant string) (*subscriber, error) {
+// addSubscriber counts an open subscription under its tenant's cap.
+func (s *Server) addSubscriber(tenant string) error {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	if n := s.subTenants[tenant]; n >= s.cfg.maxSubsPerTenant() {
-		return nil, fmt.Errorf("tenant %s: subscription cap %d reached", tenant, s.cfg.maxSubsPerTenant())
+		return fmt.Errorf("tenant %s: subscription cap %d reached", tenant, s.cfg.maxSubsPerTenant())
 	}
-	sub := &subscriber{tenant: tenant, dirty: make(chan struct{}, 1)}
-	if s.subscribers == nil {
-		s.subscribers = map[*subscriber]struct{}{}
-	}
-	s.subscribers[sub] = struct{}{}
 	s.subTenants[tenant]++
-	return sub, nil
+	return nil
 }
 
-func (s *Server) removeSubscriber(sub *subscriber) {
+func (s *Server) removeSubscriber(tenant string) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	if _, ok := s.subscribers[sub]; ok {
-		delete(s.subscribers, sub)
-		s.subTenants[sub.tenant]--
-	}
+	s.subTenants[tenant]--
 }
 
 // subscriberCount returns the number of open subscriptions.
 func (s *Server) subscriberCount() int {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	return len(s.subscribers)
-}
-
-// ApplyReport folds one maintenance report into the serving layer:
-// precise cache invalidation plus a wakeup for every standing query.
-// Every subscriber is woken — one whose answer did not change
-// re-evaluates into a cache hit and sends nothing. Returns the number
-// of cache entries dropped. This is the hook the mediator feed loop
-// (StartFeeds OnReport) and the delta/sync handlers share.
-func (s *Server) ApplyReport(rep *mediator.DeltaReport) int {
-	dropped := s.invalidateFor(rep)
-	s.subMu.Lock()
-	for sub := range s.subscribers {
-		select {
-		case sub.dirty <- struct{}{}:
-		default: // already pending: coalesce
-		}
+	var n int
+	for _, c := range s.subTenants {
+		n += c
 	}
-	s.subMu.Unlock()
-	return dropped
+	return n
 }
 
 // BeginDrain tells every open subscription to finish its stream and
@@ -154,15 +124,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
-	sub, err := s.addSubscriber(tenant)
-	if err != nil {
+	if err := s.addSubscriber(tenant); err != nil {
 		s.ctr.Add("serve.subscribe_rejected", 1)
 		s.ctr.Add("serve.tenant."+tenant+".subscribe_rejected", 1)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	defer s.removeSubscriber(sub)
+	defer s.removeSubscriber(tenant)
 	s.ctr.Add("serve.subscribe_opened", 1)
 	defer s.ctr.Add("serve.subscribe_closed", 1)
 
@@ -208,6 +177,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	seq := 0
 	last := map[string][]string{}
+	var changed <-chan struct{}
 	push := func(event string, v any) bool {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -219,17 +189,19 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return true
 	}
-	// refresh evaluates and pushes a snapshot or delta; false ends the
-	// stream (client gone or evaluation hit the client's own context).
+	// refresh loads the next wakeup, then evaluates and pushes a
+	// snapshot or delta; false ends the stream (client gone or
+	// evaluation hit the client's own context).
 	refresh := func() bool {
+		changed = s.med.Changed()
 		rows, vars, err := evaluate()
 		if err != nil {
 			if r.Context().Err() != nil {
 				return false
 			}
 			// Shed, budget, or timeout on one round: the subscription
-			// survives; the next wakeup (or heartbeat-adjacent dirty
-			// signal) retries against the then-current state.
+			// survives; the next publish retries against the state
+			// current then.
 			s.ctr.Add("serve.sub_eval_errors", 1)
 			return true
 		}
@@ -283,7 +255,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 			s.logRequest(r, tenant, http.StatusOK, start, seq, outcomeComputed)
 			return
-		case <-sub.dirty:
+		case <-changed:
 			if !refresh() {
 				s.logRequest(r, tenant, http.StatusOK, start, seq, outcomeComputed)
 				return

@@ -230,6 +230,54 @@ func TestSubscribePushesAnswerDeltas(t *testing.T) {
 	}
 }
 
+// TestSubscribeSeesDirectMove: a standing query wakes on whatever the
+// mediator publishes, with no handler and no hook in between: a direct
+// ApplySourceDelta pushes the added row, a direct Unregister of the
+// source removes every row.
+func TestSubscribeSeesDirectMove(t *testing.T) {
+	srv, m, _ := newServeFixture(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.BeginDrain()
+
+	c := openSSE(t, ts, SubscribeRequest{Query: "src_obj('alpha', O, C)", Vars: []string{"O", "C"}}, "")
+	defer c.close()
+	if c.status != http.StatusOK {
+		t.Fatalf("subscribe status %d: %s", c.status, c.body)
+	}
+	var snap SnapshotEvent
+	if ev := c.next(t, 5*time.Second); ev.name != "snapshot" || json.Unmarshal([]byte(ev.data), &snap) != nil {
+		t.Fatalf("first event %s %s, want snapshot", ev.name, ev.data)
+	}
+	nextDelta := func(after string) DeltaEvent {
+		t.Helper()
+		ev := c.next(t, 5*time.Second)
+		var d DeltaEvent
+		if ev.name != "delta" || json.Unmarshal([]byte(ev.data), &d) != nil {
+			t.Fatalf("after %s: event %s %s, want delta", after, ev.name, ev.data)
+		}
+		return d
+	}
+
+	adds, err := parseFacts([]string{"src_obj('alpha', direct_sub_obj, record)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ApplySourceDelta("alpha", adds, nil); err != nil {
+		t.Fatal(err)
+	}
+	d := nextDelta("ApplySourceDelta")
+	if !reflect.DeepEqual(d.Added, [][]string{{"direct_sub_obj", "record"}}) || len(d.Removed) != 0 || d.Count != snap.Count+1 {
+		t.Fatalf("delta after ApplySourceDelta: %+v", d)
+	}
+
+	m.Unregister("alpha")
+	d = nextDelta("Unregister")
+	if len(d.Added) != 0 || len(d.Removed) != snap.Count+1 || d.Count != 0 {
+		t.Fatalf("delta after Unregister: %+v", d)
+	}
+}
+
 // TestSubscribeUnchangedAnswerSendsNothing: a delta to another source
 // wakes the subscriber, but an unchanged answer set emits no event.
 func TestSubscribeUnchangedAnswerSendsNothing(t *testing.T) {
@@ -386,7 +434,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 // TestFeedDeliversEveryDeltaToEverySubscriber drives the wrapper-feed
-// route (StartFeeds reporting into ApplyReport, no /v1/delta): 16
+// route (StartFeeds with no hook into the server, no /v1/delta): 16
 // subscribers on SYNAPSE's objects, then 10 rounds that alternately add
 // an object on the live wrapper and remove it again. Every subscriber
 // must receive every round's delta, exactly that change, in sequence
@@ -407,9 +455,7 @@ func TestFeedDeliversEveryDeltaToEverySubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(med, Config{})
-	feeds := med.StartFeeds(context.Background(), mediator.FeedOptions{
-		OnReport: func(rep *mediator.DeltaReport) { srv.ApplyReport(rep) },
-	})
+	feeds := med.StartFeeds(context.Background(), mediator.FeedOptions{})
 	defer feeds.Stop()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -109,7 +109,7 @@ func TestDRRWeightedOrder(t *testing.T) {
 // succeed rather than inherit the leader's cancellation (or spin on
 // the dead flight).
 func TestSingleFlightLeaderCancelRecovery(t *testing.T) {
-	c := newAnswerCache(8, fixedProgram)
+	c := newAnswerCache(8, fixedStamps, nil)
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderIn := make(chan struct{})
 
@@ -162,7 +162,7 @@ func TestSingleFlightLeaderCancelRecovery(t *testing.T) {
 // TestTenantCachePartitionIsolation: one tenant's cached answers and
 // in-progress flights are invisible to another tenant's keys.
 func TestTenantCachePartitionIsolation(t *testing.T) {
-	c := newAnswerCache(8, fixedProgram)
+	c := newAnswerCache(8, fixedStamps, nil)
 	ctx := context.Background()
 	if _, out, err := c.do(ctx, "gold", "k", nil, false, computeOK(1)); err != nil || out != outcomeComputed {
 		t.Fatalf("gold compute: out=%d err=%v", out, err)
