@@ -8,16 +8,20 @@ package cluster
 // mediator publishes instead; the router sees no shard's versions until
 // the shards publish a change feed. The router has no per-tenant
 // isolation duty (each shard enforces its own) and no single-flight
-// (the shards behind it already collapse duplicate work). The facts cache keeps each shard's
-// last shipped dump in parsed form, so consecutive gather queries don't
-// re-pull an unchanged shard and a re-shipped dump costs a parse of its
-// changed lines; a delta routed to a shard marks exactly that shard's
-// dump stale. The replica is the materialised result over the dumps of
-// every shard, patched with ApplyDelta as re-shipped dumps arrive.
+// (the shards behind it already collapse duplicate work). The facts
+// cache keeps each shard's dumps in parsed form, numbered by the
+// shard's stamps, so consecutive gather queries don't re-pull a shard:
+// a delta routed to a shard patches the dump of its source by the
+// change the shard's reply carries, and only a change the router could
+// not patch (a full rebuild, a number gap, a restarted shard) makes the
+// next gather re-ship the shard, at the cost of a parse of its changed
+// lines. The replica is the materialised result over the dumps of every
+// shard, moved with ApplyDelta as the dumps move.
 
 import (
 	"container/list"
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -126,26 +130,28 @@ func (c *answerCache) size() int {
 	return len(c.entries)
 }
 
-// factsCache keeps each shard's last shipped dump, parsed. A fresh dump
-// serves gathers without a shard call. A delta routed to a shard bumps
-// that shard's generation and marks its dump stale; the stale dump
-// stays as the base the next re-ship is parsed against. A put never
-// replaces a dump shipped under a newer generation, and a dump shipped
-// across a drop is kept but not fresh, so a fetch racing a delta cannot
-// pass the pre-delta dump off as fresh. Every dump put gets the shard's
-// next sequence number, which orders two dumps even within one
-// generation.
+// factsCache keeps each shard's dumps, parsed, each numbered with the
+// stamp of the source state it renders, in the shard's epoch. A change
+// routed to a shard is recorded by the number it committed (To), and a
+// shard's dumps are fresh while each is at least as new as every
+// change routed to its source in the same epoch. A routed change whose
+// From is the number of the held dump patches that dump to To; a full
+// rebuild, a number gap or another epoch leaves it stale, and the next
+// gather re-ships the shard's dumps and parses them against the held
+// ones. A ship never replaces a newer dump of a source: the cache only
+// moves forward.
 type factsCache struct {
 	mu     sync.Mutex
 	shards map[string]*shardFacts
 }
 
 type shardFacts struct {
-	gen     uint64                 // bumped by every drop
-	shipped uint64                 // the generation dumps were shipped under
-	seq     uint64                 // bumped by every put that replaced dumps
-	dumps   []*mediator.ParsedDump // last shipped dump (nil before the first)
-	fresh   bool                   // no drop since dumps were shipped
+	epoch uint64                 // the numbering the dumps' stamps are in
+	dumps []*mediator.ParsedDump // by source; nil before the first ship
+	// routed is, per source, the newest number a change routed to the
+	// shard committed, in routedEpoch.
+	routedEpoch uint64
+	routed      map[string]uint64
 }
 
 func newFactsCache() *factsCache {
@@ -161,47 +167,103 @@ func (c *factsCache) shard(id string) *shardFacts {
 	return s
 }
 
-// get returns the shard's cached dump (the parse base when it is not
-// fresh) and the generation observed, for a later put.
-func (c *factsCache) get(shard string) (dumps []*mediator.ParsedDump, gen uint64, fresh bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.shard(shard)
-	return s.dumps, s.gen, s.fresh
-}
-
-// put stores dumps shipped after generation gen was observed.
-func (c *factsCache) put(shard string, dumps []*mediator.ParsedDump, gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.shard(shard)
-	if gen < s.shipped {
-		return // a later ship's dump is in
+// find returns the held dump of source, or nil.
+func (s *shardFacts) find(source string) *mediator.ParsedDump {
+	for _, d := range s.dumps {
+		if d.Source == source {
+			return d
+		}
 	}
-	s.dumps, s.shipped, s.fresh = dumps, gen, gen == s.gen
-	s.seq++
+	return nil
 }
 
-func (c *factsCache) drop(shard string) {
+// fresh reports whether the dumps reflect every change routed to the
+// shard.
+func (s *shardFacts) fresh() bool {
+	if s.dumps == nil {
+		return false
+	}
+	if len(s.routed) > 0 && s.epoch != s.routedEpoch {
+		return false
+	}
+	for src, n := range s.routed {
+		if d := s.find(src); d == nil || d.Stamp < n {
+			return false
+		}
+	}
+	return true
+}
+
+// get returns the shard's cached dumps (the parse base when they are
+// not fresh).
+func (c *factsCache) get(shard string) (dumps []*mediator.ParsedDump, fresh bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.shard(shard)
-	s.gen++
-	s.fresh = false
+	return s.dumps, s.fresh()
 }
 
-func (c *factsCache) dropAll() {
+// put stores the dumps a ship read in epoch, keeping a held dump of a
+// source that is newer than the shipped one, and returns the dumps
+// held after.
+func (c *factsCache) put(shard string, epoch uint64, shipped []*mediator.ParsedDump) []*mediator.ParsedDump {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, s := range c.shards {
-		s.gen++
-		s.fresh = false
+	s := c.shard(shard)
+	if s.epoch == epoch {
+		for i, d := range shipped {
+			if held := s.find(d.Source); held != nil && held.Stamp >= d.Stamp {
+				shipped[i] = held
+			}
+		}
 	}
+	s.epoch, s.dumps = epoch, shipped
+	return shipped
 }
+
+// held returns the held dump of source when it is the state numbered
+// from in epoch, the base a change taken from that state patches.
+func (c *factsCache) held(shard string, epoch uint64, source string, from uint64) *mediator.ParsedDump {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.shard(shard)
+	if d := s.find(source); d != nil && s.epoch == epoch && d.Stamp == from {
+		return d
+	}
+	return nil
+}
+
+// routed records a change routed to shard that committed source's
+// state numbered to in epoch, and replaces the held dump base with
+// next, the dump patched to that state, unless base is nil or no
+// longer held. Both happen under one lock, so no gather sees the
+// change recorded and the dump not yet patched.
+func (c *factsCache) routed(shard string, epoch uint64, source string, to uint64, base, next *mediator.ParsedDump) (patched bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.shard(shard)
+	if s.routedEpoch != epoch {
+		s.routedEpoch, s.routed = epoch, map[string]uint64{}
+	}
+	s.routed[source] = max(s.routed[source], to)
+	if base == nil {
+		return false
+	}
+	i := slices.Index(s.dumps, base)
+	if i < 0 {
+		return false
+	}
+	s.dumps = slices.Clone(s.dumps)
+	s.dumps[i] = next
+	return true
+}
+
+// mark numbers one source's dump: its stamp, in its shard's epoch.
+type mark struct{ epoch, stamp uint64 }
 
 // factsState is the cached dumps of a set of shards at one moment.
 type factsState struct {
-	seqs  map[string]uint64 // shard -> sequence number of its dump
+	marks map[string]mark // source -> the number of its dump
 	dumps []*mediator.ParsedDump
 }
 
@@ -209,10 +271,12 @@ type factsState struct {
 func (c *factsCache) state(shards []*Shard) factsState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := factsState{seqs: make(map[string]uint64, len(shards))}
+	st := factsState{marks: map[string]mark{}}
 	for _, sh := range shards {
 		s := c.shard(sh.ID)
-		st.seqs[sh.ID] = s.seq
+		for _, d := range s.dumps {
+			st.marks[d.Source] = mark{s.epoch, d.Stamp}
+		}
 		st.dumps = append(st.dumps, s.dumps...)
 	}
 	return st
@@ -232,23 +296,24 @@ type replica struct {
 	write chan struct{}
 	fb    *mediator.FactBase // guarded by write
 
-	// mu guards the published result and, per shard, the sequence number
-	// of the dump it reflects; both change under write and mu.
-	mu   sync.RWMutex
-	res  *datalog.Result
-	seqs map[string]uint64
+	// mu guards the published result and, per source, the number of
+	// the dump it reflects; both change under write and mu.
+	mu    sync.RWMutex
+	res   *datalog.Result
+	marks map[string]mark
 }
 
 func newReplica() *replica { return &replica{write: make(chan struct{}, 1)} }
 
 // covers reports whether the published result reflects st: it was
-// built from no older dump of any shard. The caller holds mu or write.
+// built from the same sources' dumps, none older than st's, in the
+// same epochs. The caller holds mu or write.
 func (r *replica) covers(st factsState) bool {
-	if r.res == nil {
+	if r.res == nil || len(r.marks) != len(st.marks) {
 		return false
 	}
-	for id, seq := range st.seqs {
-		if seq > r.seqs[id] {
+	for src, m := range st.marks {
+		if h, ok := r.marks[src]; !ok || h.epoch != m.epoch || h.stamp < m.stamp {
 			return false
 		}
 	}
@@ -288,7 +353,7 @@ func (r *replica) advance(ctx context.Context, rep *mediator.Mediator, st factsS
 		return false, false, err
 	}
 	r.mu.Lock()
-	r.res, r.seqs = r.fb.Result(), st.seqs
+	r.res, r.marks = r.fb.Result(), st.marks
 	r.mu.Unlock()
 	return !rebuilt, rebuilt, nil
 }

@@ -48,9 +48,11 @@ func TestChaosDownedShard(t *testing.T) {
 	gatherAgg.NoCache = true
 	gatherJoin.NoCache = true
 	// The gather facts cache still holds NCMIR's dump from the healthy
-	// baseline; that is by design (consistent as-of last contact). Drop
+	// baseline; that is by design (consistent as-of last contact). Empty
 	// it so this test exercises the cold degraded path.
-	c.router.facts.dropAll()
+	c.router.facts.mu.Lock()
+	clear(c.router.facts.shards)
+	c.router.facts.mu.Unlock()
 
 	// First scatter trips the breaker on shard1 but still answers.
 	resp, status := routerQuery(t, c.base(), scatter)

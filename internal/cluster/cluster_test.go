@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -26,12 +27,13 @@ import (
 )
 
 type testShard struct {
-	id     string
-	med    *mediator.Mediator
-	srv    *serve.Server
-	hs     *httptest.Server
-	down   atomic.Bool
-	slowMs atomic.Int64
+	id      string
+	med     *mediator.Mediator
+	srv     *serve.Server
+	hs      *httptest.Server
+	handler atomic.Pointer[http.Handler]
+	down    atomic.Bool
+	slowMs  atomic.Int64
 }
 
 // newTestShard boots one shard medd over the given wrappers. While
@@ -40,17 +42,8 @@ type testShard struct {
 // allows recovery.
 func newTestShard(t testing.TB, id string, ws []wrapper.Wrapper) *testShard {
 	t.Helper()
-	med := mediator.New(sources.NeuroDM(), nil)
-	for _, w := range ws {
-		if err := med.Register(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := med.DefineStandardViews(); err != nil {
-		t.Fatal(err)
-	}
-	sh := &testShard{id: id, med: med, srv: serve.New(med, serve.Config{ShardID: id})}
-	h := sh.srv.Handler()
+	sh := &testShard{id: id}
+	sh.boot(t, ws)
 	sh.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if d := sh.slowMs.Load(); d > 0 {
 			time.Sleep(time.Duration(d) * time.Millisecond)
@@ -61,10 +54,28 @@ func newTestShard(t testing.TB, id string, ws []wrapper.Wrapper) *testShard {
 			fmt.Fprintln(w, `{"error":"injected outage"}`)
 			return
 		}
-		h.ServeHTTP(w, r)
+		(*sh.handler.Load()).ServeHTTP(w, r)
 	}))
 	t.Cleanup(sh.hs.Close)
 	return sh
+}
+
+// boot starts the shard's medd over ws, replacing the one serving, as
+// a restarted process behind the same URL would.
+func (sh *testShard) boot(t testing.TB, ws []wrapper.Wrapper) {
+	t.Helper()
+	med := mediator.New(sources.NeuroDM(), nil)
+	for _, w := range ws {
+		if err := med.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := med.DefineStandardViews(); err != nil {
+		t.Fatal(err)
+	}
+	sh.med, sh.srv = med, serve.New(med, serve.Config{ShardID: sh.id})
+	h := sh.srv.Handler()
+	sh.handler.Store(&h)
 }
 
 type testCluster struct {
@@ -291,6 +302,41 @@ func TestRouterModes(t *testing.T) {
 				t.Errorf("answer mismatch: %d rows vs reference %d", len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestReplicatedQueryReadsThePublishedValue: a replicated query reads
+// the value the replica mediator publishes instead of building the
+// static program per query (about 1.9 MB a query), and an unknown
+// predicate is still the client's error.
+func TestReplicatedQueryReadsThePublishedValue(t *testing.T) {
+	c := newTestCluster(t, 2026, 6, 8, 5, twoShardAssign(), nil, RouterConfig{})
+	h := c.router.Handler()
+	serveQuery := func(q string) *httptest.ResponseRecorder {
+		body, err := json.Marshal(serve.QueryRequest{Query: q, Vars: []string{"C"}, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		return rec
+	}
+	const q = `dm_isa_star(C, neuron)`
+	if rec := serveQuery(q); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"mode":"replicated"`) {
+		t.Fatalf("replicated query: status %d: %s", rec.Code, rec.Body)
+	}
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		serveQuery(q)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 100<<10 {
+		t.Errorf("a replicated query allocates %d KB, want <= 100 KB", per>>10)
+	}
+	if rec := serveQuery(`no_such_pred(C)`); rec.Code != http.StatusBadRequest {
+		t.Errorf("unknown predicate: status %d, want 400", rec.Code)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -239,6 +240,37 @@ func checkEqual(t *testing.T, label string, resp QueryResponse, ref *mediator.Me
 	}
 }
 
+// checkHeldDumps asserts that the router's dumps of a shard, patched by
+// the deltas routed to it, are fresh and render exactly what the
+// shard's own FactsDump renders, numbered alike.
+func checkHeldDumps(t *testing.T, label string, c *testCluster, shard string) {
+	t.Helper()
+	held, fresh := c.router.facts.get(shard)
+	if !fresh {
+		t.Fatalf("%s: the router's dumps of %s are stale", label, shard)
+	}
+	var want []mediator.SourceDump
+	for _, sh := range c.shards {
+		if sh.id == shard {
+			var err error
+			if want, err = sh.med.FactsDump(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(held) != len(want) {
+		t.Fatalf("%s: router holds %d dumps of %s, the shard renders %d", label, len(held), shard, len(want))
+	}
+	for i, d := range held {
+		got, w := d.Dump(), want[i]
+		if got.Source != w.Source || got.Stamp != w.Stamp || !slices.Equal(got.Facts, w.Facts) ||
+			!slices.Equal(got.Rules, w.Rules) || !slices.Equal(got.Anchors, w.Anchors) {
+			t.Fatalf("%s: router's dump of %s (stamp %d, %d facts, %d anchors) differs from the shard's (stamp %d, %d facts, %d anchors)",
+				label, w.Source, got.Stamp, len(got.Facts), len(got.Anchors), w.Stamp, len(w.Facts), len(w.Anchors))
+		}
+	}
+}
+
 // runDifferential drives one partitioned cluster against the
 // reference: first the full workload, then seqs seeded random
 // query/delta sequences with deltas interleaved mid-stream, then the
@@ -288,6 +320,7 @@ func runDifferential(t *testing.T, assign [][]string, extras map[string]wrapper.
 				if status := postJSON(t, testHTTP, c.base()+"/v1/delta", d, &dr, nil); status != http.StatusOK {
 					t.Fatalf("%s: delta to %s: status %d", label, d.Source, status)
 				}
+				checkHeldDumps(t, label, c, dr.Shard)
 				applyReferenceDelta(t, ref, d)
 				query(label+" after delta", gather)
 				query(label+" negated after delta", negated)

@@ -10,7 +10,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,8 +21,13 @@ import (
 	"time"
 
 	"modelmed/internal/datalog"
+	"modelmed/internal/gcm"
 	"modelmed/internal/mediator"
+	"modelmed/internal/parser"
 	"modelmed/internal/serve"
+	"modelmed/internal/sources"
+	"modelmed/internal/term"
+	"modelmed/internal/wrapper"
 )
 
 // checkReplica asserts that the router's replica, once built, is
@@ -59,7 +67,7 @@ func TestReplicaMoveOutlivesItsRequest(t *testing.T) {
 	rt := c.router
 	shards := rt.man.Shards()
 	for _, sh := range shards {
-		if g := rt.loadFacts(context.Background(), sh, nil, 0); !g.shipped {
+		if g := rt.loadFacts(context.Background(), sh, nil); !g.shipped {
 			t.Fatalf("ship %s: %+v", sh.ID, g)
 		}
 	}
@@ -90,10 +98,10 @@ func TestReplicaMoveOutlivesItsRequest(t *testing.T) {
 	if status := postJSON(t, testHTTP, c.base()+"/v1/delta", d, &DeltaResponse{}, nil); status != http.StatusOK {
 		t.Fatalf("delta: status %d", status)
 	}
-	owner, _ := rt.man.Owner("NCMIR")
-	base, gen, _ := rt.facts.get(owner.ID)
-	if g := rt.loadFacts(context.Background(), owner, base, gen); !g.shipped {
-		t.Fatalf("re-ship %s: %+v", owner.ID, g)
+	// The routed delta patched the router's dump of NCMIR: the move
+	// needs no re-ship.
+	if n := rt.ctr.Get("router.dump_patches"); n != 1 {
+		t.Fatalf("%d dump patches after the routed delta, want 1", n)
 	}
 	if patched, _ := advance("second move"); !patched {
 		t.Fatal("second move did not patch the replica")
@@ -124,8 +132,9 @@ func valueToggle(t *testing.T, ref *mediator.Mediator, source, method, bench str
 // a value toggle on shard0, three gathers, a value toggle on shard1,
 // three gathers — eight times with four more gather readers running
 // alongside. Every answer is the monolith's in one of the cycle's two
-// states; the replica is built once, every delta is followed by at
-// least one patch, and no patch happens without a re-shipped dump.
+// states; the replica is built once, every delta patches the router's
+// dump of its source and is followed by at least one replica patch,
+// and no shard is re-shipped after its first gather.
 func TestGatherCyclePatches(t *testing.T) {
 	c := newTestCluster(t, 2026, 14, 18, 10, twoShardAssign(), nil, RouterConfig{})
 	ref := newReference(t, 2026, 14, 18, 10, nil)
@@ -228,9 +237,187 @@ func TestGatherCyclePatches(t *testing.T) {
 	reships := ctr.Get("router.facts_fetches") - fetches0
 	patches := ctr.Get("router.replica_patches") - patches0
 	// The first gather after each of the 16 deltas must see it, so it
-	// moved the replica; a move needs a newer dump, so a re-ship.
-	if patches < 16 || patches > reships {
-		t.Errorf("%d re-ships, %d patches: want 16 <= patches <= re-ships", reships, patches)
+	// moved the replica; the delta patched the dump it moves to.
+	if reships != 0 || patches < 16 {
+		t.Errorf("%d re-ships, %d replica patches: want none and >= 16", reships, patches)
+	}
+	if n := ctr.Get("router.dump_patches"); n != 16 {
+		t.Errorf("%d dump patches, want 16", n)
 	}
 	checkReplica(t, "after the cycle", c.router)
+}
+
+// TestRoutedDeltaReshipsNothing: once every shard has shipped its
+// dumps, a routed delta patches the router's dump of its source before
+// its 200, so the gather after it re-ships nothing. Sixteen deltas,
+// each followed by a gather that agrees with the monolith; /metrics
+// counts the sixteen dump patches.
+func TestRoutedDeltaReshipsNothing(t *testing.T) {
+	c := newTestCluster(t, 2026, 6, 8, 5, twoShardAssign(), nil, RouterConfig{})
+	ref := newReference(t, 2026, 6, 8, 5, nil)
+	gather := serve.QueryRequest{Query: `protein_distribution(Root, P, Org, T, N)`,
+		Vars: []string{"Root", "P", "Org", "T", "N"}, NoCache: true}
+	ask := func(label string) {
+		t.Helper()
+		resp, status := routerQuery(t, c.base(), gather)
+		if status != http.StatusOK || resp.Mode != ModeGather.String() {
+			t.Fatalf("%s: status %d mode %s", label, status, resp.Mode)
+		}
+		checkEqual(t, label, resp, ref, gather.Query, gather.Vars)
+	}
+	ask("first gather")
+	ctr := c.router.Counters()
+	fetches0 := ctr.Get("router.facts_fetches")
+	dl := &deltaLog{}
+	r := rand.New(rand.NewSource(5))
+	srcs := []string{"SYNAPSE", "SENSELAB", "NCMIR"}
+	for i := 0; i < 16; i++ {
+		d := dl.nextDelta(r, srcs)
+		if status := postJSON(t, testHTTP, c.base()+"/v1/delta", d, &DeltaResponse{}, nil); status != http.StatusOK {
+			t.Fatalf("delta %d: status %d", i, status)
+		}
+		applyReferenceDelta(t, ref, d)
+		ask(fmt.Sprintf("gather after delta %d", i))
+	}
+	if n := ctr.Get("router.facts_fetches") - fetches0; n != 0 {
+		t.Errorf("%d re-ships across 16 routed deltas, want 0", n)
+	}
+	hr, err := testHTTP.Get(c.base() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	metrics, err := io.ReadAll(hr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "\nrouter_dump_patches 16\n") {
+		t.Errorf("/metrics does not count 16 dump patches:\n%s", metrics)
+	}
+}
+
+// TestShardRestartRenumbers: a shard restarted behind the same URL
+// numbers its states from the start again, in a new epoch, so the
+// number a routed delta commits there can be below the number of the
+// router's dump from the old process. Only the epoch says that dump
+// is stale: the gather after the delta must equal a monolith over the
+// restarted shard's sources.
+func TestShardRestartRenumbers(t *testing.T) {
+	c := newTestCluster(t, 2026, 6, 8, 5, twoShardAssign(), nil, RouterConfig{})
+	gather := serve.QueryRequest{Query: `protein_distribution(Root, P, Org, T, N)`,
+		Vars: []string{"Root", "P", "Org", "T", "N"}, NoCache: true}
+	if _, status := routerQuery(t, c.base(), gather); status != http.StatusOK {
+		t.Fatalf("first gather: status %d", status)
+	}
+	route := func(label, id string) DeltaResponse {
+		t.Helper()
+		d := serve.DeltaRequest{Source: "NCMIR", Adds: []string{fmt.Sprintf(`src_obj('NCMIR', %s, protein)`, id)}}
+		var dr DeltaResponse
+		if status := postJSON(t, testHTTP, c.base()+"/v1/delta", d, &dr, nil); status != http.StatusOK {
+			t.Fatalf("%s: status %d", label, status)
+		}
+		return dr
+	}
+	// Move the old process's NCMIR past the numbers a fresh boot starts
+	// at; the router patches its dump along.
+	for i := 0; i < 4; i++ {
+		route("delta before the restart", fmt.Sprintf("old_%d", i))
+	}
+	held, fresh := c.router.facts.get("shard1")
+	if !fresh || len(held) != 1 {
+		t.Fatalf("router holds %d dumps of shard1 (fresh %v)", len(held), fresh)
+	}
+
+	// Restart shard1 over NCMIR data of another seed, read once as a
+	// serving shard would have been.
+	other := sec5Wrappers(t, 7, 6, 8, 5)
+	c.shards[1].boot(t, []wrapper.Wrapper{other["NCMIR"]})
+	if _, err := c.shards[1].med.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	dr := route("delta after the restart", "new_0")
+	if dr.Full || dr.To > held[0].Stamp {
+		t.Fatalf("premise: the restarted shard numbers the delta %d (full %v), the router's dump is at %d",
+			dr.To, dr.Full, held[0].Stamp)
+	}
+
+	ref := mediator.New(sources.NeuroDM(), nil)
+	old := sec5Wrappers(t, 2026, 6, 8, 5)
+	for _, w := range []wrapper.Wrapper{old["SYNAPSE"], old["SENSELAB"], sec5Wrappers(t, 7, 6, 8, 5)["NCMIR"]} {
+		if err := ref.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ref.DefineStandardViews(); err != nil {
+		t.Fatal(err)
+	}
+	applyReferenceDelta(t, ref, serve.DeltaRequest{Source: "NCMIR", Adds: []string{`src_obj('NCMIR', new_0, protein)`}})
+	resp, status := routerQuery(t, c.base(), gather)
+	if status != http.StatusOK {
+		t.Fatalf("gather after the restart: status %d", status)
+	}
+	checkEqual(t, "gather after the restart", resp, ref, gather.Query, gather.Vars)
+	checkReplica(t, "after the restart", c.router)
+}
+
+// TestRoutedSyncRebuildReships: a /v1/sync through the router that
+// makes a shard rebuild a source (its semantic rules changed, which no
+// move can express) is numbered like a move, so the router's dump of
+// that source goes stale and the next gather re-ships it: the answer
+// follows the rebuilt source and equals the monolith's.
+func TestRoutedSyncRebuildReships(t *testing.T) {
+	c := newTestCluster(t, 2026, 6, 8, 5, twoShardAssign(), nil, RouterConfig{})
+	ref := newReference(t, 2026, 6, 8, 5, nil)
+	gather := serve.QueryRequest{Query: `protein_distribution(Root, P, Org, T, N)`,
+		Vars: []string{"Root", "P", "Org", "T", "N"}, NoCache: true}
+	if _, status := routerQuery(t, c.base(), gather); status != http.StatusOK {
+		t.Fatalf("first gather: status %d", status)
+	}
+	before := refRowSet(t, ref, gather.Query, gather.Vars)
+
+	// Copy every NCMIR object under a new name and add a semantic rule,
+	// in the shard's wrapper and in the reference's alike.
+	rules := parser.MustParseRules(`ncmir_object(O) :- src_obj('NCMIR', O, C).`)
+	mutate := func(m *mediator.Mediator) {
+		s, ok := m.Source("NCMIR")
+		if !ok {
+			t.Fatal("NCMIR not registered")
+		}
+		s.W.(*wrapper.InMemory).Mutate(func(mod *gcm.Model) {
+			for _, o := range slices.Clone(mod.Objects) {
+				o.ID = term.Atom(o.ID.String() + "_copy")
+				mod.AddObject(o)
+			}
+			mod.Rules = append(mod.Rules, rules...)
+		})
+	}
+	mutate(c.shards[1].med)
+	mutate(ref)
+	var out struct {
+		Refreshed []*DeltaResponse `json:"refreshed"`
+	}
+	if status := postJSON(t, testHTTP, c.base()+"/v1/sync", struct{}{}, &out, nil); status != http.StatusOK {
+		t.Fatalf("sync: status %d", status)
+	}
+	i := slices.IndexFunc(out.Refreshed, func(r *DeltaResponse) bool { return r.Source == "NCMIR" })
+	if i < 0 || !out.Refreshed[i].Full || out.Refreshed[i].Epoch == 0 {
+		t.Fatalf("premise: the sync rebuilds NCMIR under a numbered report: %+v", out.Refreshed)
+	}
+	if _, err := ref.SyncSources(); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(before, refRowSet(t, ref, gather.Query, gather.Vars)) {
+		t.Fatal("premise: the rebuilt NCMIR does not move the gather's answer")
+	}
+	ctr := c.router.Counters()
+	fetches := ctr.Get("router.facts_fetches")
+	resp, status := routerQuery(t, c.base(), gather)
+	if status != http.StatusOK {
+		t.Fatalf("gather after the sync: status %d", status)
+	}
+	checkEqual(t, "gather after the sync", resp, ref, gather.Query, gather.Vars)
+	if n := ctr.Get("router.facts_fetches") - fetches; n != 1 {
+		t.Errorf("%d re-ships after the rebuild, want 1 (the rebuilt shard's)", n)
+	}
+	checkReplica(t, "after the sync", c.router)
 }

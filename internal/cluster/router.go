@@ -3,12 +3,14 @@ package cluster
 // The router: the cluster's front door, speaking the same /v1/query,
 // /v1/delta and /v1/sync API as a single medd. Each query is parsed,
 // classified (decompose.go) and executed in the cheapest sound mode;
-// each delta is forwarded to the one shard owning its source and its
-// cache effect applied precisely. The router holds a *replica*
-// mediator carrying only the static knowledge (domain map, views, no
-// sources): it answers replicated-only queries locally, and its program
-// over every shard's fact dumps is the materialised replica gathers
-// read.
+// each delta is forwarded to the one shard owning its source, and the
+// change the shard's reply reports committing patches the router's dump
+// of that source before the router's own 200, so the router reads its
+// own writes without a re-ship. The router holds a *replica* mediator
+// carrying only the static knowledge (domain map, views, no sources):
+// the value it publishes answers replicated-only queries locally, and
+// its program over every shard's fact dumps is the materialised
+// replica gathers read.
 
 import (
 	"context"
@@ -111,6 +113,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	rt.ctr.Add("router.replica_patches", 0)
 	rt.ctr.Add("router.replica_rebuilds", 0)
+	rt.ctr.Add("router.dump_patches", 0)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", rt.handleQuery)
 	mux.HandleFunc("/v1/delta", rt.handleDelta)
@@ -245,9 +248,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var status int
 	switch dec.Mode {
 	case ModeReplicated:
-		resp, status, err = rt.replicatedQuery(ctx, &req)
+		resp, status, err = rt.replicatedQuery(ctx, &req, body, aux)
 	case ModeSources:
-		resp, status, err = rt.sourcesQuery(ctx, apiKey, &req, &dec)
+		resp, status, err = rt.sourcesQuery(ctx, apiKey, &req, &dec, body, aux)
 	case ModeScatter:
 		resp, status, err = rt.scatterQuery(ctx, apiKey, &req)
 	default:
@@ -273,14 +276,15 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Mode, time.Since(start), resp.Count, resp.Partial)
 }
 
-// replicatedQuery answers from the router's own static knowledge —
-// zero shard calls.
-func (rt *Router) replicatedQuery(ctx context.Context, req *serve.QueryRequest) (*QueryResponse, int, error) {
-	ans, err := rt.rep.QueryOverFacts(ctx, nil, req.Query, req.Vars)
+// replicatedQuery answers the parsed query from the value the replica
+// mediator publishes over its static knowledge — zero shard calls, no
+// build once that value exists.
+func (rt *Router) replicatedQuery(ctx context.Context, req *serve.QueryRequest, body []datalog.BodyElem, aux []datalog.Rule) (*QueryResponse, int, error) {
+	if err := rt.rep.ValidateVocabulary(body, aux); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	ans, err := rt.rep.QueryParsed(ctx, body, aux, req.Vars...)
 	if err != nil {
-		if errors.Is(err, mediator.ErrUnknownPredicate) {
-			return nil, http.StatusBadRequest, err
-		}
 		return nil, http.StatusInternalServerError, err
 	}
 	rows := datalog.RenderRows(ans.Rows)
@@ -291,7 +295,7 @@ func (rt *Router) replicatedQuery(ctx context.Context, req *serve.QueryRequest) 
 // one shard owns them all, restricted gather when they span shards.
 // Sources no shard owns contribute no facts anywhere, matching what an
 // unregistered source yields on a single mediator.
-func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, dec *Decomposition) (*QueryResponse, int, error) {
+func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, dec *Decomposition, body []datalog.BodyElem, aux []datalog.Rule) (*QueryResponse, int, error) {
 	owners := map[*Shard]bool{}
 	for _, src := range dec.Sources {
 		if sh, ok := rt.man.Owner(src); ok {
@@ -301,7 +305,7 @@ func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.Qu
 	switch len(owners) {
 	case 0:
 		// No owned facts: evaluate over static knowledge alone.
-		resp, status, err := rt.replicatedQuery(ctx, req)
+		resp, status, err := rt.replicatedQuery(ctx, req, body, aux)
 		if resp != nil {
 			resp.Mode = "proxy"
 		}
@@ -417,7 +421,7 @@ func (rt *Router) scatterQuery(ctx context.Context, apiKey string, req *serve.Qu
 
 // gatherQuery evaluates the query at the router over the replicated
 // static knowledge and the given shards' fact dumps, re-shipping the
-// dumps a delta made stale. Over every shard, with no shard missing, it
+// dumps that are not fresh. Over every shard, with no shard missing, it
 // reads the materialised replica, moved forward to the dumps first;
 // otherwise (a restricted or partial gather) it evaluates over a
 // one-off build of the same parsed dumps.
@@ -425,7 +429,7 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 	got := make([]gathered, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
-		dumps, gen, fresh := rt.facts.get(sh.ID)
+		dumps, fresh := rt.facts.get(sh.ID)
 		if fresh {
 			got[i].dumps = dumps
 			rt.ctr.Add("router.facts_cache_hits", 1)
@@ -434,7 +438,7 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 		wg.Add(1)
 		go func(i int, sh *Shard) {
 			defer wg.Done()
-			got[i] = rt.loadFacts(ctx, sh, dumps, gen)
+			got[i] = rt.loadFacts(ctx, sh, dumps)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -499,9 +503,9 @@ type gathered struct {
 	badDump error // the shipped dump does not parse
 }
 
-// loadFacts re-ships a shard's dump that was not fresh at generation
-// gen, parses it against base, the previous dump, and caches it.
-func (rt *Router) loadFacts(ctx context.Context, sh *Shard, base []*mediator.ParsedDump, gen uint64) gathered {
+// loadFacts re-ships a shard's dumps that were not fresh, parses them
+// against base, the held ones, and caches them.
+func (rt *Router) loadFacts(ctx context.Context, sh *Shard, base []*mediator.ParsedDump) gathered {
 	if !sh.br.Allow() {
 		return gathered{skipped: true}
 	}
@@ -520,8 +524,7 @@ func (rt *Router) loadFacts(ctx context.Context, sh *Shard, base []*mediator.Par
 			return gathered{badDump: fmt.Errorf("shard %s: %w", sh.ID, err)}
 		}
 	}
-	rt.facts.put(sh.ID, dumps, gen)
-	return gathered{dumps: dumps, shipped: true}
+	return gathered{dumps: rt.facts.put(sh.ID, fr.Epoch, dumps), shipped: true}
 }
 
 // replicaQuery answers the query over the replica, first moving it to
@@ -612,10 +615,11 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyShardDelta applies one shard delta report's precise router-side
-// cache effect: drop the answer-cache entries depending on the source
-// (everything on a full rebuild) and that shard's cached fact dump.
+// cache effect: patch the source's held dump by the committed change
+// (patchDump) and drop the answer-cache entries depending on the
+// source (everything on a full rebuild).
 func (rt *Router) applyShardDelta(shardID string, sr *serve.DeltaResponse) int {
-	rt.facts.drop(shardID)
+	rt.patchDump(shardID, sr)
 	var dropped int
 	if sr.Full {
 		dropped = rt.cache.invalidateAll()
@@ -626,6 +630,31 @@ func (rt *Router) applyShardDelta(shardID string, sr *serve.DeltaResponse) int {
 	}
 	rt.ctr.Add("router.cache_entries_dropped", int64(dropped))
 	return dropped
+}
+
+// patchDump records the change sr reports as routed to the shard and,
+// when the held dump of its source is the state the change was taken
+// from, patches that dump to the state it committed. A full rebuild or
+// a patch that does not apply leaves the dump stale, for the next
+// gather to re-ship.
+func (rt *Router) patchDump(shardID string, sr *serve.DeltaResponse) {
+	if sr.Epoch == 0 {
+		return // nothing committed
+	}
+	var base, next *mediator.ParsedDump
+	if !sr.Full {
+		base = rt.facts.held(shardID, sr.Epoch, sr.Source, sr.From)
+	}
+	if base != nil {
+		var err error
+		if next, err = base.Patch(sr.DumpChange, sr.To); err != nil {
+			rt.logf("shard %s: %v", shardID, err)
+			base = nil
+		}
+	}
+	if rt.facts.routed(shardID, sr.Epoch, sr.Source, sr.To, base, next) {
+		rt.ctr.Add("router.dump_patches", 1)
+	}
 }
 
 func (rt *Router) handleSync(w http.ResponseWriter, r *http.Request) {

@@ -61,22 +61,27 @@ func PredName(key string) string {
 
 // String renders the literal in concrete syntax.
 func (l Literal) String() string {
-	var b strings.Builder
+	var buf [128]byte
+	return string(l.Append(buf[:0]))
+}
+
+// Append appends the literal's concrete syntax to dst.
+func (l Literal) Append(dst []byte) []byte {
 	if l.Neg {
-		b.WriteString("not ")
+		dst = append(dst, "not "...)
 	}
-	b.WriteString(term.Atom(l.Pred).String())
+	dst = term.Atom(l.Pred).Append(dst)
 	if len(l.Args) > 0 {
-		b.WriteByte('(')
+		dst = append(dst, '(')
 		for i, a := range l.Args {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			b.WriteString(a.String())
+			dst = a.Append(dst)
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	}
-	return b.String()
+	return dst
 }
 
 // Vars appends the variables of the literal to dst.
@@ -210,7 +215,8 @@ func Fact(pred string, args ...term.Term) Rule {
 // String renders the rule in concrete syntax.
 func (r Rule) String() string {
 	if len(r.Body) == 0 {
-		return r.Head.String() + "."
+		var buf [128]byte
+		return string(append(r.Head.Append(buf[:0]), '.'))
 	}
 	parts := make([]string, len(r.Body))
 	for i, b := range r.Body {

@@ -2,10 +2,14 @@ package mediator
 
 // Cluster hooks: the primitives a shard router needs from a mediator
 // beyond the ordinary query API. FactsDump renders every held source
-// state in the rule language — the shard's contribution to the
-// federation, reflecting every applied move — and ParseDump parses a
-// shipped dump against the previous one. A router whose query cannot
-// be answered by unioning per-shard answers (cross-shard joins,
+// state in the rule language, each numbered with the stamp of the
+// state it renders — the shard's contribution to the federation — and
+// ParseDump parses a shipped dump against the previous one. A move
+// reports the change it committed in the same rendering
+// (DeltaReport.DumpChange), numbered from and to, so a router holding
+// the dump at the move's from-number patches it (ParsedDump.Patch)
+// instead of fetching the next. A router whose query cannot be
+// answered by unioning per-shard answers (cross-shard joins,
 // aggregates, negation over source facts) evaluates over the dumps
 // with a mediator that holds no sources, only the static knowledge
 // (axioms, bridge, domain map, views): QueryOverFacts and
@@ -31,9 +35,12 @@ import (
 // SourceDump is one source's contribution to the materialized base,
 // rendered in the parseable rule language (every line ends with "."):
 // ground namespaced facts (plus the source's global schema facts), the
-// source's semantic rules, and its anchor/3 facts.
+// source's semantic rules, and its anchor/3 facts. Stamp is the number
+// of the state rendered (Stamp.Sources), in the dumping mediator's
+// Epoch.
 type SourceDump struct {
 	Source  string   `json:"source"`
+	Stamp   uint64   `json:"stamp,omitempty"`
 	Facts   []string `json:"facts,omitempty"`
 	Rules   []string `json:"rules,omitempty"`
 	Anchors []string `json:"anchors,omitempty"`
@@ -60,7 +67,7 @@ func (m *Mediator) FactsDump(ctx context.Context) ([]SourceDump, error) {
 	out := make([]SourceDump, 0, v.Len())
 	for _, n := range v.Names() {
 		st := v.State(n)
-		d := SourceDump{Source: n, Rules: ruleSig(st.Rules)}
+		d := SourceDump{Source: n, Stamp: v.stamp.Sources[n], Rules: ruleSig(st.Rules)}
 		st.Facts.Each(func(key string, arity int, row []term.Term) {
 			d.Facts = append(d.Facts, datalog.Fact(datalog.PredName(key), row...).String())
 		})
@@ -74,11 +81,42 @@ func (m *Mediator) FactsDump(ctx context.Context) ([]SourceDump, error) {
 	return out, nil
 }
 
+// DumpChange is a committed change of one source in FactsDump's
+// rendering: the fact and anchor lines it added and removed, sorted.
+type DumpChange struct {
+	Adds       []string `json:"adds,omitempty"`
+	Dels       []string `json:"dels,omitempty"`
+	AnchorAdds []string `json:"anchor_adds,omitempty"`
+	AnchorDels []string `json:"anchor_dels,omitempty"`
+}
+
+// DumpChange renders the change the move took effect with, the lines
+// taking the dump at r.From to the dump at r.To.
+func (r *DeltaReport) DumpChange() DumpChange {
+	return DumpChange{Adds: dumpLines(r.Change.Adds), Dels: dumpLines(r.Change.Dels),
+		AnchorAdds: dumpLines(r.Change.AnchorAdds), AnchorDels: dumpLines(r.Change.AnchorDels)}
+}
+
+func dumpLines(facts []datalog.Rule) []string {
+	if len(facts) == 0 {
+		return nil
+	}
+	out := make([]string, len(facts))
+	for i, r := range facts {
+		out[i] = r.String()
+	}
+	slices.Sort(out)
+	return out
+}
+
 // ParsedDump is one source's dump in parsed form. It is immutable once
 // ParseDump returns it, so routers share it between concurrent requests
 // and keep it as the base the source's next dump is parsed against.
 type ParsedDump struct {
 	Source string
+	// Stamp is the shipped dump's SourceDump.Stamp, or the To of the
+	// change that patched it.
+	Stamp uint64
 	// facts and anchors are the dump's ground lines, sorted, each with
 	// its parsed head at the same index.
 	facts, anchors dumpSection
@@ -102,7 +140,7 @@ func ParseDump(d SourceDump, prev *ParsedDump) (*ParsedDump, error) {
 	if prev == nil || prev.Source != d.Source {
 		prev = &ParsedDump{}
 	}
-	out := &ParsedDump{Source: d.Source, ruleLines: d.Rules}
+	out := &ParsedDump{Source: d.Source, Stamp: d.Stamp, ruleLines: d.Rules}
 	var err error
 	if out.facts, err = parseSection(d.Source, d.Facts, prev.facts); err != nil {
 		return nil, fmt.Errorf("mediator: dump of %s: %w", d.Source, err)
@@ -116,6 +154,64 @@ func ParseDump(d SourceDump, prev *ParsedDump) (*ParsedDump, error) {
 		return nil, fmt.Errorf("mediator: dump of %s: %w", d.Source, err)
 	}
 	return out, nil
+}
+
+// Patch returns d moved by ch to stamp: d's lines minus the removed
+// ones plus the added ones, parsed against d (ParseDump), so only the
+// added lines are parsed. A removed line d does not hold, or an added
+// line it still holds, means ch was not taken from d's state: an error.
+func (d *ParsedDump) Patch(ch DumpChange, stamp uint64) (*ParsedDump, error) {
+	facts, err := patchLines(d.facts.lines, ch.Dels, ch.Adds)
+	if err != nil {
+		return nil, fmt.Errorf("mediator: patch dump of %s: %w", d.Source, err)
+	}
+	anchors, err := patchLines(d.anchors.lines, ch.AnchorDels, ch.AnchorAdds)
+	if err != nil {
+		return nil, fmt.Errorf("mediator: patch dump of %s: %w", d.Source, err)
+	}
+	return ParseDump(SourceDump{Source: d.Source, Stamp: stamp, Facts: facts, Rules: d.ruleLines, Anchors: anchors}, d)
+}
+
+// Dump returns d's lines as the SourceDump it was parsed from.
+func (d *ParsedDump) Dump() SourceDump {
+	return SourceDump{Source: d.Source, Stamp: d.Stamp, Facts: d.facts.lines, Rules: d.ruleLines, Anchors: d.anchors.lines}
+}
+
+// patchLines returns the sorted lines minus dels plus adds, sorted.
+func patchLines(lines, dels, adds []string) ([]string, error) {
+	if len(dels)+len(adds) == 0 {
+		return lines, nil
+	}
+	gone := make(map[string]bool, len(dels))
+	for _, l := range dels {
+		gone[l] = true
+	}
+	kept := make([]string, 0, len(lines))
+	for _, l := range lines {
+		if gone[l] {
+			delete(gone, l)
+			continue
+		}
+		kept = append(kept, l)
+	}
+	if len(gone) > 0 {
+		return nil, fmt.Errorf("%d removed lines not held", len(gone))
+	}
+	adds = slices.Clone(adds)
+	slices.Sort(adds)
+	out := make([]string, 0, len(kept)+len(adds))
+	i := 0
+	for _, a := range adds {
+		for i < len(kept) && kept[i] < a {
+			out = append(out, kept[i])
+			i++
+		}
+		if (i < len(kept) && kept[i] == a) || (len(out) > 0 && out[len(out)-1] == a) {
+			return nil, fmt.Errorf("added line %s already held", a)
+		}
+		out = append(out, a)
+	}
+	return append(out, kept[i:]...), nil
 }
 
 // parseSection parses source's lines, reusing prev's parse of every

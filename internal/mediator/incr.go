@@ -68,6 +68,17 @@ type DeltaReport struct {
 	// Stats is the engine-level work of the patch (nil when the change
 	// was a no-op or the path was Full).
 	Stats *datalog.DeltaStats
+	// Epoch, From and To number the commit: the source's stamp number
+	// (Stamp.Sources) before and after it, in this mediator's numbering
+	// (Epoch); a move that changed nothing has From == To. A Full
+	// report is numbered too, but Change does not take the state at
+	// From to the state at To: a build is no change. Epoch is zero only
+	// when nothing was committed (the read was dropped, the streamed
+	// batch was stale).
+	Epoch, From, To uint64
+	// Change is the change a move took effect with, the one logged to
+	// the WAL.
+	Change srcstate.Change
 }
 
 func (r *DeltaReport) String() string {
@@ -198,8 +209,11 @@ func (m *Mediator) commitLocked(from *published, pulls []*pull, sp *obs.Span) ([
 		}
 		m.counters().Add("mediator.delta_full_rebuilds", 1)
 		sp.SetStr("fallback", "full")
+		built := m.base.Load().stamp
 		for _, p := range kept {
-			reps = append(reps, &DeltaReport{Source: p.src.Name, Full: true})
+			name := p.src.Name
+			reps = append(reps, &DeltaReport{Source: name, Full: true,
+				Epoch: m.epoch, From: v.stamp.Sources[name], To: built.Sources[name]})
 		}
 		return reps, err
 	}
@@ -268,6 +282,10 @@ func (m *Mediator) moveSourceLocked(source string, toVersion uint64, ch srcstate
 		AnchorsAdded:   len(eff.AnchorAdds),
 		AnchorsRemoved: len(eff.AnchorDels),
 		Stats:          stats,
+		Epoch:          m.epoch,
+		From:           v.stamp.Sources[source],
+		To:             m.base.Load().stamp.Sources[source],
+		Change:         eff,
 	}
 	m.noteDeltaLocked(rep, sp)
 	return rep, nil

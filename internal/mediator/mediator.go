@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"strings"
@@ -131,6 +132,8 @@ type Mediator struct {
 	base atomic.Pointer[published]
 	// commits is the last commit number a publish took (see Stamp).
 	commits uint64
+	// epoch names this mediator's numbering (see Epoch).
+	epoch uint64
 
 	// deltaLog, when set, receives a WAL record for every source move
 	// (and a Full marker for every source a build reads) while m.mu is
@@ -165,6 +168,7 @@ func New(dm *domainmap.DomainMap, opts *Options) *Mediator {
 		opts:     o,
 		dm:       dm,
 		registry: xmlio.NewRegistry(),
+		epoch:    rand.Uint64()>>11 | 1,
 	}
 	m.index = domainmap.NewIndex(m.walkAnchors)
 	m.publishLocked(map[string]*Source{}, srcstate.Base{}, "")
@@ -254,6 +258,13 @@ func (m *Mediator) publishLocked(srcs map[string]*Source, b srcstate.Base, sig s
 
 // Stamp returns the published value's stamp.
 func (m *Mediator) Stamp() *Stamp { return m.base.Load().stamp }
+
+// Epoch names the numbering this mediator's stamps are in: a random
+// nonzero number drawn when it is made, below 2^53 so that a JSON
+// reader holding numbers as doubles reads it exactly. Commit numbers
+// start over in every process, so a stamp number read from another
+// process means something only beside the epoch it was read under.
+func (m *Mediator) Epoch() uint64 { return m.epoch }
 
 // Changed returns a channel closed when the value now published is
 // superseded: by a move, a build, or a program change. A standing query

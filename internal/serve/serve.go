@@ -245,7 +245,13 @@ type DeltaRequest struct {
 	Dels   []string `json:"dels,omitempty"`
 }
 
-// DeltaResponse reports one applied delta.
+// DeltaResponse reports one applied delta: its counts, the change
+// that took effect in /v1/facts' rendering (the lines it added and
+// removed), and the source's stamp number before and after it (From,
+// To), in the numbering of this process (Epoch). A router holding the
+// source's dump at From patches it to To with the lines, unless the
+// commit was a full rebuild, which it numbers but does not patch by.
+// The numbers are zero only when nothing was committed.
 type DeltaResponse struct {
 	Source         string `json:"source"`
 	FactsAdded     int    `json:"facts_added"`
@@ -253,6 +259,10 @@ type DeltaResponse struct {
 	AnchorsAdded   int    `json:"anchors_added"`
 	AnchorsRemoved int    `json:"anchors_removed"`
 	Full           bool   `json:"full_rebuild"`
+	Epoch          uint64 `json:"epoch,omitempty"`
+	From           uint64 `json:"from,omitempty"`
+	To             uint64 `json:"to,omitempty"`
+	mediator.DumpChange
 }
 
 // PlanResponse is the GET /v1/plan reply.
@@ -479,6 +489,10 @@ func deltaResponse(rep *mediator.DeltaReport) *DeltaResponse {
 		AnchorsAdded:   rep.AnchorsAdded,
 		AnchorsRemoved: rep.AnchorsRemoved,
 		Full:           rep.Full,
+		Epoch:          rep.Epoch,
+		From:           rep.From,
+		To:             rep.To,
+		DumpChange:     rep.DumpChange(),
 	}
 }
 
@@ -541,10 +555,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // FactsResponse is the GET /v1/facts reply: this mediator's per-source
 // contribution in the parseable rule language, reflecting every
-// applied delta. A cluster router gathers these from its shards when a
-// query cannot be answered by unioning per-shard answers.
+// applied delta, each numbered with its stamp in the numbering of this
+// process (Epoch). A cluster router gathers these from its shards when
+// a query cannot be answered by unioning per-shard answers.
 type FactsResponse struct {
 	ShardID string                `json:"shard_id,omitempty"`
+	Epoch   uint64                `json:"epoch"`
 	Sources []mediator.SourceDump `json:"sources"`
 }
 
@@ -562,7 +578,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ctr.Add("serve.facts_dumps", 1)
-	s.writeJSON(w, http.StatusOK, &FactsResponse{ShardID: s.cfg.ShardID, Sources: dumps})
+	s.writeJSON(w, http.StatusOK, &FactsResponse{ShardID: s.cfg.ShardID, Epoch: s.med.Epoch(), Sources: dumps})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

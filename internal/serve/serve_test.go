@@ -165,6 +165,22 @@ func TestDeltaPreciseInvalidation(t *testing.T) {
 	if dr.FactsAdded != 1 || dr.Full {
 		t.Fatalf("delta report: %+v", dr)
 	}
+	// The reply carries the change in /v1/facts' rendering, numbered.
+	if len(dr.Adds) != 1 || dr.Adds[0] != "src_obj(alpha,delta_obj_1,record)." || dr.Epoch == 0 || dr.To <= dr.From {
+		t.Fatalf("delta reply change: %s", body)
+	}
+	// The same push again changes nothing and lists nothing.
+	resp, body = postJSON(t, ts, "/v1/delta", DeltaRequest{
+		Source: "alpha",
+		Adds:   []string{"src_obj('alpha', delta_obj_1, record)"},
+	})
+	var again DeltaResponse
+	if err := json.Unmarshal(body, &again); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeated delta: status %d: %s", resp.StatusCode, body)
+	}
+	if again.FactsAdded != 0 || len(again.Adds) != 0 || again.From != dr.To {
+		t.Fatalf("repeated delta reply: %s", body)
+	}
 
 	// Unrelated query: still served from cache.
 	if _, got := doQuery(t, ts, betaReq); !got.Cached {
