@@ -167,3 +167,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseAxioms -fuzztime=$(FUZZTIME) ./internal/dl
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzQueryResponse -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzRouterReply -fuzztime=$(FUZZTIME) ./internal/cluster

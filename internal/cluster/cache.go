@@ -6,17 +6,20 @@ package cluster
 // drop the entries over their source, and a generation counter guards
 // stale inserts. The serving layer validates against the versions its
 // mediator publishes instead; the router sees no shard's versions until
-// the shards publish a change feed. The router has no per-tenant
-// isolation duty (each shard enforces its own) and no single-flight
-// (the shards behind it already collapse duplicate work). The facts
-// cache keeps each shard's dumps in parsed form, numbered by the
-// shard's stamps, so consecutive gather queries don't re-pull a shard:
-// a delta routed to a shard patches the dump of its source by the
-// change the shard's reply carries, and only a change the router could
-// not patch (a full rebuild, a number gap, a restarted shard) makes the
-// next gather re-ship the shard, at the cost of a parse of its changed
-// lines. The replica is the materialised result over the dumps of every
-// shard, moved with ApplyDelta as the dumps move.
+// the shards publish a change feed. An entry is its own copy of the
+// reply's encoded head — vars and rows, as the router wrote them — and
+// the fields that follow, so a hit copies bytes and re-encodes no row.
+// The router has no per-tenant isolation duty (each shard enforces its
+// own) and no single-flight (the shards behind it already collapse
+// duplicate work). The facts cache keeps each shard's dumps in parsed
+// form, numbered by the shard's stamps, so consecutive gather queries
+// don't re-pull a shard: a delta routed to a shard patches the dump of
+// its source by the change the shard's reply carries, and only a change
+// the router could not patch (a full rebuild, a number gap, a restarted
+// shard) makes the next gather re-ship the shard, at the cost of a
+// parse of its changed lines. The replica is the materialised result
+// over the dumps of every shard, moved with ApplyDelta as the dumps
+// move.
 
 import (
 	"container/list"
@@ -31,7 +34,8 @@ import (
 
 type cacheEntry struct {
 	key    string
-	resp   QueryResponse
+	head   []byte // the reply up to the end of its rows; never written
+	resp   reply
 	deps   map[string]bool // source names; nil+!global = never invalidated
 	global bool
 }
@@ -51,22 +55,24 @@ func newAnswerCache(max int) *answerCache {
 	return &answerCache{max: max, ll: list.New(), entries: map[string]*list.Element{}}
 }
 
-// get returns the cached response and the generation observed, for a
-// later generation-guarded put.
-func (c *answerCache) get(key string) (QueryResponse, uint64, bool) {
+// get returns the cached reply and the generation observed, for a
+// later generation-guarded put. The caller must not write head.
+func (c *answerCache) get(key string) (head []byte, resp reply, gen uint64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return QueryResponse{}, c.gen, false
+		return nil, reply{}, c.gen, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).resp, c.gen, true
+	e := el.Value.(*cacheEntry)
+	return e.head, e.resp, c.gen, true
 }
 
 // put inserts unless an invalidation ran since gen was observed — an
 // answer computed against pre-delta shards must not outlive the delta.
-func (c *answerCache) put(key string, resp QueryResponse, deps []string, global bool, gen uint64) {
+// The cache keeps head, which the caller must not write after.
+func (c *answerCache) put(key string, head []byte, resp reply, deps []string, global bool, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gen != gen {
@@ -75,10 +81,10 @@ func (c *answerCache) put(key string, resp QueryResponse, deps []string, global 
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
-		e.resp = resp
+		e.head, e.resp = head, resp
 		return
 	}
-	e := &cacheEntry{key: key, resp: resp, global: global}
+	e := &cacheEntry{key: key, head: head, resp: resp, global: global}
 	if len(deps) > 0 {
 		e.deps = make(map[string]bool, len(deps))
 		for _, d := range deps {

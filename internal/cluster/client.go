@@ -1,10 +1,12 @@
 package cluster
 
 // HTTP client for shard medd instances. Every call classifies its
-// outcome for the health tracker: a transport error or 5xx is a shard
-// failure (counted by its breaker); a 4xx is the *request's* fault — the
-// shard answered, so its breaker stays closed and the status/body are
-// relayed to the caller.
+// outcome for the health tracker: a transport error, a 5xx or a reply
+// that does not read is a shard failure (counted by its breaker); a 4xx
+// is the *request's* fault — the shard answered, so its breaker stays
+// closed and the status/body are relayed to the caller. A /v1/query
+// reply is read with its rows left encoded (wire.go); the other calls'
+// replies are decoded.
 
 import (
 	"bytes"
@@ -56,20 +58,21 @@ func shardFault(ctx context.Context, err error) bool {
 	return ShardDown(err)
 }
 
-// doJSON issues one request and decodes a JSON reply into out. Non-2xx
-// replies become *StatusError carrying the server's error message.
-func (m *Manager) doJSON(ctx context.Context, method, url, apiKey string, body, out any) error {
+// do issues one request, with body (when not nil) as JSON, and returns
+// a 2xx reply, whose body the caller closes. Non-2xx replies become
+// *StatusError carrying the server's error message.
+func (m *Manager) do(ctx context.Context, method, url, apiKey string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			return fmt.Errorf("cluster: encode: %w", err)
+			return nil, fmt.Errorf("cluster: encode: %w", err)
 		}
 		rd = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -79,10 +82,10 @@ func (m *Manager) doJSON(ctx context.Context, method, url, apiKey string, body, 
 	}
 	resp, err := m.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("cluster: %s: %w", url, err)
+		return nil, fmt.Errorf("cluster: %s: %w", url, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		defer resp.Body.Close()
 		msg := http.StatusText(resp.StatusCode)
 		var e struct {
 			Error string `json:"error"`
@@ -92,8 +95,18 @@ func (m *Manager) doJSON(ctx context.Context, method, url, apiKey string, body, 
 				msg = e.Error
 			}
 		}
-		return &StatusError{Status: resp.StatusCode, Message: msg}
+		return nil, &StatusError{Status: resp.StatusCode, Message: msg}
 	}
+	return resp, nil
+}
+
+// doJSON issues one request and decodes a JSON reply into out.
+func (m *Manager) doJSON(ctx context.Context, method, url, apiKey string, body, out any) error {
+	resp, err := m.do(ctx, method, url, apiKey, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
@@ -115,13 +128,21 @@ func (m *Manager) healthz(ctx context.Context, sh *Shard) ([]string, error) {
 	return resp.Sources, nil
 }
 
-// Query posts a query request to one shard, verbatim.
-func (m *Manager) Query(ctx context.Context, sh *Shard, apiKey string, req *serve.QueryRequest) (*serve.QueryResponse, error) {
-	var resp serve.QueryResponse
-	if err := m.doJSON(ctx, http.MethodPost, sh.URL+"/v1/query", apiKey, req, &resp); err != nil {
+// Query posts a query request to one shard, verbatim, and reads the
+// reply with its rows left encoded. The caller releases the answer once
+// it has written them; dropping it unreleased is safe.
+func (m *Manager) Query(ctx context.Context, sh *Shard, apiKey string, req *serve.QueryRequest) (*ShardAnswer, error) {
+	url := sh.URL + "/v1/query"
+	resp, err := m.do(ctx, http.MethodPost, url, apiKey, req)
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	defer resp.Body.Close()
+	a, err := readShardAnswer(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: decode: %w", url, err)
+	}
+	return a, nil
 }
 
 // Delta posts a source delta to one shard.

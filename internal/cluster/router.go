@@ -1,18 +1,26 @@
 package cluster
 
 // The router: the cluster's front door, speaking the same /v1/query,
-// /v1/delta and /v1/sync API as a single medd. Each query is parsed,
-// classified (decompose.go) and executed in the cheapest sound mode;
-// each delta is forwarded to the one shard owning its source, and the
-// change the shard's reply reports committing patches the router's dump
-// of that source before the router's own 200, so the router reads its
-// own writes without a re-ship. The router holds a *replica* mediator
+// /v1/delta and /v1/sync API as a single medd. Each query is parsed
+// once, classified (decompose.go) and executed in the cheapest sound
+// mode. Every /v1/query reply, a cache hit's included, is written by
+// serve's encoder into a pooled buffer — serve's prefix, then the
+// router's mode and shard reports: a proxy relays the shard's encoded
+// rows as they stand, a scatter unions the shards' rows deduped by
+// their bytes (wire.go), and replicated and gather answers encode their
+// cells straight from the fixpoint, so no row is decoded or held as
+// strings. Each delta is forwarded to the one shard owning its source,
+// and the change the shard's reply reports committing patches the
+// router's dump of that source before the router's own 200, so the
+// router reads its own writes without a re-ship. The router holds a
+// *replica* mediator
 // carrying only the static knowledge (domain map, views, no sources):
 // the value it publishes answers replicated-only queries locally, and
 // its program over every shard's fact dumps is the materialised
 // replica gathers read.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,6 +28,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -151,9 +160,10 @@ func (rt *Router) Handler() http.Handler {
 	})
 }
 
-// QueryResponse is the router's POST /v1/query reply: the single-node
-// shape plus the execution mode, the partial flag, and the per-shard
-// reports.
+// QueryResponse is the schema of the router's POST /v1/query reply,
+// as clients decode it: the single-node shape plus the execution mode,
+// the partial flag, and the per-shard reports. The router writes it by
+// hand (reply.finish), with the rows as bytes.
 type QueryResponse struct {
 	Vars   []string   `json:"vars"`
 	Rows   [][]string `json:"rows"`
@@ -168,6 +178,45 @@ type QueryResponse struct {
 	// gather.
 	Mode   string        `json:"mode"`
 	Shards []ShardReport `json:"shards,omitempty"`
+}
+
+// reply is a router /v1/query answer whose vars and rows are written
+// in the reply buffer (serve.ReplyEncoder.Head and the rows): the
+// fields that follow them.
+type reply struct {
+	count   int
+	partial bool
+	mode    string
+	shards  []ShardReport
+}
+
+// finish appends the fields after the rows, serve's and the router's
+// own, ending the reply as QueryResponse's JSON encoding ends.
+func (r *reply) finish(e *serve.ReplyEncoder, cached bool) {
+	e.Tail(r.count, cached, r.partial)
+	b := serve.AppendJSONString(append(e.Buf, `,"mode":`...), r.mode)
+	if len(r.shards) > 0 {
+		b = append(b, `,"shards":[`...)
+		for i, rep := range r.shards {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = serve.AppendJSONString(append(b, `{"shard":`...), rep.ID)
+			if len(rep.Sources) > 0 {
+				b = serve.AppendJSONStrings(append(b, `,"sources":`...), rep.Sources)
+			}
+			b = serve.AppendJSONString(append(b, `,"status":`...), rep.Status)
+			if rep.Error != "" {
+				b = serve.AppendJSONString(append(b, `,"error":`...), rep.Error)
+			}
+			if rep.Rows != 0 {
+				b = strconv.AppendInt(append(b, `,"rows":`...), int64(rep.Rows), 10)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	e.Buf = append(b, "}\n"...)
 }
 
 // DeltaResponse is the router's POST /v1/delta reply: the owning
@@ -226,17 +275,20 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
+	enc := serve.GetReplyEncoder()
+	defer enc.Release()
 	dec := Classify(body, aux, rt.rep.ViewRules())
 	key := serve.CacheKey(body, aux, req.Vars)
 	useCache := !rt.cfg.DisableCache && !req.NoCache && !req.Trace
 	var gen uint64
 	if useCache {
-		cached, g, ok := rt.cache.get(key)
+		head, cached, g, ok := rt.cache.get(key)
 		if ok {
-			cached.Cached = true
 			rt.ctr.Add("router.cache_hits", 1)
-			rt.writeJSON(w, http.StatusOK, &cached)
-			rt.logf("method=POST path=/v1/query mode=%s status=200 dur=%s rows=%d cache=hit", cached.Mode, time.Since(start), cached.Count)
+			enc.Buf = append(enc.Buf[:0], head...)
+			cached.finish(enc, true)
+			rt.write(w, enc.Buf)
+			rt.logf("method=POST path=/v1/query mode=%s status=200 dur=%s rows=%d cache=hit", cached.mode, time.Since(start), cached.count)
 			return
 		}
 		gen = g
@@ -244,17 +296,17 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	apiKey := r.Header.Get("X-API-Key")
-	var resp *QueryResponse
+	var resp *reply
 	var status int
 	switch dec.Mode {
 	case ModeReplicated:
-		resp, status, err = rt.replicatedQuery(ctx, &req, body, aux)
+		resp, status, err = rt.replicatedQuery(ctx, enc, body, aux, req.Vars)
 	case ModeSources:
-		resp, status, err = rt.sourcesQuery(ctx, apiKey, &req, &dec, body, aux)
+		resp, status, err = rt.sourcesQuery(ctx, enc, apiKey, &req, &dec, body, aux)
 	case ModeScatter:
-		resp, status, err = rt.scatterQuery(ctx, apiKey, &req)
+		resp, status, err = rt.scatterQuery(ctx, enc, apiKey, &req)
 	default:
-		resp, status, err = rt.gatherQuery(ctx, &req, &dec, rt.man.Shards())
+		resp, status, err = rt.gatherQuery(ctx, enc, body, aux, req.Vars, &dec, rt.man.Shards())
 	}
 	if err != nil {
 		rt.ctr.Add("router.query_errors", 1)
@@ -264,38 +316,47 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.ctr.Add("router.queries", 1)
 	rt.ctr.Add("router."+dec.Mode.String(), 1)
-	if resp.Partial {
+	if resp.partial {
 		rt.ctr.Add("router.partial_answers", 1)
 	} else if useCache {
 		deps := dec.Sources
 		global := dec.Mode == ModeScatter || dec.Mode == ModeGather
-		rt.cache.put(key, *resp, deps, global, gen)
+		rt.cache.put(key, bytes.Clone(enc.Buf), *resp, deps, global, gen)
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
+	resp.finish(enc, false)
+	rt.write(w, enc.Buf)
 	rt.logf("method=POST path=/v1/query mode=%s status=200 dur=%s rows=%d cache=miss partial=%v",
-		resp.Mode, time.Since(start), resp.Count, resp.Partial)
+		resp.mode, time.Since(start), resp.count, resp.partial)
+}
+
+// write sends a 200 with an encoded JSON body.
+func (rt *Router) write(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // replicatedQuery answers the parsed query from the value the replica
 // mediator publishes over its static knowledge — zero shard calls, no
 // build once that value exists.
-func (rt *Router) replicatedQuery(ctx context.Context, req *serve.QueryRequest, body []datalog.BodyElem, aux []datalog.Rule) (*QueryResponse, int, error) {
+func (rt *Router) replicatedQuery(ctx context.Context, e *serve.ReplyEncoder, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*reply, int, error) {
 	if err := rt.rep.ValidateVocabulary(body, aux); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	ans, err := rt.rep.QueryParsed(ctx, body, aux, req.Vars...)
+	ans, err := rt.rep.QueryParsed(ctx, body, aux, vars...)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	rows := datalog.RenderRows(ans.Rows)
-	return &QueryResponse{Vars: ans.Vars, Rows: rows, Count: len(rows), Mode: ModeReplicated.String()}, 0, nil
+	e.Head(ans.Vars)
+	e.CellRows(ans.Rows)
+	return &reply{count: len(ans.Rows), mode: ModeReplicated.String()}, 0, nil
 }
 
 // sourcesQuery handles queries pinned to ground sources: proxy when
 // one shard owns them all, restricted gather when they span shards.
 // Sources no shard owns contribute no facts anywhere, matching what an
 // unregistered source yields on a single mediator.
-func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, dec *Decomposition, body []datalog.BodyElem, aux []datalog.Rule) (*QueryResponse, int, error) {
+func (rt *Router) sourcesQuery(ctx context.Context, e *serve.ReplyEncoder, apiKey string, req *serve.QueryRequest, dec *Decomposition, body []datalog.BodyElem, aux []datalog.Rule) (*reply, int, error) {
 	owners := map[*Shard]bool{}
 	for _, src := range dec.Sources {
 		if sh, ok := rt.man.Owner(src); ok {
@@ -305,14 +366,14 @@ func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.Qu
 	switch len(owners) {
 	case 0:
 		// No owned facts: evaluate over static knowledge alone.
-		resp, status, err := rt.replicatedQuery(ctx, req, body, aux)
+		resp, status, err := rt.replicatedQuery(ctx, e, body, aux, req.Vars)
 		if resp != nil {
-			resp.Mode = "proxy"
+			resp.mode = "proxy"
 		}
 		return resp, status, err
 	case 1:
 		for sh := range owners {
-			return rt.proxyQuery(ctx, apiKey, req, sh)
+			return rt.proxyQuery(ctx, e, apiKey, req, sh)
 		}
 	}
 	shards := make([]*Shard, 0, len(owners))
@@ -320,15 +381,16 @@ func (rt *Router) sourcesQuery(ctx context.Context, apiKey string, req *serve.Qu
 		shards = append(shards, sh)
 	}
 	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
-	return rt.gatherQuery(ctx, req, dec, shards)
+	return rt.gatherQuery(ctx, e, body, aux, req.Vars, dec, shards)
 }
 
-// proxyQuery forwards the request verbatim to one shard.
-func (rt *Router) proxyQuery(ctx context.Context, apiKey string, req *serve.QueryRequest, sh *Shard) (*QueryResponse, int, error) {
+// proxyQuery forwards the request verbatim to one shard and relays its
+// rows as the shard encoded them.
+func (rt *Router) proxyQuery(ctx context.Context, e *serve.ReplyEncoder, apiKey string, req *serve.QueryRequest, sh *Shard) (*reply, int, error) {
 	if !sh.br.Allow() {
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("shard %s is down: %s", sh.ID, rt.man.Report(sh).Error)
 	}
-	sr, err := rt.man.Query(ctx, sh, apiKey, req)
+	sa, err := rt.man.Query(ctx, sh, apiKey, req)
 	if err != nil {
 		if ShardDown(err) {
 			if shardFault(ctx, err) {
@@ -340,21 +402,18 @@ func (rt *Router) proxyQuery(ctx context.Context, apiKey string, req *serve.Quer
 		errors.As(err, &se)
 		return nil, se.Status, fmt.Errorf("shard %s: %s", sh.ID, se.Message)
 	}
+	defer sa.Release()
 	sh.br.Success()
-	rep := rt.man.Report(sh)
-	rep.Rows = len(sr.Rows)
-	return &QueryResponse{
-		Vars: sr.Vars, Rows: sr.Rows, Count: len(sr.Rows), Partial: sr.Partial,
-		Mode: "proxy", Shards: []ShardReport{rep},
-	}, 0, nil
+	return relay(e, sa, rt.man.Report(sh)), 0, nil
 }
 
 // scatterQuery fans the request out to every shard and unions the
-// answers. Down shards yield a flagged partial answer; a deterministic
-// client rejection (4xx) from any shard is relayed as-is.
-func (rt *Router) scatterQuery(ctx context.Context, apiKey string, req *serve.QueryRequest) (*QueryResponse, int, error) {
+// answers, deduping rows by their encoding. Down shards yield a flagged
+// partial answer; a deterministic client rejection (4xx) from any shard
+// is relayed as-is.
+func (rt *Router) scatterQuery(ctx context.Context, e *serve.ReplyEncoder, apiKey string, req *serve.QueryRequest) (*reply, int, error) {
 	shards := rt.man.Shards()
-	answers := make([]*serve.QueryResponse, len(shards))
+	answers := make([]*ShardAnswer, len(shards))
 	errs := make([]error, len(shards))
 	skipped := make([]bool, len(shards))
 	var wg sync.WaitGroup
@@ -370,15 +429,21 @@ func (rt *Router) scatterQuery(ctx context.Context, apiKey string, req *serve.Qu
 		}(i, sh)
 	}
 	wg.Wait()
+	defer func() {
+		for _, a := range answers {
+			if a != nil {
+				a.Release()
+			}
+		}
+	}()
 
-	resp := &QueryResponse{Mode: ModeScatter.String()}
-	seen := map[string]bool{}
+	resp := &reply{mode: ModeScatter.String()}
 	var okCount int
 	for i, sh := range shards {
 		rep := rt.man.Report(sh)
 		switch {
 		case skipped[i]:
-			resp.Partial = true
+			resp.partial = true
 		case errs[i] != nil:
 			if !ShardDown(errs[i]) {
 				var se *StatusError
@@ -391,41 +456,30 @@ func (rt *Router) scatterQuery(ctx context.Context, apiKey string, req *serve.Qu
 			rep = rt.man.Report(sh)
 			rep.Status = "failed"
 			rep.Error = errs[i].Error()
-			resp.Partial = true
+			resp.partial = true
 		default:
 			sh.br.Success()
 			rep = rt.man.Report(sh)
 			okCount++
-			a := answers[i]
-			resp.Partial = resp.Partial || a.Partial
-			if resp.Vars == nil {
-				resp.Vars = a.Vars
-			}
-			rep.Rows = len(a.Rows)
-			for _, row := range a.Rows {
-				k := strings.Join(row, "\x00")
-				if !seen[k] {
-					seen[k] = true
-					resp.Rows = append(resp.Rows, row)
-				}
-			}
+			resp.partial = resp.partial || answers[i].Partial
+			rep.Rows = answers[i].Len()
 		}
-		resp.Shards = append(resp.Shards, rep)
+		resp.shards = append(resp.shards, rep)
 	}
 	if okCount == 0 {
 		return nil, http.StatusServiceUnavailable, errors.New("all shards down")
 	}
-	resp.Count = len(resp.Rows)
+	resp.count = mergeRows(e, answers)
 	return resp, 0, nil
 }
 
-// gatherQuery evaluates the query at the router over the replicated
-// static knowledge and the given shards' fact dumps, re-shipping the
-// dumps that are not fresh. Over every shard, with no shard missing, it
-// reads the materialised replica, moved forward to the dumps first;
-// otherwise (a restricted or partial gather) it evaluates over a
-// one-off build of the same parsed dumps.
-func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec *Decomposition, shards []*Shard) (*QueryResponse, int, error) {
+// gatherQuery evaluates the parsed query at the router over the
+// replicated static knowledge and the given shards' fact dumps,
+// re-shipping the dumps that are not fresh. Over every shard, with no
+// shard missing, it reads the materialised replica, moved forward to
+// the dumps first; otherwise (a restricted or partial gather) it
+// evaluates over a one-off build of the same parsed dumps.
+func (rt *Router) gatherQuery(ctx context.Context, e *serve.ReplyEncoder, body []datalog.BodyElem, aux []datalog.Rule, vars []string, dec *Decomposition, shards []*Shard) (*reply, int, error) {
 	got := make([]gathered, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
@@ -443,7 +497,7 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 	}
 	wg.Wait()
 
-	resp := &QueryResponse{Mode: ModeGather.String()}
+	resp := &reply{mode: ModeGather.String()}
 	var all []*mediator.ParsedDump
 	for i, sh := range shards {
 		g := &got[i]
@@ -452,7 +506,7 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 		case g.badDump != nil:
 			return nil, http.StatusInternalServerError, g.badDump
 		case g.skipped:
-			resp.Partial = true
+			resp.partial = true
 		case g.err != nil:
 			if shardFault(ctx, g.err) {
 				sh.br.Failure(g.err)
@@ -460,7 +514,7 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 			rep = rt.man.Report(sh)
 			rep.Status = "failed"
 			rep.Error = g.err.Error()
-			resp.Partial = true
+			resp.partial = true
 		default:
 			if g.shipped {
 				sh.br.Success()
@@ -468,9 +522,9 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 			}
 			all = append(all, g.dumps...)
 		}
-		resp.Shards = append(resp.Shards, rep)
+		resp.shards = append(resp.shards, rep)
 	}
-	if resp.Partial && dec.NoPartial {
+	if resp.partial && dec.NoPartial {
 		// An aggregate or negation over source facts evaluated without a
 		// shard's contribution is wrong, not partial — refuse.
 		return nil, http.StatusServiceUnavailable,
@@ -478,10 +532,10 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 	}
 	var ans *mediator.Answer
 	var err error
-	if !resp.Partial && len(shards) == len(rt.man.Shards()) {
-		ans, err = rt.replicaQuery(ctx, req, shards)
+	if !resp.partial && len(shards) == len(rt.man.Shards()) {
+		ans, err = rt.replicaQuery(ctx, body, aux, vars, shards)
 	} else {
-		ans, err = rt.rep.QueryOverParsed(ctx, all, req.Query, req.Vars)
+		ans, err = rt.rep.QueryOverParsed(ctx, all, body, aux, vars)
 	}
 	if err != nil {
 		if errors.Is(err, mediator.ErrUnknownPredicate) {
@@ -489,8 +543,9 @@ func (rt *Router) gatherQuery(ctx context.Context, req *serve.QueryRequest, dec 
 		}
 		return nil, http.StatusInternalServerError, err
 	}
-	resp.Vars, resp.Rows = ans.Vars, datalog.RenderRows(ans.Rows)
-	resp.Count = len(resp.Rows)
+	e.Head(ans.Vars)
+	e.CellRows(ans.Rows)
+	resp.count = len(ans.Rows)
 	return resp, 0, nil
 }
 
@@ -530,11 +585,11 @@ func (rt *Router) loadFacts(ctx context.Context, sh *Shard, base []*mediator.Par
 // replicaQuery answers the query over the replica, first moving it to
 // the facts cache's state of shards, every shard of the cluster, each
 // loaded by this request.
-func (rt *Router) replicaQuery(ctx context.Context, req *serve.QueryRequest, shards []*Shard) (*mediator.Answer, error) {
+func (rt *Router) replicaQuery(ctx context.Context, body []datalog.BodyElem, aux []datalog.Rule, vars []string, shards []*Shard) (*mediator.Answer, error) {
 	st := rt.facts.state(shards)
 	var ans *mediator.Answer
 	query := func(res *datalog.Result) (err error) {
-		ans, err = rt.rep.QueryResult(ctx, res, req.Query, req.Vars)
+		ans, err = rt.rep.QueryResult(ctx, res, body, aux, vars)
 		return err
 	}
 	if ok, err := rt.replica.read(st, query); ok {

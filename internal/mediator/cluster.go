@@ -422,13 +422,17 @@ func (m *Mediator) QueryOverFacts(ctx context.Context, dumps []SourceDump, q str
 		}
 		parsed[i] = p
 	}
-	return m.QueryOverParsed(ctx, parsed, q, vars)
+	body, aux, err := parser.ParseQuery(q)
+	if err != nil {
+		return nil, fmt.Errorf("mediator: query over facts: %w", err)
+	}
+	return m.QueryOverParsed(ctx, parsed, body, aux, vars)
 }
 
-// QueryOverParsed is QueryOverFacts over dumps already parsed.
-func (m *Mediator) QueryOverParsed(ctx context.Context, dumps []*ParsedDump, q string, vars []string) (*Answer, error) {
-	body, aux, err := m.parseFactsQuery(q)
-	if err != nil {
+// QueryOverParsed is QueryOverFacts over dumps and a query already
+// parsed.
+func (m *Mediator) QueryOverParsed(ctx context.Context, dumps []*ParsedDump, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*Answer, error) {
+	if err := m.ValidateVocabulary(body, aux); err != nil {
 		return nil, err
 	}
 	b, err := m.buildOverFacts(ctx, dumps)
@@ -438,28 +442,15 @@ func (m *Mediator) QueryOverParsed(ctx context.Context, dumps []*ParsedDump, q s
 	return answerOver(ctx, b.Result(), body, aux, vars)
 }
 
-// QueryResult evaluates q over res, a FactBase's result, behind the same
-// vocabulary gate as QueryOverFacts. A negated conjunction's auxiliary
-// rules run in a layer over res that is dropped with the answer (see
-// queryResult), so res is only read.
-func (m *Mediator) QueryResult(ctx context.Context, res *datalog.Result, q string, vars []string) (*Answer, error) {
-	body, aux, err := m.parseFactsQuery(q)
-	if err != nil {
+// QueryResult evaluates the parsed query over res, a FactBase's result,
+// behind the same vocabulary gate as QueryOverFacts. A negated
+// conjunction's auxiliary rules run in a layer over res that is dropped
+// with the answer (see queryResult), so res is only read.
+func (m *Mediator) QueryResult(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*Answer, error) {
+	if err := m.ValidateVocabulary(body, aux); err != nil {
 		return nil, err
 	}
 	return answerOver(ctx, res, body, aux, vars)
-}
-
-// parseFactsQuery parses q and gates its vocabulary.
-func (m *Mediator) parseFactsQuery(q string) ([]datalog.BodyElem, []datalog.Rule, error) {
-	body, aux, err := parser.ParseQuery(q)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mediator: query over facts: %w", err)
-	}
-	if err := m.ValidateVocabulary(body, aux); err != nil {
-		return nil, nil, err
-	}
-	return body, aux, nil
 }
 
 func answerOver(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*Answer, error) {

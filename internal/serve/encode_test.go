@@ -52,9 +52,9 @@ func FuzzQueryResponse(f *testing.F) {
 		if len(planText)%2 == 1 {
 			resp.Trace = &obs.SpanExport{Name: planText, DurationNs: i, Strs: map[string]string{atom: str}}
 		}
-		enc := getQueryEncoder()
-		defer enc.release()
-		if err := enc.encode(resp, cellRows(rows)); err != nil {
+		enc := GetReplyEncoder()
+		defer enc.Release()
+		if err := enc.Encode(resp, cellRows(rows)); err != nil {
 			t.Fatal(err)
 		}
 		want := *resp
@@ -63,8 +63,8 @@ func FuzzQueryResponse(f *testing.F) {
 		if err := json.NewEncoder(&buf).Encode(&want); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(enc.buf, buf.Bytes()) {
-			t.Fatalf("encoder bytes differ from encoding/json\n got: %q\nwant: %q", enc.buf, buf.Bytes())
+		if !bytes.Equal(enc.Buf, buf.Bytes()) {
+			t.Fatalf("encoder bytes differ from encoding/json\n got: %q\nwant: %q", enc.Buf, buf.Bytes())
 		}
 	})
 }
@@ -74,8 +74,8 @@ func FuzzQueryResponse(f *testing.F) {
 func TestQueryResponseEmpty(t *testing.T) {
 	for _, rows := range [][][]term.Term{nil, {{}}} {
 		resp := &QueryResponse{Count: len(rows)}
-		enc := getQueryEncoder()
-		if err := enc.encode(resp, cellRows(rows)); err != nil {
+		enc := GetReplyEncoder()
+		if err := enc.Encode(resp, cellRows(rows)); err != nil {
 			t.Fatal(err)
 		}
 		want := *resp
@@ -84,9 +84,9 @@ func TestQueryResponseEmpty(t *testing.T) {
 		if err := json.NewEncoder(&buf).Encode(&want); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(enc.buf, buf.Bytes()) {
-			t.Errorf("got %q, want %q", enc.buf, buf.Bytes())
+		if !bytes.Equal(enc.Buf, buf.Bytes()) {
+			t.Errorf("got %q, want %q", enc.Buf, buf.Bytes())
 		}
-		enc.release()
+		enc.Release()
 	}
 }

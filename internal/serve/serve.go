@@ -405,13 +405,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Trace {
 		resp.Trace = ans.Span.Export()
 	}
-	enc := getQueryEncoder()
-	defer enc.release()
-	err = enc.encode(resp, ans.Rows)
+	enc := GetReplyEncoder()
+	defer enc.Release()
+	err = enc.Encode(resp, ans.Rows)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if err == nil {
-		_, _ = w.Write(enc.buf)
+		_, _ = w.Write(enc.Buf)
 	}
 	s.logRequest(r, tenant, http.StatusOK, start, resp.Count, out)
 }
