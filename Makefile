@@ -48,10 +48,11 @@ spine:
 # Resource-governance smoke, race-enabled: the DRR grant-order unit
 # test, the single-flight leader-cancel and 504-slot-release
 # regressions, the budget->422 mapping, cache partition isolation, the
-# early-400 logging fix, the abusive-tenant chaos test, and the
-# engine-level budget/cancellation suite.
+# early-400 logging fix, the abusive-tenant chaos test, a new long
+# text shed before it is ordered, and the engine-level
+# budget/cancellation suite.
 tenant-smoke:
-	$(GO) test -race -count=1 -run 'TestDRRWeightedOrder|TestSingleFlightLeaderCancelRecovery|TestTenantCachePartitionIsolation|TestTimeoutFreesAdmissionSlot|TestBudgetExceededReturns422|TestEarlyBadRequestLogged|TestAbusiveTenantFairness' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestDRRWeightedOrder|TestSingleFlightLeaderCancelRecovery|TestTenantCachePartitionIsolation|TestTimeoutFreesAdmissionSlot|TestBudgetExceededReturns422|TestEarlyBadRequestLogged|TestAbusiveTenantFairness|TestNewTextOrderedUnderAdmission' ./internal/serve
 	$(GO) test -race -count=1 -run 'Budget|StopsFixpoint|StopsRun|SpendsGas|ChargesGas|HonoursCancelled' ./internal/datalog
 
 # Durability smoke: the crash-recovery harness (sampled WAL offsets

@@ -853,4 +853,29 @@ func BenchmarkServeQuery(b *testing.B) {
 			}
 		})
 	}
+	// sec5_miss sends the sec5 query under a new variable name each
+	// time, so no text is prepared before: every request parses, orders
+	// and compiles, as a first-seen query does.
+	b.Run("sec5_miss", func(b *testing.B) {
+		bodies := make([][]byte, b.N)
+		for i := range bodies {
+			n := fmt.Sprintf("N%d", i)
+			req := serve.QueryRequest{Query: `src_obj('SENSELAB', ` + n + `, neurotransmission), ` +
+				`src_val('SENSELAB', ` + n + `, organism, "rat"), ` +
+				`src_val('SENSELAB', ` + n + `, transmitting_compartment, parallel_fiber), ` +
+				`anchor('SENSELAB', ` + n + `, C)`, Vars: []string{n, "C"}, NoCache: true}
+			if bodies[i], err = json.Marshal(&req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(bodies[i])))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	})
 }

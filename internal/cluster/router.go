@@ -37,7 +37,6 @@ import (
 	"modelmed/internal/datalog"
 	"modelmed/internal/mediator"
 	"modelmed/internal/obs"
-	"modelmed/internal/parser"
 	"modelmed/internal/serve"
 )
 
@@ -260,7 +259,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
-	body, aux, err := parser.ParseQuery(req.Query)
+	p, err := rt.rep.Prepare(req.Query, req.Vars)
 	if err != nil {
 		rt.ctr.Add("router.query_errors", 1)
 		rt.writeError(w, http.StatusBadRequest, err)
@@ -277,11 +276,12 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	enc := serve.GetReplyEncoder()
 	defer enc.Release()
-	dec := Classify(body, aux, rt.rep.ViewRules())
-	key := serve.CacheKey(body, aux, req.Vars)
+	dec := Classify(p.Body, p.Aux, rt.rep.ViewRules())
 	useCache := !rt.cfg.DisableCache && !req.NoCache && !req.Trace
+	var key string
 	var gen uint64
 	if useCache {
+		key = serve.CacheKey(p.Body, p.Aux, req.Vars)
 		head, cached, g, ok := rt.cache.get(key)
 		if ok {
 			rt.ctr.Add("router.cache_hits", 1)
@@ -300,13 +300,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var status int
 	switch dec.Mode {
 	case ModeReplicated:
-		resp, status, err = rt.replicatedQuery(ctx, enc, body, aux, req.Vars)
+		resp, status, err = rt.replicatedQuery(ctx, enc, p)
 	case ModeSources:
-		resp, status, err = rt.sourcesQuery(ctx, enc, apiKey, &req, &dec, body, aux)
+		resp, status, err = rt.sourcesQuery(ctx, enc, apiKey, &req, &dec, p)
 	case ModeScatter:
 		resp, status, err = rt.scatterQuery(ctx, enc, apiKey, &req)
 	default:
-		resp, status, err = rt.gatherQuery(ctx, enc, body, aux, req.Vars, &dec, rt.man.Shards())
+		resp, status, err = rt.gatherQuery(ctx, enc, p, &dec, rt.man.Shards())
 	}
 	if err != nil {
 		rt.ctr.Add("router.query_errors", 1)
@@ -336,14 +336,14 @@ func (rt *Router) write(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// replicatedQuery answers the parsed query from the value the replica
+// replicatedQuery answers the prepared query from the value the replica
 // mediator publishes over its static knowledge — zero shard calls, no
 // build once that value exists.
-func (rt *Router) replicatedQuery(ctx context.Context, e *serve.ReplyEncoder, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*reply, int, error) {
-	if err := rt.rep.ValidateVocabulary(body, aux); err != nil {
+func (rt *Router) replicatedQuery(ctx context.Context, e *serve.ReplyEncoder, p *mediator.Prepared) (*reply, int, error) {
+	if err := rt.rep.ValidateVocabulary(p.Body, p.Aux); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	ans, err := rt.rep.QueryParsed(ctx, body, aux, vars...)
+	ans, err := rt.rep.QueryParsed(ctx, p)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
@@ -356,7 +356,7 @@ func (rt *Router) replicatedQuery(ctx context.Context, e *serve.ReplyEncoder, bo
 // one shard owns them all, restricted gather when they span shards.
 // Sources no shard owns contribute no facts anywhere, matching what an
 // unregistered source yields on a single mediator.
-func (rt *Router) sourcesQuery(ctx context.Context, e *serve.ReplyEncoder, apiKey string, req *serve.QueryRequest, dec *Decomposition, body []datalog.BodyElem, aux []datalog.Rule) (*reply, int, error) {
+func (rt *Router) sourcesQuery(ctx context.Context, e *serve.ReplyEncoder, apiKey string, req *serve.QueryRequest, dec *Decomposition, p *mediator.Prepared) (*reply, int, error) {
 	owners := map[*Shard]bool{}
 	for _, src := range dec.Sources {
 		if sh, ok := rt.man.Owner(src); ok {
@@ -366,7 +366,7 @@ func (rt *Router) sourcesQuery(ctx context.Context, e *serve.ReplyEncoder, apiKe
 	switch len(owners) {
 	case 0:
 		// No owned facts: evaluate over static knowledge alone.
-		resp, status, err := rt.replicatedQuery(ctx, e, body, aux, req.Vars)
+		resp, status, err := rt.replicatedQuery(ctx, e, p)
 		if resp != nil {
 			resp.mode = "proxy"
 		}
@@ -381,7 +381,7 @@ func (rt *Router) sourcesQuery(ctx context.Context, e *serve.ReplyEncoder, apiKe
 		shards = append(shards, sh)
 	}
 	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
-	return rt.gatherQuery(ctx, e, body, aux, req.Vars, dec, shards)
+	return rt.gatherQuery(ctx, e, p, dec, shards)
 }
 
 // proxyQuery forwards the request verbatim to one shard and relays its
@@ -473,13 +473,13 @@ func (rt *Router) scatterQuery(ctx context.Context, e *serve.ReplyEncoder, apiKe
 	return resp, 0, nil
 }
 
-// gatherQuery evaluates the parsed query at the router over the
+// gatherQuery evaluates the prepared query at the router over the
 // replicated static knowledge and the given shards' fact dumps,
 // re-shipping the dumps that are not fresh. Over every shard, with no
 // shard missing, it reads the materialised replica, moved forward to
 // the dumps first; otherwise (a restricted or partial gather) it
 // evaluates over a one-off build of the same parsed dumps.
-func (rt *Router) gatherQuery(ctx context.Context, e *serve.ReplyEncoder, body []datalog.BodyElem, aux []datalog.Rule, vars []string, dec *Decomposition, shards []*Shard) (*reply, int, error) {
+func (rt *Router) gatherQuery(ctx context.Context, e *serve.ReplyEncoder, p *mediator.Prepared, dec *Decomposition, shards []*Shard) (*reply, int, error) {
 	got := make([]gathered, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
@@ -533,9 +533,9 @@ func (rt *Router) gatherQuery(ctx context.Context, e *serve.ReplyEncoder, body [
 	var ans *mediator.Answer
 	var err error
 	if !resp.partial && len(shards) == len(rt.man.Shards()) {
-		ans, err = rt.replicaQuery(ctx, body, aux, vars, shards)
+		ans, err = rt.replicaQuery(ctx, p, shards)
 	} else {
-		ans, err = rt.rep.QueryOverParsed(ctx, all, body, aux, vars)
+		ans, err = rt.rep.QueryOverParsed(ctx, all, p)
 	}
 	if err != nil {
 		if errors.Is(err, mediator.ErrUnknownPredicate) {
@@ -585,11 +585,11 @@ func (rt *Router) loadFacts(ctx context.Context, sh *Shard, base []*mediator.Par
 // replicaQuery answers the query over the replica, first moving it to
 // the facts cache's state of shards, every shard of the cluster, each
 // loaded by this request.
-func (rt *Router) replicaQuery(ctx context.Context, body []datalog.BodyElem, aux []datalog.Rule, vars []string, shards []*Shard) (*mediator.Answer, error) {
+func (rt *Router) replicaQuery(ctx context.Context, p *mediator.Prepared, shards []*Shard) (*mediator.Answer, error) {
 	st := rt.facts.state(shards)
 	var ans *mediator.Answer
 	query := func(res *datalog.Result) (err error) {
-		ans, err = rt.rep.QueryResult(ctx, res, body, aux, vars)
+		ans, err = rt.rep.QueryResult(ctx, res, p)
 		return err
 	}
 	if ok, err := rt.replica.read(st, query); ok {

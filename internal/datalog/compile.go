@@ -20,15 +20,19 @@ package datalog
 // sequences; the differential suite in compiled_diff_test.go holds them
 // to that.
 //
-// A query body compiles the same way (compileQuery), with one rule of
-// its own: a query must not grow the process-wide intern table, so its
-// constants are looked up rather than interned, and a body that would
-// intern at run time (is, a composed term under = or \=, a pattern
-// match inside a compound) is left to the interpreter, which never
-// interns. Query solutions go to an answerSet (query.go) instead of
-// the derived-fact queue.
+// A query body compiles the same way (compileQuery, once per
+// PreparedQuery), with one rule of its own: a query must not grow the
+// process-wide intern table, so its constants are looked up rather
+// than interned — one not interned yet compiles to unboundID, which no
+// stored row holds, and is recorded so the query is compiled again once
+// it has an ID — and a body that would intern at run time (is, a
+// composed term under = or \=, a pattern match inside a compound) is
+// left to the interpreter, which never interns. Query solutions go to
+// an answerSet (query.go) instead of the derived-fact queue.
 
 import (
+	"slices"
+
 	"modelmed/internal/term"
 )
 
@@ -163,9 +167,11 @@ type compiler struct {
 	bound  map[string]bool
 	// query compiles a query body, which must not grow the intern table:
 	// ground terms are looked up instead of interned (one never interned
-	// gets unboundID, which no stored row holds), and every construct
-	// that would intern at run time fails the compilation.
-	query bool
+	// gets unboundID, which no stored row holds, and its key goes to
+	// missing), and every construct that would intern at run time fails
+	// the compilation.
+	query   bool
+	missing []string
 }
 
 func (c *compiler) reg(name string) int32 {
@@ -188,33 +194,34 @@ func compileRule(r Rule, ordered []BodyElem, deltaIdx int) *cProg {
 // compileQuery translates the ordered body of the query rule q, whose
 // head arguments are its answer variables, into a program whose
 // solutions cProg.query collects; nil when the body needs the
-// interpreter or would intern a term.
-func compileQuery(q Rule, ordered []BodyElem) *cProg {
+// interpreter or would intern a term. missing holds the keys of the
+// constants compiled without an ID: the program is right only while
+// none of them has one (PreparedQuery.Stale).
+func compileQuery(q Rule, ordered []BodyElem) (p *cProg, missing []string) {
 	c := &compiler{varReg: make(map[string]int32), bound: make(map[string]bool), query: true}
-	return c.compile(q, ordered, -1)
+	return c.compile(q, ordered, -1), c.missing
 }
 
 func (c *compiler) compile(r Rule, ordered []BodyElem, deltaIdx int) *cProg {
-	ops := make([]cOp, 0, len(ordered))
+	// Each op is compiled in place, into the program's own slot.
+	ops := make([]cOp, len(ordered))
 	for i, el := range ordered {
 		l, ok := el.(Literal)
 		if !ok {
 			return nil // aggregates stay interpreted
 		}
-		var op *cOp
 		if IsBuiltin(l.Pred, len(l.Args)) {
 			// The interpreter evaluates builtins before looking at the
 			// negation flag; mirror that by ignoring l.Neg here.
-			op = c.compileBuiltin(l)
+			ok = c.compileBuiltin(&ops[i], l)
 		} else if l.Neg {
-			op = c.compileNeg(l)
+			ok = c.compileNeg(&ops[i], l)
 		} else {
-			op = c.compileScan(l, i == deltaIdx)
+			ok = c.compileScan(&ops[i], l, i == deltaIdx)
 		}
-		if op == nil {
+		if !ok {
 			return nil
 		}
-		ops = append(ops, *op)
 	}
 	head := make([]cBuild, len(r.Head.Args))
 	for i, a := range r.Head.Args {
@@ -263,10 +270,18 @@ func (c *compiler) constID(t term.Term) uint32 {
 	if !c.query {
 		return internTerm(t)
 	}
-	if id, ok := lookupID(t); ok {
+	key := t.Key()
+	if id, ok := lookupKey(key); ok {
 		return id
 	}
+	c.missing = append(c.missing, key)
 	return unboundID
+}
+
+// boundBefore reports whether the variable v was bound before op, the
+// literal being compiled, began binding its own variables.
+func (c *compiler) boundBefore(v string, op *cOp) bool {
+	return c.bound[v] && !slices.Contains(op.binds, c.varReg[v])
 }
 
 // interns reports whether internBuild would intern to resolve b: a
@@ -351,40 +366,44 @@ func (c *compiler) compileSide(t term.Term) *cSide {
 	return s
 }
 
-func (c *compiler) compileBuiltin(l Literal) *cOp {
+// compileBuiltin compiles the builtin literal l into op, reporting
+// false when it needs the interpreter.
+func (c *compiler) compileBuiltin(op *cOp, l Literal) bool {
 	a, b := l.Args[0], l.Args[1]
 	switch l.Pred {
 	case BuiltinUnify:
 		ab := c.compileBuild(a)
 		bb := c.compileBuild(b)
 		if c.query && (ab != nil && ab.interns() || bb != nil && bb.interns()) {
-			return nil
+			return false
 		}
 		switch {
 		case ab != nil && bb != nil:
-			return &cOp{kind: opEq, la: *ab, ra: *bb}
+			*op = cOp{kind: opEq, la: *ab, ra: *bb}
+			return true
 		case bb != nil:
-			return c.compileUnifyPat(a, *bb)
+			return c.compileUnifyPat(op, a, *bb)
 		case ab != nil:
-			return c.compileUnifyPat(b, *ab)
+			return c.compileUnifyPat(op, b, *ab)
 		}
-		return nil
+		return false
 	case BuiltinNotEq:
 		ab := c.compileBuild(a)
 		bb := c.compileBuild(b)
 		if ab == nil || bb == nil || c.query && (ab.interns() || bb.interns()) {
-			return nil
+			return false
 		}
-		return &cOp{kind: opNeq, la: *ab, ra: *bb}
+		*op = cOp{kind: opNeq, la: *ab, ra: *bb}
+		return true
 	case BuiltinIs:
 		if c.query {
-			return nil // the computed value is interned
+			return false // the computed value is interned
 		}
 		ar := c.arithFor(b)
 		if ar == nil {
-			return nil
+			return false
 		}
-		op := &cOp{kind: opIs, arith: ar, dstReg: -1}
+		*op = cOp{kind: opIs, arith: ar, dstReg: -1}
 		switch {
 		case a.IsVar():
 			op.dstReg = c.reg(a.Name())
@@ -396,27 +415,28 @@ func (c *compiler) compileBuiltin(l Literal) *cOp {
 		case a.IsGround():
 			op.dstID = internTerm(a)
 		default:
-			return nil // compound lhs: leave to the interpreter
+			return false // compound lhs: leave to the interpreter
 		}
-		return op
+		return true
 	case BuiltinLess, BuiltinLessEq, BuiltinGrtr, BuiltinGrtrEq:
 		ls := c.compileSide(a)
 		rs := c.compileSide(b)
 		if ls == nil || rs == nil {
-			return nil
+			return false
 		}
-		return &cOp{kind: opCmp, cmp: l.Pred, lhs: *ls, rhs: *rs}
+		*op = cOp{kind: opCmp, cmp: l.Pred, lhs: *ls, rhs: *rs}
+		return true
 	}
-	return nil
+	return false
 }
 
 // compileUnifyPat compiles X = t / pat = t where the pattern side has
 // unbound variables and val is fully bound.
-func (c *compiler) compileUnifyPat(pat term.Term, val cBuild) *cOp {
+func (c *compiler) compileUnifyPat(op *cOp, pat term.Term, val cBuild) bool {
 	if c.query && !pat.IsVar() {
-		return nil // matchPat interns the value's arguments
+		return false // matchPat interns the value's arguments
 	}
-	op := &cOp{kind: opUnify, pat: pat, ra: val}
+	*op = cOp{kind: opUnify, pat: pat, ra: val}
 	for _, v := range pat.Vars(nil) {
 		r := c.reg(v)
 		if !c.bound[v] {
@@ -424,29 +444,25 @@ func (c *compiler) compileUnifyPat(pat term.Term, val cBuild) *cOp {
 			op.binds = append(op.binds, r)
 		}
 	}
-	return op
+	return true
 }
 
-func (c *compiler) compileNeg(l Literal) *cOp {
-	op := &cOp{kind: opNeg, relKey: l.Key()}
+func (c *compiler) compileNeg(op *cOp, l Literal) bool {
+	*op = cOp{kind: opNeg, relKey: l.Key()}
 	op.nargs = make([]cBuild, len(l.Args))
 	for i, a := range l.Args {
 		ab := c.compileBuild(a)
 		if ab == nil {
-			return nil // unbound var in negation: unsafe, bail
+			return false // unbound var in negation: unsafe, bail
 		}
 		op.nargs[i] = *ab
 	}
-	return op
+	return true
 }
 
-func (c *compiler) compileScan(l Literal, isDelta bool) *cOp {
-	op := &cOp{kind: opScan, relKey: l.Key(), delta: isDelta}
+func (c *compiler) compileScan(op *cOp, l Literal, isDelta bool) bool {
+	*op = cOp{kind: opScan, relKey: l.Key(), delta: isDelta}
 	op.args = make([]cArg, len(l.Args))
-	pre := make(map[string]bool, len(c.bound))
-	for v, b := range c.bound {
-		pre[v] = b
-	}
 	for i, a := range l.Args {
 		arg := &op.args[i]
 		switch {
@@ -455,7 +471,7 @@ func (c *compiler) compileScan(l Literal, isDelta bool) *cOp {
 			arg.reg = c.reg(name)
 			if c.bound[name] {
 				arg.kind = argCheck
-				arg.pre = pre[name]
+				arg.pre = c.boundBefore(name, op)
 			} else {
 				arg.kind = argBind
 				c.bound[name] = true
@@ -467,7 +483,7 @@ func (c *compiler) compileScan(l Literal, isDelta bool) *cOp {
 		default:
 			allPre := true
 			for _, v := range a.Vars(nil) {
-				if !pre[v] {
+				if !c.boundBefore(v, op) {
 					allPre = false
 				}
 			}
@@ -476,7 +492,7 @@ func (c *compiler) compileScan(l Literal, isDelta bool) *cOp {
 				arg.b = *c.compileBuild(a)
 			} else {
 				if c.query {
-					return nil // matchPat interns the row term's arguments
+					return false // matchPat interns the row term's arguments
 				}
 				arg.kind = argPat
 				arg.pat = a
@@ -500,7 +516,7 @@ func (c *compiler) compileScan(l Literal, isDelta bool) *cOp {
 			}
 		}
 	}
-	return op
+	return true
 }
 
 // --- execution ---

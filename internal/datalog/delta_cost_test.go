@@ -350,11 +350,19 @@ func srcObjResult(t *testing.T, objs int) *Result {
 
 // TestQueryBytesPerRow holds a compiled query's answer to the size of
 // its rows, not of their terms: a 2-column query returning 5,000 rows
-// allocates at most 110 bytes a row. Its cells point at the interned
-// terms (8 bytes a cell); a copy of each 80-byte term, as rows of
-// term.Term were, took 232. Not parallel: it reads the process's
-// allocation counter.
+// allocates at most 48 bytes a row, its 16 bytes of cells and its
+// 24-byte row header. Its cells point at the interned terms (8 bytes a
+// cell); a copy of each 80-byte term, as rows of term.Term were, took
+// 232. The answer set's arena, slot table and sort order are scratch
+// the next query reuses; allocated afresh each time they took 87. Under
+// the race detector, which drops a share of what a sync.Pool is given,
+// the bound is the 110 bytes a row held before the scratch was pooled.
+// Not parallel: it reads the process's allocation counter.
 func TestQueryBytesPerRow(t *testing.T) {
+	bound := uint64(48)
+	if raceEnabled {
+		bound = 110
+	}
 	const rows = 5000
 	res := srcObjResult(t, rows/4)
 	body := []BodyElem{Lit("src_obj", v("S"), v("O"), v("C"))}
@@ -365,8 +373,8 @@ func TestQueryBytesPerRow(t *testing.T) {
 		}
 	}) / rows
 	t.Logf("%d bytes per row", perRow)
-	if perRow > 110 {
-		t.Errorf("a %d-row answer allocates %d bytes per row, want at most 110", rows, perRow)
+	if perRow > bound {
+		t.Errorf("a %d-row answer allocates %d bytes per row, want at most %d", rows, perRow, bound)
 	}
 }
 

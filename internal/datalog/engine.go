@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"modelmed/internal/obs"
 	"modelmed/internal/term"
@@ -80,6 +81,9 @@ type Engine struct {
 	// cachedPlan is the evaluation plan of rules (see plan.go); AddRule
 	// drops it.
 	cachedPlan *evalPlan
+	// explained holds the rules with their bodies ordered, as Explain
+	// walks them; filled by the first Explain, dropped by AddRule.
+	explained atomic.Pointer[[]preparedRule]
 }
 
 // NewEngine returns an engine with the given options (nil for defaults).
@@ -94,6 +98,7 @@ func (e *Engine) AddRule(r Rule) error {
 	}
 	e.rules = append(e.rules, r)
 	e.cachedPlan = nil
+	e.explained.Store(nil)
 	return nil
 }
 

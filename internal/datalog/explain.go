@@ -67,18 +67,39 @@ func (e *Engine) Explain(res *Result, pred string, args ...term.Term) (*Derivati
 	if !res.Holds(pred, args...) {
 		return nil, fmt.Errorf("datalog: fact %s%s is not true", pred, term.FormatTuple(args))
 	}
-	// The explainer only needs the ordered bodies (it walks them with
-	// the interpreter), so skip compilation.
-	prepared, err := prepareRules(e.rules, &Options{Interpret: true})
+	rules, err := e.explainRules()
 	if err != nil {
 		return nil, err
 	}
-	ex := &explainer{res: res, rules: prepared, memo: map[string]*Derivation{}}
+	ex := &explainer{res: res, rules: rules, memo: map[string]*Derivation{}}
 	d := ex.explain(pred, args)
 	if d == nil {
 		return nil, fmt.Errorf("datalog: no derivation found for %s%s (well-founded fallback facts cannot always be explained)", pred, term.FormatTuple(args))
 	}
 	return d, nil
+}
+
+// explainRules returns the engine's rules with their bodies ordered,
+// ordering them on the first call after a rule change. The explainer
+// walks the ordered bodies with the interpreter, so nothing is compiled
+// and no delta variant is built.
+func (e *Engine) explainRules() ([]preparedRule, error) {
+	if rules := e.explained.Load(); rules != nil {
+		return *rules, nil
+	}
+	rules := make([]preparedRule, len(e.rules))
+	for i, r := range e.rules {
+		rules[i] = preparedRule{rule: r, headKey: r.Head.Key()}
+		if len(r.Body) > 0 {
+			ordered, err := OrderBody(r)
+			if err != nil {
+				return nil, err
+			}
+			rules[i].ordered = ordered
+		}
+	}
+	e.explained.Store(&rules)
+	return rules, nil
 }
 
 const maxExplainDepth = 10000

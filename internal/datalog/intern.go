@@ -104,8 +104,10 @@ func internTerm(t term.Term) uint32 {
 // lookupID returns the ID of t if it has ever been interned. A miss
 // proves t is absent from every relation (rows only hold interned IDs),
 // which lets probes fail without assigning IDs to query-only constants.
-func lookupID(t term.Term) (uint32, bool) {
-	key := t.Key()
+func lookupID(t term.Term) (uint32, bool) { return lookupKey(t.Key()) }
+
+// lookupKey is lookupID by the term's key.
+func lookupKey(key string) (uint32, bool) {
 	sh := internShardOf(key)
 	sh.mu.RLock()
 	id, ok := sh.ids[key]

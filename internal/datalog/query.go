@@ -1,22 +1,29 @@
 package datalog
 
-// Query answering: a conjunctive query body is compiled, like a rule
-// body, into a register program over interned IDs (compile.go), and its
-// solutions are collected as ID rows in an answerSet — distinct rows in
-// one flat arena, deduplicated as they arrive — which is sorted once, at
-// the end, into rows of Cells: each cell points at the term the intern
-// table already holds, so an answer costs 8 bytes a cell, not a copy of
-// every term. A query never interns: its constants are looked up, and a
-// body whose evaluation would have to intern a term runs on the
-// interpreter instead, as does every body under Options.Interpret. The
-// interpreter collects into the same answerSet; a value it computes
-// that the table lacks (an is result, a compound built by =, an
-// aggregate) is kept in the answer's own scratch slab, under a
-// per-answer ID, and its cells point there.
+// Query answering: a conjunctive query body is prepared once
+// (PrepareQuery: ordered, and compiled, like a rule body, into a
+// register program over interned IDs, compile.go) and the
+// PreparedQuery answers over any Result, from any number of goroutines
+// (QueryPrepared). Its solutions are collected as ID rows in an
+// answerSet — distinct rows in one flat arena, deduplicated as they
+// arrive — which is sorted once, at the end, into rows of Cells: each
+// cell points at the term the intern table already holds, so an answer
+// costs 8 bytes a cell, not a copy of every term, and the arena, the
+// slot table and the sort order go back to a pool for the next query.
+// A query never interns: its constants are looked up, and a body whose
+// evaluation would have to intern a term runs on the interpreter
+// instead, as does every body under Options.Interpret. A constant with
+// no ID when the query was prepared matches no row; once it is interned
+// the PreparedQuery is stale and is compiled again. The interpreter
+// collects into the same answerSet; a value it computes that the table
+// lacks (an is result, a compound built by =, an aggregate) is kept in
+// the answer's own scratch slab, under a per-answer ID, and its cells
+// point there.
 
 import (
 	"context"
 	"slices"
+	"sync"
 
 	"modelmed/internal/term"
 )
@@ -93,17 +100,66 @@ func (r *Result) QueryCtx(ctx context.Context, body []BodyElem, vars []string) (
 }
 
 // QueryWithStats is QueryCtx that also reports which evaluator answered
-// and how many solutions it enumerated.
+// and how many solutions it enumerated: PrepareQuery, then
+// QueryPrepared.
 func (r *Result) QueryWithStats(ctx context.Context, body []BodyElem, vars []string) ([][]Cell, QueryStats, error) {
+	p, err := PrepareQuery(body, vars)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	return r.QueryPrepared(ctx, p)
+}
+
+// PreparedQuery is a query body made ready to answer: ordered, and
+// compiled unless it needs the interpreter. It depends on the body and
+// vars alone, not on a Result, so one PreparedQuery answers over any
+// Result, and it is never written after PrepareQuery returns, so any
+// number of goroutines may run it at once.
+type PreparedQuery struct {
+	q       Rule // query?(Vars...) :- Body
+	ordered []BodyElem
+	prog    *cProg // nil: the interpreter answers
+	// missing holds the keys of the constants prog was compiled with
+	// while they had no ID; prog matches no row on them, which stops
+	// being right once one is interned.
+	missing []string
+}
+
+// PrepareQuery orders and compiles body as a query for the bindings of
+// vars. body and vars are only read, and must not be written while the
+// PreparedQuery is in use.
+func PrepareQuery(body []BodyElem, vars []string) (*PreparedQuery, error) {
 	headArgs := make([]term.Term, len(vars))
 	for i, v := range vars {
 		headArgs[i] = term.Var(v)
 	}
-	q := Rule{Head: Lit("query?", headArgs...), Body: body}
-	ordered, err := OrderBody(q)
-	if err != nil {
-		return nil, QueryStats{}, err
+	p := &PreparedQuery{q: Rule{Head: Lit("query?", headArgs...), Body: body}}
+	var err error
+	if p.ordered, err = OrderBody(p.q); err != nil {
+		return nil, err
 	}
+	p.prog, p.missing = compileQuery(p.q, p.ordered)
+	return p, nil
+}
+
+// Stale reports whether a constant p was compiled without has been
+// interned since, so that p's program would miss the rows now holding
+// it. QueryPrepared compiles such a query again for its own run; a
+// holder of p that runs it often prepares it again.
+func (p *PreparedQuery) Stale() bool {
+	for _, key := range p.missing {
+		if _, ok := lookupKey(key); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// QueryPrepared answers p over r, as QueryWithStats answers p's body:
+// on the interpreter when the producing engine's Options.Interpret
+// says so or p did not compile, else on p's program (compiled again
+// for this run if p is stale).
+func (r *Result) QueryPrepared(ctx context.Context, p *PreparedQuery) ([][]Cell, QueryStats, error) {
 	var lims Limits
 	if r.eng != nil {
 		lims = r.eng.opts.Limits
@@ -114,16 +170,22 @@ func (r *Result) QueryWithStats(ctx context.Context, body []BodyElem, vars []str
 		opts:   &Options{MaxTermDepth: 64, MaxIterations: 1},
 		lim:    newLimiter(ctx, lims),
 	}
-	set := &answerSet{width: len(vars)}
+	set := newAnswerSet(len(p.q.Head.Args))
+	defer set.release()
 	st := QueryStats{}
+	var err error
 	if r.eng == nil || !r.eng.opts.Interpret {
-		if p := compileQuery(q, ordered); p != nil {
-			err = p.query(ev, set)
+		prog := p.prog
+		if p.Stale() {
+			prog, _ = compileQuery(p.q, p.ordered)
+		}
+		if prog != nil {
+			err = prog.query(ev, set)
 			st.Compiled = true
 		}
 	}
 	if !st.Compiled {
-		err = ev.interpretQuery(ordered, headArgs, set)
+		err = ev.interpretQuery(p.ordered, p.q.Head.Args, set)
 	}
 	if err != nil {
 		return nil, QueryStats{}, err
@@ -152,19 +214,60 @@ func (ev *evalCtx) interpretQuery(ordered []BodyElem, vars []term.Term, set *ans
 // answerSet is the set of distinct ID rows a query found: the rows live
 // back to back in one arena, and an open-addressed table of row numbers
 // finds a duplicate without a key string or an allocation per solution,
-// so its memory follows the distinct rows.
+// so its memory follows the distinct rows. The arena, the table and the
+// sort order are scratch, drawn from answerScratchPool and returned to
+// it by release once rows has copied the IDs into cells.
 type answerSet struct {
-	width     int
-	arena     []uint32 // distinct rows, row-major
-	slots     []int32  // row number + 1; 0 marks an empty slot
-	n         int      // distinct rows
-	solutions int      // rows offered, duplicates included
+	width int
+	*answerScratch
+	n         int // distinct rows
+	solutions int // rows offered, duplicates included
 
 	// scratch holds the interpreted values the intern table lacks; the
 	// i-th has the per-answer ID scratchTop-i, which scratchIDs finds
 	// by term key.
 	scratch    []term.Term
 	scratchIDs map[string]uint32
+}
+
+// answerScratch is the part of an answerSet no answer keeps.
+type answerScratch struct {
+	arena []uint32 // distinct rows, row-major
+	slots []int32  // row number + 1; 0 marks an empty slot
+	order []int32  // row numbers, sorted by rows
+}
+
+// answerScratchPool holds the scratch of finished answer sets. A query
+// takes it and puts it back on its own goroutine, with no wait between,
+// so the Put fills the slot of the P the next query on it takes from.
+var answerScratchPool = sync.Pool{New: func() any { return new(answerScratch) }}
+
+// maxPooledScratch is the most elements of one scratch buffer the pool
+// keeps: a buffer an answer of over a million cells grew is dropped, so
+// one large answer does not pin its size for good.
+const maxPooledScratch = 1 << 20
+
+func newAnswerSet(width int) *answerSet {
+	sc := answerScratchPool.Get().(*answerScratch)
+	sc.arena, sc.slots, sc.order = sc.arena[:0], sc.slots[:0], sc.order[:0]
+	return &answerSet{width: width, answerScratch: sc}
+}
+
+// release returns the set's scratch to the pool; the set is unusable
+// after it. The cells of rows do not point into the scratch.
+func (s *answerSet) release() {
+	sc := s.answerScratch
+	s.answerScratch = nil
+	if cap(sc.arena) > maxPooledScratch {
+		sc.arena = nil
+	}
+	if cap(sc.slots) > maxPooledScratch {
+		sc.slots = nil
+	}
+	if cap(sc.order) > maxPooledScratch {
+		sc.order = nil
+	}
+	answerScratchPool.Put(sc)
 }
 
 // scratchTop is the highest scratch ID; scratch IDs count down from it,
@@ -221,9 +324,16 @@ func (s *answerSet) add(row []uint32) {
 	}
 }
 
-// grow doubles the slot table and re-inserts every row.
+// grow doubles the slot table, in place when its capacity allows, and
+// re-inserts every row.
 func (s *answerSet) grow() {
-	s.slots = make([]int32, max(16, 2*len(s.slots)))
+	n := max(16, 2*len(s.slots))
+	if cap(s.slots) >= n {
+		s.slots = s.slots[:n]
+		clear(s.slots)
+	} else {
+		s.slots = make([]int32, n)
+	}
 	mask := len(s.slots) - 1
 	for r := 0; r < s.n; r++ {
 		i := hashIDs(s.row(r)) & mask
@@ -255,10 +365,11 @@ func (s *answerSet) rows() [][]Cell {
 	for i, id := range s.arena {
 		cells[i] = s.cell(id)
 	}
-	order := make([]int32, s.n)
-	for i := range order {
-		order[i] = int32(i)
+	order := s.order[:0]
+	for i := range s.n {
+		order = append(order, int32(i))
 	}
+	s.order = order
 	slices.SortFunc(order, func(a, b int32) int {
 		ia, ib := s.row(int(a)), s.row(int(b))
 		for k := range ia {

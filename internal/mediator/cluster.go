@@ -422,44 +422,40 @@ func (m *Mediator) QueryOverFacts(ctx context.Context, dumps []SourceDump, q str
 		}
 		parsed[i] = p
 	}
-	body, aux, err := parser.ParseQuery(q)
+	p, err := m.Prepare(q, vars)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query over facts: %w", err)
 	}
-	return m.QueryOverParsed(ctx, parsed, body, aux, vars)
+	return m.QueryOverParsed(ctx, parsed, p)
 }
 
-// QueryOverParsed is QueryOverFacts over dumps and a query already
-// parsed.
-func (m *Mediator) QueryOverParsed(ctx context.Context, dumps []*ParsedDump, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*Answer, error) {
-	if err := m.ValidateVocabulary(body, aux); err != nil {
+// QueryOverParsed is QueryOverFacts over dumps and a prepared query.
+func (m *Mediator) QueryOverParsed(ctx context.Context, dumps []*ParsedDump, p *Prepared) (*Answer, error) {
+	if err := m.ValidateVocabulary(p.Body, p.Aux); err != nil {
 		return nil, err
 	}
 	b, err := m.buildOverFacts(ctx, dumps)
 	if err != nil {
 		return nil, err
 	}
-	return answerOver(ctx, b.Result(), body, aux, vars)
+	return answerOver(ctx, b.Result(), p)
 }
 
-// QueryResult evaluates the parsed query over res, a FactBase's result,
-// behind the same vocabulary gate as QueryOverFacts. A negated
+// QueryResult evaluates the prepared query over res, a FactBase's
+// result, behind the same vocabulary gate as QueryOverFacts. A negated
 // conjunction's auxiliary rules run in a layer over res that is dropped
 // with the answer (see queryResult), so res is only read.
-func (m *Mediator) QueryResult(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*Answer, error) {
-	if err := m.ValidateVocabulary(body, aux); err != nil {
+func (m *Mediator) QueryResult(ctx context.Context, res *datalog.Result, p *Prepared) (*Answer, error) {
+	if err := m.ValidateVocabulary(p.Body, p.Aux); err != nil {
 		return nil, err
 	}
-	return answerOver(ctx, res, body, aux, vars)
+	return answerOver(ctx, res, p)
 }
 
-func answerOver(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*Answer, error) {
-	if len(vars) == 0 {
-		vars = defaultVars(body)
-	}
-	rows, _, err := queryResult(ctx, res, body, aux, vars)
+func answerOver(ctx context.Context, res *datalog.Result, p *Prepared) (*Answer, error) {
+	rows, _, err := queryResult(ctx, res, p)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query over facts: %w", err)
 	}
-	return &Answer{Vars: vars, Rows: rows}, nil
+	return &Answer{Vars: p.Vars, Rows: rows}, nil
 }

@@ -156,6 +156,9 @@ type Mediator struct {
 	obsOn    bool
 	obsCtr   *obs.Counters
 	lastSpan *obs.Span
+
+	// prep holds the prepared queries (see prepare.go).
+	prep prepared
 }
 
 // New returns a mediator over the given domain map.
@@ -547,6 +550,8 @@ func (m *Mediator) Views() []string {
 
 // Answer is the result of a mediator query.
 type Answer struct {
+	// Vars are the answer's columns. They are the prepared query's,
+	// shared with every answer to the same text and vars: read-only.
 	Vars []string
 	// Rows are the answer's distinct rows, sorted; their cells are
 	// read-only (see datalog.Cell).
@@ -582,27 +587,24 @@ func (m *Mediator) QueryCtx(ctx context.Context, q string, vars ...string) (*Ans
 	sp := m.startSpan("mediator.query")
 	defer m.endTrace(sp)
 	psp := sp.Child("parse")
-	body, aux, err := parser.ParseQuery(q)
+	p, err := m.Prepare(q, vars)
 	psp.End()
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query: %w", err)
 	}
-	return m.query(ctx, sp, body, aux, vars)
+	return m.query(ctx, sp, p)
 }
 
-// QueryParsed is QueryCtx over a query the caller has already parsed
-// with parser.ParseQuery, so a server that parsed it to key its cache
-// does not parse it again. body and aux are only read.
-func (m *Mediator) QueryParsed(ctx context.Context, body []datalog.BodyElem, aux []datalog.Rule, vars ...string) (*Answer, error) {
+// QueryParsed is QueryCtx over a query the caller has already prepared
+// with Prepare, so a server that prepared it to key its cache does not
+// look it up again.
+func (m *Mediator) QueryParsed(ctx context.Context, p *Prepared) (*Answer, error) {
 	sp := m.startSpan("mediator.query")
 	defer m.endTrace(sp)
-	return m.query(ctx, sp, body, aux, vars)
+	return m.query(ctx, sp, p)
 }
 
-func (m *Mediator) query(ctx context.Context, sp *obs.Span, body []datalog.BodyElem, aux []datalog.Rule, vars []string) (*Answer, error) {
-	if len(vars) == 0 {
-		vars = defaultVars(body)
-	}
+func (m *Mediator) query(ctx context.Context, sp *obs.Span, p *Prepared) (*Answer, error) {
 	msp := sp.Child("materialize")
 	v, err := m.materialize(ctx, msp)
 	msp.End()
@@ -612,10 +614,10 @@ func (m *Mediator) query(ctx context.Context, sp *obs.Span, body []datalog.BodyE
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// body is evaluated over the one Result loaded, so a concurrent
-	// source move cannot tear the answer.
+	// The query is evaluated over the one Result loaded, so a
+	// concurrent source move cannot tear the answer.
 	esp := sp.Child("evaluate")
-	rows, st, err := queryResult(ctx, v.Result(), body, aux, vars)
+	rows, st, err := queryResult(ctx, v.Result(), p)
 	esp.SetInt("rows", int64(len(rows)))
 	esp.SetInt("solutions", int64(st.Solutions))
 	compiled := int64(0)
@@ -627,20 +629,7 @@ func (m *Mediator) query(ctx context.Context, sp *obs.Span, body []datalog.BodyE
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query: %w", err)
 	}
-	return &Answer{Vars: vars, Rows: rows, Missing: v.missing(), Stamp: v.stamp, Span: sp}, nil
-}
-
-// queryResult evaluates body over res. A query's auxiliary rules run in
-// a layer over res that is dropped with the answer, so they never join
-// the program and the read moves no state.
-func queryResult(ctx context.Context, res *datalog.Result, body []datalog.BodyElem, aux []datalog.Rule, vars []string) ([][]datalog.Cell, datalog.QueryStats, error) {
-	if len(aux) > 0 {
-		var err error
-		if res, err = res.Extend(ctx, aux); err != nil {
-			return nil, datalog.QueryStats{}, err
-		}
-	}
-	return res.QueryWithStats(ctx, body, vars)
+	return &Answer{Vars: p.Vars, Rows: rows, Missing: v.missing(), Stamp: v.stamp, Span: sp}, nil
 }
 
 // Holds reports whether a ground fact is true in the materialized base.

@@ -432,7 +432,7 @@ func (m *Mediator) CalciumBindingProteinQuery(driver, organism, transmittingComp
 	tracef("step 4: lub(%v) = %v; root %s", locs, lub, res.Root)
 	for _, p := range res.Proteins {
 		body, vars := distributionQuery(p, organism)
-		rows, _, err := queryResult(context.Background(), v.Result(), body, nil, vars)
+		rows, _, err := queryResult(context.Background(), v.Result(), prepareParsed(body, nil, vars))
 		if err == nil {
 			res.Distributions[p], err = foldDistribution(m.dm, res.Root, rows)
 		}
@@ -455,7 +455,7 @@ func (m *Mediator) DistributionOf(protein, organism, root string) (*Distribution
 	sp := m.startSpan("mediator.query")
 	defer m.endTrace(sp)
 	body, vars := distributionQuery(protein, organism)
-	ans, err := m.query(context.Background(), sp, body, nil, vars)
+	ans, err := m.query(context.Background(), sp, prepareParsed(body, nil, vars))
 	if err != nil {
 		return nil, err
 	}

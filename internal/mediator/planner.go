@@ -11,7 +11,6 @@ import (
 	"modelmed/internal/datalog"
 	"modelmed/internal/domainmap"
 	"modelmed/internal/obs"
-	"modelmed/internal/parser"
 	"modelmed/internal/term"
 	"modelmed/internal/wrapper"
 )
@@ -106,10 +105,17 @@ func (m *Mediator) conceptDomains(body []datalog.BodyElem) map[string][]string {
 // untrusted clients, and an unknown predicate would otherwise evaluate
 // silently to the empty answer.
 func (m *Mediator) Plan(q string) (*QueryPlan, error) {
-	body, aux, err := parser.ParseQuery(q)
+	pq, err := m.Prepare(q, nil)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: plan: %w", err)
 	}
+	return m.plan(pq)
+}
+
+// plan is Plan over a prepared query, whose Body and Aux the plan
+// shares.
+func (m *Mediator) plan(pq *Prepared) (*QueryPlan, error) {
+	body, aux := pq.Body, pq.Aux
 	if err := m.ValidateVocabulary(body, aux); err != nil {
 		return nil, err
 	}
@@ -451,7 +457,11 @@ const planSource = "$plan_source"
 // pruning admits. The pushdowns are explained from the same value
 // (heldRows); no wrapper is called.
 func (m *Mediator) PlannedQueryCtx(ctx context.Context, q string, vars ...string) (*Answer, *QueryPlan, error) {
-	p, err := m.Plan(q)
+	pq, err := m.Prepare(q, vars)
+	if err != nil {
+		return nil, nil, fmt.Errorf("mediator: plan: %w", err)
+	}
+	p, err := m.plan(pq)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -496,27 +506,24 @@ func (m *Mediator) PlannedQueryCtx(ctx context.Context, q string, vars ...string
 		}
 	}
 
-	if len(vars) == 0 {
-		vars = defaultVars(p.Body)
-	}
-	body, aux := p.Body, p.Aux
 	if p.Restricted && len(p.srcVars) > 0 {
-		body, aux = slices.Clip(body), slices.Clip(aux)
+		body, aux := slices.Clip(pq.Body), slices.Clip(pq.Aux)
 		for _, s := range p.Sources {
 			aux = append(aux, datalog.Fact(planSource, term.Atom(s)))
 		}
 		for _, sv := range p.srcVars {
 			body = append(body, datalog.Lit(planSource, term.Var(sv)))
 		}
+		pq = prepareParsed(body, aux, pq.Vars)
 	}
 	esp := sp.Child("evaluate")
-	rows, _, err := queryResult(ctx, v.Result(), body, aux, vars)
+	rows, _, err := queryResult(ctx, v.Result(), pq)
 	esp.SetInt("rows", int64(len(rows)))
 	esp.End()
 	if err != nil {
 		return nil, p, fmt.Errorf("mediator: planned query: %w", err)
 	}
-	return &Answer{Vars: vars, Rows: rows, Missing: v.missing(), Stamp: v.stamp, Span: sp}, p, nil
+	return &Answer{Vars: pq.Vars, Rows: rows, Missing: v.missing(), Stamp: v.stamp, Span: sp}, p, nil
 }
 
 // defaultVars extracts the output variables of a body in order of first

@@ -154,13 +154,19 @@ func TestReadsTakeNoLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, err := m.Prepare(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	reads := []struct {
 		name string
 		read func() error
 	}{
 		{"Query", func() error { _, err := m.Query(q); return err }},
-		{"QueryParsed", func() error { _, err := m.QueryParsed(ctx, body, aux); return err }},
+		// A text not prepared before: the miss path takes no m.mu either.
+		{"Prepare", func() error { _, err := m.Prepare("src_obj(S, O, C)", nil); return err }},
+		{"QueryParsed", func() error { _, err := m.QueryParsed(ctx, p); return err }},
 		{"Holds", func() error {
 			_, err := m.Holds(PredSrcObj, term.Atom("NCMIR"), term.Atom("x"), term.Atom("y"))
 			return err

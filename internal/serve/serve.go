@@ -308,12 +308,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.logRequest(r, tenant, http.StatusBadRequest, start, 0, outcomeComputed)
 		return
 	}
-	// Everything before admission is pure (no mediator locks): parse,
-	// cache key, dependency set. A cache hit is then served without
-	// touching the mediator at all, and an overloaded server sheds
-	// before doing any work — even while a slow materialize holds the
-	// mediator's internals.
-	body, aux, err := parser.ParseQuery(req.Query)
+	// Everything before admission takes no mediator lock and is
+	// linear in the text: prepare, which parses a new text (ordering
+	// and compiling it wait for its first answer, under admission), and
+	// for a cached request the cache key and dependency set. A cache
+	// hit is then served without evaluating anything, and an
+	// overloaded server sheds before doing any work — even while a slow
+	// materialize holds the mediator's internals.
+	p, err := s.med.Prepare(req.Query, req.Vars)
 	if err != nil {
 		s.ctr.Add("serve.bad_requests", 1)
 		s.writeError(w, http.StatusBadRequest, err)
@@ -330,19 +332,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	deps, global := QueryDeps(body, aux)
-	key := CacheKey(body, aux, req.Vars)
-
 	compute := func() (*mediator.Answer, error) {
 		if err := s.adm.acquire(ctx, tenant); err != nil {
 			return nil, err
 		}
 		defer s.adm.release()
 		// Unknown predicates are client errors, not empty answers.
-		if err := s.med.ValidateVocabulary(body, aux); err != nil {
+		if err := s.med.ValidateVocabulary(p.Body, p.Aux); err != nil {
 			return nil, err
 		}
-		return s.med.QueryParsed(ctx, body, aux, req.Vars...)
+		return s.med.QueryParsed(ctx, p)
 	}
 
 	var ans *mediator.Answer
@@ -351,6 +350,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ans, err = compute()
 		out = outcomeComputed
 	} else {
+		deps, global := QueryDeps(p.Body, p.Aux)
+		key := CacheKey(p.Body, p.Aux, req.Vars)
 		ans, out, err = s.cache.do(ctx, tenant, key, deps, global, compute)
 	}
 	if err != nil {

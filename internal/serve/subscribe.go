@@ -30,7 +30,6 @@ import (
 
 	"modelmed/internal/datalog"
 	"modelmed/internal/mediator"
-	"modelmed/internal/parser"
 )
 
 // SubscribeRequest is the POST /v1/subscribe body.
@@ -113,7 +112,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, errors.New("empty query"))
 		return
 	}
-	body, aux, err := parser.ParseQuery(req.Query)
+	p, err := s.med.Prepare(req.Query, req.Vars)
 	if err != nil {
 		s.ctr.Add("serve.bad_requests", 1)
 		s.writeError(w, http.StatusBadRequest, err)
@@ -149,8 +148,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	deps, global := QueryDeps(body, aux)
-	key := CacheKey(body, aux, req.Vars)
+	deps, global := QueryDeps(p.Body, p.Aux)
+	key := CacheKey(p.Body, p.Aux, req.Vars)
 	evaluate := func() ([][]string, []string, error) {
 		// Each re-evaluation is one bounded query through the same
 		// admission gate and cache partition an ad-hoc request uses.
@@ -161,7 +160,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				return nil, err
 			}
 			defer s.adm.release()
-			return s.med.QueryParsed(ctx, body, aux, req.Vars...)
+			return s.med.QueryParsed(ctx, p)
 		}
 		var ans *mediator.Answer
 		if s.cfg.DisableCache {

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +17,7 @@ import (
 	"modelmed/internal/datalog"
 	"modelmed/internal/load"
 	"modelmed/internal/mediator"
+	"modelmed/internal/parser"
 	"modelmed/internal/sources"
 	"modelmed/internal/wrapper"
 )
@@ -426,5 +429,89 @@ func TestAbusiveTenantFairness(t *testing.T) {
 	if ratio > 3.0 {
 		t.Fatalf("honest p99 degraded %.2fx under abuse (%.1fms -> %.1fms), want <= 3x",
 			ratio, baseline.P99Ms, contended.P99Ms)
+	}
+}
+
+// TestNewTextOrderedUnderAdmission: before a request is admitted its
+// text is only parsed; ordering and compiling the body, which grow with
+// the square of its length, wait for an admission slot. With the one
+// slot held and no queue, a tenant sending a long body with a new text
+// on every request is shed in a fraction of the time ordering one such
+// body takes (the fastest of four, so a scheduling stall in one does not
+// decide it), and once the slot is free the same kind of text is
+// answered.
+func TestNewTextOrderedUnderAdmission(t *testing.T) {
+	srv := newTenantFixture(t, Config{MaxInFlight: 1, MaxQueue: -1}, datalog.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// long is a new text of n repeats of one literal: parsing it is
+	// linear, ordering it quadratic.
+	long := func(i, n int) string {
+		lit := fmt.Sprintf("src_obj('alpha', O, c%d)", i)
+		return lit + strings.Repeat(", "+lit, n-1)
+	}
+	const lits = 1500
+	body, _, err := parser.ParseQuery(long(0, lits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := datalog.PrepareQuery(body, []string{"O"}); err != nil {
+		t.Fatal(err)
+	}
+	prepare := time.Since(start)
+
+	// Hold the slot with a runaway query until the client goes away.
+	ctx, cancel := context.WithCancel(context.Background())
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		b, _ := json.Marshal(QueryRequest{Query: crossProduct(6), NoCache: true, TimeoutMs: 30000})
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(b))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	// inflight waits until n requests hold a slot.
+	inflight := func(n int) bool {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			srv.adm.mu.Lock()
+			got := srv.adm.inflight
+			srv.adm.mu.Unlock()
+			if got == n {
+				return true
+			}
+		}
+		return false
+	}
+	if !inflight(1) {
+		cancel()
+		t.Fatal("the runaway query never took the slot")
+	}
+
+	fastest := time.Hour
+	for i := 1; i <= 4; i++ {
+		start := time.Now()
+		resp, _ := postJSON(t, ts, "/v1/query", QueryRequest{Query: long(i, lits), Vars: []string{"O"}, NoCache: true})
+		fastest = min(fastest, time.Since(start))
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			cancel()
+			t.Fatalf("request %d with the slot held: status %d, want 503", i, resp.StatusCode)
+		}
+	}
+	cancel()
+	<-held
+	if !inflight(0) {
+		t.Fatal("the runaway query kept its slot after its client went away")
+	}
+	t.Logf("ordering and compiling one body: %v; fastest shed request: %v", prepare, fastest)
+	if fastest > prepare/2 {
+		t.Errorf("every shed request took %v or more, ordering one body %v: the bodies were ordered before admission", fastest, prepare)
+	}
+
+	code, resp := doQuery(t, ts, QueryRequest{Query: long(5, lits), Vars: []string{"O"}, NoCache: true})
+	if code != http.StatusOK || resp.Count != 0 {
+		t.Fatalf("long text with the slot free: status %d", code)
 	}
 }
