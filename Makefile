@@ -53,7 +53,7 @@ spine:
 # budget/cancellation suite.
 tenant-smoke:
 	$(GO) test -race -count=1 -run 'TestDRRWeightedOrder|TestSingleFlightLeaderCancelRecovery|TestTenantCachePartitionIsolation|TestTimeoutFreesAdmissionSlot|TestBudgetExceededReturns422|TestEarlyBadRequestLogged|TestAbusiveTenantFairness|TestNewTextOrderedUnderAdmission' ./internal/serve
-	$(GO) test -race -count=1 -run 'Budget|StopsFixpoint|StopsRun|SpendsGas|ChargesGas|HonoursCancelled' ./internal/datalog
+	$(GO) test -race -count=1 -run 'Budget|StopsFixpoint|StopsRun|SpendsGas|ChargesGas|IsMetered|HonoursCancelled' ./internal/datalog
 
 # Durability smoke: the crash-recovery harness (sampled WAL offsets
 # under -short), corruption/torn-write/golden/version-skew codec tests,
@@ -89,15 +89,21 @@ stream-smoke:
 	$(GO) test -race -count=1 -run 'Wall|IncrementalDifferential|AggregateDeltaRefolds' ./internal/datalog
 
 # Sharded-cluster smoke, race-enabled: the whole internal/cluster
-# suite — decomposition modes, shard-spec parsing, router cache and
-# precise delta invalidation, the 2-/4-shard differential against a
-# monolithic reference (Section 5 workload + 50 seeded query/delta
+# suite — decomposition modes, shard-spec parsing, the shards' answer
+# caches seen through the router across routed deltas
+# (TestRouterCacheAndDeltaInvalidation,
+# TestRouterScatterCacheInvalidation) and shard-local moves
+# (TestRouterSeesShardLocalMoves), the 2-/4-shard differential against
+# a monolithic reference (Section 5 workload + 50 seeded query/delta
 # sequences + a concurrent leg), the router replica tests (the
 # differential's replica-equals-a-one-off-build check after every
-# delta and gather, and TestGatherCyclePatches: the benchmark's gather
+# delta and gather, TestGatherCyclePatches: the benchmark's gather
 # cycle with concurrent readers patches, never rebuilds, and
-# TestReplicaMoveOutlivesItsRequest), the downed-shard chaos test, and the client-cancel breaker regression —
-# plus the medrouter and medd flag/daemon tests.
+# TestReplicaMoveOutlivesItsRequest), the downed-shard chaos test,
+# the restricted gather's fault behaviour (TestRestrictedGatherFaults),
+# and the client-cancel breaker regression — plus the medrouter and
+# medd flag/daemon tests. TestDegradedGatherCostsAHealthyOne skips
+# under -race; CI runs it in the allocation-bounds step.
 cluster-smoke:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -count=1 ./cmd/medrouter ./cmd/medd

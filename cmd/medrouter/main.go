@@ -7,7 +7,7 @@
 //
 //	medrouter -shards URL[,ID=URL...]
 //	          [-addr HOST:PORT]
-//	          [-request-timeout D] [-cache-entries N] [-no-cache]
+//	          [-request-timeout D]
 //	          [-rate KEY:RPS,KEY:RPS]
 //	          [-fail-threshold N] [-cooldown D]
 //	          [-log] [-drain-timeout D]
@@ -18,10 +18,13 @@
 // per-shard subplans: replicated-only queries are answered locally,
 // single-source queries proxy to the owning shard, queries with one
 // source variable scatter to all shards and union the answers, and
-// cross-source joins or aggregates gather shard facts and evaluate at
-// the router. A delta is forwarded to the owning shard only, and
-// drops exactly the router cache entries that depended on that
-// source.
+// cross-source joins or aggregates gather the shards' fact dumps into
+// the router's replica and evaluate there. A delta is forwarded to the
+// owning shard only, and patches the router's dump of that source. The
+// router keeps no answer cache: each shard's own cache, which
+// validates by the versions the shard publishes, answers a repeated
+// proxy or scatter request, and a proxy relays the shard's "cached"
+// flag.
 //
 // A downed shard (tracked by internal/breaker: the shard is skipped
 // for -cooldown once -fail-threshold consecutive calls have failed,
@@ -75,8 +78,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 	addr := fs.String("addr", "127.0.0.1:8345", "listen address (use :0 for a kernel-assigned port)")
 	shards := fs.String("shards", "", "shard base URLs, comma-separated, each URL or ID=URL (required)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline, shard calls included (0 = default 30s)")
-	cacheEntries := fs.Int("cache-entries", 0, "answer cache capacity (0 = default 1024)")
-	noCache := fs.Bool("no-cache", false, "disable the answer cache")
 	rate := fs.String("rate", "", "per-tenant rate limits as KEY:RPS pairs, comma-separated (e.g. gold:100,default:10); exceeding returns HTTP 429")
 	failThreshold := fs.Int("fail-threshold", 0, "consecutive shard failures before the breaker opens (0 = default 1)")
 	cooldown := fs.Duration("cooldown", 0, "how long an open breaker waits before the next request probes the shard (0 = default 500ms)")
@@ -110,8 +111,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 		Shards:         topo,
 		Replica:        rep,
 		RequestTimeout: *reqTimeout,
-		CacheEntries:   *cacheEntries,
-		DisableCache:   *noCache,
 		RateLimits:     rates,
 		Breaker:        breaker.Config{Threshold: *failThreshold, Cooldown: *cooldown},
 	}
@@ -146,8 +145,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "medrouter listening on http://%s\n", ln.Addr())
-	fmt.Fprintf(stdout, "medrouter: %d shards, %d sources, cache=%v\n",
-		len(rt.Manager().Shards()), len(srcs), !*noCache)
+	fmt.Fprintf(stdout, "medrouter: %d shards, %d sources\n", len(rt.Manager().Shards()), len(srcs))
 	for _, sh := range rt.Manager().Shards() {
 		fmt.Fprintf(stdout, "medrouter: shard %s at %s owns %v\n", sh.ID, sh.URL, sh.Sources())
 	}

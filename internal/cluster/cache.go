@@ -1,29 +1,22 @@
 package cluster
 
-// Router-side caches. The answer cache is a single-partition LRU keyed
-// as the serving layer keys its own (per-source dependency sets, global
-// entries), but it invalidates: the deltas routed through the router
-// drop the entries over their source, and a generation counter guards
-// stale inserts. The serving layer validates against the versions its
-// mediator publishes instead; the router sees no shard's versions until
-// the shards publish a change feed. An entry is its own copy of the
-// reply's encoded head — vars and rows, as the router wrote them — and
-// the fields that follow, so a hit copies bytes and re-encodes no row.
-// The router has no per-tenant isolation duty (each shard enforces its
-// own) and no single-flight (the shards behind it already collapse
-// duplicate work). The facts cache keeps each shard's dumps in parsed
-// form, numbered by the shard's stamps, so consecutive gather queries
-// don't re-pull a shard: a delta routed to a shard patches the dump of
-// its source by the change the shard's reply carries, and only a change
-// the router could not patch (a full rebuild, a number gap, a restarted
-// shard) makes the next gather re-ship the shard, at the cost of a
-// parse of its changed lines. The replica is the materialised result
-// over the dumps of every shard, moved with ApplyDelta as the dumps
-// move.
+// The router's copy of shard state: the facts cache and the replica
+// over it. The router keeps no answers: a proxy or scatter request
+// reaches shards whose own answer caches validate by the versions
+// their mediators publish, and every other answer is read from the
+// replica. The facts cache keeps each shard's dumps in parsed form,
+// numbered by the shard's stamps, so consecutive gather queries don't
+// re-pull a shard: a delta routed to a shard patches the dump of its
+// source by the change the shard's reply carries, and only a change
+// the router could not patch (a full rebuild, a number gap, a
+// restarted shard) makes the next gather re-ship the shard, at the
+// cost of a parse of its changed lines. The replica is the
+// materialised result over the dumps the gathers read, moved with
+// ApplyDelta as the dumps move.
 
 import (
-	"container/list"
 	"context"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -31,110 +24,6 @@ import (
 	"modelmed/internal/datalog"
 	"modelmed/internal/mediator"
 )
-
-type cacheEntry struct {
-	key    string
-	head   []byte // the reply up to the end of its rows; never written
-	resp   reply
-	deps   map[string]bool // source names; nil+!global = never invalidated
-	global bool
-}
-
-type answerCache struct {
-	mu      sync.Mutex
-	max     int
-	gen     uint64
-	ll      *list.List // front = most recent
-	entries map[string]*list.Element
-}
-
-func newAnswerCache(max int) *answerCache {
-	if max <= 0 {
-		max = 1024
-	}
-	return &answerCache{max: max, ll: list.New(), entries: map[string]*list.Element{}}
-}
-
-// get returns the cached reply and the generation observed, for a
-// later generation-guarded put. The caller must not write head.
-func (c *answerCache) get(key string) (head []byte, resp reply, gen uint64, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, reply{}, c.gen, false
-	}
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.head, e.resp, c.gen, true
-}
-
-// put inserts unless an invalidation ran since gen was observed — an
-// answer computed against pre-delta shards must not outlive the delta.
-// The cache keeps head, which the caller must not write after.
-func (c *answerCache) put(key string, head []byte, resp reply, deps []string, global bool, gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gen != gen {
-		return
-	}
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		e.head, e.resp = head, resp
-		return
-	}
-	e := &cacheEntry{key: key, head: head, resp: resp, global: global}
-	if len(deps) > 0 {
-		e.deps = make(map[string]bool, len(deps))
-		for _, d := range deps {
-			e.deps[d] = true
-		}
-	}
-	c.entries[key] = c.ll.PushFront(e)
-	for len(c.entries) > c.max {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
-	}
-}
-
-// invalidateSource drops entries depending on the source (and global
-// ones) and bumps the generation.
-func (c *answerCache) invalidateSource(source string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	var dropped int
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.global || e.deps[source] {
-			c.ll.Remove(el)
-			delete(c.entries, e.key)
-			dropped++
-		}
-		el = next
-	}
-	return dropped
-}
-
-// invalidateAll drops everything and bumps the generation.
-func (c *answerCache) invalidateAll() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	dropped := len(c.entries)
-	c.ll.Init()
-	c.entries = map[string]*list.Element{}
-	return dropped
-}
-
-func (c *answerCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
 
 // factsCache keeps each shard's dumps, parsed, each numbered with the
 // stamp of the source state it renders, in the shard's epoch. A change
@@ -210,9 +99,8 @@ func (c *factsCache) get(shard string) (dumps []*mediator.ParsedDump, fresh bool
 }
 
 // put stores the dumps a ship read in epoch, keeping a held dump of a
-// source that is newer than the shipped one, and returns the dumps
-// held after.
-func (c *factsCache) put(shard string, epoch uint64, shipped []*mediator.ParsedDump) []*mediator.ParsedDump {
+// source that is newer than the shipped one.
+func (c *factsCache) put(shard string, epoch uint64, shipped []*mediator.ParsedDump) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.shard(shard)
@@ -224,7 +112,6 @@ func (c *factsCache) put(shard string, epoch uint64, shipped []*mediator.ParsedD
 		}
 	}
 	s.epoch, s.dumps = epoch, shipped
-	return shipped
 }
 
 // held returns the held dump of source when it is the state numbered
@@ -267,10 +154,13 @@ func (c *factsCache) routed(shard string, epoch uint64, source string, to uint64
 // mark numbers one source's dump: its stamp, in its shard's epoch.
 type mark struct{ epoch, stamp uint64 }
 
-// factsState is the cached dumps of a set of shards at one moment.
+// factsState is the cached dumps of a set of shards at one moment, the
+// state a gather moves the replica to. keep, when set, names the
+// sources outside it whose dumps the replica keeps as it holds them.
 type factsState struct {
 	marks map[string]mark // source -> the number of its dump
 	dumps []*mediator.ParsedDump
+	keep  func(source string) bool
 }
 
 // state returns the shards' cached dumps, fresh or not.
@@ -289,12 +179,11 @@ func (c *factsCache) state(shards []*Shard) factsState {
 }
 
 // replica is the router's materialised replica: the replica mediator's
-// static program over every shard's cached dump, with the result it
-// produced. A gather that loaded every shard moves it to the facts
-// cache's state and reads it; it moves only on the request path. Lock
-// order: facts cache, then write, then mu, then the replica mediator's
-// own lock. write is never awaited while holding mu, and no lock is
-// held across a shard call.
+// static program over the shards' cached dumps, with the result it
+// produced. Every gather moves it to the state it reads, on the request
+// path. Lock order: facts cache, then write, then mu, then the replica
+// mediator's own lock. write is never awaited while holding mu, and no
+// lock is held across a shard call.
 type replica struct {
 	// write is held by the one move in progress: it serialises the
 	// moves. It is a one-slot channel so that a request waiting for it
@@ -302,64 +191,82 @@ type replica struct {
 	write chan struct{}
 	fb    *mediator.FactBase // guarded by write
 
-	// mu guards the published result and, per source, the number of
-	// the dump it reflects; both change under write and mu.
-	mu    sync.RWMutex
-	res   *datalog.Result
-	marks map[string]mark
+	// mu guards the published result and the dumps it reflects; both
+	// change under write and mu.
+	mu   sync.RWMutex
+	res  *datalog.Result
+	held factsState
 }
 
 func newReplica() *replica { return &replica{write: make(chan struct{}, 1)} }
 
-// covers reports whether the published result reflects st: it was
-// built from the same sources' dumps, none older than st's, in the
-// same epochs. The caller holds mu or write.
+// target is st plus, for each source st.keep names and st lacks, the
+// dump the published result reflects. The caller holds mu or write.
+func (r *replica) target(st factsState) factsState {
+	if st.keep == nil {
+		return st
+	}
+	out := factsState{marks: maps.Clone(st.marks), dumps: slices.Clone(st.dumps)}
+	for _, d := range r.held.dumps {
+		if _, ok := st.marks[d.Source]; !ok && st.keep(d.Source) {
+			out.marks[d.Source] = r.held.marks[d.Source]
+			out.dumps = append(out.dumps, d)
+		}
+	}
+	return out
+}
+
+// covers reports whether the published result reflects st, a target:
+// it was built from the same sources' dumps, none older than st's, in
+// the same epochs. The caller holds mu or write.
 func (r *replica) covers(st factsState) bool {
-	if r.res == nil || len(r.marks) != len(st.marks) {
+	if r.res == nil || len(r.held.marks) != len(st.marks) {
 		return false
 	}
 	for src, m := range st.marks {
-		if h, ok := r.marks[src]; !ok || h.epoch != m.epoch || h.stamp < m.stamp {
+		if h, ok := r.held.marks[src]; !ok || h.epoch != m.epoch || h.stamp < m.stamp {
 			return false
 		}
 	}
 	return true
 }
 
-// read calls fn with the published result under the read lock, if that
-// result covers st.
-func (r *replica) read(st factsState, fn func(*datalog.Result) error) (ok bool, err error) {
+// get returns the published result if it covers st, else nil. A
+// published result is never written, so the caller may read it after.
+func (r *replica) get(st factsState) *datalog.Result {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if !r.covers(st) {
-		return false, nil
+	if !r.covers(r.target(st)) {
+		return nil
 	}
-	return true, fn(r.res)
+	return r.res
 }
 
 // advance moves the replica to st unless another move already covered
-// it, and reports whether it patched the replica or rebuilt it. Only
-// the wait for another request's move follows ctx: the move itself runs
-// to completion or timeout whatever the caller does, since the replica
-// is shared. After a failed move the next one rebuilds.
-func (r *replica) advance(ctx context.Context, rep *mediator.Mediator, st factsState, timeout time.Duration) (patched, rebuilt bool, err error) {
+// it, returns the result that covers st, and reports whether it
+// patched the replica or rebuilt it. Only the wait for another
+// request's move follows ctx: the move itself runs to completion or
+// timeout whatever the caller does, since the replica is shared. After
+// a failed move the next one rebuilds.
+func (r *replica) advance(ctx context.Context, rep *mediator.Mediator, st factsState, timeout time.Duration) (res *datalog.Result, patched, rebuilt bool, err error) {
 	select {
 	case r.write <- struct{}{}:
 	case <-ctx.Done():
-		return false, false, ctx.Err()
+		return nil, false, false, ctx.Err()
 	}
 	defer func() { <-r.write }()
+	st = r.target(st)
 	if r.covers(st) {
-		return false, false, nil
+		return r.res, false, false, nil
 	}
 	mctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), timeout)
 	defer cancel()
 	r.fb, rebuilt, err = rep.MoveFactBase(mctx, r.fb, st.dumps)
 	if err != nil {
-		return false, false, err
+		return nil, false, false, err
 	}
 	r.mu.Lock()
-	r.res, r.marks = r.fb.Result(), st.marks
+	r.res, r.held = r.fb.Result(), st
 	r.mu.Unlock()
-	return !rebuilt, rebuilt, nil
+	return r.res, !rebuilt, rebuilt, nil
 }

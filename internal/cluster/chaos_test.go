@@ -15,6 +15,7 @@ import (
 
 	"modelmed/internal/breaker"
 	"modelmed/internal/serve"
+	"modelmed/internal/wrapper"
 )
 
 func TestChaosDownedShard(t *testing.T) {
@@ -141,6 +142,38 @@ func TestChaosDownedShard(t *testing.T) {
 	}
 	if status := postJSON(t, testHTTP, c.base()+"/v1/delta", d, &dr, nil); status != http.StatusOK {
 		t.Fatalf("delta after recovery: status %d", status)
+	}
+}
+
+// TestRestrictedGatherFaults: a gather restricted to the shards owning
+// its sources reads no other shard, so another shard down leaves its
+// answer complete and unflagged; one of its own shards down flags it
+// partial.
+func TestRestrictedGatherFaults(t *testing.T) {
+	assign := [][]string{{"SYNAPSE"}, {"NCMIR"}, {"SENSELAB"}, {"EXTRA00"}}
+	ref := newReference(t, 2026, 14, 18, 10, []wrapper.Wrapper{extraWrapper(t)})
+	join := serve.QueryRequest{Query: `src_obj('SYNAPSE', O, C), src_obj('NCMIR', P, D)`,
+		Vars: []string{"O", "C", "P", "D"}, NoCache: true}
+	for _, down := range []string{"SENSELAB", "NCMIR"} {
+		c := newTestCluster(t, 2026, 14, 18, 10, assign, map[string]wrapper.Wrapper{"EXTRA00": extraWrapper(t)}, RouterConfig{})
+		sh, _ := c.router.Manager().Owner(down)
+		for _, ts := range c.shards {
+			if ts.id == sh.ID {
+				ts.down.Store(true)
+			}
+		}
+		resp, status := routerQuery(t, c.base(), join)
+		if status != http.StatusOK {
+			t.Fatalf("%s down: status %d", down, status)
+		}
+		if resp.Mode != "gather" {
+			t.Fatalf("%s down: mode %s, want gather", down, resp.Mode)
+		}
+		if down == "SENSELAB" {
+			checkEqual(t, "restricted gather with SENSELAB's shard down", resp, ref, join.Query, join.Vars)
+		} else if !resp.Partial {
+			t.Errorf("restricted gather with NCMIR's shard down: not flagged partial")
+		}
 	}
 }
 

@@ -3,24 +3,25 @@ package cluster
 // The router: the cluster's front door, speaking the same /v1/query,
 // /v1/delta and /v1/sync API as a single medd. Each query is parsed
 // once, classified (decompose.go) and executed in the cheapest sound
-// mode. Every /v1/query reply, a cache hit's included, is written by
-// serve's encoder into a pooled buffer — serve's prefix, then the
-// router's mode and shard reports: a proxy relays the shard's encoded
-// rows as they stand, a scatter unions the shards' rows deduped by
-// their bytes (wire.go), and replicated and gather answers encode their
-// cells straight from the fixpoint, so no row is decoded or held as
-// strings. Each delta is forwarded to the one shard owning its source,
-// and the change the shard's reply reports committing patches the
-// router's dump of that source before the router's own 200, so the
-// router reads its own writes without a re-ship. The router holds a
-// *replica* mediator
+// mode. Every /v1/query reply is written by serve's encoder into a
+// pooled buffer — serve's prefix, then the router's mode and shard
+// reports: a proxy relays the shard's encoded rows and its cached flag
+// as they stand, a scatter unions the shards' rows deduped by their
+// bytes (wire.go), and replicated and gather answers encode their cells
+// straight from the fixpoint, so no row is decoded or held as strings.
+// The router keeps no answers of its own: the shards' answer caches
+// validate by the versions their mediators publish, so they see a move
+// made at a shard directly, which a router-side cache would not. Each
+// delta is forwarded to the one shard owning its source, and the change
+// the shard's reply reports committing patches the router's dump of
+// that source before the router's own 200, so the router reads its own
+// writes without a re-ship. The router holds a *replica* mediator
 // carrying only the static knowledge (domain map, views, no sources):
 // the value it publishes answers replicated-only queries locally, and
-// its program over every shard's fact dumps is the materialised
-// replica gathers read.
+// its program over the shards' fact dumps is the materialised replica
+// every gather reads.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,7 +35,6 @@ import (
 	"time"
 
 	"modelmed/internal/breaker"
-	"modelmed/internal/datalog"
 	"modelmed/internal/mediator"
 	"modelmed/internal/obs"
 	"modelmed/internal/serve"
@@ -52,10 +52,6 @@ type RouterConfig struct {
 	// RequestTimeout bounds each client request end to end, shard calls
 	// included (default 30s; a request's timeout_ms can shorten it).
 	RequestTimeout time.Duration
-	// CacheEntries bounds the answer cache (default 1024).
-	CacheEntries int
-	// DisableCache turns the answer cache off.
-	DisableCache bool
 	// RateLimits is the front-door per-key token bucket set
 	// (KEY -> requests/second), as in the single-node service.
 	RateLimits map[string]float64
@@ -86,7 +82,6 @@ type Router struct {
 	ctr     *obs.Counters
 	log     *log.Logger
 	mux     *http.ServeMux
-	cache   *answerCache
 	facts   *factsCache
 	replica *replica
 }
@@ -115,7 +110,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rl:      serve.NewRateLimiter(cfg.RateLimits),
 		ctr:     obs.NewCounters(),
 		log:     cfg.Log,
-		cache:   newAnswerCache(cfg.CacheEntries),
 		facts:   newFactsCache(),
 		replica: newReplica(),
 	}
@@ -137,9 +131,6 @@ func (rt *Router) Manager() *Manager { return rt.man }
 
 // Counters exposes the router's counter set.
 func (rt *Router) Counters() *obs.Counters { return rt.ctr }
-
-// CacheSize returns the number of cached answers (test/ops hook).
-func (rt *Router) CacheSize() int { return rt.cache.size() }
 
 // Discover probes the shards and builds the source assignment.
 func (rt *Router) Discover(ctx context.Context) error { return rt.man.Discover(ctx) }
@@ -184,6 +175,7 @@ type QueryResponse struct {
 // fields that follow them.
 type reply struct {
 	count   int
+	cached  bool // a proxy's shard answered from its cache
 	partial bool
 	mode    string
 	shards  []ShardReport
@@ -191,8 +183,8 @@ type reply struct {
 
 // finish appends the fields after the rows, serve's and the router's
 // own, ending the reply as QueryResponse's JSON encoding ends.
-func (r *reply) finish(e *serve.ReplyEncoder, cached bool) {
-	e.Tail(r.count, cached, r.partial)
+func (r *reply) finish(e *serve.ReplyEncoder) {
+	e.Tail(r.count, r.cached, r.partial)
 	b := serve.AppendJSONString(append(e.Buf, `,"mode":`...), r.mode)
 	if len(r.shards) > 0 {
 		b = append(b, `,"shards":[`...)
@@ -219,11 +211,10 @@ func (r *reply) finish(e *serve.ReplyEncoder, cached bool) {
 }
 
 // DeltaResponse is the router's POST /v1/delta reply: the owning
-// shard's report plus the router-level cache effect.
+// shard's report and its ID.
 type DeltaResponse struct {
 	serve.DeltaResponse
-	Shard              string `json:"shard"`
-	RouterCacheDropped int    `json:"router_cache_dropped"`
+	Shard string `json:"shard"`
 }
 
 type errorResponse struct {
@@ -277,24 +268,6 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	enc := serve.GetReplyEncoder()
 	defer enc.Release()
 	dec := Classify(p.Body, p.Aux, rt.rep.ViewRules())
-	useCache := !rt.cfg.DisableCache && !req.NoCache && !req.Trace
-	var key string
-	var gen uint64
-	if useCache {
-		key = serve.CacheKey(p.Body, p.Aux, req.Vars)
-		head, cached, g, ok := rt.cache.get(key)
-		if ok {
-			rt.ctr.Add("router.cache_hits", 1)
-			enc.Buf = append(enc.Buf[:0], head...)
-			cached.finish(enc, true)
-			rt.write(w, enc.Buf)
-			rt.logf("method=POST path=/v1/query mode=%s status=200 dur=%s rows=%d cache=hit", cached.mode, time.Since(start), cached.count)
-			return
-		}
-		gen = g
-		rt.ctr.Add("router.cache_misses", 1)
-	}
-
 	apiKey := r.Header.Get("X-API-Key")
 	var resp *reply
 	var status int
@@ -318,15 +291,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rt.ctr.Add("router."+dec.Mode.String(), 1)
 	if resp.partial {
 		rt.ctr.Add("router.partial_answers", 1)
-	} else if useCache {
-		deps := dec.Sources
-		global := dec.Mode == ModeScatter || dec.Mode == ModeGather
-		rt.cache.put(key, bytes.Clone(enc.Buf), *resp, deps, global, gen)
 	}
-	resp.finish(enc, false)
+	resp.finish(enc)
 	rt.write(w, enc.Buf)
-	rt.logf("method=POST path=/v1/query mode=%s status=200 dur=%s rows=%d cache=miss partial=%v",
-		resp.mode, time.Since(start), resp.count, resp.partial)
+	rt.logf("method=POST path=/v1/query mode=%s status=200 dur=%s rows=%d cached=%v partial=%v",
+		resp.mode, time.Since(start), resp.count, resp.cached, resp.partial)
 }
 
 // write sends a 200 with an encoded JSON body.
@@ -385,7 +354,7 @@ func (rt *Router) sourcesQuery(ctx context.Context, e *serve.ReplyEncoder, apiKe
 }
 
 // proxyQuery forwards the request verbatim to one shard and relays its
-// rows as the shard encoded them.
+// rows as the shard encoded them, and its cached flag.
 func (rt *Router) proxyQuery(ctx context.Context, e *serve.ReplyEncoder, apiKey string, req *serve.QueryRequest, sh *Shard) (*reply, int, error) {
 	if !sh.br.Allow() {
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("shard %s is down: %s", sh.ID, rt.man.Report(sh).Error)
@@ -475,17 +444,19 @@ func (rt *Router) scatterQuery(ctx context.Context, e *serve.ReplyEncoder, apiKe
 
 // gatherQuery evaluates the prepared query at the router over the
 // replicated static knowledge and the given shards' fact dumps,
-// re-shipping the dumps that are not fresh. Over every shard, with no
-// shard missing, it reads the materialised replica, moved forward to
-// the dumps first; otherwise (a restricted or partial gather) it
-// evaluates over a one-off build of the same parsed dumps.
+// re-shipping the dumps that are not fresh, by reading the replica
+// moved to them. A full gather (ModeGather) moves the replica to
+// exactly the dumps of the shards that answered, so a down shard's
+// sources leave it. A restricted one (ModeSources across shards) moves
+// only its shards' sources and keeps the others as the replica holds
+// them: the query reads no other source. Either way a cluster whose
+// shard set holds still patches the replica instead of rebuilding it.
 func (rt *Router) gatherQuery(ctx context.Context, e *serve.ReplyEncoder, p *mediator.Prepared, dec *Decomposition, shards []*Shard) (*reply, int, error) {
 	got := make([]gathered, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		dumps, fresh := rt.facts.get(sh.ID)
 		if fresh {
-			got[i].dumps = dumps
 			rt.ctr.Add("router.facts_cache_hits", 1)
 			continue
 		}
@@ -498,7 +469,7 @@ func (rt *Router) gatherQuery(ctx context.Context, e *serve.ReplyEncoder, p *med
 	wg.Wait()
 
 	resp := &reply{mode: ModeGather.String()}
-	var all []*mediator.ParsedDump
+	answered := make([]*Shard, 0, len(shards))
 	for i, sh := range shards {
 		g := &got[i]
 		rep := rt.man.Report(sh)
@@ -520,7 +491,7 @@ func (rt *Router) gatherQuery(ctx context.Context, e *serve.ReplyEncoder, p *med
 				sh.br.Success()
 				rep = rt.man.Report(sh)
 			}
-			all = append(all, g.dumps...)
+			answered = append(answered, sh)
 		}
 		resp.shards = append(resp.shards, rep)
 	}
@@ -530,13 +501,17 @@ func (rt *Router) gatherQuery(ctx context.Context, e *serve.ReplyEncoder, p *med
 		return nil, http.StatusServiceUnavailable,
 			errors.New("shard down and query aggregates/negates over source facts; partial answer would be wrong")
 	}
-	var ans *mediator.Answer
-	var err error
-	if !resp.partial && len(shards) == len(rt.man.Shards()) {
-		ans, err = rt.replicaQuery(ctx, p, shards)
-	} else {
-		ans, err = rt.rep.QueryOverParsed(ctx, all, p)
+	st := rt.facts.state(answered)
+	if dec.Mode == ModeSources {
+		mine := map[string]bool{}
+		for _, sh := range shards {
+			for _, src := range sh.Sources() {
+				mine[src] = true
+			}
+		}
+		st.keep = func(src string) bool { return !mine[src] }
 	}
+	ans, err := rt.replicaQuery(ctx, p, st)
 	if err != nil {
 		if errors.Is(err, mediator.ErrUnknownPredicate) {
 			return nil, http.StatusBadRequest, err
@@ -551,7 +526,6 @@ func (rt *Router) gatherQuery(ctx context.Context, e *serve.ReplyEncoder, p *med
 
 // gathered is one shard's part of a gather.
 type gathered struct {
-	dumps   []*mediator.ParsedDump
 	shipped bool  // re-shipped by this request
 	skipped bool  // the shard is down and its dump stale
 	err     error // the shard call failed
@@ -579,34 +553,29 @@ func (rt *Router) loadFacts(ctx context.Context, sh *Shard, base []*mediator.Par
 			return gathered{badDump: fmt.Errorf("shard %s: %w", sh.ID, err)}
 		}
 	}
-	return gathered{dumps: rt.facts.put(sh.ID, fr.Epoch, dumps), shipped: true}
+	rt.facts.put(sh.ID, fr.Epoch, dumps)
+	return gathered{shipped: true}
 }
 
 // replicaQuery answers the query over the replica, first moving it to
-// the facts cache's state of shards, every shard of the cluster, each
-// loaded by this request.
-func (rt *Router) replicaQuery(ctx context.Context, p *mediator.Prepared, shards []*Shard) (*mediator.Answer, error) {
-	st := rt.facts.state(shards)
-	var ans *mediator.Answer
-	query := func(res *datalog.Result) (err error) {
-		ans, err = rt.rep.QueryResult(ctx, res, p)
-		return err
+// st if it does not cover st.
+func (rt *Router) replicaQuery(ctx context.Context, p *mediator.Prepared, st factsState) (*mediator.Answer, error) {
+	res := rt.replica.get(st)
+	if res == nil {
+		var patched, rebuilt bool
+		var err error
+		res, patched, rebuilt, err = rt.replica.advance(ctx, rt.rep, st, rt.cfg.requestTimeout())
+		if patched {
+			rt.ctr.Add("router.replica_patches", 1)
+		}
+		if rebuilt {
+			rt.ctr.Add("router.replica_rebuilds", 1)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if ok, err := rt.replica.read(st, query); ok {
-		return ans, err
-	}
-	patched, rebuilt, err := rt.replica.advance(ctx, rt.rep, st, rt.cfg.requestTimeout())
-	if patched {
-		rt.ctr.Add("router.replica_patches", 1)
-	}
-	if rebuilt {
-		rt.ctr.Add("router.replica_rebuilds", 1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	_, err = rt.replica.read(st, query)
-	return ans, err
+	return rt.rep.QueryResult(ctx, res, p)
 }
 
 // --- delta / sync ---
@@ -662,29 +631,11 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sh.br.Success()
-	dropped := rt.applyShardDelta(sh.ID, sr)
+	rt.patchDump(sh.ID, sr)
 	rt.ctr.Add("router.deltas", 1)
-	rt.writeJSON(w, http.StatusOK, &DeltaResponse{DeltaResponse: *sr, Shard: sh.ID, RouterCacheDropped: dropped})
-	rt.logf("method=POST path=/v1/delta source=%s shard=%s status=200 dur=%s dropped=%d",
-		req.Source, sh.ID, time.Since(start), dropped)
-}
-
-// applyShardDelta applies one shard delta report's precise router-side
-// cache effect: patch the source's held dump by the committed change
-// (patchDump) and drop the answer-cache entries depending on the
-// source (everything on a full rebuild).
-func (rt *Router) applyShardDelta(shardID string, sr *serve.DeltaResponse) int {
-	rt.patchDump(shardID, sr)
-	var dropped int
-	if sr.Full {
-		dropped = rt.cache.invalidateAll()
-		rt.ctr.Add("router.cache_invalidations_full", 1)
-	} else {
-		dropped = rt.cache.invalidateSource(sr.Source)
-		rt.ctr.Add("router.cache_invalidations_source", 1)
-	}
-	rt.ctr.Add("router.cache_entries_dropped", int64(dropped))
-	return dropped
+	rt.writeJSON(w, http.StatusOK, &DeltaResponse{DeltaResponse: *sr, Shard: sh.ID})
+	rt.logf("method=POST path=/v1/delta source=%s shard=%s status=200 dur=%s",
+		req.Source, sh.ID, time.Since(start))
 }
 
 // patchDump records the change sr reports as routed to the shard and,
@@ -757,8 +708,8 @@ func (rt *Router) handleSync(w http.ResponseWriter, r *http.Request) {
 			rep = rt.man.Report(sh)
 			anyOK = true
 			for _, sr := range refreshed[i] {
-				dropped := rt.applyShardDelta(sh.ID, sr)
-				out = append(out, &DeltaResponse{DeltaResponse: *sr, Shard: sh.ID, RouterCacheDropped: dropped})
+				rt.patchDump(sh.ID, sr)
+				out = append(out, &DeltaResponse{DeltaResponse: *sr, Shard: sh.ID})
 			}
 		}
 		reports = append(reports, rep)
@@ -794,7 +745,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.ctr.Set("router.cache_entries", int64(rt.cache.size()))
 	snap := rt.ctr.Snapshot()
 	names := make([]string, 0, len(snap))
 	for n := range snap {

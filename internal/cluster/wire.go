@@ -29,12 +29,13 @@ import (
 	"modelmed/internal/serve"
 )
 
-// ShardAnswer is a shard's /v1/query reply with its vars and partial
-// flag decoded and its rows left encoded, in a pooled buffer. Release
-// returns the buffer; an answer that is dropped unreleased is only a
-// pool miss.
+// ShardAnswer is a shard's /v1/query reply with its vars, cached and
+// partial flags decoded and its rows left encoded, in a pooled buffer.
+// Release returns the buffer; an answer that is dropped unreleased is
+// only a pool miss.
 type ShardAnswer struct {
 	Vars    []string
+	Cached  bool
 	Partial bool
 	// Rows is the reply's rows in serve's encoding, an array of arrays
 	// of strings, or nil when the reply's rows are null or absent. It
@@ -119,11 +120,11 @@ var (
 	errRows      = errors.New("rows are not arrays of strings")
 )
 
-// read parses in, a /v1/query reply object: rows into a.Rows, vars and
-// partial into their fields. The other fields the serving layer writes
-// are checked for their type, as decoding them into serve.QueryResponse
-// did, and unknown fields for being JSON; what follows the object is
-// not read.
+// read parses in, a /v1/query reply object: rows into a.Rows, vars,
+// cached and partial into their fields. The other fields the serving
+// layer writes are checked for their type, as decoding them into
+// serve.QueryResponse did, and unknown fields for being JSON; what
+// follows the object is not read.
 func (a *ShardAnswer) read(in []byte) error {
 	i := skipSpace(in, 0)
 	if at(in, i) != '{' {
@@ -156,7 +157,7 @@ func (a *ShardAnswer) read(in []byte) error {
 		case "partial":
 			a.Partial, i, err = readBool(in, i)
 		case "cached":
-			_, i, err = readBool(in, i)
+			a.Cached, i, err = readBool(in, i)
 		default:
 			if end, err = skipValue(in, i); err != nil {
 				return err
@@ -510,7 +511,7 @@ func skipSpace(in []byte, i int) int {
 }
 
 // relay writes a proxy reply: a's vars and rows, as the shard encoded
-// them, and rep as its one shard report.
+// them, its cached and partial flags, and rep as its one shard report.
 func relay(e *serve.ReplyEncoder, a *ShardAnswer, rep ShardReport) *reply {
 	e.Head(a.Vars)
 	if a.Rows == nil {
@@ -519,7 +520,7 @@ func relay(e *serve.ReplyEncoder, a *ShardAnswer, rep ShardReport) *reply {
 		e.Buf = append(e.Buf, a.Rows...)
 	}
 	rep.Rows = a.Len()
-	return &reply{count: a.Len(), partial: a.Partial, mode: "proxy", shards: []ShardReport{rep}}
+	return &reply{count: a.Len(), cached: a.Cached, partial: a.Partial, mode: "proxy", shards: []ShardReport{rep}}
 }
 
 // mergeRows writes the first answer's vars that are not null and the

@@ -59,9 +59,10 @@ func jsonReply(t testing.TB, resp *QueryResponse) []byte {
 // FuzzRouterReply holds the proxy relay and the scatter merge to
 // decoding: for shard replies serve writes over drawn cells — quotes,
 // <>&, U+2028, invalid UTF-8, empty answers, rows repeated across
-// shards, partial, missing and trace — the router's bytes must equal
-// json.NewEncoder(...).Encode(&QueryResponse{...}) over the decoded
-// replies, merged by a textual key, with the cache hit's too.
+// shards, cached, partial, missing and trace — the router's bytes must
+// equal json.NewEncoder(...).Encode(&QueryResponse{...}) over the
+// decoded replies, merged by a textual key. A proxy relays its shard's
+// cached flag; a scatter's union is never cached.
 func FuzzRouterReply(f *testing.F) {
 	f.Add("purkinje_cell", `say "hi"`, "<b>&amp;</b>", uint8(0))
 	f.Add("\u2028 \u2029", "\xff\xfe bad \xc3", "é 日本", uint8(0x1c))
@@ -84,6 +85,7 @@ func FuzzRouterReply(f *testing.F) {
 			if flags&(8<<i) != 0 {
 				resp.Partial, resp.Missing = true, []string{y}
 			}
+			resp.Cached = flags&(64<<i) != 0
 			if flags&32 != 0 {
 				resp.Trace = &obs.SpanExport{Name: z, Strs: map[string]string{x: y}}
 			}
@@ -112,17 +114,10 @@ func FuzzRouterReply(f *testing.F) {
 		defer e.Release()
 
 		rep := ShardReport{ID: "shard0", Sources: []string{x, "<&>"}, Status: "ok"}
-		r := relay(e, answers[0], rep)
-		head := bytes.Clone(e.Buf)
-		r.finish(e, false)
+		relay(e, answers[0], rep).finish(e)
 		d := decoded[0]
 		rep.Rows = len(d.Rows)
-		want := &QueryResponse{Vars: d.Vars, Rows: d.Rows, Count: len(d.Rows), Partial: d.Partial, Mode: "proxy", Shards: []ShardReport{rep}}
-		check("proxy", e.Buf, want)
-		e.Buf = append(e.Buf[:0], head...)
-		r.finish(e, true)
-		want.Cached = true
-		check("proxy cache hit", e.Buf, want)
+		check("proxy", e.Buf, &QueryResponse{Vars: d.Vars, Rows: d.Rows, Count: len(d.Rows), Cached: d.Cached, Partial: d.Partial, Mode: "proxy", Shards: []ShardReport{rep}})
 
 		// Scatter over three shards, the middle one failed.
 		reps := []ShardReport{
@@ -130,10 +125,10 @@ func FuzzRouterReply(f *testing.F) {
 			{ID: "shard1", Status: "failed", Error: "cluster: " + z},
 			{ID: "shard2", Sources: []string{y}, Status: "ok", Rows: len(decoded[1].Rows)},
 		}
-		r = &reply{mode: "scatter", partial: true, shards: reps}
+		r := &reply{mode: "scatter", partial: true, shards: reps}
 		r.count = mergeRows(e, []*ShardAnswer{answers[0], nil, answers[1]})
-		r.finish(e, false)
-		want = &QueryResponse{Partial: true, Mode: "scatter", Shards: reps}
+		r.finish(e)
+		want := &QueryResponse{Partial: true, Mode: "scatter", Shards: reps}
 		seen := map[string]bool{}
 		for _, d := range decoded {
 			if want.Vars == nil {
@@ -163,7 +158,7 @@ func FuzzRouterReply(f *testing.F) {
 		e.Head([]string{x})
 		e.CellRows(cells)
 		r = &reply{count: len(cells), mode: "gather", shards: reps[:1]}
-		r.finish(e, false)
+		r.finish(e)
 		check("gather", e.Buf, &QueryResponse{Vars: []string{x}, Rows: datalog.RenderRows(cells), Count: len(cells), Mode: "gather", Shards: reps[:1]})
 	})
 }
@@ -189,7 +184,7 @@ func TestShardRowsInAnyJSONForm(t *testing.T) {
 		}
 		e := serve.GetReplyEncoder()
 		rep := ShardReport{ID: "shard0", Status: "ok", Rows: len(d.Rows)}
-		relay(e, a, rep).finish(e, false)
+		relay(e, a, rep).finish(e)
 		want := jsonReply(t, &QueryResponse{Vars: d.Vars, Rows: d.Rows, Count: len(d.Rows), Partial: d.Partial, Mode: "proxy", Shards: []ShardReport{rep}})
 		if !bytes.Equal(e.Buf, want) {
 			t.Errorf("relay of %q\n got: %q\nwant: %q", body, e.Buf, want)
@@ -222,12 +217,13 @@ func rawQuery(t testing.TB, base string, req serve.QueryRequest) (int, []byte) {
 	return resp.StatusCode, buf.Bytes()
 }
 
-// TestRouterReplyBytes: in every mode, and on a cache hit, a partial
+// TestRouterReplyBytes: in every mode, and on a repeat, a partial
 // scatter and a traced query, the router's reply is byte for byte
 // encoding/json's encoding of what it decodes to — so the bytes are
 // those the router wrote when it decoded shard replies and encoded a
 // QueryResponse — and an empty answer's rows are null or [] as they
-// were: null only from a scatter, which unions no rows.
+// were: null only from a scatter, which unions no rows. Only a proxy
+// is ever cached: it relays its shard's flag.
 func TestRouterReplyBytes(t *testing.T) {
 	c := newTestCluster(t, 2026, 20, 30, 15, twoShardAssign(), nil, RouterConfig{})
 	proxy := serve.QueryRequest{Query: `src_obj('SENSELAB', N, neurotransmission)`, Vars: []string{"N"}}
@@ -240,20 +236,22 @@ func TestRouterReplyBytes(t *testing.T) {
 		t.Fatalf("shard0 sends no trace: %s", body)
 	}
 	cases := []struct {
-		name  string
-		req   serve.QueryRequest
-		mode  string
-		empty string // the rows of an empty answer; "" when not empty
+		name   string
+		req    serve.QueryRequest
+		mode   string
+		empty  string // the rows of an empty answer; "" when not empty
+		cached bool
 	}{
-		{"replicated", serve.QueryRequest{Query: `dm_isa_star(C, neuron)`, Vars: []string{"C"}}, "replicated", ""},
-		{"replicated empty", serve.QueryRequest{Query: `dm_isa_star(no_such_concept, C)`}, "replicated", "[]"},
-		{"proxy", proxy, "proxy", ""},
-		{"proxy empty", serve.QueryRequest{Query: `src_obj('SENSELAB', N, no_such_class)`}, "proxy", "[]"},
-		{"scatter", serve.QueryRequest{Query: `anchor(S, O, C), dm_isa_star(C, dendrite)`}, "scatter", ""},
-		{"scatter empty", serve.QueryRequest{Query: `anchor(S, O, no_such_class)`}, "scatter", "null"},
-		{"gather", serve.QueryRequest{Query: `protein_distribution(Root, P, Org, T, N)`}, "gather", ""},
-		{"gather empty", serve.QueryRequest{Query: `src_obj('SYNAPSE', O, no_such_class), src_obj('NCMIR', P, D)`}, "gather", "[]"},
-		{"trace", traced, "proxy", ""},
+		{"replicated", serve.QueryRequest{Query: `dm_isa_star(C, neuron)`, Vars: []string{"C"}}, "replicated", "", false},
+		{"replicated empty", serve.QueryRequest{Query: `dm_isa_star(no_such_concept, C)`}, "replicated", "[]", false},
+		// shard0's cache holds the traced query sent to it above.
+		{"proxy", proxy, "proxy", "", true},
+		{"proxy empty", serve.QueryRequest{Query: `src_obj('SENSELAB', N, no_such_class)`}, "proxy", "[]", false},
+		{"scatter", serve.QueryRequest{Query: `anchor(S, O, C), dm_isa_star(C, dendrite)`}, "scatter", "", false},
+		{"scatter empty", serve.QueryRequest{Query: `anchor(S, O, no_such_class)`}, "scatter", "null", false},
+		{"gather", serve.QueryRequest{Query: `protein_distribution(Root, P, Org, T, N)`}, "gather", "", false},
+		{"gather empty", serve.QueryRequest{Query: `src_obj('SYNAPSE', O, no_such_class), src_obj('NCMIR', P, D)`}, "gather", "[]", false},
+		{"trace", traced, "proxy", "", true},
 	}
 	first := map[string][]byte{}
 	for _, tc := range cases {
@@ -268,8 +266,8 @@ func TestRouterReplyBytes(t *testing.T) {
 		if want := jsonReply(t, &resp); !bytes.Equal(body, want) {
 			t.Errorf("%s: reply is not encoding/json's\n got: %q\nwant: %q", tc.name, body, want)
 		}
-		if resp.Mode != tc.mode || resp.Cached || resp.Partial {
-			t.Errorf("%s: mode %s cached %v partial %v, want mode %s", tc.name, resp.Mode, resp.Cached, resp.Partial, tc.mode)
+		if resp.Mode != tc.mode || resp.Cached != tc.cached || resp.Partial {
+			t.Errorf("%s: mode %s cached %v partial %v, want mode %s cached %v", tc.name, resp.Mode, resp.Cached, resp.Partial, tc.mode, tc.cached)
 		}
 		if tc.empty != "" && !bytes.Contains(body, []byte(`"rows":`+tc.empty+`,`)) {
 			t.Errorf("%s: want rows %s, got %s", tc.name, tc.empty, body)
@@ -283,8 +281,9 @@ func TestRouterReplyBytes(t *testing.T) {
 		first[tc.name] = body
 	}
 
-	// A hit is the first reply with cached set.
-	for _, name := range []string{"replicated", "proxy", "scatter", "gather"} {
+	// A repeat is the first reply again, with cached set by the shard's
+	// cache for a proxy.
+	for _, name := range []string{"replicated", "proxy empty", "scatter", "gather"} {
 		tc := cases[0]
 		for _, c := range cases {
 			if c.name == name {
@@ -292,9 +291,12 @@ func TestRouterReplyBytes(t *testing.T) {
 			}
 		}
 		status, body := rawQuery(t, c.base(), tc.req)
-		want := bytes.Replace(first[name], []byte(`"cached":false`), []byte(`"cached":true`), 1)
+		want := first[name]
+		if tc.mode == "proxy" {
+			want = bytes.Replace(want, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+		}
 		if status != http.StatusOK || !bytes.Equal(body, want) {
-			t.Errorf("%s cache hit: status %d\n got: %q\nwant: %q", name, status, body, want)
+			t.Errorf("%s repeat: status %d\n got: %q\nwant: %q", name, status, body, want)
 		}
 	}
 
@@ -409,10 +411,10 @@ func TestBadShardReplyIsAShardFailure(t *testing.T) {
 	}
 }
 
-// TestPooledRepliesAreNotAliased: a cached proxy and gather reply stay
-// byte for byte the first reply (cached set) while 200 other queries
-// pass through the same pools, some by callers that drop the shard
-// answer unreleased. Run it under -race.
+// TestPooledRepliesAreNotAliased: a repeated proxy reply (cached set by
+// its shard) and gather reply stay byte for byte the first reply while
+// 200 other queries pass through the same pools, some by callers that
+// drop the shard answer unreleased. Run it under -race.
 func TestPooledRepliesAreNotAliased(t *testing.T) {
 	c := newTestCluster(t, 2026, 20, 30, 15, twoShardAssign(), nil, RouterConfig{})
 	proxy := serve.QueryRequest{Query: `src_obj('SYNAPSE', O, C)`, Vars: []string{"O", "C"}}
@@ -423,8 +425,9 @@ func TestPooledRepliesAreNotAliased(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d", req.Query, status)
 		}
-		want[req] = bytes.Replace(body, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+		want[req] = body
 	}
+	want[&proxy] = bytes.Replace(want[&proxy], []byte(`"cached":false`), []byte(`"cached":true`), 1)
 	others := []serve.QueryRequest{
 		{Query: `src_obj('NCMIR', O, C)`, NoCache: true},
 		{Query: `anchor(S, O, C)`, NoCache: true},

@@ -395,10 +395,13 @@ func (f flatRows) Swap(i, j int) {
 
 // evalAggregate enumerates the solutions of the aggregate's inner body
 // under s, groups them, and invokes cont once per group with the group
-// terms and result bound. Aggregated predicates are always in strictly
-// lower strata (aggregation counts as a negative dependency), so reading
-// from ev.store is sound. The group key and a contribution's dedup key
-// are built in scratch buffers and looked up without a copy.
+// terms and result bound. Each inner solution is charged to the gas
+// meter as a head instantiation is, so wrapping a join in an aggregate
+// does not take its enumeration out of MaxDerivedFacts. Aggregated
+// predicates are always in strictly lower strata (aggregation counts as
+// a negative dependency), so reading from ev.store is sound. The group
+// key and a contribution's dedup key are built in scratch buffers and
+// looked up without a copy.
 func (ev *evalCtx) evalAggregate(a Aggregate, s *term.Subst, cont func(*term.Subst) error) error {
 	inner := make([]BodyElem, len(a.Body))
 	for i, l := range a.Body {
@@ -408,6 +411,9 @@ func (ev *evalCtx) evalAggregate(a Aggregate, s *term.Subst, cont func(*term.Sub
 	var kb []byte
 	ts := make([]term.Term, 1+len(a.Key))
 	err := ev.match(inner, 0, -1, s, func(s2 *term.Subst) error {
+		if err := ev.spendGas(); err != nil {
+			return err
+		}
 		kb = kb[:0]
 		for _, g := range a.GroupBy {
 			t := s2.Apply(g)

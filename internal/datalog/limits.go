@@ -28,10 +28,11 @@ import (
 // whether or not limits are set.
 type Limits struct {
 	// MaxDerivedFacts caps head instantiations across the whole
-	// evaluation (all strata, all rounds, all Γ runs). It counts work,
-	// not net growth: re-derivations of known facts spend budget too,
-	// which is what makes it a gas meter rather than a size cap.
-	// 0 = unlimited.
+	// evaluation (all strata, all rounds, all Γ runs), and with them
+	// the inner solutions every aggregate enumerates, each charged as
+	// one. It counts work, not net growth: re-derivations of known
+	// facts spend budget too, which is what makes it a gas meter rather
+	// than a size cap. 0 = unlimited.
 	MaxDerivedFacts int
 	// MaxRounds caps semi-naive rounds summed across strata, Γ runs and
 	// DRed phases. 0 = unlimited (MaxIterations still bounds each
@@ -203,8 +204,9 @@ func (l *limiter) round() error {
 // spendGas charges one head instantiation against the evaluation's
 // budget, drawing a fresh stride from the shared limiter when the local
 // allotment runs dry. This is the per-derivation hook of both the
-// interpreted path (deriveHead) and the compiled executor (cExec.emit);
-// with no limiter attached it is a single nil check.
+// interpreted path (deriveHead) and the compiled executor (cExec.emit),
+// and the per-solution hook of an aggregate's inner body
+// (evalAggregate); with no limiter attached it is a single nil check.
 func (ev *evalCtx) spendGas() error {
 	if ev.lim == nil {
 		return nil

@@ -195,6 +195,36 @@ func TestQueryCtxSpendsGas(t *testing.T) {
 	}
 }
 
+// TestAggregateBodyIsMetered: an aggregate's inner solutions charge the
+// meter as a query's rows do, so wrapping a cross product in count{…}
+// does not take its 12^4 = 20,736 solutions out of the budget, though
+// the aggregate derives one row.
+func TestAggregateBodyIsMetered(t *testing.T) {
+	e := NewEngine(&Options{Limits: Limits{MaxDerivedFacts: 10_000}})
+	for i := 0; i < 12; i++ {
+		if err := e.AddFact("p", term.Atom(fmt.Sprintf("a%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := Aggregate{Result: v("N"), Op: AggCount, Value: v("A"),
+		Body: []Literal{Lit("p", v("A")), Lit("p", v("B")), Lit("p", v("C")), Lit("p", v("D"))}}
+	rows, err := res.QueryCtx(context.Background(), []BodyElem{count}, []string{"N"})
+	var be *ErrBudgetExceeded
+	if !errors.As(err, &be) || be.Kind != BudgetFacts {
+		t.Fatalf("count over a 20,736-solution body: rows %v, err %v, want *ErrBudgetExceeded (%s)", rows, err, BudgetFacts)
+	}
+	// Three literals, 1,728 solutions, fit.
+	count.Body = count.Body[:3]
+	rows, err = res.QueryCtx(context.Background(), []BodyElem{count}, []string{"N"})
+	if err != nil || len(rows) != 1 || rows[0][0].String() != "12" {
+		t.Fatalf("count over a 1,728-solution body: rows %v, err %v, want [[12]]", rows, err)
+	}
+}
+
 func TestQueryCtxHonoursCancelledContext(t *testing.T) {
 	e := NewEngine(nil)
 	if err := e.AddFact("p", term.Int(1)); err != nil {

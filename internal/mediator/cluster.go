@@ -12,12 +12,12 @@ package mediator
 // answered by unioning per-shard answers (cross-shard joins,
 // aggregates, negation over source facts) evaluates over the dumps
 // with a mediator that holds no sources, only the static knowledge
-// (axioms, bridge, domain map, views): QueryOverFacts and
-// QueryOverParsed build once per query, and MoveFactBase keeps the
-// build alive as a FactBase — the mediator's own srcstate.Base, fed by
-// dumps — so a gather is a read of a materialised result
-// (QueryResult): the per-shard counterpart of a mediator reading its
-// own published value.
+// (axioms, bridge, domain map, views): MoveFactBase keeps the build
+// over the dumps alive as a FactBase — the mediator's own
+// srcstate.Base, fed by dumps — so a gather is a read of a materialised
+// result (QueryResult): the per-shard counterpart of a mediator
+// reading its own published value. QueryOverFacts evaluates one query
+// over a one-off build of the dumps and keeps nothing.
 
 import (
 	"context"
@@ -426,15 +426,10 @@ func (m *Mediator) QueryOverFacts(ctx context.Context, dumps []SourceDump, q str
 	if err != nil {
 		return nil, fmt.Errorf("mediator: query over facts: %w", err)
 	}
-	return m.QueryOverParsed(ctx, parsed, p)
-}
-
-// QueryOverParsed is QueryOverFacts over dumps and a prepared query.
-func (m *Mediator) QueryOverParsed(ctx context.Context, dumps []*ParsedDump, p *Prepared) (*Answer, error) {
 	if err := m.ValidateVocabulary(p.Body, p.Aux); err != nil {
 		return nil, err
 	}
-	b, err := m.buildOverFacts(ctx, dumps)
+	b, err := m.buildOverFacts(ctx, parsed)
 	if err != nil {
 		return nil, err
 	}

@@ -350,8 +350,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ans, err = compute()
 		out = outcomeComputed
 	} else {
-		deps, global := QueryDeps(p.Body, p.Aux)
-		key := CacheKey(p.Body, p.Aux, req.Vars)
+		deps, global := queryDeps(p.Body, p.Aux)
+		key := cacheKey(p.Body, p.Aux, req.Vars)
 		ans, out, err = s.cache.do(ctx, tenant, key, deps, global, compute)
 	}
 	if err != nil {
@@ -668,14 +668,13 @@ var srcPreds = map[string]bool{
 	mediator.PredAnchor: true,
 }
 
-// QueryDeps derives the cache dependency set of a query: the ground
+// queryDeps derives the cache dependency set of a query: the ground
 // source names its body (and any query-local rule bodies) read. Any
 // variable source position, derived predicate (views, GCM bridge,
 // domain-map operations) or aggregate over one makes the query depend
 // on everything (global), since those derivations can draw on any
-// source. Exported because the cluster router keys its own answer
-// cache the same way.
-func QueryDeps(body []datalog.BodyElem, aux []datalog.Rule) (deps []string, global bool) {
+// source.
+func queryDeps(body []datalog.BodyElem, aux []datalog.Rule) (deps []string, global bool) {
 	seen := map[string]bool{}
 	auxHeads := map[string]bool{}
 	for _, r := range aux {
@@ -717,11 +716,10 @@ func QueryDeps(body []datalog.BodyElem, aux []datalog.Rule) (deps []string, glob
 	return deps, false
 }
 
-// CacheKey renders the normalized form of a query: the parsed body and
+// cacheKey renders the normalized form of a query: the parsed body and
 // query-local rules (whitespace of the original text no longer
-// matters) and the selected vars. Exported because the cluster router
-// keys its own answer cache the same way.
-func CacheKey(body []datalog.BodyElem, aux []datalog.Rule, vars []string) string {
+// matters) and the selected vars.
+func cacheKey(body []datalog.BodyElem, aux []datalog.Rule, vars []string) string {
 	var b strings.Builder
 	for i, e := range body {
 		if i > 0 {

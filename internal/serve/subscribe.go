@@ -148,8 +148,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	deps, global := QueryDeps(p.Body, p.Aux)
-	key := CacheKey(p.Body, p.Aux, req.Vars)
+	deps, global := queryDeps(p.Body, p.Aux)
+	key := cacheKey(p.Body, p.Aux, req.Vars)
 	evaluate := func() ([][]string, []string, error) {
 		// Each re-evaluation is one bounded query through the same
 		// admission gate and cache partition an ad-hoc request uses.

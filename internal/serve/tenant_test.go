@@ -344,9 +344,12 @@ func TestAbusiveTenantFairness(t *testing.T) {
 		TenantWeights:  map[string]int{honestKey: 3, abuserKey: 1},
 	}
 	// The budget admits the materialization and stops the enumerated
-	// cross product (12^4 = 20,736 rows) halfway.
+	// cross product (12^4 = 20,736 rows) halfway. It admits the honest
+	// count over the same cross product with its first two objects
+	// distinct and of one source: 12·5·12·12 = 8,640 inner solutions,
+	// each charged as a row is.
 	eng := datalog.Options{Limits: datalog.Limits{MaxDerivedFacts: 10000, MaxRounds: 1000}}
-	honestReq := QueryRequest{Query: "N = count{OI; " + crossProduct(4) + "}", Vars: []string{"N"}, NoCache: true}
+	honestReq := QueryRequest{Query: "N = count{OI; " + crossProduct(4) + ", SI = SII, OI != OII}", Vars: []string{"N"}, NoCache: true}
 	abusiveReq := QueryRequest{Query: crossProduct(4), NoCache: true}
 	runHonest := func(ts *httptest.Server) load.Stats {
 		t.Helper()
